@@ -8,6 +8,7 @@ counting and straight-line program generation.
 from .algebra import (
     DiracNumber,
     MultTable,
+    RingMismatchError,
     SignedBasis,
     build_table_from_generators,
     derive_b_matrix,
@@ -41,6 +42,7 @@ from .linalg import Mat, SignedPermutation, dirsum, kron, signed_perm_matrix, te
 __all__ = [
     "DiracNumber",
     "MultTable",
+    "RingMismatchError",
     "SignedBasis",
     "build_table_from_generators",
     "derive_b_matrix",

@@ -166,6 +166,18 @@ def table_errata(printed: MultTable, derived: MultTable):
     return diffs
 
 
+class RingMismatchError(ValueError):
+    """The two operands of a product are over different scalar rings."""
+
+    def __init__(self, left, right):
+        super().__init__(f"operands are over different rings: left {_ring_name(left)}, "
+                         f"right {_ring_name(right)}")
+
+
+def _ring_name(ring) -> str:
+    return getattr(ring, "name", type(ring).__name__)
+
+
 class DiracNumber:
     """16 coefficients over a scalar ring; coeffs[0] is the real part."""
 
@@ -222,6 +234,8 @@ def mul_schoolbook(a: DiracNumber, b: DiracNumber, table: MultTable) -> DiracNum
     are deterministic.
     """
     ring = a.ring
+    if b.ring is not ring:
+        raise RingMismatchError(ring, b.ring)
     out = [None] * DIM
     for n in range(DIM):
         an = a.coeffs[n]

@@ -19,6 +19,7 @@ meant for single-threaded measurement runs.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 
@@ -277,21 +278,11 @@ class FloatRing:
     def one():
         return 1.0
 
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
+    # the C builtins: the same binary64 operations without a Python frame
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    neg = staticmethod(operator.neg)
+    mul = staticmethod(operator.mul)
 
     @staticmethod
     def halve(a):

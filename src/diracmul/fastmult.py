@@ -4,22 +4,42 @@ A pipeline is a chain of constant stages (signed permutations and
 structural {-1,0,+1} combiners) around one b-dependent block-diagonal
 core.  Three refinement levels exist; the final one spends 88 generic
 multiplications inside a 30-wide core.  Stages are loaded from plain-text
-assets; ``verify_pipeline`` proves the whole chain equal to the
-ground-truth product matrix symbolically, which is the package's central
-correctness check.
+assets.
+
+Each assembled pipeline is compiled once, on first use, into two
+straight-line Python functions: ``bind(ring, b)`` evaluates the core
+entries for a right-hand operand and ``apply(ring, a, entries)`` runs the
+whole stage chain.  Both come from one recording pass of ``bind_core`` and
+``run_pipeline_bound``, and every operation in them is a call to the
+ring's ``add``/``sub``/``neg``/``mul``/``halve``, so the same two functions
+serve floats, dyadics, the counting ring and linear forms.  ``mul_fast``,
+``PrecomputedOperator.apply`` and ``verify_pipeline`` all call them:
+``verify_pipeline`` proves, over linear forms, that exactly this code
+equals the ground-truth product matrix.
 """
 
 from __future__ import annotations
 
+import linecache
 import os
+import threading
+import zlib
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .algebra import DIM, DiracNumber, build_table_from_generators, derive_b_matrix, symbolic_b
+from .algebra import (
+    DIM,
+    DiracNumber,
+    RingMismatchError,
+    build_table_from_generators,
+    derive_b_matrix,
+    symbolic_b,
+)
 from .exactnum import FORMS, LinearForm
 from .linalg import H2, T2X3, T3X2, Mat, SignedPermutation, dirsum, eye, kron
 
 LEVELS = (1, 2, 3)
+_COMPILE_LOCK = threading.Lock()
 
 
 class AssetError(RuntimeError):
@@ -55,11 +75,7 @@ def _parse_kv(lines, path):
     return fields
 
 
-def load_perm(path: str) -> SignedPermutation:
-    fields = _parse_kv(_read_lines(path), path)
-    name = os.path.basename(path)
-    if fields["kind"] != "signed_perm":
-        raise AssetError(f"stage {name}: expected kind signed_perm, got {fields['kind']!r}")
+def _parse_perm(fields: dict, name: str) -> SignedPermutation:
     try:
         size = int(fields["size"])
         src = [int(t) - 1 for t in fields["src"].split()]
@@ -126,11 +142,7 @@ def _parse_expr(text: str) -> Mat:
     return result
 
 
-def load_structural(path: str) -> Mat:
-    fields = _parse_kv(_read_lines(path), path)
-    name = os.path.basename(path)
-    if fields["kind"] != "structural":
-        raise AssetError(f"stage {name}: expected kind structural, got {fields['kind']!r}")
+def _parse_structural(fields: dict, name: str) -> Mat:
     try:
         mat = _parse_expr(fields["expr"])
     except ValueError as exc:
@@ -155,12 +167,36 @@ def _parse_term(tok: str):
     return (sign, int(tok.lstrip("+-")))
 
 
-def decompose_terms(terms, family: str, pools: dict):
+# the pool families a block family draws its four-term cells from, in search order
+_POOL_SEARCH = {"quad": ("quad",), "duo": ("duo",), "mixed": ("duo", "quad")}
+
+
+def index_pools(pools: dict) -> dict:
+    """Per block family: signed two-term set -> (rank, (sign, pool family, index)).
+
+    Pairs are ranked in search order (pool family, index, then sign +1
+    before -1); a set reachable several ways keeps its lowest rank.
+    """
+    index = {}
+    for family, searched in _POOL_SEARCH.items():
+        found: dict = {}
+        for fam in searched:
+            for i, pair in enumerate(pools[fam]):
+                for sign in (1, -1):
+                    key = frozenset((sign * s, m) for s, m in pair)
+                    found.setdefault(key, (len(found), (sign, fam, i)))
+        index[family] = found
+    return index
+
+
+def decompose_terms(terms, family: str, index: dict):
     """Build the construction recipe of one core cell.
 
     One- and two-term cells are built directly; four-term cells must be
     one addition of two shared pool terms of the block's family (the
-    singleton blocks mix the two families).
+    singleton blocks mix the two families).  Of the splits that exist, the
+    one whose first pair ranks lowest in search order wins; ``index`` is
+    :func:`index_pools` of the pool pairs.
     """
     terms = tuple(terms)
     if len(terms) == 1:
@@ -170,23 +206,24 @@ def decompose_terms(terms, family: str, pools: dict):
         return ("sum2", terms[0], terms[1])
     if len(terms) != 4:
         raise AssetError(f"core cell has {len(terms)} terms")
-    families = {"quad": ["quad"], "duo": ["duo"], "mixed": ["duo", "quad"]}.get(family)
-    if families is None:
+    pairs = index.get(family)
+    if pairs is None:
         raise AssetError(f"unknown pool family {family!r}")
-    searchable = [(fam, i, pair) for fam in families for i, pair in enumerate(pools[fam])]
-    target = {m: s for s, m in terms}
-    for fam1, i1, p1 in searchable:
-        for s1 in (1, -1):
-            part1 = [(s1 * s, m) for s, m in p1]
-            if not all(target.get(m) == s for s, m in part1):
-                continue
-            rest = {m: s for m, s in target.items() if m not in {m for _, m in part1}}
-            for fam2, i2, p2 in searchable:
-                for s2 in (1, -1):
-                    part2 = [(s2 * s, m) for s, m in p2]
-                    if len(rest) == 2 and all(rest.get(m) == s for s, m in part2):
-                        return ("pair", (s1, fam1, i1), (s2, fam2, i2))
-    raise AssetError(f"core cell {terms} does not split over the {family} pools")
+    t = [(s, m) for m, s in {m: s for s, m in terms}.items()]
+    best = None
+    if len(t) == 4:
+        # the three ways to split four terms into two pairs; in each, the
+        # pair that ranks lower is the one the search meets first
+        for i, j, k in ((1, 2, 3), (2, 1, 3), (3, 1, 2)):
+            hit1 = pairs.get(frozenset((t[0], t[i])))
+            hit2 = pairs.get(frozenset((t[j], t[k])))
+            if hit1 and hit2:
+                split = (hit1, hit2) if hit1[0] < hit2[0] else (hit2, hit1)
+                if best is None or split[0][0] < best[0][0]:
+                    best = split
+    if best is None:
+        raise AssetError(f"core cell {terms} does not split over the {family} pools")
+    return ("pair", best[0][1], best[1][1])
 
 
 @dataclass
@@ -211,7 +248,7 @@ class CoreBlock:
         return out
 
 
-def load_blocks(path: str, pools: dict):
+def load_blocks(path: str, index: dict):
     lines = _read_lines(path)
     name = os.path.basename(path)
     blocks = []
@@ -232,7 +269,7 @@ def load_blocks(path: str, pools: dict):
         except ValueError as exc:
             raise AssetError(f"stage {name}: {exc}") from exc
         try:
-            recipes = [decompose_terms(terms, family, pools) for terms in formulas]
+            recipes = [decompose_terms(terms, family, index) for terms in formulas]
         except AssetError as exc:
             raise AssetError(f"stage {name}: block {blk_name}: {exc}") from exc
         blocks.append(CoreBlock(blk_name, size, mode == "halved", family, formulas, recipes))
@@ -266,10 +303,12 @@ def _compile_structural(mat: Mat):
 @dataclass
 class Pipeline:
     level: int
-    stages: list
+    stages: tuple
     core_index: int
     asset_dir: str
+    pools: dict  # the pool pairs the core recipes draw from, parsed at assembly
     verified: bool = field(default=False, compare=False)
+    _program: CompiledProgram | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def core(self) -> Stage:
@@ -281,7 +320,15 @@ class Pipeline:
     def replace_stage(self, index: int, stage: Stage) -> "Pipeline":
         stages = list(self.stages)
         stages[index] = stage
-        return Pipeline(self.level, stages, self.core_index, self.asset_dir, verified=False)
+        return Pipeline(self.level, tuple(stages), self.core_index, self.asset_dir, self.pools)
+
+    def program(self) -> CompiledProgram:
+        """This pipeline's compiled ``bind``/``apply``, generated on first use."""
+        if self._program is None:
+            with _COMPILE_LOCK:  # one program per pipeline, also under threads
+                if self._program is None:
+                    self._program = compile_pipeline(self)
+        return self._program
 
 
 _EXPECTED_DIMS = {
@@ -305,10 +352,10 @@ def _assemble(level: int, asset_dir: str) -> Pipeline:
         if what == "stage":
             fields = _parse_kv(_read_lines(path), path)
             if fields["kind"] == "signed_perm":
-                perm = load_perm(path)
+                perm = _parse_perm(fields, os.path.basename(path))
                 stages.append(Stage(ref, "signed_perm", perm.size, perm.size, perm=perm))
             elif fields["kind"] == "structural":
-                mat = load_structural(path)
+                mat = _parse_structural(fields, os.path.basename(path))
                 compiled = _compile_structural(mat)
                 if any(not terms for terms in compiled):
                     raise AssetError(f"stage {ref}: structurally zero output row")
@@ -317,7 +364,7 @@ def _assemble(level: int, asset_dir: str) -> Pipeline:
             else:
                 raise AssetError(f"stage {ref}: unknown kind {fields['kind']!r}")
         elif what == "core":
-            blocks = load_blocks(path, pools)
+            blocks = load_blocks(path, index_pools(pools))
             dim = sum(b.size for b in blocks)
             core_index = len(stages)
             stages.append(Stage(ref, "core", dim, dim, blocks=blocks))
@@ -325,7 +372,7 @@ def _assemble(level: int, asset_dir: str) -> Pipeline:
             raise AssetError(f"stage manifest pipeline_level{level}: bad line {ln!r}")
     if core_index < 0:
         raise AssetError(f"stage manifest pipeline_level{level}: no core stage")
-    pipe = Pipeline(level, stages, core_index, asset_dir)
+    pipe = Pipeline(level, tuple(stages), core_index, asset_dir, pools)
     dims = pipe.dims()
     if dims != _EXPECTED_DIMS[level]:
         raise AssetError(f"stage manifest pipeline_level{level}: dimension chain {dims}")
@@ -340,9 +387,15 @@ def _assemble_cached(level: int, asset_dir: str) -> Pipeline:
     return _assemble(level, asset_dir)
 
 
+@lru_cache(maxsize=None)
+def _pipeline_for(level: int, asset_dir: str) -> Pipeline:
+    # keyed by the directory string as given, so the product path resolves
+    # each string's real path once; a different string re-assembles
+    return _assemble_cached(level, os.path.realpath(asset_dir))
+
+
 def assemble_pipeline(level: int, asset_dir: str | None = None) -> Pipeline:
-    d = os.path.realpath(asset_dir or default_asset_dir())
-    return _assemble_cached(level, d)
+    return _pipeline_for(level, asset_dir or default_asset_dir())
 
 
 # ---------------------------------------------------------------------------
@@ -423,15 +476,6 @@ def apply_core(bound: BoundCore, x, ring):
     return out
 
 
-def _load_pipeline_pools(pipeline: Pipeline) -> dict:
-    return load_pools(os.path.join(pipeline.asset_dir, "pool_pairs.txt"))
-
-
-def run_pipeline(pipeline: Pipeline, a_coeffs, b_coeffs, ring):
-    bound = bind_core(pipeline.core, b_coeffs, ring, _load_pipeline_pools(pipeline))
-    return run_pipeline_bound(pipeline, a_coeffs, bound, ring)
-
-
 def run_pipeline_bound(pipeline: Pipeline, a_coeffs, bound: BoundCore, ring):
     vec = list(a_coeffs)
     neg, add, sub = ring.neg, ring.add, ring.sub
@@ -456,35 +500,164 @@ def run_pipeline_bound(pipeline: Pipeline, a_coeffs, bound: BoundCore, ring):
 
 
 # ---------------------------------------------------------------------------
+# compilation to straight-line Python
+
+
+RING_OPS = ("add", "sub", "neg", "mul", "halve")
+
+
+class Recorder:
+    """A ring whose values are positions on a tape.
+
+    Each ring operation appends ``(op, args)``; an input appends
+    ``(name, (k,))`` and stands for the variable ``<name><k>``.
+    ``slpgen`` renders tapes as straight-line programs.
+    """
+
+    def __init__(self):
+        self.tape: list = []
+
+    def _push(self, op: str, args: tuple) -> int:
+        self.tape.append((op, args))
+        return len(self.tape) - 1
+
+    def inputs(self, name: str, n: int) -> list:
+        return [self._push(name, (k,)) for k in range(n)]
+
+    def add(self, x, y):
+        return self._push("add", (x, y))
+
+    def sub(self, x, y):
+        return self._push("sub", (x, y))
+
+    def neg(self, x):
+        return self._push("neg", (x,))
+
+    def mul(self, x, y):
+        return self._push("mul", (x, y))
+
+    def halve(self, x):
+        return self._push("halve", (x,))
+
+
+def _function_source(name: str, tape: list, results: list, brackets: str) -> str:
+    """A straight-line function computing ``results`` from the tape's inputs.
+
+    A value used once is written inline where it is used; a value used
+    more than once gets a local.  Every recorded operation runs exactly
+    once, so the ring sees the same operations as the recording pass.
+    """
+    uses = [0] * len(tape)
+    for op, args in tape:
+        if op in RING_OPS:
+            for x in args:
+                uses[x] += 1
+    for x in results:
+        uses[x] += 1
+    params: dict = {}  # input name -> count, in order of first appearance
+    text, body = [], []
+    for i, (op, args) in enumerate(tape):
+        if op not in RING_OPS:
+            params[op] = params.get(op, 0) + 1
+            text.append(f"{op}{args[0]}")
+            continue
+        expr = f"{op}({', '.join(text[x] for x in args)})"
+        if uses[i] == 1:
+            text.append(expr)
+        else:
+            body.append(f"    v{i} = {expr}")
+            text.append(f"v{i}")
+    present = {op for op, _ in tape}
+    ops = [op for op in RING_OPS if op in present]
+    lines = [f"def {name}(ring, {', '.join(params)}):",
+             f"    {', '.join(ops)} = {', '.join(f'ring.{op}' for op in ops)}"]
+    lines += [f"    {', '.join(f'{p}{k}' for k in range(n))}, = {p}" for p, n in params.items()]
+    lines += body
+    lines.append(f"    return {brackets[0]}")
+    lines += [f"        {text[x]}," for x in results]
+    lines.append(f"    {brackets[1]}")
+    return "\n".join(lines) + "\n"
+
+
+class CompiledProgram:
+    """A pipeline as two generated straight-line functions.
+
+    ``bind(ring, b)`` returns the core entries (a tuple) for right-hand
+    coefficients ``b``; ``apply(ring, a, entries)`` returns the sixteen
+    output coefficients for left-hand coefficients ``a``.  ``source`` is
+    their text, registered with ``linecache`` under ``filename``.  They
+    are generated from the recorded ``bind_tape`` (inputs ``b``; the
+    entries are the positions ``entries``) and ``apply_tape`` (inputs
+    ``a`` and ``e``, the entries; the outputs are the positions
+    ``outputs``).
+    """
+
+    __slots__ = ("bind", "apply", "source", "filename", "bind_tape", "entries", "apply_tape", "outputs")
+
+    def __init__(self, bind_tape: list, entries: list, apply_tape: list, outputs: list, level: int):
+        self.bind_tape, self.entries = bind_tape, entries
+        self.apply_tape, self.outputs = apply_tape, outputs
+        self.source = (_function_source("bind", bind_tape, entries, "()") + "\n\n"
+                       + _function_source("apply", apply_tape, outputs, "[]"))
+        self.filename = f"<diracmul pipeline level {level}>"
+        held = linecache.cache.get(self.filename)
+        if held is not None and "".join(held[2]) != self.source:
+            # another pipeline of this level (a modified copy) holds the name
+            self.filename = f"<diracmul pipeline level {level} {zlib.crc32(self.source.encode()):08x}>"
+        linecache.cache[self.filename] = (len(self.source), None, self.source.splitlines(True), self.filename)
+        namespace: dict = {}
+        exec(compile(self.source, self.filename, "exec"), namespace)
+        self.bind, self.apply = namespace["bind"], namespace["apply"]
+
+
+def compile_pipeline(pipeline: Pipeline) -> CompiledProgram:
+    """Record ``bind_core`` and ``run_pipeline_bound`` once and generate
+    ``bind`` and ``apply`` from the two tapes."""
+    rec = Recorder()
+    bound = bind_core(pipeline.core, rec.inputs("b", DIM), rec, pipeline.pools)
+    bind_tape, entries = rec.tape, [v for blk in bound.entries for v in blk]
+
+    rec = Recorder()
+    a = rec.inputs("a", DIM)
+    e = iter(rec.inputs("e", len(entries)))
+    per_block = [[next(e) for _ in blk] for blk in bound.entries]
+    outputs = run_pipeline_bound(pipeline, a, BoundCore(bound.blocks, per_block), rec)
+    return CompiledProgram(bind_tape, entries, rec.tape, outputs, pipeline.level)
+
+
+# ---------------------------------------------------------------------------
 # public operations
 
 
 def mul_fast(a: DiracNumber, b: DiracNumber, level: int = 3, asset_dir: str | None = None) -> DiracNumber:
     """Product a*b through the factorized pipeline; exact on exact rings."""
-    pipeline = assemble_pipeline(level, asset_dir)
-    out = run_pipeline(pipeline, a.coeffs, b.coeffs, a.ring)
-    return DiracNumber(out, a.ring)
+    ring = a.ring
+    if b.ring is not ring:
+        raise RingMismatchError(ring, b.ring)
+    prog = assemble_pipeline(level, asset_dir).program()
+    return DiracNumber(prog.apply(ring, a.coeffs, prog.bind(ring, b.coeffs)), ring)
 
 
 class PrecomputedOperator:
     """Multiplication by a fixed right-hand operand, core entries reused."""
 
-    __slots__ = ("pipeline", "bound", "ring")
+    __slots__ = ("pipeline", "entries", "ring")
 
-    def __init__(self, pipeline: Pipeline, bound: BoundCore, ring):
+    def __init__(self, pipeline: Pipeline, entries: tuple, ring):
         self.pipeline = pipeline
-        self.bound = bound
+        self.entries = entries  # the compiled bind's output for the operand
         self.ring = ring
 
     def apply(self, a: DiracNumber) -> DiracNumber:
-        out = run_pipeline_bound(self.pipeline, a.coeffs, self.bound, self.ring)
-        return DiracNumber(out, self.ring)
+        ring = self.ring
+        if a.ring is not ring:
+            raise RingMismatchError(a.ring, ring)
+        return DiracNumber(self.pipeline.program().apply(ring, a.coeffs, self.entries), ring)
 
 
 def precompute(b: DiracNumber, level: int = 3, asset_dir: str | None = None) -> PrecomputedOperator:
     pipeline = assemble_pipeline(level, asset_dir)
-    bound = bind_core(pipeline.core, b.coeffs, b.ring, _load_pipeline_pools(pipeline))
-    return PrecomputedOperator(pipeline, bound, b.ring)
+    return PrecomputedOperator(pipeline, pipeline.program().bind(b.ring, b.coeffs), b.ring)
 
 
 def apply_operator(op: PrecomputedOperator, a: DiracNumber) -> DiracNumber:
@@ -517,13 +690,13 @@ class VerifyReport:
 
 
 def pipeline_matrix(pipeline: Pipeline) -> Mat:
-    """The 16x16 matrix the pipeline computes, symbolic in b."""
-    b = symbolic_b()
-    bound = bind_core(pipeline.core, b.coeffs, FORMS, _load_pipeline_pools(pipeline))
+    """The 16x16 matrix the pipeline's compiled program computes, symbolic in b."""
+    prog = pipeline.program()
+    entries = prog.bind(FORMS, symbolic_b().coeffs)
     cols = []
     for n in range(DIM):
         a = [FORMS.one() if k == n else FORMS.zero() for k in range(DIM)]
-        cols.append(run_pipeline_bound(pipeline, a, bound, FORMS))
+        cols.append(prog.apply(FORMS, a, entries))
     return Mat(DIM, DIM, [[cols[n][k] for n in range(DIM)] for k in range(DIM)])
 
 

@@ -1,10 +1,11 @@
 """Straight-line program generation.
 
-Flattens an assembled pipeline into a branch-free, single-assignment
-sequence of scalar instructions and interprets or pretty-prints it.  The
-flattened program shares the pooled two-term combinations exactly the way
-the cost accounting does, so its opcode histogram agrees with the
-counting ring.
+Renders recorded operation tapes as branch-free, single-assignment
+sequences of scalar instructions and interprets or pretty-prints them.
+``flatten`` renders the recording a pipeline's compiled ``bind``/``apply``
+were generated from, so the program is the code that runs: it shares the
+pooled two-term combinations exactly the way the cost accounting does, and
+its opcode histogram agrees with the counting ring.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import DIM, MultTable
-from .fastmult import Pipeline, PrecomputedOperator, bind_core, run_pipeline_bound, _load_pipeline_pools
+from .fastmult import RING_OPS, Pipeline, PrecomputedOperator, Recorder
 from .linalg import Mat
 
 OPCODES = ("load_a", "load_b", "const", "add", "sub", "neg", "mul", "shift", "store_y")
@@ -81,87 +82,73 @@ class SLProgram:
             raise SLPError("program must store each of the 16 outputs exactly once")
 
 
-class _Emitter:
-    """Ring facade whose values are SSA ids; operations append instructions."""
+class _Builder:
+    """Collects instructions, numbering values in order of definition."""
 
     def __init__(self):
         self.instrs: list[SLPInstr] = []
         self.next_id = 0
 
-    def _push(self, op, args=(), aux=None) -> int:
+    def push(self, op: str, args=(), aux=None) -> int:
         vid = self.next_id
         self.next_id += 1
         self.instrs.append(SLPInstr(op, vid, tuple(args), aux))
         return vid
 
-    def load_a(self, k: int) -> int:
-        return self._push("load_a", aux=k)
+    def tape(self, tape: list, load) -> list:
+        """Append a :class:`~diracmul.fastmult.Recorder` tape; ``load(name,
+        k)`` gives the value of input ``<name><k>``.  Returns the value of
+        each tape position."""
+        ids: list = []
+        for op, args in tape:
+            if op == "halve":
+                ids.append(self.push("shift", (ids[args[0]],), 1))
+            elif op in RING_OPS:
+                ids.append(self.push(op, [ids[x] for x in args]))
+            else:
+                ids.append(load(op, args[0]))
+        return ids
 
-    def load_b(self, k: int) -> int:
-        return self._push("load_b", aux=k)
+    def program(self, outputs, a_arity: int, b_arity: int) -> SLProgram:
+        for k, src in enumerate(outputs):
+            self.instrs.append(SLPInstr("store_y", None, (src,), k))
+        return SLProgram(self.instrs, a_arity, b_arity)
 
-    def const(self, num: int, exp: int) -> int:
-        return self._push("const", aux=(num, exp))
 
-    def store(self, k: int, src: int) -> None:
-        self.instrs.append(SLPInstr("store_y", None, (src,), k))
-
-    # ring surface used by the pipeline kernels
-    def add(self, a: int, b: int) -> int:
-        return self._push("add", (a, b))
-
-    def sub(self, a: int, b: int) -> int:
-        return self._push("sub", (a, b))
-
-    def neg(self, a: int) -> int:
-        return self._push("neg", (a,))
-
-    def mul(self, a: int, b: int) -> int:
-        return self._push("mul", (a, b))
-
-    def halve(self, a: int) -> int:
-        return self._push("shift", (a,), 1)
-
-    def zero(self):
-        raise SLPError("pipeline stages must not produce structurally zero outputs")
+def _tape_program(rec: Recorder, outputs, a_arity: int, b_arity: int) -> SLProgram:
+    """The program of a recording whose inputs are ``a`` and ``b``."""
+    out = _Builder()
+    ids = out.tape(rec.tape, lambda name, k: out.push(f"load_{name}", aux=k))
+    return out.program([ids[x] for x in outputs], a_arity, b_arity)
 
 
 def flatten(pipeline: Pipeline, include_precompute: bool = True,
             operator: PrecomputedOperator | None = None) -> SLProgram:
-    """Emit the pipeline as a straight-line program.
+    """The pipeline's compiled program as a straight-line program.
 
-    With ``include_precompute`` the program takes both operands and
-    rebuilds the core entries (sharing the pooled terms once, as the
-    accounting does).  Without it, a precomputed operator must be given
-    and its core entries are baked in as constants, leaving only the
-    apply phase.
+    Renders the recording ``bind`` and ``apply`` were generated from, so
+    the instructions are the operations that run.  With
+    ``include_precompute`` the program takes both operands and rebuilds
+    the core entries (sharing the pooled terms once, as the accounting
+    does).  Without it, a precomputed operator must be given and its core
+    entries are baked in as constants, leaving only the apply phase.
     """
     if not pipeline.verified:
         raise SLPError("refusing to flatten an unverified pipeline")
-    em = _Emitter()
-    a_ids = [em.load_a(k) for k in range(DIM)]
+    compiled = pipeline.program()
+    out = _Builder()
+    a_ids = [out.push("load_a", aux=k) for k in range(DIM)]
     if include_precompute:
-        b_ids = [em.load_b(k) for k in range(DIM)]
-        bound = bind_core(pipeline.core, b_ids, em, _load_pipeline_pools(pipeline))
+        bind_ids = out.tape(compiled.bind_tape, lambda _name, k: out.push("load_b", aux=k))
+        entries = [bind_ids[x] for x in compiled.entries]
         b_arity = DIM
     else:
         if operator is None or operator.pipeline is not pipeline:
             raise SLPError("apply-only flattening needs a precomputed operator for this pipeline")
-        from .fastmult import BoundCore
-
-        entries = []
-        for blk_entries in operator.bound.entries:
-            ids = []
-            for val in blk_entries:
-                num, exp = _as_dyadic_pair(val)
-                ids.append(em.const(num, exp))
-            entries.append(ids)
-        bound = BoundCore(operator.bound.blocks, entries)
+        entries = [out.push("const", aux=_as_dyadic_pair(val)) for val in operator.entries]
         b_arity = 0
-    out = run_pipeline_bound(pipeline, a_ids, bound, em)
-    for k in range(DIM):
-        em.store(k, out[k])
-    return SLProgram(em.instrs, DIM, b_arity)
+    ids = out.tape(compiled.apply_tape, lambda name, k: a_ids[k] if name == "a" else entries[k])
+    return out.program([ids[x] for x in compiled.outputs], DIM, b_arity)
 
 
 def _as_dyadic_pair(val):
@@ -179,23 +166,21 @@ def _as_dyadic_pair(val):
 
 def schoolbook_program(table: MultTable) -> SLProgram:
     """The naive product as a reference program: 256 muls, 240 adds."""
-    em = _Emitter()
-    a_ids = [em.load_a(k) for k in range(DIM)]
-    b_ids = [em.load_b(k) for k in range(DIM)]
+    rec = Recorder()
+    a_ids = rec.inputs("a", DIM)
+    b_ids = rec.inputs("b", DIM)
     acc: list[int | None] = [None] * DIM
     for n in range(DIM):
         for m in range(DIM):
             sign, k = table[n][m]
-            p = em.mul(a_ids[n], b_ids[m])
+            p = rec.mul(a_ids[n], b_ids[m])
             if acc[k] is None:
-                acc[k] = em.neg(p) if sign < 0 else p
+                acc[k] = rec.neg(p) if sign < 0 else p
             elif sign < 0:
-                acc[k] = em.sub(acc[k], p)
+                acc[k] = rec.sub(acc[k], p)
             else:
-                acc[k] = em.add(acc[k], p)
-    for k in range(DIM):
-        em.store(k, acc[k])
-    return SLProgram(em.instrs, DIM, DIM)
+                acc[k] = rec.add(acc[k], p)
+    return _tape_program(rec, acc, DIM, DIM)
 
 
 def structural_program(mat: Mat) -> SLProgram:
@@ -208,13 +193,11 @@ def structural_program(mat: Mat) -> SLProgram:
 
     if mat.rows > DIM:
         raise SLPError("structural_program only handles stages up to 16 outputs")
-    em = _Emitter()
-    a_ids = [em.load_a(k) for k in range(mat.cols)]
-    out = structural_apply(em, mat, a_ids)
-    pad = out[0]
-    for k in range(DIM):
-        em.store(k, out[k] if k < len(out) else pad)
-    return SLProgram(em.instrs, mat.cols, 0)
+    if not all(any(row) for row in mat.entries):
+        raise SLPError("pipeline stages must not produce structurally zero outputs")
+    rec = Recorder()
+    out = structural_apply(rec, mat, rec.inputs("a", mat.cols))
+    return _tape_program(rec, [out[k] if k < len(out) else out[0] for k in range(DIM)], mat.cols, 0)
 
 
 def interpret(program: SLProgram, a_vals, b_vals, ring):

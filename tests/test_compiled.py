@@ -1,0 +1,324 @@
+"""The compiled pipeline programs: counts, exactness, proof coverage, tooling."""
+
+import linecache
+import random
+import shutil
+import sys
+import traceback
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from diracmul import fastmult
+from diracmul.algebra import DIM, DiracNumber, RingMismatchError, build_table_from_generators, mul_schoolbook
+from diracmul.cli import main
+from diracmul.exactnum import CountingRing, DYADIC, FLOAT, DyadicRational
+from diracmul.fastmult import (
+    LEVELS,
+    AssetError,
+    Stage,
+    assemble_pipeline,
+    decompose_terms,
+    index_pools,
+    mul_fast,
+    precompute,
+    verify_pipeline,
+)
+from diracmul.linalg import SignedPermutation
+from diracmul.slpgen import flatten
+
+TABLE = build_table_from_generators()
+COUNT_KEYS = (("nontrivial_mults", "mul"), ("additions", "add_total"), ("negations", "neg"), ("shifts", "shift"))
+
+
+def generic_ints(rng):
+    return [rng.randint(3, 1 << 19) * 2 + 1 for _ in range(DIM)]
+
+
+def as_histogram(counts: dict) -> dict:
+    return {hist_key: counts[ring_key] for ring_key, hist_key in COUNT_KEYS}
+
+
+def keys(x: DiracNumber):
+    return [c.key() for c in x.coeffs]
+
+
+# ---------------------------------------------------------------------------
+# assembly
+
+
+def brute_force_recipe(terms, family, pools):
+    """The exhaustive search assembly used before the pool index (reference)."""
+    terms = tuple(terms)
+    if len(terms) == 1:
+        s, m = terms[0]
+        return ("copy", s, m)
+    if len(terms) == 2:
+        return ("sum2", terms[0], terms[1])
+    if len(terms) != 4:
+        raise AssetError(f"core cell has {len(terms)} terms")
+    families = {"quad": ["quad"], "duo": ["duo"], "mixed": ["duo", "quad"]}.get(family)
+    if families is None:
+        raise AssetError(f"unknown pool family {family!r}")
+    searchable = [(fam, i, pair) for fam in families for i, pair in enumerate(pools[fam])]
+    target = {m: s for s, m in terms}
+    for fam1, i1, p1 in searchable:
+        for s1 in (1, -1):
+            part1 = [(s1 * s, m) for s, m in p1]
+            if not all(target.get(m) == s for s, m in part1):
+                continue
+            rest = {m: s for m, s in target.items() if m not in {m for _, m in part1}}
+            for fam2, i2, p2 in searchable:
+                for s2 in (1, -1):
+                    part2 = [(s2 * s, m) for s, m in p2]
+                    if len(rest) == 2 and all(rest.get(m) == s for s, m in part2):
+                        return ("pair", (s1, fam1, i1), (s2, fam2, i2))
+    raise AssetError(f"core cell {terms} does not split over the {family} pools")
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_indexed_decomposition_matches_brute_force(level, verified_pipelines):
+    pipe = verified_pipelines[level]
+    index = index_pools(pipe.pools)
+    cells = 0
+    for blk in pipe.core.blocks:
+        for terms in blk.formulas:
+            assert decompose_terms(terms, blk.family, index) == brute_force_recipe(terms, blk.family, pipe.pools)
+            cells += 1
+    assert cells == sum(blk.size ** 2 for blk in pipe.core.blocks)
+
+
+def test_changed_asset_dir_reassembles(tmp_path, monkeypatch):
+    dst = tmp_path / "assets"
+    shutil.copytree(fastmult.default_asset_dir(), dst)
+    shipped = assemble_pipeline(3)
+    monkeypatch.setenv("DIRAC_ASSET_DIR", str(dst))
+    moved = assemble_pipeline(3)
+    assert moved is not shipped
+    assert moved.asset_dir == str(dst.resolve())
+    monkeypatch.delenv("DIRAC_ASSET_DIR")
+    assert assemble_pipeline(3) is shipped
+
+
+# ---------------------------------------------------------------------------
+# counts of the compiled functions
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_compiled_counts_equal_program_histogram(level, verified_pipelines):
+    pipe = verified_pipelines[level]
+    rng = random.Random(300 + level)
+    ring = CountingRing()
+    prog = pipe.program()
+    entries = prog.bind(ring, [ring.wrap(v) for v in generic_ints(rng)])
+    prog.apply(ring, [ring.wrap(v) for v in generic_ints(rng)], entries)
+    want = flatten(pipe).histogram()
+    assert as_histogram(ring.counter.as_dict()) == {k: want[k] for _, k in COUNT_KEYS}
+
+
+def test_compiled_precompute_and_apply_counts_equal_program_histograms(verified_pipelines):
+    pipe = verified_pipelines[3]
+    rng = random.Random(310)
+    ring = CountingRing()
+    op = precompute(DiracNumber.from_ints(generic_ints(rng), ring), 3)
+    bind_counts = as_histogram(ring.counter.as_dict())
+    before = ring.counter.snapshot()
+    op.apply(DiracNumber.from_ints(generic_ints(rng), ring))
+    apply_counts = dict(zip((k for _, k in COUNT_KEYS),
+                            (q - p for p, q in zip(before, ring.counter.snapshot()))))
+    full = flatten(pipe).histogram()
+    apply_only = flatten(pipe, include_precompute=False, operator=op).histogram()
+    assert apply_counts == {k: apply_only[k] for _, k in COUNT_KEYS}
+    assert bind_counts == {k: full[k] - apply_only[k] for _, k in COUNT_KEYS}
+    assert (bind_counts["mul"], bind_counts["add_total"]) == (0, 108)
+    assert (apply_counts["mul"], apply_counts["add_total"]) == (88, 156)
+
+
+# ---------------------------------------------------------------------------
+# exactness
+
+# numerators up to about 4096 bits with random high and low words (a full-width
+# draw for 32 coefficients exceeds the entropy hypothesis allows per example)
+_numerator = st.builds(lambda hi, shift, lo: (hi << shift) + lo, st.integers(-(1 << 256), 1 << 256),
+                       st.integers(0, 3840), st.integers(-(1 << 64), 1 << 64))
+_wide = st.builds(DyadicRational, _numerator, st.integers(0, 64))
+_operand = st.lists(_wide, min_size=DIM, max_size=DIM).map(lambda cs: DiracNumber(cs, DYADIC))
+
+
+@pytest.mark.parametrize("level", LEVELS)
+@given(a=_operand, b=_operand)
+@settings(max_examples=25, deadline=None)
+def test_fast_is_bit_exact_on_wide_dyadics(level, a, b):
+    assert keys(mul_fast(a, b, level)) == keys(mul_schoolbook(a, b, TABLE))
+
+
+@pytest.mark.parametrize("level", LEVELS)
+@given(a=_operand, b=_operand)
+@settings(max_examples=25, deadline=None)
+def test_precompute_apply_is_bit_exact_on_wide_dyadics(level, a, b):
+    assert keys(precompute(b, level).apply(a)) == keys(mul_schoolbook(a, b, TABLE))
+
+
+def test_float_products_are_exact_on_small_integers():
+    rng = random.Random(320)
+    for _ in range(50):
+        av = [rng.randint(-(1 << 20), 1 << 20) for _ in range(DIM)]
+        bv = [rng.randint(-(1 << 20), 1 << 20) for _ in range(DIM)]
+        want = [float(c.num) for c in mul_schoolbook(DiracNumber.from_ints(av, DYADIC),
+                                                     DiracNumber.from_ints(bv, DYADIC), TABLE).coeffs]
+        a, b = DiracNumber.from_ints(av, FLOAT), DiracNumber.from_ints(bv, FLOAT)
+        assert mul_fast(a, b).coeffs == want
+        assert precompute(b).apply(a).coeffs == want
+        assert mul_schoolbook(a, b, TABLE).coeffs == want
+
+
+# ---------------------------------------------------------------------------
+# the proof covers the code that runs
+
+
+def code_objects_called(fn, *args) -> set:
+    seen = set()
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+def test_proof_runs_the_functions_products_run(verified_pipelines):
+    pipe = verified_pipelines[3]
+    assert assemble_pipeline(3) is pipe
+    prog = pipe.program()
+    compiled = {prog.bind.__code__, prog.apply.__code__}
+    rng = random.Random(330)
+    a, b = (DiracNumber.from_ints(generic_ints(rng), DYADIC) for _ in range(2))
+    op = precompute(b)
+    assert compiled <= code_objects_called(verify_pipeline, pipe)
+    assert compiled <= code_objects_called(mul_fast, a, b)
+    assert prog.bind.__code__ in code_objects_called(precompute, b)
+    assert prog.apply.__code__ in code_objects_called(op.apply, a)
+    assert pipe.program() is prog
+
+
+def test_planted_fault_compiles_its_own_program(verified_pipelines):
+    pipe = verified_pipelines[3]
+    perm = pipe.stages[0].perm
+    signs = list(perm.signs)
+    signs[5] = -signs[5]
+    bad = pipe.replace_stage(0, Stage("perm_in_16", "signed_perm", 16, 16,
+                                      perm=SignedPermutation(list(perm.src), signs)))
+    assert bad.program() is not pipe.program()
+    assert bad.program().source != pipe.program().source
+    assert bad.program().filename != pipe.program().filename
+
+    report = verify_pipeline(bad)
+    assert not report.ok and not bad.verified
+    assert {(r, c) for r, c, _, _ in report.mismatches} == {(r, perm.src[5]) for r in range(DIM)}
+
+    rng = random.Random(340)
+    a, b = (DiracNumber.from_ints(generic_ints(rng), DYADIC) for _ in range(2))
+    prog = bad.program()
+    faulty = DiracNumber(prog.apply(DYADIC, a.coeffs, prog.bind(DYADIC, b.coeffs)), DYADIC)
+    assert faulty != mul_schoolbook(a, b, TABLE)
+    assert mul_fast(a, b) == mul_schoolbook(a, b, TABLE)
+    assert verify_pipeline(pipe).ok
+
+
+def test_mul_fast_on_unverified_pipeline_never_runs_the_proof(tmp_path, monkeypatch):
+    dst = tmp_path / "assets"
+    shutil.copytree(fastmult.default_asset_dir(), dst)
+
+    def no_proof(*_args):
+        raise AssertionError("the product path ran the proof")
+
+    for name in ("verify_pipeline", "pipeline_matrix", "derive_b_matrix", "symbolic_b"):
+        monkeypatch.setattr(fastmult, name, no_proof)
+    rng = random.Random(350)
+    a, b = (DiracNumber.from_ints(generic_ints(rng), DYADIC) for _ in range(2))
+    assert mul_fast(a, b, 3, str(dst)) == mul_schoolbook(a, b, TABLE)
+    assert precompute(b, 3, str(dst)).apply(a) == mul_schoolbook(a, b, TABLE)
+    assert not assemble_pipeline(3, str(dst)).verified
+
+
+# ---------------------------------------------------------------------------
+# mixed rings
+
+
+def test_mixed_rings_raise_a_typed_error_at_every_entry_point():
+    d = DiracNumber.basis(1, DYADIC)
+    f = DiracNumber.basis(2, FLOAT)
+    calls = (lambda: mul_fast(d, f), lambda: mul_fast(f, d), lambda: precompute(f).apply(d),
+             lambda: mul_schoolbook(d, f, TABLE))
+    for call in calls:
+        with pytest.raises(RingMismatchError) as exc:
+            call()
+        assert isinstance(exc.value, ValueError)
+        assert "float" in str(exc.value) and "dyadic" in str(exc.value)
+
+
+def test_distinct_counting_rings_are_different_rings():
+    a = DiracNumber.basis(1, CountingRing())
+    b = DiracNumber.basis(2, CountingRing())
+    with pytest.raises(RingMismatchError, match="counting"):
+        mul_fast(a, b)
+
+
+# ---------------------------------------------------------------------------
+# tooling
+
+
+def test_generated_source_is_registered_with_linecache(verified_pipelines):
+    for level, pipe in verified_pipelines.items():
+        prog = pipe.program()
+        assert prog.filename == f"<diracmul pipeline level {level}>"
+        assert linecache.getline(prog.filename, 1) == "def bind(ring, b):\n"
+        assert "".join(linecache.getlines(prog.filename)) == prog.source
+
+
+def test_traceback_shows_generated_lines():
+    class FailingMul(type(DYADIC)):
+        name = "failing"
+
+        @staticmethod
+        def mul(x, y):
+            raise ArithmeticError("planted")
+
+    ring = FailingMul()
+    a = DiracNumber([DYADIC.one()] * DIM, ring)
+    with pytest.raises(ArithmeticError) as exc:
+        mul_fast(a, a)
+    text = "".join(traceback.format_exception(exc.value))
+    assert 'File "<diracmul pipeline level 3>"' in text
+    assert "in apply" in text and "mul(e" in text
+
+
+# ---------------------------------------------------------------------------
+# CLI
+
+COUNT_OUTPUT = """\
+schoolbook: mul=256 add=240
+fast (level 1): mul=112 add=264
+fast (level 2): mul=92 add=264
+fast (level 3): mul=88 add=264
+precompute: mul=0 add=108
+apply: mul=88 add=156
+core stage: mul=88 add=166
+structural stages: add=98
+savings vs schoolbook: 168 multiplications
+savings vs the earlier published scheme (128 multiplications): 40 multiplications
+total ops fast=352, schoolbook=496, ratio=0.71
+note: the nominal addition total of 256 (166 core + 90 structural) is not
+reproduced; the stage chain measures 166 core + 98 structural = 264.
+"""
+
+
+def test_count_output_is_unchanged(capsys):
+    assert main(["count"]) == 0
+    assert capsys.readouterr().out == COUNT_OUTPUT
