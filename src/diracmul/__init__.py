@@ -22,7 +22,6 @@ from .exactnum import (
     CountingScalar,
     DyadicRational,
     LinearForm,
-    counter_report,
     lf_from_b,
     DYADIC,
     FLOAT,
@@ -31,7 +30,6 @@ from .exactnum import (
 from .fastmult import (
     Pipeline,
     PrecomputedOperator,
-    apply_operator,
     assemble_pipeline,
     mul_fast,
     precompute,
@@ -54,14 +52,12 @@ __all__ = [
     "CountingScalar",
     "DyadicRational",
     "LinearForm",
-    "counter_report",
     "lf_from_b",
     "DYADIC",
     "FLOAT",
     "FORMS",
     "Pipeline",
     "PrecomputedOperator",
-    "apply_operator",
     "assemble_pipeline",
     "mul_fast",
     "precompute",

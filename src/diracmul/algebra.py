@@ -120,7 +120,8 @@ def build_table_from_generators() -> MultTable:
     return MultTable(entries)
 
 
-def _asset_dir() -> str:
+def default_asset_dir() -> str:
+    """The asset directory every reader uses, overridable from the environment."""
     override = os.environ.get("DIRAC_ASSET_DIR")
     if override:
         return override
@@ -130,28 +131,13 @@ def _asset_dir() -> str:
 def parse_table_text(text: str) -> MultTable:
     """Parse the documented table format: 16 lines of 16 tokens, each an
     optional '-' followed by an index 0..15 ('-5' means -i5)."""
-    rows = []
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    if len(lines) != DIM:
-        raise ValueError(f"expected 16 table rows, got {len(lines)}")
-    for ln in lines:
-        tokens = ln.split()
-        if len(tokens) != DIM:
-            raise ValueError(f"expected 16 tokens per row, got {len(tokens)}: {ln!r}")
-        row = []
-        for tok in tokens:
-            sign = 1
-            if tok.startswith("-"):
-                sign = -1
-                tok = tok[1:]
-            row.append(SignedBasis(sign, int(tok)))
-        rows.append(row)
-    return MultTable(rows)
+    grid = parse_signed_index_matrix(text, DIM, DIM)
+    return MultTable([[SignedBasis(*cell) for cell in row] for row in grid])
 
 
 def parse_printed_table(asset_dir: str | None = None) -> MultTable:
     """The reference table shipped as a static asset, no corrections applied."""
-    path = os.path.join(asset_dir or _asset_dir(), "table_printed.txt")
+    path = os.path.join(asset_dir or default_asset_dir(), "table_printed.txt")
     with open(path, encoding="ascii") as fh:
         return parse_table_text(fh.read())
 
@@ -305,7 +291,7 @@ def parse_signed_index_matrix(text: str, rows: int, cols: int):
 
 def parse_printed_b_matrix(asset_dir: str | None = None) -> Mat:
     """The reference product matrix transcription, as linear forms."""
-    path = os.path.join(asset_dir or _asset_dir(), "b16_printed.txt")
+    path = os.path.join(asset_dir or default_asset_dir(), "b16_printed.txt")
     with open(path, encoding="ascii") as fh:
         grid = parse_signed_index_matrix(fh.read(), DIM, DIM)
     entries = []

@@ -26,6 +26,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from .algebra import default_asset_dir, symbolic_b_matrix
 from .exactnum import FORMS, LinearForm, lf_from_b
 from .fastmult import parse_expr
 from .linalg import (
@@ -125,13 +126,6 @@ def single_signed_entry(form: LinearForm):
 # seed-matrix loading
 
 
-def _asset_dir() -> str:
-    override = os.environ.get("DIRAC_ASSET_DIR")
-    if override:
-        return override
-    return os.path.join(os.path.dirname(__file__), "assets")
-
-
 def load_cell_grid(path: str) -> Mat:
     """Cell-per-line grid of signed index lists, as linear forms."""
     with open(path, encoding="ascii") as fh:
@@ -158,7 +152,7 @@ def load_cell_grid(path: str) -> Mat:
 
 
 def load_seed_matrices(asset_dir: str | None = None):
-    d = asset_dir or _asset_dir()
+    d = asset_dir or default_asset_dir()
     diff = load_cell_grid(os.path.join(d, "m8_diff.txt"))
     negsum = load_cell_grid(os.path.join(d, "m8_negsum.txt"))
     return diff, negsum
@@ -305,10 +299,6 @@ class BlockSpec:
     family: str  # quad | duo | mixed | direct
     cells: list  # row-major LinearForm list
 
-    @property
-    def dim(self) -> int:
-        return self.size
-
 
 def _block(name, size, halved, family, mat: Mat) -> BlockSpec:
     cells = [mat.entries[i][j] for i in range(size) for j in range(size)]
@@ -335,8 +325,6 @@ class Derivation:
 
 
 def derive_all(asset_dir: str | None = None, b16: Mat | None = None) -> Derivation:
-    from .algebra import symbolic_b_matrix
-
     if b16 is None:
         b16 = symbolic_b_matrix()
     diff, negsum = load_seed_matrices(asset_dir)
@@ -736,7 +724,7 @@ def main(argv=None) -> int:
     parser.add_argument("--write", action="store_true", help="write into the package asset directory")
     parser.add_argument("--out", default=None, help="write into this directory instead")
     args = parser.parse_args(argv)
-    dest = args.out or (_asset_dir() if args.write else None)
+    dest = args.out or (default_asset_dir() if args.write else None)
     if dest is None:
         parser.error("pass --write or --out DIR")
     names = write_assets(dest)

@@ -240,10 +240,6 @@ class Counter:
         return (self.nontrivial_mults, self.additions, self.negations, self.shifts)
 
 
-def counter_report(handle: Counter) -> dict:
-    return handle.as_dict()
-
-
 @dataclass(frozen=True)
 class CountingScalar:
     """A dyadic value whose arithmetic feeds a shared :class:`Counter`."""

@@ -10,12 +10,14 @@ Each assembled pipeline is compiled once, on first use, into two
 straight-line Python functions: ``bind(ring, b)`` evaluates the core
 entries for a right-hand operand and ``apply(ring, a, entries)`` runs the
 whole stage chain.  Both come from one recording pass of ``bind_core`` and
-``run_pipeline_bound``, and every operation in them is a call to the
-ring's ``add``/``sub``/``neg``/``mul``/``halve``, so the same two functions
-serve floats, dyadics, the counting ring and linear forms.  ``mul_fast``,
-``PrecomputedOperator.apply`` and ``verify_pipeline`` all call them:
-``verify_pipeline`` proves, over linear forms, that exactly this code
-equals the ground-truth product matrix.
+``run_pipeline_bound``, which run one kernel per stage kind:
+``SignedPermutation.apply``, ``linalg.structural_apply`` and
+``block_matvec`` over the core blocks.  Every operation in the generated
+code is a call to the ring's ``add``/``sub``/``neg``/``mul``/``halve``, so
+the same two functions serve floats, dyadics, the counting ring and linear
+forms.  ``mul_fast``, ``PrecomputedOperator.apply`` and ``verify_pipeline``
+all call them: ``verify_pipeline`` proves, over linear forms, that exactly
+this code equals the ground-truth product matrix.
 """
 
 from __future__ import annotations
@@ -32,11 +34,12 @@ from .algebra import (
     DiracNumber,
     RingMismatchError,
     build_table_from_generators,
+    default_asset_dir,
     derive_b_matrix,
     symbolic_b,
 )
 from .exactnum import FORMS, LinearForm
-from .linalg import H2, T2X3, T3X2, Mat, SignedPermutation, dirsum, eye, kron
+from .linalg import H2, T2X3, T3X2, Mat, SignedPermutation, dirsum, eye, kron, structural_apply
 
 LEVELS = (1, 2, 3)
 _COMPILE_LOCK = threading.Lock()
@@ -48,13 +51,6 @@ class AssetError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # asset parsing
-
-
-def default_asset_dir() -> str:
-    override = os.environ.get("DIRAC_ASSET_DIR")
-    if override:
-        return override
-    return os.path.join(os.path.dirname(__file__), "assets")
 
 
 def _read_lines(path: str):
@@ -293,12 +289,6 @@ class Stage:
     perm: SignedPermutation | None = None
     mat: Mat | None = None
     blocks: list | None = None
-    # structural rows precompiled to their nonzero (column, sign) terms
-    compiled: list | None = None
-
-
-def _compile_structural(mat: Mat):
-    return [[(c, e) for c, e in enumerate(row) if e] for row in mat.entries]
 
 
 @dataclass
@@ -357,11 +347,9 @@ def _assemble(level: int, asset_dir: str) -> Pipeline:
                 stages.append(Stage(ref, "signed_perm", perm.size, perm.size, perm=perm))
             elif fields["kind"] == "structural":
                 mat = _parse_structural(fields, os.path.basename(path))
-                compiled = _compile_structural(mat)
-                if any(not terms for terms in compiled):
+                if not all(any(row) for row in mat.entries):
                     raise AssetError(f"stage {ref}: structurally zero output row")
-                stages.append(Stage(ref, "structural", mat.cols, mat.rows, mat=mat,
-                                    compiled=compiled))
+                stages.append(Stage(ref, "structural", mat.cols, mat.rows, mat=mat))
             else:
                 raise AssetError(f"stage {ref}: unknown kind {fields['kind']!r}")
         elif what == "core":
@@ -400,17 +388,7 @@ def assemble_pipeline(level: int, asset_dir: str | None = None) -> Pipeline:
 
 
 # ---------------------------------------------------------------------------
-# binding the core to a right-hand operand
-
-
-class BoundCore:
-    """Core-block entries evaluated for one fixed right-hand operand."""
-
-    __slots__ = ("blocks", "entries")
-
-    def __init__(self, blocks, entries):
-        self.blocks = blocks
-        self.entries = entries  # list of per-block scalar lists
+# binding the core to a right-hand operand, and running the chain
 
 
 def _pool_value(ring, pool_cache, pools, b, fam, idx):
@@ -450,10 +428,10 @@ def bind_block(block: CoreBlock, b, ring, pools, pool_cache) -> list:
     return out
 
 
-def bind_core(core: Stage, b, ring, pools) -> BoundCore:
+def bind_core(core: Stage, b, ring, pools) -> list:
+    """The core's entries for right-hand coefficients ``b``, one list per block."""
     pool_cache: dict = {}
-    entries = [bind_block(blk, b, ring, pools, pool_cache) for blk in core.blocks]
-    return BoundCore(core.blocks, entries)
+    return [bind_block(blk, b, ring, pools, pool_cache) for blk in core.blocks]
 
 
 def block_matvec(block: CoreBlock, entries, x, ring):
@@ -468,35 +446,20 @@ def block_matvec(block: CoreBlock, entries, x, ring):
     return out
 
 
-def apply_core(bound: BoundCore, x, ring):
-    out = []
-    offset = 0
-    for blk, entries in zip(bound.blocks, bound.entries):
-        out.extend(block_matvec(blk, entries, x[offset : offset + blk.size], ring))
-        offset += blk.size
-    return out
-
-
-def run_pipeline_bound(pipeline: Pipeline, a_coeffs, bound: BoundCore, ring):
+def run_pipeline_bound(pipeline: Pipeline, a_coeffs, entries, ring):
+    """Run the stage chain on ``a_coeffs``; ``entries`` is :func:`bind_core`'s output."""
     vec = list(a_coeffs)
-    neg, add, sub = ring.neg, ring.add, ring.sub
     for stage in pipeline.stages:
         if stage.kind == "signed_perm":
-            perm = stage.perm
-            vec = [neg(vec[s]) if g < 0 else vec[s] for s, g in zip(perm.src, perm.signs)]
+            vec = stage.perm.apply(ring, vec)
         elif stage.kind == "structural":
-            # same operation stream as linalg.structural_apply, minus the
-            # zero-entry scan (rows are precompiled to nonzero terms)
-            out = []
-            for terms in stage.compiled:
-                c0, e0 = terms[0]
-                acc = neg(vec[c0]) if e0 < 0 else vec[c0]
-                for c, e in terms[1:]:
-                    acc = sub(acc, vec[c]) if e < 0 else add(acc, vec[c])
-                out.append(acc)
-            vec = out
+            vec = structural_apply(ring, stage.mat, vec)
         else:
-            vec = apply_core(bound, vec, ring)
+            out, offset = [], 0
+            for blk, blk_entries in zip(stage.blocks, entries):
+                out.extend(block_matvec(blk, blk_entries, vec[offset : offset + blk.size], ring))
+                offset += blk.size
+            vec = out
     return vec
 
 
@@ -615,14 +578,13 @@ def compile_pipeline(pipeline: Pipeline) -> CompiledProgram:
     """Record ``bind_core`` and ``run_pipeline_bound`` once and generate
     ``bind`` and ``apply`` from the two tapes."""
     rec = Recorder()
-    bound = bind_core(pipeline.core, rec.inputs("b", DIM), rec, pipeline.pools)
-    bind_tape, entries = rec.tape, [v for blk in bound.entries for v in blk]
+    per_block = bind_core(pipeline.core, rec.inputs("b", DIM), rec, pipeline.pools)
+    bind_tape, entries = rec.tape, [v for blk in per_block for v in blk]
 
     rec = Recorder()
     a = rec.inputs("a", DIM)
     e = iter(rec.inputs("e", len(entries)))
-    per_block = [[next(e) for _ in blk] for blk in bound.entries]
-    outputs = run_pipeline_bound(pipeline, a, BoundCore(bound.blocks, per_block), rec)
+    outputs = run_pipeline_bound(pipeline, a, [[next(e) for _ in blk] for blk in per_block], rec)
     return CompiledProgram(bind_tape, entries, rec.tape, outputs, pipeline.level)
 
 
@@ -659,10 +621,6 @@ class PrecomputedOperator:
 def precompute(b: DiracNumber, level: int = 3, asset_dir: str | None = None) -> PrecomputedOperator:
     pipeline = assemble_pipeline(level, asset_dir)
     return PrecomputedOperator(pipeline, pipeline.program().bind(b.ring, b.coeffs), b.ring)
-
-
-def apply_operator(op: PrecomputedOperator, a: DiracNumber) -> DiracNumber:
-    return op.apply(a)
 
 
 # ---------------------------------------------------------------------------

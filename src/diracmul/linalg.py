@@ -25,10 +25,6 @@ class Mat:
         self.cols = cols
         self.entries = entries
 
-    @staticmethod
-    def from_rows(entries) -> "Mat":
-        return Mat(len(entries), len(entries[0]), entries)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):
             return NotImplemented

@@ -59,7 +59,9 @@ class SLProgram:
         return counts
 
     def validate(self) -> None:
-        """Single assignment, topological operand order, 16 stores."""
+        """Single assignment, topological operand order, loads within the
+        operand arities, non-negative shifts, 16 stores."""
+        arity = {"load_a": self.a_arity, "load_b": self.b_arity}
         next_id = 0
         stores = set()
         for pos, ins in enumerate(self.instrs):
@@ -68,6 +70,10 @@ class SLProgram:
             for a in ins.args:
                 if not 0 <= a < next_id:
                     raise SLPError(f"instruction {pos} reads undefined value v{a}")
+            if ins.op in arity and not 0 <= ins.aux < arity[ins.op]:
+                raise SLPError(f"instruction {pos}: {ins.op} {ins.aux} outside [0, {arity[ins.op]})")
+            if ins.op == "shift" and ins.aux < 0:
+                raise SLPError(f"instruction {pos}: negative shift {ins.aux}")
             if ins.op == "store_y":
                 if ins.dest is not None:
                     raise SLPError("store_y carries no destination")

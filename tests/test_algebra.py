@@ -1,13 +1,18 @@
 import os
 import random
+import shutil
 from fractions import Fraction
 
+import pytest
+
+from diracmul import derive
 from diracmul.algebra import (
     DIM,
     DiracNumber,
     MultTable,
     SignedBasis,
     b_matrix_errata,
+    default_asset_dir,
     derive_b_matrix,
     mul_schoolbook,
     parse_printed_b_matrix,
@@ -229,3 +234,40 @@ class TestSymbolicHelpers:
             DiracNumber.from_ints(vals_a, INTS), DiracNumber.from_ints(vals_b, INTS), table
         )
         assert [v.as_int() for v in d.coeffs] == i.coeffs
+
+
+def test_every_asset_reader_honours_the_asset_dir_override(tmp_path, monkeypatch):
+    copy = tmp_path / "assets"
+    shutil.copytree(default_asset_dir(), copy)
+    monkeypatch.setenv("DIRAC_ASSET_DIR", str(copy))
+    assert default_asset_dir() == str(copy)
+
+    table_path = copy / "table_printed.txt"
+    lines = table_path.read_text().splitlines()
+    data = [i for i, ln in enumerate(lines) if ln.strip() and not ln.startswith("#")]
+    row = lines[data[1]].split()
+    assert row[2] == "5"
+    row[2] = "-5"
+    lines[data[1]] = " ".join(row)
+    table_path.write_text("\n".join(lines) + "\n")
+    assert parse_printed_table()[1][2] == SignedBasis(-1, 5)
+
+    # derive --write writes into the override
+    (copy / "perm_in_16.txt").unlink()
+    assert derive.main(["--write"]) == 0
+    assert (copy / "perm_in_16.txt").exists()
+
+    assert len(derive.load_seed_matrices()) == 2
+    (copy / "m8_diff.txt").unlink()
+    with pytest.raises(OSError):
+        derive.load_seed_matrices()
+
+    (copy / "b16_printed.txt").unlink()
+    with pytest.raises(OSError):
+        parse_printed_b_matrix()
+
+
+def test_every_package_export_resolves():
+    import diracmul
+
+    assert [name for name in diracmul.__all__ if not hasattr(diracmul, name)] == []

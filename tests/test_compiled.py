@@ -1,6 +1,7 @@
 """The compiled pipeline programs: counts, exactness, proof coverage, tooling."""
 
 import linecache
+import math
 import random
 import shutil
 import sys
@@ -171,6 +172,37 @@ def test_float_products_are_exact_on_small_integers():
         assert mul_fast(a, b).coeffs == want
         assert precompute(b).apply(a).coeffs == want
         assert mul_schoolbook(a, b, TABLE).coeffs == want
+
+
+# the non-finite contract: one inf or nan anywhere in either operand makes all
+# sixteen outputs non-finite on every path, but which are inf and which nan
+# may differ between them (every output reads every input, and non-finite
+# values are absorbing under add/sub/neg/mul/halve)
+_finite = st.lists(st.floats(-1e6, 1e6), min_size=DIM, max_size=DIM)
+_placements = st.lists(st.tuples(st.sampled_from("ab"), st.integers(0, DIM - 1),
+                                 st.sampled_from([math.inf, -math.inf, math.nan])), min_size=1, max_size=3)
+
+
+@pytest.mark.parametrize("level", LEVELS)
+@given(av=_finite, bv=_finite, placements=_placements)
+@settings(max_examples=40, deadline=None)
+def test_non_finite_input_makes_every_output_non_finite(level, av, bv, placements):
+    coeffs = {"a": list(av), "b": list(bv)}
+    for operand, k, value in placements:
+        coeffs[operand][k] = value
+    a, b = DiracNumber(coeffs["a"], FLOAT), DiracNumber(coeffs["b"], FLOAT)
+    for product in (mul_schoolbook(a, b, TABLE), mul_fast(a, b, level), precompute(b, level).apply(a)):
+        assert not any(math.isfinite(c) for c in product.coeffs)
+
+
+def test_non_finite_outputs_may_differ_in_kind():
+    a = DiracNumber([math.inf if k == 3 else 0.0 for k in range(DIM)], FLOAT)
+    b = DiracNumber.basis(0, FLOAT)
+    school = mul_schoolbook(a, b, TABLE).coeffs
+    assert school[3] == math.inf
+    for fast in (mul_fast(a, b).coeffs, precompute(b).apply(a).coeffs):
+        assert math.isnan(fast[3])
+        assert all(math.isnan(fast[k]) and math.isnan(school[k]) for k in range(DIM) if k != 3)
 
 
 # ---------------------------------------------------------------------------

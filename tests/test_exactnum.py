@@ -12,7 +12,6 @@ from diracmul.exactnum import (
     DyadicRational,
     LinearForm,
     LinearFormError,
-    counter_report,
     dyadic_add,
     dyadic_mul,
     dyadic_sub,
@@ -171,4 +170,4 @@ class TestCounting:
         assert counter.report() == (
             "nontrivial_mults=88\nadditions=264\nnegations=77\nshifts=84"
         )
-        assert counter_report(counter)["additions"] == 264
+        assert counter.as_dict()["additions"] == 264

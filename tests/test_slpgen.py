@@ -141,6 +141,28 @@ class TestProgramStructure:
         with pytest.raises(SLPError):
             SLProgram(instrs)
 
+    @staticmethod
+    def _text_with(line):
+        """Sixteen loads, then ``line`` defining v16, then the sixteen stores."""
+        body = [f"v{i} = load_a {i}" for i in range(16)] + [line]
+        return "\n".join(body + [f"store_y {k} v{k}" for k in range(16)]) + "\n"
+
+    def test_out_of_range_load_rejected(self):
+        assert parse_text(self._text_with("v16 = load_a 15")).a_arity == 16
+        with pytest.raises(SLPError, match="load_a -1"):
+            parse_text(self._text_with("v16 = load_a -1"))
+        with pytest.raises(SLPError, match="load_b -1"):
+            parse_text(self._text_with("v16 = load_b -1"))
+        instrs = [SLPInstr("load_a", i, (), i) for i in range(16)] + [SLPInstr("load_b", 16, (), 16)]
+        instrs += [SLPInstr("store_y", None, (k,), k) for k in range(16)]
+        with pytest.raises(SLPError, match="load_b 16"):
+            SLProgram(instrs)
+
+    def test_negative_shift_rejected(self):
+        assert parse_text(self._text_with("v16 = shift v0 0")).histogram()["shift"] == 1
+        with pytest.raises(SLPError, match="negative shift"):
+            parse_text(self._text_with("v16 = shift v0 -1"))
+
     def test_single_assignment_by_construction(self, fast_program):
         seen = set()
         for ins in fast_program.instrs:
