@@ -32,7 +32,6 @@ from .fastmult import (
     precompute,
     verify_pipeline,
 )
-from .linalg import signed_perm_matrix
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -211,7 +210,7 @@ def cmd_bench(args) -> int:
         for _ in range(args.iters)
     ]
     table = build_table_from_generators()
-    assemble_pipeline(3).program()  # assemble and compile before timing
+    assemble_pipeline(3)  # assemble and compile before timing
 
     def run_school():
         for av, bv in data:
@@ -254,14 +253,13 @@ def cmd_errata(args) -> int:
 
 def cmd_emit(args) -> int:
     if args.what == "slp":
-        from .slpgen import emit_text, flatten
+        from .slpgen import SLPError, emit_text, flatten
 
-        pipeline = assemble_pipeline(args.level)
-        report = verify_pipeline(pipeline)
-        if not report.ok:
-            print("FAIL: pipeline does not verify; refusing to emit", file=sys.stderr)
+        try:  # flatten runs the proof and refuses a pipeline that fails it
+            text = emit_text(flatten(assemble_pipeline(args.level)))
+        except SLPError as exc:
+            print(f"FAIL: {exc}", file=sys.stderr)
             return EXIT_VERIFY
-        text = emit_text(flatten(pipeline))
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(text)
         print(f"wrote {args.out}")
@@ -272,12 +270,7 @@ def cmd_emit(args) -> int:
     for i, stage in enumerate(pipeline.stages):
         path = os.path.join(args.out, f"{i:02d}_{stage.name}.txt")
         with open(path, "w", encoding="ascii") as fh:
-            if stage.kind == "signed_perm":
-                fh.write(signed_perm_matrix(stage.perm).serialize())
-            elif stage.kind == "structural":
-                fh.write(stage.mat.serialize())
-            else:
-                fh.write(_core_grid_text(stage))
+            fh.write(stage.mat.serialize() if stage.blocks is None else _core_grid_text(stage))
     print(f"wrote {len(pipeline.stages)} stage files to {args.out}")
     return EXIT_OK
 

@@ -20,7 +20,7 @@ from .algebra import (
     table_errata,
 )
 from .fastmult import assemble_pipeline
-from .linalg import Mat, dirsum, eye, kron, signed_perm_matrix, H2
+from .linalg import Mat, dirsum, eye, kron, H2
 
 
 def _diag(signs) -> Mat:
@@ -76,7 +76,7 @@ STATIC_NOTES = [
 def _stage_matrix(pipeline, name: str) -> Mat:
     for stage in pipeline.stages:
         if stage.name == name:
-            return signed_perm_matrix(stage.perm)
+            return stage.mat
     raise KeyError(name)
 
 
@@ -94,17 +94,15 @@ def stage_comparisons() -> list:
     # the final level builds its own input side; the second level still
     # loads the displayed 28-wide input permutation
     level2, level3 = assemble_pipeline(2), assemble_pipeline(3)
-    out = []
-    for pipe, name, printed in (
-        (level2, "perm_in_28", PRINTED_PERM_IN_28),
-        (level3, "perm_out_28", PRINTED_PERM_OUT_28),
-        (level3, "perm_out_30", PRINTED_PERM_OUT_30),
-    ):
-        derived = _stage_matrix(pipe, name)
-        out.append((name, printed, _mat_diff(derived, printed)))
-    derived = next(s.mat for s in level3.stages if s.name == "reduce_30_30")
-    out.append(("reduce_30_30", PRINTED_MIX_30, _mat_diff(derived, PRINTED_MIX_30)))
-    return out
+    return [
+        (name, printed, _mat_diff(_stage_matrix(pipe, name), printed))
+        for pipe, name, printed in (
+            (level2, "perm_in_28", PRINTED_PERM_IN_28),
+            (level3, "perm_out_28", PRINTED_PERM_OUT_28),
+            (level3, "perm_out_30", PRINTED_PERM_OUT_30),
+            (level3, "reduce_30_30", PRINTED_MIX_30),
+        )
+    ]
 
 
 def _fmt_form(form) -> str:

@@ -438,62 +438,9 @@ class CountingRing:
         return a.value == b.value
 
 
-class IntRing:
-    """Plain integers: the exponent-zero corner of the dyadic ring.
-
-    Internal fast path for halving-free computations (the schoolbook
-    product, table checks).  Not one of the four contract realizations.
-    """
-
-    name = "int"
-
-    @staticmethod
-    def wrap(n):
-        return int(n)
-
-    @staticmethod
-    def from_dyadic(num, exp):
-        if exp != 0:
-            raise ValueError("non-integer constant in an integer computation")
-        return num
-
-    @staticmethod
-    def zero():
-        return 0
-
-    @staticmethod
-    def one():
-        return 1
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def halve(a):
-        raise ValueError("integers are not closed under halving")
-
-    @staticmethod
-    def eq(a, b):
-        return a == b
-
-
 FLOAT = FloatRing()
 DYADIC = DyadicRing()
 FORMS = LinearFormRing()
-INTS = IntRing()
 
 
 def lf_from_b(index: int) -> LinearForm:

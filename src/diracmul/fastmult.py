@@ -1,30 +1,29 @@
 """The factorized fast product.
 
-A pipeline is a chain of constant stages (signed permutations and
-structural {-1,0,+1} combiners) around one b-dependent block-diagonal
-core.  Three refinement levels exist; the final one spends 88 generic
-multiplications inside a 30-wide core.  Stages are loaded from plain-text
-assets.
+A pipeline is a chain of constant {-1,0,+1} stages (signed permutations
+and structural combiners, both held as matrices) around one b-dependent
+block-diagonal core.  Three refinement levels exist; the final one spends
+88 generic multiplications inside a 30-wide core.  Stages are loaded from
+plain-text assets.
 
-Each assembled pipeline is compiled once, on first use, into two
-straight-line Python functions: ``bind(ring, b)`` evaluates the core
+An assembled pipeline is an immutable value, compiled as it is built into
+two straight-line Python functions: ``bind(ring, b)`` evaluates the core
 entries for a right-hand operand and ``apply(ring, a, entries)`` runs the
 whole stage chain.  Both come from one recording pass of ``bind_core`` and
-``run_pipeline_bound``, which run one kernel per stage kind:
-``SignedPermutation.apply``, ``linalg.structural_apply`` and
-``block_matvec`` over the core blocks.  Every operation in the generated
-code is a call to the ring's ``add``/``sub``/``neg``/``mul``/``halve``, so
-the same two functions serve floats, dyadics, the counting ring and linear
-forms.  ``mul_fast``, ``PrecomputedOperator.apply`` and ``verify_pipeline``
-all call them: ``verify_pipeline`` proves, over linear forms, that exactly
-this code equals the ground-truth product matrix.
+``run_pipeline_bound``, which run two kernels: ``linalg.structural_apply``
+for every constant stage and ``block_matvec`` over the core blocks.  Every
+operation in the generated code is a call to the ring's
+``add``/``sub``/``neg``/``mul``/``halve``, so the same two functions serve
+floats, dyadics, the counting ring and linear forms.  ``mul_fast``,
+``PrecomputedOperator.apply`` and ``verify_pipeline`` all call them:
+``verify_pipeline`` proves, over linear forms, that exactly this code
+equals the ground-truth product matrix, and runs the proof on every call.
 """
 
 from __future__ import annotations
 
 import linecache
 import os
-import threading
 import zlib
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -39,10 +38,10 @@ from .algebra import (
     symbolic_b,
 )
 from .exactnum import FORMS, LinearForm
-from .linalg import H2, T2X3, T3X2, Mat, SignedPermutation, dirsum, eye, kron, structural_apply
+from .linalg import (H2, T2X3, T3X2, Mat, SignedPermutation, dirsum, eye, kron, signed_perm_matrix,
+                     structural_apply)
 
 LEVELS = (1, 2, 3)
-_COMPILE_LOCK = threading.Lock()
 
 
 class AssetError(RuntimeError):
@@ -71,7 +70,8 @@ def _parse_kv(lines, path):
     return fields
 
 
-def _parse_perm(fields: dict, name: str) -> SignedPermutation:
+def _parse_perm(fields: dict, name: str) -> Mat:
+    """The +-1 matrix of a validated signed permutation."""
     try:
         size = int(fields["size"])
         src = [int(t) - 1 for t in fields["src"].split()]
@@ -81,7 +81,7 @@ def _parse_perm(fields: dict, name: str) -> SignedPermutation:
         raise AssetError(f"stage {name}: {exc}") from exc
     if perm.size != size:
         raise AssetError(f"stage {name}: size field disagrees with src length")
-    return perm
+    return signed_perm_matrix(perm)
 
 
 _ATOMS = {"H2": H2, "T2x3": T2X3, "T3x2": T3X2}
@@ -278,28 +278,35 @@ def load_blocks(path: str, index: dict):
 # pipeline
 
 
-@dataclass
+@dataclass(frozen=True)
 class Stage:
-    """One constant linear map (or the b-dependent core) of the chain."""
+    """One link of the chain: a constant {-1,0,+1} matrix ``mat``, or the
+    b-dependent core, which is the one stage with ``blocks``."""
 
     name: str
-    kind: str  # signed_perm | structural | core
     in_dim: int
     out_dim: int
-    perm: SignedPermutation | None = None
     mat: Mat | None = None
     blocks: list | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Pipeline:
+    """An assembled stage chain and its compiled ``program``.
+
+    Frozen, and compiled when it is built, so one cached pipeline can be
+    shared by any number of callers and threads.
+    """
+
     level: int
     stages: tuple
     core_index: int
     asset_dir: str
     pools: dict  # the pool pairs the core recipes draw from, parsed at assembly
-    verified: bool = field(default=False, compare=False)
-    _program: CompiledProgram | None = field(default=None, init=False, repr=False, compare=False)
+    program: CompiledProgram = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "program", compile_pipeline(self))
 
     @property
     def core(self) -> Stage:
@@ -312,14 +319,6 @@ class Pipeline:
         stages = list(self.stages)
         stages[index] = stage
         return Pipeline(self.level, tuple(stages), self.core_index, self.asset_dir, self.pools)
-
-    def program(self) -> CompiledProgram:
-        """This pipeline's compiled ``bind``/``apply``, generated on first use."""
-        if self._program is None:
-            with _COMPILE_LOCK:  # one program per pipeline, also under threads
-                if self._program is None:
-                    self._program = compile_pipeline(self)
-        return self._program
 
 
 _EXPECTED_DIMS = {
@@ -343,32 +342,31 @@ def _assemble(level: int, asset_dir: str) -> Pipeline:
         if what == "stage":
             fields = _parse_kv(_read_lines(path), path)
             if fields["kind"] == "signed_perm":
-                perm = _parse_perm(fields, os.path.basename(path))
-                stages.append(Stage(ref, "signed_perm", perm.size, perm.size, perm=perm))
+                mat = _parse_perm(fields, os.path.basename(path))
             elif fields["kind"] == "structural":
                 mat = _parse_structural(fields, os.path.basename(path))
                 if not all(any(row) for row in mat.entries):
                     raise AssetError(f"stage {ref}: structurally zero output row")
-                stages.append(Stage(ref, "structural", mat.cols, mat.rows, mat=mat))
             else:
                 raise AssetError(f"stage {ref}: unknown kind {fields['kind']!r}")
+            stages.append(Stage(ref, mat.cols, mat.rows, mat=mat))
         elif what == "core":
             blocks = load_blocks(path, index_pools(pools))
             dim = sum(b.size for b in blocks)
             core_index = len(stages)
-            stages.append(Stage(ref, "core", dim, dim, blocks=blocks))
+            stages.append(Stage(ref, dim, dim, blocks=blocks))
         else:
             raise AssetError(f"stage manifest pipeline_level{level}: bad line {ln!r}")
     if core_index < 0:
         raise AssetError(f"stage manifest pipeline_level{level}: no core stage")
-    pipe = Pipeline(level, tuple(stages), core_index, asset_dir, pools)
-    dims = pipe.dims()
+    # checked before Pipeline() compiles the chain, so a bad asset fails with its name
+    dims = [stages[0].in_dim] + [s.out_dim for s in stages]
     if dims != _EXPECTED_DIMS[level]:
         raise AssetError(f"stage manifest pipeline_level{level}: dimension chain {dims}")
     for prev, cur in zip(stages, stages[1:]):
         if prev.out_dim != cur.in_dim:
             raise AssetError(f"stage {cur.name}: expects {cur.in_dim} inputs, gets {prev.out_dim}")
-    return pipe
+    return Pipeline(level, tuple(stages), core_index, asset_dir, pools)
 
 
 @lru_cache(maxsize=None)
@@ -450,9 +448,7 @@ def run_pipeline_bound(pipeline: Pipeline, a_coeffs, entries, ring):
     """Run the stage chain on ``a_coeffs``; ``entries`` is :func:`bind_core`'s output."""
     vec = list(a_coeffs)
     for stage in pipeline.stages:
-        if stage.kind == "signed_perm":
-            vec = stage.perm.apply(ring, vec)
-        elif stage.kind == "structural":
+        if stage.blocks is None:
             vec = structural_apply(ring, stage.mat, vec)
         else:
             out, offset = [], 0
@@ -597,7 +593,7 @@ def mul_fast(a: DiracNumber, b: DiracNumber, level: int = 3, asset_dir: str | No
     ring = a.ring
     if b.ring is not ring:
         raise RingMismatchError(ring, b.ring)
-    prog = assemble_pipeline(level, asset_dir).program()
+    prog = assemble_pipeline(level, asset_dir).program
     return DiracNumber(prog.apply(ring, a.coeffs, prog.bind(ring, b.coeffs)), ring)
 
 
@@ -615,12 +611,12 @@ class PrecomputedOperator:
         ring = self.ring
         if a.ring is not ring:
             raise RingMismatchError(a.ring, ring)
-        return DiracNumber(self.pipeline.program().apply(ring, a.coeffs, self.entries), ring)
+        return DiracNumber(self.pipeline.program.apply(ring, a.coeffs, self.entries), ring)
 
 
 def precompute(b: DiracNumber, level: int = 3, asset_dir: str | None = None) -> PrecomputedOperator:
     pipeline = assemble_pipeline(level, asset_dir)
-    return PrecomputedOperator(pipeline, pipeline.program().bind(b.ring, b.coeffs), b.ring)
+    return PrecomputedOperator(pipeline, pipeline.program.bind(b.ring, b.coeffs), b.ring)
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +646,7 @@ class VerifyReport:
 
 def pipeline_matrix(pipeline: Pipeline) -> Mat:
     """The 16x16 matrix the pipeline's compiled program computes, symbolic in b."""
-    prog = pipeline.program()
+    prog = pipeline.program
     entries = prog.bind(FORMS, symbolic_b().coeffs)
     cols = []
     for n in range(DIM):
@@ -660,7 +656,10 @@ def pipeline_matrix(pipeline: Pipeline) -> Mat:
 
 
 def verify_pipeline(pipeline: Pipeline | int, asset_dir: str | None = None) -> VerifyReport:
-    """Prove the pipeline equals the table-derived product matrix in b."""
+    """Prove the pipeline equals the table-derived product matrix in b.
+
+    Runs the whole proof on every call; nothing is remembered.
+    """
     if isinstance(pipeline, int):
         pipeline = assemble_pipeline(pipeline, asset_dir)
     got = pipeline_matrix(pipeline)
@@ -670,7 +669,4 @@ def verify_pipeline(pipeline: Pipeline | int, asset_dir: str | None = None) -> V
         for c in range(DIM):
             if got.entries[r][c] != want.entries[r][c]:
                 mismatches.append((r, c, got.entries[r][c], want.entries[r][c]))
-    report = VerifyReport(pipeline.level, mismatches)
-    if report.ok:
-        pipeline.verified = True
-    return report
+    return VerifyReport(pipeline.level, mismatches)

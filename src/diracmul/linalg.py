@@ -119,21 +119,6 @@ def mat_halve(ring, a: Mat) -> Mat:
     return a.map(ring.halve)
 
 
-def mat_mul(ring, a: Mat, b: Mat) -> Mat:
-    if a.cols != b.rows:
-        raise ValueError("size mismatch")
-    out = []
-    for i in range(a.rows):
-        row = []
-        for j in range(b.cols):
-            acc = ring.zero()
-            for k in range(a.cols):
-                acc = ring.add(acc, ring.mul(a.entries[i][k], b.entries[k][j]))
-            row.append(acc)
-        out.append(row)
-    return Mat(a.rows, b.cols, out)
-
-
 def int_mat_mul(a: Mat, b: Mat) -> Mat:
     if a.cols != b.rows:
         raise ValueError("size mismatch")
@@ -147,11 +132,6 @@ def int_mat_mul(a: Mat, b: Mat) -> Mat:
                 if b.entries[k][j]:
                     out.entries[i][j] += aik * b.entries[k][j]
     return out
-
-
-def lift(ring, a: Mat) -> Mat:
-    """Turn an integer matrix into a ring-valued one."""
-    return a.map(ring.wrap)
 
 
 def structural_apply(ring, m: Mat, vec):
@@ -209,17 +189,8 @@ class SignedPermutation:
             signs[pos - 1] = -1
         return cls(src, signs)
 
-    def apply(self, ring, vec):
-        if len(vec) != self.size:
-            raise ValueError("vector length mismatch")
-        out = []
-        for i in range(self.size):
-            v = vec[self.src[i]]
-            out.append(ring.neg(v) if self.signs[i] < 0 else v)
-        return out
-
     def compose(self, other: "SignedPermutation") -> "SignedPermutation":
-        """self after other: (self.compose(other)).apply = self.apply(other.apply(.))."""
+        """self after other: its matrix is matrix(self) . matrix(other)."""
         if self.size != other.size:
             raise ValueError("size mismatch")
         src = [other.src[self.src[i]] for i in range(self.size)]
@@ -290,36 +261,3 @@ def template_EF(e: Mat, f: Mat, ring=None) -> Mat:
     rows = [list(e.entries[i]) + list(f.entries[i]) for i in range(n)]
     rows += [list(f.entries[i]) + [neg(x) for x in e.entries[i]] for i in range(n)]
     return Mat(2 * n, 2 * n, rows)
-
-
-def template_AB_factored(ring, a: Mat, b: Mat) -> Mat:
-    """(H2 (x) I_n) . 1/2 (A+B (+) A-B) . (H2 (x) I_n), evaluated entrywise."""
-    n = a.rows
-    h = lift(ring, kron(H2, eye(n)))
-    mid = dirsum_ring([mat_halve(ring, mat_add(ring, a, b)), mat_halve(ring, mat_sub(ring, a, b))], ring)
-    return mat_mul(ring, mat_mul(ring, h, mid), h)
-
-
-def template_EF_factored(ring, e: Mat, f: Mat) -> Mat:
-    """(T2x3 (x) I_n) . (E-F (+) -(E+F) (+) F) . (T3x2 (x) I_n)."""
-    n = e.rows
-    left = lift(ring, kron(T2X3, eye(n)))
-    right = lift(ring, kron(T3X2, eye(n)))
-    mid = dirsum_ring(
-        [mat_sub(ring, e, f), mat_neg(ring, mat_add(ring, e, f)), f], ring
-    )
-    return mat_mul(ring, mat_mul(ring, left, mid), right)
-
-
-def dirsum_ring(blocks, ring) -> Mat:
-    blocks = list(blocks)
-    rows = sum(b.rows for b in blocks)
-    cols = sum(b.cols for b in blocks)
-    out = Mat(rows, cols, [[ring.zero()] * cols for _ in range(rows)])
-    r0 = c0 = 0
-    for b in blocks:
-        for i in range(b.rows):
-            out.entries[r0 + i][c0 : c0 + b.cols] = list(b.entries[i])
-        r0 += b.rows
-        c0 += b.cols
-    return out

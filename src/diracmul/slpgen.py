@@ -5,15 +5,16 @@ sequences of scalar instructions and interprets or pretty-prints them.
 ``flatten`` renders the recording a pipeline's compiled ``bind``/``apply``
 were generated from, so the program is the code that runs: it shares the
 pooled two-term combinations exactly the way the cost accounting does, and
-its opcode histogram agrees with the counting ring.
+its opcode histogram agrees with the counting ring.  It proves the
+pipeline first and refuses to render one whose proof fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import DIM, MultTable
-from .fastmult import RING_OPS, Pipeline, PrecomputedOperator, Recorder
+from .algebra import DIM, DiracNumber, MultTable, mul_schoolbook
+from .fastmult import RING_OPS, Pipeline, PrecomputedOperator, Recorder, verify_pipeline
 from .linalg import Mat
 
 OPCODES = ("load_a", "load_b", "const", "add", "sub", "neg", "mul", "shift", "store_y")
@@ -46,10 +47,6 @@ class SLProgram:
         self.a_arity = a_arity
         self.b_arity = b_arity
         self.validate()
-
-    @property
-    def n_values(self) -> int:
-        return sum(1 for i in self.instrs if i.dest is not None)
 
     def histogram(self) -> dict:
         counts = {op: 0 for op in OPCODES}
@@ -138,10 +135,15 @@ def flatten(pipeline: Pipeline, include_precompute: bool = True,
     the core entries (sharing the pooled terms once, as the accounting
     does).  Without it, a precomputed operator must be given and its core
     entries are baked in as constants, leaving only the apply phase.
+
+    Runs :func:`~diracmul.fastmult.verify_pipeline` on ``pipeline`` and
+    raises :class:`SLPError` unless the proof passes.
     """
-    if not pipeline.verified:
-        raise SLPError("refusing to flatten an unverified pipeline")
-    compiled = pipeline.program()
+    if not include_precompute and (operator is None or operator.pipeline is not pipeline):
+        raise SLPError("apply-only flattening needs a precomputed operator for this pipeline")
+    if not verify_pipeline(pipeline).ok:
+        raise SLPError("pipeline does not verify; refusing to emit")
+    compiled = pipeline.program
     out = _Builder()
     a_ids = [out.push("load_a", aux=k) for k in range(DIM)]
     if include_precompute:
@@ -149,8 +151,6 @@ def flatten(pipeline: Pipeline, include_precompute: bool = True,
         entries = [bind_ids[x] for x in compiled.entries]
         b_arity = DIM
     else:
-        if operator is None or operator.pipeline is not pipeline:
-            raise SLPError("apply-only flattening needs a precomputed operator for this pipeline")
         entries = [out.push("const", aux=_as_dyadic_pair(val)) for val in operator.entries]
         b_arity = 0
     ids = out.tape(compiled.apply_tape, lambda name, k: a_ids[k] if name == "a" else entries[k])
@@ -171,22 +171,12 @@ def _as_dyadic_pair(val):
 
 
 def schoolbook_program(table: MultTable) -> SLProgram:
-    """The naive product as a reference program: 256 muls, 240 adds."""
+    """The naive product as a reference program: :func:`~diracmul.algebra.mul_schoolbook`
+    recorded once, 256 muls and 240 adds."""
     rec = Recorder()
-    a_ids = rec.inputs("a", DIM)
-    b_ids = rec.inputs("b", DIM)
-    acc: list[int | None] = [None] * DIM
-    for n in range(DIM):
-        for m in range(DIM):
-            sign, k = table[n][m]
-            p = rec.mul(a_ids[n], b_ids[m])
-            if acc[k] is None:
-                acc[k] = rec.neg(p) if sign < 0 else p
-            elif sign < 0:
-                acc[k] = rec.sub(acc[k], p)
-            else:
-                acc[k] = rec.add(acc[k], p)
-    return _tape_program(rec, acc, DIM, DIM)
+    a = DiracNumber(rec.inputs("a", DIM), rec)
+    b = DiracNumber(rec.inputs("b", DIM), rec)
+    return _tape_program(rec, mul_schoolbook(a, b, table).coeffs, DIM, DIM)
 
 
 def structural_program(mat: Mat) -> SLProgram:

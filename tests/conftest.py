@@ -1,7 +1,29 @@
+import operator
+
 import pytest
 
 from diracmul.algebra import build_table_from_generators
-from diracmul.fastmult import assemble_pipeline, verify_pipeline
+from diracmul.fastmult import Stage, assemble_pipeline, verify_pipeline
+from diracmul.linalg import Mat
+
+
+class IntRing:
+    """Plain Python integers as a scalar ring: exact, without halving."""
+
+    name = "int"
+    wrap = int
+    add, sub, neg, mul, eq = operator.add, operator.sub, operator.neg, operator.mul, operator.eq
+
+    @staticmethod
+    def zero():
+        return 0
+
+    @staticmethod
+    def one():
+        return 1
+
+
+INTS = IntRing()
 
 
 @pytest.fixture(scope="session")
@@ -19,3 +41,15 @@ def verified_pipelines():
         assert report.ok, report.summary()
         pipelines[level] = pipe
     return pipelines
+
+
+@pytest.fixture(scope="session")
+def planted_fault(verified_pipelines):
+    """Level 3 with the sign of row 5 of its first stage flipped, and the
+    product-matrix column that flip corrupts."""
+    first = verified_pipelines[3].stages[0]
+    entries = [list(row) for row in first.mat.entries]
+    column = next(c for c, e in enumerate(entries[5]) if e)
+    entries[5][column] = -entries[5][column]
+    bad = Stage(first.name, first.in_dim, first.out_dim, mat=Mat(first.out_dim, first.in_dim, entries))
+    return verified_pipelines[3].replace_stage(0, bad), column

@@ -1,0 +1,56 @@
+"""Ring-valued matrix arithmetic the tests check the factorizations with."""
+
+from diracmul.linalg import H2, T2X3, T3X2, Mat, eye, kron, mat_add, mat_halve, mat_neg, mat_sub
+
+
+def mat_mul(ring, a: Mat, b: Mat) -> Mat:
+    if a.cols != b.rows:
+        raise ValueError("size mismatch")
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = ring.zero()
+            for k in range(a.cols):
+                acc = ring.add(acc, ring.mul(a.entries[i][k], b.entries[k][j]))
+            row.append(acc)
+        out.append(row)
+    return Mat(a.rows, b.cols, out)
+
+
+def lift(ring, a: Mat) -> Mat:
+    """Turn an integer matrix into a ring-valued one."""
+    return a.map(ring.wrap)
+
+
+def dirsum_ring(blocks, ring) -> Mat:
+    blocks = list(blocks)
+    rows = sum(b.rows for b in blocks)
+    cols = sum(b.cols for b in blocks)
+    out = Mat(rows, cols, [[ring.zero()] * cols for _ in range(rows)])
+    r0 = c0 = 0
+    for b in blocks:
+        for i in range(b.rows):
+            out.entries[r0 + i][c0 : c0 + b.cols] = list(b.entries[i])
+        r0 += b.rows
+        c0 += b.cols
+    return out
+
+
+def template_AB_factored(ring, a: Mat, b: Mat) -> Mat:
+    """(H2 (x) I_n) . 1/2 (A+B (+) A-B) . (H2 (x) I_n), evaluated entrywise."""
+    n = a.rows
+    h = lift(ring, kron(H2, eye(n)))
+    mid = dirsum_ring([mat_halve(ring, mat_add(ring, a, b)), mat_halve(ring, mat_sub(ring, a, b))], ring)
+    return mat_mul(ring, mat_mul(ring, h, mid), h)
+
+
+def template_EF_factored(ring, e: Mat, f: Mat) -> Mat:
+    """(T2x3 (x) I_n) . (E-F (+) -(E+F) (+) F) . (T3x2 (x) I_n)."""
+    n = e.rows
+    left = lift(ring, kron(T2X3, eye(n)))
+    right = lift(ring, kron(T3X2, eye(n)))
+    mid = dirsum_ring(
+        [mat_sub(ring, e, f), mat_neg(ring, mat_add(ring, e, f)), f], ring
+    )
+    return mat_mul(ring, mat_mul(ring, left, mid), right)

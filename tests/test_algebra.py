@@ -21,7 +21,9 @@ from diracmul.algebra import (
     symbolic_b_matrix,
     table_errata,
 )
-from diracmul.exactnum import CountingRing, DYADIC, INTS, lf_from_b
+from diracmul.exactnum import CountingRing, DYADIC, lf_from_b
+
+from conftest import INTS
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 

@@ -194,6 +194,26 @@ class TestEmit:
         header = out_file.read_text().splitlines()[0]
         assert header.startswith(f"# mul={mul} add=264 ")
 
+    def test_slp_refuses_a_pipeline_that_fails_its_proof(self, capsys, tmp_path, monkeypatch):
+        from diracmul import fastmult
+
+        dst = tmp_path / "assets"
+        shutil.copytree(fastmult.default_asset_dir(), dst)
+        perm = dst / "perm_in_16.txt"
+        lines = perm.read_text().splitlines()
+        signs = next(i for i, ln in enumerate(lines) if ln.startswith("signs "))
+        assert lines[signs].startswith("signs + ")
+        lines[signs] = "signs - " + lines[signs][len("signs + "):]
+        perm.write_text("\n".join(lines) + "\n")
+        monkeypatch.setenv("DIRAC_ASSET_DIR", str(dst))
+        out_file = tmp_path / "program.slp"
+        # level 1 loads perm_in_16; the flip still parses as a signed permutation
+        code, out, err = run(capsys, "emit", "slp", str(out_file), "--level", "1")
+        assert code == 1
+        assert err == "FAIL: pipeline does not verify; refusing to emit\n"
+        assert out == ""
+        assert not out_file.exists()
+
     def test_matrices_dimensions(self, capsys, tmp_path):
         out_dir = tmp_path / "stages"
         code, _, _ = run(capsys, "emit", "matrices", str(out_dir))

@@ -1,5 +1,6 @@
 """The compiled pipeline programs: counts, exactness, proof coverage, tooling."""
 
+import dataclasses
 import linecache
 import math
 import random
@@ -18,7 +19,6 @@ from diracmul.exactnum import CountingRing, DYADIC, FLOAT, DyadicRational
 from diracmul.fastmult import (
     LEVELS,
     AssetError,
-    Stage,
     assemble_pipeline,
     decompose_terms,
     index_pools,
@@ -26,7 +26,6 @@ from diracmul.fastmult import (
     precompute,
     verify_pipeline,
 )
-from diracmul.linalg import SignedPermutation
 from diracmul.slpgen import flatten
 
 TABLE = build_table_from_generators()
@@ -111,7 +110,7 @@ def test_compiled_counts_equal_program_histogram(level, verified_pipelines):
     pipe = verified_pipelines[level]
     rng = random.Random(300 + level)
     ring = CountingRing()
-    prog = pipe.program()
+    prog = pipe.program
     entries = prog.bind(ring, [ring.wrap(v) for v in generic_ints(rng)])
     prog.apply(ring, [ring.wrap(v) for v in generic_ints(rng)], entries)
     want = flatten(pipe).histogram()
@@ -227,7 +226,7 @@ def code_objects_called(fn, *args) -> set:
 def test_proof_runs_the_functions_products_run(verified_pipelines):
     pipe = verified_pipelines[3]
     assert assemble_pipeline(3) is pipe
-    prog = pipe.program()
+    prog = pipe.program
     compiled = {prog.bind.__code__, prog.apply.__code__}
     rng = random.Random(330)
     a, b = (DiracNumber.from_ints(generic_ints(rng), DYADIC) for _ in range(2))
@@ -236,27 +235,23 @@ def test_proof_runs_the_functions_products_run(verified_pipelines):
     assert compiled <= code_objects_called(mul_fast, a, b)
     assert prog.bind.__code__ in code_objects_called(precompute, b)
     assert prog.apply.__code__ in code_objects_called(op.apply, a)
-    assert pipe.program() is prog
+    assert pipe.program is prog
 
 
-def test_planted_fault_compiles_its_own_program(verified_pipelines):
+def test_planted_fault_compiles_its_own_program(verified_pipelines, planted_fault):
     pipe = verified_pipelines[3]
-    perm = pipe.stages[0].perm
-    signs = list(perm.signs)
-    signs[5] = -signs[5]
-    bad = pipe.replace_stage(0, Stage("perm_in_16", "signed_perm", 16, 16,
-                                      perm=SignedPermutation(list(perm.src), signs)))
-    assert bad.program() is not pipe.program()
-    assert bad.program().source != pipe.program().source
-    assert bad.program().filename != pipe.program().filename
+    bad, column = planted_fault
+    assert bad.program is not pipe.program
+    assert bad.program.source != pipe.program.source
+    assert bad.program.filename != pipe.program.filename
 
     report = verify_pipeline(bad)
-    assert not report.ok and not bad.verified
-    assert {(r, c) for r, c, _, _ in report.mismatches} == {(r, perm.src[5]) for r in range(DIM)}
+    assert not report.ok
+    assert {(r, c) for r, c, _, _ in report.mismatches} == {(r, column) for r in range(DIM)}
 
     rng = random.Random(340)
     a, b = (DiracNumber.from_ints(generic_ints(rng), DYADIC) for _ in range(2))
-    prog = bad.program()
+    prog = bad.program
     faulty = DiracNumber(prog.apply(DYADIC, a.coeffs, prog.bind(DYADIC, b.coeffs)), DYADIC)
     assert faulty != mul_schoolbook(a, b, TABLE)
     assert mul_fast(a, b) == mul_schoolbook(a, b, TABLE)
@@ -276,7 +271,28 @@ def test_mul_fast_on_unverified_pipeline_never_runs_the_proof(tmp_path, monkeypa
     a, b = (DiracNumber.from_ints(generic_ints(rng), DYADIC) for _ in range(2))
     assert mul_fast(a, b, 3, str(dst)) == mul_schoolbook(a, b, TABLE)
     assert precompute(b, 3, str(dst)).apply(a) == mul_schoolbook(a, b, TABLE)
-    assert not assemble_pipeline(3, str(dst)).verified
+
+
+def test_pipeline_is_frozen_and_compiled_at_assembly(tmp_path, monkeypatch):
+    dst = tmp_path / "assets"
+    shutil.copytree(fastmult.default_asset_dir(), dst)
+    pipe = assemble_pipeline(3, str(dst))
+    assert isinstance(pipe.program, fastmult.CompiledProgram)
+    for target, name in ((pipe, "program"), (pipe, "stages"), (pipe, "level"), (pipe.core, "blocks")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(target, name, None)
+    assert assemble_pipeline(3, str(dst)).program is pipe.program
+
+    def no_compile(*_args):
+        raise AssertionError("a product compiled the pipeline")
+
+    monkeypatch.setattr(fastmult, "compile_pipeline", no_compile)
+    rng = random.Random(360)
+    a, b = (DiracNumber.from_ints(generic_ints(rng), DYADIC) for _ in range(2))
+    assert mul_fast(a, b, 3, str(dst)) == mul_schoolbook(a, b, TABLE)
+    assert precompute(b, 3, str(dst)).apply(a) == mul_schoolbook(a, b, TABLE)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        assemble_pipeline(3).verified = True
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +324,7 @@ def test_distinct_counting_rings_are_different_rings():
 
 def test_generated_source_is_registered_with_linecache(verified_pipelines):
     for level, pipe in verified_pipelines.items():
-        prog = pipe.program()
+        prog = pipe.program
         assert prog.filename == f"<diracmul pipeline level {level}>"
         assert linecache.getline(prog.filename, 1) == "def bind(ring, b):\n"
         assert "".join(linecache.getlines(prog.filename)) == prog.source

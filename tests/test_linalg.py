@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -13,15 +14,14 @@ from diracmul.linalg import (
     eye,
     int_mat_mul,
     kron,
-    lift,
-    mat_mul,
     signed_perm_matrix,
     structural_apply,
     template_AB,
-    template_AB_factored,
     template_EF,
-    template_EF_factored,
 )
+
+from conftest import INTS
+from linalg_helpers import lift, mat_mul, template_AB_factored, template_EF_factored
 
 
 def rand_int_mat(rng, rows, cols, lo=-5, hi=5):
@@ -43,7 +43,7 @@ class TestKron:
         # expand T2x3 = [[1,0,1],[0,1,1]] over pairs: (x1,x2,x3) -> (x1+x3, x2+x3)
         m = kron(T2X3, eye(2))
         x1, x2, x3 = [1, 2], [30, 40], [500, 600]
-        out = structural_apply(DYADIC_INTS, m, x1 + x2 + x3)
+        out = structural_apply(INTS, m, x1 + x2 + x3)
         assert out == [501, 602, 530, 640]
 
     def test_mixed_product_property(self):
@@ -56,27 +56,6 @@ class TestKron:
             left = int_mat_mul(kron(a, b), kron(c, d))
             right = kron(int_mat_mul(a, c), int_mat_mul(b, d))
             assert left == right
-
-
-class _IntRingForTests:
-    @staticmethod
-    def zero():
-        return 0
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-
-DYADIC_INTS = _IntRingForTests()
 
 
 class TestDirsum:
@@ -126,13 +105,25 @@ class TestSignedPermutation:
             assert p.compose(p.inverse()).is_identity()
             assert p.inverse().compose(p).is_identity()
 
-    def test_apply_matches_matrix(self):
+    def test_loaded_permutation_stages_apply_as_signed_permutations(self, verified_pipelines):
+        # every signed_perm asset a pipeline loads runs as its +-1 matrix
         rng = random.Random(6)
-        src = list(range(6))
-        rng.shuffle(src)
-        p = SignedPermutation(src, [rng.choice((-1, 1)) for _ in range(6)])
-        vec = [rng.randint(-9, 9) for _ in range(6)]
-        assert p.apply(DYADIC_INTS, vec) == structural_apply(DYADIC_INTS, signed_perm_matrix(p), vec)
+        checked = 0
+        for pipe in verified_pipelines.values():
+            for stage in pipe.stages:
+                with open(os.path.join(pipe.asset_dir, f"{stage.name}.txt"), encoding="ascii") as fh:
+                    fields = dict(ln.strip().split(" ", 1) for ln in fh if " " in ln.strip() and ln[0] != "#")
+                if fields.get("kind") != "signed_perm":
+                    continue
+                src = [int(t) - 1 for t in fields["src"].split()]
+                signs = [-1 if t == "-" else 1 for t in fields["signs"].split()]
+                m = stage.mat
+                lines = m.entries + [list(col) for col in zip(*m.entries)]
+                assert all(sorted(map(abs, line)) == [0] * (len(line) - 1) + [1] for line in lines), stage.name
+                vec = rng.sample(range(1, 1000), m.cols)
+                assert structural_apply(INTS, m, vec) == [signs[i] * vec[src[i]] for i in range(m.rows)]
+                checked += 1
+        assert checked == 19  # 5 + 7 + 7 permutation stages in levels 1, 2, 3
 
     def test_orthogonality(self):
         p = SignedPermutation.from_one_based([3, 1, 4, 2], [2, 3])

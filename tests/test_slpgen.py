@@ -4,7 +4,7 @@ import pytest
 
 from diracmul.algebra import DIM, DiracNumber, mul_schoolbook
 from diracmul.exactnum import CountingRing, DYADIC
-from diracmul.fastmult import mul_fast, precompute
+from diracmul.fastmult import PrecomputedOperator, mul_fast, precompute
 from diracmul.linalg import H2, eye, kron
 from diracmul.slpgen import (
     SLPError,
@@ -48,11 +48,17 @@ class TestFlatten:
         assert h["add_total"] == 2
         assert h["mul"] == 0
 
-    def test_unverified_pipeline_rejected(self, verified_pipelines):
+    def test_flatten_proves_the_pipeline_it_renders(self, fast_program, verified_pipelines, planted_fault):
+        bad, _ = planted_fault
+        with pytest.raises(SLPError, match="does not verify"):
+            flatten(bad)
+        b = DiracNumber.from_ints(range(DIM), DYADIC)
+        op = PrecomputedOperator(bad, bad.program.bind(DYADIC, b.coeffs), DYADIC)
+        with pytest.raises(SLPError, match="does not verify"):
+            flatten(bad, include_precompute=False, operator=op)
+        # a correct pipeline that verify_pipeline never saw renders as the shipped one
         fresh = verified_pipelines[3].replace_stage(0, verified_pipelines[3].stages[0])
-        assert not fresh.verified
-        with pytest.raises(SLPError):
-            flatten(fresh)
+        assert emit_text(flatten(fresh)) == emit_text(fast_program)
 
     def test_histogram_matches_counting_ring(self, fast_program, verified_pipelines):
         rng = random.Random(14)
