@@ -21,11 +21,13 @@ from .exactnum import (
     CountingRing,
     CountingScalar,
     DyadicRational,
+    IntRing,
     LinearForm,
     lf_from_b,
     DYADIC,
     FLOAT,
     FORMS,
+    INTS,
 )
 from .fastmult import (
     Pipeline,
@@ -51,11 +53,13 @@ __all__ = [
     "CountingRing",
     "CountingScalar",
     "DyadicRational",
+    "IntRing",
     "LinearForm",
     "lf_from_b",
     "DYADIC",
     "FLOAT",
     "FORMS",
+    "INTS",
     "Pipeline",
     "PrecomputedOperator",
     "assemble_pipeline",

@@ -59,22 +59,6 @@ class MultTable:
             return NotImplemented
         return self.entries == other.entries
 
-    def is_unital(self) -> bool:
-        return all(
-            self.entries[0][q] == SignedBasis(1, q) and self.entries[p][0] == SignedBasis(1, p)
-            for p in range(DIM)
-            for q in range(DIM)
-        )
-
-    def rows_are_permutations(self) -> bool:
-        for p in range(DIM):
-            if sorted(e.index for e in self.entries[p]) != list(range(DIM)):
-                return False
-        for q in range(DIM):
-            if sorted(self.entries[p][q].index for p in range(DIM)) != list(range(DIM)):
-                return False
-        return True
-
     def associativity_failures(self) -> list[tuple[int, int, int]]:
         """All basis triples (p, q, r) with (i_p i_q) i_r != i_p (i_q i_r)."""
         bad = []
@@ -89,10 +73,6 @@ class MultTable:
                     if kl != kr or s1 * sl != s2 * sr:
                         bad.append((p, q, r))
         return bad
-
-    def diagonal_signs(self) -> list[int]:
-        """Signs of the unit squares i_p^2 (+-1)."""
-        return [self.entries[p][p].sign for p in range(DIM)]
 
 
 def _blade_mul(mask1: int, mask2: int) -> SignedBasis:

@@ -1,11 +1,14 @@
 """Scalar rings used throughout the package.
 
-One generic pipeline serves four purposes depending on the ring it runs
+One generic pipeline serves five purposes depending on the ring it runs
 over:
 
 * ``FloatRing``     -- machine reals, for benchmarking;
 * ``DyadicRing``    -- exact numbers of the form n / 2**k, for bit-exact
                        verification;
+* ``IntRing``       -- plain Python integers, the ring the fast product
+                       runs dyadic operands on once they share one
+                       exponent (see ``fastmult``);
 * ``LinearFormRing``-- degree-one symbolic forms in the sixteen right-hand
                        coefficients, for proving matrix identities;
 * ``CountingRing``  -- dyadic values plus an operation tally, for
@@ -47,10 +50,9 @@ class DyadicRational:
         num, exp = self.num, self.exp
         if num == 0:
             return DyadicRational(0, 0)
-        while exp > 0 and num % 2 == 0:
-            num //= 2
-            exp -= 1
-        return DyadicRational(num, exp)
+        # the trailing zero bits of num, as many as the exponent allows
+        tz = min(exp, (num & -num).bit_length() - 1)
+        return DyadicRational(num >> tz, exp - tz)
 
     def key(self) -> tuple[int, int]:
         n = self.normalized()
@@ -69,16 +71,6 @@ class DyadicRational:
 
     def is_zero(self) -> bool:
         return self.num == 0
-
-    def is_integer(self) -> bool:
-        n = self.normalized()
-        return n.exp == 0
-
-    def as_int(self) -> int:
-        n = self.normalized()
-        if n.exp != 0:
-            raise ValueError(f"{self} is not an integer")
-        return n.num
 
     def __repr__(self) -> str:
         n = self.normalized()
@@ -182,14 +174,6 @@ class LinearForm:
 
     def __hash__(self):
         return hash(tuple(c.key() for c in self.coeffs))
-
-    def evaluate(self, values) -> DyadicRational:
-        """Evaluate at b_m = values[m] (dyadic)."""
-        acc = self.coeffs[0]
-        for coeff, val in zip(self.coeffs[1:], values):
-            if not coeff.is_zero():
-                acc = dyadic_add(acc, dyadic_mul(coeff, val))
-        return acc
 
     def __repr__(self) -> str:
         parts = []
@@ -325,6 +309,36 @@ class DyadicRing:
         return a == b
 
 
+class IntRing:
+    """Plain Python integers; ``add``/``sub``/``neg``/``mul`` are the C builtins.
+
+    ``halve`` is the arithmetic shift ``x >> 1``, which is exact only on
+    even values and rounds odd ones down.  The fast product halves on this
+    ring only under the lowering in ``fastmult``, whose halving-depth
+    guarantee makes every value it halves even.
+    """
+
+    name = "int"
+    wrap = staticmethod(int)
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    neg = staticmethod(operator.neg)
+    mul = staticmethod(operator.mul)
+    eq = staticmethod(operator.eq)
+
+    @staticmethod
+    def zero():
+        return 0
+
+    @staticmethod
+    def one():
+        return 1
+
+    @staticmethod
+    def halve(x):
+        return x >> 1
+
+
 class LinearFormRing:
     name = "linear-form"
 
@@ -440,6 +454,7 @@ class CountingRing:
 
 FLOAT = FloatRing()
 DYADIC = DyadicRing()
+INTS = IntRing()
 FORMS = LinearFormRing()
 
 

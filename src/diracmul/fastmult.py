@@ -14,16 +14,26 @@ whole stage chain.  Both come from one recording pass of ``bind_core`` and
 for every constant stage and ``block_matvec`` over the core blocks.  Every
 operation in the generated code is a call to the ring's
 ``add``/``sub``/``neg``/``mul``/``halve``, so the same two functions serve
-floats, dyadics, the counting ring and linear forms.  ``mul_fast``,
+floats, dyadics, integers, the counting ring and linear forms.  ``mul_fast``,
 ``PrecomputedOperator.apply`` and ``verify_pipeline`` all call them:
 ``verify_pipeline`` proves, over linear forms, that exactly this code
 equals the ground-truth product matrix, and runs the proof on every call.
+
+Over ``DYADIC`` the products run those functions on plain integers
+(``INTS``) rather than on ``DyadicRational`` objects.  Each operand is
+brought to one common exponent; ``b`` is scaled by a further
+``2**halvings``, where ``halvings`` is the longest chain of halvings in
+bind.  Bind only adds, subtracts, negates and halves, so every value it
+halves is then even and ``x >> 1`` is exact; apply only adds, subtracts,
+negates and multiplies, bilinearly, so its outputs are the exact product
+over ``2**(ea + eb + halvings)``.  Compilation checks both conditions.
 """
 
 from __future__ import annotations
 
 import linecache
 import os
+import weakref
 import zlib
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -37,7 +47,7 @@ from .algebra import (
     derive_b_matrix,
     symbolic_b,
 )
-from .exactnum import FORMS, LinearForm
+from .exactnum import DYADIC, FORMS, INTS, DyadicRational
 from .linalg import (H2, T2X3, T3X2, Mat, SignedPermutation, dirsum, eye, kron, signed_perm_matrix,
                      structural_apply)
 
@@ -233,16 +243,6 @@ class CoreBlock:
     family: str
     formulas: list  # row-major tuples of (sign, b_index)
     recipes: list   # construction recipes, same order
-
-    def formula_forms(self):
-        out = []
-        for terms in self.formulas:
-            acc = FORMS.zero()
-            for s, m in terms:
-                v = LinearForm.variable(m)
-                acc = acc + (-v if s < 0 else v)
-            out.append(acc)
-        return out
 
 
 def load_blocks(path: str, index: dict):
@@ -539,22 +539,77 @@ def _function_source(name: str, tape: list, results: list, brackets: str) -> str
     return "\n".join(lines) + "\n"
 
 
+def _halving_depth(bind_tape: list) -> int:
+    """The longest chain of ``halve`` operations on any path from a ``b`` input.
+
+    Raises ``ValueError`` if the tape multiplies: the depth bounds the
+    denominators of bind's values only when bind is linear in ``b``.
+    """
+    depth: list = []
+    for i, (op, args) in enumerate(bind_tape):
+        if op == "mul":
+            raise ValueError(f"bind tape multiplies at position {i}; bind must be linear in b")
+        if op in RING_OPS:
+            depth.append(max(depth[x] for x in args) + (op == "halve"))
+        else:
+            depth.append(0)
+    return max(depth, default=0)
+
+
+def _check_bilinear(apply_tape: list, outputs: list) -> None:
+    """Raise ``ValueError`` unless every output is bilinear in ``a`` and the entries.
+
+    Every value has a degree in ``a`` and one in the entries ``e``: sums
+    must combine values of one degree, products add degrees, and halving
+    is not allowed at all.
+    """
+    degree: list = []
+    for i, (op, args) in enumerate(apply_tape):
+        if op == "halve":
+            raise ValueError(f"apply tape halves at position {i}; halvings belong in bind")
+        if op == "mul":
+            (a1, e1), (a2, e2) = (degree[x] for x in args)
+            degree.append((a1 + a2, e1 + e2))
+        elif op in RING_OPS:
+            kinds = {degree[x] for x in args}
+            if len(kinds) != 1:
+                raise ValueError(f"apply tape adds values of different degrees at position {i}")
+            degree.append(kinds.pop())
+        else:
+            degree.append((1, 0) if op == "a" else (0, 1))
+    if any(degree[x] != (1, 1) for x in outputs):
+        raise ValueError("apply tape has an output that is not bilinear in a and the entries")
+
+
+def _forget_source(filename: str, entry: tuple) -> None:
+    if linecache.cache.get(filename) is entry:
+        del linecache.cache[filename]
+
+
 class CompiledProgram:
     """A pipeline as two generated straight-line functions.
 
     ``bind(ring, b)`` returns the core entries (a tuple) for right-hand
     coefficients ``b``; ``apply(ring, a, entries)`` returns the sixteen
     output coefficients for left-hand coefficients ``a``.  ``source`` is
-    their text, registered with ``linecache`` under ``filename``.  They
-    are generated from the recorded ``bind_tape`` (inputs ``b``; the
-    entries are the positions ``entries``) and ``apply_tape`` (inputs
-    ``a`` and ``e``, the entries; the outputs are the positions
-    ``outputs``).
+    their text, registered with ``linecache`` under ``filename`` for as
+    long as the program lives.  They are generated from the recorded
+    ``bind_tape`` (inputs ``b``; the entries are the positions
+    ``entries``) and ``apply_tape`` (inputs ``a`` and ``e``, the entries;
+    the outputs are the positions ``outputs``).
+
+    The tapes must keep bind linear in ``b`` (no ``mul``) and apply
+    bilinear in ``a`` and the entries (no ``halve``); ``ValueError``
+    otherwise.  ``halvings`` is bind's halving depth: with ``b`` scaled
+    by ``2**halvings``, every value bind halves over the integers is even.
     """
 
-    __slots__ = ("bind", "apply", "source", "filename", "bind_tape", "entries", "apply_tape", "outputs")
+    __slots__ = ("bind", "apply", "source", "filename", "bind_tape", "entries", "apply_tape", "outputs",
+                 "halvings", "__weakref__")
 
     def __init__(self, bind_tape: list, entries: list, apply_tape: list, outputs: list, level: int):
+        self.halvings = _halving_depth(bind_tape)
+        _check_bilinear(apply_tape, outputs)
         self.bind_tape, self.entries = bind_tape, entries
         self.apply_tape, self.outputs = apply_tape, outputs
         self.source = (_function_source("bind", bind_tape, entries, "()") + "\n\n"
@@ -564,7 +619,12 @@ class CompiledProgram:
         if held is not None and "".join(held[2]) != self.source:
             # another pipeline of this level (a modified copy) holds the name
             self.filename = f"<diracmul pipeline level {level} {zlib.crc32(self.source.encode()):08x}>"
-        linecache.cache[self.filename] = (len(self.source), None, self.source.splitlines(True), self.filename)
+            held = linecache.cache.get(self.filename)
+        if held is None:
+            # the first program with this source owns the entry; it goes when that program does
+            entry = (len(self.source), None, self.source.splitlines(True), self.filename)
+            linecache.cache[self.filename] = entry
+            weakref.finalize(self, _forget_source, self.filename, entry)
         namespace: dict = {}
         exec(compile(self.source, self.filename, "exec"), namespace)
         self.bind, self.apply = namespace["bind"], namespace["apply"]
@@ -588,17 +648,41 @@ def compile_pipeline(pipeline: Pipeline) -> CompiledProgram:
 # public operations
 
 
+def _scaled_ints(values, extra: int = 0):
+    """``(nums, exp)`` with ``values[k] == nums[k] / 2**exp`` for dyadic
+    ``values``, ``exp`` being their largest exponent plus ``extra``."""
+    exp = max(v.exp for v in values) + extra
+    return [v.num << (exp - v.exp) for v in values], exp
+
+
+def _dyadics(nums, exp: int) -> DiracNumber:
+    return DiracNumber([DyadicRational(n, exp) for n in nums], DYADIC)
+
+
 def mul_fast(a: DiracNumber, b: DiracNumber, level: int = 3, asset_dir: str | None = None) -> DiracNumber:
-    """Product a*b through the factorized pipeline; exact on exact rings."""
+    """Product a*b through the factorized pipeline; exact on exact rings.
+
+    Over ``DYADIC`` the compiled functions run on plain integers: ``a`` at
+    its largest exponent, ``b`` at its largest exponent plus the program's
+    halving depth, so every halving in bind is an exact shift.
+    """
     ring = a.ring
     if b.ring is not ring:
         raise RingMismatchError(ring, b.ring)
     prog = assemble_pipeline(level, asset_dir).program
+    if ring is DYADIC:
+        a_ints, ea = _scaled_ints(a.coeffs)
+        b_ints, eb = _scaled_ints(b.coeffs, prog.halvings)
+        return _dyadics(prog.apply(INTS, a_ints, prog.bind(INTS, b_ints)), ea + eb)
     return DiracNumber(prog.apply(ring, a.coeffs, prog.bind(ring, b.coeffs)), ring)
 
 
 class PrecomputedOperator:
-    """Multiplication by a fixed right-hand operand, core entries reused."""
+    """Multiplication by a fixed right-hand operand, core entries reused.
+
+    Over ``DYADIC``, ``apply`` brings ``a`` and the entries each to one
+    exponent and runs the compiled apply on integers.
+    """
 
     __slots__ = ("pipeline", "entries", "ring")
 
@@ -611,12 +695,24 @@ class PrecomputedOperator:
         ring = self.ring
         if a.ring is not ring:
             raise RingMismatchError(a.ring, ring)
-        return DiracNumber(self.pipeline.program.apply(ring, a.coeffs, self.entries), ring)
+        prog = self.pipeline.program
+        if ring is DYADIC:
+            a_ints, ea = _scaled_ints(a.coeffs)
+            e_ints, ee = _scaled_ints(self.entries)
+            return _dyadics(prog.apply(INTS, a_ints, e_ints), ea + ee)
+        return DiracNumber(prog.apply(ring, a.coeffs, self.entries), ring)
 
 
 def precompute(b: DiracNumber, level: int = 3, asset_dir: str | None = None) -> PrecomputedOperator:
+    """The operator a -> a*b.  Over ``DYADIC`` its entries share one exponent."""
     pipeline = assemble_pipeline(level, asset_dir)
-    return PrecomputedOperator(pipeline, pipeline.program.bind(b.ring, b.coeffs), b.ring)
+    prog = pipeline.program
+    if b.ring is DYADIC:
+        b_ints, eb = _scaled_ints(b.coeffs, prog.halvings)
+        entries = tuple(DyadicRational(n, eb) for n in prog.bind(INTS, b_ints))
+    else:
+        entries = prog.bind(b.ring, b.coeffs)
+    return PrecomputedOperator(pipeline, entries, b.ring)
 
 
 # ---------------------------------------------------------------------------

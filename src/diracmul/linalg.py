@@ -37,9 +37,6 @@ class Mat:
     def __repr__(self) -> str:
         return f"Mat({self.rows}x{self.cols})"
 
-    def transpose(self) -> "Mat":
-        return Mat(self.cols, self.rows, [[self.entries[r][c] for r in range(self.rows)] for c in range(self.cols)])
-
     def block(self, r0: int, c0: int, rows: int, cols: int) -> "Mat":
         return Mat(rows, cols, [row[c0 : c0 + cols] for row in self.entries[r0 : r0 + rows]])
 
@@ -189,14 +186,6 @@ class SignedPermutation:
             signs[pos - 1] = -1
         return cls(src, signs)
 
-    def compose(self, other: "SignedPermutation") -> "SignedPermutation":
-        """self after other: its matrix is matrix(self) . matrix(other)."""
-        if self.size != other.size:
-            raise ValueError("size mismatch")
-        src = [other.src[self.src[i]] for i in range(self.size)]
-        signs = [self.signs[i] * other.signs[self.src[i]] for i in range(self.size)]
-        return SignedPermutation(src, signs)
-
     def inverse(self) -> "SignedPermutation":
         src = [0] * self.size
         signs = [1] * self.size
@@ -209,9 +198,6 @@ class SignedPermutation:
         """Direct sum: this permutation on the first block, other on the rest."""
         src = self.src + [s + self.size for s in other.src]
         return SignedPermutation(src, self.signs + other.signs)
-
-    def is_identity(self) -> bool:
-        return self.src == list(range(self.size)) and all(s == 1 for s in self.signs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SignedPermutation):

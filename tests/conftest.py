@@ -1,29 +1,8 @@
-import operator
-
 import pytest
 
 from diracmul.algebra import build_table_from_generators
 from diracmul.fastmult import Stage, assemble_pipeline, verify_pipeline
 from diracmul.linalg import Mat
-
-
-class IntRing:
-    """Plain Python integers as a scalar ring: exact, without halving."""
-
-    name = "int"
-    wrap = int
-    add, sub, neg, mul, eq = operator.add, operator.sub, operator.neg, operator.mul, operator.eq
-
-    @staticmethod
-    def zero():
-        return 0
-
-    @staticmethod
-    def one():
-        return 1
-
-
-INTS = IntRing()
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,77 @@
+"""Queries on the package's values that only the tests make."""
+
+from diracmul.algebra import DIM, MultTable, SignedBasis
+from diracmul.exactnum import FORMS, DyadicRational, LinearForm, dyadic_add, dyadic_mul
+from diracmul.linalg import Mat, SignedPermutation
+
+
+def compose(p: SignedPermutation, q: SignedPermutation) -> SignedPermutation:
+    """p after q: its matrix is matrix(p) . matrix(q)."""
+    if p.size != q.size:
+        raise ValueError("size mismatch")
+    src = [q.src[p.src[i]] for i in range(p.size)]
+    signs = [p.signs[i] * q.signs[p.src[i]] for i in range(p.size)]
+    return SignedPermutation(src, signs)
+
+
+def is_identity(p: SignedPermutation) -> bool:
+    return p.src == list(range(p.size)) and all(s == 1 for s in p.signs)
+
+
+def transpose(m: Mat) -> Mat:
+    return Mat(m.cols, m.rows, [[m.entries[r][c] for r in range(m.rows)] for c in range(m.cols)])
+
+
+def is_integer(x: DyadicRational) -> bool:
+    return x.normalized().exp == 0
+
+
+def as_int(x: DyadicRational) -> int:
+    n = x.normalized()
+    if n.exp != 0:
+        raise ValueError(f"{x} is not an integer")
+    return n.num
+
+
+def evaluate(form: LinearForm, values) -> DyadicRational:
+    """The form at b_m = values[m] (dyadic)."""
+    acc = form.coeffs[0]
+    for coeff, val in zip(form.coeffs[1:], values):
+        if not coeff.is_zero():
+            acc = dyadic_add(acc, dyadic_mul(coeff, val))
+    return acc
+
+
+def is_unital(table: MultTable) -> bool:
+    return all(
+        table.entries[0][q] == SignedBasis(1, q) and table.entries[p][0] == SignedBasis(1, p)
+        for p in range(DIM)
+        for q in range(DIM)
+    )
+
+
+def rows_are_permutations(table: MultTable) -> bool:
+    for p in range(DIM):
+        if sorted(e.index for e in table.entries[p]) != list(range(DIM)):
+            return False
+    for q in range(DIM):
+        if sorted(table.entries[p][q].index for p in range(DIM)) != list(range(DIM)):
+            return False
+    return True
+
+
+def diagonal_signs(table: MultTable) -> list:
+    """Signs of the unit squares i_p^2 (+-1)."""
+    return [table.entries[p][p].sign for p in range(DIM)]
+
+
+def formula_forms(block) -> list:
+    """A core block's cells as linear forms in b, row-major."""
+    out = []
+    for terms in block.formulas:
+        acc = FORMS.zero()
+        for s, m in terms:
+            v = LinearForm.variable(m)
+            acc = acc + (-v if s < 0 else v)
+        out.append(acc)
+    return out

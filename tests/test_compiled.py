@@ -1,6 +1,7 @@
 """The compiled pipeline programs: counts, exactness, proof coverage, tooling."""
 
 import dataclasses
+import gc
 import linecache
 import math
 import random
@@ -13,12 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracmul import fastmult
-from diracmul.algebra import DIM, DiracNumber, RingMismatchError, build_table_from_generators, mul_schoolbook
+from diracmul.algebra import (DIM, DiracNumber, RingMismatchError, build_table_from_generators, mul_schoolbook,
+                              symbolic_b)
 from diracmul.cli import main
-from diracmul.exactnum import CountingRing, DYADIC, FLOAT, DyadicRational
+from diracmul.exactnum import CountingRing, DYADIC, FLOAT, FORMS, DyadicRational
 from diracmul.fastmult import (
     LEVELS,
+    RING_OPS,
     AssetError,
+    CompiledProgram,
+    PrecomputedOperator,
+    Stage,
     assemble_pipeline,
     decompose_terms,
     index_pools,
@@ -26,6 +32,7 @@ from diracmul.fastmult import (
     precompute,
     verify_pipeline,
 )
+from diracmul.linalg import Mat
 from diracmul.slpgen import flatten
 
 TABLE = build_table_from_generators()
@@ -205,6 +212,87 @@ def test_non_finite_outputs_may_differ_in_kind():
 
 
 # ---------------------------------------------------------------------------
+# dyadic products on integers at one common exponent
+
+# odd, even, negative and zero numerators; exponents anywhere in 0..max_exp,
+# so that one operand mixes small and large ones
+_mixed_numerator = st.one_of(st.just(0), st.integers(-(1 << 80), 1 << 80).map(lambda n: 2 * n + 1),
+                             st.integers(-(1 << 300), 1 << 300))
+
+
+def _mixed_operand(max_exp):
+    coeff = st.builds(DyadicRational, _mixed_numerator, st.integers(0, max_exp))
+    return st.lists(coeff, min_size=DIM, max_size=DIM).map(lambda cs: DiracNumber(cs, DYADIC))
+
+
+@pytest.mark.parametrize("max_exp", (64, 2000))
+@pytest.mark.parametrize("level", LEVELS)
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_int_lowering_is_bit_exact(level, max_exp, data):
+    a = data.draw(_mixed_operand(max_exp))
+    b = data.draw(_mixed_operand(max_exp))
+    want = keys(mul_schoolbook(a, b, TABLE))
+    op = precompute(b, level)
+    assert all(isinstance(e, DyadicRational) for e in op.entries)
+    assert len({e.exp for e in op.entries}) == 1
+    assert keys(mul_fast(a, b, level)) == want
+    assert keys(op.apply(a)) == want
+
+
+def test_hand_built_operator_with_mixed_exponents(verified_pipelines):
+    pipe = verified_pipelines[3]
+    rng = random.Random(370)
+    a, b = (DiracNumber([DyadicRational(rng.randint(-999, 999), rng.randint(0, 9)) for _ in range(DIM)], DYADIC)
+            for _ in range(2))
+    entries = []  # the values of the generic bind's entries, each at an exponent of its own
+    for e in pipe.program.bind(DYADIC, b.coeffs):
+        k = rng.randint(0, 40)
+        entries.append(DyadicRational(e.num << k, e.exp + k))
+    assert len({e.exp for e in entries}) > 1
+    op = PrecomputedOperator(pipe, tuple(entries), DYADIC)
+    assert keys(op.apply(a)) == keys(mul_schoolbook(a, b, TABLE))
+
+
+def tape_values(tape, ring, inputs):
+    """Every value of a recorded tape, run over ``ring``; ``inputs`` maps input names to values."""
+    values = []
+    for op, args in tape:
+        if op in RING_OPS:
+            values.append(getattr(ring, op)(*(values[x] for x in args)))
+        else:
+            values.append(inputs[op][args[0]])
+    return values
+
+
+def test_halving_depth_is_the_largest_denominator_of_bind(verified_pipelines, planted_fault):
+    pipelines = list(verified_pipelines.values()) + [planted_fault[0]]
+    for pipe in pipelines:
+        prog = pipe.program
+        forms = tape_values(prog.bind_tape, FORMS, {"b": symbolic_b().coeffs})
+        largest = max(c.normalized().exp for form in forms for c in form.coeffs)
+        assert prog.halvings == largest == 1
+
+
+def test_compilation_rejects_tapes_the_lowering_cannot_run_exactly(verified_pipelines):
+    prog = verified_pipelines[3].program
+    bind, apply = list(prog.bind_tape), list(prog.apply_tape)
+    first_b, first_a = 0, apply.index(("a", (0,)))
+    with pytest.raises(ValueError, match="bind tape multiplies"):
+        CompiledProgram(bind + [("mul", (first_b, first_b))], prog.entries, apply, prog.outputs, 3)
+    with pytest.raises(ValueError, match="apply tape halves"):
+        CompiledProgram(bind, prog.entries, apply + [("halve", (prog.outputs[0],))],
+                        prog.outputs[1:] + [len(apply)], 3)
+    with pytest.raises(ValueError, match="different degrees"):
+        CompiledProgram(bind, prog.entries, apply + [("add", (prog.outputs[0], first_a))],
+                        prog.outputs[1:] + [len(apply)], 3)
+    with pytest.raises(ValueError, match="not bilinear"):
+        CompiledProgram(bind, prog.entries, apply, prog.outputs[1:] + [first_a], 3)
+    rebuilt = CompiledProgram(bind, prog.entries, apply, prog.outputs, 3)
+    assert (rebuilt.source, rebuilt.halvings) == (prog.source, prog.halvings)
+
+
+# ---------------------------------------------------------------------------
 # the proof covers the code that runs
 
 
@@ -328,6 +416,30 @@ def test_generated_source_is_registered_with_linecache(verified_pipelines):
         assert prog.filename == f"<diracmul pipeline level {level}>"
         assert linecache.getline(prog.filename, 1) == "def bind(ring, b):\n"
         assert "".join(linecache.getlines(prog.filename)) == prog.source
+
+
+def pipeline_source_lines() -> int:
+    return sum(len(entry[2]) for name, entry in linecache.cache.items() if name.startswith("<diracmul pipeline"))
+
+
+def test_dropped_pipelines_release_their_source(verified_pipelines):
+    pipe = verified_pipelines[3]
+    first = pipe.stages[0]
+    gc.collect()
+    baseline = pipeline_source_lines()
+    variants = []
+    for row in range(8):
+        entries = [list(r) for r in first.mat.entries]
+        column = next(c for c, e in enumerate(entries[row]) if e)
+        entries[row][column] = -entries[row][column]
+        stage = Stage(first.name, first.in_dim, first.out_dim, mat=Mat(first.out_dim, first.in_dim, entries))
+        variants.append(pipe.replace_stage(0, stage))
+    assert pipeline_source_lines() > baseline
+    assert all(linecache.getlines(v.program.filename) for v in variants)
+    del variants
+    gc.collect()
+    assert pipeline_source_lines() == baseline
+    assert "".join(linecache.getlines(pipe.program.filename)) == pipe.program.source
 
 
 def test_traceback_shows_generated_lines():

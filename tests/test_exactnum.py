@@ -19,6 +19,8 @@ from diracmul.exactnum import (
     parse_dyadic,
 )
 
+from helpers import as_int, evaluate, is_integer
+
 
 def as_fraction(d: DyadicRational) -> Fraction:
     return Fraction(d.num, 1 << d.exp)
@@ -30,6 +32,21 @@ class TestDyadic:
         assert DyadicRational(6, 1).normalized().key() == (3, 0)
         assert DyadicRational(3, 2).normalized().key() == (3, 2)
         assert DyadicRational(0, 7).normalized().key() == (0, 0)
+
+    @given(st.builds(lambda odd, tz: odd << tz, st.integers(-(1 << 70), 1 << 70), st.integers(0, 5000))
+           | st.just(0), st.integers(0, 5000) | st.just(0))
+    @settings(max_examples=200)
+    def test_normalized_agrees_with_the_bitwise_loop(self, num, exp):
+        def by_loop(num, exp):  # the earlier implementation, one bit per step
+            if num == 0:
+                return (0, 0)
+            while exp > 0 and num % 2 == 0:
+                num //= 2
+                exp -= 1
+            return (num, exp)
+
+        n = DyadicRational(num, exp).normalized()
+        assert (n.num, n.exp) == by_loop(num, exp)
 
     def test_equality_is_value_equality(self):
         assert DyadicRational(4, 2) == DyadicRational(1, 0)
@@ -64,10 +81,10 @@ class TestDyadic:
             parse_dyadic("1/3")
 
     def test_int_conversions(self):
-        assert DyadicRational(6, 1).is_integer()
-        assert DyadicRational(6, 1).as_int() == 3
+        assert is_integer(DyadicRational(6, 1))
+        assert as_int(DyadicRational(6, 1)) == 3
         with pytest.raises(ValueError):
-            DyadicRational(3, 1).as_int()
+            as_int(DyadicRational(3, 1))
 
 
 class TestLinearForm:
@@ -84,11 +101,11 @@ class TestLinearForm:
             f = _random_form(rng)
             g = _random_form(rng)
             vals = [DyadicRational(rng.randint(-99, 99)) for _ in range(16)]
-            assert (f + g).evaluate(vals) == dyadic_add(f.evaluate(vals), g.evaluate(vals))
+            assert evaluate(f + g, vals) == dyadic_add(evaluate(f, vals), evaluate(g, vals))
             c = LinearForm.constant(DyadicRational(rng.randint(-9, 9)))
-            assert (f * c).evaluate(vals) == dyadic_mul(f.evaluate(vals), c.coeffs[0])
-            assert f.halve().evaluate(vals) == DYADIC.halve(f.evaluate(vals))
-            assert (-f).evaluate(vals) == DYADIC.neg(f.evaluate(vals))
+            assert evaluate(f * c, vals) == dyadic_mul(evaluate(f, vals), c.coeffs[0])
+            assert evaluate(f.halve(), vals) == DYADIC.halve(evaluate(f, vals))
+            assert evaluate(-f, vals) == DYADIC.neg(evaluate(f, vals))
 
     def test_nonconstant_product_rejected(self):
         with pytest.raises(LinearFormError):

@@ -20,6 +20,7 @@ from diracmul.fastmult import (
     precompute,
     verify_pipeline,
 )
+from helpers import evaluate, formula_forms
 from linalg_helpers import lift, mat_mul
 
 
@@ -87,11 +88,11 @@ class TestBlockFormulas:
     def test_first_quad_corner(self, verified_pipelines):
         q0 = verified_pipelines[3].core.blocks[0]
         assert q0.name == "q0"
-        assert q0.formula_forms()[0] == form(0, 5, 10, 15)
+        assert formula_forms(q0)[0] == form(0, 5, 10, 15)
 
     def test_first_duo_block(self, verified_pipelines):
         d0 = verified_pipelines[3].core.blocks[4]
-        assert d0.formula_forms() == [
+        assert formula_forms(d0) == [
             form(-4, 10, -12, 15),
             form(-7, -9, -13, -14),
             form(7, -9, -13, 14),
@@ -101,13 +102,13 @@ class TestBlockFormulas:
     def test_level2_plain_duo(self, verified_pipelines):
         e0 = verified_pipelines[2].core.blocks[8]
         assert e0.name == "e0"
-        assert e0.formula_forms() == [
+        assert formula_forms(e0) == [
             form(9, -10), form(-7, -15), form(-7, -15), form(9, -10),
         ]
 
     def test_singleton_blocks(self, verified_pipelines):
         singles = verified_pipelines[3].core.blocks[8:12]
-        assert [b.formula_forms()[0] for b in singles] == [
+        assert [formula_forms(b)[0] for b in singles] == [
             form(-7, 9, -10, -15),
             form(7, 9, -10, 15),
             form(-7, 9, 10, 15),
@@ -117,15 +118,15 @@ class TestBlockFormulas:
     def test_final_block(self, verified_pipelines):
         f = verified_pipelines[3].core.blocks[12]
         assert f.halved  # the input side delivers twice its inputs
-        assert f.formula_forms() == [form(-9), form(7), form(15), form(10)]
+        assert formula_forms(f) == [form(-9), form(7), form(15), form(10)]
 
     def test_formulas_at_unit_operand(self, verified_pipelines):
         unit = [DYADIC.one() if m == 0 else DYADIC.zero() for m in range(DIM)]
         q0 = verified_pipelines[3].core.blocks[0]
-        vals = [c.evaluate(unit) for c in q0.formula_forms()]
+        vals = [evaluate(c, unit) for c in formula_forms(q0)]
         assert vals[0] == DYADIC.one()
         f = verified_pipelines[3].core.blocks[12]
-        assert all(c.evaluate(unit).is_zero() for c in f.formula_forms())
+        assert all(evaluate(c, unit).is_zero() for c in formula_forms(f))
 
 
 class TestVerification:
