@@ -100,12 +100,13 @@ def build_table_from_generators() -> MultTable:
     return MultTable(entries)
 
 
+_SHIPPED_ASSET_DIR = os.path.join(os.path.dirname(__file__), "assets")
+
+
 def default_asset_dir() -> str:
-    """The asset directory every reader uses, overridable from the environment."""
-    override = os.environ.get("DIRAC_ASSET_DIR")
-    if override:
-        return override
-    return os.path.join(os.path.dirname(__file__), "assets")
+    """The asset directory every reader uses, overridable from the environment
+    (read on every call, so a change takes effect at once)."""
+    return os.environ.get("DIRAC_ASSET_DIR") or _SHIPPED_ASSET_DIR
 
 
 def parse_table_text(text: str) -> MultTable:

@@ -15,7 +15,12 @@ over:
                        reproducing arithmetic-cost claims.
 
 Every ring exposes the same small surface: ``wrap``, ``zero``, ``one``,
-``add``, ``sub``, ``neg``, ``mul``, ``halve``, ``eq``.  Values are
+``add``, ``sub``, ``neg``, ``mul``, ``halve``, ``eq``.  The values of every
+ring here also carry the operators ``+``, ``-``, ``*`` and unary ``-``, which
+are the ring's ``add``/``sub``/``mul``/``neg``: the compiled fast product is
+written with those operators and calls only ``halve`` through the ring
+(see ``fastmult``).  For ``FloatRing``, ``IntRing``, ``LinearFormRing`` and
+``CountingRing`` the four methods *are* ``operator.add`` etc.  Values are
 immutable; the one mutable object is the :class:`Counter` handle, which is
 meant for single-threaded measurement runs.
 """
@@ -72,6 +77,28 @@ class DyadicRational:
     def is_zero(self) -> bool:
         return self.num == 0
 
+    def __add__(self, other: "DyadicRational") -> "DyadicRational":
+        ea, eb = self.exp, other.exp
+        if ea == eb:
+            return DyadicRational(self.num + other.num, ea)
+        if ea < eb:
+            return DyadicRational((self.num << (eb - ea)) + other.num, eb)
+        return DyadicRational(self.num + (other.num << (ea - eb)), ea)
+
+    def __sub__(self, other: "DyadicRational") -> "DyadicRational":
+        ea, eb = self.exp, other.exp
+        if ea == eb:
+            return DyadicRational(self.num - other.num, ea)
+        if ea < eb:
+            return DyadicRational((self.num << (eb - ea)) - other.num, eb)
+        return DyadicRational(self.num - (other.num << (ea - eb)), ea)
+
+    def __mul__(self, other: "DyadicRational") -> "DyadicRational":
+        return DyadicRational(self.num * other.num, self.exp + other.exp)
+
+    def __neg__(self) -> "DyadicRational":
+        return DyadicRational(-self.num, self.exp)
+
     def __repr__(self) -> str:
         n = self.normalized()
         if n.exp == 0:
@@ -79,26 +106,11 @@ class DyadicRational:
         return f"{n.num}/2^{n.exp}"
 
 
-def dyadic_add(a: DyadicRational, b: DyadicRational) -> DyadicRational:
-    ea, eb = a.exp, b.exp
-    if ea == eb:
-        return DyadicRational(a.num + b.num, ea)
-    if ea < eb:
-        return DyadicRational((a.num << (eb - ea)) + b.num, eb)
-    return DyadicRational(a.num + (b.num << (ea - eb)), ea)
-
-
-def dyadic_sub(a: DyadicRational, b: DyadicRational) -> DyadicRational:
-    ea, eb = a.exp, b.exp
-    if ea == eb:
-        return DyadicRational(a.num - b.num, ea)
-    if ea < eb:
-        return DyadicRational((a.num << (eb - ea)) - b.num, eb)
-    return DyadicRational(a.num - (b.num << (ea - eb)), ea)
-
-
-def dyadic_mul(a: DyadicRational, b: DyadicRational) -> DyadicRational:
-    return DyadicRational(a.num * b.num, a.exp + b.exp)
+# the ring operations, callable without the operator dispatch
+dyadic_add = DyadicRational.__add__
+dyadic_sub = DyadicRational.__sub__
+dyadic_mul = DyadicRational.__mul__
+dyadic_neg = DyadicRational.__neg__
 
 
 def parse_dyadic(token: str) -> DyadicRational:
@@ -224,17 +236,56 @@ class Counter:
         return (self.nontrivial_mults, self.additions, self.negations, self.shifts)
 
 
+def _is_pow2_magnitude(n: int) -> bool:
+    n = abs(n)
+    return n != 0 and (n & (n - 1)) == 0
+
+
+def _mul_kind(v: DyadicRational) -> str:
+    n = v.normalized()
+    if n.num == 0:
+        return "zero"
+    if n.num in (1, -1) and n.exp == 0:
+        return "unit"
+    if _is_pow2_magnitude(n.num) or (n.num in (1, -1) and n.exp > 0):
+        return "pow2"
+    return "generic"
+
+
 @dataclass(frozen=True)
 class CountingScalar:
-    """A dyadic value whose arithmetic feeds a shared :class:`Counter`."""
+    """A dyadic value whose arithmetic feeds a shared :class:`Counter`.
+
+    Its operators are the cost model: multiplication is free when either
+    factor is 0 or +-1 and a shift when either factor is another signed
+    power of two; additions always count (structural zeros never reach
+    the ring because matrix kernels skip zero entries); negation is
+    tracked separately.
+    """
 
     value: DyadicRational
     counter: Counter = field(compare=False)
 
+    def __add__(self, other: "CountingScalar") -> "CountingScalar":
+        self.counter.additions += 1
+        return CountingScalar(dyadic_add(self.value, other.value), self.counter)
 
-def _is_pow2_magnitude(n: int) -> bool:
-    n = abs(n)
-    return n != 0 and (n & (n - 1)) == 0
+    def __sub__(self, other: "CountingScalar") -> "CountingScalar":
+        # subtraction = addition plus a free negation
+        self.counter.additions += 1
+        return CountingScalar(dyadic_sub(self.value, other.value), self.counter)
+
+    def __neg__(self) -> "CountingScalar":
+        self.counter.negations += 1
+        return CountingScalar(dyadic_neg(self.value), self.counter)
+
+    def __mul__(self, other: "CountingScalar") -> "CountingScalar":
+        ka, kb = _mul_kind(self.value), _mul_kind(other.value)
+        if ka == "generic" and kb == "generic":
+            self.counter.nontrivial_mults += 1
+        elif "zero" not in (ka, kb) and "unit" not in (ka, kb):
+            self.counter.shifts += 1
+        return CountingScalar(dyadic_mul(self.value, other.value), self.counter)
 
 
 class FloatRing:
@@ -292,13 +343,11 @@ class DyadicRing:
     def one():
         return DyadicRational(1)
 
+    # the functions, not the operators: schoolbook, the reference, runs on this ring
     add = staticmethod(dyadic_add)
     sub = staticmethod(dyadic_sub)
+    neg = staticmethod(dyadic_neg)
     mul = staticmethod(dyadic_mul)
-
-    @staticmethod
-    def neg(a):
-        return DyadicRational(-a.num, a.exp)
 
     @staticmethod
     def halve(a):
@@ -358,21 +407,10 @@ class LinearFormRing:
     def one():
         return LinearForm.constant(DyadicRational(1))
 
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    neg = staticmethod(operator.neg)
+    mul = staticmethod(operator.mul)
 
     @staticmethod
     def halve(a):
@@ -386,10 +424,9 @@ class LinearFormRing:
 class CountingRing:
     """Dyadic arithmetic instrumented per the cost model.
 
-    Multiplication is free when either factor is 0 or +-1 and a shift when
-    either factor is another signed power of two; additions always count
-    (structural zeros never reach the ring because matrix kernels skip
-    zero entries); negation and halving are tracked separately.
+    ``add``/``sub``/``neg``/``mul`` are the operators of
+    :class:`CountingScalar`, which hold the cost model; ``halve`` counts a
+    shift.
     """
 
     name = "counting"
@@ -409,39 +446,10 @@ class CountingRing:
     def one(self):
         return CountingScalar(DyadicRational(1), self.counter)
 
-    def add(self, a, b):
-        self.counter.additions += 1
-        return CountingScalar(dyadic_add(a.value, b.value), self.counter)
-
-    def sub(self, a, b):
-        # subtraction = addition plus a free negation
-        self.counter.additions += 1
-        return CountingScalar(dyadic_sub(a.value, b.value), self.counter)
-
-    def neg(self, a):
-        self.counter.negations += 1
-        return CountingScalar(DyadicRational(-a.value.num, a.value.exp), self.counter)
-
-    def _classify(self, v: DyadicRational) -> str:
-        n = v.normalized()
-        if n.num == 0:
-            return "zero"
-        if n.num in (1, -1) and n.exp == 0:
-            return "unit"
-        if _is_pow2_magnitude(n.num) or (n.num in (1, -1) and n.exp > 0):
-            return "pow2"
-        return "generic"
-
-    def mul(self, a, b):
-        ka = self._classify(a.value)
-        kb = self._classify(b.value)
-        if ka == "generic" and kb == "generic":
-            self.counter.nontrivial_mults += 1
-        elif "zero" in (ka, kb) or "unit" in (ka, kb):
-            pass
-        else:
-            self.counter.shifts += 1
-        return CountingScalar(dyadic_mul(a.value, b.value), self.counter)
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    neg = staticmethod(operator.neg)
+    mul = staticmethod(operator.mul)
 
     def halve(self, a):
         self.counter.shifts += 1

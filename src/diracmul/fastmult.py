@@ -11,13 +11,19 @@ two straight-line Python functions: ``bind(ring, b)`` evaluates the core
 entries for a right-hand operand and ``apply(ring, a, entries)`` runs the
 whole stage chain.  Both come from one recording pass of ``bind_core`` and
 ``run_pipeline_bound``, which run two kernels: ``linalg.structural_apply``
-for every constant stage and ``block_matvec`` over the core blocks.  Every
-operation in the generated code is a call to the ring's
-``add``/``sub``/``neg``/``mul``/``halve``, so the same two functions serve
-floats, dyadics, integers, the counting ring and linear forms.  ``mul_fast``,
-``PrecomputedOperator.apply`` and ``verify_pipeline`` all call them:
-``verify_pipeline`` proves, over linear forms, that exactly this code
-equals the ground-truth product matrix, and runs the proof on every call.
+for every constant stage and ``block_matvec`` over the core blocks.  The
+generated code writes additions, subtractions, negations and
+multiplications with Python's operators (``x + y``, ``x - y``, ``-x``,
+``x * y``) and calls only ``halve`` through the ring, once per halving in
+bind; apply never halves.  So they run on any values with those operators
+-- floats, integers, dyadics, counting scalars and linear forms.  A ring
+whose ``add``/``sub``/``neg``/``mul`` are ``operator.add`` etc. runs them
+on its own values; any other ring's values are boxed, so that each
+operator calls the ring's method and the ring sees every recorded
+operation, in order.  ``mul_fast``, ``PrecomputedOperator.apply`` and
+``verify_pipeline`` all call them: ``verify_pipeline`` proves, over linear
+forms, that exactly this code equals the ground-truth product matrix, and
+runs the proof on every call.
 
 Over ``DYADIC`` the products run those functions on plain integers
 (``INTS``) rather than on ``DyadicRational`` objects.  Each operand is
@@ -32,6 +38,7 @@ over ``2**(ea + eb + halvings)``.  Compilation checks both conditions.
 from __future__ import annotations
 
 import linecache
+import operator
 import os
 import weakref
 import zlib
@@ -500,12 +507,17 @@ class Recorder:
         return self._push("halve", (x,))
 
 
+_INFIX = {"add": "+", "sub": "-", "mul": "*"}
+
+
 def _function_source(name: str, tape: list, results: list, brackets: str) -> str:
     """A straight-line function computing ``results`` from the tape's inputs.
 
-    A value used once is written inline where it is used; a value used
-    more than once gets a local.  Every recorded operation runs exactly
-    once, so the ring sees the same operations as the recording pass.
+    ``add``/``sub``/``mul`` are written as infix operators and ``neg`` as
+    unary minus; ``halve`` is a call to the ring's ``halve``.  A value
+    used once is written inline where it is used; a value used more than
+    once gets a local.  Every recorded operation runs exactly once, in
+    recording order.
     """
     uses = [0] * len(tape)
     for op, args in tape:
@@ -515,22 +527,30 @@ def _function_source(name: str, tape: list, results: list, brackets: str) -> str
     for x in results:
         uses[x] += 1
     params: dict = {}  # input name -> count, in order of first appearance
-    text, body = [], []
+    text, body = [], []  # each value as an expression, and the local assignments
+    operand = []  # each value as an operand of an operator: parenthesized unless atomic
     for i, (op, args) in enumerate(tape):
         if op not in RING_OPS:
             params[op] = params.get(op, 0) + 1
             text.append(f"{op}{args[0]}")
+            operand.append(text[-1])
             continue
-        expr = f"{op}({', '.join(text[x] for x in args)})"
+        if op == "halve":
+            expr = f"halve({text[args[0]]})"
+        elif op == "neg":
+            expr = f"-{operand[args[0]]}"
+        else:
+            expr = f"{operand[args[0]]} {_INFIX[op]} {operand[args[1]]}"
         if uses[i] == 1:
             text.append(expr)
+            operand.append(expr if op == "halve" else f"({expr})")
         else:
             body.append(f"    v{i} = {expr}")
             text.append(f"v{i}")
-    present = {op for op, _ in tape}
-    ops = [op for op in RING_OPS if op in present]
-    lines = [f"def {name}(ring, {', '.join(params)}):",
-             f"    {', '.join(ops)} = {', '.join(f'ring.{op}' for op in ops)}"]
+            operand.append(text[-1])
+    lines = [f"def {name}(ring, {', '.join(params)}):"]
+    if any(op == "halve" for op, _ in tape):
+        lines.append("    halve = ring.halve")
     lines += [f"    {', '.join(f'{p}{k}' for k in range(n))}, = {p}" for p, n in params.items()]
     lines += body
     lines.append(f"    return {brackets[0]}")
@@ -591,12 +611,14 @@ class CompiledProgram:
 
     ``bind(ring, b)`` returns the core entries (a tuple) for right-hand
     coefficients ``b``; ``apply(ring, a, entries)`` returns the sixteen
-    output coefficients for left-hand coefficients ``a``.  ``source`` is
-    their text, registered with ``linecache`` under ``filename`` for as
-    long as the program lives.  They are generated from the recorded
-    ``bind_tape`` (inputs ``b``; the entries are the positions
-    ``entries``) and ``apply_tape`` (inputs ``a`` and ``e``, the entries;
-    the outputs are the positions ``outputs``).
+    output coefficients for left-hand coefficients ``a``.  Both compute
+    with ``+``, ``-``, ``*`` and unary ``-`` on the values they are given
+    and call only ``ring.halve``.  ``source`` is their text, registered
+    with ``linecache`` under ``filename`` for as long as the program
+    lives.  They are generated from the recorded ``bind_tape`` (inputs
+    ``b``; the entries are the positions ``entries``) and ``apply_tape``
+    (inputs ``a`` and ``e``, the entries; the outputs are the positions
+    ``outputs``).
 
     The tapes must keep bind linear in ``b`` (no ``mul``) and apply
     bilinear in ``a`` and the entries (no ``halve``); ``ValueError``
@@ -645,6 +667,63 @@ def compile_pipeline(pipeline: Pipeline) -> CompiledProgram:
 
 
 # ---------------------------------------------------------------------------
+# running the compiled functions over a ring
+
+
+def _runs_natively(ring) -> bool:
+    """Whether ``ring``'s ``add``/``sub``/``neg``/``mul`` are the operators
+    the generated code is written with, so it can run on the ring's values."""
+    return (ring.add is operator.add and ring.sub is operator.sub
+            and ring.neg is operator.neg and ring.mul is operator.mul)
+
+
+class _Box:
+    """A value of a ring whose ``add``/``sub``/``neg``/``mul`` are methods
+    of its own: each operator calls the ring's method.  The class itself is
+    the ring the generated functions see over boxes, for ``halve``."""
+
+    __slots__ = ("value", "ring")
+
+    def __init__(self, value, ring):
+        self.value = value
+        self.ring = ring
+
+    def __add__(self, other):
+        return _Box(self.ring.add(self.value, other.value), self.ring)
+
+    def __sub__(self, other):
+        return _Box(self.ring.sub(self.value, other.value), self.ring)
+
+    def __neg__(self):
+        return _Box(self.ring.neg(self.value), self.ring)
+
+    def __mul__(self, other):
+        return _Box(self.ring.mul(self.value, other.value), self.ring)
+
+    @staticmethod
+    def halve(x):
+        return _Box(x.ring.halve(x.value), x.ring)
+
+
+def _boxed(values, ring) -> list:
+    return [_Box(v, ring) for v in values]
+
+
+def _run_bind(prog: CompiledProgram, ring, b_coeffs) -> tuple:
+    """The compiled ``bind`` over ``ring``, boxing its values unless it runs natively."""
+    if _runs_natively(ring):
+        return prog.bind(ring, b_coeffs)
+    return tuple(e.value for e in prog.bind(_Box, _boxed(b_coeffs, ring)))
+
+
+def _run_apply(prog: CompiledProgram, ring, a_coeffs, entries) -> list:
+    """The compiled ``apply`` over ``ring``, boxing its values unless it runs natively."""
+    if _runs_natively(ring):
+        return prog.apply(ring, a_coeffs, entries)
+    return [y.value for y in prog.apply(_Box, _boxed(a_coeffs, ring), _boxed(entries, ring))]
+
+
+# ---------------------------------------------------------------------------
 # public operations
 
 
@@ -674,7 +753,7 @@ def mul_fast(a: DiracNumber, b: DiracNumber, level: int = 3, asset_dir: str | No
         a_ints, ea = _scaled_ints(a.coeffs)
         b_ints, eb = _scaled_ints(b.coeffs, prog.halvings)
         return _dyadics(prog.apply(INTS, a_ints, prog.bind(INTS, b_ints)), ea + eb)
-    return DiracNumber(prog.apply(ring, a.coeffs, prog.bind(ring, b.coeffs)), ring)
+    return DiracNumber(_run_apply(prog, ring, a.coeffs, _run_bind(prog, ring, b.coeffs)), ring)
 
 
 class PrecomputedOperator:
@@ -700,7 +779,7 @@ class PrecomputedOperator:
             a_ints, ea = _scaled_ints(a.coeffs)
             e_ints, ee = _scaled_ints(self.entries)
             return _dyadics(prog.apply(INTS, a_ints, e_ints), ea + ee)
-        return DiracNumber(prog.apply(ring, a.coeffs, self.entries), ring)
+        return DiracNumber(_run_apply(prog, ring, a.coeffs, self.entries), ring)
 
 
 def precompute(b: DiracNumber, level: int = 3, asset_dir: str | None = None) -> PrecomputedOperator:
@@ -711,7 +790,7 @@ def precompute(b: DiracNumber, level: int = 3, asset_dir: str | None = None) -> 
         b_ints, eb = _scaled_ints(b.coeffs, prog.halvings)
         entries = tuple(DyadicRational(n, eb) for n in prog.bind(INTS, b_ints))
     else:
-        entries = prog.bind(b.ring, b.coeffs)
+        entries = _run_bind(prog, b.ring, b.coeffs)
     return PrecomputedOperator(pipeline, entries, b.ring)
 
 

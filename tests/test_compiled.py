@@ -4,7 +4,9 @@ import dataclasses
 import gc
 import linecache
 import math
+import operator
 import random
+import re
 import shutil
 import sys
 import traceback
@@ -384,6 +386,104 @@ def test_pipeline_is_frozen_and_compiled_at_assembly(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the rings the generated code runs over
+
+
+def test_float_products_call_the_ring_only_to_halve(verified_pipelines):
+    prog = verified_pipelines[3].program
+    rng = random.Random(380)
+    a, b = (DiracNumber([rng.uniform(-1, 1) for _ in range(DIM)], FLOAT) for _ in range(2))
+    ring_calls, operator_calls = [], []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_qualname.startswith("FloatRing."):
+            ring_calls.append(frame.f_code.co_qualname)
+        elif event == "c_call" and arg in (operator.add, operator.sub, operator.neg, operator.mul):
+            operator_calls.append(arg)
+
+    sys.setprofile(profile)
+    try:
+        mul_fast(a, b)
+    finally:
+        sys.setprofile(None)
+    halvings = sum(op == "halve" for op, _ in prog.bind_tape)
+    assert ring_calls == ["FloatRing.halve"] * halvings
+    assert halvings == 88
+    assert operator_calls == []
+
+
+class CallCountingRing:
+    """Delegates to a base ring and counts the calls to each ring operation."""
+
+    def __init__(self, base):
+        self.base = base
+        self.name = f"calls({base.name})"
+        self.calls = dict.fromkeys(RING_OPS, 0)
+        self.wrap, self.zero, self.one, self.eq = base.wrap, base.zero, base.one, base.eq
+
+    def _call(self, op, *args):
+        self.calls[op] += 1
+        return getattr(self.base, op)(*args)
+
+    def add(self, x, y):
+        return self._call("add", x, y)
+
+    def sub(self, x, y):
+        return self._call("sub", x, y)
+
+    def neg(self, x):
+        return self._call("neg", x)
+
+    def mul(self, x, y):
+        return self._call("mul", x, y)
+
+    def halve(self, x):
+        return self._call("halve", x)
+
+
+def bits(coeffs) -> list:
+    return [c.hex() if isinstance(c, float) else c.key() for c in coeffs]
+
+
+def as_calls(histogram: dict) -> dict:
+    return {op: histogram["shift" if op == "halve" else op] for op in RING_OPS}
+
+
+def operands_over(base, rng):
+    if base is FLOAT:
+        return [DiracNumber([rng.uniform(-1, 1) for _ in range(DIM)], FLOAT) for _ in range(2)]
+    return [DiracNumber([DyadicRational(rng.randint(-(1 << 40), 1 << 40), rng.randint(0, 12)) for _ in range(DIM)],
+                        DYADIC) for _ in range(2)]
+
+
+@pytest.mark.parametrize("base", (FLOAT, DYADIC), ids=("float", "dyadic"))
+@pytest.mark.parametrize("level", LEVELS)
+def test_a_foreign_ring_sees_every_recorded_operation(level, base, verified_pipelines):
+    pipe = verified_pipelines[level]
+    a, b = operands_over(base, random.Random(390 + level))
+    full = flatten(pipe).histogram()
+    apply_only = flatten(pipe, include_precompute=False,
+                         operator=precompute(DiracNumber.from_ints(range(DIM), DYADIC), level)).histogram()
+    if level == 3:
+        assert [full[k] for k in ("mul", "add_total", "neg", "shift")] == [88, 254, 75, 88]
+        assert [apply_only[k] for k in ("mul", "add_total")] == [88, 146]
+    full, apply_only = as_calls(full), as_calls(apply_only)
+
+    ring = CallCountingRing(base)
+    fa, fb = DiracNumber(a.coeffs, ring), DiracNumber(b.coeffs, ring)
+    assert bits(mul_fast(fa, fb, level).coeffs) == bits(mul_fast(a, b, level).coeffs)
+    assert ring.calls == full
+
+    ring = CallCountingRing(base)
+    fa, fb = DiracNumber(a.coeffs, ring), DiracNumber(b.coeffs, ring)
+    op = precompute(fb, level)
+    assert ring.calls == {name: n - apply_only[name] for name, n in full.items()}
+    ring.calls = dict.fromkeys(RING_OPS, 0)
+    assert bits(op.apply(fa).coeffs) == bits(precompute(b, level).apply(a).coeffs)
+    assert ring.calls == apply_only
+
+
+# ---------------------------------------------------------------------------
 # mixed rings
 
 
@@ -456,7 +556,7 @@ def test_traceback_shows_generated_lines():
         mul_fast(a, a)
     text = "".join(traceback.format_exception(exc.value))
     assert 'File "<diracmul pipeline level 3>"' in text
-    assert "in apply" in text and "mul(e" in text
+    assert "in apply" in text and re.search(r"\(e\d+ \* ", text)
 
 
 # ---------------------------------------------------------------------------

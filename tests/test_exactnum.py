@@ -66,6 +66,17 @@ class TestDyadic:
             assert as_fraction(DYADIC.halve(a)) == as_fraction(a) / 2
             assert as_fraction(DYADIC.neg(a)) == -as_fraction(a)
 
+    @given(st.builds(DyadicRational, st.integers(-(1 << 100), 1 << 100), st.integers(0, 80)),
+           st.builds(DyadicRational, st.integers(-(1 << 100), 1 << 100), st.integers(0, 80)))
+    @settings(max_examples=200)
+    def test_operators_are_the_ring_operations(self, a, b):
+        # the compiled product writes x + y where schoolbook calls DYADIC.add(x, y)
+        for got, want in ((a + b, DYADIC.add(a, b)), (a - b, DYADIC.sub(a, b)), (a * b, DYADIC.mul(a, b)),
+                          (-a, DYADIC.neg(a))):
+            assert type(got) is DyadicRational
+            assert (got.num, got.exp) == (want.num, want.exp)
+        assert as_fraction(a - b) == as_fraction(a) - as_fraction(b)
+
     @given(st.integers(-10**12, 10**12), st.integers(0, 40))
     @settings(max_examples=60)
     def test_halve_and_neg_involutions(self, num, exp):
