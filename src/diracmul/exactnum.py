@@ -8,9 +8,11 @@ over:
                        verification;
 * ``IntRing``       -- plain Python integers, the ring the fast product
                        runs dyadic operands on once they share one
-                       exponent (see ``fastmult``);
+                       exponent, and the proof runs basis vectors on
+                       (see ``fastmult``);
 * ``LinearFormRing``-- degree-one symbolic forms in the sixteen right-hand
-                       coefficients, for proving matrix identities;
+                       coefficients, for deriving stage matrices (a
+                       failed proof also reports its cells as forms);
 * ``CountingRing``  -- dyadic values plus an operation tally, for
                        reproducing arithmetic-cost claims.
 

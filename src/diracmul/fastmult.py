@@ -21,9 +21,10 @@ whose ``add``/``sub``/``neg``/``mul`` are ``operator.add`` etc. runs them
 on its own values; any other ring's values are boxed, so that each
 operator calls the ring's method and the ring sees every recorded
 operation, in order.  ``mul_fast``, ``PrecomputedOperator.apply`` and
-``verify_pipeline`` all call them: ``verify_pipeline`` proves, over linear
-forms, that exactly this code equals the ground-truth product matrix, and
-runs the proof on every call.
+``verify_pipeline`` all call them: ``verify_pipeline`` proves that exactly
+this code equals the ground-truth product matrix.  The code is bilinear,
+which compilation checks, so the proof runs it over integers on every pair
+of basis vectors; it runs on every call.
 
 Over ``DYADIC`` the products run those functions on plain integers
 (``INTS``) rather than on ``DyadicRational`` objects.  Each operand is
@@ -52,9 +53,8 @@ from .algebra import (
     build_table_from_generators,
     default_asset_dir,
     derive_b_matrix,
-    symbolic_b,
 )
-from .exactnum import DYADIC, FORMS, INTS, DyadicRational
+from .exactnum import DYADIC, INTS, DyadicRational, LinearForm
 from .linalg import (H2, T2X3, T3X2, Mat, SignedPermutation, dirsum, eye, kron, signed_perm_matrix,
                      structural_apply)
 
@@ -819,29 +819,71 @@ class VerifyReport:
         return f"level {self.level}: symbolic {self.matches}/{self.total} entries match"
 
 
+_UNITS = tuple(tuple(int(k == n) for k in range(DIM)) for n in range(DIM))  # e_0 .. e_15
+
+
+def _basis_products(prog: CompiledProgram) -> list:
+    """The compiled program over ``INTS`` on every pair of basis vectors.
+
+    Entry ``m`` is a flat tuple: for each ``n`` in turn, the sixteen
+    outputs of ``apply(INTS, e_n, bind(INTS, 2**halvings * e_m))``.
+    """
+    scale = 1 << prog.halvings
+    cols = []
+    for e_m in _UNITS:
+        entries = prog.bind(INTS, [scale * x for x in e_m])
+        cols.append(tuple(y for e_n in _UNITS for y in prog.apply(INTS, e_n, entries)))
+    return cols
+
+
+def _form(cols: list, halvings: int, row: int, col: int) -> LinearForm:
+    """Cell ``(row, col)`` of :func:`_basis_products`-shaped ``cols`` as a linear
+    form in b: the coefficient of ``b_m`` is ``cols[m][col * 16 + row] / 2**halvings``."""
+    cell = col * DIM + row
+    return LinearForm((DyadicRational(0),) + tuple(DyadicRational(c[cell], halvings) for c in cols))
+
+
 def pipeline_matrix(pipeline: Pipeline) -> Mat:
     """The 16x16 matrix the pipeline's compiled program computes, symbolic in b."""
     prog = pipeline.program
-    entries = prog.bind(FORMS, symbolic_b().coeffs)
-    cols = []
-    for n in range(DIM):
-        a = [FORMS.one() if k == n else FORMS.zero() for k in range(DIM)]
-        cols.append(prog.apply(FORMS, a, entries))
-    return Mat(DIM, DIM, [[cols[n][k] for n in range(DIM)] for k in range(DIM)])
+    cols = _basis_products(prog)
+    return Mat(DIM, DIM, [[_form(cols, prog.halvings, k, n) for n in range(DIM)] for k in range(DIM)])
 
 
 def verify_pipeline(pipeline: Pipeline | int, asset_dir: str | None = None) -> VerifyReport:
     """Prove the pipeline equals the table-derived product matrix in b.
 
-    Runs the whole proof on every call; nothing is remembered.
+    The proof runs the compiled ``bind`` and ``apply`` on integer basis
+    vectors and compares each of the 16 x 16 x 16 results with the ground
+    truth, ``derive_b_matrix`` of the same scaled basis vector.  That
+    settles the identity for every ``a`` and ``b`` because:
+
+    * bind has no ``mul`` (compilation checks it), so its entries are
+      linear in ``b``;
+    * apply passes ``_check_bilinear``, so each output is bilinear in ``a``
+      and the entries;
+    * with ``b`` scaled by ``2**halvings`` every value bind halves is even,
+      so each ``x >> 1`` is exact and the integers are exactly
+      ``2**halvings`` times the dyadic values.
+
+    So the program computes a bilinear map, and a bilinear map is fixed by
+    its values on basis pairs.  Mismatching cells are reported as linear
+    forms in b.  Runs the whole proof on every call; nothing is remembered.
     """
     if isinstance(pipeline, int):
         pipeline = assemble_pipeline(pipeline, asset_dir)
-    got = pipeline_matrix(pipeline)
-    want = derive_b_matrix(symbolic_b(), build_table_from_generators())
+    prog = pipeline.program
+    scale = 1 << prog.halvings
+    table = build_table_from_generators()
+    got = _basis_products(prog)
+    want = []
+    for e_m in _UNITS:
+        truth = derive_b_matrix(DiracNumber([scale * x for x in e_m], INTS), table)
+        want.append(tuple(truth.entries[k][n] for n in range(DIM) for k in range(DIM)))
     mismatches = []
-    for r in range(DIM):
-        for c in range(DIM):
-            if got.entries[r][c] != want.entries[r][c]:
-                mismatches.append((r, c, got.entries[r][c], want.entries[r][c]))
+    if got != want:
+        cells = sorted({(i % DIM, i // DIM) for g, w in zip(got, want) for i, (x, y) in enumerate(zip(g, w))
+                        if x != y})
+        mismatches = [(r, c, _form(got, prog.halvings, r, c), _form(want, prog.halvings, r, c))
+                      for r, c in cells]
     return VerifyReport(pipeline.level, mismatches)

@@ -1,6 +1,6 @@
 """Queries on the package's values that only the tests make."""
 
-from diracmul.algebra import DIM, MultTable, SignedBasis
+from diracmul.algebra import DIM, MultTable, SignedBasis, build_table_from_generators, derive_b_matrix, symbolic_b
 from diracmul.exactnum import FORMS, DyadicRational, LinearForm, dyadic_add, dyadic_mul
 from diracmul.linalg import Mat, SignedPermutation
 
@@ -75,3 +75,24 @@ def formula_forms(block) -> list:
             acc = acc + (-v if s < 0 else v)
         out.append(acc)
     return out
+
+
+def linear_form_matrix(pipeline) -> Mat:
+    """The pipeline's compiled program run over linear forms: bind on the
+    fully symbolic b, then apply on each unit a (the proof's former path)."""
+    prog = pipeline.program
+    entries = prog.bind(FORMS, symbolic_b().coeffs)
+    cols = []
+    for n in range(DIM):
+        a = [FORMS.one() if k == n else FORMS.zero() for k in range(DIM)]
+        cols.append(prog.apply(FORMS, a, entries))
+    return Mat(DIM, DIM, [[cols[n][k] for n in range(DIM)] for k in range(DIM)])
+
+
+def linear_form_mismatches(pipeline) -> list:
+    """``(row, col, got, want)`` for every cell where :func:`linear_form_matrix`
+    differs from the table-derived product matrix, row by row."""
+    got = linear_form_matrix(pipeline)
+    want = derive_b_matrix(symbolic_b(), build_table_from_generators())
+    return [(r, c, got.entries[r][c], want.entries[r][c])
+            for r in range(DIM) for c in range(DIM) if got.entries[r][c] != want.entries[r][c]]

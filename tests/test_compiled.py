@@ -36,6 +36,7 @@ from diracmul.fastmult import (
 )
 from diracmul.linalg import Mat
 from diracmul.slpgen import flatten
+from helpers import linear_form_matrix, linear_form_mismatches
 
 TABLE = build_table_from_generators()
 COUNT_KEYS = (("nontrivial_mults", "mul"), ("additions", "add_total"), ("negations", "neg"), ("shifts", "shift"))
@@ -355,12 +356,31 @@ def test_mul_fast_on_unverified_pipeline_never_runs_the_proof(tmp_path, monkeypa
     def no_proof(*_args):
         raise AssertionError("the product path ran the proof")
 
-    for name in ("verify_pipeline", "pipeline_matrix", "derive_b_matrix", "symbolic_b"):
+    for name in ("verify_pipeline", "pipeline_matrix", "derive_b_matrix", "_basis_products"):
         monkeypatch.setattr(fastmult, name, no_proof)
     rng = random.Random(350)
     a, b = (DiracNumber.from_ints(generic_ints(rng), DYADIC) for _ in range(2))
     assert mul_fast(a, b, 3, str(dst)) == mul_schoolbook(a, b, TABLE)
     assert precompute(b, 3, str(dst)).apply(a) == mul_schoolbook(a, b, TABLE)
+
+
+def unhalved_f(pipe):
+    """Level 3 with the ``halved`` flag of its core block ``f`` cleared."""
+    core = pipe.core
+    blocks = [dataclasses.replace(blk, halved=False) if blk.name == "f" else blk for blk in core.blocks]
+    return pipe.replace_stage(pipe.core_index, Stage(core.name, core.in_dim, core.out_dim, blocks=blocks))
+
+
+def test_basis_proof_matrix_equals_the_linear_form_run(verified_pipelines, planted_fault):
+    pipelines = list(verified_pipelines.values()) + [planted_fault[0], unhalved_f(verified_pipelines[3])]
+    for pipe in pipelines:
+        assert fastmult.pipeline_matrix(pipe) == linear_form_matrix(pipe)
+
+
+def test_faulty_pipelines_report_the_linear_form_mismatches(verified_pipelines, planted_fault):
+    for pipe in (planted_fault[0], unhalved_f(verified_pipelines[3])):
+        mismatches = verify_pipeline(pipe).mismatches
+        assert mismatches and mismatches == linear_form_mismatches(pipe)
 
 
 def test_pipeline_is_frozen_and_compiled_at_assembly(tmp_path, monkeypatch):
