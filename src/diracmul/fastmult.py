@@ -11,12 +11,15 @@ two straight-line Python functions: ``bind(ring, b)`` evaluates the core
 entries for a right-hand operand and ``apply(ring, a, entries)`` runs the
 whole stage chain.  Both come from one recording pass of ``bind_core`` and
 ``run_pipeline_bound``, which run two kernels: ``linalg.structural_apply``
-for every constant stage and ``block_matvec`` over the core blocks.  The
-generated code writes additions, subtractions, negations and
-multiplications with Python's operators (``x + y``, ``x - y``, ``-x``,
-``x * y``) and calls only ``halve`` through the ring, once per halving in
-bind; apply never halves.  So they run on any values with those operators
--- floats, integers, dyadics, counting scalars and linear forms.  A ring
+for every constant stage and ``block_matvec`` over the core blocks.
+``bind_core`` evaluates each distinct core entry once: entries repeat,
+up to sign, across blocks (level 3's 88 take 32 values), and a repeat
+reuses the bound value or negates it.  The generated code writes
+additions, subtractions, negations and multiplications with Python's
+operators (``x + y``, ``x - y``, ``-x``, ``x * y``) and calls only
+``halve`` through the ring, once per halving in bind; apply never halves.
+So they run on any values with those operators -- floats, integers,
+dyadics, counting scalars and linear forms.  A ring
 whose ``add``/``sub``/``neg``/``mul`` are ``operator.add`` etc. runs them
 on its own values; any other ring's values are boxed, so that each
 operator calls the ring's method and the ring sees every recorded
@@ -411,32 +414,50 @@ def _signed_sum(ring, x, sx, y, sy):
     return ring.sub(first, y) if sy < 0 else ring.add(first, y)
 
 
+def bind_cell(recipe, halved: bool, b, ring, pools, pool_cache):
+    """Evaluate one core entry from its recipe; shared pool terms are reused."""
+    kind = recipe[0]
+    if kind == "copy":
+        _, s, m = recipe
+        val = ring.neg(b[m]) if s < 0 else b[m]
+    elif kind == "sum2":
+        _, (s1, m1), (s2, m2) = recipe
+        val = _signed_sum(ring, b[m1], s1, b[m2], s2)
+    else:
+        _, (s1, f1, i1), (s2, f2, i2) = recipe
+        t1 = _pool_value(ring, pool_cache, pools, b, f1, i1)
+        t2 = _pool_value(ring, pool_cache, pools, b, f2, i2)
+        val = _signed_sum(ring, t1, s1, t2, s2)
+    return ring.halve(val) if halved else val
+
+
 def bind_block(block: CoreBlock, b, ring, pools, pool_cache) -> list:
-    """Evaluate one block's entries; shared pool terms are reused."""
-    out = []
-    for recipe in block.recipes:
-        kind = recipe[0]
-        if kind == "copy":
-            _, s, m = recipe
-            val = ring.neg(b[m]) if s < 0 else b[m]
-        elif kind == "sum2":
-            _, (s1, m1), (s2, m2) = recipe
-            val = _signed_sum(ring, b[m1], s1, b[m2], s2)
-        else:
-            _, (s1, f1, i1), (s2, f2, i2) = recipe
-            t1 = _pool_value(ring, pool_cache, pools, b, f1, i1)
-            t2 = _pool_value(ring, pool_cache, pools, b, f2, i2)
-            val = _signed_sum(ring, t1, s1, t2, s2)
-        if block.halved:
-            val = ring.halve(val)
-        out.append(val)
-    return out
+    """Evaluate one block's entries by the paper's per-block recipe; shared
+    pool terms are reused."""
+    return [bind_cell(recipe, block.halved, b, ring, pools, pool_cache) for recipe in block.recipes]
 
 
 def bind_core(core: Stage, b, ring, pools) -> list:
-    """The core's entries for right-hand coefficients ``b``, one list per block."""
+    """The core's entries for right-hand coefficients ``b``, one list per block.
+
+    Each distinct entry is evaluated once: an entry with the same terms and
+    halving as one already bound reuses its value, and one with the negated
+    terms negates it.
+    """
     pool_cache: dict = {}
-    return [bind_block(blk, b, ring, pools, pool_cache) for blk in core.blocks]
+    bound: dict = {}  # (halved, frozenset of signed terms) -> value
+    out = []
+    for blk in core.blocks:
+        entries = []
+        for terms, recipe in zip(blk.formulas, blk.recipes):
+            key = (blk.halved, frozenset(terms))
+            if key not in bound:
+                opposite = bound.get((blk.halved, frozenset((-s, m) for s, m in terms)))
+                bound[key] = (bind_cell(recipe, blk.halved, b, ring, pools, pool_cache) if opposite is None
+                              else ring.neg(opposite))
+            entries.append(bound[key])
+        out.append(entries)
+    return out
 
 
 def block_matvec(block: CoreBlock, entries, x, ring):

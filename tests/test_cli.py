@@ -59,15 +59,15 @@ class TestCount:
         code, out, _ = run(capsys, "count")
         assert code == 0
         assert "schoolbook: mul=256 add=240" in out
-        assert "fast (level 3): mul=88 add=254" in out
-        assert "precompute: mul=0 add=108" in out
+        assert "fast (level 3): mul=88 add=198" in out
+        assert "precompute: mul=0 add=52" in out
         assert "apply: mul=88 add=146" in out
-        assert "core stage: mul=88 add=166" in out
+        assert "core stage: mul=88 add=110" in out
         assert "structural stages: add=88" in out
         assert "savings vs schoolbook: 168 multiplications" in out
         assert "40 multiplications" in out
-        assert "total ops fast=342, schoolbook=496, ratio=0.69" in out
-        assert "measured mul=88 add=254 (166 core + 88 structural), within budget" in out
+        assert "total ops fast=286, schoolbook=496, ratio=0.58" in out
+        assert "measured mul=88 add=198 (110 core + 88 structural), within budget" in out
 
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, "count")
@@ -147,7 +147,7 @@ class TestBench:
         assert "fast:" in out
         assert "apply (amortized):" in out
         assert "counting cross-check" in out
-        assert "108 fewer adds" in out
+        assert "52 fewer adds" in out
 
     def test_input_stream_is_seed_deterministic(self):
         from diracmul.cli import random_coeffs
@@ -184,7 +184,7 @@ class TestEmit:
         code, _, _ = run(capsys, "emit", "slp", str(out_file))
         assert code == 0
         header = out_file.read_text().splitlines()[0]
-        assert header == "# mul=88 add=254 neg=75 shift=88"
+        assert header == "# mul=88 add=198 neg=67 shift=32"
 
     @pytest.mark.parametrize("level,mul", [(1, 112), (2, 92)])
     def test_slp_lower_levels(self, capsys, tmp_path, level, mul):
@@ -192,7 +192,8 @@ class TestEmit:
         code, _, _ = run(capsys, "emit", "slp", str(out_file), "--level", str(level))
         assert code == 0
         header = out_file.read_text().splitlines()[0]
-        assert header.startswith(f"# mul={mul} add=264 ")
+        adds = {1: 192, 2: 204}[level]
+        assert header.startswith(f"# mul={mul} add={adds} ")
 
     def test_slp_refuses_a_pipeline_that_fails_its_proof(self, capsys, tmp_path, monkeypatch):
         from diracmul import fastmult

@@ -12,14 +12,14 @@ import sys
 import traceback
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from diracmul import fastmult
 from diracmul.algebra import (DIM, DiracNumber, RingMismatchError, build_table_from_generators, mul_schoolbook,
                               symbolic_b)
 from diracmul.cli import main
-from diracmul.exactnum import CountingRing, DYADIC, FLOAT, FORMS, DyadicRational
+from diracmul.exactnum import CountingRing, DYADIC, FLOAT, FORMS, INTS, DyadicRational
 from diracmul.fastmult import (
     LEVELS,
     RING_OPS,
@@ -28,6 +28,7 @@ from diracmul.fastmult import (
     PrecomputedOperator,
     Stage,
     assemble_pipeline,
+    bind_block,
     decompose_terms,
     index_pools,
     mul_fast,
@@ -141,8 +142,55 @@ def test_compiled_precompute_and_apply_counts_equal_program_histograms(verified_
     apply_only = flatten(pipe, include_precompute=False, operator=op).histogram()
     assert apply_counts == {k: apply_only[k] for _, k in COUNT_KEYS}
     assert bind_counts == {k: full[k] - apply_only[k] for _, k in COUNT_KEYS}
-    assert (bind_counts["mul"], bind_counts["add_total"]) == (0, 108)
+    assert (bind_counts["mul"], bind_counts["add_total"]) == (0, 52)
     assert (apply_counts["mul"], apply_counts["add_total"]) == (88, 146)
+
+
+# ---------------------------------------------------------------------------
+# core entries shared across blocks
+
+
+def per_block_entries(pipe, b) -> list:
+    """The core entries by each block's own recipes, nothing shared between blocks."""
+    pool_cache: dict = {}
+    return [v for blk in pipe.core.blocks for v in bind_block(blk, b, INTS, pipe.pools, pool_cache)]
+
+
+def assert_bind_follows_the_block_recipes(pipe, rng):
+    prog = pipe.program
+    for _ in range(20):
+        # scaled so that every halving is exact over the integers
+        b = [rng.randint(-(1 << 40), 1 << 40) << prog.halvings for _ in range(DIM)]
+        assert list(prog.bind(INTS, b)) == per_block_entries(pipe, b)
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_shared_bind_equals_the_per_block_recipes(level, verified_pipelines):
+    assert_bind_follows_the_block_recipes(verified_pipelines[level], random.Random(315 + level))
+
+
+def test_shared_bind_keeps_halved_and_plain_entries_apart(verified_pipelines):
+    # level 2 has both kinds; a plain block's first cell becomes a copy of a
+    # halved block's first cell, so the two entries have the same terms
+    pipe = verified_pipelines[2]
+    blocks = list(pipe.core.blocks)
+    halved = next(blk for blk in blocks if blk.halved)
+    k = next(i for i, blk in enumerate(blocks) if not blk.halved)
+    blocks[k] = dataclasses.replace(blocks[k], formulas=[halved.formulas[0]] + blocks[k].formulas[1:],
+                                    recipes=[halved.recipes[0]] + blocks[k].recipes[1:])
+    twin = pipe.replace_stage(pipe.core_index, dataclasses.replace(pipe.core, blocks=blocks))
+    b = [1 << twin.program.halvings] * DIM
+    twice = 2 * bind_block(halved, b, INTS, pipe.pools, {})[0]
+    assert bind_block(blocks[k], b, INTS, pipe.pools, {})[0] == twice != 0
+    assert_bind_follows_the_block_recipes(twin, random.Random(319))
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_bind_halves_each_distinct_entry_once(level, verified_pipelines):
+    pipe = verified_pipelines[level]
+    distinct = {min(tuple(sorted(terms)), tuple(sorted((-s, m) for s, m in terms)))
+                for blk in pipe.core.blocks if blk.halved for terms in blk.formulas}
+    assert sum(op == "halve" for op, _ in pipe.program.bind_tape) == len(distinct)
 
 
 # ---------------------------------------------------------------------------
@@ -155,17 +203,21 @@ _numerator = st.builds(lambda hi, shift, lo: (hi << shift) + lo, st.integers(-(1
 _wide = st.builds(DyadicRational, _numerator, st.integers(0, 64))
 _operand = st.lists(_wide, min_size=DIM, max_size=DIM).map(lambda cs: DiracNumber(cs, DYADIC))
 
+# shrinking examples this wide takes minutes on a faulty pipeline; the
+# first failing example is reported as drawn
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
+
 
 @pytest.mark.parametrize("level", LEVELS)
 @given(a=_operand, b=_operand)
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, phases=NO_SHRINK)
 def test_fast_is_bit_exact_on_wide_dyadics(level, a, b):
     assert keys(mul_fast(a, b, level)) == keys(mul_schoolbook(a, b, TABLE))
 
 
 @pytest.mark.parametrize("level", LEVELS)
 @given(a=_operand, b=_operand)
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, phases=NO_SHRINK)
 def test_precompute_apply_is_bit_exact_on_wide_dyadics(level, a, b):
     assert keys(precompute(b, level).apply(a)) == keys(mul_schoolbook(a, b, TABLE))
 
@@ -231,7 +283,7 @@ def _mixed_operand(max_exp):
 @pytest.mark.parametrize("max_exp", (64, 2000))
 @pytest.mark.parametrize("level", LEVELS)
 @given(data=st.data())
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20, deadline=None, phases=NO_SHRINK)
 def test_int_lowering_is_bit_exact(level, max_exp, data):
     a = data.draw(_mixed_operand(max_exp))
     b = data.draw(_mixed_operand(max_exp))
@@ -428,7 +480,7 @@ def test_float_products_call_the_ring_only_to_halve(verified_pipelines):
         sys.setprofile(None)
     halvings = sum(op == "halve" for op, _ in prog.bind_tape)
     assert ring_calls == ["FloatRing.halve"] * halvings
-    assert halvings == 88
+    assert halvings == 32
     assert operator_calls == []
 
 
@@ -485,7 +537,7 @@ def test_a_foreign_ring_sees_every_recorded_operation(level, base, verified_pipe
     apply_only = flatten(pipe, include_precompute=False,
                          operator=precompute(DiracNumber.from_ints(range(DIM), DYADIC), level)).histogram()
     if level == 3:
-        assert [full[k] for k in ("mul", "add_total", "neg", "shift")] == [88, 254, 75, 88]
+        assert [full[k] for k in ("mul", "add_total", "neg", "shift")] == [88, 198, 67, 32]
         assert [apply_only[k] for k in ("mul", "add_total")] == [88, 146]
     full, apply_only = as_calls(full), as_calls(apply_only)
 
@@ -584,17 +636,17 @@ def test_traceback_shows_generated_lines():
 
 COUNT_OUTPUT = """\
 schoolbook: mul=256 add=240
-fast (level 1): mul=112 add=264
-fast (level 2): mul=92 add=264
-fast (level 3): mul=88 add=254
-precompute: mul=0 add=108
+fast (level 1): mul=112 add=192
+fast (level 2): mul=92 add=204
+fast (level 3): mul=88 add=198
+precompute: mul=0 add=52
 apply: mul=88 add=146
-core stage: mul=88 add=166
+core stage: mul=88 add=110
 structural stages: add=88
 savings vs schoolbook: 168 multiplications
 savings vs the earlier published scheme (128 multiplications): 40 multiplications
-total ops fast=342, schoolbook=496, ratio=0.69
-nominal budget mul=88 add=256: measured mul=88 add=254 (166 core + 88 structural), within budget
+total ops fast=286, schoolbook=496, ratio=0.58
+nominal budget mul=88 add=256: measured mul=88 add=198 (110 core + 88 structural), within budget
 """
 
 
