@@ -28,6 +28,8 @@ from .fastmult import (
     AssetError,
     LEVELS,
     assemble_pipeline,
+    bind_block,
+    block_matvec,
     mul_fast,
     precompute,
     verify_pipeline,
@@ -119,9 +121,15 @@ def count_operations(seed: int = 2024) -> dict:
     apply_counts = dict(zip(("nontrivial_mults", "additions", "negations", "shifts"),
                             (q - p for p, q in zip(before, after))))
     # the level-3 core: bind's additions plus the mat-vec, size-1 additions per row of each block
-    core_adds = pre["additions"] + sum(blk.size * (blk.size - 1) for blk in assemble_pipeline(3).core.blocks)
+    pipe = assemble_pipeline(3)
+    core_adds = pre["additions"] + sum(blk.size * (blk.size - 1) for blk in pipe.core.blocks)
+    # the same core run block by block, each bound by its own recipes (pool terms still shared)
+    ring, pool_cache = CountingRing(), {}
+    b, x = [ring.wrap(v) for v in bv], [ring.wrap(v) for v in av]
+    for blk in pipe.core.blocks:
+        block_matvec(blk, bind_block(blk, b, ring, pipe.pools, pool_cache), x[:blk.size], ring)
     return {"schoolbook": school, "fast": per_level, "precompute": pre, "apply": apply_counts,
-            "core_additions": core_adds}
+            "core_additions": core_adds, "per_block_core_additions": ring.counter.additions}
 
 
 def cmd_verify(args) -> int:
@@ -253,26 +261,31 @@ def cmd_errata(args) -> int:
 
 
 def cmd_emit(args) -> int:
+    pipeline = assemble_pipeline(args.level)
     if args.what == "slp":
         from .slpgen import SLPError, emit_text, flatten
 
         try:  # flatten runs the proof and refuses a pipeline that fails it
-            text = emit_text(flatten(assemble_pipeline(args.level)))
+            files = {args.out: emit_text(flatten(pipeline))}
         except SLPError as exc:
             print(f"FAIL: {exc}", file=sys.stderr)
             return EXIT_VERIFY
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-        return EXIT_OK
-
-    os.makedirs(args.out, exist_ok=True)
-    pipeline = assemble_pipeline(args.level)
-    for i, stage in enumerate(pipeline.stages):
-        path = os.path.join(args.out, f"{i:02d}_{stage.name}.txt")
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(stage.mat.serialize() if stage.blocks is None else _core_grid_text(stage))
-    print(f"wrote {len(pipeline.stages)} stage files to {args.out}")
+        done = f"wrote {args.out}"
+    else:
+        files = {os.path.join(args.out, f"{i:02d}_{stage.name}.txt"):
+                 stage.mat.serialize() if stage.blocks is None else _core_grid_text(stage)
+                 for i, stage in enumerate(pipeline.stages)}
+        done = f"wrote {len(files)} stage files to {args.out}"
+    try:
+        if args.what == "matrices":
+            os.makedirs(args.out, exist_ok=True)
+        for path, text in files.items():
+            with open(path, "w", encoding="ascii") as fh:
+                fh.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    print(done)
     return EXIT_OK
 
 

@@ -66,7 +66,7 @@ STATIC_NOTES = [
 def _cost_note() -> str:
     """The note on the additions budget, with the measured figures."""
     counts = count_operations()
-    fast, core = counts["fast"][3], counts["core_additions"]
+    fast, core, per_block = counts["fast"][3], counts["core_additions"], counts["per_block_core_additions"]
     mults, structural = fast["nontrivial_mults"], fast["additions"] - core
     return (
         "the displayed cost summary books 90 additions for the constant stages,"
@@ -76,14 +76,14 @@ def _cost_note() -> str:
         " additions instead of 42: butterflies of the eight input pairs, then"
         " sums (16+8+4+2+2); its last butterfly yields twice the inputs of the"
         " final core block, which is halved instead (4 shifts). The constant"
-        f" stages then issue {structural} additions and, with the 166 core additions"
+        f" stages then issue {structural} additions and, with the {per_block} core additions"
         f" of the per-block recipes, the product costs {mults} multiplications and"
-        f" {structural + 166} additions, inside the displayed 256; which 90"
+        f" {structural + per_block} additions, inside the displayed 256; which 90"
         " additions the displayed summary counts cannot be traced from the"
         " displayed chain. The compiled product also shares core entries: many"
         " entries repeat, up to sign, across blocks, and each distinct one is"
         f" bound once, so its core costs {core} additions against the per-block"
-        f" 166 and the product {mults} multiplications and {fast['additions']}"
+        f" {per_block} and the product {mults} multiplications and {fast['additions']}"
         " additions."
     )
 

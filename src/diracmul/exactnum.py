@@ -16,21 +16,26 @@ over:
 * ``CountingRing``  -- dyadic values plus an operation tally, for
                        reproducing arithmetic-cost claims.
 
-Every ring exposes the same small surface: ``wrap``, ``zero``, ``one``,
-``add``, ``sub``, ``neg``, ``mul``, ``halve``, ``eq``.  The values of every
-ring here also carry the operators ``+``, ``-``, ``*`` and unary ``-``, which
-are the ring's ``add``/``sub``/``mul``/``neg``: the compiled fast product is
-written with those operators and calls only ``halve`` through the ring
-(see ``fastmult``).  For ``FloatRing``, ``IntRing``, ``LinearFormRing`` and
-``CountingRing`` the four methods *are* ``operator.add`` etc.  Values are
-immutable; the one mutable object is the :class:`Counter` handle, which is
-meant for single-threaded measurement runs.
+Every ring exposes the same small surface: ``wrap``, ``from_dyadic``,
+``zero``, ``one``, ``add``, ``sub``, ``neg``, ``mul``, ``halve``, ``eq``.
+The values of every ring here carry the operators ``+``, ``-``, ``*`` and
+unary ``-``; the compiled fast product is written with those operators and
+calls only ``halve`` through the ring (see ``fastmult``).  The base class
+:class:`OperatorRing` makes ``add``/``sub``/``neg``/``mul``/``eq`` the
+``operator`` builtins and builds ``wrap``, ``zero`` and ``one`` from
+``from_dyadic``; each ring supplies ``name``, ``from_dyadic`` and
+``halve``.  ``FloatRing`` and ``IntRing`` also set ``wrap`` to the builtin
+``float`` and ``int``, and ``DyadicRing`` keeps the ``dyadic_*`` functions
+as ``add``/``sub``/``neg``/``mul`` so schoolbook, the reference, calls
+them without the operator dispatch.  Values are immutable; the one mutable
+object is the :class:`Counter` handle, which is meant for single-threaded
+measurement runs.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 
 
 class LinearFormError(ValueError):
@@ -223,19 +228,14 @@ class Counter:
     shifts: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "nontrivial_mults": self.nontrivial_mults,
-            "additions": self.additions,
-            "negations": self.negations,
-            "shifts": self.shifts,
-        }
+        return asdict(self)
 
     def report(self) -> str:
         """Flat key=value text block (the CLI interchange format)."""
         return "\n".join(f"{k}={v}" for k, v in self.as_dict().items())
 
     def snapshot(self) -> tuple[int, int, int, int]:
-        return (self.nontrivial_mults, self.additions, self.negations, self.shifts)
+        return astuple(self)
 
 
 def _is_pow2_magnitude(n: int) -> bool:
@@ -290,61 +290,44 @@ class CountingScalar:
         return CountingScalar(dyadic_mul(self.value, other.value), self.counter)
 
 
-class FloatRing:
+class OperatorRing:
+    """The shared ring surface: the ``operator`` builtins, and constants
+    built through the ring's ``from_dyadic``."""
+
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    neg = staticmethod(operator.neg)
+    mul = staticmethod(operator.mul)
+    eq = staticmethod(operator.eq)
+
+    def wrap(self, n):
+        return self.from_dyadic(n, 0)
+
+    def zero(self):
+        return self.wrap(0)
+
+    def one(self):
+        return self.wrap(1)
+
+
+class FloatRing(OperatorRing):
     """Machine reals; halving is exact in binary floating point."""
 
     name = "float"
-
-    @staticmethod
-    def wrap(n):
-        return float(n)
+    wrap = float
 
     @staticmethod
     def from_dyadic(num, exp):
         return num / (1 << exp)
 
     @staticmethod
-    def zero():
-        return 0.0
-
-    @staticmethod
-    def one():
-        return 1.0
-
-    # the C builtins: the same binary64 operations without a Python frame
-    add = staticmethod(operator.add)
-    sub = staticmethod(operator.sub)
-    neg = staticmethod(operator.neg)
-    mul = staticmethod(operator.mul)
-
-    @staticmethod
     def halve(a):
         return a * 0.5
 
-    @staticmethod
-    def eq(a, b):
-        return a == b
 
-
-class DyadicRing:
+class DyadicRing(OperatorRing):
     name = "dyadic"
-
-    @staticmethod
-    def wrap(n):
-        return DyadicRational(n)
-
-    @staticmethod
-    def from_dyadic(num, exp):
-        return DyadicRational(num, exp)
-
-    @staticmethod
-    def zero():
-        return DyadicRational(0)
-
-    @staticmethod
-    def one():
-        return DyadicRational(1)
-
+    from_dyadic = DyadicRational
     # the functions, not the operators: schoolbook, the reference, runs on this ring
     add = staticmethod(dyadic_add)
     sub = staticmethod(dyadic_sub)
@@ -355,13 +338,9 @@ class DyadicRing:
     def halve(a):
         return DyadicRational(a.num, a.exp + 1)
 
-    @staticmethod
-    def eq(a, b):
-        return a == b
 
-
-class IntRing:
-    """Plain Python integers; ``add``/``sub``/``neg``/``mul`` are the C builtins.
+class IntRing(OperatorRing):
+    """Plain Python integers.
 
     ``halve`` is the arithmetic shift ``x >> 1``, which is exact only on
     even values and rounds odd ones down.  The fast product halves on this
@@ -370,65 +349,37 @@ class IntRing:
     """
 
     name = "int"
-    wrap = staticmethod(int)
-    add = staticmethod(operator.add)
-    sub = staticmethod(operator.sub)
-    neg = staticmethod(operator.neg)
-    mul = staticmethod(operator.mul)
-    eq = staticmethod(operator.eq)
+    wrap = int
 
     @staticmethod
-    def zero():
-        return 0
-
-    @staticmethod
-    def one():
-        return 1
+    def from_dyadic(num, exp):
+        if num & ((1 << exp) - 1):
+            raise ValueError(f"{num}/2^{exp} is not an integer")
+        return num >> exp
 
     @staticmethod
     def halve(x):
         return x >> 1
 
 
-class LinearFormRing:
+class LinearFormRing(OperatorRing):
     name = "linear-form"
-
-    @staticmethod
-    def wrap(n):
-        return LinearForm.constant(DyadicRational(n))
 
     @staticmethod
     def from_dyadic(num, exp):
         return LinearForm.constant(DyadicRational(num, exp))
 
     @staticmethod
-    def zero():
-        return LinearForm.constant(DyadicRational(0))
-
-    @staticmethod
-    def one():
-        return LinearForm.constant(DyadicRational(1))
-
-    add = staticmethod(operator.add)
-    sub = staticmethod(operator.sub)
-    neg = staticmethod(operator.neg)
-    mul = staticmethod(operator.mul)
-
-    @staticmethod
     def halve(a):
         return a.halve()
 
-    @staticmethod
-    def eq(a, b):
-        return a == b
 
-
-class CountingRing:
+class CountingRing(OperatorRing):
     """Dyadic arithmetic instrumented per the cost model.
 
     ``add``/``sub``/``neg``/``mul`` are the operators of
     :class:`CountingScalar`, which hold the cost model; ``halve`` counts a
-    shift.
+    shift.  ``eq`` compares values and ignores the counter.
     """
 
     name = "counting"
@@ -436,30 +387,12 @@ class CountingRing:
     def __init__(self, counter: Counter | None = None):
         self.counter = counter if counter is not None else Counter()
 
-    def wrap(self, n):
-        return CountingScalar(DyadicRational(n), self.counter)
-
     def from_dyadic(self, num, exp):
         return CountingScalar(DyadicRational(num, exp), self.counter)
-
-    def zero(self):
-        return CountingScalar(DyadicRational(0), self.counter)
-
-    def one(self):
-        return CountingScalar(DyadicRational(1), self.counter)
-
-    add = staticmethod(operator.add)
-    sub = staticmethod(operator.sub)
-    neg = staticmethod(operator.neg)
-    mul = staticmethod(operator.mul)
 
     def halve(self, a):
         self.counter.shifts += 1
         return CountingScalar(DyadicRational(a.value.num, a.value.exp + 1), self.counter)
-
-    @staticmethod
-    def eq(a, b):
-        return a.value == b.value
 
 
 FLOAT = FloatRing()

@@ -41,6 +41,7 @@ over ``2**(ea + eb + halvings)``.  Compilation checks both conditions.
 
 from __future__ import annotations
 
+import ast
 import linecache
 import operator
 import os
@@ -108,55 +109,35 @@ _ATOMS = {"H2": H2, "T2x3": T2X3, "T3x2": T3X2}
 
 
 def parse_expr(text: str) -> Mat:
-    """The matrix of a structural-stage expression such as ``kron(T3x2, I8)``."""
-    pos = 0
+    """The matrix of a structural-stage expression such as ``kron(T3x2, I8)``,
+    parsed as Python and walked, never evaluated: atoms ``H2``, ``T2x3``,
+    ``T3x2``, ``I<n>``; positional calls of ``kron`` (two) and ``dirsum``.
+    ``ValueError`` for anything else."""
+    try:
+        tree = ast.parse(text, mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"malformed expression {text!r}: {exc.msg}") from exc
 
-    def skip_ws():
-        nonlocal pos
-        while pos < len(text) and text[pos] in " \t":
-            pos += 1
+    def walk(node) -> Mat:
+        if isinstance(node, ast.Name):
+            if node.id in _ATOMS:
+                return _ATOMS[node.id]
+            if node.id.startswith("I") and node.id[1:].isdigit():
+                return eye(int(node.id[1:]))
+            raise ValueError(f"unknown atom {node.id!r}")
+        if (not isinstance(node, ast.Call) or not isinstance(node.func, ast.Name) or node.keywords
+                or any(isinstance(arg, ast.Starred) for arg in node.args)):
+            raise ValueError(f"unsupported expression {ast.unparse(node)!r} in {text!r}")
+        if node.func.id not in ("kron", "dirsum"):
+            raise ValueError(f"unknown function {node.func.id!r}")
+        args = [walk(arg) for arg in node.args]
+        if node.func.id == "dirsum":
+            return dirsum(args)
+        if len(args) != 2:
+            raise ValueError("kron takes two arguments")
+        return kron(*args)
 
-    def ident():
-        nonlocal pos
-        start = pos
-        while pos < len(text) and (text[pos].isalnum() or text[pos] in "_x"):
-            pos += 1
-        return text[start:pos]
-
-    def expr() -> Mat:
-        nonlocal pos
-        skip_ws()
-        name = ident()
-        skip_ws()
-        if pos < len(text) and text[pos] == "(":
-            pos += 1
-            args = [expr()]
-            skip_ws()
-            while pos < len(text) and text[pos] == ",":
-                pos += 1
-                args.append(expr())
-                skip_ws()
-            if pos >= len(text) or text[pos] != ")":
-                raise ValueError(f"unbalanced parentheses in {text!r}")
-            pos += 1
-            if name == "kron":
-                if len(args) != 2:
-                    raise ValueError("kron takes two arguments")
-                return kron(args[0], args[1])
-            if name == "dirsum":
-                return dirsum(args)
-            raise ValueError(f"unknown function {name!r}")
-        if name in _ATOMS:
-            return _ATOMS[name]
-        if name.startswith("I") and name[1:].isdigit():
-            return eye(int(name[1:]))
-        raise ValueError(f"unknown atom {name!r}")
-
-    result = expr()
-    skip_ws()
-    if pos != len(text):
-        raise ValueError(f"trailing characters in {text!r}")
-    return result
+    return walk(tree.body)
 
 
 def _parse_structural(fields: dict, name: str) -> Mat:

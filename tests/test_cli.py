@@ -234,3 +234,18 @@ class TestEmit:
         # the chain composes: each stage consumes what the previous produced
         for earlier, later in zip(dims[:-1], dims[1:]):
             assert later[1] == earlier[0]
+
+    def test_slp_into_a_missing_directory_is_a_usage_error(self, capsys, tmp_path):
+        out_file = tmp_path / "missing" / "program.slp"
+        code, out, err = run(capsys, "emit", "slp", str(out_file), "--level", "1")
+        assert code == 2
+        assert err.startswith("error: ") and str(out_file) in err
+        assert out == ""
+
+    def test_matrices_onto_an_existing_file_is_a_usage_error(self, capsys, tmp_path):
+        out_file = tmp_path / "stages"
+        out_file.write_text("not a directory\n")
+        code, out, err = run(capsys, "emit", "matrices", str(out_file), "--level", "1")
+        assert code == 2
+        assert err.startswith("error: ") and str(out_file) in err
+        assert out == ""

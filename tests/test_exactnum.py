@@ -6,8 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracmul.exactnum import (
+    FLOAT,
+    FORMS,
+    INTS,
     Counter,
     CountingRing,
+    CountingScalar,
     DYADIC,
     DyadicRational,
     LinearForm,
@@ -18,6 +22,8 @@ from diracmul.exactnum import (
     lf_from_b,
     parse_dyadic,
 )
+
+from diracmul.fastmult import _runs_natively
 
 from helpers import as_int, evaluate, is_integer
 
@@ -199,3 +205,63 @@ class TestCounting:
             "nontrivial_mults=88\nadditions=264\nnegations=77\nshifts=84"
         )
         assert counter.as_dict()["additions"] == 264
+        assert counter.snapshot() == (88, 264, 77, 84)
+
+
+# the surface every ring exposes; a wrapper ring (such as a timing one) reads all of it
+RING_SURFACE = ("wrap", "from_dyadic", "zero", "one", "add", "sub", "neg", "mul", "halve", "eq")
+RINGS = {"float": FLOAT, "dyadic": DYADIC, "int": INTS, "linear-form": FORMS, "counting": CountingRing()}
+
+
+class TestRingSurface:
+    @pytest.mark.parametrize("name", RINGS)
+    def test_every_ring_exposes_the_surface(self, name):
+        ring = RINGS[name]
+        assert ring.name == name
+        for attr in RING_SURFACE:
+            assert callable(getattr(ring, attr)), attr
+
+    @pytest.mark.parametrize("name", RINGS)
+    def test_constants_and_arithmetic(self, name):
+        ring = RINGS[name]
+        three = ring.wrap(3)
+        assert ring.eq(ring.add(ring.zero(), three), three)
+        assert ring.eq(ring.mul(ring.one(), three), three)
+        assert ring.eq(ring.sub(three, three), ring.zero())
+        assert ring.eq(ring.neg(ring.neg(three)), three)
+        assert ring.eq(ring.halve(ring.wrap(6)), three)
+        if ring is not INTS:
+            half = ring.from_dyadic(1, 1)
+            assert ring.eq(ring.add(half, half), ring.one())
+
+    def test_constants_keep_their_types(self):
+        assert type(FLOAT.wrap(3)) is float and FLOAT.wrap(3) == 3.0
+        assert (FLOAT.zero(), FLOAT.one()) == (0.0, 1.0) and type(FLOAT.zero()) is float
+        assert type(INTS.wrap(3)) is int and (INTS.zero(), INTS.one()) == (0, 1)
+        assert type(DYADIC.wrap(3)) is DyadicRational and DYADIC.wrap(3).key() == (3, 0)
+        assert (DYADIC.zero().key(), DYADIC.one().key()) == ((0, 0), (1, 0))
+        assert FORMS.zero() == LinearForm.constant(DyadicRational(0))
+        assert FORMS.one() == LinearForm.constant(DyadicRational(1))
+        assert FORMS.wrap(3) == LinearForm.constant(DyadicRational(3))
+
+    def test_int_ring_takes_only_integral_dyadics(self):
+        assert INTS.from_dyadic(-12, 2) == -3
+        assert INTS.from_dyadic(5, 0) == 5
+        with pytest.raises(ValueError):
+            INTS.from_dyadic(3, 1)
+
+    def test_counting_constants_carry_the_ring_counter(self):
+        ring = CountingRing()
+        for value in (ring.wrap(3), ring.from_dyadic(3, 2), ring.zero(), ring.one()):
+            assert type(value) is CountingScalar and value.counter is ring.counter
+        assert ring.zero().value.key() == (0, 0) and ring.one().value.key() == (1, 0)
+
+    def test_counting_eq_ignores_the_counter(self):
+        one, other = CountingRing(), CountingRing(Counter(additions=5))
+        assert one.eq(one.wrap(7), other.wrap(7))
+        assert not one.eq(one.wrap(7), other.wrap(8))
+
+    @pytest.mark.parametrize("name", RINGS)
+    def test_operator_rings_run_the_compiled_product_natively(self, name):
+        # DYADIC keeps the dyadic_* functions, so the compiled product boxes its values
+        assert _runs_natively(RINGS[name]) == (name != "dyadic")

@@ -17,6 +17,7 @@ from diracmul.fastmult import (
     default_asset_dir,
     load_pools,
     mul_fast,
+    parse_expr,
     precompute,
     verify_pipeline,
 )
@@ -81,6 +82,35 @@ class TestAssembly:
         shutil.copytree(src, dst)
         (dst / "perm_out_24.txt").write_text("kind signed_perm\nsize 24\nsrc 1 2 3\nsigns + + +\n")
         with pytest.raises(AssetError, match="perm_out_24"):
+            assemble_pipeline(3, str(dst))
+
+    @pytest.mark.parametrize("text", [
+        "kron(T3x2, I8",             # unbalanced parentheses
+        "kron(T3x2, I8))",
+        "kron(T3x2, I8) I2",         # trailing text
+        "kron(T3x2, I8)[0]",         # subscript
+        "kron(T3x2, b=I8)",          # keyword argument
+        "dirsum(*(I2, I2))",         # starred argument
+        "linalg.H2",                 # attribute access
+        "kron(linalg.H2, I2)",
+        '__import__("os")',
+        "Q2",                        # unknown atom
+        "kron(H2, Ix)",
+        "transpose(H2)",             # unknown function
+        "kron(H2)",                  # kron takes two
+        "kron(H2, I2, I2)",
+        "dirsum()",
+        "",
+    ])
+    def test_parse_expr_rejects(self, text):
+        with pytest.raises(ValueError):
+            parse_expr(text)
+
+    def test_malformed_expr_names_the_stage(self, tmp_path):
+        dst = tmp_path / "assets"
+        shutil.copytree(default_asset_dir(), dst)
+        (dst / "expand_16_24.txt").write_text("kind structural\nexpr kron(T3x2, I8\n")
+        with pytest.raises(AssetError, match="stage expand_16_24.txt: malformed expression"):
             assemble_pipeline(3, str(dst))
 
 
