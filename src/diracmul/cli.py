@@ -307,6 +307,16 @@ def _core_grid_text(stage) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diracmul",
@@ -317,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="symbolic identity + table soundness + oracle equivalence")
     p.add_argument("--level", choices=["1", "2", "3", "all"], default="3")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--iters", type=int, default=10000, help="random oracle comparisons per level")
+    p.add_argument("--iters", type=_at_least(0), default=10000,
+                   help="random oracle comparisons per level (0 runs none)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("count", help="operation-count table")
@@ -332,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_mul)
 
     p = sub.add_parser("bench", help="informational wall-clock timings")
-    p.add_argument("--iters", type=int, default=200)
+    p.add_argument("--iters", type=_at_least(1), default=200)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_bench)
 

@@ -9,12 +9,16 @@ recovered.  This module rebuilds everything from first principles:
 * the two transcribed 8x8 seed matrices (``m8_diff``/``m8_negsum``);
 * the stated row/column shuffles for each recursion branch.
 
-It solves for the outer signed permutations, checks every intermediate
-block structure, derives the diagonal-block coefficient formulas for all
-three refinement levels, rebuilds the final level's input side with
-fewer additions than the displayed chain, and can regenerate the
-plain-text stage assets shipped with the package.  The symbolic pipeline identity (see
-``fastmult.verify_pipeline``) is the final arbiter for all of it.
+The recursion applies two block templates.  A shuffled matrix of the form
+[[A,B],[B,A]] splits into the half-size blocks A+B and A-B; one of the
+form [[E,F],[F,-E]] splits into E-F, -(E+F) and F.  Eight such steps take
+the two seed matrices down to the diagonal blocks of all three refinement
+levels.  The module solves for the outer signed permutations, checks
+every intermediate block structure, rebuilds the final level's input side
+with fewer additions than the displayed chain, and regenerates the
+plain-text stage assets shipped with the package.  The symbolic pipeline
+identity (see ``fastmult.verify_pipeline``) is the final arbiter for all
+of it.
 
 Run ``python -m diracmul.derive --write`` to regenerate the assets in
 place; the test suite re-derives them into a scratch directory and
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 
 from .algebra import default_asset_dir, symbolic_b_matrix
 from .exactnum import FORMS, LinearForm, lf_from_b
-from .fastmult import parse_expr
+from .fastmult import _parse_term, parse_expr
 from .linalg import (
     Mat,
     SignedPermutation,
@@ -39,6 +43,7 @@ from .linalg import (
     mat_sub,
     perm_concat,
     signed_perm_matrix,
+    template_EF,
 )
 
 DIM = 16
@@ -126,36 +131,28 @@ def single_signed_entry(form: LinearForm):
 # seed-matrix loading
 
 
+def _cell_form(cell: str) -> LinearForm:
+    acc = FORMS.zero()
+    for sign, idx in map(_parse_term, cell.split()):
+        acc = acc + (lf_from_b(idx) if sign > 0 else -lf_from_b(idx))
+    return acc
+
+
 def load_cell_grid(path: str) -> Mat:
     """Cell-per-line grid of signed index lists, as linear forms."""
     with open(path, encoding="ascii") as fh:
         lines = [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
     rows, cols = (int(x) for x in lines[0].split())
-    cells = lines[1:]
-    if len(cells) != rows * cols:
-        raise ValueError(f"{path}: expected {rows * cols} cells, got {len(cells)}")
-    entries = []
-    it = iter(cells)
-    for _ in range(rows):
-        row = []
-        for _ in range(cols):
-            toks = next(it).split()
-            acc = FORMS.zero()
-            for tok in toks:
-                sign = -1 if tok.startswith("-") else 1
-                idx = int(tok.lstrip("+-"))
-                term = lf_from_b(idx)
-                acc = acc + (-term if sign < 0 else term)
-            row.append(acc)
-        entries.append(row)
-    return Mat(rows, cols, entries)
+    if len(lines) - 1 != rows * cols:
+        raise ValueError(f"{path}: expected {rows * cols} cells, got {len(lines) - 1}")
+    forms = [_cell_form(cell) for cell in lines[1:]]
+    return Mat(rows, cols, [forms[r * cols:(r + 1) * cols] for r in range(rows)])
 
 
-def load_seed_matrices(asset_dir: str | None = None):
-    d = asset_dir or default_asset_dir()
-    diff = load_cell_grid(os.path.join(d, "m8_diff.txt"))
-    negsum = load_cell_grid(os.path.join(d, "m8_negsum.txt"))
-    return diff, negsum
+def load_seed_matrices():
+    """(m8_diff, m8_negsum) from the asset directory."""
+    d = default_asset_dir()
+    return load_cell_grid(os.path.join(d, "m8_diff.txt")), load_cell_grid(os.path.join(d, "m8_negsum.txt"))
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +194,7 @@ def split_ab(m: Mat):
         raise ReconstructionError("matrix does not have the [[A,B],[B,A]] structure")
     return a, b
 
+
 def split_ef(m: Mat):
     """Check [[E,F],[F,-E]] structure and return (E, F)."""
     n = m.rows // 2
@@ -205,6 +203,18 @@ def split_ef(m: Mat):
     if m.block(n, 0, n, n) != f or m.block(n, n, n, n) != mat_neg(FORMS, e):
         raise ReconstructionError("matrix does not have the [[E,F],[F,-E]] structure")
     return e, f
+
+
+def _ab(m: Mat, branch=None):
+    """Shuffle by ``branch``, split [[A,B],[B,A]] and return (A+B, A-B)."""
+    a, b = split_ab(m if branch is None else apply_reorder(m, branch))
+    return mat_add(FORMS, a, b), mat_sub(FORMS, a, b)
+
+
+def _ef(m: Mat, branch):
+    """Shuffle by ``branch``, split [[E,F],[F,-E]] and return (E-F, -(E+F), F)."""
+    e, f = split_ef(apply_reorder(m, branch))
+    return mat_sub(FORMS, e, f), mat_neg(FORMS, mat_add(FORMS, e, f)), f
 
 
 # ---------------------------------------------------------------------------
@@ -218,70 +228,33 @@ def _signed_entry_grid(m: Mat):
 def solve_outer_permutations(m16: Mat, b16: Mat):
     """Find signed permutations R, C with  B16 = R . M16 . C.
 
-    Both matrices have one +-b_m per row and column, so a candidate image
-    for the first row forces the column map; the remaining rows then
-    either fall into place or refute the candidate.
+    Both matrices have one +-b_m per row and column.  Sending row 0 of M16
+    to target row r0 with sign rho0 forces the column map; column 0 then
+    forces the row map, and one pass over all cells accepts or refutes
+    the candidate.
     """
-    gm = _signed_entry_grid(m16)
-    gb = _signed_entry_grid(b16)
-    # b-index -> (column, sign) lookup per row of the target
-    lookup = []
-    for r in range(DIM):
-        d = {}
-        for c in range(DIM):
-            s, m = gb[r][c]
-            d[m] = (c, s)
-        lookup.append(d)
-
+    gm, gb = _signed_entry_grid(m16), _signed_entry_grid(b16)
+    # b-index -> (column, sign) in each target row, -> (row, sign) in each target column
+    in_row = [{m: (c, s) for c, (s, m) in enumerate(row)} for row in gb]
+    in_col = [{gb[r][c][1]: (r, gb[r][c][0]) for r in range(DIM)} for c in range(DIM)]
+    col0 = [row[0] for row in gm]
+    # a solution has B16[rowmap[i]][pi[j]] = rho[i] * kappa[j] * M16[i][j]
     for r0 in range(DIM):
         for rho0 in (1, -1):
-            pi = [0] * DIM
-            kappa = [0] * DIM
-            ok = True
-            for j in range(DIM):
-                s, m = gm[0][j]
-                c, s_b = lookup[r0][m]
-                pi[j] = c
-                kappa[j] = rho0 * s * s_b  # s_b = rho0 * kappa_j * s
-            rowmap = [r0]
-            rho = [rho0]
-            used = {r0}
-            for i in range(1, DIM):
-                s0, m0 = gm[i][0]
-                found = None
-                for r in range(DIM):
-                    if r in used:
-                        continue
-                    c, s_b = lookup[r][m0]
-                    if c != pi[0]:
-                        continue
-                    rho_i = s_b * kappa[0] * s0
-                    good = True
-                    for j in range(1, DIM):
-                        s, m = gm[i][j]
-                        c, s_b = lookup[r][m]
-                        if c != pi[j] or s_b != rho_i * kappa[j] * s:
-                            good = False
-                            break
-                    if good:
-                        found = (r, rho_i)
-                        break
-                if found is None:
-                    ok = False
-                    break
-                rowmap.append(found[0])
-                rho.append(found[1])
-                used.add(found[0])
-            if not ok:
+            hits = [in_row[r0].get(m) for _, m in gm[0]]
+            if None in hits:
                 continue
-            # R[rowmap[i]][i] = rho[i]  ->  out[rowmap[i]] = rho[i] * in[i]
-            r_src = [0] * DIM
-            r_signs = [1] * DIM
-            for i in range(DIM):
-                r_src[rowmap[i]] = i
-                r_signs[rowmap[i]] = rho[i]
-            # C[j][pi[j]] = kappa[j]    ->  out[j] = kappa[j] * in[pi[j]]
-            return SignedPermutation(r_src, r_signs), SignedPermutation(pi, kappa)
+            pi = [c for c, _ in hits]
+            kappa = [rho0 * s * s_b for (s, _), (_, s_b) in zip(gm[0], hits)]
+            hits = [in_col[pi[0]].get(m) for _, m in col0]
+            if None in hits:
+                continue
+            rowmap = [r for r, _ in hits]
+            rho = [s_b * kappa[0] * s for (s, _), (_, s_b) in zip(col0, hits)]
+            if len(set(rowmap)) == DIM and all(
+                    in_row[rowmap[i]].get(m) == (pi[j], rho[i] * kappa[j] * s)
+                    for i in range(DIM) for j, (s, m) in enumerate(gm[i])):
+                return SignedPermutation(rowmap, rho).inverse(), SignedPermutation(pi, kappa)
     raise ReconstructionError("no signed permutations link the seed blocks to the product matrix")
 
 
@@ -300,9 +273,9 @@ class BlockSpec:
     cells: list  # row-major LinearForm list
 
 
-def _block(name, size, halved, family, mat: Mat) -> BlockSpec:
-    cells = [mat.entries[i][j] for i in range(size) for j in range(size)]
-    return BlockSpec(name, size, halved, family, cells)
+def _blocks(family: str, halved: bool, names: str, *mats) -> list:
+    return [BlockSpec(name, m.rows, halved, family, [c for row in m.entries for c in row])
+            for name, m in zip(names.split(), mats)]
 
 
 @dataclass
@@ -324,116 +297,40 @@ class Derivation:
     m16: Mat
 
 
-def derive_all(asset_dir: str | None = None, b16: Mat | None = None) -> Derivation:
-    if b16 is None:
-        b16 = symbolic_b_matrix()
-    diff, negsum = load_seed_matrices(asset_dir)
-
+def derive_all() -> Derivation:
+    diff, negsum = load_seed_matrices()
     # seed blocks:  diff = A8 - B8,  negsum = -(A8 + B8)
-    half = lambda m: mat_halve(FORMS, m)
-    a8 = half(mat_sub(FORMS, diff, negsum))
-    b8 = mat_neg(FORMS, half(mat_add(FORMS, diff, negsum)))
-    from .linalg import template_EF
-
+    a8 = mat_halve(FORMS, mat_sub(FORMS, diff, negsum))
+    b8 = mat_neg(FORMS, mat_halve(FORMS, mat_add(FORMS, diff, negsum)))
     m16 = template_EF(a8, b8, ring=FORMS)
-    outer_rows, outer_cols = solve_outer_permutations(m16, b16)
+    outer_rows, outer_cols = solve_outer_permutations(m16, symbolic_b_matrix())
 
-    # branch shuffles; the shuffled matrices must expose the block templates
-    shuffled_a = apply_reorder(diff, BRANCH_A)
-    a4, b4 = split_ab(shuffled_a)
-    q0 = mat_add(FORMS, a4, b4)
-    q1 = mat_sub(FORMS, a4, b4)
+    # the recursion; every shuffled matrix must expose its block template
+    q0, q1 = _ab(diff, BRANCH_A)
+    q2, q3 = _ab(negsum, BRANCH_B)
+    t0, t1, t2 = _ef(b8, BRANCH_C)
+    d0, d1 = _ab(t0, BRANCH_D)
+    d2, d3 = _ab(t1, BRANCH_D)
+    e0, e1, f = _ef(t2, BRANCH_E)
+    u0, u1 = _ab(e0)
+    u2, u3 = _ab(e1, BRANCH_F)
 
-    shuffled_b = apply_reorder(negsum, BRANCH_B)
-    c4, d4 = split_ab(shuffled_b)
-    q2 = mat_add(FORMS, c4, d4)
-    q3 = mat_sub(FORMS, c4, d4)
-
-    shuffled_c = apply_reorder(b8, BRANCH_C)
-    e4, f4 = split_ef(shuffled_c)
-    t0 = mat_sub(FORMS, e4, f4)
-    t1 = mat_neg(FORMS, mat_add(FORMS, e4, f4))
-    t2 = f4
-
-    shuffled_d0 = apply_reorder(t0, BRANCH_D)
-    a2, b2 = split_ab(shuffled_d0)
-    d0 = mat_add(FORMS, a2, b2)
-    d1 = mat_sub(FORMS, a2, b2)
-
-    shuffled_d1 = apply_reorder(t1, BRANCH_D)
-    c2, d2m = split_ab(shuffled_d1)
-    d2 = mat_add(FORMS, c2, d2m)
-    d3 = mat_sub(FORMS, c2, d2m)
-
-    shuffled_e = apply_reorder(t2, BRANCH_E)
-    e2, f2 = split_ef(shuffled_e)
-    e0 = mat_sub(FORMS, e2, f2)
-    e1 = mat_neg(FORMS, mat_add(FORMS, e2, f2))
-
-    ab_u0 = split_ab(e0)
-    u0 = mat_add(FORMS, ab_u0[0], ab_u0[1])
-    u1 = mat_sub(FORMS, ab_u0[0], ab_u0[1])
-
-    shuffled_f = apply_reorder(e1, BRANCH_F)
-    ab_u2 = split_ab(shuffled_f)
-    u2 = mat_add(FORMS, ab_u2[0], ab_u2[1])
-    u3 = mat_sub(FORMS, ab_u2[0], ab_u2[1])
-
-    blocks_level1 = [
-        _block("q0", 4, True, "quad", q0),
-        _block("q1", 4, True, "quad", q1),
-        _block("q2", 4, True, "quad", q2),
-        _block("q3", 4, True, "quad", q3),
-        _block("t0", 4, False, "direct", t0),
-        _block("t1", 4, False, "direct", t1),
-        _block("t2", 4, False, "direct", t2),
-    ]
-    blocks_level2 = [
-        _block("q0", 4, True, "quad", q0),
-        _block("q1", 4, True, "quad", q1),
-        _block("q2", 4, True, "quad", q2),
-        _block("q3", 4, True, "quad", q3),
-        _block("d0", 2, True, "duo", d0),
-        _block("d1", 2, True, "duo", d1),
-        _block("d2", 2, True, "duo", d2),
-        _block("d3", 2, True, "duo", d3),
-        _block("e0", 2, False, "direct", e0),
-        _block("e1", 2, False, "direct", e1),
-        _block("f", 2, False, "direct", f2),
-    ]
-    blocks_level3 = [
-        _block("q0", 4, True, "quad", q0),
-        _block("q1", 4, True, "quad", q1),
-        _block("q2", 4, True, "quad", q2),
-        _block("q3", 4, True, "quad", q3),
-        _block("d0", 2, True, "duo", d0),
-        _block("d1", 2, True, "duo", d1),
-        _block("d2", 2, True, "duo", d2),
-        _block("d3", 2, True, "duo", d3),
-        _block("u0", 1, True, "mixed", u0),
-        _block("u1", 1, True, "mixed", u1),
-        _block("u2", 1, True, "mixed", u2),
-        _block("u3", 1, True, "mixed", u3),
-        # halved: the level-3 input side delivers twice the block's inputs
-        _block("f", 2, True, "direct", f2),
-    ]
+    quads = _blocks("quad", True, "q0 q1 q2 q3", q0, q1, q2, q3)
+    duos = _blocks("duo", True, "d0 d1 d2 d3", d0, d1, d2, d3)
+    blocks_level1 = quads + _blocks("direct", False, "t0 t1 t2", t0, t1, t2)
+    blocks_level2 = quads + duos + _blocks("direct", False, "e0 e1 f", e0, e1, f)
+    # halved f: the level-3 input side delivers twice the block's inputs
+    blocks_level3 = (quads + duos + _blocks("mixed", True, "u0 u1 u2 u3", u0, u1, u2, u3)
+                     + _blocks("direct", True, "f", f))
 
     # composed permutation stages; for a stated shuffle the input-side stage
     # is the column op inverse (= the shuffle read as a signed permutation)
     # and the output-side stage is the row op inverse.
-    rp_a, cp_a = reorder_perms(BRANCH_A)
-    rp_b, cp_b = reorder_perms(BRANCH_B)
-    rp_c, cp_c = reorder_perms(BRANCH_C)
-    rp_d, cp_d = reorder_perms(BRANCH_D)
-    rp_e, cp_e = reorder_perms(BRANCH_E)
-    rp_f, _ = reorder_perms(BRANCH_F)
+    (rp_a, cp_a), (rp_b, cp_b), (rp_c, cp_c), (rp_d, cp_d), (rp_e, cp_e), (rp_f, _) = (
+        reorder_perms(br) for br in (BRANCH_A, BRANCH_B, BRANCH_C, BRANCH_D, BRANCH_E, BRANCH_F))
     ident = SignedPermutation.identity
-
     perm_in_24 = perm_concat([cp_a, cp_b, cp_c])
-    perm_out_24 = perm_concat([rp_a.inverse(), rp_b.inverse(), rp_c.inverse()])
     perm_in_28 = perm_concat([ident(16), cp_d, cp_d, cp_e])
-    perm_out_28 = perm_concat([ident(16), rp_d.inverse(), rp_d.inverse(), rp_e.inverse()])
-    perm_out_30 = perm_concat([ident(26), rp_f.inverse(), ident(2)])
     perm_pairs_16, perm_in_30 = synthesize_level3_input(
         displayed_level3_input(outer_cols, perm_in_24, perm_in_28))
 
@@ -444,10 +341,10 @@ def derive_all(asset_dir: str | None = None, b16: Mat | None = None) -> Derivati
         blocks_level2=blocks_level2,
         blocks_level3=blocks_level3,
         perm_in_24=perm_in_24,
-        perm_out_24=perm_out_24,
+        perm_out_24=perm_concat([rp_a.inverse(), rp_b.inverse(), rp_c.inverse()]),
         perm_in_28=perm_in_28,
-        perm_out_28=perm_out_28,
-        perm_out_30=perm_out_30,
+        perm_out_28=perm_concat([ident(16), rp_d.inverse(), rp_d.inverse(), rp_e.inverse()]),
+        perm_out_30=perm_concat([ident(26), rp_f.inverse(), ident(2)]),
         perm_pairs_16=perm_pairs_16,
         perm_in_30=perm_in_30,
         m16=m16,
@@ -615,7 +512,7 @@ STRUCTURAL_STAGES = {
     "sums_24_28": "dirsum(I16, kron(T3x2, I4))",
     "sums_28_30": "dirsum(I24, kron(T3x2, I2))",
     "butterfly_30": "dirsum(I28, H2)",
-    "reduce_30_30": "dirsum(I24, kron(I2, H2), I2)",
+    "reduce_30_30": DISPLAYED_MIX_30,
     "reduce_30_28": "dirsum(I16, kron(I2, kron(H2, I2)), kron(T2x3, I2))",
     "reduce_28_24": "dirsum(kron(I2, kron(H2, I4)), kron(T2x3, I4))",
     "reduce_24_16": "kron(T2x3, I8)",
@@ -708,9 +605,9 @@ def generated_asset_texts(derivation: Derivation | None = None) -> dict:
     return out
 
 
-def write_assets(dest_dir: str, derivation: Derivation | None = None) -> list:
+def write_assets(dest_dir: str) -> list:
     os.makedirs(dest_dir, exist_ok=True)
-    texts = generated_asset_texts(derivation)
+    texts = generated_asset_texts()
     for name, text in sorted(texts.items()):
         with open(os.path.join(dest_dir, name), "w", encoding="ascii") as fh:
             fh.write(text)

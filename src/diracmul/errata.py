@@ -20,13 +20,13 @@ from .algebra import (
     table_errata,
 )
 from .cli import count_operations
-from .fastmult import assemble_pipeline
-from .linalg import Mat, dirsum, eye, kron, H2
+from .derive import DISPLAYED_MIX_30
+from .fastmult import assemble_pipeline, parse_expr
+from .linalg import Mat, SignedPermutation, dirsum, eye, signed_perm_matrix
 
 
 def _diag(signs) -> Mat:
-    n = len(signs)
-    return Mat(n, n, [[signs[r] if r == c else 0 for c in range(n)] for r in range(n)])
+    return signed_perm_matrix(SignedPermutation(range(len(signs)), signs))
 
 
 # The 28-wide permutation stages as displayed in the reference material.
@@ -38,7 +38,7 @@ _PRINTED_LAST_BLOCK_OUT = Mat(4, 4, [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [
 PRINTED_PERM_IN_28 = dirsum([eye(16), _diag([1, 1, 1, -1]), _diag([1, 1, 1, -1]), _PRINTED_LAST_BLOCK_IN])
 PRINTED_PERM_OUT_28 = dirsum([eye(16), _diag([1, 1, 1, -1]), _diag([1, 1, 1, -1]), _PRINTED_LAST_BLOCK_OUT])
 PRINTED_PERM_OUT_30 = dirsum([eye(27), _diag([-1]), eye(2)])
-PRINTED_MIX_30 = dirsum([eye(24), kron(eye(2), H2), eye(2)])
+PRINTED_MIX_30 = parse_expr(DISPLAYED_MIX_30)
 
 STATIC_NOTES = [
     "second seed branch: the stated row order {1,7,3,4,5,6,2,8} does not yield"
@@ -120,10 +120,6 @@ def stage_comparisons() -> list:
     ]
 
 
-def _fmt_form(form) -> str:
-    return repr(form)
-
-
 def build_report() -> str:
     lines = []
     derived_table = build_table_from_generators()
@@ -145,7 +141,7 @@ def build_report() -> str:
     else:
         lines.append(f"{len(bdiffs)} differing cells (derived matrix is ground truth)")
         for r, c, got, want in bdiffs:
-            lines.append(f"  row {r} col {c}: transcribed {_fmt_form(got)} derived {_fmt_form(want)}")
+            lines.append(f"  row {r} col {c}: transcribed {got!r} derived {want!r}")
 
     lines.append("")
     lines.append("== constant stages: derived vs displayed forms ==")

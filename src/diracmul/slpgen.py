@@ -11,9 +11,11 @@ pipeline first and refuses to render one whose proof fails.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .algebra import DIM, DiracNumber, MultTable, mul_schoolbook
+from .exactnum import CountingScalar, DyadicRational, parse_dyadic
 from .fastmult import RING_OPS, Pipeline, PrecomputedOperator, Recorder, verify_pipeline
 from .linalg import Mat
 
@@ -158,10 +160,13 @@ def flatten(pipeline: Pipeline, include_precompute: bool = True,
 
 
 def _as_dyadic_pair(val):
-    from .exactnum import CountingScalar, DyadicRational
-
     if isinstance(val, CountingScalar):
         val = val.value
+    if isinstance(val, float):
+        if not math.isfinite(val):
+            raise SLPError(f"cannot bake value {val!r} into a constant")
+        num, den = val.as_integer_ratio()  # in lowest terms, den a power of two
+        return num, den.bit_length() - 1
     if isinstance(val, DyadicRational):
         n = val.normalized()
         return n.num, n.exp
@@ -253,46 +258,48 @@ def emit_text(program: SLProgram) -> str:
     return "\n".join(lines) + "\n"
 
 
+# per opcode after "v<id> = ": the number of value operands, then of integers
+_OPERANDS = {"load_a": (0, 1), "load_b": (0, 1), "neg": (1, 0), "shift": (1, 1),
+             "add": (2, 0), "sub": (2, 0), "mul": (2, 0)}
+
+
 def parse_text(text: str) -> SLProgram:
-    """Inverse of :func:`emit_text` (header lines are ignored)."""
+    """Inverse of :func:`emit_text` (header lines are ignored).
+
+    A malformed line raises :class:`SLPError` naming that line.
+    """
     instrs = []
-    a_arity = 0
-    b_arity = 0
     for raw in text.splitlines():
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("store_y"):
-            _, k, src = line.split()
-            instrs.append(SLPInstr("store_y", None, (_vid(src),), int(k)))
-            continue
-        dest_s, _, rhs = line.partition(" = ")
-        dest = _vid(dest_s)
-        parts = rhs.split()
-        op = parts[0]
-        if op in ("load_a", "load_b"):
-            idx = int(parts[1])
-            instrs.append(SLPInstr(op, dest, (), idx))
-            if op == "load_a":
-                a_arity = max(a_arity, idx + 1)
-            else:
-                b_arity = max(b_arity, idx + 1)
-        elif op == "const":
-            token = parts[1]
-            if "/" in token:
-                num_s, den_s = token.split("/")
-                instrs.append(SLPInstr(op, dest, (), (int(num_s), int(den_s[2:]))))
-            else:
-                instrs.append(SLPInstr(op, dest, (), (int(token), 0)))
-        elif op == "neg":
-            instrs.append(SLPInstr(op, dest, (_vid(parts[1]),)))
-        elif op == "shift":
-            instrs.append(SLPInstr(op, dest, (_vid(parts[1]),), int(parts[2])))
-        elif op in ("add", "sub", "mul"):
-            instrs.append(SLPInstr(op, dest, (_vid(parts[1]), _vid(parts[2]))))
-        else:
-            raise SLPError(f"cannot parse line {line!r}")
-    return SLProgram(instrs, a_arity, b_arity)
+        if line and not line.startswith("#"):
+            try:
+                instrs.append(_parse_line(line))
+            except ValueError as exc:
+                raise SLPError(f"cannot parse line {line!r}: {exc}") from exc
+    arity = lambda op: max((i.aux + 1 for i in instrs if i.op == op), default=0)
+    return SLProgram(instrs, arity("load_a"), arity("load_b"))
+
+
+def _parse_line(line: str) -> SLPInstr:
+    lhs, eq, rhs = line.partition(" = ")
+    op, *operands = (rhs if eq else lhs).split()
+    if not eq:
+        if op != "store_y" or len(operands) != 2:
+            raise SLPError("expected 'store_y <k> v<id>' or 'v<id> = <op> ...'")
+        return SLPInstr(op, None, (_vid(operands[1]),), int(operands[0]))
+    dest = _vid(lhs)
+    if op == "const":
+        if len(operands) != 1:
+            raise SLPError(f"const takes one number, got {len(operands)} operands")
+        value = parse_dyadic(operands[0])
+        return SLPInstr(op, dest, (), (value.num, value.exp))
+    if op not in _OPERANDS:
+        raise SLPError(f"unknown opcode {op!r}")
+    n_vals, n_ints = _OPERANDS[op]
+    if len(operands) != n_vals + n_ints:
+        raise SLPError(f"{op} takes {n_vals + n_ints} operands, got {len(operands)}")
+    aux = int(operands[n_vals]) if n_ints else None
+    return SLPInstr(op, dest, tuple(_vid(t) for t in operands[:n_vals]), aux)
 
 
 def _vid(token: str) -> int:

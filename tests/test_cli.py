@@ -53,6 +53,19 @@ class TestVerify:
         assert code == 1
         assert "perm_out_28" in out + err
 
+    def test_zero_iters_skips_the_oracle(self, capsys):
+        code, out, _ = run(capsys, "verify", "--level", "1", "--iters", "0")
+        assert code == 0
+        assert "level 1: oracle equivalence 0/0 products match" in out
+
+    @pytest.mark.parametrize("iters", ["-3", "x"])
+    def test_bad_iters_is_a_usage_error(self, capsys, iters):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--iters", iters])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: diracmul verify" in err and "--iters" in err
+
 
 class TestCount:
     def test_reports_measured_counts(self, capsys):
@@ -148,6 +161,14 @@ class TestBench:
         assert "apply (amortized):" in out
         assert "counting cross-check" in out
         assert "52 fewer adds" in out
+
+    @pytest.mark.parametrize("iters", ["0", "-1"])
+    def test_iters_below_one_is_a_usage_error(self, capsys, iters):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--iters", iters])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: diracmul bench" in err and "must be at least 1" in err
 
     def test_input_stream_is_seed_deterministic(self):
         from diracmul.cli import random_coeffs

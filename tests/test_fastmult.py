@@ -360,3 +360,26 @@ class TestAssetRegeneration:
         c_mat = lift(FORMS, signed_perm_matrix(d.outer_cols))
         recombined = mat_mul(FORMS, mat_mul(FORMS, r_mat, d.m16), c_mat)
         assert recombined == symbolic_b_matrix(table)
+
+
+class TestDeriveEndToEnd:
+    def test_derive_cli_writes_the_shipped_assets(self, tmp_path, capsys):
+        from diracmul import derive
+
+        assert derive.main(["--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == f"wrote 28 assets to {tmp_path}\n"
+        written = sorted(os.listdir(tmp_path))
+        assert len(written) == 28
+        for name in written:
+            with open(os.path.join(default_asset_dir(), name), encoding="ascii") as fh:
+                assert (tmp_path / name).read_text(encoding="ascii") == fh.read(), name
+
+    def test_repeated_index_in_a_target_row_is_a_reconstruction_error(self, table):
+        from diracmul.algebra import symbolic_b_matrix
+        from diracmul.derive import ReconstructionError, solve_outer_permutations
+        from diracmul.linalg import Mat
+
+        entries = [list(row) for row in symbolic_b_matrix(table).entries]
+        entries[3][7] = entries[3][8]
+        with pytest.raises(ReconstructionError):
+            solve_outer_permutations(derive_all().m16, Mat(16, 16, entries))

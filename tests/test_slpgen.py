@@ -1,9 +1,11 @@
+import math
 import random
+import re
 
 import pytest
 
 from diracmul.algebra import DIM, DiracNumber, mul_schoolbook
-from diracmul.exactnum import CountingRing, DYADIC
+from diracmul.exactnum import CountingRing, DYADIC, FLOAT
 from diracmul.fastmult import PrecomputedOperator, mul_fast, precompute
 from diracmul.linalg import H2, eye, kron
 from diracmul.slpgen import (
@@ -119,6 +121,23 @@ class TestInterpret:
         with pytest.raises(SLPError):
             interpret(fast_program, [DYADIC.zero()] * 3, [DYADIC.zero()] * 16, DYADIC)
 
+    @pytest.mark.parametrize("level", (1, 2, 3))
+    def test_apply_only_program_of_a_float_operator_is_bit_exact(self, verified_pipelines, level):
+        rng = random.Random(40 + level)
+        floats = lambda: [rng.uniform(-1, 1) for _ in range(DIM)]
+        op = precompute(DiracNumber(floats(), FLOAT), level)
+        prog = flatten(verified_pipelines[level], include_precompute=False, operator=op)
+        for _ in range(20):
+            a = floats()
+            want = op.apply(DiracNumber(a, FLOAT)).coeffs
+            assert [v.hex() for v in interpret(prog, a, [], FLOAT)] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("bad", (math.inf, math.nan))
+    def test_non_finite_float_operator_is_not_baked(self, verified_pipelines, bad):
+        op = precompute(DiracNumber([bad] + [0.0] * (DIM - 1), FLOAT), 3)
+        with pytest.raises(SLPError, match="cannot bake"):
+            flatten(verified_pipelines[3], include_precompute=False, operator=op)
+
 
 class TestProgramStructure:
     def test_loads_and_stores_only(self):
@@ -196,6 +215,20 @@ class TestEmit:
         reparsed = parse_text(emit_text(fast_program))
         a, b = rand_vec(rng), rand_vec(rng)
         assert interpret(reparsed, a, b, DYADIC) == interpret(fast_program, a, b, DYADIC)
+
+    @pytest.mark.parametrize("line", (
+        "v0 = const 3/ab5",
+        "v1 = add v0 v0 v0",
+        "v0 = add v1",
+        "v0 = load_a",
+        "store_y 0",
+        "v0 = shift v1",
+        "v0 = frob v1",
+        "v0 = neg x1",
+    ))
+    def test_malformed_line_names_itself(self, line):
+        with pytest.raises(SLPError, match=re.escape(f"cannot parse line {line!r}")):
+            parse_text("v0 = load_a 0\n" + line + "\n")
 
     def test_const_round_trip(self, verified_pipelines):
         rng = random.Random(7)
