@@ -161,17 +161,19 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _tally(c: dict) -> str:
+    return f"mul={c['nontrivial_mults']} add={c['additions']} neg={c['negations']} shift={c['shifts']}"
+
+
 def cmd_count(args) -> int:
     counts = count_operations()
     school = counts["schoolbook"]
     fast = counts["fast"][3]
     print(f"schoolbook: mul={school['nontrivial_mults']} add={school['additions']}")
     for level in LEVELS:
-        c = counts["fast"][level]
-        print(f"fast (level {level}): mul={c['nontrivial_mults']} add={c['additions']}")
-    pre, app = counts["precompute"], counts["apply"]
-    print(f"precompute: mul={pre['nontrivial_mults']} add={pre['additions']}")
-    print(f"apply: mul={app['nontrivial_mults']} add={app['additions']}")
+        print(f"fast (level {level}): {_tally(counts['fast'][level])}")
+    print(f"precompute: {_tally(counts['precompute'])}")
+    print(f"apply: {_tally(counts['apply'])}")
     core_adds = counts["core_additions"]
     print(f"core stage: mul={fast['nontrivial_mults']} add={core_adds}")
     print(f"structural stages: add={fast['additions'] - core_adds}")

@@ -142,6 +142,8 @@ def load_cell_grid(path: str) -> Mat:
     """Cell-per-line grid of signed index lists, as linear forms."""
     with open(path, encoding="ascii") as fh:
         lines = [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
+    if not lines:
+        raise ValueError(f"{path}: no '<rows> <cols>' line; the file holds no cells")
     rows, cols = (int(x) for x in lines[0].split())
     if len(lines) - 1 != rows * cols:
         raise ValueError(f"{path}: expected {rows * cols} cells, got {len(lines) - 1}")

@@ -7,19 +7,24 @@ block-diagonal core.  Three refinement levels exist; the final one spends
 plain-text assets.
 
 An assembled pipeline is an immutable value, compiled as it is built into
-two straight-line Python functions: ``bind(ring, b)`` evaluates the core
-entries for a right-hand operand and ``apply(ring, a, entries)`` runs the
-whole stage chain.  Both come from one recording pass of ``bind_core`` and
-``run_pipeline_bound``, which run two kernels: ``linalg.structural_apply``
-for every constant stage and ``block_matvec`` over the core blocks.
-``bind_core`` evaluates each distinct core entry once: entries repeat,
-up to sign, across blocks (level 3's 88 take 32 values), and a repeat
-reuses the bound value or negates it.  The generated code writes
-additions, subtractions, negations and multiplications with Python's
-operators (``x + y``, ``x - y``, ``-x``, ``x * y``) and calls only
-``halve`` through the ring, once per halving in bind; apply never halves.
-So they run on any values with those operators -- floats, integers,
-dyadics, counting scalars and linear forms.  A ring
+two straight-line Python functions: ``bind(ring, b)`` evaluates the
+distinct core values for a right-hand operand and ``apply(ring, a,
+entries)`` runs the whole stage chain.  Both come from one recording pass
+of ``bind_core`` and ``run_pipeline_bound``, which run two kernels:
+``linalg.structural_apply`` for every constant stage and ``block_matvec``
+over the core blocks.  ``bind_core`` evaluates each distinct core entry
+once: entries repeat, up to sign, across blocks (level 3's 88 take 32
+values), and a repeat reuses the bound value or negates it.  Before the
+functions are generated, ``fold_signs`` carries every negation of both
+tapes as a sign into the addition, subtraction or multiplication that
+uses the value, so bind returns the 32 values without negating any, apply
+fans them out to the 88 cells with the signs folded into its sums, and
+only an output that ends negative is negated (8 negations per product).
+The generated code writes additions, subtractions, negations and
+multiplications with Python's operators (``x + y``, ``x - y``, ``-x``,
+``x * y``) and calls only ``halve`` through the ring, once per halving in
+bind; apply never halves.  So they run on any values with those operators
+-- floats, integers, dyadics, counting scalars and linear forms.  A ring
 whose ``add``/``sub``/``neg``/``mul`` are ``operator.add`` etc. runs them
 on its own values; any other ring's values are boxed, so that each
 operator calls the ring's method and the ring sees every recorded
@@ -33,7 +38,7 @@ Over ``DYADIC`` the products run those functions on plain integers
 (``INTS``) rather than on ``DyadicRational`` objects.  Each operand is
 brought to one common exponent; ``b`` is scaled by a further
 ``2**halvings``, where ``halvings`` is the longest chain of halvings in
-bind.  Bind only adds, subtracts, negates and halves, so every value it
+bind.  Bind only adds, subtracts and halves, so every value it
 halves is then even and ``x >> 1`` is exact; apply only adds, subtracts,
 negates and multiplies, bilinearly, so its outputs are the exact product
 over ``2**(ea + eb + halvings)``.  Compilation checks both conditions.
@@ -43,6 +48,7 @@ from __future__ import annotations
 
 import ast
 import linecache
+import math
 import operator
 import os
 import weakref
@@ -611,16 +617,19 @@ def _forget_source(filename: str, entry: tuple) -> None:
 class CompiledProgram:
     """A pipeline as two generated straight-line functions.
 
-    ``bind(ring, b)`` returns the core entries (a tuple) for right-hand
-    coefficients ``b``; ``apply(ring, a, entries)`` returns the sixteen
-    output coefficients for left-hand coefficients ``a``.  Both compute
-    with ``+``, ``-``, ``*`` and unary ``-`` on the values they are given
-    and call only ``ring.halve``.  ``source`` is their text, registered
-    with ``linecache`` under ``filename`` for as long as the program
-    lives.  They are generated from the recorded ``bind_tape`` (inputs
-    ``b``; the entries are the positions ``entries``) and ``apply_tape``
-    (inputs ``a`` and ``e``, the entries; the outputs are the positions
-    ``outputs``).
+    ``bind(ring, b)`` returns, as a tuple, the distinct values the core
+    entries take up to sign for right-hand coefficients ``b``;
+    ``apply(ring, a, entries)`` returns the sixteen output coefficients for
+    left-hand coefficients ``a``.  ``cells`` holds one ``(sign, index)`` per
+    core cell, in block order: the cell is ``sign * entries[index]``, and
+    apply multiplies by it with the sign folded into the sum that uses the
+    product.  Both functions compute with ``+``, ``-``, ``*`` and unary
+    ``-`` on the values they are given and call only ``ring.halve``.
+    ``source`` is their text, registered with ``linecache`` under
+    ``filename`` for as long as the program lives.  They are generated from
+    the sign-folded ``bind_tape`` (inputs ``b``; the entries are the
+    positions ``entries``) and ``apply_tape`` (inputs ``a`` and ``e``, the
+    entries; the outputs are the positions ``outputs``).
 
     The tapes must keep bind linear in ``b`` (no ``mul``) and apply
     bilinear in ``a`` and the entries (no ``halve``); ``ValueError``
@@ -628,13 +637,14 @@ class CompiledProgram:
     by ``2**halvings``, every value bind halves over the integers is even.
     """
 
-    __slots__ = ("bind", "apply", "source", "filename", "bind_tape", "entries", "apply_tape", "outputs",
-                 "halvings", "__weakref__")
+    __slots__ = ("bind", "apply", "source", "filename", "bind_tape", "entries", "cells", "apply_tape",
+                 "outputs", "halvings", "__weakref__")
 
-    def __init__(self, bind_tape: list, entries: list, apply_tape: list, outputs: list, level: int):
+    def __init__(self, bind_tape: list, entries: list, cells: list, apply_tape: list, outputs: list,
+                 level: int):
         self.halvings = _halving_depth(bind_tape)
         _check_bilinear(apply_tape, outputs)
-        self.bind_tape, self.entries = bind_tape, entries
+        self.bind_tape, self.entries, self.cells = bind_tape, entries, cells
         self.apply_tape, self.outputs = apply_tape, outputs
         self.source = (_function_source("bind", bind_tape, entries, "()") + "\n\n"
                        + _function_source("apply", apply_tape, outputs, "[]"))
@@ -654,18 +664,81 @@ class CompiledProgram:
         self.bind, self.apply = namespace["bind"], namespace["apply"]
 
 
+def fold_signs(tape: list) -> tuple:
+    """``tape`` with every sign carried on its value instead of negated.
+
+    Returns the folded tape and, for each position of ``tape``, its value
+    as ``(sign, position in the folded tape)``.  A ``neg`` flips the sign
+    and emits nothing.  ``add`` and ``sub`` choose the operator and operand
+    order from their operands' signs: ``(-x) + y`` becomes ``y - x`` and
+    ``(-x) - y`` becomes ``x + y`` with sign -1.  ``mul`` multiplies the
+    signs and ``halve`` keeps its operand's.  Every folded value equals the
+    recorded one up to its sign, exactly: over the floats only the sign of
+    an exact zero can differ.
+    """
+    folded: list = []
+    signed: list = []
+    for op, args in tape:
+        operands = [signed[x] for x in args] if op in RING_OPS else []
+        if op == "neg":
+            sign, x = operands[0]
+            signed.append((-sign, x))
+            continue
+        if op in ("add", "sub"):
+            (sx, x), (sy, y) = operands
+            if op == "sub":
+                sy = -sy
+            if sx == sy:  # x + y, or -(x + y)
+                sign, step = sx, ("add", (x, y))
+            else:  # x - y, or y - x
+                sign, step = 1, ("sub", (x, y) if sx > 0 else (y, x))
+        elif operands:  # mul, halve
+            sign, step = math.prod(s for s, _ in operands), (op, tuple(x for _, x in operands))
+        else:  # an input
+            sign, step = 1, (op, args)
+        folded.append(step)
+        signed.append((sign, len(folded) - 1))
+    return folded, signed
+
+
+def settle_signs(tape: list, values: list) -> list:
+    """The positions on ``tape`` of the signed ``values`` that
+    :func:`fold_signs` gives: a value with sign -1 gets a ``neg`` appended."""
+    positions = []
+    for sign, x in values:
+        if sign < 0:
+            tape.append(("neg", (x,)))
+            x = len(tape) - 1
+        positions.append(x)
+    return positions
+
+
 def compile_pipeline(pipeline: Pipeline) -> CompiledProgram:
-    """Record ``bind_core`` and ``run_pipeline_bound`` once and generate
-    ``bind`` and ``apply`` from the two tapes."""
+    """Record ``bind_core`` and ``run_pipeline_bound`` once, fold the signs
+    of both tapes and generate ``bind`` and ``apply`` from them.
+
+    Bind's results are the distinct folded values of the core entries, in
+    order of first use.  Apply's tape takes them as inputs and fans them
+    out to the core cells itself, so each cell's sign folds into the sum
+    that uses its product; only an output that ends with a minus sign is
+    negated.
+    """
     rec = Recorder()
     per_block = bind_core(pipeline.core, rec.inputs("b", DIM), rec, pipeline.pools)
-    bind_tape, entries = rec.tape, [v for blk in per_block for v in blk]
+    bind_tape, bound = fold_signs(rec.tape)
+    slots: dict = {}  # folded bind position -> index among bind's results
+    cells = []
+    for v in (v for blk in per_block for v in blk):
+        sign, x = bound[v]
+        cells.append((sign, slots.setdefault(x, len(slots))))
 
     rec = Recorder()
-    a = rec.inputs("a", DIM)
-    e = iter(rec.inputs("e", len(entries)))
-    outputs = run_pipeline_bound(pipeline, a, [[next(e) for _ in blk] for blk in per_block], rec)
-    return CompiledProgram(bind_tape, entries, rec.tape, outputs, pipeline.level)
+    a, e = rec.inputs("a", DIM), rec.inputs("e", len(slots))
+    fanned = iter([e[k] if sign > 0 else rec.neg(e[k]) for sign, k in cells])
+    ys = run_pipeline_bound(pipeline, a, [[next(fanned) for _ in blk] for blk in per_block], rec)
+    apply_tape, applied = fold_signs(rec.tape)
+    outputs = settle_signs(apply_tape, [applied[y] for y in ys])
+    return CompiledProgram(bind_tape, list(slots), cells, apply_tape, outputs, pipeline.level)
 
 
 # ---------------------------------------------------------------------------
@@ -755,21 +828,26 @@ def mul_fast(a: DiracNumber, b: DiracNumber, level: int = 3, asset_dir: str | No
         a_ints, ea = _scaled_ints(a.coeffs)
         b_ints, eb = _scaled_ints(b.coeffs, prog.halvings)
         return _dyadics(prog.apply(INTS, a_ints, prog.bind(INTS, b_ints)), ea + eb)
-    return DiracNumber(_run_apply(prog, ring, a.coeffs, _run_bind(prog, ring, b.coeffs)), ring)
+    if _runs_natively(ring):
+        return DiracNumber(prog.apply(ring, a.coeffs, prog.bind(ring, b.coeffs)), ring)
+    entries = prog.bind(_Box, _boxed(b.coeffs, ring))
+    return DiracNumber([y.value for y in prog.apply(_Box, _boxed(a.coeffs, ring), entries)], ring)
 
 
 class PrecomputedOperator:
-    """Multiplication by a fixed right-hand operand, core entries reused.
+    """Multiplication by a fixed right-hand operand, its core values reused.
 
-    Over ``DYADIC``, ``apply`` brings ``a`` and the entries each to one
-    exponent and runs the compiled apply on integers.
+    ``entries`` holds the compiled bind's distinct core values for the
+    operand (32 at level 3), which the compiled apply fans out to the core
+    cells.  Over ``DYADIC``, ``apply`` brings ``a`` and the entries each to
+    one exponent and runs the compiled apply on integers.
     """
 
     __slots__ = ("pipeline", "entries", "ring")
 
     def __init__(self, pipeline: Pipeline, entries: tuple, ring):
         self.pipeline = pipeline
-        self.entries = entries  # the compiled bind's output for the operand
+        self.entries = entries  # the compiled bind's distinct core values for the operand
         self.ring = ring
 
     def apply(self, a: DiracNumber) -> DiracNumber:

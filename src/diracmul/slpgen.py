@@ -2,11 +2,11 @@
 
 Renders recorded operation tapes as branch-free, single-assignment
 sequences of scalar instructions and interprets or pretty-prints them.
-``flatten`` renders the recording a pipeline's compiled ``bind``/``apply``
-were generated from, so the program is the code that runs: it shares the
-pooled two-term combinations exactly the way the cost accounting does, and
-its opcode histogram agrees with the counting ring.  It proves the
-pipeline first and refuses to render one whose proof fails.
+``flatten`` renders the sign-folded tapes a pipeline's compiled
+``bind``/``apply`` were generated from, so the program is the code that
+runs: it shares the pooled two-term combinations exactly the way the cost
+accounting does, and its opcode histogram agrees with the counting ring.
+It proves the pipeline first and refuses to render one whose proof fails.
 """
 
 from __future__ import annotations
@@ -131,12 +131,13 @@ def flatten(pipeline: Pipeline, include_precompute: bool = True,
             operator: PrecomputedOperator | None = None) -> SLProgram:
     """The pipeline's compiled program as a straight-line program.
 
-    Renders the recording ``bind`` and ``apply`` were generated from, so
-    the instructions are the operations that run.  With
+    Renders the sign-folded tapes ``bind`` and ``apply`` were generated
+    from, so the instructions are the operations that run.  With
     ``include_precompute`` the program takes both operands and rebuilds
-    the core entries (sharing the pooled terms once, as the accounting
-    does).  Without it, a precomputed operator must be given and its core
-    entries are baked in as constants, leaving only the apply phase.
+    the distinct core values (sharing the pooled terms once, as the
+    accounting does).  Without it, a precomputed operator must be given and
+    its distinct core values are baked in as constants, leaving only the
+    apply phase.
 
     Runs :func:`~diracmul.fastmult.verify_pipeline` on ``pipeline`` and
     raises :class:`SLPError` unless the proof passes.

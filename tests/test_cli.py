@@ -205,7 +205,7 @@ class TestEmit:
         code, _, _ = run(capsys, "emit", "slp", str(out_file))
         assert code == 0
         header = out_file.read_text().splitlines()[0]
-        assert header == "# mul=88 add=198 neg=67 shift=32"
+        assert header == "# mul=88 add=198 neg=8 shift=32"
 
     @pytest.mark.parametrize("level,mul", [(1, 112), (2, 92)])
     def test_slp_lower_levels(self, capsys, tmp_path, level, mul):

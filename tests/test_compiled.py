@@ -5,6 +5,7 @@ import gc
 import linecache
 import math
 import operator
+import os
 import random
 import re
 import shutil
@@ -101,15 +102,39 @@ def test_indexed_decomposition_matches_brute_force(level, verified_pipelines):
 
 
 def test_changed_asset_dir_reassembles(tmp_path, monkeypatch):
-    dst = tmp_path / "assets"
-    shutil.copytree(fastmult.default_asset_dir(), dst)
+    monkeypatch.delenv("DIRAC_ASSET_DIR", raising=False)
+    shipped_dir = fastmult.default_asset_dir()
+    dst, broken = tmp_path / "assets", tmp_path / "broken"
+    shutil.copytree(shipped_dir, dst)
+    shutil.copytree(shipped_dir, broken)
+    (broken / "pipeline_level3.txt").write_text("stage missing_stage\n")
     shipped = assemble_pipeline(3)
+    a, b = DiracNumber.basis(2, FLOAT), DiracNumber.basis(7, FLOAT)
+    want = mul_fast(a, b)
+
     monkeypatch.setenv("DIRAC_ASSET_DIR", str(dst))
+    assert fastmult.default_asset_dir() == str(dst)
     moved = assemble_pipeline(3)
     assert moved is not shipped
     assert moved.asset_dir == str(dst.resolve())
+    # the product path reads the variable on every call
+    monkeypatch.setenv("DIRAC_ASSET_DIR", str(broken))
+    with pytest.raises(AssetError, match="missing_stage"):
+        mul_fast(a, b)
     monkeypatch.delenv("DIRAC_ASSET_DIR")
+    assert fastmult.default_asset_dir() == shipped_dir
     assert assemble_pipeline(3) is shipped
+    assert mul_fast(a, b) == want
+    # an empty value means the shipped directory
+    monkeypatch.setenv("DIRAC_ASSET_DIR", "")
+    assert fastmult.default_asset_dir() == shipped_dir
+    assert assemble_pipeline(3) is shipped
+    assert mul_fast(a, b) == want
+    # an environment mapping without CPython's backing dict is read through get
+    monkeypatch.setattr(os, "environ", {"DIRAC_ASSET_DIR": str(broken)})
+    assert fastmult.default_asset_dir() == str(broken)
+    with pytest.raises(AssetError, match="missing_stage"):
+        mul_fast(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -157,11 +182,14 @@ def per_block_entries(pipe, b) -> list:
 
 
 def assert_bind_follows_the_block_recipes(pipe, rng):
+    """Every core cell, rebuilt from bind's values through ``program.cells``,
+    equals the cell its block's own recipe builds."""
     prog = pipe.program
     for _ in range(20):
         # scaled so that every halving is exact over the integers
         b = [rng.randint(-(1 << 40), 1 << 40) << prog.halvings for _ in range(DIM)]
-        assert list(prog.bind(INTS, b)) == per_block_entries(pipe, b)
+        values = prog.bind(INTS, b)
+        assert [sign * values[k] for sign, k in prog.cells] == per_block_entries(pipe, b)
 
 
 @pytest.mark.parametrize("level", LEVELS)
@@ -183,6 +211,45 @@ def test_shared_bind_keeps_halved_and_plain_entries_apart(verified_pipelines):
     twice = 2 * bind_block(halved, b, INTS, pipe.pools, {})[0]
     assert bind_block(blocks[k], b, INTS, pipe.pools, {})[0] == twice != 0
     assert_bind_follows_the_block_recipes(twin, random.Random(319))
+
+
+@pytest.mark.parametrize("level, distinct", ((1, 28), (2, 32), (3, 32)))
+def test_bind_returns_each_distinct_value_once_and_never_negates(level, distinct, verified_pipelines):
+    prog = verified_pipelines[level].program
+    assert len(prog.entries) == len(set(prog.entries)) == distinct
+    assert len(prog.cells) == sum(blk.size ** 2 for blk in verified_pipelines[level].core.blocks)
+    assert {k for _, k in prog.cells} == set(range(distinct))
+    assert not any(op == "neg" for op, _ in prog.bind_tape)
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_full_product_negates_only_eight_outputs(level, verified_pipelines):
+    prog = verified_pipelines[level].program
+    negations = [i for i, (op, _) in enumerate(prog.apply_tape) if op == "neg"]
+    assert len(negations) == 8
+    assert set(negations) <= set(prog.outputs)
+    assert flatten(verified_pipelines[level]).histogram()["neg"] == 8
+
+
+def test_fold_carries_signs_into_the_operations_that_use_them():
+    x, y = ("x", (0,)), ("y", (0,))
+    tape = [x, y, ("neg", (0,)), ("neg", (1,)),
+            ("add", (2, 1)),   # 4: (-x) + y
+            ("sub", (2, 1)),   # 5: (-x) - y
+            ("sub", (0, 3)),   # 6: x - (-y)
+            ("mul", (2, 1)),   # 7: (-x) * y
+            ("halve", (2,))]   # 8: halve(-x)
+    folded, signed = fastmult.fold_signs(tape)
+    assert folded == [x, y, ("sub", (1, 0)), ("add", (0, 1)), ("add", (0, 1)), ("mul", (0, 1)), ("halve", (0,))]
+    assert signed == [(1, 0), (1, 1), (-1, 0), (-1, 1), (1, 2), (-1, 3), (1, 4), (-1, 5), (-1, 6)]
+    # a negative output is negated once, at the end; a positive one is read as it is
+    outputs = fastmult.settle_signs(folded, [signed[k] for k in (4, 5, 8)])
+    assert folded[7:] == [("neg", (3,)), ("neg", (6,))] and outputs == [2, 7, 8]
+    for xv, yv in ((6, 10), (-4, 5), (8, 8)):  # x even, so halving is exact
+        recorded = tape_values(tape, INTS, {"x": [xv], "y": [yv]})
+        values = tape_values(folded, INTS, {"x": [xv], "y": [yv]})
+        assert [s * values[k] for s, k in signed] == recorded
+        assert [values[k] for k in outputs] == [recorded[k] for k in (4, 5, 8)]
 
 
 @pytest.mark.parametrize("level", LEVELS)
@@ -233,6 +300,21 @@ def test_float_products_are_exact_on_small_integers():
         assert mul_fast(a, b).coeffs == want
         assert precompute(b).apply(a).coeffs == want
         assert mul_schoolbook(a, b, TABLE).coeffs == want
+
+
+def test_float_outputs_equal_schoolbook_where_many_are_exactly_zero():
+    # the sign of an exactly-zero float output is not specified: == holds, -0.0 == 0.0
+    rng = random.Random(325)
+    zeros = 0
+    for level in LEVELS:
+        for _ in range(200):
+            a, b = (DiracNumber([float(rng.choice((-2, -1, 1, 2))) if rng.random() < 0.25 else 0.0
+                                 for _ in range(DIM)], FLOAT) for _ in range(2))
+            want = mul_schoolbook(a, b, TABLE).coeffs
+            assert mul_fast(a, b, level).coeffs == want
+            assert precompute(b, level).apply(a).coeffs == want
+            zeros += want.count(0.0)
+    assert zeros > len(LEVELS) * 200 * DIM // 4
 
 
 # the non-finite contract: one inf or nan anywhere in either operand makes all
@@ -333,17 +415,18 @@ def test_compilation_rejects_tapes_the_lowering_cannot_run_exactly(verified_pipe
     prog = verified_pipelines[3].program
     bind, apply = list(prog.bind_tape), list(prog.apply_tape)
     first_b, first_a = 0, apply.index(("a", (0,)))
+    entries, cells = prog.entries, prog.cells
     with pytest.raises(ValueError, match="bind tape multiplies"):
-        CompiledProgram(bind + [("mul", (first_b, first_b))], prog.entries, apply, prog.outputs, 3)
+        CompiledProgram(bind + [("mul", (first_b, first_b))], entries, cells, apply, prog.outputs, 3)
     with pytest.raises(ValueError, match="apply tape halves"):
-        CompiledProgram(bind, prog.entries, apply + [("halve", (prog.outputs[0],))],
+        CompiledProgram(bind, entries, cells, apply + [("halve", (prog.outputs[0],))],
                         prog.outputs[1:] + [len(apply)], 3)
     with pytest.raises(ValueError, match="different degrees"):
-        CompiledProgram(bind, prog.entries, apply + [("add", (prog.outputs[0], first_a))],
+        CompiledProgram(bind, entries, cells, apply + [("add", (prog.outputs[0], first_a))],
                         prog.outputs[1:] + [len(apply)], 3)
     with pytest.raises(ValueError, match="not bilinear"):
-        CompiledProgram(bind, prog.entries, apply, prog.outputs[1:] + [first_a], 3)
-    rebuilt = CompiledProgram(bind, prog.entries, apply, prog.outputs, 3)
+        CompiledProgram(bind, entries, cells, apply, prog.outputs[1:] + [first_a], 3)
+    rebuilt = CompiledProgram(bind, entries, cells, apply, prog.outputs, 3)
     assert (rebuilt.source, rebuilt.halvings) == (prog.source, prog.halvings)
 
 
@@ -537,7 +620,7 @@ def test_a_foreign_ring_sees_every_recorded_operation(level, base, verified_pipe
     apply_only = flatten(pipe, include_precompute=False,
                          operator=precompute(DiracNumber.from_ints(range(DIM), DYADIC), level)).histogram()
     if level == 3:
-        assert [full[k] for k in ("mul", "add_total", "neg", "shift")] == [88, 198, 67, 32]
+        assert [full[k] for k in ("mul", "add_total", "neg", "shift")] == [88, 198, 8, 32]
         assert [apply_only[k] for k in ("mul", "add_total")] == [88, 146]
     full, apply_only = as_calls(full), as_calls(apply_only)
 
@@ -636,11 +719,11 @@ def test_traceback_shows_generated_lines():
 
 COUNT_OUTPUT = """\
 schoolbook: mul=256 add=240
-fast (level 1): mul=112 add=192
-fast (level 2): mul=92 add=204
-fast (level 3): mul=88 add=198
-precompute: mul=0 add=52
-apply: mul=88 add=146
+fast (level 1): mul=112 add=192 neg=8 shift=16
+fast (level 2): mul=92 add=204 neg=8 shift=24
+fast (level 3): mul=88 add=198 neg=8 shift=32
+precompute: mul=0 add=52 neg=0 shift=32
+apply: mul=88 add=146 neg=8 shift=0
 core stage: mul=88 add=110
 structural stages: add=88
 savings vs schoolbook: 168 multiplications

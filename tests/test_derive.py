@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from diracmul.derive import (
@@ -11,6 +13,7 @@ from diracmul.derive import (
     derive_all,
     displayed_level3_input,
     form_to_signed_terms,
+    load_cell_grid,
     load_seed_matrices,
     solve_outer_permutations,
     split_ab,
@@ -174,3 +177,11 @@ class TestLevel3InputSide:
         entries[20][col] = -entries[20][col]
         with pytest.raises(ReconstructionError):
             synthesize_level3_input(Mat(30, 16, entries))
+
+
+@pytest.mark.parametrize("text", ("", "# m8_diff: cells follow\n\n# none do\n"), ids=("empty", "comments-only"))
+def test_seed_file_without_cells_names_the_file(tmp_path, text):
+    path = tmp_path / "seed.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: no '<rows> <cols>' line")):
+        load_cell_grid(str(path))
