@@ -19,15 +19,21 @@ over:
 Every ring exposes the same small surface: ``wrap``, ``from_dyadic``,
 ``zero``, ``one``, ``add``, ``sub``, ``neg``, ``mul``, ``halve``, ``eq``.
 The values of every ring here carry the operators ``+``, ``-``, ``*`` and
-unary ``-``; the compiled fast product is written with those operators and
-calls only ``halve`` through the ring (see ``fastmult``).  The base class
-:class:`OperatorRing` makes ``add``/``sub``/``neg``/``mul``/``eq`` the
-``operator`` builtins and builds ``wrap``, ``zero`` and ``one`` from
-``from_dyadic``; each ring supplies ``name``, ``from_dyadic`` and
-``halve``.  ``FloatRing`` and ``IntRing`` also set ``wrap`` to the builtin
-``float`` and ``int``, and ``DyadicRing`` keeps the ``dyadic_*`` functions
-as ``add``/``sub``/``neg``/``mul`` so schoolbook, the reference, calls
-them without the operator dispatch.  Values are immutable; the one mutable
+unary ``-``, and every ring here also supplies ``half``, a value for which
+``x * half`` equals ``halve(x)`` exactly: ``0.5`` on floats, the dyadic or
+constant form 1/2 on dyadics and linear forms, and a :class:`Half` where
+no value of the ring halves by multiplication (integers, whose halving
+floors) or where each halving must be seen (the counting ring, where each
+counts a shift).  The compiled fast product is written with those
+operators and halves as ``x * half``, so on floats it makes no call at
+all (see ``fastmult``).  The base class :class:`OperatorRing` makes
+``add``/``sub``/``neg``/``mul``/``eq`` the ``operator`` builtins and
+builds ``wrap``, ``zero`` and ``one`` from ``from_dyadic``; each ring
+supplies ``name``, ``from_dyadic``, ``halve`` and ``half``.  ``FloatRing``
+and ``IntRing`` also set ``wrap`` to the builtin ``float`` and ``int``,
+and ``DyadicRing`` keeps the ``dyadic_*`` functions as
+``add``/``sub``/``neg``/``mul`` so schoolbook, the reference, calls them
+without the operator dispatch.  Values are immutable; the one mutable
 object is the :class:`Counter` handle, which is meant for single-threaded
 measurement runs.
 """
@@ -216,6 +222,21 @@ class LinearForm:
         return text[1:] if text.startswith("+") else text
 
 
+class Half:
+    """A ring's ``half`` where no value of the ring halves by
+    multiplication: ``x * half`` is ``halve(x)``, called through
+    ``__rmul__``.  The values' own ``__mul__`` returns ``NotImplemented``
+    for it, as ``int``'s does."""
+
+    __slots__ = ("halve",)
+
+    def __init__(self, halve):
+        self.halve = halve
+
+    def __rmul__(self, x):
+        return self.halve(x)
+
+
 @dataclass
 class Counter:
     """Mutable tally of the cost model: generic multiplications and
@@ -282,6 +303,8 @@ class CountingScalar:
         return CountingScalar(dyadic_neg(self.value), self.counter)
 
     def __mul__(self, other: "CountingScalar") -> "CountingScalar":
+        if not isinstance(other, CountingScalar):
+            return NotImplemented
         ka, kb = _mul_kind(self.value), _mul_kind(other.value)
         if ka == "generic" and kb == "generic":
             self.counter.nontrivial_mults += 1
@@ -320,6 +343,8 @@ class FloatRing(OperatorRing):
     def from_dyadic(num, exp):
         return num / (1 << exp)
 
+    half = 0.5
+
     @staticmethod
     def halve(a):
         return a * 0.5
@@ -333,6 +358,7 @@ class DyadicRing(OperatorRing):
     sub = staticmethod(dyadic_sub)
     neg = staticmethod(dyadic_neg)
     mul = staticmethod(dyadic_mul)
+    half = DyadicRational(1, 1)
 
     @staticmethod
     def halve(a):
@@ -343,9 +369,11 @@ class IntRing(OperatorRing):
     """Plain Python integers.
 
     ``halve`` is the arithmetic shift ``x >> 1``, which is exact only on
-    even values and rounds odd ones down.  The fast product halves on this
-    ring only under the lowering in ``fastmult``, whose halving-depth
-    guarantee makes every value it halves even.
+    even values and rounds odd ones down; no integer halves by
+    multiplication, so ``half`` is a :class:`Half` that shifts.  The fast
+    product over this ring never halves: it runs ``bind`` with the
+    halvings kept in an exponent and shifts the exact outputs back (see
+    ``fastmult``).
     """
 
     name = "int"
@@ -361,9 +389,12 @@ class IntRing(OperatorRing):
     def halve(x):
         return x >> 1
 
+    half = Half(halve)
+
 
 class LinearFormRing(OperatorRing):
     name = "linear-form"
+    half = LinearForm.constant(DyadicRational(1, 1))
 
     @staticmethod
     def from_dyadic(num, exp):
@@ -379,13 +410,16 @@ class CountingRing(OperatorRing):
 
     ``add``/``sub``/``neg``/``mul`` are the operators of
     :class:`CountingScalar`, which hold the cost model; ``halve`` counts a
-    shift.  ``eq`` compares values and ignores the counter.
+    shift, and so does ``x * half``, whatever ``x`` is (a plain 1/2 would
+    count nothing for a zero or unit ``x``).  ``eq`` compares values and
+    ignores the counter.
     """
 
     name = "counting"
 
     def __init__(self, counter: Counter | None = None):
         self.counter = counter if counter is not None else Counter()
+        self.half = Half(self.halve)
 
     def from_dyadic(self, num, exp):
         return CountingScalar(DyadicRational(num, exp), self.counter)

@@ -22,26 +22,30 @@ fans them out to the 88 cells with the signs folded into its sums, and
 only an output that ends negative is negated (8 negations per product).
 The generated code writes additions, subtractions, negations and
 multiplications with Python's operators (``x + y``, ``x - y``, ``-x``,
-``x * y``) and calls only ``halve`` through the ring, once per halving in
-bind; apply never halves.  So they run on any values with those operators
--- floats, integers, dyadics, counting scalars and linear forms.  A ring
-whose ``add``/``sub``/``neg``/``mul`` are ``operator.add`` etc. runs them
-on its own values; any other ring's values are boxed, so that each
-operator calls the ring's method and the ring sees every recorded
-operation, in order.  ``mul_fast``, ``PrecomputedOperator.apply`` and
-``verify_pipeline`` all call them: ``verify_pipeline`` proves that exactly
-this code equals the ground-truth product matrix.  The code is bilinear,
-which compilation checks, so the proof runs it over integers on every pair
-of basis vectors; it runs on every call.
+``x * y``) and each halving as ``x * half``, with ``half = ring.half``
+read once at the top of bind; apply never halves.  So they call nothing,
+and run on any values with those operators -- floats, integers, dyadics,
+counting scalars and linear forms, whose rings each supply a ``half``
+with ``x * half`` equal to ``halve(x)``.  A ring whose
+``add``/``sub``/``neg``/``mul`` are ``operator.add`` etc. runs them on its
+own values; any other ring's values are boxed, so that each operator,
+halving included, calls the ring's method and the ring sees every
+recorded operation once.  ``mul_fast``, ``PrecomputedOperator.apply``
+and ``verify_pipeline`` all call them: ``verify_pipeline`` proves that
+exactly this code equals the ground-truth product matrix.  The code is
+bilinear, which compilation checks, so the proof runs it over integers on
+every pair of basis vectors; it runs on every call.
 
-Over ``DYADIC`` the products run those functions on plain integers
-(``INTS``) rather than on ``DyadicRational`` objects.  Each operand is
-brought to one common exponent; ``b`` is scaled by a further
-``2**halvings``, where ``halvings`` is the longest chain of halvings in
-bind.  Bind only adds, subtracts and halves, so every value it
-halves is then even and ``x >> 1`` is exact; apply only adds, subtracts,
-negates and multiplies, bilinearly, so its outputs are the exact product
-over ``2**(ea + eb + halvings)``.  Compilation checks both conditions.
+Over ``DYADIC`` and ``INTS`` the products run those functions on plain
+integers rather than on ``DyadicRational`` objects.  Each operand is
+brought to one common exponent, and bind runs with ``half = 1``: every
+halving is kept in the exponent instead of performed.  Bind only adds,
+subtracts and halves, and each sum combines values of one halving depth,
+so a value of depth ``d`` comes out exactly ``2**d`` times its dyadic
+value; the entries shallower than the deepest, ``halvings``, are shifted
+left to it (none at level 3).  Apply only adds, subtracts, negates and
+multiplies, bilinearly, so its outputs are the exact product times
+``2**(ea + eb + halvings)``.  Compilation checks all three conditions.
 """
 
 from __future__ import annotations
@@ -521,11 +525,12 @@ _INFIX = {"add": "+", "sub": "-", "mul": "*"}
 def _function_source(name: str, tape: list, results: list, brackets: str) -> str:
     """A straight-line function computing ``results`` from the tape's inputs.
 
-    ``add``/``sub``/``mul`` are written as infix operators and ``neg`` as
-    unary minus; ``halve`` is a call to the ring's ``halve``.  A value
+    ``add``/``sub``/``mul`` are written as infix operators, ``neg`` as
+    unary minus and ``halve`` as ``x * half``, with ``half = ring.half``
+    read once per call, so the function calls nothing.  A value
     used once is written inline where it is used; a value used more than
-    once gets a local.  Every recorded operation runs exactly once, in
-    recording order.
+    once gets a local.  Every recorded operation runs exactly once; the
+    locals in recording order, an inlined value where it is used.
     """
     uses = [0] * len(tape)
     for op, args in tape:
@@ -544,21 +549,21 @@ def _function_source(name: str, tape: list, results: list, brackets: str) -> str
             operand.append(text[-1])
             continue
         if op == "halve":
-            expr = f"halve({text[args[0]]})"
+            expr = f"{operand[args[0]]} * half"
         elif op == "neg":
             expr = f"-{operand[args[0]]}"
         else:
             expr = f"{operand[args[0]]} {_INFIX[op]} {operand[args[1]]}"
         if uses[i] == 1:
             text.append(expr)
-            operand.append(expr if op == "halve" else f"({expr})")
+            operand.append(f"({expr})")
         else:
             body.append(f"    v{i} = {expr}")
             text.append(f"v{i}")
             operand.append(text[-1])
     lines = [f"def {name}(ring, {', '.join(params)}):"]
     if any(op == "halve" for op, _ in tape):
-        lines.append("    halve = ring.halve")
+        lines.append("    half = ring.half")
     lines += [f"    {', '.join(f'{p}{k}' for k in range(n))}, = {p}" for p, n in params.items()]
     lines += body
     lines.append(f"    return {brackets[0]}")
@@ -567,21 +572,28 @@ def _function_source(name: str, tape: list, results: list, brackets: str) -> str
     return "\n".join(lines) + "\n"
 
 
-def _halving_depth(bind_tape: list) -> int:
-    """The longest chain of ``halve`` operations on any path from a ``b`` input.
+def _halving_depths(bind_tape: list) -> list:
+    """The number of ``halve`` operations behind each value of the tape.
 
-    Raises ``ValueError`` if the tape multiplies: the depth bounds the
-    denominators of bind's values only when bind is linear in ``b``.
+    Raises ``ValueError`` if the tape multiplies, or adds or subtracts two
+    values of different depths: only then is every value of depth ``d``
+    exactly ``2**-d`` times the same computation with each halving left
+    out, which is what lets the halvings be kept in an exponent.
     """
     depth: list = []
     for i, (op, args) in enumerate(bind_tape):
         if op == "mul":
             raise ValueError(f"bind tape multiplies at position {i}; bind must be linear in b")
-        if op in RING_OPS:
-            depth.append(max(depth[x] for x in args) + (op == "halve"))
+        if op == "halve":
+            depth.append(depth[args[0]] + 1)
+        elif op in RING_OPS:
+            kinds = {depth[x] for x in args}
+            if len(kinds) != 1:
+                raise ValueError(f"bind tape combines values of different halving depths at position {i}")
+            depth.append(kinds.pop())
         else:
             depth.append(0)
-    return max(depth, default=0)
+    return depth
 
 
 def _check_bilinear(apply_tape: list, outputs: list) -> None:
@@ -624,25 +636,34 @@ class CompiledProgram:
     core cell, in block order: the cell is ``sign * entries[index]``, and
     apply multiplies by it with the sign folded into the sum that uses the
     product.  Both functions compute with ``+``, ``-``, ``*`` and unary
-    ``-`` on the values they are given and call only ``ring.halve``.
-    ``source`` is their text, registered with ``linecache`` under
-    ``filename`` for as long as the program lives.  They are generated from
+    ``-`` on the values they are given, bind halving as ``x * half`` with
+    ``half = ring.half``; neither calls anything.  ``source`` is their
+    text, registered with ``linecache`` under ``filename`` for as long as
+    the program lives.  They are generated from
     the sign-folded ``bind_tape`` (inputs ``b``; the entries are the
     positions ``entries``) and ``apply_tape`` (inputs ``a`` and ``e``, the
     entries; the outputs are the positions ``outputs``).
 
-    The tapes must keep bind linear in ``b`` (no ``mul``) and apply
-    bilinear in ``a`` and the entries (no ``halve``); ``ValueError``
-    otherwise.  ``halvings`` is bind's halving depth: with ``b`` scaled
-    by ``2**halvings``, every value bind halves over the integers is even.
+    The tapes must keep bind linear in ``b`` (no ``mul``), with the two
+    operands of every sum at one halving depth, and apply bilinear in
+    ``a`` and the entries (no ``halve``); ``ValueError`` otherwise.
+    ``halvings`` is the deepest entry's halving depth, and ``lifts`` holds
+    ``(index, halvings - depth)`` for each entry shallower than that.  Run
+    over integers with ``half = 1``, bind then returns each entry times
+    ``2**depth`` exactly, and shifting the shallow ones left by their lift
+    puts every entry at ``2**halvings`` times its value (see
+    :func:`_bind_ints`).
     """
 
     __slots__ = ("bind", "apply", "source", "filename", "bind_tape", "entries", "cells", "apply_tape",
-                 "outputs", "halvings", "__weakref__")
+                 "outputs", "halvings", "lifts", "__weakref__")
 
     def __init__(self, bind_tape: list, entries: list, cells: list, apply_tape: list, outputs: list,
                  level: int):
-        self.halvings = _halving_depth(bind_tape)
+        depth = _halving_depths(bind_tape)
+        self.halvings = max((depth[x] for x in entries), default=0)
+        self.lifts = tuple((k, self.halvings - depth[x]) for k, x in enumerate(entries)
+                           if depth[x] < self.halvings)
         _check_bilinear(apply_tape, outputs)
         self.bind_tape, self.entries, self.cells = bind_tape, entries, cells
         self.apply_tape, self.outputs = apply_tape, outputs
@@ -747,7 +768,8 @@ def compile_pipeline(pipeline: Pipeline) -> CompiledProgram:
 
 def _runs_natively(ring) -> bool:
     """Whether ``ring``'s ``add``/``sub``/``neg``/``mul`` are the operators
-    the generated code is written with, so it can run on the ring's values."""
+    the generated code is written with, so it can run on the ring's values
+    (halving them by the ring's ``half``)."""
     return (ring.add is operator.add and ring.sub is operator.sub
             and ring.neg is operator.neg and ring.mul is operator.mul)
 
@@ -755,9 +777,11 @@ def _runs_natively(ring) -> bool:
 class _Box:
     """A value of a ring whose ``add``/``sub``/``neg``/``mul`` are methods
     of its own: each operator calls the ring's method.  The class itself is
-    the ring the generated functions see over boxes, for ``halve``."""
+    the ring the generated functions see over boxes; its ``half`` is a
+    marker that ``*`` turns into a call of the ring's ``halve``."""
 
     __slots__ = ("value", "ring")
+    half = object()
 
     def __init__(self, value, ring):
         self.value = value
@@ -773,11 +797,9 @@ class _Box:
         return _Box(self.ring.neg(self.value), self.ring)
 
     def __mul__(self, other):
+        if other is _Box.half:
+            return _Box(self.ring.halve(self.value), self.ring)
         return _Box(self.ring.mul(self.value, other.value), self.ring)
-
-    @staticmethod
-    def halve(x):
-        return _Box(x.ring.halve(x.value), x.ring)
 
 
 def _boxed(values, ring) -> list:
@@ -798,40 +820,77 @@ def _run_apply(prog: CompiledProgram, ring, a_coeffs, entries) -> list:
     return [y.value for y in prog.apply(_Box, _boxed(a_coeffs, ring), _boxed(entries, ring))]
 
 
+class _Unhalved:
+    """The ring ``bind`` sees on the integer path: ``x * half`` is ``x``,
+    so each halving is left out and kept in the exponent instead."""
+
+    half = 1
+
+
+def _bind_ints(prog: CompiledProgram, b_ints) -> list:
+    """The compiled ``bind`` on integers with its halvings kept in the
+    exponent: each distinct core value times ``2**halvings``, exactly."""
+    entries = prog.bind(_Unhalved, b_ints)
+    if prog.lifts:
+        entries = list(entries)
+        for k, shift in prog.lifts:
+            entries[k] <<= shift
+    return entries
+
+
 # ---------------------------------------------------------------------------
 # public operations
 
 
-def _scaled_ints(values, extra: int = 0):
+def _scaled_ints(values):
     """``(nums, exp)`` with ``values[k] == nums[k] / 2**exp`` for dyadic
-    ``values``, ``exp`` being their largest exponent plus ``extra``."""
-    exp = max(v.exp for v in values) + extra
+    ``values``, ``exp`` being their largest exponent."""
+    exp = max(v.exp for v in values)
     return [v.num << (exp - v.exp) for v in values], exp
 
 
-def _dyadics(nums, exp: int) -> DiracNumber:
-    return DiracNumber([DyadicRational(n, exp) for n in nums], DYADIC)
+def _exact_ints(values, ring):
+    """:func:`_scaled_ints` of values of ``DYADIC``; values of ``INTS`` at exponent 0."""
+    return _scaled_ints(values) if ring is DYADIC else (values, 0)
+
+
+def _exact_values(nums, exp: int, ring) -> list:
+    """Each ``nums[k] / 2**exp`` over ``DYADIC``, or over ``INTS``, where it
+    must be an integer."""
+    if ring is INTS:
+        return [n >> exp for n in nums]
+    return [DyadicRational(n, exp) for n in nums]
+
+
+# the operators the generated code is written with, one global lookup each
+_add, _sub, _neg, _mul = operator.add, operator.sub, operator.neg, operator.mul
 
 
 def mul_fast(a: DiracNumber, b: DiracNumber, level: int = 3, asset_dir: str | None = None) -> DiracNumber:
     """Product a*b through the factorized pipeline; exact on exact rings.
 
-    Over ``DYADIC`` the compiled functions run on plain integers: ``a`` at
-    its largest exponent, ``b`` at its largest exponent plus the program's
-    halving depth, so every halving in bind is an exact shift.
+    Over ``DYADIC`` and ``INTS`` the compiled functions run on plain
+    integers, each operand at its largest exponent (0 over ``INTS``), and
+    bind keeps its halvings in the exponent, so the outputs are the exact
+    product times ``2**(ea + eb + halvings)``.  Over ``INTS`` they are
+    shifted back, exactly, because the product of integers is an integer.
     """
     ring = a.ring
     if b.ring is not ring:
         raise RingMismatchError(ring, b.ring)
-    prog = assemble_pipeline(level, asset_dir).program
-    if ring is DYADIC:
-        a_ints, ea = _scaled_ints(a.coeffs)
-        b_ints, eb = _scaled_ints(b.coeffs, prog.halvings)
-        return _dyadics(prog.apply(INTS, a_ints, prog.bind(INTS, b_ints)), ea + eb)
-    if _runs_natively(ring):
-        return DiracNumber(prog.apply(ring, a.coeffs, prog.bind(ring, b.coeffs)), ring)
-    entries = prog.bind(_Box, _boxed(b.coeffs, ring))
-    return DiracNumber([y.value for y in prog.apply(_Box, _boxed(a.coeffs, ring), entries)], ring)
+    prog = _pipeline_for(level, asset_dir or default_asset_dir()).program
+    if ring.add is _add and ring.sub is _sub and ring.neg is _neg and ring.mul is _mul and ring is not INTS:
+        out = prog.apply(ring, a.coeffs, prog.bind(ring, b.coeffs))
+    elif ring is DYADIC or ring is INTS:
+        a_ints, ea = _exact_ints(a.coeffs, ring)
+        b_ints, eb = _exact_ints(b.coeffs, ring)
+        out = _exact_values(prog.apply(INTS, a_ints, _bind_ints(prog, b_ints)), ea + eb + prog.halvings, ring)
+    else:
+        entries = prog.bind(_Box, _boxed(b.coeffs, ring))
+        out = [y.value for y in prog.apply(_Box, _boxed(a.coeffs, ring), entries)]
+    product = object.__new__(DiracNumber)  # around the fresh 16-list, not a copy
+    product.coeffs, product.ring = out, ring
+    return product
 
 
 class PrecomputedOperator:
@@ -839,39 +898,46 @@ class PrecomputedOperator:
 
     ``entries`` holds the compiled bind's distinct core values for the
     operand (32 at level 3), which the compiled apply fans out to the core
-    cells.  Over ``DYADIC``, ``apply`` brings ``a`` and the entries each to
-    one exponent and runs the compiled apply on integers.
+    cells.  Over ``DYADIC`` and ``INTS`` they are ``DyadicRational``s (a
+    core value of integers need not be an integer), and ``lowered`` holds
+    them as ``(nums, exp)``, integers at one exponent, made once here;
+    ``apply`` brings ``a`` to one exponent and runs the compiled apply on
+    integers.  Over ``INTS`` the product must be an integer, as it is for
+    an operator from :func:`precompute`.
     """
 
-    __slots__ = ("pipeline", "entries", "ring")
+    __slots__ = ("pipeline", "entries", "ring", "lowered")
 
     def __init__(self, pipeline: Pipeline, entries: tuple, ring):
         self.pipeline = pipeline
         self.entries = entries  # the compiled bind's distinct core values for the operand
         self.ring = ring
+        self.lowered = _scaled_ints(entries) if ring is DYADIC or ring is INTS else None
 
     def apply(self, a: DiracNumber) -> DiracNumber:
         ring = self.ring
         if a.ring is not ring:
             raise RingMismatchError(a.ring, ring)
         prog = self.pipeline.program
-        if ring is DYADIC:
-            a_ints, ea = _scaled_ints(a.coeffs)
-            e_ints, ee = _scaled_ints(self.entries)
-            return _dyadics(prog.apply(INTS, a_ints, e_ints), ea + ee)
+        if ring is DYADIC or ring is INTS:
+            a_ints, ea = _exact_ints(a.coeffs, ring)
+            nums, exp = self.lowered
+            return DiracNumber(_exact_values(prog.apply(INTS, a_ints, nums), ea + exp, ring), ring)
         return DiracNumber(_run_apply(prog, ring, a.coeffs, self.entries), ring)
 
 
 def precompute(b: DiracNumber, level: int = 3, asset_dir: str | None = None) -> PrecomputedOperator:
-    """The operator a -> a*b.  Over ``DYADIC`` its entries share one exponent."""
+    """The operator a -> a*b.  Over ``DYADIC`` and ``INTS`` its entries share one exponent."""
     pipeline = assemble_pipeline(level, asset_dir)
     prog = pipeline.program
-    if b.ring is DYADIC:
-        b_ints, eb = _scaled_ints(b.coeffs, prog.halvings)
-        entries = tuple(DyadicRational(n, eb) for n in prog.bind(INTS, b_ints))
+    ring = b.ring
+    if ring is DYADIC or ring is INTS:
+        b_ints, eb = _exact_ints(b.coeffs, ring)
+        exp = eb + prog.halvings
+        entries = tuple(DyadicRational(n, exp) for n in _bind_ints(prog, b_ints))
     else:
-        entries = _run_bind(prog, b.ring, b.coeffs)
-    return PrecomputedOperator(pipeline, entries, b.ring)
+        entries = _run_bind(prog, ring, b.coeffs)
+    return PrecomputedOperator(pipeline, entries, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -903,15 +969,15 @@ _UNITS = tuple(tuple(int(k == n) for k in range(DIM)) for n in range(DIM))  # e_
 
 
 def _basis_products(prog: CompiledProgram) -> list:
-    """The compiled program over ``INTS`` on every pair of basis vectors.
+    """The compiled program over integers on every pair of basis vectors.
 
     Entry ``m`` is a flat tuple: for each ``n`` in turn, the sixteen
-    outputs of ``apply(INTS, e_n, bind(INTS, 2**halvings * e_m))``.
+    outputs of ``apply(INTS, e_n, _bind_ints(prog, e_m))``, which are
+    ``2**halvings`` times the product's.
     """
-    scale = 1 << prog.halvings
     cols = []
     for e_m in _UNITS:
-        entries = prog.bind(INTS, [scale * x for x in e_m])
+        entries = _bind_ints(prog, e_m)
         cols.append(tuple(y for e_n in _UNITS for y in prog.apply(INTS, e_n, entries)))
     return cols
 
@@ -942,9 +1008,10 @@ def verify_pipeline(pipeline: Pipeline | int, asset_dir: str | None = None) -> V
       linear in ``b``;
     * apply passes ``_check_bilinear``, so each output is bilinear in ``a``
       and the entries;
-    * with ``b`` scaled by ``2**halvings`` every value bind halves is even,
-      so each ``x >> 1`` is exact and the integers are exactly
-      ``2**halvings`` times the dyadic values.
+    * every sum in bind combines values of one halving depth (compilation
+      checks it), so run with ``half = 1`` bind gives each value times
+      ``2**depth``, with no rounding, and :func:`_bind_ints` gives the
+      entries exactly ``2**halvings`` times the dyadic values.
 
     So the program computes a bilinear map, and a bilinear map is fixed by
     its values on basis pairs.  Mismatching cells are reported as linear

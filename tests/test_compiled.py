@@ -1,5 +1,6 @@
 """The compiled pipeline programs: counts, exactness, proof coverage, tooling."""
 
+import ast
 import dataclasses
 import gc
 import linecache
@@ -391,6 +392,65 @@ def test_hand_built_operator_with_mixed_exponents(verified_pipelines):
     assert keys(op.apply(a)) == keys(mul_schoolbook(a, b, TABLE))
 
 
+def test_precomputed_operator_keeps_the_integers_of_its_bind(monkeypatch):
+    rng = random.Random(375)
+    a, b = (DiracNumber([DyadicRational(rng.randint(-999, 999), rng.randint(0, 30)) for _ in range(DIM)], DYADIC)
+            for _ in range(2))
+    assert len({c.exp for c in a.coeffs}) > 1 and len({c.exp for c in b.coeffs}) > 1
+    ops = {level: precompute(b, level) for level in LEVELS}
+    for op in ops.values():
+        nums, exp = op.lowered
+        assert [(e.num, e.exp) for e in op.entries] == [(n, exp) for n in nums]
+    lowered = []
+    scaled_ints = fastmult._scaled_ints
+    monkeypatch.setattr(fastmult, "_scaled_ints", lambda values: lowered.append(len(values)) or scaled_ints(values))
+    got = {level: op.apply(a) for level, op in ops.items()}
+    assert lowered == [DIM] * len(LEVELS)  # each apply lowers a, never the entries
+    for level in LEVELS:
+        assert [(c.num, c.exp) for c in got[level].coeffs] == [(c.num, c.exp) for c in mul_fast(a, b, level).coeffs]
+
+
+@pytest.mark.parametrize("level, lifted", ((1, 12), (2, 8), (3, 0)))
+def test_integer_bind_keeps_its_halvings_in_the_exponent(level, lifted, verified_pipelines):
+    prog = verified_pipelines[level].program
+    # the plain blocks' values are lifted to the halved ones' exponent; level 3 has none
+    assert len(prog.lifts) == lifted and all(shift == prog.halvings for _, shift in prog.lifts)
+    rng = random.Random(378 + level)
+    for _ in range(20):
+        b = [rng.randint(-(1 << 40), 1 << 40) for _ in range(DIM)]
+        # the same values as halving b scaled by 2**halvings with x >> 1, which is exact on it
+        assert list(fastmult._bind_ints(prog, b)) == list(prog.bind(INTS, [x << prog.halvings for x in b]))
+
+
+# ---------------------------------------------------------------------------
+# products over the integers
+
+
+def test_int_products_equal_schoolbook_where_a_shift_would_floor():
+    # small coefficients make odd sums in bind, which x >> 1 would round down
+    rng = random.Random(1)
+    a, b = (DiracNumber([rng.randint(-9, 9) for _ in range(DIM)], INTS) for _ in range(2))
+    want = mul_schoolbook(a, b, TABLE).coeffs
+    assert want[0] == -201
+    for level in LEVELS:
+        assert mul_fast(a, b, level).coeffs == want
+        assert precompute(b, level).apply(a).coeffs == want
+
+
+_int_operand = st.lists(st.integers(-9, 9) | st.integers(-(1 << 200), 1 << 200), min_size=DIM,
+                        max_size=DIM).map(lambda cs: DiracNumber(cs, INTS))
+
+
+@pytest.mark.parametrize("level", LEVELS)
+@given(a=_int_operand, b=_int_operand)
+@settings(max_examples=40, deadline=None, phases=NO_SHRINK)
+def test_int_products_are_exact(level, a, b):
+    want = mul_schoolbook(a, b, TABLE).coeffs
+    got = mul_fast(a, b, level).coeffs
+    assert got == want and all(type(c) is int for c in got)
+    assert precompute(b, level).apply(a).coeffs == want
+
+
 def tape_values(tape, ring, inputs):
     """Every value of a recorded tape, run over ``ring``; ``inputs`` maps input names to values."""
     values = []
@@ -426,6 +486,10 @@ def test_compilation_rejects_tapes_the_lowering_cannot_run_exactly(verified_pipe
                         prog.outputs[1:] + [len(apply)], 3)
     with pytest.raises(ValueError, match="not bilinear"):
         CompiledProgram(bind, entries, cells, apply, prog.outputs[1:] + [first_a], 3)
+    halved = next(i for i, (op, _) in enumerate(bind) if op == "halve")
+    with pytest.raises(ValueError, match="different halving depths"):  # a halved value plus b0
+        CompiledProgram(bind + [("add", (halved, first_b))], entries[:-1] + [len(bind)], cells, apply,
+                        prog.outputs, 3)
     rebuilt = CompiledProgram(bind, entries, cells, apply, prog.outputs, 3)
     assert (rebuilt.source, rebuilt.halvings) == (prog.source, prog.halvings)
 
@@ -544,15 +608,15 @@ def test_pipeline_is_frozen_and_compiled_at_assembly(tmp_path, monkeypatch):
 # the rings the generated code runs over
 
 
-def test_float_products_call_the_ring_only_to_halve(verified_pipelines):
+def test_float_products_make_no_ring_or_operator_calls(verified_pipelines):
     prog = verified_pipelines[3].program
     rng = random.Random(380)
     a, b = (DiracNumber([rng.uniform(-1, 1) for _ in range(DIM)], FLOAT) for _ in range(2))
-    ring_calls, operator_calls = [], []
+    python_calls, operator_calls = [], []
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_qualname.startswith("FloatRing."):
-            ring_calls.append(frame.f_code.co_qualname)
+        if event == "call":
+            python_calls.append(frame.f_code.co_qualname)
         elif event == "c_call" and arg in (operator.add, operator.sub, operator.neg, operator.mul):
             operator_calls.append(arg)
 
@@ -561,10 +625,18 @@ def test_float_products_call_the_ring_only_to_halve(verified_pipelines):
         mul_fast(a, b)
     finally:
         sys.setprofile(None)
-    halvings = sum(op == "halve" for op, _ in prog.bind_tape)
-    assert ring_calls == ["FloatRing.halve"] * halvings
-    assert halvings == 32
+    assert sum(op == "halve" for op, _ in prog.bind_tape) == 32
+    # the 32 halvings are multiplications by FLOAT.half; the program is found with one call
+    assert python_calls == ["mul_fast", "default_asset_dir", "bind", "apply"]
     assert operator_calls == []
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_generated_functions_contain_no_call(level, verified_pipelines):
+    tree = ast.parse(verified_pipelines[level].program.source)
+    functions = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
+    assert functions == ["bind", "apply"]
+    assert not any(isinstance(node, ast.Call) for node in ast.walk(tree))
 
 
 class CallCountingRing:

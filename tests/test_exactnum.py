@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -23,7 +24,8 @@ from diracmul.exactnum import (
     parse_dyadic,
 )
 
-from diracmul.fastmult import _runs_natively
+from diracmul.algebra import DIM, DiracNumber
+from diracmul.fastmult import _runs_natively, assemble_pipeline, mul_fast
 
 from helpers import as_int, evaluate, is_integer
 
@@ -265,3 +267,61 @@ class TestRingSurface:
     def test_operator_rings_run_the_compiled_product_natively(self, name):
         # DYADIC keeps the dyadic_* functions, so the compiled product boxes its values
         assert _runs_natively(RINGS[name]) == (name != "dyadic")
+
+
+def raw(x: DyadicRational) -> tuple:
+    """Numerator and exponent as held, not normalized."""
+    return (x.num, x.exp)
+
+
+class TestHalf:
+    """``x * ring.half`` is ``ring.halve(x)`` exactly on every shipped ring:
+    the compiled fast product halves that way."""
+
+    def test_floats_by_their_bits(self):
+        edges = (5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308, 0.0, -0.0,
+                 math.inf, -math.inf, math.nan, 1.0, -3.0, 0.1)
+        rng = random.Random(12)
+        for x in edges + tuple(rng.uniform(-1e6, 1e6) for _ in range(200)):
+            assert (x * FLOAT.half).hex() == FLOAT.halve(x).hex()
+
+    def test_dyadics_by_numerator_and_exponent(self):
+        for num, exp in ((0, 0), (0, 5), (1, 0), (-1, 0), (6, 1), (-7, 3), (4, 2), ((1 << 300) + 1, 40)):
+            x = DyadicRational(num, exp)
+            assert raw(x * DYADIC.half) == raw(DYADIC.halve(x))
+
+    def test_linear_forms_by_their_coefficients(self):
+        form = lf_from_b(3) + lf_from_b(7) - lf_from_b(0) * FORMS.from_dyadic(3, 2) + FORMS.from_dyadic(-5, 1)
+        for x in (form, -form, FORMS.zero(), FORMS.one(), lf_from_b(15)):
+            assert [raw(c) for c in (x * FORMS.half).coeffs] == [raw(c) for c in FORMS.halve(x).coeffs]
+
+    def test_integers_shift_as_halve_does(self):
+        for x in (0, 1, -1, 6, -7, 1 << 100, -(1 << 100) - 1):
+            assert x * INTS.half == INTS.halve(x)
+
+    @pytest.mark.parametrize("num, exp", ((0, 0), (1, 0), (-1, 0), (4, 0), (-1, 3), (7, 0), (-9, 5)))
+    def test_counting_half_counts_one_shift_whatever_it_halves(self, num, exp):
+        # a plain 1/2 would count nothing for a zero or unit value
+        ring = CountingRing()
+        x = ring.from_dyadic(num, exp)
+        got = x * ring.half
+        assert type(got) is CountingScalar and raw(got.value) == raw(DYADIC.halve(x.value))
+        assert ring.counter.snapshot() == (0, 0, 0, 1)
+
+    def test_counting_ring_counts_a_halved_entry_that_is_exactly_zero(self):
+        rng = random.Random(410)
+        av, bv = ([rng.randint(3, 1 << 19) * 2 + 1 for _ in range(DIM)] for _ in range(2))
+        bv[5], bv[15] = -bv[0], -bv[10]
+        prog = assemble_pipeline(3).program
+        assert prog.bind(DYADIC, [DYADIC.wrap(v) for v in bv]).count(DyadicRational(0)) == 2
+        # one shift per halving, as a call of halve counts them
+        want = {1: (104, 192, 8, 16), 2: (84, 204, 8, 24), 3: (80, 198, 8, 32)}
+        for level, counts in want.items():
+            ring = CountingRing()
+            mul_fast(DiracNumber.from_ints(av, ring), DiracNumber.from_ints(bv, ring), level)
+            assert ring.counter.snapshot() == counts
+        # a plain 1/2 counts no shift for the two zero entries
+        ring = CountingRing()
+        ring.half = CountingScalar(DyadicRational(1, 1), ring.counter)
+        prog.apply(ring, [ring.wrap(v) for v in av], prog.bind(ring, [ring.wrap(v) for v in bv]))
+        assert ring.counter.shifts == 30
