@@ -806,20 +806,6 @@ def _boxed(values, ring) -> list:
     return [_Box(v, ring) for v in values]
 
 
-def _run_bind(prog: CompiledProgram, ring, b_coeffs) -> tuple:
-    """The compiled ``bind`` over ``ring``, boxing its values unless it runs natively."""
-    if _runs_natively(ring):
-        return prog.bind(ring, b_coeffs)
-    return tuple(e.value for e in prog.bind(_Box, _boxed(b_coeffs, ring)))
-
-
-def _run_apply(prog: CompiledProgram, ring, a_coeffs, entries) -> list:
-    """The compiled ``apply`` over ``ring``, boxing its values unless it runs natively."""
-    if _runs_natively(ring):
-        return prog.apply(ring, a_coeffs, entries)
-    return [y.value for y in prog.apply(_Box, _boxed(a_coeffs, ring), _boxed(entries, ring))]
-
-
 class _Unhalved:
     """The ring ``bind`` sees on the integer path: ``x * half`` is ``x``,
     so each halving is left out and kept in the exponent instead."""
@@ -845,7 +831,10 @@ def _bind_ints(prog: CompiledProgram, b_ints) -> list:
 def _scaled_ints(values):
     """``(nums, exp)`` with ``values[k] == nums[k] / 2**exp`` for dyadic
     ``values``, ``exp`` being their largest exponent."""
-    exp = max(v.exp for v in values)
+    exps = [v.exp for v in values]
+    exp = max(exps)
+    if min(exps) == exp:  # one exponent already: no shifts
+        return [v.num for v in values], exp
     return [v.num << (exp - v.exp) for v in values], exp
 
 
@@ -898,45 +887,58 @@ class PrecomputedOperator:
 
     ``entries`` holds the compiled bind's distinct core values for the
     operand (32 at level 3), which the compiled apply fans out to the core
-    cells.  Over ``DYADIC`` and ``INTS`` they are ``DyadicRational``s (a
-    core value of integers need not be an integer), and ``lowered`` holds
-    them as ``(nums, exp)``, integers at one exponent, made once here;
-    ``apply`` brings ``a`` to one exponent and runs the compiled apply on
-    integers.  Over ``INTS`` the product must be an integer, as it is for
-    an operator from :func:`precompute`.
+    cells.  The path ``apply`` runs on is chosen here, once, as
+    :func:`mul_fast` chooses it per call.  Over ``DYADIC`` and ``INTS`` the
+    entries are ``DyadicRational``s (a core value of integers need not be an
+    integer), and ``lowered`` holds them as ``(nums, exp)``, integers at one
+    exponent; ``apply`` brings ``a`` to one exponent and runs the compiled
+    apply on integers.  Over ``INTS`` the product must be an integer, as it
+    is for an operator from :func:`precompute`.  A ring whose operators are
+    not Python's gets its entries boxed here, once, and ``a`` per product.
     """
 
-    __slots__ = ("pipeline", "entries", "ring", "lowered")
+    __slots__ = ("pipeline", "entries", "ring", "lowered", "_apply", "_native", "_boxes")
 
     def __init__(self, pipeline: Pipeline, entries: tuple, ring):
         self.pipeline = pipeline
         self.entries = entries  # the compiled bind's distinct core values for the operand
         self.ring = ring
         self.lowered = _scaled_ints(entries) if ring is DYADIC or ring is INTS else None
+        self._apply = pipeline.program.apply
+        self._native = self.lowered is None and _runs_natively(ring)
+        self._boxes = None if self.lowered is not None or self._native else _boxed(entries, ring)
 
     def apply(self, a: DiracNumber) -> DiracNumber:
         ring = self.ring
         if a.ring is not ring:
             raise RingMismatchError(a.ring, ring)
-        prog = self.pipeline.program
-        if ring is DYADIC or ring is INTS:
+        if self._native:
+            out = self._apply(ring, a.coeffs, self.entries)
+        elif self._boxes is None:
             a_ints, ea = _exact_ints(a.coeffs, ring)
             nums, exp = self.lowered
-            return DiracNumber(_exact_values(prog.apply(INTS, a_ints, nums), ea + exp, ring), ring)
-        return DiracNumber(_run_apply(prog, ring, a.coeffs, self.entries), ring)
+            out = _exact_values(self._apply(INTS, a_ints, nums), ea + exp, ring)
+        else:
+            out = [y.value for y in self._apply(_Box, _boxed(a.coeffs, ring), self._boxes)]
+        product = object.__new__(DiracNumber)  # around the fresh 16-list, not a copy
+        product.coeffs, product.ring = out, ring
+        return product
 
 
 def precompute(b: DiracNumber, level: int = 3, asset_dir: str | None = None) -> PrecomputedOperator:
-    """The operator a -> a*b.  Over ``DYADIC`` and ``INTS`` its entries share one exponent."""
+    """The operator a -> a*b, bound on the path :func:`mul_fast` takes for
+    ``b``'s ring.  Over ``DYADIC`` and ``INTS`` its entries share one exponent."""
     pipeline = assemble_pipeline(level, asset_dir)
     prog = pipeline.program
     ring = b.ring
-    if ring is DYADIC or ring is INTS:
+    if ring.add is _add and ring.sub is _sub and ring.neg is _neg and ring.mul is _mul and ring is not INTS:
+        entries = prog.bind(ring, b.coeffs)
+    elif ring is DYADIC or ring is INTS:
         b_ints, eb = _exact_ints(b.coeffs, ring)
         exp = eb + prog.halvings
         entries = tuple(DyadicRational(n, exp) for n in _bind_ints(prog, b_ints))
     else:
-        entries = _run_bind(prog, ring, b.coeffs)
+        entries = tuple(e.value for e in prog.bind(_Box, _boxed(b.coeffs, ring)))
     return PrecomputedOperator(pipeline, entries, ring)
 
 

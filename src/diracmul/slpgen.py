@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .algebra import DIM, DiracNumber, MultTable, mul_schoolbook
-from .exactnum import CountingScalar, DyadicRational, parse_dyadic
+from .exactnum import DYADIC, INTS, CountingScalar, DyadicRational, parse_dyadic
 from .fastmult import RING_OPS, Pipeline, PrecomputedOperator, Recorder, verify_pipeline
 from .linalg import Mat
 
@@ -203,9 +203,16 @@ def structural_program(mat: Mat) -> SLProgram:
 
 
 def interpret(program: SLProgram, a_vals, b_vals, ring):
-    """Evaluate in instruction order; exact on exact rings."""
+    """Evaluate in instruction order; exact on exact rings.
+
+    ``INTS`` halves by flooring, so over it the program runs on ``DYADIC``
+    and each output is converted back exactly; ``ValueError`` if one is not
+    an integer."""
     if len(a_vals) != program.a_arity or len(b_vals) != program.b_arity:
         raise SLPError("operand arity mismatch")
+    if ring is INTS:
+        out = interpret(program, [DyadicRational(v) for v in a_vals], [DyadicRational(v) for v in b_vals], DYADIC)
+        return [INTS.from_dyadic(y.num, y.exp) for y in out]
     values = []
     out = [None] * DIM
     for ins in program.instrs:

@@ -410,6 +410,14 @@ def test_precomputed_operator_keeps_the_integers_of_its_bind(monkeypatch):
         assert [(c.num, c.exp) for c in got[level].coeffs] == [(c.num, c.exp) for c in mul_fast(a, b, level).coeffs]
 
 
+@pytest.mark.parametrize("exp", (0, 7))
+def test_scaled_ints_of_one_exponent_are_the_numerators(exp):
+    rng = random.Random(376 + exp)
+    values = [DyadicRational(n, exp) for n in [0, -1, 1, -(1 << 70), 0] + [rng.randint(-999, 999) for _ in range(11)]]
+    nums, got_exp = fastmult._scaled_ints(values)
+    assert (nums, got_exp) == ([v.num << (exp - v.exp) for v in values], exp)  # the shifting formula
+
+
 @pytest.mark.parametrize("level, lifted", ((1, 12), (2, 8), (3, 0)))
 def test_integer_bind_keeps_its_halvings_in_the_exponent(level, lifted, verified_pipelines):
     prog = verified_pipelines[level].program
@@ -631,6 +639,41 @@ def test_float_products_make_no_ring_or_operator_calls(verified_pipelines):
     assert operator_calls == []
 
 
+def test_float_operator_calls_only_the_compiled_apply(verified_pipelines):
+    rng = random.Random(381)
+    a, b = (DiracNumber([rng.uniform(-1, 1) for _ in range(DIM)], FLOAT) for _ in range(2))
+    op = precompute(b)
+    python_calls, operator_calls = [], []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            python_calls.append(frame.f_code.co_qualname)
+        elif event == "c_call" and arg in (operator.add, operator.sub, operator.neg, operator.mul):
+            operator_calls.append(arg)
+
+    sys.setprofile(profile)
+    try:
+        first = op.apply(a)
+    finally:
+        sys.setprofile(None)
+    assert python_calls == ["PrecomputedOperator.apply", "apply"]
+    assert operator_calls == []
+    second = op.apply(a)
+    assert first.coeffs is not second.coeffs and first.coeffs == second.coeffs == mul_fast(a, b).coeffs
+
+
+SPECIAL_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072014e-308, 1e300, -1.5)
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_float_operator_is_bit_exact_with_mul_fast_on_special_operands(level, verified_pipelines):
+    rng = random.Random(382 + level)
+    for _ in range(30):
+        a, b = (DiracNumber([rng.choice(SPECIAL_FLOATS) if rng.random() < 0.3 else rng.uniform(-1, 1)
+                             for _ in range(DIM)], FLOAT) for _ in range(2))
+        assert bits(precompute(b, level).apply(a).coeffs) == bits(mul_fast(a, b, level).coeffs)
+
+
 @pytest.mark.parametrize("level", LEVELS)
 def test_generated_functions_contain_no_call(level, verified_pipelines):
     tree = ast.parse(verified_pipelines[level].program.source)
@@ -708,6 +751,27 @@ def test_a_foreign_ring_sees_every_recorded_operation(level, base, verified_pipe
     ring.calls = dict.fromkeys(RING_OPS, 0)
     assert bits(op.apply(fa).coeffs) == bits(precompute(b, level).apply(a).coeffs)
     assert ring.calls == apply_only
+
+
+@pytest.mark.parametrize("base", (FLOAT, DYADIC), ids=("float", "dyadic"))
+def test_a_foreign_operator_boxes_its_entries_once(base, verified_pipelines, monkeypatch):
+    rng = random.Random(395)
+    ring = CallCountingRing(base)
+    b = DiracNumber(operands_over(base, rng)[1].coeffs, ring)
+    boxed = []
+    box = fastmult._boxed
+    monkeypatch.setattr(fastmult, "_boxed", lambda values, r: boxed.append(len(values)) or box(values, r))
+    op = precompute(b)
+    assert boxed == [DIM, 32]  # precompute boxes b, the operator its distinct core values
+    for _ in range(3):
+        a = DiracNumber(operands_over(base, rng)[0].coeffs, ring)
+        boxed.clear()
+        ring.calls = dict.fromkeys(RING_OPS, 0)
+        got = op.apply(a)
+        assert boxed == [DIM]  # a alone
+        calls = ring.calls
+        assert (calls["mul"], calls["add"] + calls["sub"], calls["neg"], calls["halve"]) == (88, 146, 8, 0)
+        assert bits(got.coeffs) == bits(mul_fast(a, b).coeffs)
 
 
 # ---------------------------------------------------------------------------

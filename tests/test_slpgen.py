@@ -5,7 +5,7 @@ import re
 import pytest
 
 from diracmul.algebra import DIM, DiracNumber, mul_schoolbook
-from diracmul.exactnum import CountingRing, DYADIC, FLOAT
+from diracmul.exactnum import CountingRing, DYADIC, FLOAT, INTS
 from diracmul.fastmult import PrecomputedOperator, mul_fast, precompute
 from diracmul.linalg import H2, eye, kron
 from diracmul.slpgen import (
@@ -131,6 +131,24 @@ class TestInterpret:
             a = floats()
             want = op.apply(DiracNumber(a, FLOAT)).coeffs
             assert [v.hex() for v in interpret(prog, a, [], FLOAT)] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("level", (1, 2, 3))
+    def test_programs_over_ints_equal_schoolbook(self, verified_pipelines, table, level):
+        # bind halves odd sums: a flooring shift would be off by a half in each of them
+        rng = random.Random(1)
+        full = flatten(verified_pipelines[level])
+        for _ in range(10):
+            a, b = ([rng.randint(-9, 9) for _ in range(DIM)] for _ in range(2))
+            want = mul_schoolbook(DiracNumber(a, INTS), DiracNumber(b, INTS), table).coeffs
+            op = precompute(DiracNumber(b, INTS), level)
+            apply_only = flatten(verified_pipelines[level], include_precompute=False, operator=op)
+            for got in (interpret(full, a, b, INTS), interpret(apply_only, a, [], INTS)):
+                assert got == want and all(type(y) is int for y in got)
+
+    def test_a_fractional_output_over_ints_is_an_error(self, fast_program):
+        program = parse_text(emit_text(fast_program).replace("load_b 0\n", "const 1/2^1\n", 1))
+        with pytest.raises(ValueError, match="not an integer"):
+            interpret(program, [1] + [0] * (DIM - 1), [0] * DIM, INTS)
 
     @pytest.mark.parametrize("bad", (math.inf, math.nan))
     def test_non_finite_float_operator_is_not_baked(self, verified_pipelines, bad):
