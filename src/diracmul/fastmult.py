@@ -831,10 +831,7 @@ def _bind_ints(prog: CompiledProgram, b_ints) -> list:
 def _scaled_ints(values):
     """``(nums, exp)`` with ``values[k] == nums[k] / 2**exp`` for dyadic
     ``values``, ``exp`` being their largest exponent."""
-    exps = [v.exp for v in values]
-    exp = max(exps)
-    if min(exps) == exp:  # one exponent already: no shifts
-        return [v.num for v in values], exp
+    exp = max(v.exp for v in values)
     return [v.num << (exp - v.exp) for v in values], exp
 
 
@@ -897,7 +894,7 @@ class PrecomputedOperator:
     not Python's gets its entries boxed here, once, and ``a`` per product.
     """
 
-    __slots__ = ("pipeline", "entries", "ring", "lowered", "_apply", "_native", "_boxes")
+    __slots__ = ("pipeline", "entries", "ring", "lowered", "_apply", "_boxes")
 
     def __init__(self, pipeline: Pipeline, entries: tuple, ring):
         self.pipeline = pipeline
@@ -905,19 +902,19 @@ class PrecomputedOperator:
         self.ring = ring
         self.lowered = _scaled_ints(entries) if ring is DYADIC or ring is INTS else None
         self._apply = pipeline.program.apply
-        self._native = self.lowered is None and _runs_natively(ring)
-        self._boxes = None if self.lowered is not None or self._native else _boxed(entries, ring)
+        self._boxes = None if self.lowered is not None or _runs_natively(ring) else _boxed(entries, ring)
 
     def apply(self, a: DiracNumber) -> DiracNumber:
         ring = self.ring
         if a.ring is not ring:
             raise RingMismatchError(a.ring, ring)
-        if self._native:
-            out = self._apply(ring, a.coeffs, self.entries)
-        elif self._boxes is None:
+        lowered = self.lowered
+        if lowered is not None:
             a_ints, ea = _exact_ints(a.coeffs, ring)
-            nums, exp = self.lowered
+            nums, exp = lowered
             out = _exact_values(self._apply(INTS, a_ints, nums), ea + exp, ring)
+        elif self._boxes is None:
+            out = self._apply(ring, a.coeffs, self.entries)
         else:
             out = [y.value for y in self._apply(_Box, _boxed(a.coeffs, ring), self._boxes)]
         product = object.__new__(DiracNumber)  # around the fresh 16-list, not a copy
@@ -927,16 +924,17 @@ class PrecomputedOperator:
 
 def precompute(b: DiracNumber, level: int = 3, asset_dir: str | None = None) -> PrecomputedOperator:
     """The operator a -> a*b, bound on the path :func:`mul_fast` takes for
-    ``b``'s ring.  Over ``DYADIC`` and ``INTS`` its entries share one exponent."""
+    ``b``'s ring and chosen by the same tests as the operator's ``apply``.
+    Over ``DYADIC`` and ``INTS`` its entries share one exponent."""
     pipeline = assemble_pipeline(level, asset_dir)
     prog = pipeline.program
     ring = b.ring
-    if ring.add is _add and ring.sub is _sub and ring.neg is _neg and ring.mul is _mul and ring is not INTS:
-        entries = prog.bind(ring, b.coeffs)
-    elif ring is DYADIC or ring is INTS:
+    if ring is DYADIC or ring is INTS:
         b_ints, eb = _exact_ints(b.coeffs, ring)
         exp = eb + prog.halvings
         entries = tuple(DyadicRational(n, exp) for n in _bind_ints(prog, b_ints))
+    elif _runs_natively(ring):
+        entries = prog.bind(ring, b.coeffs)
     else:
         entries = tuple(e.value for e in prog.bind(_Box, _boxed(b.coeffs, ring)))
     return PrecomputedOperator(pipeline, entries, ring)

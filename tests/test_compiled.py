@@ -410,14 +410,6 @@ def test_precomputed_operator_keeps_the_integers_of_its_bind(monkeypatch):
         assert [(c.num, c.exp) for c in got[level].coeffs] == [(c.num, c.exp) for c in mul_fast(a, b, level).coeffs]
 
 
-@pytest.mark.parametrize("exp", (0, 7))
-def test_scaled_ints_of_one_exponent_are_the_numerators(exp):
-    rng = random.Random(376 + exp)
-    values = [DyadicRational(n, exp) for n in [0, -1, 1, -(1 << 70), 0] + [rng.randint(-999, 999) for _ in range(11)]]
-    nums, got_exp = fastmult._scaled_ints(values)
-    assert (nums, got_exp) == ([v.num << (exp - v.exp) for v in values], exp)  # the shifting formula
-
-
 @pytest.mark.parametrize("level, lifted", ((1, 12), (2, 8), (3, 0)))
 def test_integer_bind_keeps_its_halvings_in_the_exponent(level, lifted, verified_pipelines):
     prog = verified_pipelines[level].program
