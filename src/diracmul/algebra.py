@@ -217,20 +217,19 @@ def mul_schoolbook(a: DiracNumber, b: DiracNumber, table: MultTable) -> DiracNum
     ring = a.ring
     if b.ring is not ring:
         raise RingMismatchError(ring, b.ring)
+    mul, add, sub, neg = ring.mul, ring.add, ring.sub, ring.neg
+    bc = b.coeffs
     out = [None] * DIM
-    for n in range(DIM):
-        an = a.coeffs[n]
-        row = table[n]
-        for m in range(DIM):
-            sign, k = row[m]
-            p = ring.mul(an, b.coeffs[m])
+    for an, row in zip(a.coeffs, table.entries):
+        for (sign, k), bm in zip(row, bc):
+            p = mul(an, bm)
             acc = out[k]
             if acc is None:
-                out[k] = ring.neg(p) if sign < 0 else p
+                out[k] = neg(p) if sign < 0 else p
             elif sign < 0:
-                out[k] = ring.sub(acc, p)
+                out[k] = sub(acc, p)
             else:
-                out[k] = ring.add(acc, p)
+                out[k] = add(acc, p)
     return DiracNumber(out, ring)
 
 

@@ -23,10 +23,12 @@ from .algebra import (
     build_table_from_generators,
     mul_schoolbook,
 )
-from .exactnum import CountingRing, DYADIC, FLOAT, parse_dyadic
+from .exactnum import CountingRing, DYADIC, FLOAT, INTS, parse_dyadic
 from .fastmult import (
     AssetError,
     LEVELS,
+    Recorder,
+    _function_source,
     assemble_pipeline,
     bind_block,
     block_matvec,
@@ -78,15 +80,26 @@ def random_coeffs(rng: random.Random):
 
 
 def oracle_compare(level: int, n: int, seed: int, table=None) -> int:
-    """Number of mismatches between the fast and schoolbook products."""
+    """Number of mismatches between the fast and schoolbook products.
+
+    Each of the ``n`` pairs is drawn from ``seed`` by :func:`random_coeffs`.
+    The fast product runs over ``DYADIC``, the path under test.  The
+    reference is ``mul_schoolbook`` over ``INTS`` on the same integers:
+    the generic loop on Python ints, which is exact (it only multiplies,
+    adds, subtracts and negates) and shares none of the fast path's
+    integer lowering.  Its outputs are wrapped as
+    ``DYADIC`` and compared by value, so the count equals that of a
+    ``DYADIC`` reference.
+    """
     if table is None:
         table = build_table_from_generators()
     rng = random.Random(seed)
     mismatches = 0
     for _ in range(n):
-        a = DiracNumber.from_ints(random_coeffs(rng), DYADIC)
-        b = DiracNumber.from_ints(random_coeffs(rng), DYADIC)
-        if not mul_fast(a, b, level) == mul_schoolbook(a, b, table):
+        av, bv = random_coeffs(rng), random_coeffs(rng)
+        got = mul_fast(DiracNumber.from_ints(av, DYADIC), DiracNumber.from_ints(bv, DYADIC), level)
+        want = mul_schoolbook(DiracNumber(av, INTS), DiracNumber(bv, INTS), table)
+        if not got == DiracNumber.from_ints(want.coeffs, DYADIC):
             mismatches += 1
     return mismatches
 
@@ -210,22 +223,43 @@ def cmd_mul(args) -> int:
     return EXIT_OK
 
 
+def bench_pairs(iters: int, seed: int) -> list:
+    """The coefficient lists ``bench`` multiplies: ``iters`` pairs of
+    :func:`random_coeffs` as floats."""
+    rng = random.Random(seed)
+    return [([float(v) for v in random_coeffs(rng)], [float(v) for v in random_coeffs(rng)])
+            for _ in range(iters)]
+
+
+def compile_schoolbook(table):
+    """``mul_schoolbook`` recorded once and generated as straight-line code
+    by the generator of the fast product's ``bind`` and ``apply``:
+    ``schoolbook(ring, a, b)`` returns the 16 output coefficients for the
+    coefficient lists ``a`` and ``b``, with the same operations in the same
+    order, so the two methods are timed as the same kind of code."""
+    rec = Recorder()
+    out = mul_schoolbook(DiracNumber(rec.inputs("a", DIM), rec), DiracNumber(rec.inputs("b", DIM), rec), table)
+    namespace: dict = {}
+    source = _function_source("schoolbook", rec.tape, out.coeffs, "[]")
+    exec(compile(source, "<diracmul schoolbook>", "exec"), namespace)
+    return namespace["schoolbook"]
+
+
 def cmd_bench(args) -> int:
-    rng = random.Random(args.seed)
     batches = 5
-    data = [
-        (
-            [float(v) for v in random_coeffs(rng)],
-            [float(v) for v in random_coeffs(rng)],
-        )
-        for _ in range(args.iters)
-    ]
+    data = bench_pairs(args.iters, args.seed)
     table = build_table_from_generators()
     assemble_pipeline(3)  # assemble and compile before timing
+    school = compile_schoolbook(table)
 
     def run_school():
         for av, bv in data:
             mul_schoolbook(DiracNumber(av, FLOAT), DiracNumber(bv, FLOAT), table)
+
+    def run_school_compiled():
+        for av, bv in data:
+            a, b = DiracNumber(av, FLOAT), DiracNumber(bv, FLOAT)
+            DiracNumber(school(FLOAT, a.coeffs, b.coeffs), FLOAT)
 
     def run_fast():
         for av, bv in data:
@@ -238,7 +272,8 @@ def cmd_bench(args) -> int:
             op.apply(DiracNumber(av, FLOAT))
 
     rows = []
-    for name, fn in (("schoolbook", run_school), ("fast", run_fast), ("apply (amortized)", run_amortized)):
+    for name, fn in (("schoolbook", run_school), ("schoolbook (compiled)", run_school_compiled),
+                     ("fast", run_fast), ("apply (amortized)", run_amortized)):
         times = []
         for _ in range(batches):
             t0 = time.perf_counter()

@@ -29,11 +29,12 @@ operators and halves as ``x * half``, so on floats it makes no call at
 all (see ``fastmult``).  The base class :class:`OperatorRing` makes
 ``add``/``sub``/``neg``/``mul``/``eq`` the ``operator`` builtins and
 builds ``wrap``, ``zero`` and ``one`` from ``from_dyadic``; each ring
-supplies ``name``, ``from_dyadic``, ``halve`` and ``half``.  ``FloatRing``
-and ``IntRing`` also set ``wrap`` to the builtin ``float`` and ``int``,
-and ``DyadicRing`` keeps the ``dyadic_*`` functions as
-``add``/``sub``/``neg``/``mul`` so schoolbook, the reference, calls them
-without the operator dispatch.  Values are immutable; the one mutable
+supplies ``name``, ``from_dyadic``, ``halve`` and ``half``.  ``FloatRing``,
+``IntRing`` and ``DyadicRing`` also set ``wrap`` to the type itself
+(``float``, ``int``, ``DyadicRational``), so wrapping an integer is one
+call.  ``DyadicRing`` keeps the ``dyadic_*`` functions as
+``add``/``sub``/``neg``/``mul`` so schoolbook calls them without the
+operator dispatch.  Values are immutable; the one mutable
 object is the :class:`Counter` handle, which is meant for single-threaded
 measurement runs.
 """
@@ -352,7 +353,7 @@ class FloatRing(OperatorRing):
 
 class DyadicRing(OperatorRing):
     name = "dyadic"
-    from_dyadic = DyadicRational
+    wrap = from_dyadic = DyadicRational
     # the functions, not the operators: schoolbook, the reference, runs on this ring
     add = staticmethod(dyadic_add)
     sub = staticmethod(dyadic_sub)

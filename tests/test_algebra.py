@@ -1,3 +1,5 @@
+import hashlib
+import math
 import os
 import random
 import shutil
@@ -21,12 +23,17 @@ from diracmul.algebra import (
     symbolic_b_matrix,
     table_errata,
 )
-from diracmul.exactnum import CountingRing, DYADIC, lf_from_b
+from diracmul.exactnum import FLOAT, CountingRing, DYADIC, DyadicRational, lf_from_b
+from diracmul.fastmult import Recorder
+from diracmul.slpgen import emit_text, schoolbook_program
 
 from diracmul.exactnum import INTS
 from helpers import as_int, diagonal_signs, is_unital, rows_are_permutations
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+# sha256 of emit_text(schoolbook_program(build_table_from_generators()))
+SCHOOLBOOK_PROGRAM_SHA256 = "b89eee54667aed3260cb2790e702b451ab4d9de70648b0d881c5ec08e6a16c66"
 
 
 def rand_number(rng, ring=INTS, lo=-1000, hi=1000):
@@ -146,6 +153,56 @@ class TestSchoolbook:
         assert ring.counter.nontrivial_mults == 256
         assert ring.counter.additions == 240
         assert ring.counter.shifts == 0
+
+    def test_recorded_program_is_pinned(self, table):
+        # the accumulation order, operands and operations of every term, as emitted
+        text = emit_text(schoolbook_program(table))
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == SCHOOLBOOK_PROGRAM_SHA256
+
+    @pytest.mark.parametrize("ring", ["float", "dyadic"])
+    def test_same_results_as_the_indexed_loop(self, table, ring):
+        rng = random.Random(23)
+        specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300]
+        for _ in range(200):
+            if ring == "float":  # special operands included, compared bit for bit
+                a, b = (DiracNumber([rng.choice(specials) if rng.random() < 0.25 else rng.uniform(-1e3, 1e3)
+                                     for _ in range(DIM)], FLOAT) for _ in range(2))
+                key = float.hex
+            else:  # raw numerators and exponents, not just values
+                a, b = (DiracNumber([DyadicRational(rng.randint(-1 << 70, 1 << 70), rng.randint(0, 9))
+                                     for _ in range(DIM)], DYADIC) for _ in range(2))
+                key = lambda v: (v.num, v.exp)  # noqa: E731
+            got = [key(v) for v in mul_schoolbook(a, b, table).coeffs]
+            assert got == [key(v) for v in indexed_schoolbook(a, b, table)]
+
+    def test_same_tape_as_the_indexed_loop(self, table):
+        tapes = []
+        for loop in (lambda a, b: mul_schoolbook(a, b, table).coeffs, lambda a, b: indexed_schoolbook(a, b, table)):
+            rec = Recorder()
+            out = loop(DiracNumber(rec.inputs("a", DIM), rec), DiracNumber(rec.inputs("b", DIM), rec))
+            tapes.append((rec.tape, out))
+        assert tapes[0] == tapes[1]
+
+
+def indexed_schoolbook(a, b, table):
+    """The schoolbook loop with an index and a ring lookup per term: the
+    reference for the order of ``mul_schoolbook``'s operations."""
+    ring = a.ring
+    out = [None] * DIM
+    for n in range(DIM):
+        an = a.coeffs[n]
+        row = table[n]
+        for m in range(DIM):
+            sign, k = row[m]
+            p = ring.mul(an, b.coeffs[m])
+            acc = out[k]
+            if acc is None:
+                out[k] = ring.neg(p) if sign < 0 else p
+            elif sign < 0:
+                out[k] = ring.sub(acc, p)
+            else:
+                out[k] = ring.add(acc, p)
+    return out
 
 
 class TestProductMatrix:

@@ -4,7 +4,10 @@ import shutil
 
 import pytest
 
-from diracmul.cli import main
+from diracmul import cli, fastmult
+from diracmul.algebra import DiracNumber, mul_schoolbook
+from diracmul.cli import bench_pairs, compile_schoolbook, main, random_coeffs
+from diracmul.exactnum import DYADIC, FLOAT, INTS
 
 
 def run(capsys, *argv):
@@ -58,6 +61,20 @@ class TestVerify:
         assert code == 0
         assert "level 1: oracle equivalence 0/0 products match" in out
 
+    def test_exact_stdout(self, capsys):
+        code, out, _ = run(capsys, "verify", "--level", "all", "--seed", "42", "--iters", "20")
+        assert code == 0
+        assert out == (
+            "table associativity: 4096/4096 triples pass\n"
+            "level 1: symbolic 256/256 entries match\n"
+            "level 2: symbolic 256/256 entries match\n"
+            "level 3: symbolic 256/256 entries match\n"
+            "level 1: oracle equivalence 20/20 products match\n"
+            "level 2: oracle equivalence 20/20 products match\n"
+            "level 3: oracle equivalence 20/20 products match\n"
+            "OK\n"
+        )
+
     @pytest.mark.parametrize("iters", ["-3", "x"])
     def test_bad_iters_is_a_usage_error(self, capsys, iters):
         with pytest.raises(SystemExit) as exc:
@@ -65,6 +82,72 @@ class TestVerify:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "usage: diracmul verify" in err and "--iters" in err
+
+
+def dyadic_reference_mismatches(level, n, seed, table):
+    """``oracle_compare`` with a ``DYADIC`` reference, whose counts it must equal."""
+    rng = random.Random(seed)
+    mismatches = 0
+    for _ in range(n):
+        a = DiracNumber.from_ints(random_coeffs(rng), DYADIC)
+        b = DiracNumber.from_ints(random_coeffs(rng), DYADIC)
+        mismatches += not cli.mul_fast(a, b, level) == mul_schoolbook(a, b, table)
+    return mismatches
+
+
+def flip_sign(asset_dir, name, position):
+    """Flip one sign of the signed permutation stored in ``name``."""
+    path = asset_dir / name
+    lines = path.read_text().splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith("signs "))
+    signs = lines[row].split()[1:]
+    signs[position] = "-" if signs[position] == "+" else "+"
+    lines[row] = "signs " + " ".join(signs)
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestOracle:
+    # the seeds of verify (its default and the documented 42) and of the
+    # benchmark verdict (seed + 10 * level + chunk)
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_integer_reference_is_the_dyadic_one(self, table, level):
+        for seed in [0, 42] + [7 + 10 * level + chunk for chunk in range(10)]:
+            rng = random.Random(seed)
+            for _ in range(5):
+                av, bv = random_coeffs(rng), random_coeffs(rng)
+                ints = mul_schoolbook(DiracNumber(av, INTS), DiracNumber(bv, INTS), table).coeffs
+                dyadic = mul_schoolbook(DiracNumber.from_ints(av, DYADIC), DiracNumber.from_ints(bv, DYADIC),
+                                        table).coeffs
+                assert [(c.num, c.exp) for c in dyadic] == [(v, 0) for v in ints]
+                assert all(type(v) is int for v in ints)
+
+    def test_counts_equal_on_the_shipped_assets(self, table):
+        for level in (1, 2, 3):
+            assert cli.oracle_compare(level, 10, 5, table) == dyadic_reference_mismatches(level, 10, 5, table) == 0
+
+    @pytest.mark.parametrize("name, position", [("signs_out_16.txt", 1), ("perm_in_30.txt", 5)])
+    def test_counts_equal_on_a_faulty_asset(self, table, tmp_path, monkeypatch, name, position):
+        dst = tmp_path / "assets"
+        shutil.copytree(fastmult.default_asset_dir(), dst)
+        flip_sign(dst, name, position)
+        monkeypatch.setenv("DIRAC_ASSET_DIR", str(dst))
+        assert not fastmult.verify_pipeline(3).ok  # it assembles and runs, and is wrong
+        got = cli.oracle_compare(3, 20, 11, table)
+        assert got == dyadic_reference_mismatches(3, 20, 11, table) > 0
+
+    def test_counts_equal_when_only_some_products_are_wrong(self, table, monkeypatch):
+        fast = fastmult.mul_fast
+
+        def faulty(a, b, level):  # wrong exactly when a0 is odd
+            out = fast(a, b, level)
+            if a.coeffs[0].num % 2:
+                out.coeffs[3] = -out.coeffs[3]
+            return out
+
+        monkeypatch.setattr(cli, "mul_fast", faulty)
+        got = cli.oracle_compare(2, 40, 3, table)
+        assert 0 < got < 40
+        assert got == dyadic_reference_mismatches(2, 40, 3, table)
 
 
 class TestCount:
@@ -169,6 +252,12 @@ class TestBench:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "usage: diracmul bench" in err and "must be at least 1" in err
+
+    def test_compiled_schoolbook_equals_the_loop(self, table):
+        school = compile_schoolbook(table)
+        for av, bv in bench_pairs(50, 0):
+            want = mul_schoolbook(DiracNumber(av, FLOAT), DiracNumber(bv, FLOAT), table).coeffs
+            assert [v.hex() for v in school(FLOAT, av, bv)] == [v.hex() for v in want]
 
     def test_input_stream_is_seed_deterministic(self):
         from diracmul.cli import random_coeffs

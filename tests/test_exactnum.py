@@ -246,6 +246,19 @@ class TestRingSurface:
         assert FORMS.one() == LinearForm.constant(DyadicRational(1))
         assert FORMS.wrap(3) == LinearForm.constant(DyadicRational(3))
 
+    @pytest.mark.parametrize("n", [0, 1, -7, -(1 << 20), 2**100])
+    def test_dyadic_wrap_keeps_the_raw_integer(self, n):
+        raw = (DYADIC.wrap(n).num, DYADIC.wrap(n).exp)
+        assert raw == (n, 0) and type(raw[0]) is int
+        x = DiracNumber.from_ints([n] * DIM, DYADIC)
+        assert [(c.num, c.exp) for c in x.coeffs] == [(n, 0)] * DIM
+
+    def test_dyadic_constants_are_raw_integers(self):
+        raw = lambda x: [(c.num, c.exp) for c in x.coeffs]  # noqa: E731
+        assert raw(DiracNumber.zero(DYADIC)) == [(0, 0)] * DIM
+        assert raw(DiracNumber.basis(5, DYADIC)) == [(0, 0)] * 5 + [(1, 0)] + [(0, 0)] * 10
+        assert [(c.num, c.exp) for c in (DYADIC.zero(), DYADIC.one())] == [(0, 0), (1, 0)]
+
     def test_int_ring_takes_only_integral_dyadics(self):
         assert INTS.from_dyadic(-12, 2) == -3
         assert INTS.from_dyadic(5, 0) == 5
