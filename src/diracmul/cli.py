@@ -79,29 +79,37 @@ def random_coeffs(rng: random.Random):
     return [rng.randint(-(1 << 20), 1 << 20) for _ in range(DIM)]
 
 
-def oracle_compare(level: int, n: int, seed: int, table=None) -> int:
-    """Number of mismatches between the fast and schoolbook products.
+def oracle_mismatches(levels, n: int, seed: int, table=None) -> dict:
+    """Per level, the number of mismatches between the fast and schoolbook
+    products.
 
-    Each of the ``n`` pairs is drawn from ``seed`` by :func:`random_coeffs`.
-    The fast product runs over ``DYADIC``, the path under test.  The
-    reference is ``mul_schoolbook`` over ``INTS`` on the same integers:
-    the generic loop on Python ints, which is exact (it only multiplies,
-    adds, subtracts and negates) and shares none of the fast path's
-    integer lowering.  Its outputs are wrapped as
-    ``DYADIC`` and compared by value, so the count equals that of a
-    ``DYADIC`` reference.
+    Each of the ``n`` pairs is drawn from ``seed`` by :func:`random_coeffs`
+    and its reference is computed once for all ``levels``.  The fast
+    product runs over ``DYADIC``, the path under test.  The reference is
+    ``mul_schoolbook`` over ``INTS`` on the same integers: the generic loop
+    on Python ints, which is exact (it only multiplies, adds, subtracts and
+    negates) and shares none of the fast path's integer lowering.  Its
+    outputs are wrapped as ``DYADIC`` and compared by value, so the counts
+    equal those of a ``DYADIC`` reference.
     """
     if table is None:
         table = build_table_from_generators()
     rng = random.Random(seed)
-    mismatches = 0
+    mismatches = dict.fromkeys(levels, 0)
     for _ in range(n):
         av, bv = random_coeffs(rng), random_coeffs(rng)
-        got = mul_fast(DiracNumber.from_ints(av, DYADIC), DiracNumber.from_ints(bv, DYADIC), level)
-        want = mul_schoolbook(DiracNumber(av, INTS), DiracNumber(bv, INTS), table)
-        if not got == DiracNumber.from_ints(want.coeffs, DYADIC):
-            mismatches += 1
+        a, b = DiracNumber.from_ints(av, DYADIC), DiracNumber.from_ints(bv, DYADIC)
+        want = DiracNumber.from_ints(mul_schoolbook(DiracNumber(av, INTS), DiracNumber(bv, INTS), table).coeffs,
+                                     DYADIC)
+        for level in mismatches:
+            if not mul_fast(a, b, level) == want:
+                mismatches[level] += 1
     return mismatches
+
+
+def oracle_compare(level: int, n: int, seed: int, table=None) -> int:
+    """:func:`oracle_mismatches` at one level."""
+    return oracle_mismatches((level,), n, seed, table)[level]
 
 
 def _generic_vector(rng: random.Random):
@@ -161,8 +169,7 @@ def cmd_verify(args) -> int:
         if not report.ok:
             failures.append(f"symbolic identity level {level}")
 
-    for level in levels:
-        mismatches = oracle_compare(level, args.iters, args.seed, table)
+    for level, mismatches in oracle_mismatches(levels, args.iters, args.seed, table).items():
         print(f"level {level}: oracle equivalence {args.iters - mismatches}/{args.iters} products match")
         if mismatches:
             failures.append(f"oracle equivalence level {level}")

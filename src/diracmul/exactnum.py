@@ -27,9 +27,11 @@ floors) or where each halving must be seen (the counting ring, where each
 counts a shift).  The compiled fast product is written with those
 operators and halves as ``x * half``, so on floats it makes no call at
 all (see ``fastmult``).  The base class :class:`OperatorRing` makes
-``add``/``sub``/``neg``/``mul``/``eq`` the ``operator`` builtins and
-builds ``wrap``, ``zero`` and ``one`` from ``from_dyadic``; each ring
-supplies ``name``, ``from_dyadic``, ``halve`` and ``half``.  ``FloatRing``,
+``add``/``sub``/``neg``/``mul``/``eq`` the ``operator`` builtins, builds
+``wrap``, ``zero`` and ``one`` from ``from_dyadic`` and halves as
+``x * half``; each ring supplies ``name``, ``from_dyadic`` and ``half``.
+Only ``IntRing`` (a flooring shift) and ``CountingRing`` (which counts a
+shift) define their own ``halve``, the one their ``Half`` calls.  ``FloatRing``,
 ``IntRing`` and ``DyadicRing`` also set ``wrap`` to the type itself
 (``float``, ``int``, ``DyadicRational``), so wrapping an integer is one
 call.  ``DyadicRing`` keeps the ``dyadic_*`` functions as
@@ -315,8 +317,8 @@ class CountingScalar:
 
 
 class OperatorRing:
-    """The shared ring surface: the ``operator`` builtins, and constants
-    built through the ring's ``from_dyadic``."""
+    """The shared ring surface: the ``operator`` builtins, halving as
+    ``x * half``, and constants built through the ring's ``from_dyadic``."""
 
     add = staticmethod(operator.add)
     sub = staticmethod(operator.sub)
@@ -333,6 +335,9 @@ class OperatorRing:
     def one(self):
         return self.wrap(1)
 
+    def halve(self, x):
+        return x * self.half
+
 
 class FloatRing(OperatorRing):
     """Machine reals; halving is exact in binary floating point."""
@@ -346,10 +351,6 @@ class FloatRing(OperatorRing):
 
     half = 0.5
 
-    @staticmethod
-    def halve(a):
-        return a * 0.5
-
 
 class DyadicRing(OperatorRing):
     name = "dyadic"
@@ -360,10 +361,6 @@ class DyadicRing(OperatorRing):
     neg = staticmethod(dyadic_neg)
     mul = staticmethod(dyadic_mul)
     half = DyadicRational(1, 1)
-
-    @staticmethod
-    def halve(a):
-        return DyadicRational(a.num, a.exp + 1)
 
 
 class IntRing(OperatorRing):
@@ -400,10 +397,6 @@ class LinearFormRing(OperatorRing):
     @staticmethod
     def from_dyadic(num, exp):
         return LinearForm.constant(DyadicRational(num, exp))
-
-    @staticmethod
-    def halve(a):
-        return a.halve()
 
 
 class CountingRing(OperatorRing):

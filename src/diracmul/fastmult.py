@@ -101,12 +101,21 @@ def _parse_kv(lines, path):
     return fields
 
 
+_SIGNS = {"+": 1, "-": -1}
+
+
+def _parse_sign(tok: str) -> int:
+    if tok not in _SIGNS:
+        raise ValueError(f"bad sign {tok!r}")
+    return _SIGNS[tok]
+
+
 def _parse_perm(fields: dict, name: str) -> Mat:
     """The +-1 matrix of a validated signed permutation."""
     try:
         size = int(fields["size"])
         src = [int(t) - 1 for t in fields["src"].split()]
-        signs = [1 if t == "+" else -1 for t in fields["signs"].split()]
+        signs = [_parse_sign(t) for t in fields["signs"].split()]
         perm = SignedPermutation(src, signs)
     except (KeyError, ValueError) as exc:
         raise AssetError(f"stage {name}: {exc}") from exc
@@ -166,13 +175,19 @@ def load_pools(path: str) -> dict:
         family, *tokens = ln.split()
         if family not in pools or len(tokens) != 2:
             raise AssetError(f"stage {os.path.basename(path)}: bad pool line {ln!r}")
-        pools[family].append(tuple(_parse_term(t) for t in tokens))
+        try:
+            pools[family].append(tuple(_parse_term(t) for t in tokens))
+        except ValueError as exc:
+            raise AssetError(f"stage {os.path.basename(path)}: {exc}") from exc
     return pools
 
 
 def _parse_term(tok: str):
-    sign = -1 if tok.startswith("-") else 1
-    return (sign, int(tok.lstrip("+-")))
+    """``(sign, index)`` of a term such as ``-3``: at most one sign, then digits."""
+    sign, digits = (tok[0], tok[1:]) if tok[:1] in _SIGNS else ("+", tok)
+    if not digits.isdigit():
+        raise ValueError(f"bad term {tok!r}")
+    return (_SIGNS[sign], int(digits))
 
 
 # the pool families a block family draws its four-term cells from, in search order
@@ -828,16 +843,13 @@ def _bind_ints(prog: CompiledProgram, b_ints) -> list:
 # public operations
 
 
-def _scaled_ints(values):
-    """``(nums, exp)`` with ``values[k] == nums[k] / 2**exp`` for dyadic
-    ``values``, ``exp`` being their largest exponent."""
+def _exact_ints(values, ring):
+    """``(nums, exp)`` with ``values[k] == nums[k] / 2**exp``: values of
+    ``DYADIC`` at their largest exponent, values of ``INTS`` at exponent 0."""
+    if ring is INTS:
+        return values, 0
     exp = max(v.exp for v in values)
     return [v.num << (exp - v.exp) for v in values], exp
-
-
-def _exact_ints(values, ring):
-    """:func:`_scaled_ints` of values of ``DYADIC``; values of ``INTS`` at exponent 0."""
-    return _scaled_ints(values) if ring is DYADIC else (values, 0)
 
 
 def _exact_values(nums, exp: int, ring) -> list:
@@ -855,16 +867,18 @@ _add, _sub, _neg, _mul = operator.add, operator.sub, operator.neg, operator.mul
 def mul_fast(a: DiracNumber, b: DiracNumber, level: int = 3, asset_dir: str | None = None) -> DiracNumber:
     """Product a*b through the factorized pipeline; exact on exact rings.
 
-    Over ``DYADIC`` and ``INTS`` the compiled functions run on plain
-    integers, each operand at its largest exponent (0 over ``INTS``), and
-    bind keeps its halvings in the exponent, so the outputs are the exact
-    product times ``2**(ea + eb + halvings)``.  Over ``INTS`` they are
-    shifted back, exactly, because the product of integers is an integer.
+    A ring whose operators are Python's runs the compiled functions on its
+    own values.  Over ``DYADIC`` and ``INTS`` they run on plain integers,
+    each operand at its largest exponent (0 over ``INTS``), and bind keeps
+    its halvings in the exponent, so the outputs are the exact product
+    times ``2**(ea + eb + halvings)``; over ``INTS`` they are shifted back,
+    exactly.  Any other ring goes through a :class:`PrecomputedOperator`.
     """
     ring = a.ring
     if b.ring is not ring:
         raise RingMismatchError(ring, b.ring)
-    prog = _pipeline_for(level, asset_dir or default_asset_dir()).program
+    pipeline = _pipeline_for(level, asset_dir or default_asset_dir())
+    prog = pipeline.program
     if ring.add is _add and ring.sub is _sub and ring.neg is _neg and ring.mul is _mul and ring is not INTS:
         out = prog.apply(ring, a.coeffs, prog.bind(ring, b.coeffs))
     elif ring is DYADIC or ring is INTS:
@@ -872,37 +886,44 @@ def mul_fast(a: DiracNumber, b: DiracNumber, level: int = 3, asset_dir: str | No
         b_ints, eb = _exact_ints(b.coeffs, ring)
         out = _exact_values(prog.apply(INTS, a_ints, _bind_ints(prog, b_ints)), ea + eb + prog.halvings, ring)
     else:
-        entries = prog.bind(_Box, _boxed(b.coeffs, ring))
-        out = [y.value for y in prog.apply(_Box, _boxed(a.coeffs, ring), entries)]
+        return PrecomputedOperator(pipeline, b).apply(a)
     product = object.__new__(DiracNumber)  # around the fresh 16-list, not a copy
     product.coeffs, product.ring = out, ring
     return product
 
 
 class PrecomputedOperator:
-    """Multiplication by a fixed right-hand operand, its core values reused.
+    """Multiplication by a fixed right-hand operand ``b``, bound once.
 
-    ``entries`` holds the compiled bind's distinct core values for the
-    operand (32 at level 3), which the compiled apply fans out to the core
-    cells.  The path ``apply`` runs on is chosen here, once, as
-    :func:`mul_fast` chooses it per call.  Over ``DYADIC`` and ``INTS`` the
-    entries are ``DyadicRational``s (a core value of integers need not be an
-    integer), and ``lowered`` holds them as ``(nums, exp)``, integers at one
-    exponent; ``apply`` brings ``a`` to one exponent and runs the compiled
-    apply on integers.  Over ``INTS`` the product must be an integer, as it
-    is for an operator from :func:`precompute`.  A ring whose operators are
-    not Python's gets its entries boxed here, once, and ``a`` per product.
+    The constructor is the one place the operator's path is chosen, from
+    ``b``'s ring, and it keeps what that path's ``apply`` runs on.  Over
+    ``DYADIC`` and ``INTS`` bind runs on integers, as in :func:`mul_fast`,
+    and ``lowered`` holds its results as ``(nums, exp)``; ``apply`` brings
+    ``a`` to one exponent and runs the compiled apply on integers.  A ring
+    whose operators are Python's keeps bind's values; any other ring keeps
+    the boxes bind returns, and ``apply`` boxes ``a`` alone.  ``entries``
+    holds the distinct core values (32 at level 3) as values of the ring,
+    ``DyadicRational``s over ``INTS`` too (a core value of integers need
+    not be an integer), for ``slpgen.flatten`` and callers.
     """
 
     __slots__ = ("pipeline", "entries", "ring", "lowered", "_apply", "_boxes")
 
-    def __init__(self, pipeline: Pipeline, entries: tuple, ring):
-        self.pipeline = pipeline
-        self.entries = entries  # the compiled bind's distinct core values for the operand
-        self.ring = ring
-        self.lowered = _scaled_ints(entries) if ring is DYADIC or ring is INTS else None
-        self._apply = pipeline.program.apply
-        self._boxes = None if self.lowered is not None or _runs_natively(ring) else _boxed(entries, ring)
+    def __init__(self, pipeline: Pipeline, b: DiracNumber):
+        prog = pipeline.program
+        ring = b.ring
+        self.pipeline, self.ring, self._apply = pipeline, ring, prog.apply
+        self.lowered = self._boxes = None
+        if ring is DYADIC or ring is INTS:
+            b_ints, eb = _exact_ints(b.coeffs, ring)
+            nums, exp = list(_bind_ints(prog, b_ints)), eb + prog.halvings
+            self.lowered = (nums, exp)
+            self.entries = tuple(DyadicRational(n, exp) for n in nums)
+        elif _runs_natively(ring):
+            self.entries = prog.bind(ring, b.coeffs)
+        else:
+            self._boxes = prog.bind(_Box, _boxed(b.coeffs, ring))
+            self.entries = tuple(box.value for box in self._boxes)
 
     def apply(self, a: DiracNumber) -> DiracNumber:
         ring = self.ring
@@ -923,21 +944,9 @@ class PrecomputedOperator:
 
 
 def precompute(b: DiracNumber, level: int = 3, asset_dir: str | None = None) -> PrecomputedOperator:
-    """The operator a -> a*b, bound on the path :func:`mul_fast` takes for
-    ``b``'s ring and chosen by the same tests as the operator's ``apply``.
-    Over ``DYADIC`` and ``INTS`` its entries share one exponent."""
-    pipeline = assemble_pipeline(level, asset_dir)
-    prog = pipeline.program
-    ring = b.ring
-    if ring is DYADIC or ring is INTS:
-        b_ints, eb = _exact_ints(b.coeffs, ring)
-        exp = eb + prog.halvings
-        entries = tuple(DyadicRational(n, exp) for n in _bind_ints(prog, b_ints))
-    elif _runs_natively(ring):
-        entries = prog.bind(ring, b.coeffs)
-    else:
-        entries = tuple(e.value for e in prog.bind(_Box, _boxed(b.coeffs, ring)))
-    return PrecomputedOperator(pipeline, entries, ring)
+    """The operator a -> a*b: the level's pipeline bound to ``b``, on the
+    path :func:`mul_fast` takes for ``b``'s ring."""
+    return PrecomputedOperator(assemble_pipeline(level, asset_dir), b)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from .algebra import DIM, DiracNumber, MultTable, mul_schoolbook
 from .exactnum import DYADIC, INTS, CountingScalar, DyadicRational, parse_dyadic
 from .fastmult import RING_OPS, Pipeline, PrecomputedOperator, Recorder, verify_pipeline
-from .linalg import Mat
 
 OPCODES = ("load_a", "load_b", "const", "add", "sub", "neg", "mul", "shift", "store_y")
 
@@ -183,23 +182,6 @@ def schoolbook_program(table: MultTable) -> SLProgram:
     a = DiracNumber(rec.inputs("a", DIM), rec)
     b = DiracNumber(rec.inputs("b", DIM), rec)
     return _tape_program(rec, mul_schoolbook(a, b, table).coeffs, DIM, DIM)
-
-
-def structural_program(mat: Mat) -> SLProgram:
-    """Flatten one structural stage alone (inputs via load_a).
-
-    Pads the outputs onto the 16 store slots so the result is still a
-    well-formed program; only the add/sub/neg histogram is interesting.
-    """
-    from .linalg import structural_apply
-
-    if mat.rows > DIM:
-        raise SLPError("structural_program only handles stages up to 16 outputs")
-    if not all(any(row) for row in mat.entries):
-        raise SLPError("pipeline stages must not produce structurally zero outputs")
-    rec = Recorder()
-    out = structural_apply(rec, mat, rec.inputs("a", mat.cols))
-    return _tape_program(rec, [out[k] if k < len(out) else out[0] for k in range(DIM)], mat.cols, 0)
 
 
 def interpret(program: SLProgram, a_vals, b_vals, ring):

@@ -75,6 +75,13 @@ class TestVerify:
             "OK\n"
         )
 
+    def test_all_levels_share_one_reference_per_pair(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "mul_schoolbook", lambda *args: calls.append(args) or mul_schoolbook(*args))
+        code, _, _ = run(capsys, "verify", "--level", "all", "--iters", "5")
+        assert code == 0
+        assert len(calls) == 5
+
     @pytest.mark.parametrize("iters", ["-3", "x"])
     def test_bad_iters_is_a_usage_error(self, capsys, iters):
         with pytest.raises(SystemExit) as exc:
@@ -134,6 +141,20 @@ class TestOracle:
         assert not fastmult.verify_pipeline(3).ok  # it assembles and runs, and is wrong
         got = cli.oracle_compare(3, 20, 11, table)
         assert got == dyadic_reference_mismatches(3, 20, 11, table) > 0
+
+    def test_verify_all_reports_each_level_s_count_on_a_faulty_asset(self, capsys, table, tmp_path, monkeypatch):
+        dst = tmp_path / "assets"
+        shutil.copytree(fastmult.default_asset_dir(), dst)
+        flip_sign(dst, "signs_out_16.txt", 1)
+        monkeypatch.setenv("DIRAC_ASSET_DIR", str(dst))
+        code, out, _ = run(capsys, "verify", "--level", "all", "--seed", "11", "--iters", "20")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[-1] == "FAIL: symbolic identity level 1"
+        wrong = [dyadic_reference_mismatches(level, 20, 11, table) for level in (1, 2, 3)]
+        assert all(wrong)
+        assert lines[4:7] == [f"level {level}: oracle equivalence {20 - n}/20 products match"
+                              for level, n in zip((1, 2, 3), wrong)]
 
     def test_counts_equal_when_only_some_products_are_wrong(self, table, monkeypatch):
         fast = fastmult.mul_fast

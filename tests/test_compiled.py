@@ -21,7 +21,7 @@ from diracmul import fastmult
 from diracmul.algebra import (DIM, DiracNumber, RingMismatchError, build_table_from_generators, mul_schoolbook,
                               symbolic_b)
 from diracmul.cli import main
-from diracmul.exactnum import CountingRing, DYADIC, FLOAT, FORMS, INTS, DyadicRational
+from diracmul.exactnum import CountingRing, CountingScalar, DYADIC, FLOAT, FORMS, INTS, DyadicRational
 from diracmul.fastmult import (
     LEVELS,
     RING_OPS,
@@ -378,20 +378,6 @@ def test_int_lowering_is_bit_exact(level, max_exp, data):
     assert keys(op.apply(a)) == want
 
 
-def test_hand_built_operator_with_mixed_exponents(verified_pipelines):
-    pipe = verified_pipelines[3]
-    rng = random.Random(370)
-    a, b = (DiracNumber([DyadicRational(rng.randint(-999, 999), rng.randint(0, 9)) for _ in range(DIM)], DYADIC)
-            for _ in range(2))
-    entries = []  # the values of the generic bind's entries, each at an exponent of its own
-    for e in pipe.program.bind(DYADIC, b.coeffs):
-        k = rng.randint(0, 40)
-        entries.append(DyadicRational(e.num << k, e.exp + k))
-    assert len({e.exp for e in entries}) > 1
-    op = PrecomputedOperator(pipe, tuple(entries), DYADIC)
-    assert keys(op.apply(a)) == keys(mul_schoolbook(a, b, TABLE))
-
-
 def test_precomputed_operator_keeps_the_integers_of_its_bind(monkeypatch):
     rng = random.Random(375)
     a, b = (DiracNumber([DyadicRational(rng.randint(-999, 999), rng.randint(0, 30)) for _ in range(DIM)], DYADIC)
@@ -402,8 +388,9 @@ def test_precomputed_operator_keeps_the_integers_of_its_bind(monkeypatch):
         nums, exp = op.lowered
         assert [(e.num, e.exp) for e in op.entries] == [(n, exp) for n in nums]
     lowered = []
-    scaled_ints = fastmult._scaled_ints
-    monkeypatch.setattr(fastmult, "_scaled_ints", lambda values: lowered.append(len(values)) or scaled_ints(values))
+    exact_ints = fastmult._exact_ints
+    monkeypatch.setattr(fastmult, "_exact_ints",
+                        lambda values, ring: lowered.append(len(values)) or exact_ints(values, ring))
     got = {level: op.apply(a) for level, op in ops.items()}
     assert lowered == [DIM] * len(LEVELS)  # each apply lowers a, never the entries
     for level in LEVELS:
@@ -754,7 +741,7 @@ def test_a_foreign_operator_boxes_its_entries_once(base, verified_pipelines, mon
     box = fastmult._boxed
     monkeypatch.setattr(fastmult, "_boxed", lambda values, r: boxed.append(len(values)) or box(values, r))
     op = precompute(b)
-    assert boxed == [DIM, 32]  # precompute boxes b, the operator its distinct core values
+    assert boxed == [DIM]  # b, once: the operator keeps the boxes bind returns
     for _ in range(3):
         a = DiracNumber(operands_over(base, rng)[0].coeffs, ring)
         boxed.clear()
@@ -764,6 +751,55 @@ def test_a_foreign_operator_boxes_its_entries_once(base, verified_pipelines, mon
         calls = ring.calls
         assert (calls["mul"], calls["add"] + calls["sub"], calls["neg"], calls["halve"]) == (88, 146, 8, 0)
         assert bits(got.coeffs) == bits(mul_fast(a, b).coeffs)
+
+
+def raw(values) -> list:
+    """Values as exact keys: a float's bits, a dyadic's (num, exp) unnormalized."""
+    out = []
+    for v in values:
+        v = v.value if isinstance(v, CountingScalar) else v
+        out.append(v.hex() if isinstance(v, float) else (v.num, v.exp) if isinstance(v, DyadicRational) else v)
+    return out
+
+
+def tally(ring):
+    """(mul, add + sub, neg, halve) a counting ring has seen so far, or None."""
+    if isinstance(ring, CountingRing):
+        return ring.counter.snapshot()
+    if isinstance(ring, CallCountingRing):
+        calls = ring.calls
+        return (calls["mul"], calls["add"] + calls["sub"], calls["neg"], calls["halve"])
+    return None
+
+
+def since(before, after):
+    return None if before is None else tuple(q - p for p, q in zip(before, after))
+
+
+@pytest.mark.parametrize("make_ring", (lambda: FLOAT, lambda: DYADIC, lambda: INTS, CountingRing,
+                                       lambda: CallCountingRing(DYADIC)),
+                         ids=("float", "dyadic", "ints", "counting", "calls"))
+def test_precompute_is_the_operator_bound_to_b(make_ring, verified_pipelines):
+    ring = make_ring()
+    rng = random.Random(396)
+    for level in LEVELS:
+        a, b = (DiracNumber.from_ints(generic_ints(rng), ring) for _ in range(2))
+        start = tally(ring)
+        op = precompute(b, level)
+        mid = tally(ring)
+        twin = PrecomputedOperator(assemble_pipeline(level), b)
+        end = tally(ring)
+        assert twin.pipeline is op.pipeline is verified_pipelines[level]
+        assert raw(twin.entries) == raw(op.entries)
+        assert twin.lowered == op.lowered
+        assert (op.lowered is None) == (ring is not DYADIC and ring is not INTS)
+        got = op.apply(a)
+        after_apply = tally(ring)
+        assert raw(twin.apply(a).coeffs) == raw(got.coeffs) == raw(mul_fast(a, b, level).coeffs)
+        if level == 3 and start is not None:
+            # each operator binds b once, and apply never binds again
+            assert since(start, mid) == since(mid, end) == (0, 52, 0, 32)
+            assert since(end, after_apply) == (88, 146, 8, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import shutil
 
 import pytest
@@ -111,6 +112,25 @@ class TestAssembly:
         shutil.copytree(default_asset_dir(), dst)
         (dst / "expand_16_24.txt").write_text("kind structural\nexpr kron(T3x2, I8\n")
         with pytest.raises(AssetError, match="stage expand_16_24.txt: malformed expression"):
+            assemble_pipeline(3, str(dst))
+
+    @pytest.mark.parametrize("token", ["x", "+1"])
+    def test_malformed_sign_names_the_stage(self, tmp_path, token):
+        dst = tmp_path / "assets"
+        shutil.copytree(default_asset_dir(), dst)
+        path = dst / "signs_out_16.txt"
+        path.write_text(path.read_text().replace("signs + ", f"signs {token} ", 1))
+        with pytest.raises(AssetError, match=re.escape(f"stage signs_out_16.txt: bad sign '{token}'")):
+            assemble_pipeline(3, str(dst))
+
+    @pytest.mark.parametrize("term", ["--3", "+-3"])
+    @pytest.mark.parametrize("name, line", [("blocks_level3.txt", "+0 +5 +10 +15"), ("pool_pairs.txt", "quad +0 +5")])
+    def test_malformed_term_names_the_stage(self, tmp_path, term, name, line):
+        dst = tmp_path / "assets"
+        shutil.copytree(default_asset_dir(), dst)
+        path = dst / name
+        path.write_text(path.read_text().replace(f"\n{line}\n", f"\n{line.replace('+5', term)}\n", 1))
+        with pytest.raises(AssetError, match=re.escape(f"stage {name}: bad term '{term}'")):
             assemble_pipeline(3, str(dst))
 
 
