@@ -10,6 +10,7 @@ checked against the table built here and against the schoolbook product.
 from __future__ import annotations
 
 import os
+from operator import itemgetter
 from typing import NamedTuple
 
 from .exactnum import lf_from_b
@@ -39,7 +40,15 @@ class SignedBasis(NamedTuple):
 
 
 class MultTable:
-    """16x16 grid of SignedBasis; entries[p][q] = i_p * i_q."""
+    """16x16 grid of SignedBasis; entries[p][q] = i_p * i_q.
+
+    ``gathers`` holds, once per table, where each cell of the product
+    matrix comes from: row k of M_b is ``gathers[k](values)`` with
+    ``values = b.coeffs + [-b_m for each m]`` (see :func:`derive_b_matrix`).
+    A table whose row n sends two columns to one output has no such matrix;
+    it still constructs, so that a faulty transcription can be reported,
+    and ``repeated_row`` is the first such n (None for a sound table).
+    """
 
     def __init__(self, entries):
         entries = [list(row) for row in entries]
@@ -50,6 +59,13 @@ class MultTable:
                 if e.sign not in (-1, 1) or not 0 <= e.index < DIM:
                     raise ValueError(f"bad table entry {e}")
         self.entries = [tuple(row) for row in entries]
+        # i_n * i_m = sign * i_k puts b_m (index m) or -b_m (index m + DIM) at row k, column n
+        source = [[None] * DIM for _ in range(DIM)]
+        for n, row in enumerate(self.entries):
+            for m, (sign, k) in enumerate(row):
+                source[k][n] = m if sign > 0 else m + DIM
+        self.gathers = [itemgetter(*cols) for cols in source]
+        self.repeated_row = next((n for n, row in enumerate(self.entries) if len({k for _, k in row}) < DIM), None)
 
     def __getitem__(self, p: int):
         return self.entries[p]
@@ -236,17 +252,16 @@ def mul_schoolbook(a: DiracNumber, b: DiracNumber, table: MultTable) -> DiracNum
 def derive_b_matrix(b: DiracNumber, table: MultTable) -> Mat:
     """The 16x16 matrix M with M . a = a * b for every a.
 
-    Row k, column n holds sign * b_m where i_n * i_m = sign * i_k; for
-    each (k, n) exactly one such m exists.
+    Row k, column n holds sign * b_m where i_n * i_m = sign * i_k.  Each
+    b_m is negated once and the rows are gathered by ``table.gathers``.
+    ``ValueError`` names the table row if some (k, n) has no such m.
     """
-    ring = b.ring
-    entries = [[None] * DIM for _ in range(DIM)]
-    for n in range(DIM):
-        for m in range(DIM):
-            sign, k = table[n][m]
-            val = b.coeffs[m]
-            entries[k][n] = ring.neg(val) if sign < 0 else val
-    return Mat(DIM, DIM, entries)
+    if table.repeated_row is not None:
+        raise ValueError(f"table row {table.repeated_row} maps two columns to one output: "
+                         "the product matrix has a hole")
+    neg = b.ring.neg
+    values = b.coeffs + [neg(v) for v in b.coeffs]
+    return Mat(DIM, DIM, [row(values) for row in table.gathers])
 
 
 def symbolic_b() -> DiracNumber:

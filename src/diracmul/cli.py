@@ -11,6 +11,7 @@ usage or parse error.
 from __future__ import annotations
 
 import argparse
+import operator
 import os
 import random
 import statistics
@@ -21,9 +22,10 @@ from .algebra import (
     DIM,
     DiracNumber,
     build_table_from_generators,
+    derive_b_matrix,
     mul_schoolbook,
 )
-from .exactnum import CountingRing, DYADIC, FLOAT, INTS, parse_dyadic
+from .exactnum import CountingRing, DYADIC, FLOAT, INTS, DyadicRational, parse_dyadic
 from .fastmult import (
     AssetError,
     LEVELS,
@@ -79,18 +81,25 @@ def random_coeffs(rng: random.Random):
     return [rng.randint(-(1 << 20), 1 << 20) for _ in range(DIM)]
 
 
+def matrix_reference(av, bv, table) -> list:
+    """a * b for integer coefficients as the paper writes it, M_b . a, with
+    M_b from ``derive_b_matrix`` over ``INTS``: exact Python ints."""
+    mul = operator.mul
+    return [sum(map(mul, row, av)) for row in derive_b_matrix(DiracNumber(bv, INTS), table).entries]
+
+
 def oracle_mismatches(levels, n: int, seed: int, table=None) -> dict:
-    """Per level, the number of mismatches between the fast and schoolbook
-    products.
+    """Per level, the number of fast products that differ from the
+    product matrix's.
 
     Each of the ``n`` pairs is drawn from ``seed`` by :func:`random_coeffs`
     and its reference is computed once for all ``levels``.  The fast
     product runs over ``DYADIC``, the path under test.  The reference is
-    ``mul_schoolbook`` over ``INTS`` on the same integers: the generic loop
-    on Python ints, which is exact (it only multiplies, adds, subtracts and
-    negates) and shares none of the fast path's integer lowering.  Its
-    outputs are wrapped as ``DYADIC`` and compared by value, so the counts
-    equal those of a ``DYADIC`` reference.
+    :func:`matrix_reference` on the same integers: the ground truth of the
+    symbolic proof, read from the table alone and sharing nothing with the
+    fast path.  Each fast coefficient ``c`` is compared with its reference
+    ``w`` by value, as ``c.num == w << c.exp``; one that is not a
+    ``DyadicRational`` is a mismatch.
     """
     if table is None:
         table = build_table_from_generators()
@@ -99,10 +108,10 @@ def oracle_mismatches(levels, n: int, seed: int, table=None) -> dict:
     for _ in range(n):
         av, bv = random_coeffs(rng), random_coeffs(rng)
         a, b = DiracNumber.from_ints(av, DYADIC), DiracNumber.from_ints(bv, DYADIC)
-        want = DiracNumber.from_ints(mul_schoolbook(DiracNumber(av, INTS), DiracNumber(bv, INTS), table).coeffs,
-                                     DYADIC)
+        want = matrix_reference(av, bv, table)
         for level in mismatches:
-            if not mul_fast(a, b, level) == want:
+            if not all(isinstance(c, DyadicRational) and c.num == w << c.exp
+                       for c, w in zip(mul_fast(a, b, level).coeffs, want)):
                 mismatches[level] += 1
     return mismatches
 

@@ -35,6 +35,8 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 # sha256 of emit_text(schoolbook_program(build_table_from_generators()))
 SCHOOLBOOK_PROGRAM_SHA256 = "b89eee54667aed3260cb2790e702b451ab4d9de70648b0d881c5ec08e6a16c66"
 
+SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300]
+
 
 def rand_number(rng, ring=INTS, lo=-1000, hi=1000):
     return DiracNumber.from_ints([rng.randint(lo, hi) for _ in range(DIM)], ring)
@@ -73,14 +75,20 @@ class TestTable:
             assert len(diffs) == len(golden)
 
     def test_planted_difference_is_reported(self, table):
-        entries = [list(row) for row in table.entries]
-        s, k = entries[3][3]
-        entries[3][3] = SignedBasis(-s, k)
-        tweaked = MultTable(entries)
+        tweaked = flipped_table(table)
+        s, k = table[3][3]
         assert table_errata(tweaked, table) == [(3, 3, SignedBasis(-s, k), SignedBasis(s, k))]
 
     def test_diagonal_signs(self, table):
         assert diagonal_signs(table) == [1, 1, -1, -1, -1, 1, 1, 1, -1, -1, -1, -1, -1, -1, 1, -1]
+
+
+def flipped_table(table):
+    """``table`` with the sign of cell (3, 3) flipped: still a product matrix, a wrong one."""
+    entries = [list(row) for row in table.entries]
+    s, k = entries[3][3]
+    entries[3][3] = SignedBasis(-s, k)
+    return MultTable(entries)
 
 
 def brute_force_product(a_vals, b_vals, table):
@@ -162,10 +170,9 @@ class TestSchoolbook:
     @pytest.mark.parametrize("ring", ["float", "dyadic"])
     def test_same_results_as_the_indexed_loop(self, table, ring):
         rng = random.Random(23)
-        specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300]
         for _ in range(200):
             if ring == "float":  # special operands included, compared bit for bit
-                a, b = (DiracNumber([rng.choice(specials) if rng.random() < 0.25 else rng.uniform(-1e3, 1e3)
+                a, b = (DiracNumber([rng.choice(SPECIAL_FLOATS) if rng.random() < 0.25 else rng.uniform(-1e3, 1e3)
                                      for _ in range(DIM)], FLOAT) for _ in range(2))
                 key = float.hex
             else:  # raw numerators and exponents, not just values
@@ -205,7 +212,53 @@ def indexed_schoolbook(a, b, table):
     return out
 
 
+def looped_b_matrix(b, table):
+    """The product matrix as a double loop, one ``neg`` per negative cell:
+    the reference for the entries of ``derive_b_matrix``."""
+    ring = b.ring
+    entries = [[None] * DIM for _ in range(DIM)]
+    for n in range(DIM):
+        for m in range(DIM):
+            sign, k = table[n][m]
+            val = b.coeffs[m]
+            entries[k][n] = ring.neg(val) if sign < 0 else val
+    return entries
+
+
+
 class TestProductMatrix:
+    @pytest.mark.parametrize("flipped", [False, True], ids=["shipped", "flipped"])
+    @pytest.mark.parametrize("ring", ["ints", "dyadic", "float", "forms"])
+    def test_same_entries_as_the_double_loop(self, table, ring, flipped):
+        if flipped:
+            table = flipped_table(table)
+        rng = random.Random(29)
+        if ring == "ints":
+            operands, key = [rand_number(rng, INTS, -1 << 70, 1 << 70) for _ in range(50)], repr
+        elif ring == "dyadic":  # raw numerators and exponents, not just values
+            operands = [DiracNumber([DyadicRational(rng.randint(-1 << 70, 1 << 70), rng.randint(0, 9))
+                                     for _ in range(DIM)], DYADIC) for _ in range(50)]
+            key = lambda v: (v.num, v.exp)  # noqa: E731
+        elif ring == "float":  # special coefficients included, compared bit for bit
+            operands = [DiracNumber(SPECIAL_FLOATS + SPECIAL_FLOATS[:6], FLOAT)]
+            operands += [DiracNumber([rng.choice(SPECIAL_FLOATS) if rng.random() < 0.3 else rng.uniform(-1e3, 1e3)
+                                      for _ in range(DIM)], FLOAT) for _ in range(50)]
+            key = float.hex
+        else:
+            operands, key = [symbolic_b()], repr
+        for b in operands:
+            got = [[key(v) for v in row] for row in derive_b_matrix(b, table).entries]
+            assert got == [[key(v) for v in row] for row in looped_b_matrix(b, table)]
+
+    def test_a_repeated_output_is_an_error_naming_the_row(self, table):
+        entries = [list(row) for row in table.entries]
+        entries[3][5] = entries[3][6]  # row 3 sends columns 5 and 6 to one output
+        holed = MultTable(entries)  # constructs, so that errata can report it
+        assert [(p, q) for p, q, _, _ in table_errata(holed, table)] == [(3, 5)]
+        with pytest.raises(ValueError, match="table row 3 "):
+            derive_b_matrix(DiracNumber.basis(0, INTS), holed)
+        assert table.repeated_row is None
+
     def test_unit_gives_identity(self, table):
         b = DiracNumber.basis(0, INTS)
         mat = derive_b_matrix(b, table)

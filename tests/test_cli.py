@@ -5,9 +5,9 @@ import shutil
 import pytest
 
 from diracmul import cli, fastmult
-from diracmul.algebra import DiracNumber, mul_schoolbook
-from diracmul.cli import bench_pairs, compile_schoolbook, main, random_coeffs
-from diracmul.exactnum import DYADIC, FLOAT, INTS
+from diracmul.algebra import DiracNumber, derive_b_matrix, mul_schoolbook
+from diracmul.cli import bench_pairs, compile_schoolbook, main, matrix_reference, random_coeffs
+from diracmul.exactnum import DYADIC, FLOAT
 
 
 def run(capsys, *argv):
@@ -76,11 +76,13 @@ class TestVerify:
         )
 
     def test_all_levels_share_one_reference_per_pair(self, capsys, monkeypatch):
-        calls = []
-        monkeypatch.setattr(cli, "mul_schoolbook", lambda *args: calls.append(args) or mul_schoolbook(*args))
+        calls, school = [], []
+        monkeypatch.setattr(cli, "derive_b_matrix", lambda *args: calls.append(args) or derive_b_matrix(*args))
+        monkeypatch.setattr(cli, "mul_schoolbook", lambda *args: school.append(args) or mul_schoolbook(*args))
         code, _, _ = run(capsys, "verify", "--level", "all", "--iters", "5")
         assert code == 0
         assert len(calls) == 5
+        assert school == []
 
     @pytest.mark.parametrize("iters", ["-3", "x"])
     def test_bad_iters_is_a_usage_error(self, capsys, iters):
@@ -122,7 +124,7 @@ class TestOracle:
             rng = random.Random(seed)
             for _ in range(5):
                 av, bv = random_coeffs(rng), random_coeffs(rng)
-                ints = mul_schoolbook(DiracNumber(av, INTS), DiracNumber(bv, INTS), table).coeffs
+                ints = matrix_reference(av, bv, table)
                 dyadic = mul_schoolbook(DiracNumber.from_ints(av, DYADIC), DiracNumber.from_ints(bv, DYADIC),
                                         table).coeffs
                 assert [(c.num, c.exp) for c in dyadic] == [(v, 0) for v in ints]
@@ -155,6 +157,20 @@ class TestOracle:
         assert all(wrong)
         assert lines[4:7] == [f"level {level}: oracle equivalence {20 - n}/20 products match"
                               for level, n in zip((1, 2, 3), wrong)]
+
+    def test_a_float_coefficient_is_a_mismatch(self, table, monkeypatch):
+        fast = fastmult.mul_fast
+
+        def faulty(a, b, level):  # the right value, as a float, when a0 is odd
+            out = fast(a, b, level)
+            if a.coeffs[0].num % 2:
+                out.coeffs[3] = float(out.coeffs[3])
+            return out
+
+        monkeypatch.setattr(cli, "mul_fast", faulty)
+        got = cli.oracle_compare(2, 40, 3, table)
+        assert 0 < got < 40
+        assert got == dyadic_reference_mismatches(2, 40, 3, table)
 
     def test_counts_equal_when_only_some_products_are_wrong(self, table, monkeypatch):
         fast = fastmult.mul_fast

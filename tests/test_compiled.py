@@ -603,7 +603,7 @@ def test_float_products_make_no_ring_or_operator_calls(verified_pipelines):
 
     def profile(frame, event, arg):
         if event == "call":
-            python_calls.append(frame.f_code.co_qualname)
+            python_calls.append(frame.f_code)
         elif event == "c_call" and arg in (operator.add, operator.sub, operator.neg, operator.mul):
             operator_calls.append(arg)
 
@@ -614,7 +614,8 @@ def test_float_products_make_no_ring_or_operator_calls(verified_pipelines):
         sys.setprofile(None)
     assert sum(op == "halve" for op, _ in prog.bind_tape) == 32
     # the 32 halvings are multiplications by FLOAT.half; the program is found with one call
-    assert python_calls == ["mul_fast", "default_asset_dir", "bind", "apply"]
+    assert python_calls == [mul_fast.__code__, fastmult.default_asset_dir.__code__, prog.bind.__code__,
+                            prog.apply.__code__]
     assert operator_calls == []
 
 
@@ -626,7 +627,7 @@ def test_float_operator_calls_only_the_compiled_apply(verified_pipelines):
 
     def profile(frame, event, arg):
         if event == "call":
-            python_calls.append(frame.f_code.co_qualname)
+            python_calls.append(frame.f_code)
         elif event == "c_call" and arg in (operator.add, operator.sub, operator.neg, operator.mul):
             operator_calls.append(arg)
 
@@ -635,7 +636,7 @@ def test_float_operator_calls_only_the_compiled_apply(verified_pipelines):
         first = op.apply(a)
     finally:
         sys.setprofile(None)
-    assert python_calls == ["PrecomputedOperator.apply", "apply"]
+    assert python_calls == [PrecomputedOperator.apply.__code__, op.pipeline.program.apply.__code__]
     assert operator_calls == []
     second = op.apply(a)
     assert first.coeffs is not second.coeffs and first.coeffs == second.coeffs == mul_fast(a, b).coeffs
