@@ -141,7 +141,7 @@ def default_asset_dir() -> str:
 
 def parse_table_text(text: str) -> MultTable:
     """Parse the documented table format: 16 lines of 16 tokens, each an
-    optional '-' followed by an index 0..15 ('-5' means -i5)."""
+    optional sign followed by an index 0..15 ('-5' means -i5)."""
     grid = parse_signed_index_matrix(text, DIM, DIM)
     return MultTable([[SignedBasis(*cell) for cell in row] for row in grid])
 
@@ -277,8 +277,20 @@ def symbolic_b_matrix(table: MultTable | None = None) -> Mat:
     return derive_b_matrix(symbolic_b(), table)
 
 
+_SIGNS = {"+": 1, "-": -1}
+
+
+def _parse_term(tok: str):
+    """``(sign, index)`` of a term such as ``-3``: at most one sign, then digits."""
+    sign, digits = (tok[0], tok[1:]) if tok[:1] in _SIGNS else ("+", tok)
+    if not digits.isdigit():
+        raise ValueError(f"bad term {tok!r}")
+    return (_SIGNS[sign], int(digits))
+
+
 def parse_signed_index_matrix(text: str, rows: int, cols: int):
-    """Parse a grid of signed indices ('-5' = -1 at index 5), one row per line."""
+    """Parse a grid of signed indices ('-5' = -1 at index 5), one row per
+    line; ``ValueError`` names a token that is not one sign and digits."""
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if len(lines) != rows:
         raise ValueError(f"expected {rows} rows, got {len(lines)}")
@@ -287,14 +299,7 @@ def parse_signed_index_matrix(text: str, rows: int, cols: int):
         tokens = ln.split()
         if len(tokens) != cols:
             raise ValueError(f"expected {cols} tokens per row: {ln!r}")
-        row = []
-        for tok in tokens:
-            sign = 1
-            if tok.startswith("-"):
-                sign = -1
-                tok = tok[1:]
-            row.append((sign, int(tok)))
-        out.append(row)
+        out.append([_parse_term(tok) for tok in tokens])
     return out
 
 

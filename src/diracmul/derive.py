@@ -30,9 +30,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .algebra import default_asset_dir, symbolic_b_matrix
+from .algebra import _parse_term, default_asset_dir, symbolic_b_matrix
 from .exactnum import FORMS, LinearForm, lf_from_b
-from .fastmult import _parse_term, parse_expr
+from .fastmult import parse_expr
 from .linalg import (
     Mat,
     SignedPermutation,

@@ -80,9 +80,10 @@ def _cost_note() -> str:
         f" of the per-block recipes, the product costs {mults} multiplications and"
         f" {structural + per_block} additions, inside the displayed 256; which 90"
         " additions the displayed summary counts cannot be traced from the"
-        " displayed chain. The compiled product also shares core entries: many"
-        " entries repeat, up to sign, across blocks, and each distinct one is"
-        f" bound once, so its core costs {core} additions against the per-block"
+        " displayed chain. The compiled product also shares values: many core"
+        " entries repeat, up to sign, across blocks, as do pool sums of the two"
+        " families, and each distinct value is computed once, so its core costs"
+        f" {core} additions against the per-block"
         f" {per_block} and the product {mults} multiplications and {fast['additions']}"
         " additions."
     )

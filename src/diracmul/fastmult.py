@@ -10,16 +10,17 @@ An assembled pipeline is an immutable value, compiled as it is built into
 two straight-line Python functions: ``bind(ring, b)`` evaluates the
 distinct core values for a right-hand operand and ``apply(ring, a,
 entries)`` runs the whole stage chain.  Both come from one recording pass
-of ``bind_core`` and ``run_pipeline_bound``, which run two kernels:
+of the paper's per-block recipe, ``bind_block`` over every core block,
+and ``run_pipeline_bound``, which run two kernels:
 ``linalg.structural_apply`` for every constant stage and ``block_matvec``
-over the core blocks.  ``bind_core`` evaluates each distinct core entry
-once: entries repeat, up to sign, across blocks (level 3's 88 take 32
-values), and a repeat reuses the bound value or negates it.  Before the
-functions are generated, ``fold_signs`` carries every negation of both
-tapes as a sign into the addition, subtraction or multiplication that
-uses the value, so bind returns the 32 values without negating any, apply
-fans them out to the 88 cells with the signs folded into its sums, and
-only an output that ends negative is negated (8 negations per product).
+over the core blocks.  Before the functions are generated, ``fold_signs``
+carries every negation of both tapes as a sign into the addition,
+subtraction or multiplication that uses the value, and computes each value
+once: core entries repeat, up to sign, across blocks (level 3's 88 take 32
+values), and a repeat folds onto the value already on the tape.  So bind
+returns the 32 values without negating any, apply fans them out to the 88
+cells with the signs folded into its sums, and only an output that ends
+negative is negated (8 negations per product).
 The generated code writes additions, subtractions, negations and
 multiplications with Python's operators (``x + y``, ``x - y``, ``-x``,
 ``x * y``) and each halving as ``x * half``, with ``half = ring.half``
@@ -61,9 +62,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .algebra import (
+    _SIGNS,
     DIM,
     DiracNumber,
     RingMismatchError,
+    _parse_term,
     build_table_from_generators,
     default_asset_dir,
     derive_b_matrix,
@@ -95,13 +98,12 @@ def _parse_kv(lines, path):
     fields = {}
     for ln in lines:
         key, _, rest = ln.partition(" ")
+        if key in fields:
+            raise AssetError(f"stage {os.path.basename(path)}: repeated field '{key}'")
         fields[key] = rest.strip()
     if "kind" not in fields:
         raise AssetError(f"stage {os.path.basename(path)}: missing 'kind' line")
     return fields
-
-
-_SIGNS = {"+": 1, "-": -1}
 
 
 def _parse_sign(tok: str) -> int:
@@ -180,14 +182,6 @@ def load_pools(path: str) -> dict:
         except ValueError as exc:
             raise AssetError(f"stage {os.path.basename(path)}: {exc}") from exc
     return pools
-
-
-def _parse_term(tok: str):
-    """``(sign, index)`` of a term such as ``-3``: at most one sign, then digits."""
-    sign, digits = (tok[0], tok[1:]) if tok[:1] in _SIGNS else ("+", tok)
-    if not digits.isdigit():
-        raise ValueError(f"bad term {tok!r}")
-    return (_SIGNS[sign], int(digits))
 
 
 # the pool families a block family draws its four-term cells from, in search order
@@ -405,65 +399,35 @@ def assemble_pipeline(level: int, asset_dir: str | None = None) -> Pipeline:
 # binding the core to a right-hand operand, and running the chain
 
 
-def _pool_value(ring, pool_cache, pools, b, fam, idx):
-    key = (fam, idx)
-    val = pool_cache.get(key)
-    if val is None:
-        (s1, m1), (s2, m2) = pools[fam][idx]
-        val = _signed_sum(ring, b[m1], s1, b[m2], s2)
-        pool_cache[key] = val
-    return val
-
-
 def _signed_sum(ring, x, sx, y, sy):
     first = ring.neg(x) if sx < 0 else x
     return ring.sub(first, y) if sy < 0 else ring.add(first, y)
 
 
-def bind_cell(recipe, halved: bool, b, ring, pools, pool_cache):
-    """Evaluate one core entry from its recipe; shared pool terms are reused."""
-    kind = recipe[0]
-    if kind == "copy":
-        _, s, m = recipe
-        val = ring.neg(b[m]) if s < 0 else b[m]
-    elif kind == "sum2":
-        _, (s1, m1), (s2, m2) = recipe
-        val = _signed_sum(ring, b[m1], s1, b[m2], s2)
-    else:
-        _, (s1, f1, i1), (s2, f2, i2) = recipe
-        t1 = _pool_value(ring, pool_cache, pools, b, f1, i1)
-        t2 = _pool_value(ring, pool_cache, pools, b, f2, i2)
-        val = _signed_sum(ring, t1, s1, t2, s2)
-    return ring.halve(val) if halved else val
-
-
 def bind_block(block: CoreBlock, b, ring, pools, pool_cache) -> list:
-    """Evaluate one block's entries by the paper's per-block recipe; shared
-    pool terms are reused."""
-    return [bind_cell(recipe, block.halved, b, ring, pools, pool_cache) for recipe in block.recipes]
+    """Evaluate one block's entries by the paper's per-block recipe.
 
-
-def bind_core(core: Stage, b, ring, pools) -> list:
-    """The core's entries for right-hand coefficients ``b``, one list per block.
-
-    Each distinct entry is evaluated once: an entry with the same terms and
-    halving as one already bound reuses its value, and one with the negated
-    terms negates it.
+    A pool term is evaluated once per ``pool_cache``, keyed by pool family
+    and index, and reused by every block that shares the cache.
     """
-    pool_cache: dict = {}
-    bound: dict = {}  # (halved, frozenset of signed terms) -> value
-    out = []
-    for blk in core.blocks:
-        entries = []
-        for terms, recipe in zip(blk.formulas, blk.recipes):
-            key = (blk.halved, frozenset(terms))
-            if key not in bound:
-                opposite = bound.get((blk.halved, frozenset((-s, m) for s, m in terms)))
-                bound[key] = (bind_cell(recipe, blk.halved, b, ring, pools, pool_cache) if opposite is None
-                              else ring.neg(opposite))
-            entries.append(bound[key])
-        out.append(entries)
-    return out
+    entries = []
+    for recipe in block.recipes:
+        kind = recipe[0]
+        if kind == "copy":
+            _, s, m = recipe
+            val = ring.neg(b[m]) if s < 0 else b[m]
+        elif kind == "sum2":
+            _, (s1, m1), (s2, m2) = recipe
+            val = _signed_sum(ring, b[m1], s1, b[m2], s2)
+        else:
+            _, (s1, f1, i1), (s2, f2, i2) = recipe
+            for fam, idx in ((f1, i1), (f2, i2)):
+                if (fam, idx) not in pool_cache:
+                    (sx, mx), (sy, my) = pools[fam][idx]
+                    pool_cache[fam, idx] = _signed_sum(ring, b[mx], sx, b[my], sy)
+            val = _signed_sum(ring, pool_cache[f1, i1], s1, pool_cache[f2, i2], s2)
+        entries.append(ring.halve(val) if block.halved else val)
+    return entries
 
 
 def block_matvec(block: CoreBlock, entries, x, ring):
@@ -479,7 +443,8 @@ def block_matvec(block: CoreBlock, entries, x, ring):
 
 
 def run_pipeline_bound(pipeline: Pipeline, a_coeffs, entries, ring):
-    """Run the stage chain on ``a_coeffs``; ``entries`` is :func:`bind_core`'s output."""
+    """Run the stage chain on ``a_coeffs``; ``entries`` holds one list per
+    core block, as :func:`bind_block` gives."""
     vec = list(a_coeffs)
     for stage in pipeline.stages:
         if stage.blocks is None:
@@ -701,19 +666,24 @@ class CompiledProgram:
 
 
 def fold_signs(tape: list) -> tuple:
-    """``tape`` with every sign carried on its value instead of negated.
+    """``tape`` with every sign carried on its value instead of negated, and
+    each value computed once.
 
     Returns the folded tape and, for each position of ``tape``, its value
     as ``(sign, position in the folded tape)``.  A ``neg`` flips the sign
     and emits nothing.  ``add`` and ``sub`` choose the operator and operand
     order from their operands' signs: ``(-x) + y`` becomes ``y - x`` and
     ``(-x) - y`` becomes ``x + y`` with sign -1.  ``mul`` multiplies the
-    signs and ``halve`` keeps its operand's.  Every folded value equals the
-    recorded one up to its sign, exactly: over the floats only the sign of
-    an exact zero can differ.
+    signs and ``halve`` keeps its operand's.  A folded step already on the
+    folded tape reuses its position, ``add`` and ``mul`` with their operands
+    in either order, and ``y - x`` reuses ``x - y`` with sign -1 (only when
+    ``x - y`` is already there).  Every folded value equals the recorded one
+    up to its sign, exactly: over the floats only the sign of an exact zero
+    can differ.
     """
     folded: list = []
     signed: list = []
+    seen: dict = {}  # folded step, with sorted operands for add and mul -> its position
     for op, args in tape:
         operands = [signed[x] for x in args] if op in RING_OPS else []
         if op == "neg":
@@ -732,8 +702,13 @@ def fold_signs(tape: list) -> tuple:
             sign, step = math.prod(s for s, _ in operands), (op, tuple(x for _, x in operands))
         else:  # an input
             sign, step = 1, (op, args)
-        folded.append(step)
-        signed.append((sign, len(folded) - 1))
+        key = (step[0], tuple(sorted(step[1]))) if step[0] in ("add", "mul") else step
+        if key not in seen and step[0] == "sub" and ("sub", step[1][::-1]) in seen:
+            sign, key = -sign, ("sub", step[1][::-1])
+        if key not in seen:
+            folded.append(step)
+            seen[key] = len(folded) - 1
+        signed.append((sign, seen[key]))
     return folded, signed
 
 
@@ -750,17 +725,21 @@ def settle_signs(tape: list, values: list) -> list:
 
 
 def compile_pipeline(pipeline: Pipeline) -> CompiledProgram:
-    """Record ``bind_core`` and ``run_pipeline_bound`` once, fold the signs
-    of both tapes and generate ``bind`` and ``apply`` from them.
+    """Record the paper's per-block recipe (:func:`bind_block` over every
+    core block, with one shared pool cache) and :func:`run_pipeline_bound`
+    once, fold the signs of both tapes and generate ``bind`` and ``apply``
+    from them.
 
-    Bind's results are the distinct folded values of the core entries, in
-    order of first use.  Apply's tape takes them as inputs and fans them
-    out to the core cells itself, so each cell's sign folds into the sum
-    that uses its product; only an output that ends with a minus sign is
-    negated.
+    :func:`fold_signs` decides all sharing: an entry that repeats another
+    up to sign, in any block, folds onto the same value.  Bind's results
+    are the distinct folded values of the core entries, in order of first
+    use.  Apply's tape takes them as inputs and fans them out to the core
+    cells itself, so each cell's sign folds into the sum that uses its
+    product; only an output that ends with a minus sign is negated.
     """
     rec = Recorder()
-    per_block = bind_core(pipeline.core, rec.inputs("b", DIM), rec, pipeline.pools)
+    b, pool_cache = rec.inputs("b", DIM), {}
+    per_block = [bind_block(blk, b, rec, pipeline.pools, pool_cache) for blk in pipeline.core.blocks]
     bind_tape, bound = fold_signs(rec.tape)
     slots: dict = {}  # folded bind position -> index among bind's results
     cells = []
@@ -1005,6 +984,13 @@ def pipeline_matrix(pipeline: Pipeline) -> Mat:
     return Mat(DIM, DIM, [[_form(cols, prog.halvings, k, n) for n in range(DIM)] for k in range(DIM)])
 
 
+@lru_cache(maxsize=None)
+def _generator_table():
+    """The ground-truth table :func:`verify_pipeline` checks against, built
+    once per process and passed to no caller, so none can change it."""
+    return build_table_from_generators()
+
+
 def verify_pipeline(pipeline: Pipeline | int, asset_dir: str | None = None) -> VerifyReport:
     """Prove the pipeline equals the table-derived product matrix in b.
 
@@ -1024,13 +1010,14 @@ def verify_pipeline(pipeline: Pipeline | int, asset_dir: str | None = None) -> V
 
     So the program computes a bilinear map, and a bilinear map is fixed by
     its values on basis pairs.  Mismatching cells are reported as linear
-    forms in b.  Runs the whole proof on every call; nothing is remembered.
+    forms in b.  Runs the whole proof on every call; only the ground-truth
+    table is built once per process.
     """
     if isinstance(pipeline, int):
         pipeline = assemble_pipeline(pipeline, asset_dir)
     prog = pipeline.program
     scale = 1 << prog.halvings
-    table = build_table_from_generators()
+    table = _generator_table()
     got = _basis_products(prog)
     want = []
     for e_m in _UNITS:

@@ -9,9 +9,9 @@ additions", so at most 256 additions, at most 90 structural additions
 beside the 166 core ones, and at most 344 operations in total.  The
 displayed stage chain needs 264 additions (98 structural) and fails them.
 The assembled level-3 chain builds its input side in 32 additions instead
-of 42, and its compiled product binds each distinct core entry once, so
-its core costs 110 additions instead of the per-block 166 and the product
-198 (88 structural).  The errata report traces the difference.
+of 42, and its compiled product computes each distinct core value once, so
+its core costs 108 additions instead of the per-block 166 and the product
+196 (88 structural).  The errata report traces the difference.
 """
 
 import os
@@ -320,6 +320,6 @@ def _summary_note():
     print()
     print("acceptance notes: criteria asserting the nominal 256-addition budget")
     print("(3 fast additions, 4 structural remainder, 7 slp additions, 8 ratio)")
-    print("hold by measurement: the level-3 chain needs 198 additions (110 core, binding")
-    print("each distinct entry once; 88 structural: 32 on the input side, 56 on the")
+    print("hold by measurement: the level-3 chain needs 196 additions (108 core, binding")
+    print("each distinct value once; 88 structural: 32 on the input side, 56 on the")
     print("output side), inside the budget.")

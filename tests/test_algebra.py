@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import random
+import re
 import shutil
 from fractions import Fraction
 
@@ -378,6 +379,21 @@ def test_every_asset_reader_honours_the_asset_dir_override(tmp_path, monkeypatch
     (copy / "b16_printed.txt").unlink()
     with pytest.raises(OSError):
         parse_printed_b_matrix()
+
+
+@pytest.mark.parametrize("token", ["-+5", "--5", "+-5", "5-"])
+@pytest.mark.parametrize("name, parse", [("table_printed.txt", parse_printed_table),
+                                         ("b16_printed.txt", parse_printed_b_matrix)])
+def test_a_malformed_signed_index_is_an_error_naming_it(tmp_path, token, name, parse):
+    copy = tmp_path / "assets"
+    shutil.copytree(default_asset_dir(), copy)
+    path = copy / name
+    lines = path.read_text().splitlines()
+    first = next(i for i, ln in enumerate(lines) if ln.strip() and not ln.startswith("#"))
+    lines[first] = " ".join([token] + lines[first].split()[1:])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"bad term '{token}'")):
+        parse(str(copy))
 
 
 def test_every_package_export_resolves():

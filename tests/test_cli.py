@@ -56,6 +56,18 @@ class TestVerify:
         assert code == 1
         assert "perm_out_28" in out + err
 
+    def test_a_repeated_stage_field_fails_naming_it(self, capsys, tmp_path, monkeypatch):
+        from diracmul import fastmult
+
+        dst = tmp_path / "assets"
+        shutil.copytree(fastmult.default_asset_dir(), dst)
+        path = dst / "signs_out_16.txt"
+        path.write_text(path.read_text() + "signs" + " +" * 16 + "\n")
+        monkeypatch.setenv("DIRAC_ASSET_DIR", str(dst))
+        code, _, err = run(capsys, "verify", "--level", "3")
+        assert code == 1
+        assert err == "FAIL: stage signs_out_16.txt: repeated field 'signs'\n"
+
     def test_zero_iters_skips_the_oracle(self, capsys):
         code, out, _ = run(capsys, "verify", "--level", "1", "--iters", "0")
         assert code == 0
@@ -192,15 +204,15 @@ class TestCount:
         code, out, _ = run(capsys, "count")
         assert code == 0
         assert "schoolbook: mul=256 add=240" in out
-        assert "fast (level 3): mul=88 add=198" in out
-        assert "precompute: mul=0 add=52" in out
+        assert "fast (level 3): mul=88 add=196" in out
+        assert "precompute: mul=0 add=50" in out
         assert "apply: mul=88 add=146" in out
-        assert "core stage: mul=88 add=110" in out
+        assert "core stage: mul=88 add=108" in out
         assert "structural stages: add=88" in out
         assert "savings vs schoolbook: 168 multiplications" in out
         assert "40 multiplications" in out
-        assert "total ops fast=286, schoolbook=496, ratio=0.58" in out
-        assert "measured mul=88 add=198 (110 core + 88 structural), within budget" in out
+        assert "total ops fast=284, schoolbook=496, ratio=0.57" in out
+        assert "measured mul=88 add=196 (108 core + 88 structural), within budget" in out
 
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, "count")
@@ -280,7 +292,7 @@ class TestBench:
         assert "fast:" in out
         assert "apply (amortized):" in out
         assert "counting cross-check" in out
-        assert "52 fewer adds" in out
+        assert "50 fewer adds" in out
 
     @pytest.mark.parametrize("iters", ["0", "-1"])
     def test_iters_below_one_is_a_usage_error(self, capsys, iters):
@@ -331,7 +343,7 @@ class TestEmit:
         code, _, _ = run(capsys, "emit", "slp", str(out_file))
         assert code == 0
         header = out_file.read_text().splitlines()[0]
-        assert header == "# mul=88 add=198 neg=8 shift=32"
+        assert header == "# mul=88 add=196 neg=8 shift=32"
 
     @pytest.mark.parametrize("level,mul", [(1, 112), (2, 92)])
     def test_slp_lower_levels(self, capsys, tmp_path, level, mul):
@@ -339,7 +351,7 @@ class TestEmit:
         code, _, _ = run(capsys, "emit", "slp", str(out_file), "--level", str(level))
         assert code == 0
         header = out_file.read_text().splitlines()[0]
-        adds = {1: 192, 2: 204}[level]
+        adds = {1: 192, 2: 202}[level]
         assert header.startswith(f"# mul={mul} add={adds} ")
 
     def test_slp_refuses_a_pipeline_that_fails_its_proof(self, capsys, tmp_path, monkeypatch):

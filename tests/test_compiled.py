@@ -168,7 +168,7 @@ def test_compiled_precompute_and_apply_counts_equal_program_histograms(verified_
     apply_only = flatten(pipe, include_precompute=False, operator=op).histogram()
     assert apply_counts == {k: apply_only[k] for _, k in COUNT_KEYS}
     assert bind_counts == {k: full[k] - apply_only[k] for _, k in COUNT_KEYS}
-    assert (bind_counts["mul"], bind_counts["add_total"]) == (0, 52)
+    assert (bind_counts["mul"], bind_counts["add_total"]) == (0, 50)
     assert (apply_counts["mul"], apply_counts["add_total"]) == (88, 146)
 
 
@@ -233,24 +233,42 @@ def test_full_product_negates_only_eight_outputs(level, verified_pipelines):
 
 
 def test_fold_carries_signs_into_the_operations_that_use_them():
-    x, y = ("x", (0,)), ("y", (0,))
+    x, y, z = ("x", (0,)), ("y", (0,)), ("z", (0,))
     tape = [x, y, ("neg", (0,)), ("neg", (1,)),
             ("add", (2, 1)),   # 4: (-x) + y
             ("sub", (2, 1)),   # 5: (-x) - y
-            ("sub", (0, 3)),   # 6: x - (-y)
+            ("sub", (0, 3)),   # 6: x - (-y), the value 5 negated
             ("mul", (2, 1)),   # 7: (-x) * y
-            ("halve", (2,))]   # 8: halve(-x)
+            ("halve", (2,)),   # 8: halve(-x)
+            ("add", (1, 0)),   # 9: y + x, 6 commuted
+            ("mul", (1, 2)),   # 10: y * (-x), 7 commuted
+            ("sub", (0, 1)),   # 11: x - y, 4 reversed
+            ("halve", (9,)),   # 12: halve(y + x)
+            ("halve", (6,)),   # 13: halve(x - (-y)), the same halving as 12
+            z,                 # 14: an input of another name than x
+            ("add", (0, 14))]  # 15: x + z
     folded, signed = fastmult.fold_signs(tape)
-    assert folded == [x, y, ("sub", (1, 0)), ("add", (0, 1)), ("add", (0, 1)), ("mul", (0, 1)), ("halve", (0,))]
-    assert signed == [(1, 0), (1, 1), (-1, 0), (-1, 1), (1, 2), (-1, 3), (1, 4), (-1, 5), (-1, 6)]
+    assert folded == [x, y, ("sub", (1, 0)), ("add", (0, 1)), ("mul", (0, 1)), ("halve", (0,)), ("halve", (3,)),
+                      z, ("add", (0, 7))]
+    assert signed == [(1, 0), (1, 1), (-1, 0), (-1, 1), (1, 2), (-1, 3), (1, 3), (-1, 4), (-1, 5),
+                      (1, 3), (-1, 4), (-1, 2), (1, 6), (1, 6), (1, 7), (1, 8)]
     # a negative output is negated once, at the end; a positive one is read as it is
     outputs = fastmult.settle_signs(folded, [signed[k] for k in (4, 5, 8)])
-    assert folded[7:] == [("neg", (3,)), ("neg", (6,))] and outputs == [2, 7, 8]
-    for xv, yv in ((6, 10), (-4, 5), (8, 8)):  # x even, so halving is exact
-        recorded = tape_values(tape, INTS, {"x": [xv], "y": [yv]})
-        values = tape_values(folded, INTS, {"x": [xv], "y": [yv]})
+    assert folded[9:] == [("neg", (3,)), ("neg", (5,))] and outputs == [2, 9, 10]
+    for xv, yv, zv in ((6, 10, 3), (-4, 5, -7), (8, 8, 8)):  # x even, so halving it is exact
+        inputs = {"x": [xv], "y": [yv], "z": [zv]}
+        recorded = tape_values(tape, INTS, inputs)
+        values = tape_values(folded, INTS, inputs)
         assert [s * values[k] for s, k in signed] == recorded
         assert [values[k] for k in outputs] == [recorded[k] for k in (4, 5, 8)]
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_folded_tapes_compute_each_value_once(level, verified_pipelines):
+    prog = verified_pipelines[level].program
+    for tape in (prog.bind_tape, prog.apply_tape):
+        steps = [(op, tuple(sorted(args))) for op, args in tape]
+        assert len(set(steps)) == len(steps)
 
 
 @pytest.mark.parametrize("level", LEVELS)
@@ -715,7 +733,7 @@ def test_a_foreign_ring_sees_every_recorded_operation(level, base, verified_pipe
     apply_only = flatten(pipe, include_precompute=False,
                          operator=precompute(DiracNumber.from_ints(range(DIM), DYADIC), level)).histogram()
     if level == 3:
-        assert [full[k] for k in ("mul", "add_total", "neg", "shift")] == [88, 198, 8, 32]
+        assert [full[k] for k in ("mul", "add_total", "neg", "shift")] == [88, 196, 8, 32]
         assert [apply_only[k] for k in ("mul", "add_total")] == [88, 146]
     full, apply_only = as_calls(full), as_calls(apply_only)
 
@@ -799,7 +817,7 @@ def test_precompute_is_the_operator_bound_to_b(make_ring, verified_pipelines):
         assert raw(twin.apply(a).coeffs) == raw(got.coeffs) == raw(mul_fast(a, b, level).coeffs)
         if level == 3 and start is not None:
             # each operator binds b once, and apply never binds again
-            assert since(start, mid) == since(mid, end) == (0, 52, 0, 32)
+            assert since(start, mid) == since(mid, end) == (0, 50, 0, 32)
             assert since(end, after_apply) == (88, 146, 8, 0)
 
 
@@ -885,16 +903,16 @@ def test_traceback_shows_generated_lines():
 COUNT_OUTPUT = """\
 schoolbook: mul=256 add=240
 fast (level 1): mul=112 add=192 neg=8 shift=16
-fast (level 2): mul=92 add=204 neg=8 shift=24
-fast (level 3): mul=88 add=198 neg=8 shift=32
-precompute: mul=0 add=52 neg=0 shift=32
+fast (level 2): mul=92 add=202 neg=8 shift=24
+fast (level 3): mul=88 add=196 neg=8 shift=32
+precompute: mul=0 add=50 neg=0 shift=32
 apply: mul=88 add=146 neg=8 shift=0
-core stage: mul=88 add=110
+core stage: mul=88 add=108
 structural stages: add=88
 savings vs schoolbook: 168 multiplications
 savings vs the earlier published scheme (128 multiplications): 40 multiplications
-total ops fast=286, schoolbook=496, ratio=0.58
-nominal budget mul=88 add=256: measured mul=88 add=198 (110 core + 88 structural), within budget
+total ops fast=284, schoolbook=496, ratio=0.57
+nominal budget mul=88 add=256: measured mul=88 add=196 (108 core + 88 structural), within budget
 """
 
 
