@@ -250,13 +250,13 @@ def bench_pairs(iters: int, seed: int) -> list:
 def compile_schoolbook(table):
     """``mul_schoolbook`` recorded once and generated as straight-line code
     by the generator of the fast product's ``bind`` and ``apply``:
-    ``schoolbook(ring, a, b)`` returns the 16 output coefficients for the
+    ``schoolbook(a, b)`` returns the 16 output coefficients for the
     coefficient lists ``a`` and ``b``, with the same operations in the same
     order, so the two methods are timed as the same kind of code."""
     rec = Recorder()
     out = mul_schoolbook(DiracNumber(rec.inputs("a", DIM), rec), DiracNumber(rec.inputs("b", DIM), rec), table)
     namespace: dict = {}
-    source = _function_source("schoolbook", rec.tape, out.coeffs, "[]")
+    source = _function_source("schoolbook(a, b)", rec.tape, out.coeffs, "[]")
     exec(compile(source, "<diracmul schoolbook>", "exec"), namespace)
     return namespace["schoolbook"]
 
@@ -275,7 +275,7 @@ def cmd_bench(args) -> int:
     def run_school_compiled():
         for av, bv in data:
             a, b = DiracNumber(av, FLOAT), DiracNumber(bv, FLOAT)
-            DiracNumber(school(FLOAT, a.coeffs, b.coeffs), FLOAT)
+            DiracNumber(school(a.coeffs, b.coeffs), FLOAT)
 
     def run_fast():
         for av, bv in data:

@@ -7,9 +7,10 @@ block-diagonal core.  Three refinement levels exist; the final one spends
 plain-text assets.
 
 An assembled pipeline is an immutable value, compiled as it is built into
-two straight-line Python functions: ``bind(ring, b)`` evaluates the
-distinct core values for a right-hand operand and ``apply(ring, a,
-entries)`` runs the whole stage chain.  Both come from one recording pass
+two straight-line Python functions, which follow the paper's product
+M_b . a: ``bind(half, b)`` evaluates the distinct core values for a
+right-hand operand and ``apply(a, e)`` runs the whole stage chain on the
+left-hand operand and those values ``e``.  Both come from one recording pass
 of the paper's per-block recipe, ``bind_block`` over every core block,
 and ``run_pipeline_bound``, which run two kernels:
 ``linalg.structural_apply`` for every constant stage and ``block_matvec``
@@ -23,19 +24,20 @@ cells with the signs folded into its sums, and only an output that ends
 negative is negated (8 negations per product).
 The generated code writes additions, subtractions, negations and
 multiplications with Python's operators (``x + y``, ``x - y``, ``-x``,
-``x * y``) and each halving as ``x * half``, with ``half = ring.half``
-read once at the top of bind; apply never halves.  So they call nothing,
-and run on any values with those operators -- floats, integers, dyadics,
-counting scalars and linear forms, whose rings each supply a ``half``
-with ``x * half`` equal to ``halve(x)``.  A ring whose
+``x * y``) and each halving as ``x * half``, ``half`` being the one
+constant bind takes; apply never halves.  So they call nothing, and run
+on any values with those operators -- floats, integers, dyadics, counting
+scalars and linear forms, whose rings each supply a ``half`` with
+``x * half`` equal to ``halve(x)``.  A ring whose
 ``add``/``sub``/``neg``/``mul`` are ``operator.add`` etc. runs them on its
-own values; any other ring's values are boxed, so that each operator,
-halving included, calls the ring's method and the ring sees every
-recorded operation once.  ``mul_fast``, ``PrecomputedOperator.apply``
-and ``verify_pipeline`` all call them: ``verify_pipeline`` proves that
-exactly this code equals the ground-truth product matrix.  The code is
-bilinear, which compilation checks, so the proof runs it over integers on
-every pair of basis vectors; it runs on every call.
+own values and ``ring.half``; any other ring's values are boxed, so that
+each operator, halving by a marker included, calls the ring's method and
+the ring sees every recorded operation once.  ``mul_fast``,
+``PrecomputedOperator.apply`` and ``verify_pipeline`` all call them:
+``verify_pipeline`` proves that exactly this code equals the ground-truth
+product matrix.  The code is bilinear, which compilation checks, so the
+proof runs it over integers on every pair of basis vectors; it runs on
+every call.
 
 Over ``DYADIC`` and ``INTS`` the products run those functions on plain
 integers rather than on ``DyadicRational`` objects.  Each operand is
@@ -502,12 +504,13 @@ class Recorder:
 _INFIX = {"add": "+", "sub": "-", "mul": "*"}
 
 
-def _function_source(name: str, tape: list, results: list, brackets: str) -> str:
-    """A straight-line function computing ``results`` from the tape's inputs.
+def _function_source(signature: str, tape: list, results: list, brackets: str) -> str:
+    """``def <signature>:`` computing ``results`` from the tape's inputs.
 
-    ``add``/``sub``/``mul`` are written as infix operators, ``neg`` as
-    unary minus and ``halve`` as ``x * half``, with ``half = ring.half``
-    read once per call, so the function calls nothing.  A value
+    The signature names a list per input name, and ``half`` if the tape
+    halves: ``bind(half, b)``.  ``add``/``sub``/``mul`` are written as
+    infix operators, ``neg`` as unary minus and ``halve`` as
+    ``x * half``, so the function calls nothing.  A value
     used once is written inline where it is used; a value used more than
     once gets a local.  Every recorded operation runs exactly once; the
     locals in recording order, an inlined value where it is used.
@@ -519,7 +522,7 @@ def _function_source(name: str, tape: list, results: list, brackets: str) -> str
                 uses[x] += 1
     for x in results:
         uses[x] += 1
-    params: dict = {}  # input name -> count, in order of first appearance
+    params: dict = {}  # input name -> count
     text, body = [], []  # each value as an expression, and the local assignments
     operand = []  # each value as an operand of an operator: parenthesized unless atomic
     for i, (op, args) in enumerate(tape):
@@ -541,9 +544,7 @@ def _function_source(name: str, tape: list, results: list, brackets: str) -> str
             body.append(f"    v{i} = {expr}")
             text.append(f"v{i}")
             operand.append(text[-1])
-    lines = [f"def {name}(ring, {', '.join(params)}):"]
-    if any(op == "halve" for op, _ in tape):
-        lines.append("    half = ring.half")
+    lines = [f"def {signature}:"]
     lines += [f"    {', '.join(f'{p}{k}' for k in range(n))}, = {p}" for p, n in params.items()]
     lines += body
     lines.append(f"    return {brackets[0]}")
@@ -609,17 +610,18 @@ def _forget_source(filename: str, entry: tuple) -> None:
 class CompiledProgram:
     """A pipeline as two generated straight-line functions.
 
-    ``bind(ring, b)`` returns, as a tuple, the distinct values the core
+    ``bind(half, b)`` returns, as a tuple, the distinct values the core
     entries take up to sign for right-hand coefficients ``b``;
-    ``apply(ring, a, entries)`` returns the sixteen output coefficients for
-    left-hand coefficients ``a``.  ``cells`` holds one ``(sign, index)`` per
-    core cell, in block order: the cell is ``sign * entries[index]``, and
-    apply multiplies by it with the sign folded into the sum that uses the
-    product.  Both functions compute with ``+``, ``-``, ``*`` and unary
-    ``-`` on the values they are given, bind halving as ``x * half`` with
-    ``half = ring.half``; neither calls anything.  ``source`` is their
-    text, registered with ``linecache`` under ``filename`` for as long as
-    the program lives.  They are generated from
+    ``apply(a, e)`` returns the sixteen output coefficients for left-hand
+    coefficients ``a`` and bind's values ``e``.  ``cells`` holds one
+    ``(sign, index)`` per core cell, in block order: the cell is
+    ``sign * e[index]``, and apply multiplies by it with the sign folded
+    into the sum that uses the product.  Both compute with ``+``, ``-``,
+    ``*`` and unary ``-``, bind halving as ``x * half``: a ring's own
+    ``half``, ``1`` on the integer path, a marker over boxes (see
+    :class:`PrecomputedOperator`).  ``source`` is their text, registered
+    with ``linecache`` under ``filename`` for as long as the program
+    lives.  They are generated from
     the sign-folded ``bind_tape`` (inputs ``b``; the entries are the
     positions ``entries``) and ``apply_tape`` (inputs ``a`` and ``e``, the
     entries; the outputs are the positions ``outputs``).
@@ -647,8 +649,8 @@ class CompiledProgram:
         _check_bilinear(apply_tape, outputs)
         self.bind_tape, self.entries, self.cells = bind_tape, entries, cells
         self.apply_tape, self.outputs = apply_tape, outputs
-        self.source = (_function_source("bind", bind_tape, entries, "()") + "\n\n"
-                       + _function_source("apply", apply_tape, outputs, "[]"))
+        self.source = (_function_source("bind(half, b)", bind_tape, entries, "()") + "\n\n"
+                       + _function_source("apply(a, e)", apply_tape, outputs, "[]"))
         self.filename = f"<diracmul pipeline level {level}>"
         held = linecache.cache.get(self.filename)
         if held is not None and "".join(held[2]) != self.source:
@@ -763,19 +765,20 @@ def compile_pipeline(pipeline: Pipeline) -> CompiledProgram:
 def _runs_natively(ring) -> bool:
     """Whether ``ring``'s ``add``/``sub``/``neg``/``mul`` are the operators
     the generated code is written with, so it can run on the ring's values
-    (halving them by the ring's ``half``)."""
+    (bind halving them by the ring's ``half``)."""
     return (ring.add is operator.add and ring.sub is operator.sub
             and ring.neg is operator.neg and ring.mul is operator.mul)
 
 
+# the ``half`` bind takes over boxes: ``box * _HALVE`` calls the ring's ``halve``
+_HALVE = object()
+
+
 class _Box:
     """A value of a ring whose ``add``/``sub``/``neg``/``mul`` are methods
-    of its own: each operator calls the ring's method.  The class itself is
-    the ring the generated functions see over boxes; its ``half`` is a
-    marker that ``*`` turns into a call of the ring's ``halve``."""
+    of its own: each operator calls the ring's method."""
 
     __slots__ = ("value", "ring")
-    half = object()
 
     def __init__(self, value, ring):
         self.value = value
@@ -791,7 +794,7 @@ class _Box:
         return _Box(self.ring.neg(self.value), self.ring)
 
     def __mul__(self, other):
-        if other is _Box.half:
+        if other is _HALVE:
             return _Box(self.ring.halve(self.value), self.ring)
         return _Box(self.ring.mul(self.value, other.value), self.ring)
 
@@ -800,17 +803,11 @@ def _boxed(values, ring) -> list:
     return [_Box(v, ring) for v in values]
 
 
-class _Unhalved:
-    """The ring ``bind`` sees on the integer path: ``x * half`` is ``x``,
-    so each halving is left out and kept in the exponent instead."""
-
-    half = 1
-
-
 def _bind_ints(prog: CompiledProgram, b_ints) -> list:
-    """The compiled ``bind`` on integers with its halvings kept in the
-    exponent: each distinct core value times ``2**halvings``, exactly."""
-    entries = prog.bind(_Unhalved, b_ints)
+    """The compiled ``bind`` on integers with ``half = 1``, so that each
+    halving is left out and kept in the exponent: each distinct core value
+    times ``2**halvings``, exactly."""
+    entries = prog.bind(1, b_ints)
     if prog.lifts:
         entries = list(entries)
         for k, shift in prog.lifts:
@@ -847,11 +844,12 @@ def mul_fast(a: DiracNumber, b: DiracNumber, level: int = 3, asset_dir: str | No
     """Product a*b through the factorized pipeline; exact on exact rings.
 
     A ring whose operators are Python's runs the compiled functions on its
-    own values.  Over ``DYADIC`` and ``INTS`` they run on plain integers,
-    each operand at its largest exponent (0 over ``INTS``), and bind keeps
-    its halvings in the exponent, so the outputs are the exact product
-    times ``2**(ea + eb + halvings)``; over ``INTS`` they are shifted back,
-    exactly.  Any other ring goes through a :class:`PrecomputedOperator`.
+    own values and ``half``.  Over ``DYADIC`` and ``INTS`` they run on plain
+    integers, each operand at its largest exponent (0 over ``INTS``), and
+    bind keeps its halvings in the exponent, so the outputs are the exact
+    product times ``2**(ea + eb + halvings)``; over ``INTS`` they are
+    shifted back, exactly.  Any other ring goes through a
+    :class:`PrecomputedOperator`.
     """
     ring = a.ring
     if b.ring is not ring:
@@ -859,11 +857,11 @@ def mul_fast(a: DiracNumber, b: DiracNumber, level: int = 3, asset_dir: str | No
     pipeline = _pipeline_for(level, asset_dir or default_asset_dir())
     prog = pipeline.program
     if ring.add is _add and ring.sub is _sub and ring.neg is _neg and ring.mul is _mul and ring is not INTS:
-        out = prog.apply(ring, a.coeffs, prog.bind(ring, b.coeffs))
+        out = prog.apply(a.coeffs, prog.bind(ring.half, b.coeffs))
     elif ring is DYADIC or ring is INTS:
         a_ints, ea = _exact_ints(a.coeffs, ring)
         b_ints, eb = _exact_ints(b.coeffs, ring)
-        out = _exact_values(prog.apply(INTS, a_ints, _bind_ints(prog, b_ints)), ea + eb + prog.halvings, ring)
+        out = _exact_values(prog.apply(a_ints, _bind_ints(prog, b_ints)), ea + eb + prog.halvings, ring)
     else:
         return PrecomputedOperator(pipeline, b).apply(a)
     product = object.__new__(DiracNumber)  # around the fresh 16-list, not a copy
@@ -899,9 +897,9 @@ class PrecomputedOperator:
             self.lowered = (nums, exp)
             self.entries = tuple(DyadicRational(n, exp) for n in nums)
         elif _runs_natively(ring):
-            self.entries = prog.bind(ring, b.coeffs)
+            self.entries = prog.bind(ring.half, b.coeffs)
         else:
-            self._boxes = prog.bind(_Box, _boxed(b.coeffs, ring))
+            self._boxes = prog.bind(_HALVE, _boxed(b.coeffs, ring))
             self.entries = tuple(box.value for box in self._boxes)
 
     def apply(self, a: DiracNumber) -> DiracNumber:
@@ -912,11 +910,11 @@ class PrecomputedOperator:
         if lowered is not None:
             a_ints, ea = _exact_ints(a.coeffs, ring)
             nums, exp = lowered
-            out = _exact_values(self._apply(INTS, a_ints, nums), ea + exp, ring)
+            out = _exact_values(self._apply(a_ints, nums), ea + exp, ring)
         elif self._boxes is None:
-            out = self._apply(ring, a.coeffs, self.entries)
+            out = self._apply(a.coeffs, self.entries)
         else:
-            out = [y.value for y in self._apply(_Box, _boxed(a.coeffs, ring), self._boxes)]
+            out = [y.value for y in self._apply(_boxed(a.coeffs, ring), self._boxes)]
         product = object.__new__(DiracNumber)  # around the fresh 16-list, not a copy
         product.coeffs, product.ring = out, ring
         return product
@@ -960,13 +958,13 @@ def _basis_products(prog: CompiledProgram) -> list:
     """The compiled program over integers on every pair of basis vectors.
 
     Entry ``m`` is a flat tuple: for each ``n`` in turn, the sixteen
-    outputs of ``apply(INTS, e_n, _bind_ints(prog, e_m))``, which are
+    outputs of ``apply(e_n, _bind_ints(prog, e_m))``, which are
     ``2**halvings`` times the product's.
     """
     cols = []
     for e_m in _UNITS:
         entries = _bind_ints(prog, e_m)
-        cols.append(tuple(y for e_n in _UNITS for y in prog.apply(INTS, e_n, entries)))
+        cols.append(tuple(y for e_n in _UNITS for y in prog.apply(e_n, entries)))
     return cols
 
 

@@ -81,11 +81,11 @@ def linear_form_matrix(pipeline) -> Mat:
     """The pipeline's compiled program run over linear forms: bind on the
     fully symbolic b, then apply on each unit a (the proof's former path)."""
     prog = pipeline.program
-    entries = prog.bind(FORMS, symbolic_b().coeffs)
+    entries = prog.bind(FORMS.half, symbolic_b().coeffs)
     cols = []
     for n in range(DIM):
         a = [FORMS.one() if k == n else FORMS.zero() for k in range(DIM)]
-        cols.append(prog.apply(FORMS, a, entries))
+        cols.append(prog.apply(a, entries))
     return Mat(DIM, DIM, [[cols[n][k] for n in range(DIM)] for k in range(DIM)])
 
 

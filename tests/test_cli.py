@@ -306,7 +306,7 @@ class TestBench:
         school = compile_schoolbook(table)
         for av, bv in bench_pairs(50, 0):
             want = mul_schoolbook(DiracNumber(av, FLOAT), DiracNumber(bv, FLOAT), table).coeffs
-            assert [v.hex() for v in school(FLOAT, av, bv)] == [v.hex() for v in want]
+            assert [v.hex() for v in school(av, bv)] == [v.hex() for v in want]
 
     def test_input_stream_is_seed_deterministic(self):
         from diracmul.cli import random_coeffs

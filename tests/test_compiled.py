@@ -148,8 +148,8 @@ def test_compiled_counts_equal_program_histogram(level, verified_pipelines):
     rng = random.Random(300 + level)
     ring = CountingRing()
     prog = pipe.program
-    entries = prog.bind(ring, [ring.wrap(v) for v in generic_ints(rng)])
-    prog.apply(ring, [ring.wrap(v) for v in generic_ints(rng)], entries)
+    entries = prog.bind(ring.half, [ring.wrap(v) for v in generic_ints(rng)])
+    prog.apply([ring.wrap(v) for v in generic_ints(rng)], entries)
     want = flatten(pipe).histogram()
     assert as_histogram(ring.counter.as_dict()) == {k: want[k] for _, k in COUNT_KEYS}
 
@@ -189,7 +189,7 @@ def assert_bind_follows_the_block_recipes(pipe, rng):
     for _ in range(20):
         # scaled so that every halving is exact over the integers
         b = [rng.randint(-(1 << 40), 1 << 40) << prog.halvings for _ in range(DIM)]
-        values = prog.bind(INTS, b)
+        values = prog.bind(INTS.half, b)
         assert [sign * values[k] for sign, k in prog.cells] == per_block_entries(pipe, b)
 
 
@@ -424,7 +424,7 @@ def test_integer_bind_keeps_its_halvings_in_the_exponent(level, lifted, verified
     for _ in range(20):
         b = [rng.randint(-(1 << 40), 1 << 40) for _ in range(DIM)]
         # the same values as halving b scaled by 2**halvings with x >> 1, which is exact on it
-        assert list(fastmult._bind_ints(prog, b)) == list(prog.bind(INTS, [x << prog.halvings for x in b]))
+        assert list(fastmult._bind_ints(prog, b)) == list(prog.bind(INTS.half, [x << prog.halvings for x in b]))
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +547,7 @@ def test_planted_fault_compiles_its_own_program(verified_pipelines, planted_faul
     rng = random.Random(340)
     a, b = (DiracNumber.from_ints(generic_ints(rng), DYADIC) for _ in range(2))
     prog = bad.program
-    faulty = DiracNumber(prog.apply(DYADIC, a.coeffs, prog.bind(DYADIC, b.coeffs)), DYADIC)
+    faulty = DiracNumber(prog.apply(a.coeffs, prog.bind(DYADIC.half, b.coeffs)), DYADIC)
     assert faulty != mul_schoolbook(a, b, TABLE)
     assert mul_fast(a, b) == mul_schoolbook(a, b, TABLE)
     assert verify_pipeline(pipe).ok
@@ -852,7 +852,7 @@ def test_generated_source_is_registered_with_linecache(verified_pipelines):
     for level, pipe in verified_pipelines.items():
         prog = pipe.program
         assert prog.filename == f"<diracmul pipeline level {level}>"
-        assert linecache.getline(prog.filename, 1) == "def bind(ring, b):\n"
+        assert linecache.getline(prog.filename, 1) == "def bind(half, b):\n"
         assert "".join(linecache.getlines(prog.filename)) == prog.source
 
 

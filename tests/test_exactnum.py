@@ -326,7 +326,7 @@ class TestHalf:
         av, bv = ([rng.randint(3, 1 << 19) * 2 + 1 for _ in range(DIM)] for _ in range(2))
         bv[5], bv[15] = -bv[0], -bv[10]
         prog = assemble_pipeline(3).program
-        assert prog.bind(DYADIC, [DYADIC.wrap(v) for v in bv]).count(DyadicRational(0)) == 2
+        assert prog.bind(DYADIC.half, [DYADIC.wrap(v) for v in bv]).count(DyadicRational(0)) == 2
         # one shift per halving, as a call of halve counts them
         want = {1: (104, 192, 8, 16), 2: (84, 202, 8, 24), 3: (80, 196, 8, 32)}
         for level, counts in want.items():
@@ -336,5 +336,5 @@ class TestHalf:
         # a plain 1/2 counts no shift for the two zero entries
         ring = CountingRing()
         ring.half = CountingScalar(DyadicRational(1, 1), ring.counter)
-        prog.apply(ring, [ring.wrap(v) for v in av], prog.bind(ring, [ring.wrap(v) for v in bv]))
+        prog.apply([ring.wrap(v) for v in av], prog.bind(ring.half, [ring.wrap(v) for v in bv]))
         assert ring.counter.shifts == 30
