@@ -139,18 +139,27 @@ def default_asset_dir() -> str:
     return os.environ.get(_ASSET_DIR_VARIABLE) or _SHIPPED_ASSET_DIR
 
 
-def parse_table_text(text: str) -> MultTable:
-    """Parse the documented table format: 16 lines of 16 tokens, each an
-    optional sign followed by an index 0..15 ('-5' means -i5)."""
-    grid = parse_signed_index_matrix(text, DIM, DIM)
-    return MultTable([[SignedBasis(*cell) for cell in row] for row in grid])
+def read_asset_lines(path: str) -> list:
+    """The lines of an asset file, stripped, without blank lines and ``#``
+    comment lines.  The file must be ASCII text: ``ValueError`` naming the
+    file and line for any other byte, ``OSError`` if it cannot be read."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line}: byte 0x{data[exc.start]:02x} is not ASCII") from exc
+    return [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
 
 
 def parse_printed_table(asset_dir: str | None = None) -> MultTable:
-    """The reference table shipped as a static asset, no corrections applied."""
+    """The reference table shipped as a static asset, no corrections applied:
+    16 lines of 16 tokens, each an optional sign followed by an index 0..15
+    ('-5' means -i5)."""
     path = os.path.join(asset_dir or default_asset_dir(), "table_printed.txt")
-    with open(path, encoding="ascii") as fh:
-        return parse_table_text(fh.read())
+    grid = parse_signed_index_matrix(read_asset_lines(path), DIM, DIM)
+    return MultTable([[SignedBasis(*cell) for cell in row] for row in grid])
 
 
 def table_errata(printed: MultTable, derived: MultTable):
@@ -288,10 +297,10 @@ def _parse_term(tok: str):
     return (_SIGNS[sign], int(digits))
 
 
-def parse_signed_index_matrix(text: str, rows: int, cols: int):
+def parse_signed_index_matrix(lines: list, rows: int, cols: int):
     """Parse a grid of signed indices ('-5' = -1 at index 5), one row per
-    line; ``ValueError`` names a token that is not one sign and digits."""
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    line of :func:`read_asset_lines`; ``ValueError`` names a token that is
+    not one sign and digits."""
     if len(lines) != rows:
         raise ValueError(f"expected {rows} rows, got {len(lines)}")
     out = []
@@ -306,8 +315,7 @@ def parse_signed_index_matrix(text: str, rows: int, cols: int):
 def parse_printed_b_matrix(asset_dir: str | None = None) -> Mat:
     """The reference product matrix transcription, as linear forms."""
     path = os.path.join(asset_dir or default_asset_dir(), "b16_printed.txt")
-    with open(path, encoding="ascii") as fh:
-        grid = parse_signed_index_matrix(fh.read(), DIM, DIM)
+    grid = parse_signed_index_matrix(read_asset_lines(path), DIM, DIM)
     entries = []
     for row in grid:
         entries.append([

@@ -57,7 +57,7 @@ def read_number_file(path: str, mode: str):
     try:
         with open(path, encoding="ascii") as fh:
             tokens = fh.read().split()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise NumberFileError(f"{path}: {exc}") from exc
     if len(tokens) != DIM:
         raise NumberFileError(f"{path}: expected 16 numbers, got {len(tokens)}")

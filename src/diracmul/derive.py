@@ -30,7 +30,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .algebra import _parse_term, default_asset_dir, symbolic_b_matrix
+from .algebra import _parse_term, default_asset_dir, read_asset_lines, symbolic_b_matrix
 from .exactnum import FORMS, LinearForm, lf_from_b
 from .fastmult import parse_expr
 from .linalg import (
@@ -140,8 +140,7 @@ def _cell_form(cell: str) -> LinearForm:
 
 def load_cell_grid(path: str) -> Mat:
     """Cell-per-line grid of signed index lists, as linear forms."""
-    with open(path, encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
+    lines = read_asset_lines(path)
     if not lines:
         raise ValueError(f"{path}: no '<rows> <cols>' line; the file holds no cells")
     rows, cols = (int(x) for x in lines[0].split())

@@ -21,7 +21,7 @@ from .algebra import (
 )
 from .cli import count_operations
 from .derive import DISPLAYED_MIX_30
-from .fastmult import assemble_pipeline, parse_expr
+from .fastmult import AssetError, assemble_pipeline, parse_expr
 from .linalg import Mat, SignedPermutation, dirsum, eye, signed_perm_matrix
 
 
@@ -89,6 +89,15 @@ def _cost_note() -> str:
     )
 
 
+def _transcription(parse, name: str):
+    """``parse()`` of the shipped transcription ``name``; a file that is
+    missing or malformed is an :class:`AssetError` naming it."""
+    try:
+        return parse()
+    except (OSError, ValueError) as exc:
+        raise AssetError(f"{name}: {exc}") from exc
+
+
 def _stage_matrix(pipeline, name: str) -> Mat:
     for stage in pipeline.stages:
         if stage.name == name:
@@ -124,7 +133,7 @@ def stage_comparisons() -> list:
 def build_report() -> str:
     lines = []
     derived_table = build_table_from_generators()
-    printed_table = parse_printed_table()
+    printed_table = _transcription(parse_printed_table, "table_printed.txt")
     diffs = table_errata(printed_table, derived_table)
     lines.append("== multiplication table: transcription vs derived ==")
     if not diffs:
@@ -136,7 +145,8 @@ def build_report() -> str:
 
     lines.append("")
     lines.append("== product matrix: transcription vs derived ==")
-    bdiffs = b_matrix_errata(parse_printed_b_matrix(), symbolic_b_matrix(derived_table))
+    printed_b = _transcription(parse_printed_b_matrix, "b16_printed.txt")
+    bdiffs = b_matrix_errata(printed_b, symbolic_b_matrix(derived_table))
     if not bdiffs:
         lines.append("identical in all 256 cells")
     else:

@@ -72,6 +72,7 @@ from .algebra import (
     build_table_from_generators,
     default_asset_dir,
     derive_b_matrix,
+    read_asset_lines,
 )
 from .exactnum import DYADIC, INTS, DyadicRational, LinearForm
 from .linalg import (H2, T2X3, T3X2, Mat, SignedPermutation, dirsum, eye, kron, signed_perm_matrix,
@@ -81,7 +82,7 @@ LEVELS = (1, 2, 3)
 
 
 class AssetError(RuntimeError):
-    """A stage asset is missing, malformed, or fails validation."""
+    """An asset is missing, malformed, or fails validation."""
 
 
 # ---------------------------------------------------------------------------
@@ -90,9 +91,8 @@ class AssetError(RuntimeError):
 
 def _read_lines(path: str):
     try:
-        with open(path, encoding="ascii") as fh:
-            return [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
-    except OSError as exc:
+        return read_asset_lines(path)
+    except (OSError, ValueError) as exc:
         raise AssetError(f"stage {os.path.basename(path)}: {exc}") from exc
 
 
@@ -118,6 +118,7 @@ def _parse_perm(fields: dict, name: str) -> Mat:
     """The +-1 matrix of a validated signed permutation."""
     try:
         size = int(fields["size"])
+        _check_width(size, size, f"size {size}")
         src = [int(t) - 1 for t in fields["src"].split()]
         signs = [_parse_sign(t) for t in fields["signs"].split()]
         perm = SignedPermutation(src, signs)
@@ -128,6 +129,15 @@ def _parse_perm(fields: dict, name: str) -> Mat:
     return signed_perm_matrix(perm)
 
 
+def _check_width(rows: int, cols: int, what) -> None:
+    """``ValueError`` if a ``rows`` x ``cols`` matrix is wider than any stage,
+    so that no oversized matrix is ever allocated.  ``what`` names it: a
+    string, or the expression node, which is unparsed only for the error."""
+    if max(rows, cols) > _WIDEST:
+        what = what if isinstance(what, str) else ast.unparse(what)
+        raise ValueError(f"{what} would be {rows}x{cols}, wider than the widest stage ({_WIDEST})")
+
+
 _ATOMS = {"H2": H2, "T2x3": T2X3, "T3x2": T3X2}
 
 
@@ -135,7 +145,11 @@ def parse_expr(text: str) -> Mat:
     """The matrix of a structural-stage expression such as ``kron(T3x2, I8)``,
     parsed as Python and walked, never evaluated: atoms ``H2``, ``T2x3``,
     ``T3x2``, ``I<n>``; positional calls of ``kron`` (two) and ``dirsum``.
-    ``ValueError`` for anything else."""
+    ``ValueError`` for anything else, and for an atom or intermediate wider
+    than the widest stage, before it is built.
+
+    Every atom has entries in {-1, 0, +1} and no zero row, and ``kron`` and
+    ``dirsum`` keep both, so every expression's matrix has them too."""
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
@@ -146,7 +160,9 @@ def parse_expr(text: str) -> Mat:
             if node.id in _ATOMS:
                 return _ATOMS[node.id]
             if node.id.startswith("I") and node.id[1:].isdigit():
-                return eye(int(node.id[1:]))
+                n = int(node.id[1:])
+                _check_width(n, n, node.id)
+                return eye(n)
             raise ValueError(f"unknown atom {node.id!r}")
         if (not isinstance(node, ast.Call) or not isinstance(node.func, ast.Name) or node.keywords
                 or any(isinstance(arg, ast.Starred) for arg in node.args)):
@@ -155,9 +171,11 @@ def parse_expr(text: str) -> Mat:
             raise ValueError(f"unknown function {node.func.id!r}")
         args = [walk(arg) for arg in node.args]
         if node.func.id == "dirsum":
+            _check_width(sum(m.rows for m in args), sum(m.cols for m in args), node)
             return dirsum(args)
         if len(args) != 2:
             raise ValueError("kron takes two arguments")
+        _check_width(args[0].rows * args[1].rows, args[0].cols * args[1].cols, node)
         return kron(*args)
 
     return walk(tree.body)
@@ -165,12 +183,9 @@ def parse_expr(text: str) -> Mat:
 
 def _parse_structural(fields: dict, name: str) -> Mat:
     try:
-        mat = parse_expr(fields["expr"])
-    except ValueError as exc:
+        return parse_expr(fields["expr"])
+    except (KeyError, ValueError) as exc:
         raise AssetError(f"stage {name}: {exc}") from exc
-    if not mat.is_structural():
-        raise AssetError(f"stage {name}: entries outside -1/0/+1")
-    return mat
 
 
 def load_pools(path: str) -> dict:
@@ -338,6 +353,7 @@ _EXPECTED_DIMS = {
     2: [16, 16, 24, 24, 28, 28, 30, 30, 28, 28, 24, 24, 16, 16, 16],
     3: [16, 16, 16, 24, 28, 30, 30, 30, 30, 30, 30, 28, 28, 24, 24, 16, 16, 16],
 }
+_WIDEST = max(max(dims) for dims in _EXPECTED_DIMS.values())
 
 
 def _assemble(level: int, asset_dir: str) -> Pipeline:
@@ -357,8 +373,6 @@ def _assemble(level: int, asset_dir: str) -> Pipeline:
                 mat = _parse_perm(fields, os.path.basename(path))
             elif fields["kind"] == "structural":
                 mat = _parse_structural(fields, os.path.basename(path))
-                if not all(any(row) for row in mat.entries):
-                    raise AssetError(f"stage {ref}: structurally zero output row")
             else:
                 raise AssetError(f"stage {ref}: unknown kind {fields['kind']!r}")
             stages.append(Stage(ref, mat.cols, mat.rows, mat=mat))

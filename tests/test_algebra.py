@@ -20,6 +20,7 @@ from diracmul.algebra import (
     mul_schoolbook,
     parse_printed_b_matrix,
     parse_printed_table,
+    read_asset_lines,
     symbolic_b,
     symbolic_b_matrix,
     table_errata,
@@ -394,6 +395,28 @@ def test_a_malformed_signed_index_is_an_error_naming_it(tmp_path, token, name, p
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=re.escape(f"bad term '{token}'")):
         parse(str(copy))
+
+
+def test_asset_lines_drop_blank_and_comment_lines(tmp_path):
+    path = tmp_path / "asset.txt"
+    path.write_text("# head\n\n  a b  \n   # indented comment\r\nc\n")
+    assert read_asset_lines(str(path)) == ["a b", "c"]
+
+
+@pytest.mark.parametrize("name, read", [
+    ("table_printed.txt", parse_printed_table),
+    ("b16_printed.txt", parse_printed_b_matrix),
+    ("m8_diff.txt", lambda asset_dir: derive.load_cell_grid(os.path.join(asset_dir, "m8_diff.txt"))),
+])
+def test_a_non_ascii_byte_is_an_error_naming_the_file(tmp_path, name, read):
+    copy = tmp_path / "assets"
+    shutil.copytree(default_asset_dir(), copy)
+    path = copy / name
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines.insert(2, b"# caf\xc3\xa9\n")
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: byte 0xc3 is not ASCII")):
+        read(str(copy))
 
 
 def test_every_package_export_resolves():

@@ -68,6 +68,17 @@ class TestVerify:
         assert code == 1
         assert err == "FAIL: stage signs_out_16.txt: repeated field 'signs'\n"
 
+    def test_a_non_ascii_byte_in_a_stage_fails_naming_it(self, capsys, tmp_path, monkeypatch):
+        dst = tmp_path / "assets"
+        shutil.copytree(fastmult.default_asset_dir(), dst)
+        path = dst / "signs_out_16.txt"
+        path.write_text(path.read_text(encoding="ascii") + "# caf\u00e9\n", encoding="utf-8")
+        monkeypatch.setenv("DIRAC_ASSET_DIR", str(dst))
+        code, _, err = run(capsys, "verify", "--level", "3", "--iters", "1")
+        assert code == 1
+        assert err.startswith("FAIL: stage signs_out_16.txt: ")
+        assert err.endswith(": byte 0xc3 is not ASCII\n")
+
     def test_zero_iters_skips_the_oracle(self, capsys):
         code, out, _ = run(capsys, "verify", "--level", "1", "--iters", "0")
         assert code == 0
@@ -271,6 +282,14 @@ class TestMul:
         assert code == 2
         assert "token 1" in err
 
+    def test_a_non_ascii_byte_is_a_parse_error(self, capsys, tmp_path):
+        a = tmp_path / "a.txt"
+        a.write_bytes(b"1 2 3\xff" + b" 0" * 13 + b"\n")
+        b = basis_file(tmp_path, "b.txt", 0)
+        code, out, err = run(capsys, "mul", str(a), b)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {a}: ") and "0xff" in err
+
     def test_wrong_arity_exit_code(self, capsys, tmp_path):
         a = write_number_file(tmp_path / "a.txt", [1, 2, 3])
         b = basis_file(tmp_path, "b.txt", 0)
@@ -327,6 +346,27 @@ class TestErrata:
             committed = fh.read()
         _, live, _ = run(capsys, "errata")
         assert committed == live
+
+    def test_a_missing_transcription_fails_naming_it(self, capsys, tmp_path, monkeypatch):
+        dst = tmp_path / "assets"
+        shutil.copytree(fastmult.default_asset_dir(), dst)
+        (dst / "table_printed.txt").unlink()
+        monkeypatch.setenv("DIRAC_ASSET_DIR", str(dst))
+        code, out, err = run(capsys, "errata")
+        assert (code, out) == (1, "")
+        assert err.startswith("FAIL: table_printed.txt: ") and "No such file" in err
+
+    def test_a_malformed_transcription_fails_naming_it(self, capsys, tmp_path, monkeypatch):
+        dst = tmp_path / "assets"
+        shutil.copytree(fastmult.default_asset_dir(), dst)
+        path = dst / "table_printed.txt"
+        lines = path.read_text().splitlines()
+        first = next(i for i, ln in enumerate(lines) if ln.strip() and not ln.startswith("#"))
+        lines[first] = " ".join(["-+5"] + lines[first].split()[1:])
+        path.write_text("\n".join(lines) + "\n")
+        monkeypatch.setenv("DIRAC_ASSET_DIR", str(dst))
+        code, out, err = run(capsys, "errata")
+        assert (code, out, err) == (1, "", "FAIL: table_printed.txt: bad term '-+5'\n")
 
     def test_sections_present(self, capsys):
         _, out, _ = run(capsys, "errata")

@@ -135,6 +135,55 @@ class TestAssembly:
             assemble_pipeline(3, str(dst))
 
 
+    @pytest.mark.parametrize("name, edit, message", [
+        ("signs_out_16.txt", lambda t: t.replace("kind signed_perm\n", ""), "missing 'kind' line"),
+        ("signs_out_16.txt", lambda t: t.replace("kind signed_perm", "kind diagonal"), "unknown kind 'diagonal'"),
+        ("signs_out_16.txt", lambda t: t.replace("size 16", "size 15"), "size field disagrees"),
+        ("expand_16_24.txt", lambda t: t.replace("expr", "exp"), "'expr'"),
+        ("pool_pairs.txt", lambda t: t.replace("\nquad +0 +5\n", "\nquad +0 +5 +7\n"), "bad pool line"),
+        ("blocks_level3.txt", lambda t: t.replace("block q0", "blok q0"), "expected block header"),
+        ("blocks_level3.txt", lambda t: t.replace("q0 4 halved", "q0 4 halve"), "bad mode 'halve'"),
+        ("blocks_level3.txt", lambda t: t[:t.rstrip().rfind("\n") + 1], "block f is short of cells"),
+        ("pipeline_level3.txt", lambda t: t + "kore blocks_level3\n", "bad line 'kore blocks_level3'"),
+        ("pipeline_level3.txt", lambda t: t.replace("core blocks_level3\n", ""), "no core stage"),
+        ("pipeline_level3.txt", lambda t: t.replace("stage signs_out_16\n", ""), "dimension chain"),
+        # right rows, wrong columns: the chain of output widths still holds
+        ("expand_16_24.txt", lambda t: t.replace("kron(T3x2, I8)", "dirsum(I16, I8)"), "expects 24 inputs, gets 16"),
+    ], ids=lambda v: v if isinstance(v, str) else "")
+    def test_each_asset_check_names_the_file(self, tmp_path, name, edit, message):
+        dst = tmp_path / "assets"
+        shutil.copytree(default_asset_dir(), dst)
+        path = dst / name
+        path.write_text(edit(path.read_text()))
+        with pytest.raises(AssetError, match=re.escape(message)) as info:
+            assemble_pipeline(3, str(dst))
+        assert name.removesuffix(".txt") in str(info.value)
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("expand_16_24.txt", lambda t: t.replace("kron(T3x2, I8)", "I31"), "I31 would be 31x31"),
+        ("expand_16_24.txt", lambda t: t.replace("kron(T3x2, I8)", "kron(I30, I30)"),
+         "kron(I30, I30) would be 900x900"),
+        ("expand_16_24.txt", lambda t: t.replace("kron(T3x2, I8)", "kron(I300, kron(I300, I2))"),
+         "I300 would be 300x300"),
+        ("expand_16_24.txt", lambda t: t.replace("kron(T3x2, I8)", "dirsum(I16, I16)"),
+         "dirsum(I16, I16) would be 32x32"),
+        ("signs_out_16.txt", lambda t: t.replace("size 16", "size 31"), "size 31 would be 31x31"),
+    ], ids=lambda v: v if isinstance(v, str) else "")
+    def test_a_stage_wider_than_any_is_refused_before_it_is_built(self, tmp_path, monkeypatch, name, edit,
+                                                                  message):
+        built = []
+        for fn in ("eye", "kron", "dirsum", "signed_perm_matrix"):
+            original = getattr(fastmult, fn)
+            monkeypatch.setattr(fastmult, fn, lambda *args, _f=original: built.append(_f(*args)) or built[-1])
+        dst = tmp_path / "assets"
+        shutil.copytree(default_asset_dir(), dst)
+        path = dst / name
+        path.write_text(edit(path.read_text()))
+        with pytest.raises(AssetError, match=re.escape(f"stage {name}: {message}, wider than the widest stage (30)")):
+            assemble_pipeline(3, str(dst))
+        assert max(max(m.rows, m.cols) for m in built) <= 30
+
+
 class TestBlockFormulas:
     def test_first_quad_corner(self, verified_pipelines):
         q0 = verified_pipelines[3].core.blocks[0]
