@@ -347,26 +347,19 @@ class TestErrata:
         _, live, _ = run(capsys, "errata")
         assert committed == live
 
-    def test_a_missing_transcription_fails_naming_it(self, capsys, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("edit, message", [
+        (lambda path: path.unlink(), "table_printed.txt: [Errno 2] No such file"),
+        (lambda path: path.write_text(path.read_text().replace("\n0 1 2 3 ", "\n-+5 1 2 3 ", 1)),
+         "table_printed.txt: bad term '-+5'\n"),
+    ], ids=("missing", "malformed"))
+    def test_a_bad_transcription_fails_naming_it(self, capsys, tmp_path, monkeypatch, edit, message):
         dst = tmp_path / "assets"
         shutil.copytree(fastmult.default_asset_dir(), dst)
-        (dst / "table_printed.txt").unlink()
+        edit(dst / "table_printed.txt")
         monkeypatch.setenv("DIRAC_ASSET_DIR", str(dst))
         code, out, err = run(capsys, "errata")
         assert (code, out) == (1, "")
-        assert err.startswith("FAIL: table_printed.txt: ") and "No such file" in err
-
-    def test_a_malformed_transcription_fails_naming_it(self, capsys, tmp_path, monkeypatch):
-        dst = tmp_path / "assets"
-        shutil.copytree(fastmult.default_asset_dir(), dst)
-        path = dst / "table_printed.txt"
-        lines = path.read_text().splitlines()
-        first = next(i for i, ln in enumerate(lines) if ln.strip() and not ln.startswith("#"))
-        lines[first] = " ".join(["-+5"] + lines[first].split()[1:])
-        path.write_text("\n".join(lines) + "\n")
-        monkeypatch.setenv("DIRAC_ASSET_DIR", str(dst))
-        code, out, err = run(capsys, "errata")
-        assert (code, out, err) == (1, "", "FAIL: table_printed.txt: bad term '-+5'\n")
+        assert err.startswith(f"FAIL: {message}")
 
     def test_sections_present(self, capsys):
         _, out, _ = run(capsys, "errata")
