@@ -44,7 +44,7 @@ class MultTable:
 
     ``gathers`` holds, once per table, where each cell of the product
     matrix comes from: row k of M_b is ``gathers[k](values)`` with
-    ``values = b.coeffs + [-b_m for each m]`` (see :func:`derive_b_matrix`).
+    ``values = b.coeffs + [-b_m for each m]`` (see :func:`gather_rows`).
     A table whose row n sends two columns to one output has no such matrix;
     it still constructs, so that a faulty transcription can be reported,
     and ``repeated_row`` is the first such n (None for a sound table).
@@ -198,7 +198,7 @@ class DiracNumber:
 
     @classmethod
     def from_ints(cls, values, ring) -> "DiracNumber":
-        return cls([ring.wrap(v) for v in values], ring)
+        return cls(map(ring.wrap, values), ring)
 
     @classmethod
     def basis(cls, index: int, ring) -> "DiracNumber":
@@ -258,19 +258,24 @@ def mul_schoolbook(a: DiracNumber, b: DiracNumber, table: MultTable) -> DiracNum
     return DiracNumber(out, ring)
 
 
-def derive_b_matrix(b: DiracNumber, table: MultTable) -> Mat:
-    """The 16x16 matrix M with M . a = a * b for every a.
+def gather_rows(table: MultTable, values) -> list:
+    """The 16 rows of the product matrix M_b, each a tuple, gathered by
+    ``table.gathers`` from ``values = b.coeffs + [-b_m for each m]``.
 
-    Row k, column n holds sign * b_m where i_n * i_m = sign * i_k.  Each
-    b_m is negated once and the rows are gathered by ``table.gathers``.
+    Row k, column n holds sign * b_m where i_n * i_m = sign * i_k.
     ``ValueError`` names the table row if some (k, n) has no such m.
     """
     if table.repeated_row is not None:
         raise ValueError(f"table row {table.repeated_row} maps two columns to one output: "
                          "the product matrix has a hole")
+    return [row(values) for row in table.gathers]
+
+
+def derive_b_matrix(b: DiracNumber, table: MultTable) -> Mat:
+    """The 16x16 matrix M with M . a = a * b for every a, from
+    :func:`gather_rows` with each b_m negated once."""
     neg = b.ring.neg
-    values = b.coeffs + [neg(v) for v in b.coeffs]
-    return Mat(DIM, DIM, [row(values) for row in table.gathers])
+    return Mat(DIM, DIM, gather_rows(table, b.coeffs + [neg(v) for v in b.coeffs]))
 
 
 def symbolic_b() -> DiracNumber:

@@ -22,10 +22,10 @@ from .algebra import (
     DIM,
     DiracNumber,
     build_table_from_generators,
-    derive_b_matrix,
+    gather_rows,
     mul_schoolbook,
 )
-from .exactnum import CountingRing, DYADIC, FLOAT, INTS, DyadicRational, parse_dyadic
+from .exactnum import CountingRing, DYADIC, FLOAT, DyadicRational, parse_dyadic
 from .fastmult import (
     AssetError,
     LEVELS,
@@ -77,15 +77,28 @@ def format_number(value, mode: str) -> str:
 
 
 def random_coeffs(rng: random.Random):
-    """Test vectors: integers in [-2^20, 2^20] (dyadic-exact, no overflow)."""
-    return [rng.randint(-(1 << 20), 1 << 20) for _ in range(DIM)]
+    """Test vectors: integers in [-2^20, 2^20] (dyadic-exact, no overflow).
+
+    The values are those of 16 ``rng.randint(-(1 << 20), 1 << 20)`` calls:
+    CPython's randint draws ``getrandbits(22)`` until the value is at most
+    2^21 and subtracts 2^20, and this runs that loop without randint's
+    call chain."""
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(DIM):
+        r = getrandbits(22)
+        while r > 1 << 21:
+            r = getrandbits(22)
+        out.append(r - (1 << 20))
+    return out
 
 
 def matrix_reference(av, bv, table) -> list:
     """a * b for integer coefficients as the paper writes it, M_b . a, with
-    M_b from ``derive_b_matrix`` over ``INTS``: exact Python ints."""
+    the rows of M_b gathered from the table by ``gather_rows``: exact
+    Python ints."""
     mul = operator.mul
-    return [sum(map(mul, row, av)) for row in derive_b_matrix(DiracNumber(bv, INTS), table).entries]
+    return [sum(map(mul, row, av)) for row in gather_rows(table, bv + [-v for v in bv])]
 
 
 def oracle_mismatches(levels, n: int, seed: int, table=None) -> dict:

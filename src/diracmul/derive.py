@@ -143,10 +143,18 @@ def load_cell_grid(path: str) -> Mat:
     lines = read_asset_lines(path)
     if not lines:
         raise ValueError(f"{path}: no '<rows> <cols>' line; the file holds no cells")
-    rows, cols = (int(x) for x in lines[0].split())
+    try:
+        rows, cols = map(int, lines[0].split())
+    except ValueError as exc:
+        raise ValueError(f"{path}: expected a '<rows> <cols>' line, got {lines[0]!r}") from exc
     if len(lines) - 1 != rows * cols:
         raise ValueError(f"{path}: expected {rows * cols} cells, got {len(lines) - 1}")
-    forms = [_cell_form(cell) for cell in lines[1:]]
+    forms = []
+    for k, cell in enumerate(lines[1:]):
+        try:
+            forms.append(_cell_form(cell))
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {k // cols} column {k % cols} line {cell!r}: {exc}") from exc
     return Mat(rows, cols, [forms[r * cols:(r + 1) * cols] for r in range(rows)])
 
 

@@ -62,6 +62,7 @@ import weakref
 import zlib
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
 
 from .algebra import (
     _SIGNS,
@@ -838,8 +839,12 @@ def _exact_ints(values, ring):
     ``DYADIC`` at their largest exponent, values of ``INTS`` at exponent 0."""
     if ring is INTS:
         return values, 0
-    exp = max(v.exp for v in values)
-    return [v.num << (exp - v.exp) for v in values], exp
+    nums = [v.num for v in values]
+    exps = [v.exp for v in values]
+    exp = max(exps)
+    if exp:
+        nums = [n << (exp - e) for n, e in zip(nums, exps)]
+    return nums, exp
 
 
 def _exact_values(nums, exp: int, ring) -> list:
@@ -847,7 +852,7 @@ def _exact_values(nums, exp: int, ring) -> list:
     must be an integer."""
     if ring is INTS:
         return [n >> exp for n in nums]
-    return [DyadicRational(n, exp) for n in nums]
+    return list(map(DyadicRational, nums, repeat(exp)))
 
 
 # the operators the generated code is written with, one global lookup each

@@ -5,9 +5,9 @@ import shutil
 import pytest
 
 from diracmul import cli, fastmult
-from diracmul.algebra import DiracNumber, derive_b_matrix, mul_schoolbook
+from diracmul.algebra import DiracNumber, MultTable, derive_b_matrix, mul_schoolbook
 from diracmul.cli import bench_pairs, compile_schoolbook, main, matrix_reference, random_coeffs
-from diracmul.exactnum import DYADIC, FLOAT
+from diracmul.exactnum import DYADIC, FLOAT, INTS
 
 
 def run(capsys, *argv):
@@ -100,7 +100,7 @@ class TestVerify:
 
     def test_all_levels_share_one_reference_per_pair(self, capsys, monkeypatch):
         calls, school = [], []
-        monkeypatch.setattr(cli, "derive_b_matrix", lambda *args: calls.append(args) or derive_b_matrix(*args))
+        monkeypatch.setattr(cli, "matrix_reference", lambda *args: calls.append(args) or matrix_reference(*args))
         monkeypatch.setattr(cli, "mul_schoolbook", lambda *args: school.append(args) or mul_schoolbook(*args))
         code, _, _ = run(capsys, "verify", "--level", "all", "--iters", "5")
         assert code == 0
@@ -152,6 +152,46 @@ class TestOracle:
                                         table).coeffs
                 assert [(c.num, c.exp) for c in dyadic] == [(v, 0) for v in ints]
                 assert all(type(v) is int for v in ints)
+
+    def test_draws_are_those_of_randint(self):
+        seeds = [0, 42] + [s + 10 * level + chunk for s in (7, 987654321) for level in (1, 2, 3) for chunk in range(10)]
+        for seed in seeds:
+            drawn, called = random.Random(seed), random.Random(seed)
+            for _ in range(40):
+                assert random_coeffs(drawn) == [called.randint(-(1 << 20), 1 << 20) for _ in range(16)]
+
+    def test_draws_at_the_edges_of_the_span_are_those_of_randint(self):
+        class Replayed(random.Random):
+            """getrandbits replays bits at and just past the span's ends."""
+
+            def __init__(self):
+                super().__init__(0)
+                self.bits = iter([(1 << 21) + 1, (1 << 22) - 1, 1 << 21, 0, 1 << 20] * 6)
+
+            def getrandbits(self, k):
+                return next(self.bits)
+
+        called = Replayed()
+        want = [called.randint(-(1 << 20), 1 << 20) for _ in range(16)]
+        assert random_coeffs(Replayed()) == want
+        assert set(want) == {-(1 << 20), 0, 1 << 20}
+
+    def test_reference_is_the_derived_matrix_times_a(self, table):
+        rng = random.Random(31)
+        for _ in range(20):
+            av, bv = random_coeffs(rng), random_coeffs(rng)
+            rows = derive_b_matrix(DiracNumber(bv, INTS), table).entries
+            assert matrix_reference(av, bv, table) == [sum(m * x for m, x in zip(row, av)) for row in rows]
+
+    def test_reference_on_a_holed_table_names_the_row(self, table):
+        entries = [list(row) for row in table.entries]
+        entries[3][5] = entries[3][6]  # row 3 sends columns 5 and 6 to one output
+        holed = MultTable(entries)
+        with pytest.raises(ValueError, match="table row 3 ") as reference:
+            matrix_reference(list(range(16)), list(range(16)), holed)
+        with pytest.raises(ValueError) as derived:
+            derive_b_matrix(DiracNumber(list(range(16)), INTS), holed)
+        assert str(reference.value) == str(derived.value)
 
     def test_counts_equal_on_the_shipped_assets(self, table):
         for level in (1, 2, 3):

@@ -396,6 +396,53 @@ def test_int_lowering_is_bit_exact(level, max_exp, data):
     assert keys(op.apply(a)) == want
 
 
+def shifted_raw(a_coeffs, b_coeffs, level, ring):
+    """Raw outputs of the integer path with each operand brought to its
+    largest exponent as ``num << (exp - e)``, shifting every coefficient."""
+    def lowered(values):
+        if ring is INTS:
+            return values, 0
+        exp = max(v.exp for v in values)
+        return [v.num << (exp - v.exp) for v in values], exp
+
+    prog = assemble_pipeline(level).program
+    (a_ints, ea), (b_ints, eb) = lowered(a_coeffs), lowered(b_coeffs)
+    out, exp = prog.apply(a_ints, fastmult._bind_ints(prog, b_ints)), ea + eb + prog.halvings
+    return [n >> exp for n in out] if ring is INTS else [(n, exp) for n in out]
+
+
+@pytest.mark.parametrize("exponents", ("zero", "equal", "mixed"))
+@pytest.mark.parametrize("level", LEVELS)
+@given(data=st.data())
+@settings(max_examples=10, deadline=None, phases=NO_SHRINK)
+def test_lowering_keeps_the_raw_outputs_of_the_shifting_formula(level, exponents, data):
+    def operand():
+        if exponents == "mixed":
+            exps = st.integers(0, 64)
+        else:
+            exps = st.just(0 if exponents == "zero" else data.draw(st.integers(1, 64)))
+        coeffs = data.draw(st.lists(st.builds(DyadicRational, _numerator, exps), min_size=DIM, max_size=DIM))
+        return DiracNumber(coeffs, DYADIC)
+
+    a, b = operand(), operand()
+    want = shifted_raw(a.coeffs, b.coeffs, level, DYADIC)
+    assert raw(mul_fast(a, b, level).coeffs) == want
+    assert raw(precompute(b, level).apply(a).coeffs) == want
+
+
+@pytest.mark.parametrize("level", LEVELS)
+@given(data=st.data())
+@settings(max_examples=10, deadline=None, phases=NO_SHRINK)
+def test_int_operands_pass_through_the_lowering(level, data):
+    av, bv = (data.draw(st.lists(_numerator, min_size=DIM, max_size=DIM)) for _ in range(2))
+    nums, exp = fastmult._exact_ints(av, INTS)
+    assert nums is av and exp == 0
+    a, b = DiracNumber(av, INTS), DiracNumber(bv, INTS)
+    want = shifted_raw(av, bv, level, INTS)
+    assert mul_fast(a, b, level).coeffs == want
+    assert precompute(b, level).apply(a).coeffs == want
+
+
 def test_precomputed_operator_keeps_the_integers_of_its_bind(monkeypatch):
     rng = random.Random(375)
     a, b = (DiracNumber([DyadicRational(rng.randint(-999, 999), rng.randint(0, 30)) for _ in range(DIM)], DYADIC)

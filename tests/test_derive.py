@@ -185,3 +185,15 @@ def test_seed_file_without_cells_names_the_file(tmp_path, text):
     path.write_text(text)
     with pytest.raises(ValueError, match=re.escape(f"{path}: no '<rows> <cols>' line")):
         load_cell_grid(str(path))
+
+
+@pytest.mark.parametrize("text, message", (
+    ("8 8 8\n", "expected a '<rows> <cols>' line, got '8 8 8'"),
+    ("a b\n", "expected a '<rows> <cols>' line, got 'a b'"),
+    ("1 2\n+0 +3\n+x\n", "row 0 column 1 line '+x': bad term '+x'"),
+), ids=("three-numbers", "not-numbers", "bad-cell"))
+def test_malformed_seed_file_names_the_file(tmp_path, text, message):
+    path = tmp_path / "seed.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        load_cell_grid(str(path))
