@@ -46,6 +46,8 @@ EXIT_USAGE = 2
 # the cost the reference states for the fast product: at most this many
 NOMINAL_MULTS = 88
 NOMINAL_ADDS = 256
+# the seed of the operands count_operations multiplies
+COUNT_SEED = 2024
 
 
 class NumberFileError(ValueError):
@@ -101,7 +103,7 @@ def matrix_reference(av, bv, table) -> list:
     return [sum(map(mul, row, av)) for row in gather_rows(table, bv + [-v for v in bv])]
 
 
-def oracle_mismatches(levels, n: int, seed: int, table=None) -> dict:
+def oracle_mismatches(levels, n: int, seed: int, table) -> dict:
     """Per level, the number of fast products that differ from the
     product matrix's.
 
@@ -114,8 +116,6 @@ def oracle_mismatches(levels, n: int, seed: int, table=None) -> dict:
     ``w`` by value, as ``c.num == w << c.exp``; one that is not a
     ``DyadicRational`` is a mismatch.
     """
-    if table is None:
-        table = build_table_from_generators()
     rng = random.Random(seed)
     mismatches = dict.fromkeys(levels, 0)
     for _ in range(n):
@@ -129,7 +129,7 @@ def oracle_mismatches(levels, n: int, seed: int, table=None) -> dict:
     return mismatches
 
 
-def oracle_compare(level: int, n: int, seed: int, table=None) -> int:
+def oracle_compare(level: int, n: int, seed: int, table) -> int:
     """:func:`oracle_mismatches` at one level."""
     return oracle_mismatches((level,), n, seed, table)[level]
 
@@ -139,10 +139,10 @@ def _generic_vector(rng: random.Random):
     return [rng.randint(3, 1 << 19) * 2 + 1 for _ in range(DIM)]
 
 
-def count_operations(seed: int = 2024) -> dict:
+def count_operations() -> dict:
     """Counting-ring measurements used by ``count`` and the tests."""
     table = build_table_from_generators()
-    rng = random.Random(seed)
+    rng = random.Random(COUNT_SEED)
     av, bv = _generic_vector(rng), _generic_vector(rng)
 
     ring = CountingRing()

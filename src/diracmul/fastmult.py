@@ -10,18 +10,17 @@ An assembled pipeline is an immutable value, compiled as it is built into
 two straight-line Python functions, which follow the paper's product
 M_b . a: ``bind(half, b)`` evaluates the distinct core values for a
 right-hand operand and ``apply(a, e)`` runs the whole stage chain on the
-left-hand operand and those values ``e``.  Both come from one recording pass
-of the paper's per-block recipe, ``bind_block`` over every core block,
-and ``run_pipeline_bound``, which run two kernels:
-``linalg.structural_apply`` for every constant stage and ``block_matvec``
-over the core blocks.  Before the functions are generated, ``fold_signs``
-carries every negation of both tapes as a sign into the addition,
-subtraction or multiplication that uses the value, and computes each value
-once: core entries repeat, up to sign, across blocks (level 3's 88 take 32
-values), and a repeat folds onto the value already on the tape.  So bind
-returns the 32 values without negating any, apply fans them out to the 88
-cells with the signs folded into its sums, and only an output that ends
-negative is negated (8 negations per product).
+left-hand operand and those values ``e``.  ``compile_pipeline`` records
+the product once, through two kernels: ``linalg.structural_apply`` for
+every constant stage and, per core block, ``bind_block`` (the paper's
+recipe) and ``block_matvec``.  ``fold_signs`` carries every negation as a
+sign into the operation that uses the value and computes each value once,
+so level 3's 88 core entries take 32 values up to sign, and
+``CompiledProgram`` splits the folded recording: the values of ``b``
+alone are bind, the rest apply.  So bind returns the 32 values without
+negating any, apply fans them out to the 88 cells with the signs folded
+into its sums, and only an output that ends negative is negated (8
+negations per product).
 The generated code writes additions, subtractions, negations and
 multiplications with Python's operators (``x + y``, ``x - y``, ``-x``,
 ``x * y``) and each halving as ``x * half``, ``half`` being the one
@@ -257,7 +256,8 @@ def decompose_terms(terms, family: str, index: dict):
                 if best is None or split[0][0] < best[0][0]:
                     best = split
     if best is None:
-        raise AssetError(f"core cell {terms} does not split over the {family} pools")
+        cell = " ".join(f"{'+' if s > 0 else '-'}{m}" for s, m in terms)  # as the asset writes it
+        raise AssetError(f"core cell {cell} does not split over the {family} pools")
     return ("pair", best[0][1], best[1][1])
 
 
@@ -459,22 +459,6 @@ def block_matvec(block: CoreBlock, entries, x, ring):
     return out
 
 
-def run_pipeline_bound(pipeline: Pipeline, a_coeffs, entries, ring):
-    """Run the stage chain on ``a_coeffs``; ``entries`` holds one list per
-    core block, as :func:`bind_block` gives."""
-    vec = list(a_coeffs)
-    for stage in pipeline.stages:
-        if stage.blocks is None:
-            vec = structural_apply(ring, stage.mat, vec)
-        else:
-            out, offset = [], 0
-            for blk, blk_entries in zip(stage.blocks, entries):
-                out.extend(block_matvec(blk, blk_entries, vec[offset : offset + blk.size], ring))
-                offset += blk.size
-            vec = out
-    return vec
-
-
 # ---------------------------------------------------------------------------
 # compilation to straight-line Python
 
@@ -568,53 +552,10 @@ def _function_source(signature: str, tape: list, results: list, brackets: str) -
     return "\n".join(lines) + "\n"
 
 
-def _halving_depths(bind_tape: list) -> list:
-    """The number of ``halve`` operations behind each value of the tape.
-
-    Raises ``ValueError`` if the tape multiplies, or adds or subtracts two
-    values of different depths: only then is every value of depth ``d``
-    exactly ``2**-d`` times the same computation with each halving left
-    out, which is what lets the halvings be kept in an exponent.
-    """
-    depth: list = []
-    for i, (op, args) in enumerate(bind_tape):
-        if op == "mul":
-            raise ValueError(f"bind tape multiplies at position {i}; bind must be linear in b")
-        if op == "halve":
-            depth.append(depth[args[0]] + 1)
-        elif op in RING_OPS:
-            kinds = {depth[x] for x in args}
-            if len(kinds) != 1:
-                raise ValueError(f"bind tape combines values of different halving depths at position {i}")
-            depth.append(kinds.pop())
-        else:
-            depth.append(0)
-    return depth
-
-
-def _check_bilinear(apply_tape: list, outputs: list) -> None:
-    """Raise ``ValueError`` unless every output is bilinear in ``a`` and the entries.
-
-    Every value has a degree in ``a`` and one in the entries ``e``: sums
-    must combine values of one degree, products add degrees, and halving
-    is not allowed at all.
-    """
-    degree: list = []
-    for i, (op, args) in enumerate(apply_tape):
-        if op == "halve":
-            raise ValueError(f"apply tape halves at position {i}; halvings belong in bind")
-        if op == "mul":
-            (a1, e1), (a2, e2) = (degree[x] for x in args)
-            degree.append((a1 + a2, e1 + e2))
-        elif op in RING_OPS:
-            kinds = {degree[x] for x in args}
-            if len(kinds) != 1:
-                raise ValueError(f"apply tape adds values of different degrees at position {i}")
-            degree.append(kinds.pop())
-        else:
-            degree.append((1, 0) if op == "a" else (0, 1))
-    if any(degree[x] != (1, 1) for x in outputs):
-        raise ValueError("apply tape has an output that is not bilinear in a and the entries")
+def _renumbered(tape: list, order: list, position: dict) -> list:
+    """The steps of ``tape`` at ``order``, their operands at ``position``."""
+    return [(op, tuple(position[x] for x in args) if op in RING_OPS else args)
+            for op, args in (tape[i] for i in order)]
 
 
 def _forget_source(filename: str, entry: tuple) -> None:
@@ -623,49 +564,86 @@ def _forget_source(filename: str, entry: tuple) -> None:
 
 
 class CompiledProgram:
-    """A pipeline as two generated straight-line functions.
+    """A recorded product as two generated straight-line functions.
 
-    ``bind(half, b)`` returns, as a tuple, the distinct values the core
-    entries take up to sign for right-hand coefficients ``b``;
-    ``apply(a, e)`` returns the sixteen output coefficients for left-hand
-    coefficients ``a`` and bind's values ``e``.  ``cells`` holds one
-    ``(sign, index)`` per core cell, in block order: the cell is
-    ``sign * e[index]``, and apply multiplies by it with the sign folded
-    into the sum that uses the product.  Both compute with ``+``, ``-``,
-    ``*`` and unary ``-``, bind halving as ``x * half``: a ring's own
-    ``half``, ``1`` on the integer path, a marker over boxes (see
-    :class:`PrecomputedOperator`).  ``source`` is their text, registered
-    with ``linecache`` under ``filename`` for as long as the program
-    lives.  They are generated from
-    the sign-folded ``bind_tape`` (inputs ``b``; the entries are the
-    positions ``entries``) and ``apply_tape`` (inputs ``a`` and ``e``, the
-    entries; the outputs are the positions ``outputs``).
+    ``tape`` records one product on a :class:`Recorder` with inputs ``b``
+    and ``a``; ``results`` are the positions of its sixteen outputs and
+    ``cells`` those of its core cells, in block order.  :func:`fold_signs`
+    folds it once, and one pass gives every folded value its degree in
+    ``a``, its degree in ``b`` and its halving depth, and splits the
+    program.  ``bind_tape`` holds the values of ``b`` alone, and
+    ``entries`` the positions of those that apply uses, in order of first
+    use.  ``apply_tape`` holds the inputs ``a``, one input ``e<k>`` per
+    entry, then the other steps; its outputs are the positions ``outputs``.
+    ``cells`` holds one ``(sign, index)`` per core cell: the cell is
+    ``sign * e[index]``, its sign folded into the sum that uses its product.
 
-    The tapes must keep bind linear in ``b`` (no ``mul``), with the two
-    operands of every sum at one halving depth, and apply bilinear in
-    ``a`` and the entries (no ``halve``); ``ValueError`` otherwise.
-    ``halvings`` is the deepest entry's halving depth, and ``lifts`` holds
-    ``(index, halvings - depth)`` for each entry shallower than that.  Run
-    over integers with ``half = 1``, bind then returns each entry times
-    ``2**depth`` exactly, and shifting the shallow ones left by their lift
-    puts every entry at ``2**halvings`` times its value (see
-    :func:`_bind_ints`).
+    ``bind(half, b)`` returns the entries, as a tuple, for right-hand
+    coefficients ``b``; ``apply(a, e)`` returns the sixteen output
+    coefficients for left-hand coefficients ``a`` and bind's values ``e``.
+    Both compute with ``+``, ``-``, ``*`` and unary ``-``, bind halving as
+    ``x * half``: a ring's own ``half``, ``1`` on the integer path, a
+    marker over boxes (see :class:`PrecomputedOperator`).  ``source`` is
+    their text, registered with ``linecache`` under ``filename`` for as
+    long as the program lives.
+
+    ``ValueError`` unless bind is linear in ``b`` (no product of two values
+    of ``b`` alone), each sum in it combines values of one halving depth,
+    and apply is bilinear in ``a`` and ``b`` (no halving, sums of one
+    degree, outputs of degree one in each).  ``halvings`` is the deepest
+    entry's depth and ``lifts`` holds ``(index, halvings - depth)`` for each
+    shallower entry, so that :func:`_bind_ints` puts every entry at
+    ``2**halvings`` times its value.
     """
 
     __slots__ = ("bind", "apply", "source", "filename", "bind_tape", "entries", "cells", "apply_tape",
                  "outputs", "halvings", "lifts", "__weakref__")
 
-    def __init__(self, bind_tape: list, entries: list, cells: list, apply_tape: list, outputs: list,
-                 level: int):
-        depth = _halving_depths(bind_tape)
-        self.halvings = max((depth[x] for x in entries), default=0)
-        self.lifts = tuple((k, self.halvings - depth[x]) for k, x in enumerate(entries)
-                           if depth[x] < self.halvings)
-        _check_bilinear(apply_tape, outputs)
-        self.bind_tape, self.entries, self.cells = bind_tape, entries, cells
-        self.apply_tape, self.outputs = apply_tape, outputs
-        self.source = (_function_source("bind(half, b)", bind_tape, entries, "()") + "\n\n"
-                       + _function_source("apply(a, e)", apply_tape, outputs, "[]"))
+    def __init__(self, tape: list, results: list, cells: list, level: int):
+        folded, signed = fold_signs(tape)
+        kind: list = []  # per folded value: degree in a, degree in b, halving depth (0 in apply)
+        used: dict = {}  # value of b alone that apply uses -> its index among the entries
+        for i, (op, args) in enumerate(folded):
+            operands = [kind[x] for x in args] if op in RING_OPS else []
+            if op == "mul":
+                (a1, b1, _), (a2, b2, _) = operands
+                if not a1 + a2:
+                    raise ValueError(f"bind tape multiplies at position {i}; bind must be linear in b")
+                kind.append((a1 + a2, b1 + b2, 0))
+                for x, (deg_a, _, _) in zip(args, operands):  # a value of b alone enters apply only here
+                    if not deg_a:
+                        used.setdefault(x, len(used))
+            elif op == "halve":
+                deg_a, deg_b, depth = operands[0]
+                if deg_a:
+                    raise ValueError(f"apply tape halves at position {i}; halvings belong in bind")
+                kind.append((0, deg_b, depth + 1))
+            elif operands:  # add, sub
+                if len(set(operands)) != 1:
+                    if any(deg_a for deg_a, _, _ in operands):
+                        raise ValueError(f"apply tape adds values of different degrees at position {i}")
+                    raise ValueError(f"bind tape combines values of different halving depths at position {i}")
+                kind.append(operands[0])
+            else:
+                kind.append((1, 0, 0) if op == "a" else (0, 1, 0))
+        results = [signed[y] for y in results]
+        if any(kind[x][:2] != (1, 1) for _, x in results):
+            raise ValueError("apply tape has an output that is not bilinear in a and b")
+        bind = [i for i, (deg_a, _, _) in enumerate(kind) if not deg_a]
+        position = {x: k for k, x in enumerate(bind)}
+        self.bind_tape, self.entries = _renumbered(folded, bind, position), [position[x] for x in used]
+        a_inputs = [i for i, (op, _) in enumerate(folded) if op == "a"]
+        steps = [i for i, (deg_a, _, _) in enumerate(kind) if deg_a and folded[i][0] in RING_OPS]
+        position = {x: k for k, x in enumerate(a_inputs + list(used) + steps)}
+        self.apply_tape = (_renumbered(folded, a_inputs, position) + [("e", (k,)) for k in range(len(used))]
+                           + _renumbered(folded, steps, position))
+        self.outputs = settle_signs(self.apply_tape, [(sign, position[x]) for sign, x in results])
+        self.cells = [(sign, used[x]) for sign, x in (signed[c] for c in cells)]
+        depths = [kind[x][2] for x in used]
+        self.halvings = max(depths, default=0)
+        self.lifts = tuple((k, self.halvings - d) for k, d in enumerate(depths) if d < self.halvings)
+        self.source = (_function_source("bind(half, b)", self.bind_tape, self.entries, "()") + "\n\n"
+                       + _function_source("apply(a, e)", self.apply_tape, self.outputs, "[]"))
         self.filename = f"<diracmul pipeline level {level}>"
         held = linecache.cache.get(self.filename)
         if held is not None and "".join(held[2]) != self.source:
@@ -742,35 +720,27 @@ def settle_signs(tape: list, values: list) -> list:
 
 
 def compile_pipeline(pipeline: Pipeline) -> CompiledProgram:
-    """Record the paper's per-block recipe (:func:`bind_block` over every
-    core block, with one shared pool cache) and :func:`run_pipeline_bound`
-    once, fold the signs of both tapes and generate ``bind`` and ``apply``
-    from them.
-
-    :func:`fold_signs` decides all sharing: an entry that repeats another
-    up to sign, in any block, folds onto the same value.  Bind's results
-    are the distinct folded values of the core entries, in order of first
-    use.  Apply's tape takes them as inputs and fans them out to the core
-    cells itself, so each cell's sign folds into the sum that uses its
-    product; only an output that ends with a minus sign is negated.
+    """Record the product M_b . a once, on one :class:`Recorder` with
+    inputs ``b`` and then ``a``, and compile it.  The recording runs
+    :func:`~diracmul.linalg.structural_apply` for each constant stage, and
+    for each core block :func:`bind_block` (one pool cache shared by all
+    blocks) and :func:`block_matvec`; :class:`CompiledProgram` finds the
+    split into ``bind`` and ``apply``.
     """
     rec = Recorder()
-    b, pool_cache = rec.inputs("b", DIM), {}
-    per_block = [bind_block(blk, b, rec, pipeline.pools, pool_cache) for blk in pipeline.core.blocks]
-    bind_tape, bound = fold_signs(rec.tape)
-    slots: dict = {}  # folded bind position -> index among bind's results
-    cells = []
-    for v in (v for blk in per_block for v in blk):
-        sign, x = bound[v]
-        cells.append((sign, slots.setdefault(x, len(slots))))
-
-    rec = Recorder()
-    a, e = rec.inputs("a", DIM), rec.inputs("e", len(slots))
-    fanned = iter([e[k] if sign > 0 else rec.neg(e[k]) for sign, k in cells])
-    ys = run_pipeline_bound(pipeline, a, [[next(fanned) for _ in blk] for blk in per_block], rec)
-    apply_tape, applied = fold_signs(rec.tape)
-    outputs = settle_signs(apply_tape, [applied[y] for y in ys])
-    return CompiledProgram(bind_tape, list(slots), cells, apply_tape, outputs, pipeline.level)
+    b, vec = rec.inputs("b", DIM), rec.inputs("a", DIM)
+    pool_cache, cells = {}, []
+    for stage in pipeline.stages:
+        if stage.blocks is None:
+            vec = structural_apply(rec, stage.mat, vec)
+            continue
+        out: list = []
+        for blk in stage.blocks:
+            entries = bind_block(blk, b, rec, pipeline.pools, pool_cache)
+            out += block_matvec(blk, entries, vec[len(out) : len(out) + blk.size], rec)
+            cells += entries
+        vec = out
+    return CompiledProgram(rec.tape, vec, cells, pipeline.level)
 
 
 # ---------------------------------------------------------------------------
@@ -1016,10 +986,8 @@ def verify_pipeline(pipeline: Pipeline | int, asset_dir: str | None = None) -> V
     truth, ``derive_b_matrix`` of the same scaled basis vector.  That
     settles the identity for every ``a`` and ``b`` because:
 
-    * bind has no ``mul`` (compilation checks it), so its entries are
-      linear in ``b``;
-    * apply passes ``_check_bilinear``, so each output is bilinear in ``a``
-      and the entries;
+    * compilation gives every value its degree in ``a`` and in ``b``, and
+      checks that bind is linear in ``b`` and every output bilinear;
     * every sum in bind combines values of one halving depth (compilation
       checks it), so run with ``half = 1`` bind gives each value times
       ``2**depth``, with no rounding, and :func:`_bind_ints` gives the

@@ -22,6 +22,14 @@ def transpose(m: Mat) -> Mat:
     return Mat(m.cols, m.rows, [[m.entries[r][c] for r in range(m.rows)] for c in range(m.cols)])
 
 
+def flipped_table(table):
+    """``table`` with the sign of cell (3, 3) flipped: still a product matrix, a wrong one."""
+    entries = [list(row) for row in table.entries]
+    s, k = entries[3][3]
+    entries[3][3] = SignedBasis(-s, k)
+    return MultTable(entries)
+
+
 def is_integer(x: DyadicRational) -> bool:
     return x.normalized().exp == 0
 

@@ -30,7 +30,7 @@ from diracmul.fastmult import Recorder
 from diracmul.slpgen import emit_text, schoolbook_program
 
 from diracmul.exactnum import INTS
-from helpers import as_int, diagonal_signs, is_unital, rows_are_permutations
+from helpers import as_int, diagonal_signs, flipped_table, is_unital, rows_are_permutations
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -83,14 +83,6 @@ class TestTable:
 
     def test_diagonal_signs(self, table):
         assert diagonal_signs(table) == [1, 1, -1, -1, -1, 1, 1, 1, -1, -1, -1, -1, -1, -1, 1, -1]
-
-
-def flipped_table(table):
-    """``table`` with the sign of cell (3, 3) flipped: still a product matrix, a wrong one."""
-    entries = [list(row) for row in table.entries]
-    s, k = entries[3][3]
-    entries[3][3] = SignedBasis(-s, k)
-    return MultTable(entries)
 
 
 def brute_force_product(a_vals, b_vals, table):

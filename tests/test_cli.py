@@ -8,6 +8,7 @@ from diracmul import cli, fastmult
 from diracmul.algebra import DiracNumber, MultTable, derive_b_matrix, mul_schoolbook
 from diracmul.cli import bench_pairs, compile_schoolbook, main, matrix_reference, random_coeffs
 from diracmul.exactnum import DYADIC, FLOAT, INTS
+from helpers import flipped_table
 
 
 def run(capsys, *argv):
@@ -78,6 +79,29 @@ class TestVerify:
         assert code == 1
         assert err.startswith("FAIL: stage signs_out_16.txt: ")
         assert err.endswith(": byte 0xc3 is not ASCII\n")
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("+0 +5 +10 +15\n", "+0 +5 +10\n", "core cell has 3 terms"),
+        ("+0 +5 +10 +15\n", "+0 +1 +2 +3\n", "core cell +0 +1 +2 +3 does not split over the quad pools"),
+        ("block q0 4 halved quad", "block q0 4 halved quint", "unknown pool family 'quint'"),
+    ], ids=["three-terms", "no-split", "unknown-family"])
+    def test_a_bad_core_cell_fails_naming_its_block(self, capsys, tmp_path, monkeypatch, old, new, message):
+        dst = tmp_path / "assets"
+        shutil.copytree(fastmult.default_asset_dir(), dst)
+        path = dst / "blocks_level3.txt"
+        path.write_text(path.read_text().replace(old, new, 1))
+        monkeypatch.setenv("DIRAC_ASSET_DIR", str(dst))
+        code, _, err = run(capsys, "verify", "--level", "3", "--iters", "1")
+        assert code == 1
+        assert err == f"FAIL: stage blocks_level3.txt: block q0: {message}\n"
+
+    def test_a_non_associative_table_fails(self, capsys, monkeypatch):
+        build = cli.build_table_from_generators
+        monkeypatch.setattr(cli, "build_table_from_generators", lambda: flipped_table(build()))
+        code, out, _ = run(capsys, "verify", "--level", "3", "--iters", "5")
+        assert code == 1
+        assert "table associativity: 4040/4096 triples pass\n" in out
+        assert out.endswith("FAIL: table associativity\n")
 
     def test_zero_iters_skips_the_oracle(self, capsys):
         code, out, _ = run(capsys, "verify", "--level", "1", "--iters", "0")

@@ -523,26 +523,24 @@ def test_halving_depth_is_the_largest_denominator_of_bind(verified_pipelines, pl
         assert prog.halvings == largest == 1
 
 
-def test_compilation_rejects_tapes_the_lowering_cannot_run_exactly(verified_pipelines):
+def test_compilation_rejects_tapes_the_lowering_cannot_run_exactly(verified_pipelines, monkeypatch):
     prog = verified_pipelines[3].program
-    bind, apply = list(prog.bind_tape), list(prog.apply_tape)
-    first_b, first_a = 0, apply.index(("a", (0,)))
-    entries, cells = prog.entries, prog.cells
+    with monkeypatch.context() as patch:  # the recording compile_pipeline hands to CompiledProgram
+        patch.setattr(fastmult, "CompiledProgram", lambda *recording: recording)
+        tape, results, cells, level = fastmult.compile_pipeline(verified_pipelines[3])
+    first_b, first_a, appended = tape.index(("b", (0,))), tape.index(("a", (0,))), len(tape)
     with pytest.raises(ValueError, match="bind tape multiplies"):
-        CompiledProgram(bind + [("mul", (first_b, first_b))], entries, cells, apply, prog.outputs, 3)
+        CompiledProgram(tape + [("mul", (first_b, first_b))], results, cells, level)
     with pytest.raises(ValueError, match="apply tape halves"):
-        CompiledProgram(bind, entries, cells, apply + [("halve", (prog.outputs[0],))],
-                        prog.outputs[1:] + [len(apply)], 3)
+        CompiledProgram(tape + [("halve", (results[0],))], results[1:] + [appended], cells, level)
     with pytest.raises(ValueError, match="different degrees"):
-        CompiledProgram(bind, entries, cells, apply + [("add", (prog.outputs[0], first_a))],
-                        prog.outputs[1:] + [len(apply)], 3)
+        CompiledProgram(tape + [("add", (results[0], first_a))], results[1:] + [appended], cells, level)
     with pytest.raises(ValueError, match="not bilinear"):
-        CompiledProgram(bind, entries, cells, apply, prog.outputs[1:] + [first_a], 3)
-    halved = next(i for i, (op, _) in enumerate(bind) if op == "halve")
-    with pytest.raises(ValueError, match="different halving depths"):  # a halved value plus b0
-        CompiledProgram(bind + [("add", (halved, first_b))], entries[:-1] + [len(bind)], cells, apply,
-                        prog.outputs, 3)
-    rebuilt = CompiledProgram(bind, entries, cells, apply, prog.outputs, 3)
+        CompiledProgram(tape, results[1:] + [first_a], cells, level)
+    assert tape[cells[0]][0] == "halve"
+    with pytest.raises(ValueError, match="different halving depths"):  # a halved core cell plus b0
+        CompiledProgram(tape + [("add", (cells[0], first_b))], results, cells, level)
+    rebuilt = CompiledProgram(tape, results, cells, level)
     assert (rebuilt.source, rebuilt.halvings) == (prog.source, prog.halvings)
 
 
