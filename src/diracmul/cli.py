@@ -29,8 +29,6 @@ from .exactnum import CountingRing, DYADIC, FLOAT, DyadicRational, parse_dyadic
 from .fastmult import (
     AssetError,
     LEVELS,
-    Recorder,
-    _function_source,
     assemble_pipeline,
     bind_block,
     block_matvec,
@@ -260,26 +258,14 @@ def bench_pairs(iters: int, seed: int) -> list:
             for _ in range(iters)]
 
 
-def compile_schoolbook(table):
-    """``mul_schoolbook`` recorded once and generated as straight-line code
-    by the generator of the fast product's ``bind`` and ``apply``:
-    ``schoolbook(a, b)`` returns the 16 output coefficients for the
-    coefficient lists ``a`` and ``b``, with the same operations in the same
-    order, so the two methods are timed as the same kind of code."""
-    rec = Recorder()
-    out = mul_schoolbook(DiracNumber(rec.inputs("a", DIM), rec), DiracNumber(rec.inputs("b", DIM), rec), table)
-    namespace: dict = {}
-    source = _function_source("schoolbook(a, b)", rec.tape, out.coeffs, "[]")
-    exec(compile(source, "<diracmul schoolbook>", "exec"), namespace)
-    return namespace["schoolbook"]
-
-
 def cmd_bench(args) -> int:
+    from .slpgen import schoolbook_program
+
     batches = 5
     data = bench_pairs(args.iters, args.seed)
     table = build_table_from_generators()
     assemble_pipeline(3)  # assemble and compile before timing
-    school = compile_schoolbook(table)
+    school, _ = schoolbook_program(table).compiled  # mul_schoolbook's operations, in its order
 
     def run_school():
         for av, bv in data:
@@ -288,7 +274,7 @@ def cmd_bench(args) -> int:
     def run_school_compiled():
         for av, bv in data:
             a, b = DiracNumber(av, FLOAT), DiracNumber(bv, FLOAT)
-            DiracNumber(school(a.coeffs, b.coeffs), FLOAT)
+            DiracNumber(school(FLOAT.half, a.coeffs, b.coeffs, ()), FLOAT)
 
     def run_fast():
         for av, bv in data:

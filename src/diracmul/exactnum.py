@@ -22,15 +22,15 @@ The values of every ring here carry the operators ``+``, ``-``, ``*`` and
 unary ``-``, and every ring here also supplies ``half``, a value for which
 ``x * half`` equals ``halve(x)`` exactly: ``0.5`` on floats, the dyadic or
 constant form 1/2 on dyadics and linear forms, and a :class:`Half` where
-no value of the ring halves by multiplication (integers, whose halving
-floors) or where each halving must be seen (the counting ring, where each
-counts a shift).  The compiled fast product is written with those
+no value of the ring halves by multiplication (integers, which halve only
+even values) or where each halving must be seen (the counting ring, where
+each counts a shift).  The compiled fast product is written with those
 operators and halves as ``x * half``, so on floats it makes no call at
 all (see ``fastmult``).  The base class :class:`OperatorRing` makes
 ``add``/``sub``/``neg``/``mul``/``eq`` the ``operator`` builtins, builds
 ``wrap``, ``zero`` and ``one`` from ``from_dyadic`` and halves as
 ``x * half``; each ring supplies ``name``, ``from_dyadic`` and ``half``.
-Only ``IntRing`` (a flooring shift) and ``CountingRing`` (which counts a
+Only ``IntRing`` (an exact shift) and ``CountingRing`` (which counts a
 shift) define their own ``halve``, the one their ``Half`` calls.  ``FloatRing``,
 ``IntRing`` and ``DyadicRing`` also set ``wrap`` to the type itself
 (``float``, ``int``, ``DyadicRational``), so wrapping an integer is one
@@ -366,12 +366,12 @@ class DyadicRing(OperatorRing):
 class IntRing(OperatorRing):
     """Plain Python integers.
 
-    ``halve`` is the arithmetic shift ``x >> 1``, which is exact only on
-    even values and rounds odd ones down; no integer halves by
-    multiplication, so ``half`` is a :class:`Half` that shifts.  The fast
-    product over this ring never halves: it runs ``bind`` with the
+    ``halve`` is the shift ``x >> 1`` of an even value and raises
+    ``ValueError`` on an odd one, whose half is no integer; no integer
+    halves by multiplication, so ``half`` is a :class:`Half` that shifts.
+    The fast product over this ring never halves: it runs ``bind`` with the
     halvings kept in an exponent and shifts the exact outputs back (see
-    ``fastmult``).
+    ``fastmult``), and ``slpgen.interpret`` runs on ``DYADIC``.
     """
 
     name = "int"
@@ -385,6 +385,8 @@ class IntRing(OperatorRing):
 
     @staticmethod
     def halve(x):
+        if x & 1:
+            raise ValueError(f"{x} is odd; its half is not an integer")
         return x >> 1
 
     half = Half(halve)

@@ -340,14 +340,6 @@ class Pipeline:
     def core(self) -> Stage:
         return self.stages[self.core_index]
 
-    def dims(self):
-        return [self.stages[0].in_dim] + [s.out_dim for s in self.stages]
-
-    def replace_stage(self, index: int, stage: Stage) -> "Pipeline":
-        stages = list(self.stages)
-        stages[index] = stage
-        return Pipeline(self.level, tuple(stages), self.core_index, self.asset_dir, self.pools)
-
 
 _EXPECTED_DIMS = {
     1: [16, 16, 24, 24, 28, 28, 24, 24, 16, 16, 16],
@@ -501,6 +493,7 @@ class Recorder:
 
 
 _INFIX = {"add": "+", "sub": "-", "mul": "*"}
+_MAX_NESTING = 50  # operators an inlined value nests at most; Python's parser takes 200 parentheses
 
 
 def _function_source(signature: str, tape: list, results: list, brackets: str) -> str:
@@ -509,10 +502,10 @@ def _function_source(signature: str, tape: list, results: list, brackets: str) -
     The signature names a list per input name, and ``half`` if the tape
     halves: ``bind(half, b)``.  ``add``/``sub``/``mul`` are written as
     infix operators, ``neg`` as unary minus and ``halve`` as
-    ``x * half``, so the function calls nothing.  A value
-    used once is written inline where it is used; a value used more than
-    once gets a local.  Every recorded operation runs exactly once; the
-    locals in recording order, an inlined value where it is used.
+    ``x * half``, so the function calls nothing.  A value used once is
+    inlined where it is used unless it nests ``_MAX_NESTING`` operators;
+    any other value gets a local.  Every recorded operation runs exactly
+    once; the locals in recording order, an inlined value where it is used.
     """
     uses = [0] * len(tape)
     for op, args in tape:
@@ -524,6 +517,7 @@ def _function_source(signature: str, tape: list, results: list, brackets: str) -
     params: dict = {}  # input name -> count
     text, body = [], []  # each value as an expression, and the local assignments
     operand = []  # each value as an operand of an operator: parenthesized unless atomic
+    nesting = [0] * len(tape)  # the operators nested in each inlined value's text
     for i, (op, args) in enumerate(tape):
         if op not in RING_OPS:
             params[op] = params.get(op, 0) + 1
@@ -536,9 +530,11 @@ def _function_source(signature: str, tape: list, results: list, brackets: str) -
             expr = f"-{operand[args[0]]}"
         else:
             expr = f"{operand[args[0]]} {_INFIX[op]} {operand[args[1]]}"
-        if uses[i] == 1:
+        depth = 1 + max(nesting[x] for x in args)
+        if uses[i] == 1 and depth < _MAX_NESTING:
             text.append(expr)
             operand.append(f"({expr})")
+            nesting[i] = depth
         else:
             body.append(f"    v{i} = {expr}")
             text.append(f"v{i}")
@@ -965,7 +961,10 @@ def _form(cols: list, halvings: int, row: int, col: int) -> LinearForm:
 
 
 def pipeline_matrix(pipeline: Pipeline) -> Mat:
-    """The 16x16 matrix the pipeline's compiled program computes, symbolic in b."""
+    """The 16x16 matrix the pipeline's compiled program computes, symbolic in b.
+
+    No caller in the package: acceptance criterion 1 (``tests/test_acceptance.py``)
+    reads every cell of it as one signed coefficient."""
     prog = pipeline.program
     cols = _basis_products(prog)
     return Mat(DIM, DIM, [[_form(cols, prog.halvings, k, n) for n in range(DIM)] for k in range(DIM)])

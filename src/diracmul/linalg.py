@@ -43,9 +43,6 @@ class Mat:
     def map(self, fn) -> "Mat":
         return Mat(self.rows, self.cols, [[fn(e) for e in row] for row in self.entries])
 
-    def is_structural(self) -> bool:
-        return all(e in (-1, 0, 1) for row in self.entries for e in row)
-
     def serialize(self) -> str:
         """Plain text grid: header 'rows cols', then row-major entries."""
         lines = [f"{self.rows} {self.cols}"]

@@ -1,7 +1,8 @@
 """Straight-line program generation.
 
 Renders recorded operation tapes as branch-free, single-assignment
-sequences of scalar instructions and interprets or pretty-prints them.
+sequences of scalar instructions, pretty-prints them, and runs each as the
+code ``fastmult._function_source`` generates from it, once per program.
 ``flatten`` renders the sign-folded tapes a pipeline's compiled
 ``bind``/``apply`` were generated from, so the program is the code that
 runs: it shares the pooled two-term combinations exactly the way the cost
@@ -13,10 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import DIM, DiracNumber, MultTable, mul_schoolbook
 from .exactnum import DYADIC, INTS, CountingScalar, DyadicRational, parse_dyadic
-from .fastmult import RING_OPS, Pipeline, PrecomputedOperator, Recorder, verify_pipeline
+from .fastmult import (RING_OPS, Pipeline, PrecomputedOperator, Recorder, _function_source, _runs_natively,
+                       verify_pipeline)
 
 OPCODES = ("load_a", "load_b", "const", "add", "sub", "neg", "mul", "shift", "store_y")
 
@@ -44,7 +47,7 @@ class SLProgram:
     """
 
     def __init__(self, instrs, a_arity: int = DIM, b_arity: int = DIM):
-        self.instrs = list(instrs)
+        self.instrs = tuple(instrs)  # fixed: compiled is generated from them once
         self.a_arity = a_arity
         self.b_arity = b_arity
         self.validate()
@@ -85,19 +88,50 @@ class SLProgram:
         if stores != set(range(DIM)):
             raise SLPError("program must store each of the 16 outputs exactly once")
 
+    @cached_property
+    def compiled(self) -> tuple:
+        """``(run, consts)``, generated on first use: ``run(half, a, b, c)``
+        returns the outputs in ``store_y`` order.  Its tape starts with the
+        inputs ``a`` and ``b`` in index order, so a program may load an input
+        twice or never; const ``j`` is the input ``c<j>``, of ``(num, exp)``
+        ``consts[j]``, and ``shift v k`` is ``k`` halvings ``v * half``."""
+        tape = [("a", (k,)) for k in range(self.a_arity)] + [("b", (k,)) for k in range(self.b_arity)]
+        values, outputs, consts = [], [None] * DIM, []  # values: tape position of each v<id>
+        for ins in self.instrs:
+            if ins.op == "store_y":
+                outputs[ins.aux] = values[ins.args[0]]
+                continue
+            if ins.op in ("load_a", "load_b"):
+                x = ins.aux + (self.a_arity if ins.op == "load_b" else 0)
+            elif ins.op == "shift":
+                x = values[ins.args[0]]
+                for _ in range(ins.aux):
+                    tape.append(("halve", (x,)))
+                    x = len(tape) - 1
+            else:
+                if ins.op == "const":
+                    tape.append(("c", (len(consts),)))
+                    consts.append(ins.aux)
+                else:
+                    tape.append((ins.op, tuple(values[v] for v in ins.args)))
+                x = len(tape) - 1
+            values.append(x)
+        namespace: dict = {}
+        source = _function_source("program(half, a, b, c)", tape, outputs, "[]")
+        exec(compile(source, "<diracmul straight-line program>", "exec"), namespace)
+        return namespace["program"], tuple(consts)
+
 
 class _Builder:
-    """Collects instructions, numbering values in order of definition."""
+    """Collects instructions, numbering values in order of definition
+    (the stores come last, so a value's number is its position)."""
 
     def __init__(self):
         self.instrs: list[SLPInstr] = []
-        self.next_id = 0
 
     def push(self, op: str, args=(), aux=None) -> int:
-        vid = self.next_id
-        self.next_id += 1
-        self.instrs.append(SLPInstr(op, vid, tuple(args), aux))
-        return vid
+        self.instrs.append(SLPInstr(op, len(self.instrs), tuple(args), aux))
+        return len(self.instrs) - 1
 
     def tape(self, tape: list, load) -> list:
         """Append a :class:`~diracmul.fastmult.Recorder` tape; ``load(name,
@@ -117,13 +151,6 @@ class _Builder:
         for k, src in enumerate(outputs):
             self.instrs.append(SLPInstr("store_y", None, (src,), k))
         return SLProgram(self.instrs, a_arity, b_arity)
-
-
-def _tape_program(rec: Recorder, outputs, a_arity: int, b_arity: int) -> SLProgram:
-    """The program of a recording whose inputs are ``a`` and ``b``."""
-    out = _Builder()
-    ids = out.tape(rec.tape, lambda name, k: out.push(f"load_{name}", aux=k))
-    return out.program([ids[x] for x in outputs], a_arity, b_arity)
 
 
 def flatten(pipeline: Pipeline, include_precompute: bool = True,
@@ -179,48 +206,27 @@ def schoolbook_program(table: MultTable) -> SLProgram:
     """The naive product as a reference program: :func:`~diracmul.algebra.mul_schoolbook`
     recorded once, 256 muls and 240 adds."""
     rec = Recorder()
-    a = DiracNumber(rec.inputs("a", DIM), rec)
-    b = DiracNumber(rec.inputs("b", DIM), rec)
-    return _tape_program(rec, mul_schoolbook(a, b, table).coeffs, DIM, DIM)
+    y = mul_schoolbook(DiracNumber(rec.inputs("a", DIM), rec), DiracNumber(rec.inputs("b", DIM), rec), table)
+    out = _Builder()
+    ids = out.tape(rec.tape, lambda name, k: out.push(f"load_{name}", aux=k))
+    return out.program([ids[x] for x in y.coeffs], DIM, DIM)
 
 
 def interpret(program: SLProgram, a_vals, b_vals, ring):
-    """Evaluate in instruction order; exact on exact rings.
-
-    ``INTS`` halves by flooring, so over it the program runs on ``DYADIC``
-    and each output is converted back exactly; ``ValueError`` if one is not
-    an integer."""
+    """Run :attr:`SLProgram.compiled` on values of ``DYADIC`` or of a ring
+    whose ``add``/``sub``/``neg``/``mul`` are Python's operators (else
+    ``TypeError``), halving by ``ring.half``.  ``INTS`` runs on ``DYADIC``,
+    each output converted back exactly; ``ValueError`` if one is not an
+    integer."""
     if len(a_vals) != program.a_arity or len(b_vals) != program.b_arity:
         raise SLPError("operand arity mismatch")
     if ring is INTS:
         out = interpret(program, [DyadicRational(v) for v in a_vals], [DyadicRational(v) for v in b_vals], DYADIC)
         return [INTS.from_dyadic(y.num, y.exp) for y in out]
-    values = []
-    out = [None] * DIM
-    for ins in program.instrs:
-        if ins.op == "load_a":
-            values.append(a_vals[ins.aux])
-        elif ins.op == "load_b":
-            values.append(b_vals[ins.aux])
-        elif ins.op == "const":
-            num, exp = ins.aux
-            values.append(ring.from_dyadic(num, exp))
-        elif ins.op == "add":
-            values.append(ring.add(values[ins.args[0]], values[ins.args[1]]))
-        elif ins.op == "sub":
-            values.append(ring.sub(values[ins.args[0]], values[ins.args[1]]))
-        elif ins.op == "neg":
-            values.append(ring.neg(values[ins.args[0]]))
-        elif ins.op == "mul":
-            values.append(ring.mul(values[ins.args[0]], values[ins.args[1]]))
-        elif ins.op == "shift":
-            v = values[ins.args[0]]
-            for _ in range(ins.aux):
-                v = ring.halve(v)
-            values.append(v)
-        else:  # store_y
-            out[ins.aux] = values[ins.args[0]]
-    return out
+    if ring is not DYADIC and not _runs_natively(ring):
+        raise TypeError(f"ring {ring.name!r} does not compute with Python's operators; interpret cannot run on it")
+    run, consts = program.compiled
+    return run(ring.half, a_vals, b_vals, [ring.from_dyadic(num, exp) for num, exp in consts])
 
 
 def emit_text(program: SLProgram) -> str:

@@ -3,6 +3,7 @@ import pytest
 from diracmul.algebra import build_table_from_generators
 from diracmul.fastmult import Stage, assemble_pipeline, verify_pipeline
 from diracmul.linalg import Mat
+from helpers import replace_stage
 
 
 @pytest.fixture(scope="session")
@@ -31,4 +32,4 @@ def planted_fault(verified_pipelines):
     column = next(c for c, e in enumerate(entries[5]) if e)
     entries[5][column] = -entries[5][column]
     bad = Stage(first.name, first.in_dim, first.out_dim, mat=Mat(first.out_dim, first.in_dim, entries))
-    return verified_pipelines[3].replace_stage(0, bad), column
+    return replace_stage(verified_pipelines[3], 0, bad), column

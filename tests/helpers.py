@@ -1,5 +1,7 @@
 """Queries on the package's values that only the tests make."""
 
+import dataclasses
+
 from diracmul.algebra import DIM, MultTable, SignedBasis, build_table_from_generators, derive_b_matrix, symbolic_b
 from diracmul.exactnum import FORMS, DyadicRational, LinearForm, dyadic_add, dyadic_mul
 from diracmul.linalg import Mat, SignedPermutation
@@ -83,6 +85,16 @@ def formula_forms(block) -> list:
             acc = acc + (-v if s < 0 else v)
         out.append(acc)
     return out
+
+
+def replace_stage(pipeline, index: int, stage):
+    """``pipeline`` with stage ``index`` replaced by ``stage``, compiled anew."""
+    return dataclasses.replace(pipeline, stages=pipeline.stages[:index] + (stage,) + pipeline.stages[index + 1:])
+
+
+def dims(pipeline) -> list:
+    """The widths along the stage chain: its input, then each stage's output."""
+    return [pipeline.stages[0].in_dim] + [s.out_dim for s in pipeline.stages]
 
 
 def linear_form_matrix(pipeline) -> Mat:

@@ -6,8 +6,9 @@ import pytest
 
 from diracmul import cli, fastmult
 from diracmul.algebra import DiracNumber, MultTable, derive_b_matrix, mul_schoolbook
-from diracmul.cli import bench_pairs, compile_schoolbook, main, matrix_reference, random_coeffs
+from diracmul.cli import bench_pairs, main, matrix_reference, random_coeffs
 from diracmul.exactnum import DYADIC, FLOAT, INTS
+from diracmul.slpgen import schoolbook_program
 from helpers import flipped_table
 
 
@@ -386,10 +387,10 @@ class TestBench:
         assert "usage: diracmul bench" in err and "must be at least 1" in err
 
     def test_compiled_schoolbook_equals_the_loop(self, table):
-        school = compile_schoolbook(table)
+        school, _ = schoolbook_program(table).compiled  # the code bench times
         for av, bv in bench_pairs(50, 0):
             want = mul_schoolbook(DiracNumber(av, FLOAT), DiracNumber(bv, FLOAT), table).coeffs
-            assert [v.hex() for v in school(av, bv)] == [v.hex() for v in want]
+            assert [v.hex() for v in school(FLOAT.half, av, bv, ())] == [v.hex() for v in want]
 
     def test_input_stream_is_seed_deterministic(self):
         from diracmul.cli import random_coeffs

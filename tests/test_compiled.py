@@ -39,7 +39,7 @@ from diracmul.fastmult import (
 )
 from diracmul.linalg import Mat
 from diracmul.slpgen import flatten
-from helpers import linear_form_matrix, linear_form_mismatches
+from helpers import linear_form_matrix, linear_form_mismatches, replace_stage
 
 TABLE = build_table_from_generators()
 COUNT_KEYS = (("nontrivial_mults", "mul"), ("additions", "add_total"), ("negations", "neg"), ("shifts", "shift"))
@@ -207,7 +207,7 @@ def test_shared_bind_keeps_halved_and_plain_entries_apart(verified_pipelines):
     k = next(i for i, blk in enumerate(blocks) if not blk.halved)
     blocks[k] = dataclasses.replace(blocks[k], formulas=[halved.formulas[0]] + blocks[k].formulas[1:],
                                     recipes=[halved.recipes[0]] + blocks[k].recipes[1:])
-    twin = pipe.replace_stage(pipe.core_index, dataclasses.replace(pipe.core, blocks=blocks))
+    twin = replace_stage(pipe, pipe.core_index, dataclasses.replace(pipe.core, blocks=blocks))
     b = [1 << twin.program.halvings] * DIM
     twice = 2 * bind_block(halved, b, INTS, pipe.pools, {})[0]
     assert bind_block(blocks[k], b, INTS, pipe.pools, {})[0] == twice != 0
@@ -255,11 +255,11 @@ def test_fold_carries_signs_into_the_operations_that_use_them():
     # a negative output is negated once, at the end; a positive one is read as it is
     outputs = fastmult.settle_signs(folded, [signed[k] for k in (4, 5, 8)])
     assert folded[9:] == [("neg", (3,)), ("neg", (5,))] and outputs == [2, 9, 10]
-    for xv, yv, zv in ((6, 10, 3), (-4, 5, -7), (8, 8, 8)):  # x even, so halving it is exact
-        inputs = {"x": [xv], "y": [yv], "z": [zv]}
-        recorded = tape_values(tape, INTS, inputs)
-        values = tape_values(folded, INTS, inputs)
-        assert [s * values[k] for s, k in signed] == recorded
+    for xv, yv, zv in ((6, 10, 3), (-4, 5, -7), (8, 8, 8)):  # over DYADIC, where halving y + x is exact
+        inputs = {"x": [DYADIC.wrap(xv)], "y": [DYADIC.wrap(yv)], "z": [DYADIC.wrap(zv)]}
+        recorded = tape_values(tape, DYADIC, inputs)
+        values = tape_values(folded, DYADIC, inputs)
+        assert [values[k] if s > 0 else -values[k] for s, k in signed] == recorded
         assert [values[k] for k in outputs] == [recorded[k] for k in (4, 5, 8)]
 
 
@@ -617,7 +617,7 @@ def unhalved_f(pipe):
     """Level 3 with the ``halved`` flag of its core block ``f`` cleared."""
     core = pipe.core
     blocks = [dataclasses.replace(blk, halved=False) if blk.name == "f" else blk for blk in core.blocks]
-    return pipe.replace_stage(pipe.core_index, Stage(core.name, core.in_dim, core.out_dim, blocks=blocks))
+    return replace_stage(pipe, pipe.core_index, Stage(core.name, core.in_dim, core.out_dim, blocks=blocks))
 
 
 def test_basis_proof_matrix_equals_the_linear_form_run(verified_pipelines, planted_fault):
@@ -916,7 +916,7 @@ def test_dropped_pipelines_release_their_source(verified_pipelines):
         column = next(c for c, e in enumerate(entries[row]) if e)
         entries[row][column] = -entries[row][column]
         stage = Stage(first.name, first.in_dim, first.out_dim, mat=Mat(first.out_dim, first.in_dim, entries))
-        variants.append(pipe.replace_stage(0, stage))
+        variants.append(replace_stage(pipe, 0, stage))
     assert pipeline_source_lines() > baseline
     assert all(linecache.getlines(v.program.filename) for v in variants)
     del variants

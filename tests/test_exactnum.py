@@ -309,8 +309,13 @@ class TestHalf:
             assert [raw(c) for c in (x * FORMS.half).coeffs] == [raw(c) for c in FORMS.halve(x).coeffs]
 
     def test_integers_shift_as_halve_does(self):
-        for x in (0, 1, -1, 6, -7, 1 << 100, -(1 << 100) - 1):
-            assert x * INTS.half == INTS.halve(x)
+        for x in (0, -2, 6, -8, 1 << 100, -(1 << 100) - 2):
+            assert x * INTS.half == INTS.halve(x) == x // 2
+        for x in (1, -1, -7, (1 << 100) + 1, -(1 << 100) - 1):  # an odd value has no integer half
+            with pytest.raises(ValueError, match="odd"):
+                INTS.halve(x)
+            with pytest.raises(ValueError, match="odd"):
+                x * INTS.half
 
     @pytest.mark.parametrize("num, exp", ((0, 0), (1, 0), (-1, 0), (4, 0), (-1, 3), (7, 0), (-9, 5)))
     def test_counting_half_counts_one_shift_whatever_it_halves(self, num, exp):

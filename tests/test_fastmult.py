@@ -23,7 +23,7 @@ from diracmul.fastmult import (
     precompute,
     verify_pipeline,
 )
-from helpers import evaluate, formula_forms
+from helpers import dims, evaluate, formula_forms
 from linalg_helpers import lift, mat_mul
 
 
@@ -45,13 +45,13 @@ def form(*signed_indices):
 
 class TestAssembly:
     def test_dimension_chains(self, verified_pipelines):
-        assert verified_pipelines[1].dims() == [16, 16, 24, 24, 28, 28, 24, 24, 16, 16, 16]
-        assert verified_pipelines[2].dims() == [
+        assert dims(verified_pipelines[1]) == [16, 16, 24, 24, 28, 28, 24, 24, 16, 16, 16]
+        assert dims(verified_pipelines[2]) == [
             16, 16, 24, 24, 28, 28, 30, 30, 28, 28, 24, 24, 16, 16, 16,
         ]
         # level 3 input side: pairs, butterflies, three rounds of sums,
         # closing butterfly, core order
-        assert verified_pipelines[3].dims() == [
+        assert dims(verified_pipelines[3]) == [
             16, 16, 16, 24, 28, 30, 30, 30, 30, 30, 30, 28, 28, 24, 24, 16, 16, 16,
         ]
 
@@ -72,7 +72,7 @@ class TestAssembly:
         for pipe in verified_pipelines.values():
             for stage in pipe.stages:
                 if stage.blocks is None:
-                    assert stage.mat.is_structural()
+                    assert all(e in (-1, 0, 1) for row in stage.mat.entries for e in row)
 
     def test_bad_level_rejected(self):
         with pytest.raises(ValueError):

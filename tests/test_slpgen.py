@@ -1,11 +1,14 @@
 import math
+import operator
 import random
 import re
+import sys
 
 import pytest
 
+from diracmul import exactnum, fastmult
 from diracmul.algebra import DIM, DiracNumber, mul_schoolbook
-from diracmul.exactnum import CountingRing, DYADIC, FLOAT, INTS
+from diracmul.exactnum import CountingRing, DYADIC, FLOAT, INTS, DyadicRational, FloatRing
 from diracmul.fastmult import PrecomputedOperator, mul_fast, precompute
 from diracmul.slpgen import (
     SLPError,
@@ -17,6 +20,7 @@ from diracmul.slpgen import (
     parse_text,
     schoolbook_program,
 )
+from helpers import replace_stage
 
 
 def rand_vec(rng, lo=-1000, hi=1000):
@@ -51,7 +55,7 @@ class TestFlatten:
         with pytest.raises(SLPError, match="does not verify"):
             flatten(bad, include_precompute=False, operator=op)
         # a correct pipeline that verify_pipeline never saw renders as the shipped one
-        fresh = verified_pipelines[3].replace_stage(0, verified_pipelines[3].stages[0])
+        fresh = replace_stage(verified_pipelines[3], 0, verified_pipelines[3].stages[0])
         assert emit_text(flatten(fresh)) == emit_text(fast_program)
 
     def test_histogram_matches_counting_ring(self, fast_program, verified_pipelines):
@@ -147,6 +151,75 @@ class TestInterpret:
         op = precompute(DiracNumber([bad] + [0.0] * (DIM - 1), FLOAT), 3)
         with pytest.raises(SLPError, match="cannot bake"):
             flatten(verified_pipelines[3], include_precompute=False, operator=op)
+
+
+class TestExecutor:
+    """``interpret`` runs the code each program generates once, from its
+    instructions."""
+
+    def test_float_runs_generate_once_and_call_no_ring_method(self, verified_pipelines):
+        program = flatten(verified_pipelines[3])  # fresh, so not yet generated
+        rng = random.Random(21)
+        pairs = [([rng.uniform(-1, 1) for _ in range(DIM)], [rng.uniform(-1, 1) for _ in range(DIM)])
+                 for _ in range(3)]
+        calls, operator_calls = [], []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code)
+            elif event == "c_call" and arg in (operator.add, operator.sub, operator.neg, operator.mul):
+                operator_calls.append(arg)
+
+        sys.setprofile(profile)
+        try:
+            outs = [interpret(program, a, b, FLOAT) for a, b in pairs]
+        finally:
+            sys.setprofile(None)
+        run, _ = program.compiled
+        assert sum(code is fastmult._function_source.__code__ for code in calls) == 1
+        assert sum(code is run.__code__ for code in calls) == len(pairs)
+        assert [code for code in calls if code.co_filename == exactnum.__file__] == []
+        assert operator_calls == []
+        for (a, b), out in zip(pairs, outs):
+            want = mul_fast(DiracNumber(a, FLOAT), DiracNumber(b, FLOAT), 3).coeffs
+            assert [y.hex() for y in out] == [y.hex() for y in want]
+
+    def test_hand_written_program_over_dyadics(self):
+        # a0 is never loaded and a1 twice; shift 0 is the value itself
+        text = "\n".join(["v0 = load_a 1", "v1 = load_a 1", "v2 = load_b 0", "v3 = shift v2 0", "v4 = shift v0 2",
+                          "v5 = mul v1 v3", "v6 = add v4 v5", "v7 = const 3/2^1", "v8 = sub v6 v7", "v9 = neg v8",
+                          "store_y 0 v9", "store_y 1 v3", "store_y 2 v4", "store_y 3 v1"]
+                         + [f"store_y {k} v7" for k in range(4, DIM)])
+        program = parse_text(text)
+        assert (program.a_arity, program.b_arity) == (2, 1)
+        out = interpret(program, [DyadicRational(7), DyadicRational(5, 1)], [DyadicRational(3, 2)], DYADIC)
+        # 5/2 / 4 = 5/8; 5/8 + 5/2 * 3/4 = 20/8; 20/8 - 3/2 = 8/8, negated
+        assert [(y.num, y.exp) for y in out] == [(-8, 3), (3, 2), (5, 3), (5, 1)] + [(3, 1)] * 12
+
+    def test_a_ring_with_its_own_methods_is_refused_by_name(self, fast_program):
+        class MethodRing(FloatRing):
+            name = "float-by-methods"
+
+            @staticmethod
+            def add(x, y):
+                return x + y
+
+        with pytest.raises(TypeError, match="float-by-methods"):
+            interpret(fast_program, [0.0] * DIM, [0.0] * DIM, MethodRing())
+
+    def test_counting_ring_tallies_the_histogram(self, fast_program):
+        rng = random.Random(22)
+        ring = CountingRing()
+        a, b = ([ring.wrap(rng.randint(3, 1 << 19) * 2 + 1) for _ in range(DIM)] for _ in range(2))
+        interpret(fast_program, a, b, ring)
+        h = fast_program.histogram()
+        assert ring.counter.snapshot() == (88, 196, 8, 32) == (h["mul"], h["add_total"], h["neg"], h["shift"])
+
+    def test_a_long_chain_of_single_use_values_runs(self):
+        # each sum is used once, by the next: inlined whole, it would nest 1000 deep
+        text = "\n".join(["v0 = load_a 0"] + [f"v{i} = add v{i - 1} v0" for i in range(1, 1001)]
+                         + [f"store_y {k} v1000" for k in range(DIM)])
+        assert interpret(parse_text(text), [DYADIC.wrap(3)], [], DYADIC) == [DYADIC.wrap(3003)] * DIM
 
 
 class TestProgramStructure:
