@@ -265,7 +265,7 @@ def cmd_bench(args) -> int:
     data = bench_pairs(args.iters, args.seed)
     table = build_table_from_generators()
     assemble_pipeline(3)  # assemble and compile before timing
-    school, _ = schoolbook_program(table).compiled  # mul_schoolbook's operations, in its order
+    school = schoolbook_program(table).compiled  # mul_schoolbook's operations, in its order
 
     def run_school():
         for av, bv in data:

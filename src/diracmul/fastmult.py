@@ -462,8 +462,8 @@ class Recorder:
     """A ring whose values are positions on a tape.
 
     Each ring operation appends ``(op, args)``; an input appends
-    ``(name, (k,))`` and stands for the variable ``<name><k>``.
-    ``slpgen`` renders tapes as straight-line programs.
+    ``(name, (k,))`` and stands for the variable ``<name><k>``.  A
+    straight-line program (``slpgen.SLProgram``) is such a tape.
     """
 
     def __init__(self):

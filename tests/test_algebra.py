@@ -69,7 +69,7 @@ class TestTable:
 
     def test_errata_against_transcription_matches_golden(self, table):
         diffs = table_errata(parse_printed_table(), table)
-        with open(os.path.join(GOLDEN, "table_errata.txt")) as fh:
+        with open(os.path.join(GOLDEN, "table_errata.txt"), encoding="ascii") as fh:
             golden = [ln for ln in fh.read().splitlines() if ln and not ln.startswith("#")]
         if golden == ["(no differences)"]:
             assert diffs == []
@@ -304,7 +304,7 @@ class TestProductMatrix:
 
     def test_transcribed_matrix_diff_matches_golden(self, table):
         diffs = b_matrix_errata(parse_printed_b_matrix(), symbolic_b_matrix(table))
-        with open(os.path.join(GOLDEN, "b16_errata.txt")) as fh:
+        with open(os.path.join(GOLDEN, "b16_errata.txt"), encoding="ascii") as fh:
             golden = [ln for ln in fh.read().splitlines() if ln and not ln.startswith("#")]
         got = [f"{r} {c} transcribed={p!r} derived={d!r}" for r, c, p, d in diffs]
         assert got == golden
@@ -350,13 +350,13 @@ def test_every_asset_reader_honours_the_asset_dir_override(tmp_path, monkeypatch
     assert default_asset_dir() == str(copy)
 
     table_path = copy / "table_printed.txt"
-    lines = table_path.read_text().splitlines()
+    lines = table_path.read_text(encoding="ascii").splitlines()
     data = [i for i, ln in enumerate(lines) if ln.strip() and not ln.startswith("#")]
     row = lines[data[1]].split()
     assert row[2] == "5"
     row[2] = "-5"
     lines[data[1]] = " ".join(row)
-    table_path.write_text("\n".join(lines) + "\n")
+    table_path.write_text("\n".join(lines) + "\n", encoding="ascii")
     assert parse_printed_table()[1][2] == SignedBasis(-1, 5)
 
     # derive --write writes into the override
@@ -381,17 +381,17 @@ def test_a_malformed_signed_index_is_an_error_naming_it(tmp_path, token, name, p
     copy = tmp_path / "assets"
     shutil.copytree(default_asset_dir(), copy)
     path = copy / name
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="ascii").splitlines()
     first = next(i for i, ln in enumerate(lines) if ln.strip() and not ln.startswith("#"))
     lines[first] = " ".join([token] + lines[first].split()[1:])
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
     with pytest.raises(ValueError, match=re.escape(f"bad term '{token}'")):
         parse(str(copy))
 
 
 def test_asset_lines_drop_blank_and_comment_lines(tmp_path):
     path = tmp_path / "asset.txt"
-    path.write_text("# head\n\n  a b  \n   # indented comment\r\nc\n")
+    path.write_text("# head\n\n  a b  \n   # indented comment\r\nc\n", encoding="ascii")
     assert read_asset_lines(str(path)) == ["a b", "c"]
 
 

@@ -19,7 +19,7 @@ def run(capsys, *argv):
 
 
 def write_number_file(path, values):
-    path.write_text(" ".join(str(v) for v in values) + "\n")
+    path.write_text(" ".join(str(v) for v in values) + "\n", encoding="ascii")
     return str(path)
 
 
@@ -52,7 +52,7 @@ class TestVerify:
         src = fastmult.default_asset_dir()
         dst = tmp_path / "assets"
         shutil.copytree(src, dst)
-        (dst / "perm_out_28.txt").write_text("kind signed_perm\nsize 28\nsrc 1\nsigns +\n")
+        (dst / "perm_out_28.txt").write_text("kind signed_perm\nsize 28\nsrc 1\nsigns +\n", encoding="ascii")
         monkeypatch.setenv("DIRAC_ASSET_DIR", str(dst))
         code, out, err = run(capsys, "verify", "--level", "3", "--iters", "1")
         assert code == 1
@@ -64,7 +64,7 @@ class TestVerify:
         dst = tmp_path / "assets"
         shutil.copytree(fastmult.default_asset_dir(), dst)
         path = dst / "signs_out_16.txt"
-        path.write_text(path.read_text() + "signs" + " +" * 16 + "\n")
+        path.write_text(path.read_text(encoding="ascii") + "signs" + " +" * 16 + "\n", encoding="ascii")
         monkeypatch.setenv("DIRAC_ASSET_DIR", str(dst))
         code, _, err = run(capsys, "verify", "--level", "3")
         assert code == 1
@@ -90,7 +90,7 @@ class TestVerify:
         dst = tmp_path / "assets"
         shutil.copytree(fastmult.default_asset_dir(), dst)
         path = dst / "blocks_level3.txt"
-        path.write_text(path.read_text().replace(old, new, 1))
+        path.write_text(path.read_text(encoding="ascii").replace(old, new, 1), encoding="ascii")
         monkeypatch.setenv("DIRAC_ASSET_DIR", str(dst))
         code, _, err = run(capsys, "verify", "--level", "3", "--iters", "1")
         assert code == 1
@@ -155,12 +155,12 @@ def dyadic_reference_mismatches(level, n, seed, table):
 def flip_sign(asset_dir, name, position):
     """Flip one sign of the signed permutation stored in ``name``."""
     path = asset_dir / name
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="ascii").splitlines()
     row = next(i for i, line in enumerate(lines) if line.startswith("signs "))
     signs = lines[row].split()[1:]
     signs[position] = "-" if signs[position] == "+" else "+"
     lines[row] = "signs " + " ".join(signs)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 class TestOracle:
@@ -387,7 +387,7 @@ class TestBench:
         assert "usage: diracmul bench" in err and "must be at least 1" in err
 
     def test_compiled_schoolbook_equals_the_loop(self, table):
-        school, _ = schoolbook_program(table).compiled  # the code bench times
+        school = schoolbook_program(table).compiled  # the code bench times
         for av, bv in bench_pairs(50, 0):
             want = mul_schoolbook(DiracNumber(av, FLOAT), DiracNumber(bv, FLOAT), table).coeffs
             assert [v.hex() for v in school(FLOAT.half, av, bv, ())] == [v.hex() for v in want]
@@ -414,7 +414,8 @@ class TestErrata:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda path: path.unlink(), "table_printed.txt: [Errno 2] No such file"),
-        (lambda path: path.write_text(path.read_text().replace("\n0 1 2 3 ", "\n-+5 1 2 3 ", 1)),
+        (lambda path: path.write_text(path.read_text(encoding="ascii").replace("\n0 1 2 3 ", "\n-+5 1 2 3 ", 1),
+                                      encoding="ascii"),
          "table_printed.txt: bad term '-+5'\n"),
     ], ids=("missing", "malformed"))
     def test_a_bad_transcription_fails_naming_it(self, capsys, tmp_path, monkeypatch, edit, message):
@@ -440,7 +441,7 @@ class TestEmit:
         out_file = tmp_path / "program.slp"
         code, _, _ = run(capsys, "emit", "slp", str(out_file))
         assert code == 0
-        header = out_file.read_text().splitlines()[0]
+        header = out_file.read_text(encoding="ascii").splitlines()[0]
         assert header == "# mul=88 add=196 neg=8 shift=32"
 
     @pytest.mark.parametrize("level,mul", [(1, 112), (2, 92)])
@@ -448,7 +449,7 @@ class TestEmit:
         out_file = tmp_path / f"program{level}.slp"
         code, _, _ = run(capsys, "emit", "slp", str(out_file), "--level", str(level))
         assert code == 0
-        header = out_file.read_text().splitlines()[0]
+        header = out_file.read_text(encoding="ascii").splitlines()[0]
         adds = {1: 192, 2: 202}[level]
         assert header.startswith(f"# mul={mul} add={adds} ")
 
@@ -458,11 +459,11 @@ class TestEmit:
         dst = tmp_path / "assets"
         shutil.copytree(fastmult.default_asset_dir(), dst)
         perm = dst / "perm_in_16.txt"
-        lines = perm.read_text().splitlines()
+        lines = perm.read_text(encoding="ascii").splitlines()
         signs = next(i for i, ln in enumerate(lines) if ln.startswith("signs "))
         assert lines[signs].startswith("signs + ")
         lines[signs] = "signs - " + lines[signs][len("signs + "):]
-        perm.write_text("\n".join(lines) + "\n")
+        perm.write_text("\n".join(lines) + "\n", encoding="ascii")
         monkeypatch.setenv("DIRAC_ASSET_DIR", str(dst))
         out_file = tmp_path / "program.slp"
         # level 1 loads perm_in_16; the flip still parses as a signed permutation
@@ -480,7 +481,7 @@ class TestEmit:
         assert len(files) == 17
         dims = []
         for name in files:
-            header = (out_dir / name).read_text().splitlines()[0]
+            header = (out_dir / name).read_text(encoding="ascii").splitlines()[0]
             rows, cols = (int(t) for t in header.split())
             dims.append((rows, cols))
         assert dims[0] == (16, 16)
@@ -501,7 +502,7 @@ class TestEmit:
 
     def test_matrices_onto_an_existing_file_is_a_usage_error(self, capsys, tmp_path):
         out_file = tmp_path / "stages"
-        out_file.write_text("not a directory\n")
+        out_file.write_text("not a directory\n", encoding="ascii")
         code, out, err = run(capsys, "emit", "matrices", str(out_file), "--level", "1")
         assert code == 2
         assert err.startswith("error: ") and str(out_file) in err

@@ -108,7 +108,7 @@ def test_changed_asset_dir_reassembles(tmp_path, monkeypatch):
     dst, broken = tmp_path / "assets", tmp_path / "broken"
     shutil.copytree(shipped_dir, dst)
     shutil.copytree(shipped_dir, broken)
-    (broken / "pipeline_level3.txt").write_text("stage missing_stage\n")
+    (broken / "pipeline_level3.txt").write_text("stage missing_stage\n", encoding="ascii")
     shipped = assemble_pipeline(3)
     a, b = DiracNumber.basis(2, FLOAT), DiracNumber.basis(7, FLOAT)
     want = mul_fast(a, b)

@@ -182,7 +182,7 @@ class TestLevel3InputSide:
 @pytest.mark.parametrize("text", ("", "# m8_diff: cells follow\n\n# none do\n"), ids=("empty", "comments-only"))
 def test_seed_file_without_cells_names_the_file(tmp_path, text):
     path = tmp_path / "seed.txt"
-    path.write_text(text)
+    path.write_text(text, encoding="ascii")
     with pytest.raises(ValueError, match=re.escape(f"{path}: no '<rows> <cols>' line")):
         load_cell_grid(str(path))
 
@@ -194,6 +194,6 @@ def test_seed_file_without_cells_names_the_file(tmp_path, text):
 ), ids=("three-numbers", "not-numbers", "bad-cell"))
 def test_malformed_seed_file_names_the_file(tmp_path, text, message):
     path = tmp_path / "seed.txt"
-    path.write_text(text)
+    path.write_text(text, encoding="ascii")
     with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
         load_cell_grid(str(path))

@@ -82,7 +82,7 @@ class TestAssembly:
         src = default_asset_dir()
         dst = tmp_path / "assets"
         shutil.copytree(src, dst)
-        (dst / "perm_out_24.txt").write_text("kind signed_perm\nsize 24\nsrc 1 2 3\nsigns + + +\n")
+        (dst / "perm_out_24.txt").write_text("kind signed_perm\nsize 24\nsrc 1 2 3\nsigns + + +\n", encoding="ascii")
         with pytest.raises(AssetError, match="perm_out_24"):
             assemble_pipeline(3, str(dst))
 
@@ -111,7 +111,7 @@ class TestAssembly:
     def test_malformed_expr_names_the_stage(self, tmp_path):
         dst = tmp_path / "assets"
         shutil.copytree(default_asset_dir(), dst)
-        (dst / "expand_16_24.txt").write_text("kind structural\nexpr kron(T3x2, I8\n")
+        (dst / "expand_16_24.txt").write_text("kind structural\nexpr kron(T3x2, I8\n", encoding="ascii")
         with pytest.raises(AssetError, match="stage expand_16_24.txt: malformed expression"):
             assemble_pipeline(3, str(dst))
 
@@ -120,7 +120,7 @@ class TestAssembly:
         dst = tmp_path / "assets"
         shutil.copytree(default_asset_dir(), dst)
         path = dst / "signs_out_16.txt"
-        path.write_text(path.read_text().replace("signs + ", f"signs {token} ", 1))
+        path.write_text(path.read_text(encoding="ascii").replace("signs + ", f"signs {token} ", 1), encoding="ascii")
         with pytest.raises(AssetError, match=re.escape(f"stage signs_out_16.txt: bad sign '{token}'")):
             assemble_pipeline(3, str(dst))
 
@@ -130,7 +130,8 @@ class TestAssembly:
         dst = tmp_path / "assets"
         shutil.copytree(default_asset_dir(), dst)
         path = dst / name
-        path.write_text(path.read_text().replace(f"\n{line}\n", f"\n{line.replace('+5', term)}\n", 1))
+        text = path.read_text(encoding="ascii")
+        path.write_text(text.replace(f"\n{line}\n", f"\n{line.replace('+5', term)}\n", 1), encoding="ascii")
         with pytest.raises(AssetError, match=re.escape(f"stage {name}: bad term '{term}'")):
             assemble_pipeline(3, str(dst))
 
@@ -154,7 +155,7 @@ class TestAssembly:
         dst = tmp_path / "assets"
         shutil.copytree(default_asset_dir(), dst)
         path = dst / name
-        path.write_text(edit(path.read_text()))
+        path.write_text(edit(path.read_text(encoding="ascii")), encoding="ascii")
         with pytest.raises(AssetError, match=re.escape(message)) as info:
             assemble_pipeline(3, str(dst))
         assert name.removesuffix(".txt") in str(info.value)
@@ -178,7 +179,7 @@ class TestAssembly:
         dst = tmp_path / "assets"
         shutil.copytree(default_asset_dir(), dst)
         path = dst / name
-        path.write_text(edit(path.read_text()))
+        path.write_text(edit(path.read_text(encoding="ascii")), encoding="ascii")
         with pytest.raises(AssetError, match=re.escape(f"stage {name}: {message}, wider than the widest stage (30)")):
             assemble_pipeline(3, str(dst))
         assert max(max(m.rows, m.cols) for m in built) <= 30

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import operator
 import random
@@ -9,22 +10,37 @@ import pytest
 from diracmul import exactnum, fastmult
 from diracmul.algebra import DIM, DiracNumber, mul_schoolbook
 from diracmul.exactnum import CountingRing, DYADIC, FLOAT, INTS, DyadicRational, FloatRing
-from diracmul.fastmult import PrecomputedOperator, mul_fast, precompute
-from diracmul.slpgen import (
-    SLPError,
-    SLPInstr,
-    SLProgram,
-    emit_text,
-    flatten,
-    interpret,
-    parse_text,
-    schoolbook_program,
-)
+from diracmul.fastmult import RING_OPS, PrecomputedOperator, Recorder, mul_fast, precompute
+from diracmul.slpgen import SLPError, emit_text, flatten, interpret, parse_text, schoolbook_program
 from helpers import replace_stage
 
 
 def rand_vec(rng, lo=-1000, hi=1000):
     return [DYADIC.wrap(rng.randint(lo, hi)) for _ in range(DIM)]
+
+
+def _render(tape, inputs, lines):
+    """Append the line ``emit_text`` writes for each step of ``tape`` to
+    ``lines``, naming the step ``v<len(lines)>``; ``inputs`` names the
+    positions that are not steps.  Returns the name of each position."""
+    names = []
+    for x, (op, args) in enumerate(tape):
+        if x in inputs:
+            names.append(inputs[x])
+            continue
+        if op in ("a", "b"):
+            rhs = f"load_{op} {args[0]}"
+        elif op == "halve":
+            rhs = f"shift {names[args[0]]} 1"
+        else:
+            rhs = " ".join([op] + [names[y] for y in args])
+        names.append(f"v{len(lines)}")
+        lines.append(f"{names[-1]} = {rhs}")
+    return names
+
+
+def _body(program):
+    return [line for line in emit_text(program).splitlines() if not line.startswith("#")]
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +104,28 @@ class TestFlatten:
     def test_apply_only_requires_matching_operator(self, verified_pipelines):
         with pytest.raises(SLPError):
             flatten(verified_pipelines[3], include_precompute=False)
+
+    @pytest.mark.parametrize("level", (1, 2, 3))
+    def test_steps_are_bind_then_apply_renumbered(self, verified_pipelines, level):
+        compiled = verified_pipelines[level].program
+        lines = []
+        a = _render([("a", (k,)) for k in range(DIM)], {}, lines)
+        bind = _render(compiled.bind_tape, {}, lines)
+        inputs = {x: a[k] if op == "a" else bind[compiled.entries[k]]
+                  for x, (op, (k, *_)) in enumerate(compiled.apply_tape) if op in ("a", "e")}
+        names = _render(compiled.apply_tape, inputs, lines)
+        lines += [f"store_y {k} {names[x]}" for k, x in enumerate(compiled.outputs)]
+        assert _body(flatten(verified_pipelines[level])) == lines
+
+    def test_schoolbook_program_is_its_recording(self, table):
+        rec = Recorder()
+        y = mul_schoolbook(DiracNumber(rec.inputs("a", DIM), rec), DiracNumber(rec.inputs("b", DIM), rec), table)
+        lines = []
+        names = _render(rec.tape, {}, lines)
+        lines += [f"store_y {k} {names[x]}" for k, x in enumerate(y.coeffs)]
+        program = schoolbook_program(table)
+        assert _body(program) == lines
+        assert (program.instrs, program.outputs) == (tuple(rec.tape), tuple(y.coeffs))
 
 
 class TestInterpret:
@@ -175,7 +213,7 @@ class TestExecutor:
             outs = [interpret(program, a, b, FLOAT) for a, b in pairs]
         finally:
             sys.setprofile(None)
-        run, _ = program.compiled
+        run = program.compiled
         assert sum(code is fastmult._function_source.__code__ for code in calls) == 1
         assert sum(code is run.__code__ for code in calls) == len(pairs)
         assert [code for code in calls if code.co_filename == exactnum.__file__] == []
@@ -223,37 +261,31 @@ class TestExecutor:
 
 
 class TestProgramStructure:
+    LOADS = [f"v{i} = load_a {i}" for i in range(16)]
+
     def test_loads_and_stores_only(self):
-        instrs = [SLPInstr("load_a", i, (), i) for i in range(16)]
-        instrs += [SLPInstr("load_b", 16 + i, (), i) for i in range(16)]
-        instrs += [SLPInstr("store_y", None, (k,), k) for k in range(16)]
-        prog = SLProgram(instrs)
+        lines = self.LOADS + [f"v{16 + i} = load_b {i}" for i in range(16)]
+        prog = parse_text("\n".join(lines + [f"store_y {k} v{k}" for k in range(16)]))
         h = prog.histogram()
         assert h["load_a"] == 16 and h["load_b"] == 16 and h["store_y"] == 16
         assert h["add_total"] == 0 and h["mul"] == 0
 
     def test_forward_reference_rejected(self):
-        instrs = [SLPInstr("add", 0, (0, 1))]
         with pytest.raises(SLPError):
-            SLProgram(instrs)
+            parse_text("v0 = add v0 v1\n")
 
     def test_double_store_rejected(self):
-        instrs = [SLPInstr("load_a", i, (), i) for i in range(16)]
-        instrs += [SLPInstr("store_y", None, (0,), 0) for _ in range(2)]
         with pytest.raises(SLPError):
-            SLProgram(instrs)
+            parse_text("\n".join(self.LOADS + ["store_y 0 v0"] * 2))
 
     def test_missing_output_rejected(self):
-        instrs = [SLPInstr("load_a", i, (), i) for i in range(16)]
-        instrs += [SLPInstr("store_y", None, (k,), k) for k in range(15)]
         with pytest.raises(SLPError):
-            SLProgram(instrs)
+            parse_text("\n".join(self.LOADS + [f"store_y {k} v{k}" for k in range(15)]))
 
-    @staticmethod
-    def _text_with(line):
+    @classmethod
+    def _text_with(cls, line):
         """Sixteen loads, then ``line`` defining v16, then the sixteen stores."""
-        body = [f"v{i} = load_a {i}" for i in range(16)] + [line]
-        return "\n".join(body + [f"store_y {k} v{k}" for k in range(16)]) + "\n"
+        return "\n".join(cls.LOADS + [line] + [f"store_y {k} v{k}" for k in range(16)]) + "\n"
 
     def test_out_of_range_load_rejected(self):
         assert parse_text(self._text_with("v16 = load_a 15")).a_arity == 16
@@ -261,22 +293,36 @@ class TestProgramStructure:
             parse_text(self._text_with("v16 = load_a -1"))
         with pytest.raises(SLPError, match="load_b -1"):
             parse_text(self._text_with("v16 = load_b -1"))
-        instrs = [SLPInstr("load_a", i, (), i) for i in range(16)] + [SLPInstr("load_b", 16, (), 16)]
-        instrs += [SLPInstr("store_y", None, (k,), k) for k in range(16)]
         with pytest.raises(SLPError, match="load_b 16"):
-            SLProgram(instrs)
+            parse_text(self._text_with("v16 = load_b 16"))
+        with pytest.raises(SLPError, match="load_a 99999999"):
+            parse_text(self._text_with("v16 = load_a 99999999"))
 
     def test_negative_shift_rejected(self):
-        assert parse_text(self._text_with("v16 = shift v0 0")).histogram()["shift"] == 1
+        assert parse_text(self._text_with("v16 = shift v0 0")).histogram()["shift"] == 0
         with pytest.raises(SLPError, match="negative shift"):
             parse_text(self._text_with("v16 = shift v0 -1"))
 
+    def test_shift_amount_is_bounded(self):
+        assert parse_text(self._text_with("v16 = shift v0 64")).histogram()["shift"] == 64
+        for amount in (65, 1000000000):
+            with pytest.raises(SLPError, match=f"shift {amount} above 64"):
+                parse_text(self._text_with(f"v16 = shift v0 {amount}"))
+
+    def test_histogram_counts_each_halving_the_counting_ring_does(self):
+        lines = self.LOADS + ["v16 = shift v0 3", "v17 = shift v0 0", "store_y 0 v16", "store_y 1 v17"]
+        program = parse_text("\n".join(lines + [f"store_y {k} v{k}" for k in range(2, 16)]))
+        ring = CountingRing()
+        interpret(program, [ring.wrap(2 * k + 3) for k in range(16)], [], ring)
+        h = program.histogram()
+        assert ring.counter.snapshot() == (h["mul"], h["add_total"], h["neg"], h["shift"]) == (0, 0, 0, 3)
+
     def test_single_assignment_by_construction(self, fast_program):
-        seen = set()
-        for ins in fast_program.instrs:
-            if ins.dest is not None:
-                assert ins.dest not in seen
-                seen.add(ins.dest)
+        # the inputs come first, and each step reads only values defined before it
+        ops = [op for op, _ in fast_program.instrs]
+        assert ops[:32] == ["a"] * 16 + ["b"] * 16 and not {"a", "b"} & set(ops[32:])
+        for i, (op, args) in enumerate(fast_program.instrs[32:], 32):
+            assert op in RING_OPS and all(x < i for x in args)
 
 
 class TestEmit:
@@ -308,10 +354,40 @@ class TestEmit:
         "v0 = shift v1",
         "v0 = frob v1",
         "v0 = neg x1",
+        "v1 = add v0 v5",
+        "v1 = neg v-1",
+        "v2 = neg v0",
+        "v1 = load_a 16",
+        "v1 = load_b -1",
+        "v1 = shift v0 -1",
+        "v1 = shift v0 65",
+        "store_y 0 v0",
+        "store_y 16 v0",
     ))
     def test_malformed_line_names_itself(self, line):
         with pytest.raises(SLPError, match=re.escape(f"cannot parse line {line!r}")):
-            parse_text("v0 = load_a 0\n" + line + "\n")
+            parse_text("v0 = load_a 0\nstore_y 0 v0\n" + line + "\n")
+
+    GOLDEN = {  # sha256 of each emitted text
+        "schoolbook": "b89eee54667aed3260cb2790e702b451ab4d9de70648b0d881c5ec08e6a16c66",
+        "l1": "e0a171041e7f0726d7d8a3eb94eaef3afea32d1f2b369e8db6f1849f701ec195",
+        "l1-apply": "89403e4c50175b84b73ed259245adc69ac02d7f5c05a88fe764c4b34c4526394",
+        "l2": "b2e86c4431de97b7ad9498de11cac5346fc4603ca995fe3df0959895af8b8a00",
+        "l2-apply": "ab75472e229de0eafd001ed623d9614cbfa0691bfd6094cd639ef95e0bae8ab8",
+        "l3": "50f465399af9e9eaed1f38134c7f69f8bec3d3c8727dc52d203ad1d95a2c444b",
+        "l3-apply": "ca245366d7b3af05d30c587ef84a32ead13421abe2491b67efbde2be6fac0a79",
+    }
+
+    @pytest.mark.parametrize("name", GOLDEN)
+    def test_emitted_text_is_golden(self, verified_pipelines, table, name):
+        if name == "schoolbook":
+            program = schoolbook_program(table)
+        else:
+            pipeline = verified_pipelines[int(name[1])]
+            b = DiracNumber.from_ints([k * k - 7 * k + 3 for k in range(DIM)], DYADIC)
+            op = PrecomputedOperator(pipeline, b) if name.endswith("apply") else None
+            program = flatten(pipeline, include_precompute=op is None, operator=op)
+        assert hashlib.sha256(emit_text(program).encode()).hexdigest() == self.GOLDEN[name]
 
     def test_const_round_trip(self, verified_pipelines):
         rng = random.Random(7)
