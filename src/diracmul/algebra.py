@@ -33,14 +33,22 @@ _GEN_SQUARE = {1: 1, 2: -1, 3: -1, 4: -1}
 
 
 class SignedBasis(NamedTuple):
-    """A product result +-i_index; index 0 is the real unit."""
+    """A product result +-i_index; index 0 is the real unit.
+
+    :class:`MultTable` stores each cell as the plain tuple ``(sign,
+    index)``, which compares equal to this.
+    """
 
     sign: int
     index: int
 
 
 class MultTable:
-    """16x16 grid of SignedBasis; entries[p][q] = i_p * i_q.
+    """16x16 grid of ``(sign, index)`` cells; entries[p][q] = i_p * i_q.
+
+    Each cell is a plain tuple, converted once here: CPython unpacks an
+    exact tuple on its fast path but a :class:`SignedBasis` on the generic
+    one, and the schoolbook product unpacks 256 cells per call.
 
     ``gathers`` holds, once per table, where each cell of the product
     matrix comes from: row k of M_b is ``gathers[k](values)`` with
@@ -54,11 +62,7 @@ class MultTable:
         entries = [list(row) for row in entries]
         if len(entries) != DIM or any(len(r) != DIM for r in entries):
             raise ValueError("table must be 16x16")
-        for row in entries:
-            for e in row:
-                if e.sign not in (-1, 1) or not 0 <= e.index < DIM:
-                    raise ValueError(f"bad table entry {e}")
-        self.entries = [tuple(row) for row in entries]
+        self.entries = [tuple(map(_cell, row)) for row in entries]
         # i_n * i_m = sign * i_k puts b_m (index m) or -b_m (index m + DIM) at row k, column n
         source = [[None] * DIM for _ in range(DIM)]
         for n, row in enumerate(self.entries):
@@ -89,6 +93,15 @@ class MultTable:
                     if kl != kr or s1 * sl != s2 * sr:
                         bad.append((p, q, r))
         return bad
+
+
+def _cell(entry) -> tuple:
+    """``entry``, unpacked, as a plain ``(sign, index)`` tuple;
+    ``ValueError`` for a sign other than +-1 or an index outside [0, 16)."""
+    sign, index = entry
+    if sign not in (-1, 1) or not 0 <= index < DIM:
+        raise ValueError(f"bad table entry {SignedBasis(sign, index)}")
+    return (sign, index)
 
 
 def _blade_mul(mask1: int, mask2: int) -> SignedBasis:
@@ -163,12 +176,14 @@ def parse_printed_table(asset_dir: str | None = None) -> MultTable:
 
 
 def table_errata(printed: MultTable, derived: MultTable):
-    """Cells where two tables disagree, sorted by (row, col)."""
+    """Cells where two tables disagree, sorted by (row, col), as
+    ``(row, col, printed cell, derived cell)`` with each cell a
+    :class:`SignedBasis`."""
     diffs = []
     for p in range(DIM):
         for q in range(DIM):
             if printed[p][q] != derived[p][q]:
-                diffs.append((p, q, printed[p][q], derived[p][q]))
+                diffs.append((p, q, SignedBasis(*printed[p][q]), SignedBasis(*derived[p][q])))
     return diffs
 
 

@@ -32,6 +32,14 @@ def flipped_table(table):
     return MultTable(entries)
 
 
+def holed_table(table):
+    """``table`` with cell (3, 5) a copy of cell (3, 6): row 3 sends two columns
+    to one output, so the table has no product matrix."""
+    entries = [list(row) for row in table.entries]
+    entries[3][5] = entries[3][6]
+    return MultTable(entries)
+
+
 def is_integer(x: DyadicRational) -> bool:
     return x.normalized().exp == 0
 
@@ -62,17 +70,17 @@ def is_unital(table: MultTable) -> bool:
 
 def rows_are_permutations(table: MultTable) -> bool:
     for p in range(DIM):
-        if sorted(e.index for e in table.entries[p]) != list(range(DIM)):
+        if sorted(k for _, k in table.entries[p]) != list(range(DIM)):
             return False
     for q in range(DIM):
-        if sorted(table.entries[p][q].index for p in range(DIM)) != list(range(DIM)):
+        if sorted(k for _, k in (row[q] for row in table.entries)) != list(range(DIM)):
             return False
     return True
 
 
 def diagonal_signs(table: MultTable) -> list:
     """Signs of the unit squares i_p^2 (+-1)."""
-    return [table.entries[p][p].sign for p in range(DIM)]
+    return [s for s, _ in (table.entries[p][p] for p in range(DIM))]
 
 
 def formula_forms(block) -> list:

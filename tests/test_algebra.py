@@ -30,7 +30,7 @@ from diracmul.fastmult import Recorder
 from diracmul.slpgen import emit_text, schoolbook_program
 
 from diracmul.exactnum import INTS
-from helpers import as_int, diagonal_signs, flipped_table, is_unital, rows_are_permutations
+from helpers import as_int, diagonal_signs, flipped_table, holed_table, is_unital, rows_are_permutations
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -83,6 +83,26 @@ class TestTable:
 
     def test_diagonal_signs(self, table):
         assert diagonal_signs(table) == [1, 1, -1, -1, -1, 1, 1, 1, -1, -1, -1, -1, -1, -1, 1, -1]
+
+    @pytest.mark.parametrize("build", [
+        lambda t: t, lambda t: parse_printed_table(), flipped_table, holed_table, lambda t: MultTable(t.entries),
+    ], ids=("generators", "printed", "flipped", "holed", "from-cells"))
+    def test_cells_are_plain_tuples(self, table, build):
+        # the schoolbook loop unpacks each cell; CPython's fast path takes an exact tuple only
+        assert all(type(cell) is tuple for row in build(table).entries for cell in row)
+
+    def test_cells_compare_equal_to_signed_basis(self, table):
+        assert MultTable(table.entries) == table
+        assert MultTable([[SignedBasis(*cell) for cell in row] for row in table.entries]) == table
+
+    @pytest.mark.parametrize("cell", [(0, 3), (2, 3), (1, -1), (-1, 16)])
+    @pytest.mark.parametrize("kind", [SignedBasis, tuple])
+    def test_bad_entry_is_rejected(self, table, cell, kind):
+        # a SignedBasis from the parsers or a plain tuple from another table's cells
+        entries = [list(row) for row in table.entries]
+        entries[4][7] = SignedBasis(*cell) if kind is SignedBasis else cell
+        with pytest.raises(ValueError, match=re.escape(f"bad table entry {SignedBasis(*cell)}")):
+            MultTable(entries)
 
 
 def brute_force_product(a_vals, b_vals, table):
@@ -163,18 +183,12 @@ class TestSchoolbook:
 
     @pytest.mark.parametrize("ring", ["float", "dyadic"])
     def test_same_results_as_the_indexed_loop(self, table, ring):
-        rng = random.Random(23)
-        for _ in range(200):
-            if ring == "float":  # special operands included, compared bit for bit
-                a, b = (DiracNumber([rng.choice(SPECIAL_FLOATS) if rng.random() < 0.25 else rng.uniform(-1e3, 1e3)
-                                     for _ in range(DIM)], FLOAT) for _ in range(2))
-                key = float.hex
-            else:  # raw numerators and exponents, not just values
-                a, b = (DiracNumber([DyadicRational(rng.randint(-1 << 70, 1 << 70), rng.randint(0, 9))
-                                     for _ in range(DIM)], DYADIC) for _ in range(2))
-                key = lambda v: (v.num, v.exp)  # noqa: E731
-            got = [key(v) for v in mul_schoolbook(a, b, table).coeffs]
-            assert got == [key(v) for v in indexed_schoolbook(a, b, table)]
+        assert_same_results_as_the_indexed_loop(table, ring)
+
+    @pytest.mark.parametrize("ring", ["float", "dyadic"])
+    @pytest.mark.parametrize("faulty", [flipped_table, holed_table], ids=("flipped", "holed"))
+    def test_same_results_as_the_indexed_loop_on_a_faulty_table(self, table, faulty, ring):
+        assert_same_results_as_the_indexed_loop(faulty(table), ring)
 
     def test_same_tape_as_the_indexed_loop(self, table):
         tapes = []
@@ -183,6 +197,24 @@ class TestSchoolbook:
             out = loop(DiracNumber(rec.inputs("a", DIM), rec), DiracNumber(rec.inputs("b", DIM), rec))
             tapes.append((rec.tape, out))
         assert tapes[0] == tapes[1]
+
+
+def assert_same_results_as_the_indexed_loop(table, ring):
+    """``mul_schoolbook`` and :func:`indexed_schoolbook` agree on 200 random
+    pairs over ``"float"`` (special operands included, compared bit for
+    bit) or ``"dyadic"`` (compared by raw numerator and exponent)."""
+    rng = random.Random(23)
+    for _ in range(200):
+        if ring == "float":
+            a, b = (DiracNumber([rng.choice(SPECIAL_FLOATS) if rng.random() < 0.25 else rng.uniform(-1e3, 1e3)
+                                 for _ in range(DIM)], FLOAT) for _ in range(2))
+            key = float.hex
+        else:
+            a, b = (DiracNumber([DyadicRational(rng.randint(-1 << 70, 1 << 70), rng.randint(0, 9))
+                                 for _ in range(DIM)], DYADIC) for _ in range(2))
+            key = lambda v: (v.num, v.exp)  # noqa: E731
+        got = [key(v) for v in mul_schoolbook(a, b, table).coeffs]
+        assert got == [key(v) for v in indexed_schoolbook(a, b, table)]
 
 
 def indexed_schoolbook(a, b, table):
@@ -245,9 +277,7 @@ class TestProductMatrix:
             assert got == [[key(v) for v in row] for row in looped_b_matrix(b, table)]
 
     def test_a_repeated_output_is_an_error_naming_the_row(self, table):
-        entries = [list(row) for row in table.entries]
-        entries[3][5] = entries[3][6]  # row 3 sends columns 5 and 6 to one output
-        holed = MultTable(entries)  # constructs, so that errata can report it
+        holed = holed_table(table)  # constructs, so that errata can report it
         assert [(p, q) for p, q, _, _ in table_errata(holed, table)] == [(3, 5)]
         with pytest.raises(ValueError, match="table row 3 "):
             derive_b_matrix(DiracNumber.basis(0, INTS), holed)

@@ -5,11 +5,11 @@ import shutil
 import pytest
 
 from diracmul import cli, fastmult
-from diracmul.algebra import DiracNumber, MultTable, derive_b_matrix, mul_schoolbook
+from diracmul.algebra import DiracNumber, derive_b_matrix, mul_schoolbook
 from diracmul.cli import bench_pairs, main, matrix_reference, random_coeffs
 from diracmul.exactnum import DYADIC, FLOAT, INTS
 from diracmul.slpgen import schoolbook_program
-from helpers import flipped_table
+from helpers import flipped_table, holed_table
 
 
 def run(capsys, *argv):
@@ -209,9 +209,7 @@ class TestOracle:
             assert matrix_reference(av, bv, table) == [sum(m * x for m, x in zip(row, av)) for row in rows]
 
     def test_reference_on_a_holed_table_names_the_row(self, table):
-        entries = [list(row) for row in table.entries]
-        entries[3][5] = entries[3][6]  # row 3 sends columns 5 and 6 to one output
-        holed = MultTable(entries)
+        holed = holed_table(table)
         with pytest.raises(ValueError, match="table row 3 ") as reference:
             matrix_reference(list(range(16)), list(range(16)), holed)
         with pytest.raises(ValueError) as derived:
@@ -426,6 +424,17 @@ class TestErrata:
         code, out, err = run(capsys, "errata")
         assert (code, out) == (1, "")
         assert err.startswith(f"FAIL: {message}")
+
+    def test_a_flipped_transcription_cell_is_reported_as_signed_bases(self, capsys, tmp_path, monkeypatch):
+        dst = tmp_path / "assets"
+        shutil.copytree(fastmult.default_asset_dir(), dst)
+        path = dst / "table_printed.txt"
+        path.write_text(path.read_text(encoding="ascii").replace("\n0 1 2 3 ", "\n0 1 2 -3 ", 1), encoding="ascii")
+        monkeypatch.setenv("DIRAC_ASSET_DIR", str(dst))
+        code, out, _ = run(capsys, "errata")
+        assert code == 0
+        assert ("1 differing cells\n"
+                "  row 0 col 3: transcribed SignedBasis(sign=-1, index=3) derived SignedBasis(sign=1, index=3)\n") in out
 
     def test_sections_present(self, capsys):
         _, out, _ = run(capsys, "errata")

@@ -298,6 +298,24 @@ class TestProgramStructure:
         with pytest.raises(SLPError, match="load_a 99999999"):
             parse_text(self._text_with("v16 = load_a 99999999"))
 
+    @pytest.mark.parametrize("line, spelled", [
+        ("v15 = load_a 15", "v15 = load_a 1_5"),
+        ("v16 = load_b 3", "v16 = load_b \u0663"),
+        ("v16 = load_b 3", "v16 = load_b +3"),
+        ("v16 = neg v3", "v016 = neg v3"),
+        ("v16 = neg v3", "v16 = neg v+3"),
+        ("v16 = shift v0 1", "v16 = shift v0 0_1"),
+        ("store_y 15 v15", "store_y 1_5 v15"),
+    ], ids=("underscore-load", "arabic-indic-digit", "plus-sign", "leading-zero-id", "plus-sign-id",
+            "underscore-shift", "underscore-output"))
+    def test_numbers_are_read_only_as_emitted(self, line, spelled):
+        text = self._text_with(line if line.startswith("v16 ") else "v16 = neg v0")
+        parse_text(text)
+        respelled = text.replace(line + "\n", spelled + "\n")
+        assert respelled != text
+        with pytest.raises(SLPError, match=re.escape(f"cannot parse line {spelled!r}: expected ")):
+            parse_text(respelled)
+
     def test_negative_shift_rejected(self):
         assert parse_text(self._text_with("v16 = shift v0 0")).histogram()["shift"] == 0
         with pytest.raises(SLPError, match="negative shift"):
