@@ -13,7 +13,7 @@ import os
 from operator import itemgetter
 from typing import NamedTuple
 
-from .exactnum import lf_from_b
+from .exactnum import lf_from_b, parse_int
 from .linalg import Mat
 
 DIM = 16
@@ -97,9 +97,10 @@ class MultTable:
 
 def _cell(entry) -> tuple:
     """``entry``, unpacked, as a plain ``(sign, index)`` tuple;
-    ``ValueError`` for a sign other than +-1 or an index outside [0, 16)."""
+    ``ValueError`` unless the sign is the ``int`` +-1 and the index an
+    ``int`` in [0, 16) (a ``bool`` or a ``float`` is neither)."""
     sign, index = entry
-    if sign not in (-1, 1) or not 0 <= index < DIM:
+    if type(sign) is not int or type(index) is not int or sign not in (-1, 1) or not 0 <= index < DIM:
         raise ValueError(f"bad table entry {SignedBasis(sign, index)}")
     return (sign, index)
 
@@ -310,17 +311,21 @@ _SIGNS = {"+": 1, "-": -1}
 
 
 def _parse_term(tok: str):
-    """``(sign, index)`` of a term such as ``-3``: at most one sign, then digits."""
+    """``(sign, index)`` of a term such as ``-3``: at most one sign, then an
+    index as :func:`~diracmul.exactnum.parse_int` reads it."""
     sign, digits = (tok[0], tok[1:]) if tok[:1] in _SIGNS else ("+", tok)
-    if not digits.isdigit():
-        raise ValueError(f"bad term {tok!r}")
-    return (_SIGNS[sign], int(digits))
+    if digits[:1] not in _SIGNS:
+        try:
+            return (_SIGNS[sign], parse_int(digits))
+        except ValueError:
+            pass
+    raise ValueError(f"bad term {tok!r}")
 
 
 def parse_signed_index_matrix(lines: list, rows: int, cols: int):
     """Parse a grid of signed indices ('-5' = -1 at index 5), one row per
     line of :func:`read_asset_lines`; ``ValueError`` names a token that is
-    not one sign and digits."""
+    not a term (see :func:`_parse_term`)."""
     if len(lines) != rows:
         raise ValueError(f"expected {rows} rows, got {len(lines)}")
     out = []

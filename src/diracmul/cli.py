@@ -53,7 +53,9 @@ class NumberFileError(ValueError):
 
 
 def read_number_file(path: str, mode: str):
-    """16 whitespace-separated numbers; exact mode takes ints and n/2^k."""
+    """16 whitespace-separated numbers; exact mode takes ``n`` and ``n/2^k``
+    as :func:`~diracmul.exactnum.parse_dyadic` reads them, float mode what
+    ``float()`` reads, ``inf`` and ``nan`` included."""
     try:
         with open(path, encoding="ascii") as fh:
             tokens = fh.read().split()

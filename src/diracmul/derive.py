@@ -31,7 +31,7 @@ import os
 from dataclasses import dataclass
 
 from .algebra import _parse_term, default_asset_dir, read_asset_lines, symbolic_b_matrix
-from .exactnum import FORMS, LinearForm, lf_from_b
+from .exactnum import FORMS, LinearForm, lf_from_b, parse_int
 from .fastmult import parse_expr
 from .linalg import (
     Mat,
@@ -144,7 +144,7 @@ def load_cell_grid(path: str) -> Mat:
     if not lines:
         raise ValueError(f"{path}: no '<rows> <cols>' line; the file holds no cells")
     try:
-        rows, cols = map(int, lines[0].split())
+        rows, cols = map(parse_int, lines[0].split())
     except ValueError as exc:
         raise ValueError(f"{path}: expected a '<rows> <cols>' line, got {lines[0]!r}") from exc
     if len(lines) - 1 != rows * cols:

@@ -44,6 +44,7 @@ measurement runs.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import asdict, astuple, dataclass, field
 
 
@@ -129,15 +130,29 @@ dyadic_mul = DyadicRational.__mul__
 dyadic_neg = DyadicRational.__neg__
 
 
+_INT = re.compile(r"-?(?:0|[1-9][0-9]*)")
+
+
+def parse_int(token: str) -> int:
+    """The integer ``token`` as the package writes integers, ASCII
+    ``-?(0|[1-9][0-9]*)``: no ``+``, no ``_``, no leading zero, no other
+    digits.  ``ValueError`` for any other token."""
+    if not _INT.fullmatch(token):
+        raise ValueError(f"expected an integer, got {token!r}")
+    return int(token)
+
+
 def parse_dyadic(token: str) -> DyadicRational:
-    """Parse ``n`` or ``n/2^k`` (the number-file grammar)."""
+    """Parse ``n`` or ``n/2^k`` (the number-file grammar), ``n`` and ``k``
+    each read by :func:`parse_int` and ``k`` not negative, as ``repr``
+    writes a :class:`DyadicRational`."""
     token = token.strip()
     if "/" in token:
         num_s, den_s = token.split("/", 1)
         if not den_s.startswith("2^"):
             raise ValueError(f"bad dyadic token {token!r}: denominator must be 2^k")
-        return DyadicRational(int(num_s), int(den_s[2:])).normalized()
-    return DyadicRational(int(token))
+        return DyadicRational(parse_int(num_s), parse_int(den_s[2:])).normalized()
+    return DyadicRational(parse_int(token))
 
 
 class LinearForm:

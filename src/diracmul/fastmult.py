@@ -33,10 +33,9 @@ own values and ``ring.half``; any other ring's values are boxed, so that
 each operator, halving by a marker included, calls the ring's method and
 the ring sees every recorded operation once.  ``mul_fast``,
 ``PrecomputedOperator.apply`` and ``verify_pipeline`` all call them:
-``verify_pipeline`` proves that exactly this code equals the ground-truth
-product matrix.  The code is bilinear, which compilation checks, so the
-proof runs it over integers on every pair of basis vectors; it runs on
-every call.
+:func:`prove` checks exactly this code against the ground-truth table.
+The code is bilinear, which compilation checks, so the proof runs it over
+integers on every pair of basis vectors; it runs on every call.
 
 Over ``DYADIC`` and ``INTS`` the products run those functions on plain
 integers rather than on ``DyadicRational`` objects.  Each operand is
@@ -71,10 +70,9 @@ from .algebra import (
     _parse_term,
     build_table_from_generators,
     default_asset_dir,
-    derive_b_matrix,
     read_asset_lines,
 )
-from .exactnum import DYADIC, INTS, DyadicRational, LinearForm
+from .exactnum import DYADIC, INTS, DyadicRational, LinearForm, parse_int
 from .linalg import (H2, T2X3, T3X2, Mat, SignedPermutation, dirsum, eye, kron, signed_perm_matrix,
                      structural_apply)
 
@@ -117,9 +115,9 @@ def _parse_sign(tok: str) -> int:
 def _parse_perm(fields: dict, name: str) -> Mat:
     """The +-1 matrix of a validated signed permutation."""
     try:
-        size = int(fields["size"])
+        size = parse_int(fields["size"])
         _check_width(size, size, f"size {size}")
-        src = [int(t) - 1 for t in fields["src"].split()]
+        src = [parse_int(t) - 1 for t in fields["src"].split()]
         signs = [_parse_sign(t) for t in fields["signs"].split()]
         perm = SignedPermutation(src, signs)
     except (KeyError, ValueError) as exc:
@@ -286,7 +284,7 @@ def load_blocks(path: str, index: dict):
         if mode not in ("halved", "plain"):
             raise AssetError(f"stage {name}: bad mode {mode!r}")
         try:
-            size = int(size_s)
+            size = parse_int(size_s)
             cells = lines[i + 1 : i + 1 + size * size]
             if len(cells) != size * size:
                 raise ValueError(f"block {blk_name} is short of cells")
@@ -564,10 +562,10 @@ class CompiledProgram:
 
     ``tape`` records one product on a :class:`Recorder` with inputs ``b``
     and ``a``; ``results`` are the positions of its sixteen outputs and
-    ``cells`` those of its core cells, in block order.  :func:`fold_signs`
-    folds it once, and one pass gives every folded value its degree in
-    ``a``, its degree in ``b`` and its halving depth, and splits the
-    program.  ``bind_tape`` holds the values of ``b`` alone, and
+    ``cells`` those of its core cells, in block order (none for a program
+    without a core).  :func:`fold_signs` folds it once, and one pass gives
+    every folded value its degree in ``a``, its degree in ``b`` and its
+    halving depth, and splits the program.  ``bind_tape`` holds the values of ``b`` alone, and
     ``entries`` the positions of those that apply uses, in order of first
     use.  ``apply_tape`` holds the inputs ``a``, one input ``e<k>`` per
     entry, then the other steps; its outputs are the positions ``outputs``.
@@ -580,8 +578,8 @@ class CompiledProgram:
     Both compute with ``+``, ``-``, ``*`` and unary ``-``, bind halving as
     ``x * half``: a ring's own ``half``, ``1`` on the integer path, a
     marker over boxes (see :class:`PrecomputedOperator`).  ``source`` is
-    their text, registered with ``linecache`` under ``filename`` for as
-    long as the program lives.
+    their text, registered with ``linecache`` under ``filename``,
+    ``<diracmul {name}>``, for as long as the program lives.
 
     ``ValueError`` unless bind is linear in ``b`` (no product of two values
     of ``b`` alone), each sum in it combines values of one halving depth,
@@ -595,7 +593,7 @@ class CompiledProgram:
     __slots__ = ("bind", "apply", "source", "filename", "bind_tape", "entries", "cells", "apply_tape",
                  "outputs", "halvings", "lifts", "__weakref__")
 
-    def __init__(self, tape: list, results: list, cells: list, level: int):
+    def __init__(self, tape: list, results: list, cells: list, name: str):
         folded, signed = fold_signs(tape)
         kind: list = []  # per folded value: degree in a, degree in b, halving depth (0 in apply)
         used: dict = {}  # value of b alone that apply uses -> its index among the entries
@@ -640,11 +638,11 @@ class CompiledProgram:
         self.lifts = tuple((k, self.halvings - d) for k, d in enumerate(depths) if d < self.halvings)
         self.source = (_function_source("bind(half, b)", self.bind_tape, self.entries, "()") + "\n\n"
                        + _function_source("apply(a, e)", self.apply_tape, self.outputs, "[]"))
-        self.filename = f"<diracmul pipeline level {level}>"
+        self.filename = f"<diracmul {name}>"
         held = linecache.cache.get(self.filename)
         if held is not None and "".join(held[2]) != self.source:
-            # another pipeline of this level (a modified copy) holds the name
-            self.filename = f"<diracmul pipeline level {level} {zlib.crc32(self.source.encode()):08x}>"
+            # another program of this name (a modified pipeline, say) holds it
+            self.filename = f"<diracmul {name} {zlib.crc32(self.source.encode()):08x}>"
             held = linecache.cache.get(self.filename)
         if held is None:
             # the first program with this source owns the entry; it goes when that program does
@@ -736,7 +734,7 @@ def compile_pipeline(pipeline: Pipeline) -> CompiledProgram:
             out += block_matvec(blk, entries, vec[len(out) : len(out) + blk.size], rec)
             cells += entries
         vec = out
-    return CompiledProgram(rec.tape, vec, cells, pipeline.level)
+    return CompiledProgram(rec.tape, vec, cells, f"pipeline level {pipeline.level}")
 
 
 # ---------------------------------------------------------------------------
@@ -972,17 +970,18 @@ def pipeline_matrix(pipeline: Pipeline) -> Mat:
 
 @lru_cache(maxsize=None)
 def _generator_table():
-    """The ground-truth table :func:`verify_pipeline` checks against, built
-    once per process and passed to no caller, so none can change it."""
+    """The ground-truth table :func:`prove` checks against, built once per
+    process and passed to no caller, so none can change it."""
     return build_table_from_generators()
 
 
-def verify_pipeline(pipeline: Pipeline | int, asset_dir: str | None = None) -> VerifyReport:
-    """Prove the pipeline equals the table-derived product matrix in b.
+def prove(program: CompiledProgram) -> list:
+    """Prove ``program`` computes the product of the generator table.
 
     The proof runs the compiled ``bind`` and ``apply`` on integer basis
-    vectors and compares each of the 16 x 16 x 16 results with the ground
-    truth, ``derive_b_matrix`` of the same scaled basis vector.  That
+    vectors and compares each of the 16 x 16 x 16 results with the table:
+    where ``table[n][m] == (sign, k)``, ``apply(e_n, bind(2**h e_m))``
+    must be ``2**h * sign * e_k``, ``h`` the program's ``halvings``.  That
     settles the identity for every ``a`` and ``b`` because:
 
     * compilation gives every value its degree in ``a`` and in ``b``, and
@@ -993,24 +992,33 @@ def verify_pipeline(pipeline: Pipeline | int, asset_dir: str | None = None) -> V
       entries exactly ``2**halvings`` times the dyadic values.
 
     So the program computes a bilinear map, and a bilinear map is fixed by
-    its values on basis pairs.  Mismatching cells are reported as linear
-    forms in b.  Runs the whole proof on every call; only the ground-truth
-    table is built once per process.
+    its values on basis pairs.  Returns the mismatching cells of the
+    product matrix, sorted, as ``(row, col, got, want)`` with ``got`` and
+    ``want`` linear forms in b.  Runs the whole proof on every call; only
+    the table is built once per process.
     """
-    if isinstance(pipeline, int):
-        pipeline = assemble_pipeline(pipeline, asset_dir)
-    prog = pipeline.program
-    scale = 1 << prog.halvings
+    scale = 1 << program.halvings
     table = _generator_table()
-    got = _basis_products(prog)
+    got = _basis_products(program)
     want = []
-    for e_m in _UNITS:
-        truth = derive_b_matrix(DiracNumber([scale * x for x in e_m], INTS), table)
-        want.append(tuple(truth.entries[k][n] for n in range(DIM) for k in range(DIM)))
+    for m in range(DIM):
+        col = [0] * (DIM * DIM)
+        for n in range(DIM):
+            sign, k = table[n][m]
+            col[n * DIM + k] = scale * sign
+        want.append(tuple(col))
     mismatches = []
     if got != want:
         cells = sorted({(i % DIM, i // DIM) for g, w in zip(got, want) for i, (x, y) in enumerate(zip(g, w))
                         if x != y})
-        mismatches = [(r, c, _form(got, prog.halvings, r, c), _form(want, prog.halvings, r, c))
+        mismatches = [(r, c, _form(got, program.halvings, r, c), _form(want, program.halvings, r, c))
                       for r, c in cells]
-    return VerifyReport(pipeline.level, mismatches)
+    return mismatches
+
+
+def verify_pipeline(pipeline: Pipeline | int, asset_dir: str | None = None) -> VerifyReport:
+    """:func:`prove` the pipeline's compiled program (a level is assembled
+    first, from ``asset_dir``), as a report for its level."""
+    if isinstance(pipeline, int):
+        pipeline = assemble_pipeline(pipeline, asset_dir)
+    return VerifyReport(pipeline.level, prove(pipeline.program))

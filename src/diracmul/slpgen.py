@@ -21,14 +21,13 @@ import re
 from functools import cached_property
 
 from .algebra import DIM, DiracNumber, MultTable, mul_schoolbook
-from .exactnum import DYADIC, INTS, CountingScalar, DyadicRational, parse_dyadic
+from .exactnum import DYADIC, INTS, CountingScalar, DyadicRational, parse_dyadic, parse_int
 from .fastmult import (RING_OPS, Pipeline, PrecomputedOperator, Recorder, _function_source, _renumbered,
                        _runs_natively, verify_pipeline)
 
 OPCODES = ("load_a", "load_b", "const", "add", "sub", "neg", "mul", "shift", "store_y")
 _OPCODE = {"a": "load_a", "b": "load_b", "c": "const", "halve": "shift"}  # tape op -> text opcode, if renamed
 _MAX_SHIFT = 64  # halvings one parsed shift may stand for
-_INT = re.compile(r"-?(?:0|[1-9][0-9]*)")  # an integer as emit_text writes it
 _VID = re.compile(r"v(?:0|[1-9][0-9]*)")
 
 
@@ -180,7 +179,7 @@ def parse_text(text: str) -> SLProgram:
     A load's index is in [0, 16), and ``shift v<id> k`` stands for ``k``
     halvings, ``0 <= k <= 64`` (emitted programs shift by 1).  Indices,
     output numbers and shift amounts are read as ``emit_text`` writes
-    them, ASCII ``-?(0|[1-9][0-9]*)``, and value ids as
+    them, by :func:`~diracmul.exactnum.parse_int`, and value ids as
     ``v(0|[1-9][0-9]*)``; a ``const`` reads its number with
     :func:`~diracmul.exactnum.parse_dyadic`, the number-file grammar.
     Each value is defined once, in order, before it is read, and each of
@@ -236,7 +235,7 @@ def _parse_line(line: str) -> tuple:
     if not eq:
         if op != "store_y" or len(operands) != 2:
             raise SLPError("expected 'store_y <k> v<id>' or 'v<id> = <op> ...'")
-        k = _int(operands[0])
+        k = parse_int(operands[0])
         if not 0 <= k < DIM:
             raise SLPError(f"output {k} outside [0, {DIM})")
         return None, op, (_vid(operands[1]),), k
@@ -251,18 +250,12 @@ def _parse_line(line: str) -> tuple:
     n_vals, n_ints = _OPERANDS[op]
     if len(operands) != n_vals + n_ints:
         raise SLPError(f"{op} takes {n_vals + n_ints} operands, got {len(operands)}")
-    n = _int(operands[n_vals]) if n_ints else None
+    n = parse_int(operands[n_vals]) if n_ints else None
     if op == "shift" and not 0 <= n <= _MAX_SHIFT:
         raise SLPError(f"negative shift {n}" if n < 0 else f"shift {n} above {_MAX_SHIFT}")
     if op in ("load_a", "load_b") and not 0 <= n < DIM:
         raise SLPError(f"{op} {n} outside [0, {DIM})")
     return dest, op, tuple(_vid(t) for t in operands[:n_vals]), n
-
-
-def _int(token: str) -> int:
-    if not _INT.fullmatch(token):
-        raise SLPError(f"expected an integer, got {token!r}")
-    return int(token)
 
 
 def _vid(token: str) -> int:

@@ -95,7 +95,7 @@ class TestTable:
         assert MultTable(table.entries) == table
         assert MultTable([[SignedBasis(*cell) for cell in row] for row in table.entries]) == table
 
-    @pytest.mark.parametrize("cell", [(0, 3), (2, 3), (1, -1), (-1, 16)])
+    @pytest.mark.parametrize("cell", [(0, 3), (2, 3), (1, -1), (-1, 16), (1.0, 1), (True, 1), (1, 3.0)])
     @pytest.mark.parametrize("kind", [SignedBasis, tuple])
     def test_bad_entry_is_rejected(self, table, cell, kind):
         # a SignedBasis from the parsers or a plain tuple from another table's cells

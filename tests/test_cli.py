@@ -81,6 +81,18 @@ class TestVerify:
         assert err.startswith("FAIL: stage signs_out_16.txt: ")
         assert err.endswith(": byte 0xc3 is not ASCII\n")
 
+    @pytest.mark.parametrize("old, new, token", [("size 16", "size 1_6", "1_6"), ("src 1 2 ", "src +1 0_2 ", "+1")],
+                             ids=["underscore-size", "plus-src"])
+    def test_a_stage_integer_not_as_written_fails_naming_it(self, capsys, tmp_path, monkeypatch, old, new, token):
+        dst = tmp_path / "assets"
+        shutil.copytree(fastmult.default_asset_dir(), dst)
+        path = dst / "perm_in_16.txt"
+        path.write_text(path.read_text(encoding="ascii").replace(old, new, 1), encoding="ascii")
+        monkeypatch.setenv("DIRAC_ASSET_DIR", str(dst))
+        code, _, err = run(capsys, "verify", "--level", "1", "--iters", "1")
+        assert code == 1
+        assert err == f"FAIL: stage perm_in_16.txt: expected an integer, got {token!r}\n"
+
     @pytest.mark.parametrize("old, new, message", [
         ("+0 +5 +10 +15\n", "+0 +5 +10\n", "core cell has 3 terms"),
         ("+0 +5 +10 +15\n", "+0 +1 +2 +3\n", "core cell +0 +1 +2 +3 does not split over the quad pools"),
@@ -344,6 +356,14 @@ class TestMul:
         code, _, err = run(capsys, "mul", a, b)
         assert code == 2
         assert "token 1" in err
+
+    @pytest.mark.parametrize("token", ["1_5", "+3", "1/2^0_3"])
+    def test_a_dyadic_token_not_as_written_is_a_parse_error(self, capsys, tmp_path, token):
+        a = write_number_file(tmp_path / "a.txt", ["0"] * 15 + [token])
+        b = basis_file(tmp_path, "b.txt", 0)
+        code, out, err = run(capsys, "mul", a, b)
+        assert (code, out) == (2, "")
+        assert f"token 16 ({token!r})" in err
 
     def test_a_non_ascii_byte_is_a_parse_error(self, capsys, tmp_path):
         a = tmp_path / "a.txt"

@@ -21,7 +21,7 @@ from diracmul import fastmult
 from diracmul.algebra import (DIM, DiracNumber, RingMismatchError, build_table_from_generators, mul_schoolbook,
                               symbolic_b)
 from diracmul.cli import main
-from diracmul.exactnum import CountingRing, CountingScalar, DYADIC, FLOAT, FORMS, INTS, DyadicRational
+from diracmul.exactnum import CountingRing, CountingScalar, DYADIC, FLOAT, FORMS, INTS, DyadicRational, LinearForm
 from diracmul.fastmult import (
     LEVELS,
     RING_OPS,
@@ -38,8 +38,8 @@ from diracmul.fastmult import (
     verify_pipeline,
 )
 from diracmul.linalg import Mat
-from diracmul.slpgen import flatten
-from helpers import linear_form_matrix, linear_form_mismatches, replace_stage
+from diracmul.slpgen import flatten, schoolbook_program
+from helpers import flipped_table, linear_form_matrix, linear_form_mismatches, replace_stage
 
 TABLE = build_table_from_generators()
 COUNT_KEYS = (("nontrivial_mults", "mul"), ("additions", "add_total"), ("negations", "neg"), ("shifts", "shift"))
@@ -527,20 +527,20 @@ def test_compilation_rejects_tapes_the_lowering_cannot_run_exactly(verified_pipe
     prog = verified_pipelines[3].program
     with monkeypatch.context() as patch:  # the recording compile_pipeline hands to CompiledProgram
         patch.setattr(fastmult, "CompiledProgram", lambda *recording: recording)
-        tape, results, cells, level = fastmult.compile_pipeline(verified_pipelines[3])
+        tape, results, cells, name = fastmult.compile_pipeline(verified_pipelines[3])
     first_b, first_a, appended = tape.index(("b", (0,))), tape.index(("a", (0,))), len(tape)
     with pytest.raises(ValueError, match="bind tape multiplies"):
-        CompiledProgram(tape + [("mul", (first_b, first_b))], results, cells, level)
+        CompiledProgram(tape + [("mul", (first_b, first_b))], results, cells, name)
     with pytest.raises(ValueError, match="apply tape halves"):
-        CompiledProgram(tape + [("halve", (results[0],))], results[1:] + [appended], cells, level)
+        CompiledProgram(tape + [("halve", (results[0],))], results[1:] + [appended], cells, name)
     with pytest.raises(ValueError, match="different degrees"):
-        CompiledProgram(tape + [("add", (results[0], first_a))], results[1:] + [appended], cells, level)
+        CompiledProgram(tape + [("add", (results[0], first_a))], results[1:] + [appended], cells, name)
     with pytest.raises(ValueError, match="not bilinear"):
-        CompiledProgram(tape, results[1:] + [first_a], cells, level)
+        CompiledProgram(tape, results[1:] + [first_a], cells, name)
     assert tape[cells[0]][0] == "halve"
     with pytest.raises(ValueError, match="different halving depths"):  # a halved core cell plus b0
-        CompiledProgram(tape + [("add", (cells[0], first_b))], results, cells, level)
-    rebuilt = CompiledProgram(tape, results, cells, level)
+        CompiledProgram(tape + [("add", (cells[0], first_b))], results, cells, name)
+    rebuilt = CompiledProgram(tape, results, cells, name)
     assert (rebuilt.source, rebuilt.halvings) == (prog.source, prog.halvings)
 
 
@@ -605,7 +605,7 @@ def test_mul_fast_on_unverified_pipeline_never_runs_the_proof(tmp_path, monkeypa
     def no_proof(*_args):
         raise AssertionError("the product path ran the proof")
 
-    for name in ("verify_pipeline", "pipeline_matrix", "derive_b_matrix", "_basis_products"):
+    for name in ("verify_pipeline", "pipeline_matrix", "prove", "_basis_products"):
         monkeypatch.setattr(fastmult, name, no_proof)
     rng = random.Random(350)
     a, b = (DiracNumber.from_ints(generic_ints(rng), DYADIC) for _ in range(2))
@@ -630,6 +630,21 @@ def test_faulty_pipelines_report_the_linear_form_mismatches(verified_pipelines, 
     for pipe in (planted_fault[0], unhalved_f(verified_pipelines[3])):
         mismatches = verify_pipeline(pipe).mismatches
         assert mismatches and mismatches == linear_form_mismatches(pipe)
+
+
+def compiled_schoolbook(table) -> CompiledProgram:
+    """The schoolbook product over ``table``, recorded once, as a program with no core."""
+    recorded = schoolbook_program(table)
+    return CompiledProgram(recorded.instrs, recorded.outputs, [], "schoolbook")
+
+
+def test_prove_checks_a_program_that_is_no_pipeline():
+    prog = compiled_schoolbook(TABLE)
+    assert (prog.cells, prog.halvings, prog.filename) == ([], 0, "<diracmul schoolbook>")
+    assert fastmult.prove(prog) == []
+    mismatches = fastmult.prove(compiled_schoolbook(flipped_table(TABLE)))
+    assert [(r, c) for r, c, _, _ in mismatches] == [(0, 3)]  # i3 * i3 = -1 with its sign flipped
+    assert mismatches[0][2:] == (LinearForm.variable(3), -LinearForm.variable(3))
 
 
 def test_pipeline_is_frozen_and_compiled_at_assembly(tmp_path, monkeypatch):

@@ -190,8 +190,9 @@ def test_seed_file_without_cells_names_the_file(tmp_path, text):
 @pytest.mark.parametrize("text, message", (
     ("8 8 8\n", "expected a '<rows> <cols>' line, got '8 8 8'"),
     ("a b\n", "expected a '<rows> <cols>' line, got 'a b'"),
+    ("1 +2\n+0 +3\n+0\n", "expected a '<rows> <cols>' line, got '1 +2'"),
     ("1 2\n+0 +3\n+x\n", "row 0 column 1 line '+x': bad term '+x'"),
-), ids=("three-numbers", "not-numbers", "bad-cell"))
+), ids=("three-numbers", "not-numbers", "plus-sign", "bad-cell"))
 def test_malformed_seed_file_names_the_file(tmp_path, text, message):
     path = tmp_path / "seed.txt"
     path.write_text(text, encoding="ascii")

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -98,6 +99,17 @@ class TestDyadic:
         assert repr(parse_dyadic("-7/2^3")) == "-7/2^3"
         with pytest.raises(ValueError):
             parse_dyadic("1/3")
+
+    @pytest.mark.parametrize("token, bad", [("1_5", "1_5"), ("+3", "+3"), ("\u0663", "\u0663"), ("03", "03"),
+                                            ("1/2^0_3", "0_3"), ("1/2^+3", "+3"), ("1_0/2^3", "1_0")])
+    def test_parse_reads_integers_only_as_written(self, token, bad):
+        with pytest.raises(ValueError, match=re.escape(f"expected an integer, got {bad!r}")):
+            parse_dyadic(token)
+
+    @given(st.builds(DyadicRational, st.integers(-(1 << 100), 1 << 100), st.integers(0, 80)))
+    @settings(max_examples=60)
+    def test_parse_reads_what_repr_writes(self, x):
+        assert parse_dyadic(repr(x)).key() == x.key()
 
     def test_int_conversions(self):
         assert is_integer(DyadicRational(6, 1))

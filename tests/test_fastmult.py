@@ -124,7 +124,7 @@ class TestAssembly:
         with pytest.raises(AssetError, match=re.escape(f"stage signs_out_16.txt: bad sign '{token}'")):
             assemble_pipeline(3, str(dst))
 
-    @pytest.mark.parametrize("term", ["--3", "+-3"])
+    @pytest.mark.parametrize("term", ["--3", "+-3", "+03"])
     @pytest.mark.parametrize("name, line", [("blocks_level3.txt", "+0 +5 +10 +15"), ("pool_pairs.txt", "quad +0 +5")])
     def test_malformed_term_names_the_stage(self, tmp_path, term, name, line):
         dst = tmp_path / "assets"
@@ -145,6 +145,7 @@ class TestAssembly:
         ("blocks_level3.txt", lambda t: t.replace("block q0", "blok q0"), "expected block header"),
         ("blocks_level3.txt", lambda t: t.replace("q0 4 halved", "q0 4 halve"), "bad mode 'halve'"),
         ("blocks_level3.txt", lambda t: t[:t.rstrip().rfind("\n") + 1], "block f is short of cells"),
+        ("blocks_level3.txt", lambda t: t.replace("q0 4 halved", "q0 04 halved"), "expected an integer, got '04'"),
         ("pipeline_level3.txt", lambda t: t + "kore blocks_level3\n", "bad line 'kore blocks_level3'"),
         ("pipeline_level3.txt", lambda t: t.replace("core blocks_level3\n", ""), "no core stage"),
         ("pipeline_level3.txt", lambda t: t.replace("stage signs_out_16\n", ""), "dimension chain"),

@@ -365,6 +365,8 @@ class TestEmit:
 
     @pytest.mark.parametrize("line", (
         "v0 = const 3/ab5",
+        "v1 = const 1_5",
+        "v1 = const 3/2^0_1",
         "v1 = add v0 v0 v0",
         "v0 = add v1",
         "v0 = load_a",
