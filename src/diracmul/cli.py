@@ -36,6 +36,7 @@ from .fastmult import (
     precompute,
     verify_pipeline,
 )
+from .linalg import Mat
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -348,17 +349,11 @@ def _core_grid_text(stage) -> str:
     grid = [["0"] * dim for _ in range(dim)]
     offset = 0
     for blk in stage.blocks:
-        n = blk.size
-        for i in range(n):
-            for j in range(n):
-                terms = blk.formulas[i * n + j]
-                token = "".join(f"{'+' if s > 0 else '-'}b{m}" for s, m in terms)
-                if blk.halved:
-                    token = f"({token})/2"
-                grid[offset + i][offset + j] = token
-        offset += n
-    lines = [f"{dim} {dim}"] + [" ".join(row) for row in grid]
-    return "\n".join(lines) + "\n"
+        for k, terms in enumerate(blk.formulas):  # row-major
+            token = "".join(f"{'+' if s > 0 else '-'}b{m}" for s, m in terms)
+            grid[offset + k // blk.size][offset + k % blk.size] = f"({token})/2" if blk.halved else token
+        offset += blk.size
+    return Mat(dim, dim, grid).serialize()
 
 
 def _at_least(low: int):

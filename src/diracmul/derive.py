@@ -147,6 +147,8 @@ def load_cell_grid(path: str) -> Mat:
         rows, cols = map(parse_int, lines[0].split())
     except ValueError as exc:
         raise ValueError(f"{path}: expected a '<rows> <cols>' line, got {lines[0]!r}") from exc
+    if rows < 1 or cols < 1:
+        raise ValueError(f"{path}: rows and cols must be at least 1, got {lines[0]!r}")
     if len(lines) - 1 != rows * cols:
         raise ValueError(f"{path}: expected {rows * cols} cells, got {len(lines) - 1}")
     forms = []

@@ -128,12 +128,13 @@ def _parse_perm(fields: dict, name: str) -> Mat:
 
 
 def _check_width(rows: int, cols: int, what) -> None:
-    """``ValueError`` if a ``rows`` x ``cols`` matrix is wider than any stage,
-    so that no oversized matrix is ever allocated.  ``what`` names it: a
-    string, or the expression node, which is unparsed only for the error."""
-    if max(rows, cols) > _WIDEST:
+    """``ValueError`` if a ``rows`` x ``cols`` matrix is smaller than 1x1 or
+    wider than any stage, so that no such matrix is ever allocated.  ``what``
+    names it: a string, or the expression node, unparsed only for the error."""
+    if min(rows, cols) < 1 or max(rows, cols) > _WIDEST:
         what = what if isinstance(what, str) else ast.unparse(what)
-        raise ValueError(f"{what} would be {rows}x{cols}, wider than the widest stage ({_WIDEST})")
+        problem = "smaller than 1x1" if min(rows, cols) < 1 else f"wider than the widest stage ({_WIDEST})"
+        raise ValueError(f"{what} would be {rows}x{cols}, {problem}")
 
 
 _ATOMS = {"H2": H2, "T2x3": T2X3, "T3x2": T3X2}
@@ -142,9 +143,10 @@ _ATOMS = {"H2": H2, "T2x3": T2X3, "T3x2": T3X2}
 def parse_expr(text: str) -> Mat:
     """The matrix of a structural-stage expression such as ``kron(T3x2, I8)``,
     parsed as Python and walked, never evaluated: atoms ``H2``, ``T2x3``,
-    ``T3x2``, ``I<n>``; positional calls of ``kron`` (two) and ``dirsum``.
-    ``ValueError`` for anything else, and for an atom or intermediate wider
-    than the widest stage, before it is built.
+    ``T3x2``, ``I<n>`` (``n`` as ``parse_int`` reads it); positional calls
+    of ``kron`` (two) and ``dirsum``.  ``ValueError`` for anything else,
+    and for an atom or intermediate smaller than 1x1 or wider than the
+    widest stage, before it is built.
 
     Every atom has entries in {-1, 0, +1} and no zero row, and ``kron`` and
     ``dirsum`` keep both, so every expression's matrix has them too."""
@@ -158,7 +160,7 @@ def parse_expr(text: str) -> Mat:
             if node.id in _ATOMS:
                 return _ATOMS[node.id]
             if node.id.startswith("I") and node.id[1:].isdigit():
-                n = int(node.id[1:])
+                n = parse_int(node.id[1:])
                 _check_width(n, n, node.id)
                 return eye(n)
             raise ValueError(f"unknown atom {node.id!r}")
@@ -285,6 +287,7 @@ def load_blocks(path: str, index: dict):
             raise AssetError(f"stage {name}: bad mode {mode!r}")
         try:
             size = parse_int(size_s)
+            _check_width(size, size, f"block {blk_name}")
             cells = lines[i + 1 : i + 1 + size * size]
             if len(cells) != size * size:
                 raise ValueError(f"block {blk_name} is short of cells")
@@ -557,20 +560,37 @@ def _forget_source(filename: str, entry: tuple) -> None:
         del linecache.cache[filename]
 
 
+def load_source(owner, source: str, name: str) -> tuple:
+    """``(filename, namespace)`` of generated ``source`` run as the file
+    ``<diracmul {name}>``, its CRC-32 appended if another source holds that
+    name; ``linecache`` shows its lines for as long as ``owner`` lives."""
+    filename = f"<diracmul {name}>"
+    held = linecache.cache.get(filename)
+    if held is not None and "".join(held[2]) != source:
+        filename = f"<diracmul {name} {zlib.crc32(source.encode()):08x}>"
+        held = linecache.cache.get(filename)
+    if held is None:
+        # the first owner of this source holds the entry; it goes when that owner does
+        entry = (len(source), None, source.splitlines(True), filename)
+        linecache.cache[filename] = entry
+        weakref.finalize(owner, _forget_source, filename, entry)
+    namespace: dict = {}
+    exec(compile(source, filename, "exec"), namespace)
+    return filename, namespace
+
+
 class CompiledProgram:
     """A recorded product as two generated straight-line functions.
 
     ``tape`` records one product on a :class:`Recorder` with inputs ``b``
-    and ``a``; ``results`` are the positions of its sixteen outputs and
-    ``cells`` those of its core cells, in block order (none for a program
-    without a core).  :func:`fold_signs` folds it once, and one pass gives
-    every folded value its degree in ``a``, its degree in ``b`` and its
-    halving depth, and splits the program.  ``bind_tape`` holds the values of ``b`` alone, and
-    ``entries`` the positions of those that apply uses, in order of first
-    use.  ``apply_tape`` holds the inputs ``a``, one input ``e<k>`` per
-    entry, then the other steps; its outputs are the positions ``outputs``.
-    ``cells`` holds one ``(sign, index)`` per core cell: the cell is
-    ``sign * e[index]``, its sign folded into the sum that uses its product.
+    and ``a``; ``results`` are the positions of its sixteen outputs.
+    :func:`fold_signs` folds it once, which alone decides what is shared,
+    and one pass gives every folded value its degree in ``a``, its degree
+    in ``b`` and its halving depth, and splits the program.  ``bind_tape``
+    holds the values of ``b`` alone, and ``entries`` the positions of those
+    that apply uses, in order of first use.  ``apply_tape`` holds the
+    inputs ``a``, one input ``e<k>`` per entry, then the other steps; its
+    outputs are the positions ``outputs``.
 
     ``bind(half, b)`` returns the entries, as a tuple, for right-hand
     coefficients ``b``; ``apply(a, e)`` returns the sixteen output
@@ -578,8 +598,7 @@ class CompiledProgram:
     Both compute with ``+``, ``-``, ``*`` and unary ``-``, bind halving as
     ``x * half``: a ring's own ``half``, ``1`` on the integer path, a
     marker over boxes (see :class:`PrecomputedOperator`).  ``source`` is
-    their text, registered with ``linecache`` under ``filename``,
-    ``<diracmul {name}>``, for as long as the program lives.
+    their text, loaded by :func:`load_source` under ``filename``.
 
     ``ValueError`` unless bind is linear in ``b`` (no product of two values
     of ``b`` alone), each sum in it combines values of one halving depth,
@@ -590,10 +609,10 @@ class CompiledProgram:
     ``2**halvings`` times its value.
     """
 
-    __slots__ = ("bind", "apply", "source", "filename", "bind_tape", "entries", "cells", "apply_tape",
-                 "outputs", "halvings", "lifts", "__weakref__")
+    __slots__ = ("bind", "apply", "source", "filename", "bind_tape", "entries", "apply_tape", "outputs",
+                 "halvings", "lifts", "__weakref__")
 
-    def __init__(self, tape: list, results: list, cells: list, name: str):
+    def __init__(self, tape: list, results: list, name: str):
         folded, signed = fold_signs(tape)
         kind: list = []  # per folded value: degree in a, degree in b, halving depth (0 in apply)
         used: dict = {}  # value of b alone that apply uses -> its index among the entries
@@ -632,25 +651,12 @@ class CompiledProgram:
         self.apply_tape = (_renumbered(folded, a_inputs, position) + [("e", (k,)) for k in range(len(used))]
                            + _renumbered(folded, steps, position))
         self.outputs = settle_signs(self.apply_tape, [(sign, position[x]) for sign, x in results])
-        self.cells = [(sign, used[x]) for sign, x in (signed[c] for c in cells)]
         depths = [kind[x][2] for x in used]
         self.halvings = max(depths, default=0)
         self.lifts = tuple((k, self.halvings - d) for k, d in enumerate(depths) if d < self.halvings)
         self.source = (_function_source("bind(half, b)", self.bind_tape, self.entries, "()") + "\n\n"
                        + _function_source("apply(a, e)", self.apply_tape, self.outputs, "[]"))
-        self.filename = f"<diracmul {name}>"
-        held = linecache.cache.get(self.filename)
-        if held is not None and "".join(held[2]) != self.source:
-            # another program of this name (a modified pipeline, say) holds it
-            self.filename = f"<diracmul {name} {zlib.crc32(self.source.encode()):08x}>"
-            held = linecache.cache.get(self.filename)
-        if held is None:
-            # the first program with this source owns the entry; it goes when that program does
-            entry = (len(self.source), None, self.source.splitlines(True), self.filename)
-            linecache.cache[self.filename] = entry
-            weakref.finalize(self, _forget_source, self.filename, entry)
-        namespace: dict = {}
-        exec(compile(self.source, self.filename, "exec"), namespace)
+        self.filename, namespace = load_source(self, self.source, name)
         self.bind, self.apply = namespace["bind"], namespace["apply"]
 
 
@@ -717,24 +723,22 @@ def compile_pipeline(pipeline: Pipeline) -> CompiledProgram:
     """Record the product M_b . a once, on one :class:`Recorder` with
     inputs ``b`` and then ``a``, and compile it.  The recording runs
     :func:`~diracmul.linalg.structural_apply` for each constant stage, and
-    for each core block :func:`bind_block` (one pool cache shared by all
-    blocks) and :func:`block_matvec`; :class:`CompiledProgram` finds the
-    split into ``bind`` and ``apply``.
+    for each core block :func:`bind_block`, sharing nothing with the other
+    blocks, and :func:`block_matvec`; :class:`CompiledProgram`'s folding
+    computes each repeated value once and finds the bind/apply split.
     """
     rec = Recorder()
     b, vec = rec.inputs("b", DIM), rec.inputs("a", DIM)
-    pool_cache, cells = {}, []
     for stage in pipeline.stages:
         if stage.blocks is None:
             vec = structural_apply(rec, stage.mat, vec)
             continue
         out: list = []
         for blk in stage.blocks:
-            entries = bind_block(blk, b, rec, pipeline.pools, pool_cache)
+            entries = bind_block(blk, b, rec, pipeline.pools, {})
             out += block_matvec(blk, entries, vec[len(out) : len(out) + blk.size], rec)
-            cells += entries
         vec = out
-    return CompiledProgram(rec.tape, vec, cells, f"pipeline level {pipeline.level}")
+    return CompiledProgram(rec.tape, vec, f"pipeline level {pipeline.level}")
 
 
 # ---------------------------------------------------------------------------

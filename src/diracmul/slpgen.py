@@ -23,7 +23,7 @@ from functools import cached_property
 from .algebra import DIM, DiracNumber, MultTable, mul_schoolbook
 from .exactnum import DYADIC, INTS, CountingScalar, DyadicRational, parse_dyadic, parse_int
 from .fastmult import (RING_OPS, Pipeline, PrecomputedOperator, Recorder, _function_source, _renumbered,
-                       _runs_natively, verify_pipeline)
+                       _runs_natively, load_source, verify_pipeline)
 
 OPCODES = ("load_a", "load_b", "const", "add", "sub", "neg", "mul", "shift", "store_y")
 _OPCODE = {"a": "load_a", "b": "load_b", "c": "const", "halve": "shift"}  # tape op -> text opcode, if renamed
@@ -63,11 +63,9 @@ class SLProgram:
     def compiled(self):
         """``run(half, a, b, c)``, generated from the tape on first use:
         the outputs for inputs ``a`` and ``b`` and constants ``c``, each
-        ``halve`` as ``x * half``."""
-        namespace: dict = {}
+        ``halve`` as ``x * half``; :func:`~diracmul.fastmult.load_source` runs it."""
         source = _function_source("program(half, a, b, c)", self.instrs, self.outputs, "[]")
-        exec(compile(source, "<diracmul straight-line program>", "exec"), namespace)
-        return namespace["program"]
+        return load_source(self, source, "straight-line program")[1]["program"]
 
 
 def flatten(pipeline: Pipeline, include_precompute: bool = True,

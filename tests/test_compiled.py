@@ -38,7 +38,7 @@ from diracmul.fastmult import (
     verify_pipeline,
 )
 from diracmul.linalg import Mat
-from diracmul.slpgen import flatten, schoolbook_program
+from diracmul.slpgen import flatten, interpret, schoolbook_program
 from helpers import flipped_table, linear_form_matrix, linear_form_mismatches, replace_stage
 
 TABLE = build_table_from_generators()
@@ -183,14 +183,14 @@ def per_block_entries(pipe, b) -> list:
 
 
 def assert_bind_follows_the_block_recipes(pipe, rng):
-    """Every core cell, rebuilt from bind's values through ``program.cells``,
-    equals the cell its block's own recipe builds."""
+    """Every core cell its block's own recipe builds is plus or minus one of
+    bind's values, and every value of bind is plus or minus such a cell."""
     prog = pipe.program
     for _ in range(20):
         # scaled so that every halving is exact over the integers
         b = [rng.randint(-(1 << 40), 1 << 40) << prog.halvings for _ in range(DIM)]
         values = prog.bind(INTS.half, b)
-        assert [sign * values[k] for sign, k in prog.cells] == per_block_entries(pipe, b)
+        assert {abs(v) for v in per_block_entries(pipe, b)} == {abs(v) for v in values}
 
 
 @pytest.mark.parametrize("level", LEVELS)
@@ -218,8 +218,6 @@ def test_shared_bind_keeps_halved_and_plain_entries_apart(verified_pipelines):
 def test_bind_returns_each_distinct_value_once_and_never_negates(level, distinct, verified_pipelines):
     prog = verified_pipelines[level].program
     assert len(prog.entries) == len(set(prog.entries)) == distinct
-    assert len(prog.cells) == sum(blk.size ** 2 for blk in verified_pipelines[level].core.blocks)
-    assert {k for _, k in prog.cells} == set(range(distinct))
     assert not any(op == "neg" for op, _ in prog.bind_tape)
 
 
@@ -527,20 +525,20 @@ def test_compilation_rejects_tapes_the_lowering_cannot_run_exactly(verified_pipe
     prog = verified_pipelines[3].program
     with monkeypatch.context() as patch:  # the recording compile_pipeline hands to CompiledProgram
         patch.setattr(fastmult, "CompiledProgram", lambda *recording: recording)
-        tape, results, cells, name = fastmult.compile_pipeline(verified_pipelines[3])
+        tape, results, name = fastmult.compile_pipeline(verified_pipelines[3])
     first_b, first_a, appended = tape.index(("b", (0,))), tape.index(("a", (0,))), len(tape)
     with pytest.raises(ValueError, match="bind tape multiplies"):
-        CompiledProgram(tape + [("mul", (first_b, first_b))], results, cells, name)
+        CompiledProgram(tape + [("mul", (first_b, first_b))], results, name)
     with pytest.raises(ValueError, match="apply tape halves"):
-        CompiledProgram(tape + [("halve", (results[0],))], results[1:] + [appended], cells, name)
+        CompiledProgram(tape + [("halve", (results[0],))], results[1:] + [appended], name)
     with pytest.raises(ValueError, match="different degrees"):
-        CompiledProgram(tape + [("add", (results[0], first_a))], results[1:] + [appended], cells, name)
+        CompiledProgram(tape + [("add", (results[0], first_a))], results[1:] + [appended], name)
     with pytest.raises(ValueError, match="not bilinear"):
-        CompiledProgram(tape, results[1:] + [first_a], cells, name)
-    assert tape[cells[0]][0] == "halve"
+        CompiledProgram(tape, results[1:] + [first_a], name)
+    first_halve = next(i for i, (op, _) in enumerate(tape) if op == "halve")
     with pytest.raises(ValueError, match="different halving depths"):  # a halved core cell plus b0
-        CompiledProgram(tape + [("add", (cells[0], first_b))], results, cells, name)
-    rebuilt = CompiledProgram(tape, results, cells, name)
+        CompiledProgram(tape + [("add", (first_halve, first_b))], results, name)
+    rebuilt = CompiledProgram(tape, results, name)
     assert (rebuilt.source, rebuilt.halvings) == (prog.source, prog.halvings)
 
 
@@ -635,12 +633,12 @@ def test_faulty_pipelines_report_the_linear_form_mismatches(verified_pipelines, 
 def compiled_schoolbook(table) -> CompiledProgram:
     """The schoolbook product over ``table``, recorded once, as a program with no core."""
     recorded = schoolbook_program(table)
-    return CompiledProgram(recorded.instrs, recorded.outputs, [], "schoolbook")
+    return CompiledProgram(recorded.instrs, recorded.outputs, "schoolbook")
 
 
 def test_prove_checks_a_program_that_is_no_pipeline():
     prog = compiled_schoolbook(TABLE)
-    assert (prog.cells, prog.halvings, prog.filename) == ([], 0, "<diracmul schoolbook>")
+    assert (prog.halvings, prog.filename) == (0, "<diracmul schoolbook>")
     assert fastmult.prove(prog) == []
     mismatches = fastmult.prove(compiled_schoolbook(flipped_table(TABLE)))
     assert [(r, c) for r, c, _, _ in mismatches] == [(0, 3)]  # i3 * i3 = -1 with its sign flipped
@@ -955,6 +953,23 @@ def test_traceback_shows_generated_lines():
     text = "".join(traceback.format_exception(exc.value))
     assert 'File "<diracmul pipeline level 3>"' in text
     assert "in apply" in text and re.search(r"\(e\d+ \* ", text)
+
+
+def test_straight_line_program_traceback_shows_generated_lines():
+    class FailingFloat(float):
+        def __mul__(self, other):
+            raise ArithmeticError("planted")
+
+        __rmul__ = __mul__
+
+    program = schoolbook_program(TABLE)
+    operand = [FailingFloat(k + 1) for k in range(DIM)]
+    with pytest.raises(ArithmeticError) as exc:
+        interpret(program, operand, operand, FLOAT)
+    frames = [f for f in traceback.extract_tb(exc.value.__traceback__)
+              if f.filename.startswith("<diracmul straight-line program")]
+    assert len(frames) == 1 and frames[0].name == "program"
+    assert re.search(r"a\d+ \* b\d+", frames[0].line)
 
 
 # ---------------------------------------------------------------------------

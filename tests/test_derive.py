@@ -192,7 +192,9 @@ def test_seed_file_without_cells_names_the_file(tmp_path, text):
     ("a b\n", "expected a '<rows> <cols>' line, got 'a b'"),
     ("1 +2\n+0 +3\n+0\n", "expected a '<rows> <cols>' line, got '1 +2'"),
     ("1 2\n+0 +3\n+x\n", "row 0 column 1 line '+x': bad term '+x'"),
-), ids=("three-numbers", "not-numbers", "plus-sign", "bad-cell"))
+    ("-1 -1\n+0\n", "rows and cols must be at least 1, got '-1 -1'"),
+    ("0 5\n", "rows and cols must be at least 1, got '0 5'"),
+), ids=("three-numbers", "not-numbers", "plus-sign", "bad-cell", "negative-sizes", "no-rows"))
 def test_malformed_seed_file_names_the_file(tmp_path, text, message):
     path = tmp_path / "seed.txt"
     path.write_text(text, encoding="ascii")

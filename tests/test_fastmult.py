@@ -98,6 +98,8 @@ class TestAssembly:
         '__import__("os")',
         "Q2",                        # unknown atom
         "kron(H2, Ix)",
+        "I08",                       # a size parse_int refuses
+        "I0",                        # an identity with no rows
         "transpose(H2)",             # unknown function
         "kron(H2)",                  # kron takes two
         "kron(H2, I2, I2)",
@@ -140,17 +142,24 @@ class TestAssembly:
         ("signs_out_16.txt", lambda t: t.replace("kind signed_perm\n", ""), "missing 'kind' line"),
         ("signs_out_16.txt", lambda t: t.replace("kind signed_perm", "kind diagonal"), "unknown kind 'diagonal'"),
         ("signs_out_16.txt", lambda t: t.replace("size 16", "size 15"), "size field disagrees"),
+        ("signs_out_16.txt", lambda t: t.replace("size 16", "size 0"), "size 0 would be 0x0, smaller than 1x1"),
         ("expand_16_24.txt", lambda t: t.replace("expr", "exp"), "'expr'"),
         ("pool_pairs.txt", lambda t: t.replace("\nquad +0 +5\n", "\nquad +0 +5 +7\n"), "bad pool line"),
         ("blocks_level3.txt", lambda t: t.replace("block q0", "blok q0"), "expected block header"),
         ("blocks_level3.txt", lambda t: t.replace("q0 4 halved", "q0 4 halve"), "bad mode 'halve'"),
         ("blocks_level3.txt", lambda t: t[:t.rstrip().rfind("\n") + 1], "block f is short of cells"),
         ("blocks_level3.txt", lambda t: t.replace("q0 4 halved", "q0 04 halved"), "expected an integer, got '04'"),
+        ("blocks_level3.txt", lambda t: t.replace("q0 4 halved", "q0 -4 halved"),
+         "block q0 would be -4x-4, smaller than 1x1"),
+        ("blocks_level3.txt", lambda t: t.replace("q0 4 halved", "q0 0 halved"),
+         "block q0 would be 0x0, smaller than 1x1"),
         ("pipeline_level3.txt", lambda t: t + "kore blocks_level3\n", "bad line 'kore blocks_level3'"),
         ("pipeline_level3.txt", lambda t: t.replace("core blocks_level3\n", ""), "no core stage"),
         ("pipeline_level3.txt", lambda t: t.replace("stage signs_out_16\n", ""), "dimension chain"),
         # right rows, wrong columns: the chain of output widths still holds
         ("expand_16_24.txt", lambda t: t.replace("kron(T3x2, I8)", "dirsum(I16, I8)"), "expects 24 inputs, gets 16"),
+        ("expand_16_24.txt", lambda t: t.replace("kron(T3x2, I8)", "kron(T3x2, I08)"),
+         "stage expand_16_24.txt: expected an integer, got '08'"),
     ], ids=lambda v: v if isinstance(v, str) else "")
     def test_each_asset_check_names_the_file(self, tmp_path, name, edit, message):
         dst = tmp_path / "assets"
