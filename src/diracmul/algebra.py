@@ -176,16 +176,18 @@ def parse_printed_table(asset_dir: str | None = None) -> MultTable:
     return MultTable([[SignedBasis(*cell) for cell in row] for row in grid])
 
 
+def cell_diffs(got, want) -> list:
+    """Cells where two grids of one shape disagree, sorted by (row, col), as
+    ``(row, col, got cell, want cell)``; each grid is anything whose
+    ``entries`` are its rows (a :class:`MultTable`, a ``Mat``)."""
+    return [(r, c, x, y)
+            for r, (got_row, want_row) in enumerate(zip(got.entries, want.entries, strict=True))
+            for c, (x, y) in enumerate(zip(got_row, want_row, strict=True)) if x != y]
+
+
 def table_errata(printed: MultTable, derived: MultTable):
-    """Cells where two tables disagree, sorted by (row, col), as
-    ``(row, col, printed cell, derived cell)`` with each cell a
-    :class:`SignedBasis`."""
-    diffs = []
-    for p in range(DIM):
-        for q in range(DIM):
-            if printed[p][q] != derived[p][q]:
-                diffs.append((p, q, SignedBasis(*printed[p][q]), SignedBasis(*derived[p][q])))
-    return diffs
+    """:func:`cell_diffs` of two tables, each cell a :class:`SignedBasis`."""
+    return [(p, q, SignedBasis(*x), SignedBasis(*y)) for p, q, x, y in cell_diffs(printed, derived)]
 
 
 class RingMismatchError(ValueError):
@@ -348,12 +350,3 @@ def parse_printed_b_matrix(asset_dir: str | None = None) -> Mat:
         ])
     return Mat(DIM, DIM, entries)
 
-
-def b_matrix_errata(printed: Mat, derived: Mat):
-    """Best-effort cell diff of the transcribed reference matrix."""
-    diffs = []
-    for r in range(DIM):
-        for c in range(DIM):
-            if printed.entries[r][c] != derived.entries[r][c]:
-                diffs.append((r, c, printed.entries[r][c], derived.entries[r][c]))
-    return diffs

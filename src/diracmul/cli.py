@@ -25,13 +25,12 @@ from .algebra import (
     gather_rows,
     mul_schoolbook,
 )
-from .exactnum import CountingRing, DYADIC, FLOAT, DyadicRational, parse_dyadic
+from .exactnum import DYADIC, FLOAT, DyadicRational, parse_dyadic
 from .fastmult import (
     AssetError,
     LEVELS,
     assemble_pipeline,
-    bind_block,
-    block_matvec,
+    count_operations,
     mul_fast,
     precompute,
     verify_pipeline,
@@ -45,8 +44,6 @@ EXIT_USAGE = 2
 # the cost the reference states for the fast product: at most this many
 NOMINAL_MULTS = 88
 NOMINAL_ADDS = 256
-# the seed of the operands count_operations multiplies
-COUNT_SEED = 2024
 
 
 class NumberFileError(ValueError):
@@ -133,47 +130,6 @@ def oracle_mismatches(levels, n: int, seed: int, table) -> dict:
 def oracle_compare(level: int, n: int, seed: int, table) -> int:
     """:func:`oracle_mismatches` at one level."""
     return oracle_mismatches((level,), n, seed, table)[level]
-
-
-def _generic_vector(rng: random.Random):
-    # odd and away from +-1 so every product is a generic multiplication
-    return [rng.randint(3, 1 << 19) * 2 + 1 for _ in range(DIM)]
-
-
-def count_operations() -> dict:
-    """Counting-ring measurements used by ``count`` and the tests."""
-    table = build_table_from_generators()
-    rng = random.Random(COUNT_SEED)
-    av, bv = _generic_vector(rng), _generic_vector(rng)
-
-    ring = CountingRing()
-    mul_schoolbook(DiracNumber.from_ints(av, ring), DiracNumber.from_ints(bv, ring), table)
-    school = ring.counter.as_dict()
-
-    per_level = {}
-    for level in LEVELS:
-        ring = CountingRing()
-        mul_fast(DiracNumber.from_ints(av, ring), DiracNumber.from_ints(bv, ring), level)
-        per_level[level] = ring.counter.as_dict()
-
-    ring = CountingRing()
-    op = precompute(DiracNumber.from_ints(bv, ring), 3)
-    pre = ring.counter.as_dict()
-    before = ring.counter.snapshot()
-    op.apply(DiracNumber.from_ints(av, ring))
-    after = ring.counter.snapshot()
-    apply_counts = dict(zip(("nontrivial_mults", "additions", "negations", "shifts"),
-                            (q - p for p, q in zip(before, after))))
-    # the level-3 core: bind's additions plus the mat-vec, size-1 additions per row of each block
-    pipe = assemble_pipeline(3)
-    core_adds = pre["additions"] + sum(blk.size * (blk.size - 1) for blk in pipe.core.blocks)
-    # the same core run block by block, each bound by its own recipes (pool terms still shared)
-    ring, pool_cache = CountingRing(), {}
-    b, x = [ring.wrap(v) for v in bv], [ring.wrap(v) for v in av]
-    for blk in pipe.core.blocks:
-        block_matvec(blk, bind_block(blk, b, ring, pipe.pools, pool_cache), x[:blk.size], ring)
-    return {"schoolbook": school, "fast": per_level, "precompute": pre, "apply": apply_counts,
-            "core_additions": core_adds, "per_block_core_additions": ring.counter.additions}
 
 
 def cmd_verify(args) -> int:

@@ -12,16 +12,15 @@ documents the differences.
 from __future__ import annotations
 
 from .algebra import (
-    b_matrix_errata,
     build_table_from_generators,
+    cell_diffs,
     parse_printed_table,
     parse_printed_b_matrix,
     symbolic_b_matrix,
     table_errata,
 )
-from .cli import count_operations
 from .derive import DISPLAYED_MIX_30
-from .fastmult import AssetError, assemble_pipeline, parse_expr
+from .fastmult import AssetError, assemble_pipeline, count_operations, parse_expr
 from .linalg import Mat, SignedPermutation, dirsum, eye, signed_perm_matrix
 
 
@@ -105,22 +104,13 @@ def _stage_matrix(pipeline, name: str) -> Mat:
     raise KeyError(name)
 
 
-def _mat_diff(got: Mat, want: Mat):
-    cells = []
-    for r in range(got.rows):
-        for c in range(got.cols):
-            if got.entries[r][c] != want.entries[r][c]:
-                cells.append((r, c, want.entries[r][c], got.entries[r][c]))
-    return cells
-
-
 def stage_comparisons() -> list:
     """(stage name, printed form, cell list) tuples."""
     # the final level builds its own input side; the second level still
     # loads the displayed 28-wide input permutation
     level2, level3 = assemble_pipeline(2), assemble_pipeline(3)
     return [
-        (name, printed, _mat_diff(_stage_matrix(pipe, name), printed))
+        (name, printed, cell_diffs(printed, _stage_matrix(pipe, name)))
         for pipe, name, printed in (
             (level2, "perm_in_28", PRINTED_PERM_IN_28),
             (level3, "perm_out_28", PRINTED_PERM_OUT_28),
@@ -146,7 +136,7 @@ def build_report() -> str:
     lines.append("")
     lines.append("== product matrix: transcription vs derived ==")
     printed_b = _transcription(parse_printed_b_matrix, "b16_printed.txt")
-    bdiffs = b_matrix_errata(printed_b, symbolic_b_matrix(derived_table))
+    bdiffs = cell_diffs(printed_b, symbolic_b_matrix(derived_table))
     if not bdiffs:
         lines.append("identical in all 256 cells")
     else:
@@ -161,8 +151,8 @@ def build_report() -> str:
             lines.append(f"{name}: matches the displayed form")
         else:
             lines.append(f"{name}: {len(cells)} cells differ from the displayed form")
-            for r, c, want, got in cells:
-                lines.append(f"  row {r} col {c}: displayed {want} derived {got}")
+            for r, c, shown, derived in cells:
+                lines.append(f"  row {r} col {c}: displayed {shown} derived {derived}")
 
     lines.append("")
     lines.append("== reconstruction notes ==")

@@ -56,6 +56,7 @@ import linecache
 import math
 import operator
 import os
+import random
 import weakref
 import zlib
 from dataclasses import dataclass, field
@@ -70,9 +71,10 @@ from .algebra import (
     _parse_term,
     build_table_from_generators,
     default_asset_dir,
+    mul_schoolbook,
     read_asset_lines,
 )
-from .exactnum import DYADIC, INTS, DyadicRational, LinearForm, parse_int
+from .exactnum import DYADIC, INTS, CountingRing, DyadicRational, LinearForm, parse_int
 from .linalg import (H2, T2X3, T3X2, Mat, SignedPermutation, dirsum, eye, kron, signed_perm_matrix,
                      structural_apply)
 
@@ -112,18 +114,16 @@ def _parse_sign(tok: str) -> int:
     return _SIGNS[tok]
 
 
-def _parse_perm(fields: dict, name: str) -> Mat:
-    """The +-1 matrix of a validated signed permutation."""
-    try:
-        size = parse_int(fields["size"])
-        _check_width(size, size, f"size {size}")
-        src = [parse_int(t) - 1 for t in fields["src"].split()]
-        signs = [_parse_sign(t) for t in fields["signs"].split()]
-        perm = SignedPermutation(src, signs)
-    except (KeyError, ValueError) as exc:
-        raise AssetError(f"stage {name}: {exc}") from exc
+def _parse_perm(fields: dict) -> Mat:
+    """The +-1 matrix of a validated signed permutation; ``KeyError`` or
+    ``ValueError`` for a missing or malformed field."""
+    size = parse_int(fields["size"])
+    _check_width(size, size, f"size {size}")
+    src = [parse_int(t) - 1 for t in fields["src"].split()]
+    signs = [_parse_sign(t) for t in fields["signs"].split()]
+    perm = SignedPermutation(src, signs)
     if perm.size != size:
-        raise AssetError(f"stage {name}: size field disagrees with src length")
+        raise ValueError("size field disagrees with src length")
     return signed_perm_matrix(perm)
 
 
@@ -181,13 +181,6 @@ def parse_expr(text: str) -> Mat:
     return walk(tree.body)
 
 
-def _parse_structural(fields: dict, name: str) -> Mat:
-    try:
-        return parse_expr(fields["expr"])
-    except (KeyError, ValueError) as exc:
-        raise AssetError(f"stage {name}: {exc}") from exc
-
-
 def load_pools(path: str) -> dict:
     pools: dict = {"quad": [], "duo": []}
     for ln in _read_lines(path):
@@ -206,19 +199,16 @@ _POOL_SEARCH = {"quad": ("quad",), "duo": ("duo",), "mixed": ("duo", "quad")}
 
 
 def index_pools(pools: dict) -> dict:
-    """Per block family: signed two-term set -> (rank, (sign, pool family, index)).
-
-    Pairs are ranked in search order (pool family, index, then sign +1
-    before -1); a set reachable several ways keeps its lowest rank.
-    """
+    """Per block family: signed two-term set -> ``(sign, pool family, index)``,
+    the first pair that gives the set in search order (pool family, index,
+    then sign +1 before -1)."""
     index = {}
     for family, searched in _POOL_SEARCH.items():
         found: dict = {}
         for fam in searched:
             for i, pair in enumerate(pools[fam]):
                 for sign in (1, -1):
-                    key = frozenset((sign * s, m) for s, m in pair)
-                    found.setdefault(key, (len(found), (sign, fam, i)))
+                    found.setdefault(frozenset((sign * s, m) for s, m in pair), (sign, fam, i))
         index[family] = found
     return index
 
@@ -228,9 +218,10 @@ def decompose_terms(terms, family: str, index: dict):
 
     One- and two-term cells are built directly; four-term cells must be
     one addition of two shared pool terms of the block's family (the
-    singleton blocks mix the two families).  Of the splits that exist, the
-    one whose first pair ranks lowest in search order wins; ``index`` is
-    :func:`index_pools` of the pool pairs.
+    singleton blocks mix the two families).  The first term is paired with
+    the second, third, then fourth; the first of these splits whose two
+    pairs are both in ``index``, :func:`index_pools` of the pool pairs, is
+    the recipe, the pair that holds the first term first.
     """
     terms = tuple(terms)
     if len(terms) == 1:
@@ -244,21 +235,13 @@ def decompose_terms(terms, family: str, index: dict):
     if pairs is None:
         raise AssetError(f"unknown pool family {family!r}")
     t = [(s, m) for m, s in {m: s for s, m in terms}.items()]
-    best = None
     if len(t) == 4:
-        # the three ways to split four terms into two pairs; in each, the
-        # pair that ranks lower is the one the search meets first
         for i, j, k in ((1, 2, 3), (2, 1, 3), (3, 1, 2)):
-            hit1 = pairs.get(frozenset((t[0], t[i])))
-            hit2 = pairs.get(frozenset((t[j], t[k])))
-            if hit1 and hit2:
-                split = (hit1, hit2) if hit1[0] < hit2[0] else (hit2, hit1)
-                if best is None or split[0][0] < best[0][0]:
-                    best = split
-    if best is None:
-        cell = " ".join(f"{'+' if s > 0 else '-'}{m}" for s, m in terms)  # as the asset writes it
-        raise AssetError(f"core cell {cell} does not split over the {family} pools")
-    return ("pair", best[0][1], best[1][1])
+            first, second = pairs.get(frozenset((t[0], t[i]))), pairs.get(frozenset((t[j], t[k])))
+            if first and second:
+                return ("pair", first, second)
+    cell = " ".join(f"{'+' if s > 0 else '-'}{m}" for s, m in terms)  # as the asset writes it
+    raise AssetError(f"core cell {cell} does not split over the {family} pools")
 
 
 @dataclass
@@ -363,12 +346,12 @@ def _assemble(level: int, asset_dir: str) -> Pipeline:
         path = os.path.join(asset_dir, f"{ref}.txt")
         if what == "stage":
             fields = _parse_kv(_read_lines(path), path)
-            if fields["kind"] == "signed_perm":
-                mat = _parse_perm(fields, os.path.basename(path))
-            elif fields["kind"] == "structural":
-                mat = _parse_structural(fields, os.path.basename(path))
-            else:
+            if fields["kind"] not in ("signed_perm", "structural"):
                 raise AssetError(f"stage {ref}: unknown kind {fields['kind']!r}")
+            try:
+                mat = _parse_perm(fields) if fields["kind"] == "signed_perm" else parse_expr(fields["expr"])
+            except (KeyError, ValueError) as exc:
+                raise AssetError(f"stage {os.path.basename(path)}: {exc}") from exc
             stages.append(Stage(ref, mat.cols, mat.rows, mat=mat))
         elif what == "core":
             blocks = load_blocks(path, index_pools(pools))
@@ -450,6 +433,51 @@ def block_matvec(block: CoreBlock, entries, x, ring):
             acc = ring.add(acc, ring.mul(entries[i * n + j], x[j]))
         out.append(acc)
     return out
+
+
+# the seed of the operands count_operations multiplies
+COUNT_SEED = 2024
+
+
+def _generic_vector(rng: random.Random):
+    # odd and away from +-1 so every product is a generic multiplication
+    return [rng.randint(3, 1 << 19) * 2 + 1 for _ in range(DIM)]
+
+
+def count_operations() -> dict:
+    """Counting-ring measurements used by ``count``, the errata report and the tests."""
+    table = build_table_from_generators()
+    rng = random.Random(COUNT_SEED)
+    av, bv = _generic_vector(rng), _generic_vector(rng)
+
+    ring = CountingRing()
+    mul_schoolbook(DiracNumber.from_ints(av, ring), DiracNumber.from_ints(bv, ring), table)
+    school = ring.counter.as_dict()
+
+    per_level = {}
+    for level in LEVELS:
+        ring = CountingRing()
+        mul_fast(DiracNumber.from_ints(av, ring), DiracNumber.from_ints(bv, ring), level)
+        per_level[level] = ring.counter.as_dict()
+
+    ring = CountingRing()
+    op = precompute(DiracNumber.from_ints(bv, ring), 3)
+    pre = ring.counter.as_dict()
+    before = ring.counter.snapshot()
+    op.apply(DiracNumber.from_ints(av, ring))
+    after = ring.counter.snapshot()
+    apply_counts = dict(zip(("nontrivial_mults", "additions", "negations", "shifts"),
+                            (q - p for p, q in zip(before, after))))
+    # the level-3 core: bind's additions plus the mat-vec, size-1 additions per row of each block
+    pipe = assemble_pipeline(3)
+    core_adds = pre["additions"] + sum(blk.size * (blk.size - 1) for blk in pipe.core.blocks)
+    # the same core run block by block, each bound by its own recipes (pool terms still shared)
+    ring, pool_cache = CountingRing(), {}
+    b, x = [ring.wrap(v) for v in bv], [ring.wrap(v) for v in av]
+    for blk in pipe.core.blocks:
+        block_matvec(blk, bind_block(blk, b, ring, pipe.pools, pool_cache), x[:blk.size], ring)
+    return {"schoolbook": school, "fast": per_level, "precompute": pre, "apply": apply_counts,
+            "core_additions": core_adds, "per_block_core_additions": ring.counter.additions}
 
 
 # ---------------------------------------------------------------------------
@@ -555,25 +583,29 @@ def _renumbered(tape: list, order: list, position: dict) -> list:
             for op, args in (tape[i] for i in order)]
 
 
-def _forget_source(filename: str, entry: tuple) -> None:
-    if linecache.cache.get(filename) is entry:
-        del linecache.cache[filename]
+_SOURCE_OWNERS: dict = {}  # filename -> how many live owners show their source under it
+
+
+def _release_source(filename: str) -> None:
+    _SOURCE_OWNERS[filename] -= 1
+    if not _SOURCE_OWNERS[filename]:
+        del _SOURCE_OWNERS[filename]
+        linecache.cache.pop(filename, None)
 
 
 def load_source(owner, source: str, name: str) -> tuple:
     """``(filename, namespace)`` of generated ``source`` run as the file
     ``<diracmul {name}>``, its CRC-32 appended if another source holds that
-    name; ``linecache`` shows its lines for as long as ``owner`` lives."""
+    name; ``linecache`` shows its lines for as long as any owner of that
+    file lives."""
     filename = f"<diracmul {name}>"
     held = linecache.cache.get(filename)
     if held is not None and "".join(held[2]) != source:
         filename = f"<diracmul {name} {zlib.crc32(source.encode()):08x}>"
-        held = linecache.cache.get(filename)
-    if held is None:
-        # the first owner of this source holds the entry; it goes when that owner does
-        entry = (len(source), None, source.splitlines(True), filename)
-        linecache.cache[filename] = entry
-        weakref.finalize(owner, _forget_source, filename, entry)
+    # counted before the entry is made, so that no owner collected meanwhile removes it
+    _SOURCE_OWNERS[filename] = _SOURCE_OWNERS.get(filename, 0) + 1
+    weakref.finalize(owner, _release_source, filename)
+    linecache.cache.setdefault(filename, (len(source), None, source.splitlines(True), filename))
     namespace: dict = {}
     exec(compile(source, filename, "exec"), namespace)
     return filename, namespace
@@ -600,7 +632,8 @@ class CompiledProgram:
     marker over boxes (see :class:`PrecomputedOperator`).  ``source`` is
     their text, loaded by :func:`load_source` under ``filename``.
 
-    ``ValueError`` unless bind is linear in ``b`` (no product of two values
+    ``ValueError`` for an input other than ``a<k>`` and ``b<k>``, and
+    unless bind is linear in ``b`` (no product of two values
     of ``b`` alone), each sum in it combines values of one halving depth,
     and apply is bilinear in ``a`` and ``b`` (no halving, sums of one
     degree, outputs of degree one in each).  ``halvings`` is the deepest
@@ -637,8 +670,10 @@ class CompiledProgram:
                         raise ValueError(f"apply tape adds values of different degrees at position {i}")
                     raise ValueError(f"bind tape combines values of different halving depths at position {i}")
                 kind.append(operands[0])
-            else:
+            elif op in ("a", "b"):
                 kind.append((1, 0, 0) if op == "a" else (0, 1, 0))
+            else:
+                raise ValueError(f"input {op}{args[0]} is neither a<k> nor b<k>; bind and apply take no other")
         results = [signed[y] for y in results]
         if any(kind[x][:2] != (1, 1) for _, x in results):
             raise ValueError("apply tape has an output that is not bilinear in a and b")

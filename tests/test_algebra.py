@@ -14,7 +14,7 @@ from diracmul.algebra import (
     DiracNumber,
     MultTable,
     SignedBasis,
-    b_matrix_errata,
+    cell_diffs,
     default_asset_dir,
     derive_b_matrix,
     mul_schoolbook,
@@ -333,7 +333,7 @@ class TestProductMatrix:
         assert printed.entries[0] == derived.entries[0]
 
     def test_transcribed_matrix_diff_matches_golden(self, table):
-        diffs = b_matrix_errata(parse_printed_b_matrix(), symbolic_b_matrix(table))
+        diffs = cell_diffs(parse_printed_b_matrix(), symbolic_b_matrix(table))
         with open(os.path.join(GOLDEN, "b16_errata.txt"), encoding="ascii") as fh:
             golden = [ln for ln in fh.read().splitlines() if ln and not ln.startswith("#")]
         got = [f"{r} {c} transcribed={p!r} derived={d!r}" for r, c, p, d in diffs]

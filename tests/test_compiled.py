@@ -102,6 +102,13 @@ def test_indexed_decomposition_matches_brute_force(level, verified_pipelines):
     assert cells == sum(blk.size ** 2 for blk in pipe.core.blocks)
 
 
+def test_a_cell_that_splits_two_ways_takes_the_first_split_found():
+    # +0 +1 +2 +3 is (+0 +2) + (+1 +3) and (+0 +1) + (+2 +3); the first term pairs with the second first
+    pools = {"quad": [((1, 0), (1, 2)), ((1, 1), (1, 3)), ((1, 0), (1, 1)), ((1, 2), (1, 3))], "duo": []}
+    cell = [(1, 0), (1, 1), (1, 2), (1, 3)]
+    assert decompose_terms(cell, "quad", index_pools(pools)) == ("pair", (1, "quad", 2), (1, "quad", 3))
+
+
 def test_changed_asset_dir_reassembles(tmp_path, monkeypatch):
     monkeypatch.delenv("DIRAC_ASSET_DIR", raising=False)
     shipped_dir = fastmult.default_asset_dir()
@@ -178,8 +185,7 @@ def test_compiled_precompute_and_apply_counts_equal_program_histograms(verified_
 
 def per_block_entries(pipe, b) -> list:
     """The core entries by each block's own recipes, nothing shared between blocks."""
-    pool_cache: dict = {}
-    return [v for blk in pipe.core.blocks for v in bind_block(blk, b, INTS, pipe.pools, pool_cache)]
+    return [v for blk in pipe.core.blocks for v in bind_block(blk, b, INTS, pipe.pools, {})]
 
 
 def assert_bind_follows_the_block_recipes(pipe, rng):
@@ -540,6 +546,17 @@ def test_compilation_rejects_tapes_the_lowering_cannot_run_exactly(verified_pipe
         CompiledProgram(tape + [("add", (first_halve, first_b))], results, name)
     rebuilt = CompiledProgram(tape, results, name)
     assert (rebuilt.source, rebuilt.halvings) == (prog.source, prog.halvings)
+
+
+def test_compilation_rejects_inputs_bind_and_apply_do_not_take(verified_pipelines):
+    b = DiracNumber.from_ints(generic_ints(random.Random(316)), DYADIC)
+    apply_only = flatten(verified_pipelines[3], include_precompute=False, operator=precompute(b, 3))
+    with pytest.raises(ValueError, match=r"^input c0 is neither"):
+        CompiledProgram(apply_only.instrs, apply_only.outputs, "apply only")
+    school = schoolbook_program(TABLE)
+    tape = [("e", (0,)) if step == ("b", (0,)) else step for step in school.instrs]
+    with pytest.raises(ValueError, match=r"^input e0 is neither"):
+        CompiledProgram(tape, school.outputs, "schoolbook over e0")
 
 
 # ---------------------------------------------------------------------------
@@ -936,6 +953,20 @@ def test_dropped_pipelines_release_their_source(verified_pipelines):
     gc.collect()
     assert pipeline_source_lines() == baseline
     assert "".join(linecache.getlines(pipe.program.filename)) == pipe.program.source
+
+
+def test_a_shared_source_keeps_its_lines_until_its_last_owner_goes():
+    first, second = schoolbook_program(TABLE), schoolbook_program(TABLE)
+    filename = first.compiled.__code__.co_filename
+    assert second.compiled.__code__.co_filename == filename
+    lines = linecache.getlines(filename)
+    assert len(lines) == 21
+    del first
+    gc.collect()
+    assert linecache.getlines(filename) == lines
+    del second
+    gc.collect()
+    assert linecache.getlines(filename) == []
 
 
 def test_traceback_shows_generated_lines():
