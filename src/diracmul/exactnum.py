@@ -36,9 +36,15 @@ shift) define their own ``halve``, the one their ``Half`` calls.  ``FloatRing``,
 (``float``, ``int``, ``DyadicRational``), so wrapping an integer is one
 call.  ``DyadicRing`` keeps the ``dyadic_*`` functions as
 ``add``/``sub``/``neg``/``mul`` so schoolbook calls them without the
-operator dispatch.  Values are immutable; the one mutable
-object is the :class:`Counter` handle, which is meant for single-threaded
-measurement runs.
+operator dispatch.  Those are :class:`DyadicRational`'s operators, and
+each builds its result with ``object.__new__`` and two slot stores, not
+through the class call, whose ``__init__`` frame and negative-exponent
+check would cost more than the arithmetic on small numerators: a sum or
+difference is left at the larger exponent, a product at the sum of the
+exponents and a negation at its operand's, so a result's exponent is
+never negative when its operands' are not, and no result is normalized.
+Values are immutable; the one mutable object is the :class:`Counter`
+handle, which is meant for single-threaded measurement runs.
 """
 
 from __future__ import annotations
@@ -52,12 +58,21 @@ class LinearFormError(ValueError):
     """Raised for operations that would leave the degree<=1 carrier."""
 
 
+# bound once: CPython 3.11 leaves the load of ``object.__new__`` unspecialized, the generic lookup each time
+_new = object.__new__
+
+
 class DyadicRational:
     """Exact number num / 2**exp with arbitrary-precision numerator.
 
     Instances are kept lazily normalized: ``num`` may be even with
     ``exp > 0`` internally, but equality, hashing and formatting always
     use the canonical form (odd numerator or zero exponent).
+
+    The constructor rejects a negative exponent.  ``+``, ``-``, ``*`` and
+    unary ``-`` build their results without it (``object.__new__`` and two
+    slot stores): a result's exponent is the larger of its operands', their
+    sum or the operand's own, never negative since theirs are not.
     """
 
     __slots__ = ("num", "exp")
@@ -96,25 +111,43 @@ class DyadicRational:
 
     def __add__(self, other: "DyadicRational") -> "DyadicRational":
         ea, eb = self.exp, other.exp
+        r = _new(DyadicRational)
         if ea == eb:
-            return DyadicRational(self.num + other.num, ea)
-        if ea < eb:
-            return DyadicRational((self.num << (eb - ea)) + other.num, eb)
-        return DyadicRational(self.num + (other.num << (ea - eb)), ea)
+            r.num = self.num + other.num
+            r.exp = ea
+        elif ea < eb:
+            r.num = (self.num << (eb - ea)) + other.num
+            r.exp = eb
+        else:
+            r.num = self.num + (other.num << (ea - eb))
+            r.exp = ea
+        return r
 
     def __sub__(self, other: "DyadicRational") -> "DyadicRational":
         ea, eb = self.exp, other.exp
+        r = _new(DyadicRational)
         if ea == eb:
-            return DyadicRational(self.num - other.num, ea)
-        if ea < eb:
-            return DyadicRational((self.num << (eb - ea)) - other.num, eb)
-        return DyadicRational(self.num - (other.num << (ea - eb)), ea)
+            r.num = self.num - other.num
+            r.exp = ea
+        elif ea < eb:
+            r.num = (self.num << (eb - ea)) - other.num
+            r.exp = eb
+        else:
+            r.num = self.num - (other.num << (ea - eb))
+            r.exp = ea
+        return r
 
     def __mul__(self, other: "DyadicRational") -> "DyadicRational":
-        return DyadicRational(self.num * other.num, self.exp + other.exp)
+        r = _new(DyadicRational)
+        r.num = self.num * other.num
+        r.exp = self.exp + other.exp
+        return r
 
     def __neg__(self) -> "DyadicRational":
-        return DyadicRational(-self.num, self.exp)
+        r = _new(DyadicRational)
+        r.num = -self.num
+        r.exp = self.exp
+        return r
 
     def __repr__(self) -> str:
         n = self.normalized()

@@ -57,11 +57,11 @@ import math
 import operator
 import os
 import random
+import types
 import weakref
 import zlib
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import repeat
 
 from .algebra import (
     _SIGNS,
@@ -583,7 +583,7 @@ def _renumbered(tape: list, order: list, position: dict) -> list:
             for op, args in (tape[i] for i in order)]
 
 
-_SOURCE_OWNERS: dict = {}  # filename -> how many live owners show their source under it
+_SOURCE_OWNERS: dict = {}  # filename -> how many live functions show their source under it
 
 
 def _release_source(filename: str) -> None:
@@ -593,21 +593,23 @@ def _release_source(filename: str) -> None:
         linecache.cache.pop(filename, None)
 
 
-def load_source(owner, source: str, name: str) -> tuple:
+def load_source(source: str, name: str) -> tuple:
     """``(filename, namespace)`` of generated ``source`` run as the file
     ``<diracmul {name}>``, its CRC-32 appended if another source holds that
-    name; ``linecache`` shows its lines for as long as any owner of that
-    file lives."""
+    name; ``linecache`` shows its lines for as long as any function defined
+    from that file lives."""
     filename = f"<diracmul {name}>"
     held = linecache.cache.get(filename)
     if held is not None and "".join(held[2]) != source:
         filename = f"<diracmul {name} {zlib.crc32(source.encode()):08x}>"
-    # counted before the entry is made, so that no owner collected meanwhile removes it
-    _SOURCE_OWNERS[filename] = _SOURCE_OWNERS.get(filename, 0) + 1
-    weakref.finalize(owner, _release_source, filename)
-    linecache.cache.setdefault(filename, (len(source), None, source.splitlines(True), filename))
     namespace: dict = {}
     exec(compile(source, filename, "exec"), namespace)
+    functions = [f for f in namespace.values() if isinstance(f, types.FunctionType)]
+    # counted before the entry is made, so that no function collected meanwhile removes it
+    _SOURCE_OWNERS[filename] = _SOURCE_OWNERS.get(filename, 0) + len(functions)
+    for f in functions:
+        weakref.finalize(f, _release_source, filename)
+    linecache.cache.setdefault(filename, (len(source), None, source.splitlines(True), filename))
     return filename, namespace
 
 
@@ -643,7 +645,7 @@ class CompiledProgram:
     """
 
     __slots__ = ("bind", "apply", "source", "filename", "bind_tape", "entries", "apply_tape", "outputs",
-                 "halvings", "lifts", "__weakref__")
+                 "halvings", "lifts")
 
     def __init__(self, tape: list, results: list, name: str):
         folded, signed = fold_signs(tape)
@@ -691,7 +693,7 @@ class CompiledProgram:
         self.lifts = tuple((k, self.halvings - d) for k, d in enumerate(depths) if d < self.halvings)
         self.source = (_function_source("bind(half, b)", self.bind_tape, self.entries, "()") + "\n\n"
                        + _function_source("apply(a, e)", self.apply_tape, self.outputs, "[]"))
-        self.filename, namespace = load_source(self, self.source, name)
+        self.filename, namespace = load_source(self.source, name)
         self.bind, self.apply = namespace["bind"], namespace["apply"]
 
 
@@ -852,10 +854,19 @@ def _exact_ints(values, ring):
 
 def _exact_values(nums, exp: int, ring) -> list:
     """Each ``nums[k] / 2**exp`` over ``DYADIC``, or over ``INTS``, where it
-    must be an integer."""
+    must be an integer.  The dyadics are built as ``DyadicRational``'s
+    operators build theirs, without the constructor's frame: ``exp`` is a
+    sum of exponents and halvings, never negative."""
     if ring is INTS:
         return [n >> exp for n in nums]
-    return list(map(DyadicRational, nums, repeat(exp)))
+    out = []
+    new = object.__new__
+    for n in nums:
+        r = new(DyadicRational)
+        r.num = n
+        r.exp = exp
+        out.append(r)
+    return out
 
 
 # the operators the generated code is written with, one global lookup each

@@ -65,7 +65,7 @@ class SLProgram:
         the outputs for inputs ``a`` and ``b`` and constants ``c``, each
         ``halve`` as ``x * half``; :func:`~diracmul.fastmult.load_source` runs it."""
         source = _function_source("program(half, a, b, c)", self.instrs, self.outputs, "[]")
-        return load_source(self, source, "straight-line program")[1]["program"]
+        return load_source(source, "straight-line program")[1]["program"]
 
 
 def flatten(pipeline: Pipeline, include_precompute: bool = True,

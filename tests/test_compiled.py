@@ -969,6 +969,37 @@ def test_a_shared_source_keeps_its_lines_until_its_last_owner_goes():
     assert linecache.getlines(filename) == []
 
 
+def test_a_generated_function_keeps_its_lines_while_it_lives():
+    school = schoolbook_program(TABLE).compiled  # its program is dropped at once, as the CLI's bench does
+    filename = school.__code__.co_filename
+    gc.collect()
+    assert linecache.getline(filename, 1) == "def program(half, a, b, c):\n"
+    assert len(linecache.getlines(filename)) == 21
+    del school
+    gc.collect()
+    assert linecache.getlines(filename) == []
+
+
+def test_a_pipeline_function_keeps_its_lines_until_the_last_one_goes(verified_pipelines):
+    pipe = verified_pipelines[3]
+    first = pipe.stages[0]
+    entries = [list(r) for r in first.mat.entries]
+    column = next(c for c, e in enumerate(entries[0]) if e)
+    entries[0][column] = -entries[0][column]
+    stage = Stage(first.name, first.in_dim, first.out_dim, mat=Mat(first.out_dim, first.in_dim, entries))
+    variant = replace_stage(pipe, 0, stage).program
+    bind, apply, filename, source = variant.bind, variant.apply, variant.filename, variant.source
+    del variant
+    gc.collect()
+    assert "".join(linecache.getlines(filename)) == source
+    del bind
+    gc.collect()
+    assert "".join(linecache.getlines(filename)) == source
+    del apply
+    gc.collect()
+    assert linecache.getlines(filename) == []
+
+
 def test_traceback_shows_generated_lines():
     class FailingMul(type(DYADIC)):
         name = "failing"

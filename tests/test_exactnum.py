@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -85,6 +86,47 @@ class TestDyadic:
             assert type(got) is DyadicRational
             assert (got.num, got.exp) == (want.num, want.exp)
         assert as_fraction(a - b) == as_fraction(a) - as_fraction(b)
+
+    def test_negative_exponent_is_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            DyadicRational(1, -1)
+
+    @given(st.integers(-(1 << 80), 1 << 80), st.integers(-(1 << 80), 1 << 80), st.integers(0, 60),
+           st.integers(1, 60), st.booleans())
+    @settings(max_examples=200)
+    def test_results_keep_the_raw_representation(self, na, nb, low, gap, a_is_lower):
+        # + and - at the larger exponent, * at the sum, negation at its own; nothing normalized
+        ea, eb = (low, low + gap) if a_is_lower else (low + gap, low)
+        a, b = DyadicRational(na, ea), DyadicRational(nb, eb)
+        top = max(ea, eb)
+        raw = {"+": (a + b, ((na << (top - ea)) + (nb << (top - eb)), top)),
+               "-": (a - b, ((na << (top - ea)) - (nb << (top - eb)), top)),
+               "*": (a * b, (na * nb, ea + eb)),
+               "neg": (-a, (-na, ea))}
+        for name, (got, want) in raw.items():
+            assert type(got) is DyadicRational, name
+            assert (got.num, got.exp) == want, name
+
+    def test_operators_call_no_constructor(self):
+        a, b = DyadicRational(12, 3), DyadicRational(-5, 1)
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code)
+
+        ops = [(DyadicRational.__add__, lambda: a + b), (DyadicRational.__sub__, lambda: a - b),
+               (DyadicRational.__mul__, lambda: a * b), (DyadicRational.__neg__, lambda: -a),
+               (DyadicRational.__add__, lambda: DYADIC.add(a, b)), (DyadicRational.__sub__, lambda: DYADIC.sub(a, b)),
+               (DyadicRational.__mul__, lambda: DYADIC.mul(a, b)), (DyadicRational.__neg__, lambda: DYADIC.neg(a))]
+        for method, run in ops:
+            calls.clear()
+            sys.setprofile(profile)
+            try:
+                run()
+            finally:
+                sys.setprofile(None)
+            assert calls == [run.__code__, method.__code__]
 
     @given(st.integers(-10**12, 10**12), st.integers(0, 40))
     @settings(max_examples=60)
