@@ -324,6 +324,11 @@ def _parse_term(tok: str):
     raise ValueError(f"bad term {tok!r}")
 
 
+def format_term(sign: int, index: int) -> str:
+    """A term as the assets write it and :func:`_parse_term` reads it: ``-3``, ``+0``."""
+    return f"{'+' if sign > 0 else '-'}{index}"
+
+
 def parse_signed_index_matrix(lines: list, rows: int, cols: int):
     """Parse a grid of signed indices ('-5' = -1 at index 5), one row per
     line of :func:`read_asset_lines`; ``ValueError`` names a token that is

@@ -70,12 +70,6 @@ def read_number_file(path: str, mode: str):
     return values
 
 
-def format_number(value, mode: str) -> str:
-    if mode == "float":
-        return repr(value)
-    return repr(value.normalized())
-
-
 def random_coeffs(rng: random.Random):
     """Test vectors: integers in [-2^20, 2^20] (dyadic-exact, no overflow).
 
@@ -205,7 +199,7 @@ def cmd_mul(args) -> int:
         result = mul_fast(a, b, args.level)
     else:
         result = mul_schoolbook(a, b, build_table_from_generators())
-    print(" ".join(format_number(v, args.mode) for v in result.coeffs))
+    print(" ".join(map(repr, result.coeffs)))  # a dyadic's repr is in lowest terms
     return EXIT_OK
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .algebra import _parse_term, default_asset_dir, read_asset_lines, symbolic_b_matrix
+from .algebra import DIM, _parse_term, default_asset_dir, format_term, read_asset_lines, symbolic_b_matrix
 from .exactnum import FORMS, LinearForm, lf_from_b, parse_int
 from .fastmult import parse_expr
 from .linalg import (
@@ -46,7 +46,6 @@ from .linalg import (
     template_EF,
 )
 
-DIM = 16
 
 # Row/column shuffles of the recursion branches, exactly as stated for the
 # reference decomposition: (order, negated positions), both one-based; the
@@ -94,6 +93,9 @@ DUO_POOL = [
     (-4, 10), (-12, 15), (-7, -9), (-13, -14),
     (7, -9), (-13, 14), (-4, -10), (12, 15),
 ]
+# both pools as (sign, index) terms, as ``fastmult.parse_pools`` reads them
+POOLS = {family: [tuple((1 if t >= 0 else -1, abs(t)) for t in pair) for pair in pool]
+         for family, pool in (("quad", QUAD_POOL), ("duo", DUO_POOL))}
 
 
 class ReconstructionError(RuntimeError):
@@ -282,6 +284,11 @@ class BlockSpec:
     halved: bool
     family: str  # quad | duo | mixed | direct
     cells: list  # row-major LinearForm list
+
+    @property
+    def formulas(self) -> list:
+        """Each cell's signed terms, as ``fastmult.CoreBlock`` holds them."""
+        return [form_to_signed_terms(cell) for cell in self.cells]
 
 
 def _blocks(family: str, halved: bool, names: str, *mats) -> list:
@@ -490,29 +497,27 @@ def _structural_text(expr: str, comment: str) -> str:
     return f"# {comment}\nkind structural\nexpr {expr}\n"
 
 
-def _term_token(sign: int, index: int) -> str:
-    return f"{'+' if sign > 0 else '-'}{index}"
-
-
 def _blocks_text(blocks, comment: str) -> str:
+    """A ``blocks_level*.txt`` file of ``BlockSpec`` or ``fastmult.CoreBlock`` blocks."""
     lines = [f"# {comment}",
              "# block <name> <size> <halved|plain> <pool family>; then size^2 cells"]
     for blk in blocks:
         lines.append(f"block {blk.name} {blk.size} {'halved' if blk.halved else 'plain'} {blk.family}")
-        for cell in blk.cells:
-            terms = form_to_signed_terms(cell)
-            lines.append(" ".join(_term_token(s, m) for s, m in terms))
+        lines += [" ".join(format_term(s, m) for s, m in terms) for terms in blk.formulas]
     return "\n".join(lines) + "\n"
 
 
-def _pool_text() -> str:
+def _pool_text(pools: dict) -> str:
+    """``pool_pairs.txt`` of ``pools`` as ``fastmult.parse_pools`` reads them."""
     lines = ["# shared two-term combinations of the right-hand coefficients",
              "# family (quad: 4x4-block cells, duo: 2x2-block cells) then the pair"]
-    for pair in QUAD_POOL:
-        lines.append("quad " + " ".join(_term_token(1 if t >= 0 else -1, abs(t)) for t in pair))
-    for pair in DUO_POOL:
-        lines.append("duo " + " ".join(_term_token(1 if t >= 0 else -1, abs(t)) for t in pair))
+    for family, pairs in pools.items():
+        lines += [f"{family} {format_term(*x)} {format_term(*y)}" for x, y in pairs]
     return "\n".join(lines) + "\n"
+
+
+def _manifest_text(lines) -> str:
+    return "# ordered stage chain, input side first; 'core' is the b-dependent stage\n" + "\n".join(lines) + "\n"
 
 
 STRUCTURAL_STAGES = {
@@ -600,7 +605,7 @@ def generated_asset_texts(derivation: Derivation | None = None) -> dict:
         "perm_out_24.txt": _perm_text(d.perm_out_24, "per-branch output row ops, 8+8+8"),
         "perm_out_16.txt": _perm_text(perm_part, "output shuffle (permutation part)"),
         "signs_out_16.txt": _perm_text(sign_part, "output sign diagonal"),
-        "pool_pairs.txt": _pool_text(),
+        "pool_pairs.txt": _pool_text(POOLS),
         "blocks_level1.txt": _blocks_text(d.blocks_level1, "diagonal blocks, first refinement (28-wide core)"),
         "blocks_level2.txt": _blocks_text(d.blocks_level2, "diagonal blocks, second refinement (30-wide core)"),
         "blocks_level3.txt": _blocks_text(d.blocks_level3, "diagonal blocks, final refinement (30-wide core)"),
@@ -608,11 +613,7 @@ def generated_asset_texts(derivation: Derivation | None = None) -> dict:
     for name, expr in STRUCTURAL_STAGES.items():
         out[f"{name}.txt"] = _structural_text(expr, "constant combiner stage")
     for level, lines in MANIFESTS.items():
-        out[f"pipeline_level{level}.txt"] = (
-            "# ordered stage chain, input side first; 'core' is the b-dependent stage\n"
-            + "\n".join(lines)
-            + "\n"
-        )
+        out[f"pipeline_level{level}.txt"] = _manifest_text(lines)
     return out
 
 

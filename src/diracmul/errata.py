@@ -120,29 +120,23 @@ def stage_comparisons() -> list:
     ]
 
 
+def _transcription_section(title: str, diffs: list, note: str = "") -> list:
+    """The report lines of one transcription-vs-derived comparison."""
+    lines = [f"== {title}: transcription vs derived =="]
+    if not diffs:
+        return lines + ["identical in all 256 cells"]
+    lines.append(f"{len(diffs)} differing cells{note}")
+    return lines + [f"  row {r} col {c}: transcribed {got!r} derived {want!r}" for r, c, got, want in diffs]
+
+
 def build_report() -> str:
-    lines = []
     derived_table = build_table_from_generators()
     printed_table = _transcription(parse_printed_table, "table_printed.txt")
-    diffs = table_errata(printed_table, derived_table)
-    lines.append("== multiplication table: transcription vs derived ==")
-    if not diffs:
-        lines.append("identical in all 256 cells")
-    else:
-        lines.append(f"{len(diffs)} differing cells")
-        for p, q, got, want in diffs:
-            lines.append(f"  row {p} col {q}: transcribed {got} derived {want}")
-
-    lines.append("")
-    lines.append("== product matrix: transcription vs derived ==")
     printed_b = _transcription(parse_printed_b_matrix, "b16_printed.txt")
-    bdiffs = cell_diffs(printed_b, symbolic_b_matrix(derived_table))
-    if not bdiffs:
-        lines.append("identical in all 256 cells")
-    else:
-        lines.append(f"{len(bdiffs)} differing cells (derived matrix is ground truth)")
-        for r, c, got, want in bdiffs:
-            lines.append(f"  row {r} col {c}: transcribed {got!r} derived {want!r}")
+    lines = _transcription_section("multiplication table", table_errata(printed_table, derived_table))
+    lines.append("")
+    lines += _transcription_section("product matrix", cell_diffs(printed_b, symbolic_b_matrix(derived_table)),
+                                    " (derived matrix is ground truth)")
 
     lines.append("")
     lines.append("== constant stages: derived vs displayed forms ==")

@@ -4,7 +4,7 @@ A pipeline is a chain of constant {-1,0,+1} stages (signed permutations
 and structural combiners, both held as matrices) around one b-dependent
 block-diagonal core.  Three refinement levels exist; the final one spends
 88 generic multiplications inside a 30-wide core.  Stages are loaded from
-plain-text assets.
+plain-text assets, every file through :func:`read_stage`.
 
 An assembled pipeline is an immutable value, compiled as it is built into
 two straight-line Python functions, which follow the paper's product
@@ -30,8 +30,9 @@ scalars and linear forms, whose rings each supply a ``half`` with
 ``x * half`` equal to ``halve(x)``.  A ring whose
 ``add``/``sub``/``neg``/``mul`` are ``operator.add`` etc. runs them on its
 own values and ``ring.half``; any other ring's values are boxed, so that
-each operator, halving by a marker included, calls the ring's method and
-the ring sees every recorded operation once.  ``mul_fast``,
+each operator calls the ring's method, and halving by an
+:class:`~diracmul.exactnum.Half` calls its ``halve``: the ring sees every
+recorded operation once.  ``mul_fast``,
 ``PrecomputedOperator.apply`` and ``verify_pipeline`` all call them:
 :func:`prove` checks exactly this code against the ground-truth table.
 The code is bilinear, which compilation checks, so the proof runs it over
@@ -71,10 +72,11 @@ from .algebra import (
     _parse_term,
     build_table_from_generators,
     default_asset_dir,
+    format_term,
     mul_schoolbook,
     read_asset_lines,
 )
-from .exactnum import DYADIC, INTS, CountingRing, DyadicRational, LinearForm, parse_int
+from .exactnum import DYADIC, INTS, CountingRing, DyadicRational, Half, LinearForm, parse_int
 from .linalg import (H2, T2X3, T3X2, Mat, SignedPermutation, dirsum, eye, kron, signed_perm_matrix,
                      structural_apply)
 
@@ -89,23 +91,31 @@ class AssetError(RuntimeError):
 # asset parsing
 
 
-def _read_lines(path: str):
+def read_stage(path: str, parse, *args):
+    """``parse(lines, *args)`` of the lines of the stage-asset file ``path``.
+    A file that cannot be read or that ``parse`` refuses (``OSError``,
+    ``KeyError``, ``ValueError``) is an ``AssetError("stage <file>: …")``."""
     try:
-        return read_asset_lines(path)
-    except (OSError, ValueError) as exc:
+        return parse(read_asset_lines(path), *args)
+    except (OSError, KeyError, ValueError) as exc:
         raise AssetError(f"stage {os.path.basename(path)}: {exc}") from exc
 
 
-def _parse_kv(lines, path):
+def parse_stage(lines) -> Mat:
+    """The matrix of a constant stage: ``<key> <value>`` lines, no key twice,
+    ``kind`` ``signed_perm`` (``size``, ``src``, ``signs``) or ``structural`` (``expr``)."""
     fields = {}
     for ln in lines:
         key, _, rest = ln.partition(" ")
         if key in fields:
-            raise AssetError(f"stage {os.path.basename(path)}: repeated field '{key}'")
+            raise ValueError(f"repeated field '{key}'")
         fields[key] = rest.strip()
-    if "kind" not in fields:
-        raise AssetError(f"stage {os.path.basename(path)}: missing 'kind' line")
-    return fields
+    kind = fields.get("kind")
+    if kind == "signed_perm":
+        return _parse_perm(fields)
+    if kind == "structural":
+        return parse_expr(fields["expr"])
+    raise ValueError("missing 'kind' line" if kind is None else f"unknown kind {kind!r}")
 
 
 def _parse_sign(tok: str) -> int:
@@ -181,16 +191,14 @@ def parse_expr(text: str) -> Mat:
     return walk(tree.body)
 
 
-def load_pools(path: str) -> dict:
+def parse_pools(lines) -> dict:
+    """Per pool family, ``quad`` and ``duo``, its pairs of terms in file order."""
     pools: dict = {"quad": [], "duo": []}
-    for ln in _read_lines(path):
+    for ln in lines:
         family, *tokens = ln.split()
         if family not in pools or len(tokens) != 2:
-            raise AssetError(f"stage {os.path.basename(path)}: bad pool line {ln!r}")
-        try:
-            pools[family].append(tuple(_parse_term(t) for t in tokens))
-        except ValueError as exc:
-            raise AssetError(f"stage {os.path.basename(path)}: {exc}") from exc
+            raise ValueError(f"bad pool line {ln!r}")
+        pools[family].append(tuple(_parse_term(t) for t in tokens))
     return pools
 
 
@@ -214,37 +222,32 @@ def index_pools(pools: dict) -> dict:
 
 
 def decompose_terms(terms, family: str, index: dict):
-    """Build the construction recipe of one core cell.
+    """Build the construction recipe of one core cell from its terms.
 
-    One- and two-term cells are built directly; four-term cells must be
-    one addition of two shared pool terms of the block's family (the
-    singleton blocks mix the two families).  The first term is paired with
-    the second, third, then fourth; the first of these splits whose two
-    pairs are both in ``index``, :func:`index_pools` of the pool pairs, is
-    the recipe, the pair that holds the first term first.
+    One- and two-term cells are built directly.  A four-term cell splits
+    as written: the pool pair of its first two terms plus that of its last
+    two, both found in ``index`` (:func:`index_pools`) under the block's
+    family, where the singleton blocks mix the two.  ``ValueError``
+    otherwise, even where another split of the four terms exists.
     """
-    terms = tuple(terms)
     if len(terms) == 1:
         s, m = terms[0]
         return ("copy", s, m)
     if len(terms) == 2:
         return ("sum2", terms[0], terms[1])
     if len(terms) != 4:
-        raise AssetError(f"core cell has {len(terms)} terms")
+        raise ValueError(f"core cell has {len(terms)} terms")
     pairs = index.get(family)
     if pairs is None:
-        raise AssetError(f"unknown pool family {family!r}")
-    t = [(s, m) for m, s in {m: s for s, m in terms}.items()]
-    if len(t) == 4:
-        for i, j, k in ((1, 2, 3), (2, 1, 3), (3, 1, 2)):
-            first, second = pairs.get(frozenset((t[0], t[i]))), pairs.get(frozenset((t[j], t[k])))
-            if first and second:
-                return ("pair", first, second)
-    cell = " ".join(f"{'+' if s > 0 else '-'}{m}" for s, m in terms)  # as the asset writes it
-    raise AssetError(f"core cell {cell} does not split over the {family} pools")
+        raise ValueError(f"unknown pool family {family!r}")
+    first, second = pairs.get(frozenset(terms[:2])), pairs.get(frozenset(terms[2:]))
+    if first and second:
+        return ("pair", first, second)
+    cell = " ".join(format_term(s, m) for s, m in terms)  # as the asset writes it
+    raise ValueError(f"core cell {cell} does not split over the {family} pools")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoreBlock:
     """One b-dependent diagonal block of the core stage."""
 
@@ -252,38 +255,36 @@ class CoreBlock:
     size: int
     halved: bool
     family: str
-    formulas: list  # row-major tuples of (sign, b_index)
-    recipes: list   # construction recipes, same order
+    formulas: tuple  # row-major tuples of (sign, b_index)
+    recipes: tuple   # construction recipes, same order
 
 
-def load_blocks(path: str, index: dict):
-    lines = _read_lines(path)
-    name = os.path.basename(path)
+def parse_blocks(lines, index: dict) -> tuple:
+    """The core blocks of a ``blocks_level*.txt`` file: a ``block <name>
+    <size> <halved|plain> <family>`` line, then one line of terms per cell,
+    each cell's recipe by :func:`decompose_terms` over ``index``."""
     blocks = []
     i = 0
     while i < len(lines):
         head = lines[i].split()
         if head[0] != "block" or len(head) != 5:
-            raise AssetError(f"stage {name}: expected block header, got {lines[i]!r}")
-        _, blk_name, size_s, mode, family = head
+            raise ValueError(f"expected block header, got {lines[i]!r}")
+        _, name, size, mode, family = head
         if mode not in ("halved", "plain"):
-            raise AssetError(f"stage {name}: bad mode {mode!r}")
+            raise ValueError(f"bad mode {mode!r}")
+        size = parse_int(size)
+        _check_width(size, size, f"block {name}")
+        cells = lines[i + 1 : i + 1 + size * size]
+        if len(cells) != size * size:
+            raise ValueError(f"block {name} is short of cells")
+        formulas = tuple(tuple(_parse_term(t) for t in ln.split()) for ln in cells)
         try:
-            size = parse_int(size_s)
-            _check_width(size, size, f"block {blk_name}")
-            cells = lines[i + 1 : i + 1 + size * size]
-            if len(cells) != size * size:
-                raise ValueError(f"block {blk_name} is short of cells")
-            formulas = [tuple(_parse_term(t) for t in ln.split()) for ln in cells]
+            recipes = tuple(decompose_terms(terms, family, index) for terms in formulas)
         except ValueError as exc:
-            raise AssetError(f"stage {name}: {exc}") from exc
-        try:
-            recipes = [decompose_terms(terms, family, index) for terms in formulas]
-        except AssetError as exc:
-            raise AssetError(f"stage {name}: block {blk_name}: {exc}") from exc
-        blocks.append(CoreBlock(blk_name, size, mode == "halved", family, formulas, recipes))
+            raise ValueError(f"block {name}: {exc}") from exc
+        blocks.append(CoreBlock(name, size, mode == "halved", family, formulas, recipes))
         i += 1 + size * size
-    return blocks
+    return tuple(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +300,7 @@ class Stage:
     in_dim: int
     out_dim: int
     mat: Mat | None = None
-    blocks: list | None = None
+    blocks: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -336,25 +337,18 @@ _WIDEST = max(max(dims) for dims in _EXPECTED_DIMS.values())
 def _assemble(level: int, asset_dir: str) -> Pipeline:
     if level not in LEVELS:
         raise ValueError(f"level must be 1, 2 or 3, not {level!r}")
-    manifest = os.path.join(asset_dir, f"pipeline_level{level}.txt")
-    pools = load_pools(os.path.join(asset_dir, "pool_pairs.txt"))
+    pools = read_stage(os.path.join(asset_dir, "pool_pairs.txt"), parse_pools)
     stages = []
     core_index = -1
-    for ln in _read_lines(manifest):
+    for ln in read_stage(os.path.join(asset_dir, f"pipeline_level{level}.txt"), list):
         what, _, ref = ln.partition(" ")
         ref = ref.strip()
         path = os.path.join(asset_dir, f"{ref}.txt")
         if what == "stage":
-            fields = _parse_kv(_read_lines(path), path)
-            if fields["kind"] not in ("signed_perm", "structural"):
-                raise AssetError(f"stage {ref}: unknown kind {fields['kind']!r}")
-            try:
-                mat = _parse_perm(fields) if fields["kind"] == "signed_perm" else parse_expr(fields["expr"])
-            except (KeyError, ValueError) as exc:
-                raise AssetError(f"stage {os.path.basename(path)}: {exc}") from exc
+            mat = read_stage(path, parse_stage)
             stages.append(Stage(ref, mat.cols, mat.rows, mat=mat))
         elif what == "core":
-            blocks = load_blocks(path, index_pools(pools))
+            blocks = read_stage(path, parse_blocks, index_pools(pools))
             dim = sum(b.size for b in blocks)
             core_index = len(stages)
             stages.append(Stage(ref, dim, dim, blocks=blocks))
@@ -380,7 +374,8 @@ def _assemble_cached(level: int, asset_dir: str) -> Pipeline:
 @lru_cache(maxsize=None)
 def _pipeline_for(level: int, asset_dir: str) -> Pipeline:
     # keyed by the directory string as given, so the product path resolves
-    # each string's real path once; a different string re-assembles
+    # each string's real path once; another spelling of one directory is
+    # resolved once more and gets the pipeline cached for its real path
     return _assemble_cached(level, os.path.realpath(asset_dir))
 
 
@@ -631,8 +626,9 @@ class CompiledProgram:
     coefficients for left-hand coefficients ``a`` and bind's values ``e``.
     Both compute with ``+``, ``-``, ``*`` and unary ``-``, bind halving as
     ``x * half``: a ring's own ``half``, ``1`` on the integer path, a
-    marker over boxes (see :class:`PrecomputedOperator`).  ``source`` is
-    their text, loaded by :func:`load_source` under ``filename``.
+    :class:`~diracmul.exactnum.Half` over boxes (see
+    :class:`PrecomputedOperator`).  ``source`` is their text, loaded by
+    :func:`load_source` under ``filename``.
 
     ``ValueError`` for an input other than ``a<k>`` and ``b<k>``, and
     unless bind is linear in ``b`` (no product of two values
@@ -790,10 +786,6 @@ def _runs_natively(ring) -> bool:
             and ring.neg is operator.neg and ring.mul is operator.mul)
 
 
-# the ``half`` bind takes over boxes: ``box * _HALVE`` calls the ring's ``halve``
-_HALVE = object()
-
-
 class _Box:
     """A value of a ring whose ``add``/``sub``/``neg``/``mul`` are methods
     of its own: each operator calls the ring's method."""
@@ -814,9 +806,13 @@ class _Box:
         return _Box(self.ring.neg(self.value), self.ring)
 
     def __mul__(self, other):
-        if other is _HALVE:
-            return _Box(self.ring.halve(self.value), self.ring)
+        if type(other) is not _Box:
+            return NotImplemented  # a Half, which halves through its __rmul__
         return _Box(self.ring.mul(self.value, other.value), self.ring)
+
+
+# the ``half`` bind takes over boxes: ``box * _BOX_HALF`` calls the ring's ``halve``
+_BOX_HALF = Half(lambda box: _Box(box.ring.halve(box.value), box.ring))
 
 
 def _boxed(values, ring) -> list:
@@ -911,7 +907,8 @@ class PrecomputedOperator:
     and ``lowered`` holds its results as ``(nums, exp)``; ``apply`` brings
     ``a`` to one exponent and runs the compiled apply on integers.  A ring
     whose operators are Python's keeps bind's values; any other ring keeps
-    the boxes bind returns, and ``apply`` boxes ``a`` alone.  ``entries``
+    the boxes bind returns, given a ``Half`` that calls the ring's
+    ``halve``, and ``apply`` boxes ``a`` alone.  ``entries``
     holds the distinct core values (32 at level 3) as values of the ring,
     ``DyadicRational``s over ``INTS`` too (a core value of integers need
     not be an integer), for ``slpgen.flatten`` and callers.
@@ -932,7 +929,7 @@ class PrecomputedOperator:
         elif _runs_natively(ring):
             self.entries = prog.bind(ring.half, b.coeffs)
         else:
-            self._boxes = prog.bind(_HALVE, _boxed(b.coeffs, ring))
+            self._boxes = prog.bind(_BOX_HALF, _boxed(b.coeffs, ring))
             self.entries = tuple(box.value for box in self._boxes)
 
     def apply(self, a: DiracNumber) -> DiracNumber:

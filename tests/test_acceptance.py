@@ -14,7 +14,6 @@ its core costs 108 additions instead of the per-block 166 and the product
 196 (88 structural).  The errata report traces the difference.
 """
 
-import os
 import random
 import time
 
@@ -32,7 +31,6 @@ from diracmul.fastmult import (
     assemble_pipeline,
     bind_block,
     block_matvec,
-    load_pools,
     mul_fast,
     verify_pipeline,
 )
@@ -144,7 +142,7 @@ def test_criterion_4_core_subcounts():
     rng = random.Random(4001)
     pipe = assemble_pipeline(3)
     verify_pipeline(pipe)
-    pools = load_pools(os.path.join(pipe.asset_dir, "pool_pairs.txt"))
+    pools = pipe.pools
     ring = CountingRing()
     b = [ring.wrap(v) for v in generic_ints(rng)]
     pool_cache = {}

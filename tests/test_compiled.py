@@ -211,8 +211,8 @@ def test_shared_bind_keeps_halved_and_plain_entries_apart(verified_pipelines):
     blocks = list(pipe.core.blocks)
     halved = next(blk for blk in blocks if blk.halved)
     k = next(i for i, blk in enumerate(blocks) if not blk.halved)
-    blocks[k] = dataclasses.replace(blocks[k], formulas=[halved.formulas[0]] + blocks[k].formulas[1:],
-                                    recipes=[halved.recipes[0]] + blocks[k].recipes[1:])
+    blocks[k] = dataclasses.replace(blocks[k], formulas=(halved.formulas[0],) + blocks[k].formulas[1:],
+                                    recipes=(halved.recipes[0],) + blocks[k].recipes[1:])
     twin = replace_stage(pipe, pipe.core_index, dataclasses.replace(pipe.core, blocks=blocks))
     b = [1 << twin.program.halvings] * DIM
     twice = 2 * bind_block(halved, b, INTS, pipe.pools, {})[0]
@@ -682,6 +682,21 @@ def test_pipeline_is_frozen_and_compiled_at_assembly(tmp_path, monkeypatch):
     assert precompute(b, 3, str(dst)).apply(a) == mul_schoolbook(a, b, TABLE)
     with pytest.raises(dataclasses.FrozenInstanceError):
         assemble_pipeline(3).verified = True
+
+
+def test_an_assembled_core_cannot_be_changed():
+    # the cached pipeline's compiled program was built from these blocks
+    blocks = assemble_pipeline(3).core.blocks
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        blocks[0].halved = False
+    with pytest.raises(AttributeError):
+        blocks.append(blocks[0])
+    for blk in blocks:
+        with pytest.raises(AttributeError):
+            blk.formulas.append(blk.formulas[0])
+        with pytest.raises(AttributeError):
+            blk.recipes.append(blk.recipes[0])
+    assert all(blk.halved for blk in assemble_pipeline(3).core.blocks)
 
 
 # ---------------------------------------------------------------------------

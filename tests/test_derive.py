@@ -1,18 +1,29 @@
+import ast
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracmul.derive import (
     BRANCH_A,
     BRANCH_C,
     DISPLAYED_MIX_30,
     LEVEL3_INPUT_STAGES,
+    MANIFESTS,
+    POOLS,
     STRUCTURAL_STAGES,
     ReconstructionError,
+    _blocks_text,
+    _manifest_text,
+    _perm_text,
+    _pool_text,
+    _structural_text,
     apply_reorder,
     derive_all,
     displayed_level3_input,
     form_to_signed_terms,
+    generated_asset_texts,
     load_cell_grid,
     load_seed_matrices,
     solve_outer_permutations,
@@ -21,8 +32,8 @@ from diracmul.derive import (
     synthesize_level3_input,
 )
 from diracmul.exactnum import FORMS
-from diracmul.fastmult import parse_expr
-from diracmul.linalg import Mat, int_mat_mul, mat_neg, signed_perm_matrix
+from diracmul.fastmult import index_pools, parse_blocks, parse_expr, parse_pools, parse_stage, read_stage
+from diracmul.linalg import Mat, SignedPermutation, int_mat_mul, mat_neg, signed_perm_matrix
 
 
 def grid(block):
@@ -200,3 +211,76 @@ def test_malformed_seed_file_names_the_file(tmp_path, text, message):
     path.write_text(text, encoding="ascii")
     with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
         load_cell_grid(str(path))
+
+
+# ---------------------------------------------------------------------------
+# round trips: derive's writer, fastmult's reader, then the writer again
+#
+# The reader drops comment lines, so the second writing is given the first
+# one's comment.
+
+
+@pytest.fixture(scope="module")
+def asset_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("round-trip")
+
+
+def reread(directory, name: str, text: str, parse, *args):
+    path = directory / name
+    path.write_text(text, encoding="ascii")
+    return read_stage(str(path), parse, *args)
+
+
+def perm_of(mat: Mat) -> SignedPermutation:
+    """The signed permutation whose matrix ``mat`` is (one +-1 per row)."""
+    cols = [next(c for c, e in enumerate(row) if e) for row in mat.entries]
+    return SignedPermutation(cols, [row[c] for row, c in zip(mat.entries, cols)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+    st.permutations(range(n)), st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))))
+def test_a_signed_permutation_stage_round_trips(asset_dir, perm):
+    text = _perm_text(SignedPermutation(*perm), "a signed permutation")
+    mat = reread(asset_dir, "perm.txt", text, parse_stage)
+    assert _perm_text(perm_of(mat), "a signed permutation") == text
+
+
+def test_every_derived_signed_permutation_round_trips(asset_dir, derivation):
+    texts = generated_asset_texts(derivation)
+    perms = [name for name, text in texts.items() if "kind signed_perm\n" in text]
+    assert len(perms) == 10
+    for name in perms:
+        comment = texts[name].splitlines()[0].removeprefix("# ")
+        assert _perm_text(perm_of(reread(asset_dir, name, texts[name], parse_stage)), comment) == texts[name]
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURAL_STAGES))
+def test_a_structural_stage_round_trips(asset_dir, name):
+    # the reader keeps the matrix, not the text: it reads the expression's
+    # matrix, and the expression is written as Python prints it back
+    expr = STRUCTURAL_STAGES[name]
+    text = _structural_text(expr, "constant combiner stage")
+    assert reread(asset_dir, f"{name}.txt", text, parse_stage) == parse_expr(expr)
+    assert _structural_text(ast.unparse(ast.parse(expr, mode="eval")), "constant combiner stage") == text
+
+
+def test_the_pools_round_trip(asset_dir):
+    text = _pool_text(POOLS)
+    pools = reread(asset_dir, "pool_pairs.txt", text, parse_pools)
+    assert pools == POOLS
+    assert _pool_text(pools) == text
+
+
+@pytest.mark.parametrize("level", (1, 2, 3))
+def test_the_blocks_round_trip(asset_dir, derivation, level):
+    comment = "diagonal blocks"
+    text = _blocks_text(getattr(derivation, f"blocks_level{level}"), comment)
+    blocks = reread(asset_dir, f"blocks_level{level}.txt", text, parse_blocks, index_pools(POOLS))
+    assert _blocks_text(blocks, comment) == text
+
+
+@pytest.mark.parametrize("level", (1, 2, 3))
+def test_a_manifest_round_trips(asset_dir, level):
+    text = _manifest_text(MANIFESTS[level])
+    assert _manifest_text(reread(asset_dir, f"pipeline_level{level}.txt", text, list)) == text

@@ -17,7 +17,6 @@ from diracmul.fastmult import (
     bind_block,
     block_matvec,
     default_asset_dir,
-    load_pools,
     mul_fast,
     parse_expr,
     precompute,
@@ -193,6 +192,37 @@ class TestAssembly:
         with pytest.raises(AssetError, match=re.escape(f"stage {name}: {message}, wider than the widest stage (30)")):
             assemble_pipeline(3, str(dst))
         assert max(max(m.rows, m.cols) for m in built) <= 30
+
+    def test_a_cell_whose_written_halves_are_not_pool_pairs_is_refused(self, tmp_path):
+        # (+0 +5) + (+10 +15) is q0's first cell; written with its halves
+        # interleaved it still sums to the same value, but splits only another way
+        dst = tmp_path / "assets"
+        shutil.copytree(default_asset_dir(), dst)
+        path = dst / "blocks_level3.txt"
+        path.write_text(path.read_text(encoding="ascii").replace("\n+0 +5 +10 +15\n", "\n+0 +10 +5 +15\n", 1),
+                        encoding="ascii")
+        with pytest.raises(AssetError, match=re.escape(
+                "stage blocks_level3.txt: block q0: core cell +0 +10 +5 +15 does not split over the quad pools")):
+            assemble_pipeline(3, str(dst))
+
+    @pytest.mark.parametrize("name, edit", [
+        ("signs_out_16.txt", lambda t: t + "kind signed_perm\n"),
+        ("pool_pairs.txt", lambda t: t + "quint +0 +5\n"),
+        ("blocks_level3.txt", lambda t: t.replace("\n+0 +5 +10 +15\n", "\n+0 +5 +10\n", 1)),
+        ("perm_out_24.txt", None),  # removed
+    ], ids=["stage", "pools", "blocks", "missing"])
+    def test_a_stage_file_error_is_caused_by_what_the_reader_raised(self, tmp_path, name, edit):
+        dst = tmp_path / "assets"
+        shutil.copytree(default_asset_dir(), dst)
+        path = dst / name
+        if edit is None:
+            path.unlink()
+        else:
+            path.write_text(edit(path.read_text(encoding="ascii")), encoding="ascii")
+        with pytest.raises(AssetError) as info:
+            assemble_pipeline(3, str(dst))
+        assert isinstance(info.value.__cause__, (OSError, KeyError, ValueError))
+        assert not isinstance(info.value.__cause__, AssetError)
 
 
 class TestBlockFormulas:
@@ -397,7 +427,7 @@ class TestCounts:
     def test_core_subcounts_in_isolation(self, verified_pipelines):
         rng = random.Random(60)
         pipe = verified_pipelines[3]
-        pools = load_pools(os.path.join(pipe.asset_dir, "pool_pairs.txt"))
+        pools = pipe.pools
         ring = CountingRing()
         b = [ring.wrap(rng.randint(3, 1 << 19) * 2 + 1) for _ in range(DIM)]
         pool_cache = {}
