@@ -46,6 +46,8 @@ class SignedBasis(NamedTuple):
 class MultTable:
     """16x16 grid of ``(sign, index)`` cells; entries[p][q] = i_p * i_q.
 
+    ``entries`` and ``gathers`` are tuples, built once here, so the gathers
+    always describe the rows they were built from.
     Each cell is a plain tuple, converted once here: CPython unpacks an
     exact tuple on its fast path but a :class:`SignedBasis` on the generic
     one, and the schoolbook product unpacks 256 cells per call.
@@ -62,13 +64,13 @@ class MultTable:
         entries = [list(row) for row in entries]
         if len(entries) != DIM or any(len(r) != DIM for r in entries):
             raise ValueError("table must be 16x16")
-        self.entries = [tuple(map(_cell, row)) for row in entries]
+        self.entries = tuple(tuple(map(_cell, row)) for row in entries)
         # i_n * i_m = sign * i_k puts b_m (index m) or -b_m (index m + DIM) at row k, column n
         source = [[None] * DIM for _ in range(DIM)]
         for n, row in enumerate(self.entries):
             for m, (sign, k) in enumerate(row):
                 source[k][n] = m if sign > 0 else m + DIM
-        self.gathers = [itemgetter(*cols) for cols in source]
+        self.gathers = tuple(itemgetter(*cols) for cols in source)
         self.repeated_row = next((n for n, row in enumerate(self.entries) if len({k for _, k in row}) < DIM), None)
 
     def __getitem__(self, p: int):

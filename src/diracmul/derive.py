@@ -94,7 +94,7 @@ DUO_POOL = [
     (7, -9), (-13, 14), (-4, -10), (12, 15),
 ]
 # both pools as (sign, index) terms, as ``fastmult.parse_pools`` reads them
-POOLS = {family: [tuple((1 if t >= 0 else -1, abs(t)) for t in pair) for pair in pool]
+POOLS = {family: tuple(tuple((1 if t >= 0 else -1, abs(t)) for t in pair) for pair in pool)
          for family, pool in (("quad", QUAD_POOL), ("duo", DUO_POOL))}
 
 
@@ -444,7 +444,7 @@ def synthesize_level3_input(target: Mat):
     permutation and the permutation into core order; the chain between
     them computes ``target`` except that it doubles the last two rows.
     """
-    rows = [tuple(r) for r in target.entries]
+    rows = list(target.entries)
     neg = lambda w: tuple(-c for c in w)
     inner = [w for r in rows[:-2] for w in (r, neg(r))]
     f0, f1 = rows[-2:]
@@ -471,7 +471,7 @@ def synthesize_level3_input(target: Mat):
                      + [parse_expr(STRUCTURAL_STAGES[name]) for name in LEVEL3_INPUT_STAGES])
     found = {}
     for j, row in enumerate(chain.entries):
-        found[tuple(row)] = (j, 1)
+        found[row] = (j, 1)
         found[neg(row)] = (j, -1)
     want = rows[:-2] + [tuple(2 * c for c in r) for r in rows[-2:]]
     try:

@@ -321,7 +321,7 @@ def _mul_kind(v: DyadicRational) -> str:
         return "zero"
     if n.num in (1, -1) and n.exp == 0:
         return "unit"
-    if _is_pow2_magnitude(n.num) or (n.num in (1, -1) and n.exp > 0):
+    if _is_pow2_magnitude(n.num):
         return "pow2"
     return "generic"
 

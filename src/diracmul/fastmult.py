@@ -21,6 +21,9 @@ alone are bind, the rest apply.  So bind returns the 32 values without
 negating any, apply fans them out to the 88 cells with the signs folded
 into its sums, and only an output that ends negative is negated (8
 negations per product).
+Every part of a pipeline is built once as an immutable value -- stage
+matrices of tuple rows, a read-only mapping of pool tuples, tuple tapes --
+so what a pipeline shows is what it runs.
 The generated code writes additions, subtractions, negations and
 multiplications with Python's operators (``x + y``, ``x - y``, ``-x``,
 ``x * y``) and each halving as ``x * half``, ``half`` being the one
@@ -191,15 +194,16 @@ def parse_expr(text: str) -> Mat:
     return walk(tree.body)
 
 
-def parse_pools(lines) -> dict:
-    """Per pool family, ``quad`` and ``duo``, its pairs of terms in file order."""
+def parse_pools(lines) -> types.MappingProxyType:
+    """Per pool family, ``quad`` and ``duo``, its pairs of terms in file
+    order, as a read-only mapping of tuples."""
     pools: dict = {"quad": [], "duo": []}
     for ln in lines:
         family, *tokens = ln.split()
         if family not in pools or len(tokens) != 2:
             raise ValueError(f"bad pool line {ln!r}")
         pools[family].append(tuple(_parse_term(t) for t in tokens))
-    return pools
+    return types.MappingProxyType({family: tuple(pairs) for family, pairs in pools.items()})
 
 
 # the pool families a block family draws its four-term cells from, in search order
@@ -294,32 +298,43 @@ def parse_blocks(lines, index: dict) -> tuple:
 @dataclass(frozen=True)
 class Stage:
     """One link of the chain: a constant {-1,0,+1} matrix ``mat``, or the
-    b-dependent core, which is the one stage with ``blocks``."""
+    b-dependent core, which is the one stage with ``blocks``.  Its widths
+    are read from them."""
 
     name: str
-    in_dim: int
-    out_dim: int
     mat: Mat | None = None
     blocks: tuple | None = None
+
+    @property
+    def in_dim(self) -> int:
+        return self.mat.cols if self.blocks is None else sum(b.size for b in self.blocks)
+
+    @property
+    def out_dim(self) -> int:
+        return self.mat.rows if self.blocks is None else self.in_dim
 
 
 @dataclass(frozen=True)
 class Pipeline:
     """An assembled stage chain and its compiled ``program``.
 
-    Frozen, and compiled when it is built, so one cached pipeline can be
-    shared by any number of callers and threads.
+    Built once from immutable parts and compiled when it is built, so one
+    cached pipeline can be shared by any number of callers and threads, and
+    what it shows is what it runs.
     """
 
     level: int
     stages: tuple
-    core_index: int
     asset_dir: str
-    pools: dict  # the pool pairs the core recipes draw from, parsed at assembly
+    pools: types.MappingProxyType  # the pool pairs the core recipes draw from, parsed at assembly
     program: CompiledProgram = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "program", compile_pipeline(self))
+
+    @property
+    def core_index(self) -> int:
+        return next(i for i, s in enumerate(self.stages) if s.blocks is not None)
 
     @property
     def core(self) -> Stage:
@@ -334,27 +349,23 @@ _EXPECTED_DIMS = {
 _WIDEST = max(max(dims) for dims in _EXPECTED_DIMS.values())
 
 
+@lru_cache(maxsize=None)
 def _assemble(level: int, asset_dir: str) -> Pipeline:
     if level not in LEVELS:
         raise ValueError(f"level must be 1, 2 or 3, not {level!r}")
     pools = read_stage(os.path.join(asset_dir, "pool_pairs.txt"), parse_pools)
     stages = []
-    core_index = -1
     for ln in read_stage(os.path.join(asset_dir, f"pipeline_level{level}.txt"), list):
         what, _, ref = ln.partition(" ")
         ref = ref.strip()
         path = os.path.join(asset_dir, f"{ref}.txt")
         if what == "stage":
-            mat = read_stage(path, parse_stage)
-            stages.append(Stage(ref, mat.cols, mat.rows, mat=mat))
+            stages.append(Stage(ref, mat=read_stage(path, parse_stage)))
         elif what == "core":
-            blocks = read_stage(path, parse_blocks, index_pools(pools))
-            dim = sum(b.size for b in blocks)
-            core_index = len(stages)
-            stages.append(Stage(ref, dim, dim, blocks=blocks))
+            stages.append(Stage(ref, blocks=read_stage(path, parse_blocks, index_pools(pools))))
         else:
             raise AssetError(f"stage manifest pipeline_level{level}: bad line {ln!r}")
-    if core_index < 0:
+    if all(s.blocks is None for s in stages):
         raise AssetError(f"stage manifest pipeline_level{level}: no core stage")
     # checked before Pipeline() compiles the chain, so a bad asset fails with its name
     dims = [stages[0].in_dim] + [s.out_dim for s in stages]
@@ -363,12 +374,7 @@ def _assemble(level: int, asset_dir: str) -> Pipeline:
     for prev, cur in zip(stages, stages[1:]):
         if prev.out_dim != cur.in_dim:
             raise AssetError(f"stage {cur.name}: expects {cur.in_dim} inputs, gets {prev.out_dim}")
-    return Pipeline(level, tuple(stages), core_index, asset_dir, pools)
-
-
-@lru_cache(maxsize=None)
-def _assemble_cached(level: int, asset_dir: str) -> Pipeline:
-    return _assemble(level, asset_dir)
+    return Pipeline(level, tuple(stages), asset_dir, pools)
 
 
 @lru_cache(maxsize=None)
@@ -376,7 +382,7 @@ def _pipeline_for(level: int, asset_dir: str) -> Pipeline:
     # keyed by the directory string as given, so the product path resolves
     # each string's real path once; another spelling of one directory is
     # resolved once more and gets the pipeline cached for its real path
-    return _assemble_cached(level, os.path.realpath(asset_dir))
+    return _assemble(level, os.path.realpath(asset_dir))
 
 
 def assemble_pipeline(level: int, asset_dir: str | None = None) -> Pipeline:
@@ -619,7 +625,8 @@ class CompiledProgram:
     holds the values of ``b`` alone, and ``entries`` the positions of those
     that apply uses, in order of first use.  ``apply_tape`` holds the
     inputs ``a``, one input ``e<k>`` per entry, then the other steps; its
-    outputs are the positions ``outputs``.
+    outputs are the positions ``outputs``.  All four are tuples, built
+    once, so they stay the record of the code that runs.
 
     ``bind(half, b)`` returns the entries, as a tuple, for right-hand
     coefficients ``b``; ``apply(a, e)`` returns the sixteen output
@@ -677,13 +684,14 @@ class CompiledProgram:
             raise ValueError("apply tape has an output that is not bilinear in a and b")
         bind = [i for i, (deg_a, _, _) in enumerate(kind) if not deg_a]
         position = {x: k for k, x in enumerate(bind)}
-        self.bind_tape, self.entries = _renumbered(folded, bind, position), [position[x] for x in used]
+        self.bind_tape, self.entries = tuple(_renumbered(folded, bind, position)), tuple(position[x] for x in used)
         a_inputs = [i for i, (op, _) in enumerate(folded) if op == "a"]
         steps = [i for i, (deg_a, _, _) in enumerate(kind) if deg_a and folded[i][0] in RING_OPS]
         position = {x: k for k, x in enumerate(a_inputs + list(used) + steps)}
-        self.apply_tape = (_renumbered(folded, a_inputs, position) + [("e", (k,)) for k in range(len(used))]
-                           + _renumbered(folded, steps, position))
-        self.outputs = settle_signs(self.apply_tape, [(sign, position[x]) for sign, x in results])
+        apply_tape = (_renumbered(folded, a_inputs, position) + [("e", (k,)) for k in range(len(used))]
+                      + _renumbered(folded, steps, position))
+        self.outputs = tuple(settle_signs(apply_tape, [(sign, position[x]) for sign, x in results]))
+        self.apply_tape = tuple(apply_tape)
         depths = [kind[x][2] for x in used]
         self.halvings = max(depths, default=0)
         self.lifts = tuple((k, self.halvings - d) for k, d in enumerate(depths) if d < self.halvings)
@@ -904,8 +912,9 @@ class PrecomputedOperator:
     The constructor is the one place the operator's path is chosen, from
     ``b``'s ring, and it keeps what that path's ``apply`` runs on.  Over
     ``DYADIC`` and ``INTS`` bind runs on integers, as in :func:`mul_fast`,
-    and ``lowered`` holds its results as ``(nums, exp)``; ``apply`` brings
-    ``a`` to one exponent and runs the compiled apply on integers.  A ring
+    and ``lowered`` holds its results as ``(nums, exp)``, ``nums`` a
+    tuple; ``apply`` brings ``a`` to one exponent and runs the compiled
+    apply on integers.  A ring
     whose operators are Python's keeps bind's values; any other ring keeps
     the boxes bind returns, given a ``Half`` that calls the ring's
     ``halve``, and ``apply`` boxes ``a`` alone.  ``entries``
@@ -923,7 +932,7 @@ class PrecomputedOperator:
         self.lowered = self._boxes = None
         if ring is DYADIC or ring is INTS:
             b_ints, eb = _exact_ints(b.coeffs, ring)
-            nums, exp = list(_bind_ints(prog, b_ints)), eb + prog.halvings
+            nums, exp = tuple(_bind_ints(prog, b_ints)), eb + prog.halvings
             self.lowered = (nums, exp)
             self.entries = tuple(DyadicRational(n, exp) for n in nums)
         elif _runs_natively(ring):

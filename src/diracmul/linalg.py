@@ -13,12 +13,16 @@ from __future__ import annotations
 
 class Mat:
     """Row-major rows x cols grid; entries belong to whatever ring the
-    caller is working over (plain ints for structural matrices)."""
+    caller is working over (plain ints for structural matrices).
+
+    ``entries`` is a tuple of row tuples, copied from the rows given, so a
+    matrix is a value: no holder of it can change it in place.  Every
+    builder here makes its rows first and constructs the matrix once."""
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries):
-        entries = [list(r) for r in entries]
+        entries = tuple(map(tuple, entries))
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError(f"shape mismatch: want {rows}x{cols}")
         self.rows = rows
@@ -55,42 +59,26 @@ def eye(n: int) -> Mat:
     return Mat(n, n, [[1 if r == c else 0 for c in range(n)] for r in range(n)])
 
 
-def zeros(rows: int, cols: int) -> Mat:
-    return Mat(rows, cols, [[0] * cols for _ in range(rows)])
-
-
 H2 = Mat(2, 2, [[1, 1], [1, -1]])
 T2X3 = Mat(2, 3, [[1, 0, 1], [0, 1, 1]])
 T3X2 = Mat(3, 2, [[1, 0], [0, 1], [1, 1]])
 
 
 def kron(a: Mat, b: Mat) -> Mat:
-    out = zeros(a.rows * b.rows, a.cols * b.cols)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            aij = a.entries[i][j]
-            if aij == 0:
-                continue
-            for k in range(b.rows):
-                for l in range(b.cols):
-                    out.entries[i * b.rows + k][j * b.cols + l] = aij * b.entries[k][l]
-    return out
+    return Mat(a.rows * b.rows, a.cols * b.cols,
+               [[x * y for x in ra for y in rb] for ra in a.entries for rb in b.entries])
 
 
 def dirsum(blocks) -> Mat:
     blocks = list(blocks)
     if not blocks:
         raise ValueError("direct sum of no blocks")
-    rows = sum(b.rows for b in blocks)
     cols = sum(b.cols for b in blocks)
-    out = zeros(rows, cols)
-    r0 = c0 = 0
+    rows, c0 = [], 0
     for b in blocks:
-        for i in range(b.rows):
-            out.entries[r0 + i][c0 : c0 + b.cols] = list(b.entries[i])
-        r0 += b.rows
+        rows += [(0,) * c0 + row + (0,) * (cols - c0 - b.cols) for row in b.entries]
         c0 += b.cols
-    return out
+    return Mat(len(rows), cols, rows)
 
 
 def mat_add(ring, a: Mat, b: Mat) -> Mat:
@@ -116,16 +104,8 @@ def mat_halve(ring, a: Mat) -> Mat:
 def int_mat_mul(a: Mat, b: Mat) -> Mat:
     if a.cols != b.rows:
         raise ValueError("size mismatch")
-    out = zeros(a.rows, b.cols)
-    for i in range(a.rows):
-        for k in range(a.cols):
-            aik = a.entries[i][k]
-            if aik == 0:
-                continue
-            for j in range(b.cols):
-                if b.entries[k][j]:
-                    out.entries[i][j] += aik * b.entries[k][j]
-    return out
+    cols = list(zip(*b.entries))
+    return Mat(a.rows, b.cols, [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.entries])
 
 
 def structural_apply(ring, m: Mat, vec):
@@ -207,10 +187,8 @@ class SignedPermutation:
 
 def signed_perm_matrix(p: SignedPermutation) -> Mat:
     """Matrix form: exactly one +-1 per row and column."""
-    out = zeros(p.size, p.size)
-    for i in range(p.size):
-        out.entries[i][p.src[i]] = p.signs[i]
-    return out
+    return Mat(p.size, p.size, [[sign if c == src else 0 for c in range(p.size)]
+                                for src, sign in zip(p.src, p.signs)])
 
 
 def perm_concat(perms) -> SignedPermutation:
@@ -229,9 +207,8 @@ def _check_blocks(a: Mat, b: Mat) -> int:
 def template_AB(a: Mat, b: Mat) -> Mat:
     """[[A, B], [B, A]]: one halved butterfly sandwich multiplies it."""
     n = _check_blocks(a, b)
-    rows = [list(a.entries[i]) + list(b.entries[i]) for i in range(n)]
-    rows += [list(b.entries[i]) + list(a.entries[i]) for i in range(n)]
-    return Mat(2 * n, 2 * n, rows)
+    return Mat(2 * n, 2 * n, [x + y for x, y in zip(a.entries, b.entries)]
+               + [y + x for x, y in zip(a.entries, b.entries)])
 
 
 def template_EF(e: Mat, f: Mat, ring=None) -> Mat:
@@ -241,6 +218,5 @@ def template_EF(e: Mat, f: Mat, ring=None) -> Mat:
     """
     n = _check_blocks(e, f)
     neg = (lambda x: -x) if ring is None else ring.neg
-    rows = [list(e.entries[i]) + list(f.entries[i]) for i in range(n)]
-    rows += [list(f.entries[i]) + [neg(x) for x in e.entries[i]] for i in range(n)]
-    return Mat(2 * n, 2 * n, rows)
+    return Mat(2 * n, 2 * n, [x + y for x, y in zip(e.entries, f.entries)]
+               + [y + tuple(map(neg, x)) for x, y in zip(e.entries, f.entries)])

@@ -31,5 +31,5 @@ def planted_fault(verified_pipelines):
     entries = [list(row) for row in first.mat.entries]
     column = next(c for c, e in enumerate(entries[5]) if e)
     entries[5][column] = -entries[5][column]
-    bad = Stage(first.name, first.in_dim, first.out_dim, mat=Mat(first.out_dim, first.in_dim, entries))
+    bad = Stage(first.name, mat=Mat(first.out_dim, first.in_dim, entries))
     return replace_stage(verified_pipelines[3], 0, bad), column

@@ -25,16 +25,12 @@ def lift(ring, a: Mat) -> Mat:
 
 def dirsum_ring(blocks, ring) -> Mat:
     blocks = list(blocks)
-    rows = sum(b.rows for b in blocks)
     cols = sum(b.cols for b in blocks)
-    out = Mat(rows, cols, [[ring.zero()] * cols for _ in range(rows)])
-    r0 = c0 = 0
+    rows, c0 = [], 0
     for b in blocks:
-        for i in range(b.rows):
-            out.entries[r0 + i][c0 : c0 + b.cols] = list(b.entries[i])
-        r0 += b.rows
+        rows += [[ring.zero()] * c0 + list(row) + [ring.zero()] * (cols - c0 - b.cols) for row in b.entries]
         c0 += b.cols
-    return out
+    return Mat(len(rows), cols, rows)
 
 
 def template_AB_factored(ring, a: Mat, b: Mat) -> Mat:

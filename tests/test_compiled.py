@@ -38,7 +38,7 @@ from diracmul.fastmult import (
     verify_pipeline,
 )
 from diracmul.linalg import Mat
-from diracmul.slpgen import flatten, interpret, schoolbook_program
+from diracmul.slpgen import emit_text, flatten, interpret, schoolbook_program
 from helpers import flipped_table, linear_form_matrix, linear_form_mismatches, replace_stage
 
 TABLE = build_table_from_generators()
@@ -478,6 +478,22 @@ def test_integer_bind_keeps_its_halvings_in_the_exponent(level, lifted, verified
         assert list(fastmult._bind_ints(prog, b)) == list(prog.bind(INTS.half, [x << prog.halvings for x in b]))
 
 
+def test_integer_bind_lifts_entries_of_two_nonzero_depths_to_the_deepest():
+    # no pipeline has entries at two nonzero depths, so this program is recorded by hand
+    rec = fastmult.Recorder()
+    b, a = rec.inputs("b", 2), rec.inputs("a", 2)
+    once = rec.halve(rec.add(b[0], b[1]))
+    twice = rec.halve(rec.halve(rec.sub(b[0], b[1])))
+    prog = CompiledProgram(rec.tape, [rec.mul(a[0], once), rec.mul(a[1], twice)], "two depths")
+    assert (prog.halvings, prog.lifts) == (2, ((0, 1),))
+    rng = random.Random(479)
+    for _ in range(20):
+        bv = [rng.randint(-(1 << 40), 1 << 40) for _ in range(2)]
+        # each integer entry is 2**halvings times its dyadic value
+        want = prog.bind(DYADIC.half, [DyadicRational(v) for v in bv])
+        assert [DyadicRational(e, prog.halvings) for e in fastmult._bind_ints(prog, bv)] == list(want)
+
+
 # ---------------------------------------------------------------------------
 # products over the integers
 
@@ -632,7 +648,7 @@ def unhalved_f(pipe):
     """Level 3 with the ``halved`` flag of its core block ``f`` cleared."""
     core = pipe.core
     blocks = [dataclasses.replace(blk, halved=False) if blk.name == "f" else blk for blk in core.blocks]
-    return replace_stage(pipe, pipe.core_index, Stage(core.name, core.in_dim, core.out_dim, blocks=blocks))
+    return replace_stage(pipe, pipe.core_index, Stage(core.name, blocks=blocks))
 
 
 def test_basis_proof_matrix_equals_the_linear_form_run(verified_pipelines, planted_fault):
@@ -697,6 +713,32 @@ def test_an_assembled_core_cannot_be_changed():
         with pytest.raises(AttributeError):
             blk.recipes.append(blk.recipes[0])
     assert all(blk.halved for blk in assemble_pipeline(3).core.blocks)
+
+
+def test_an_assembled_pipeline_cannot_be_changed_in_place():
+    # what the cached pipeline shows (its matrices, pools, tapes) is what its program was built from
+    pipe = assemble_pipeline(3)
+    text = emit_text(flatten(pipe))
+    with pytest.raises(TypeError):
+        pipe.stages[0].mat.entries[0][0] = 7
+    with pytest.raises(TypeError):
+        pipe.stages[0].mat.entries[0] = pipe.stages[0].mat.entries[1]
+    with pytest.raises(AttributeError):
+        pipe.pools["quad"].append(None)
+    with pytest.raises(TypeError):
+        pipe.pools["quad"] = ()
+    prog = pipe.program
+    for held in (prog.apply_tape, prog.bind_tape, prog.entries, prog.outputs):
+        with pytest.raises(TypeError):
+            held[0] = held[1]
+    with pytest.raises(TypeError):
+        PrecomputedOperator(pipe, DiracNumber.from_ints(range(DIM), DYADIC)).lowered[0][0] = 0
+    table = build_table_from_generators()
+    with pytest.raises(TypeError):
+        table.entries[1] = table.entries[0]
+    with pytest.raises(TypeError):
+        table.gathers[1] = table.gathers[0]
+    assert assemble_pipeline(3) is pipe and emit_text(flatten(assemble_pipeline(3))) == text
 
 
 # ---------------------------------------------------------------------------
@@ -960,7 +1002,7 @@ def test_dropped_pipelines_release_their_source(verified_pipelines):
         entries = [list(r) for r in first.mat.entries]
         column = next(c for c, e in enumerate(entries[row]) if e)
         entries[row][column] = -entries[row][column]
-        stage = Stage(first.name, first.in_dim, first.out_dim, mat=Mat(first.out_dim, first.in_dim, entries))
+        stage = Stage(first.name, mat=Mat(first.out_dim, first.in_dim, entries))
         variants.append(replace_stage(pipe, 0, stage))
     assert pipeline_source_lines() > baseline
     assert all(linecache.getlines(v.program.filename) for v in variants)
@@ -1001,7 +1043,7 @@ def test_a_pipeline_function_keeps_its_lines_until_the_last_one_goes(verified_pi
     entries = [list(r) for r in first.mat.entries]
     column = next(c for c, e in enumerate(entries[0]) if e)
     entries[0][column] = -entries[0][column]
-    stage = Stage(first.name, first.in_dim, first.out_dim, mat=Mat(first.out_dim, first.in_dim, entries))
+    stage = Stage(first.name, mat=Mat(first.out_dim, first.in_dim, entries))
     variant = replace_stage(pipe, 0, stage).program
     bind, apply, filename, source = variant.bind, variant.apply, variant.filename, variant.source
     del variant

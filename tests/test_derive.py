@@ -170,7 +170,7 @@ class TestLevel3InputSide:
             acc = int_mat_mul(parse_expr(STRUCTURAL_STAGES[name]), acc)
         acc = int_mat_mul(signed_perm_matrix(derivation.perm_in_30), acc)
         # the final block is halved, so its two inputs arrive doubled
-        want = [row if i < 28 else [2 * c for c in row] for i, row in enumerate(displayed.entries)]
+        want = tuple(row if i < 28 else tuple(2 * c for c in row) for i, row in enumerate(displayed.entries))
         assert acc.entries == want
 
     def test_additions_drop_from_42_to_32(self):

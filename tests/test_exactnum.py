@@ -58,6 +58,11 @@ class TestDyadic:
         n = DyadicRational(num, exp).normalized()
         assert (n.num, n.exp) == by_loop(num, exp)
 
+    @pytest.mark.parametrize("num, exp", [(0, 0), (5, 0), (-5, 0), (3, 1), (-7, 3), (1, 64), (-3, 64),
+                                          ((1 << 80) + 1, 70), (-(1 << 90) - 3, 200)])
+    def test_float_is_num_over_two_to_the_exp(self, num, exp):
+        assert float(DyadicRational(num, exp)) == num / 2**exp
+
     def test_equality_is_value_equality(self):
         assert DyadicRational(4, 2) == DyadicRational(1, 0)
         assert DyadicRational(-8, 3) == DyadicRational(-1, 0)

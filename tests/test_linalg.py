@@ -118,7 +118,7 @@ class TestSignedPermutation:
                 src = [int(t) - 1 for t in fields["src"].split()]
                 signs = [-1 if t == "-" else 1 for t in fields["signs"].split()]
                 m = stage.mat
-                lines = m.entries + [list(col) for col in zip(*m.entries)]
+                lines = list(m.entries) + [list(col) for col in zip(*m.entries)]
                 assert all(sorted(map(abs, line)) == [0] * (len(line) - 1) + [1] for line in lines), stage.name
                 vec = rng.sample(range(1, 1000), m.cols)
                 assert structural_apply(INTS, m, vec) == [signs[i] * vec[src[i]] for i in range(m.rows)]
