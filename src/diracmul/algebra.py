@@ -10,6 +10,7 @@ checked against the table built here and against the schoolbook product.
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -43,11 +44,13 @@ class SignedBasis(NamedTuple):
     index: int
 
 
+@dataclass(frozen=True)
 class MultTable:
     """16x16 grid of ``(sign, index)`` cells; entries[p][q] = i_p * i_q.
 
-    ``entries`` and ``gathers`` are tuples, built once here, so the gathers
-    always describe the rows they were built from.
+    A frozen value: ``entries`` and ``gathers`` are tuples, built once
+    here, and no attribute can be rebound, so the gathers always describe
+    the rows they were built from.  Tables compare by ``entries``.
     Each cell is a plain tuple, converted once here: CPython unpacks an
     exact tuple on its fast path but a :class:`SignedBasis` on the generic
     one, and the schoolbook product unpacks 256 cells per call.
@@ -60,26 +63,26 @@ class MultTable:
     and ``repeated_row`` is the first such n (None for a sound table).
     """
 
-    def __init__(self, entries):
-        entries = [list(row) for row in entries]
+    entries: tuple
+    gathers: tuple = field(init=False, repr=False, compare=False)
+    repeated_row: int | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        entries = tuple(tuple(map(_cell, row)) for row in self.entries)
         if len(entries) != DIM or any(len(r) != DIM for r in entries):
             raise ValueError("table must be 16x16")
-        self.entries = tuple(tuple(map(_cell, row)) for row in entries)
         # i_n * i_m = sign * i_k puts b_m (index m) or -b_m (index m + DIM) at row k, column n
         source = [[None] * DIM for _ in range(DIM)]
-        for n, row in enumerate(self.entries):
+        for n, row in enumerate(entries):
             for m, (sign, k) in enumerate(row):
                 source[k][n] = m if sign > 0 else m + DIM
-        self.gathers = tuple(itemgetter(*cols) for cols in source)
-        self.repeated_row = next((n for n, row in enumerate(self.entries) if len({k for _, k in row}) < DIM), None)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "gathers", tuple(itemgetter(*cols) for cols in source))
+        object.__setattr__(self, "repeated_row",
+                           next((n for n, row in enumerate(entries) if len({k for _, k in row}) < DIM), None))
 
     def __getitem__(self, p: int):
         return self.entries[p]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MultTable):
-            return NotImplemented
-        return self.entries == other.entries
 
     def associativity_failures(self) -> list[tuple[int, int, int]]:
         """All basis triples (p, q, r) with (i_p i_q) i_r != i_p (i_q i_r)."""

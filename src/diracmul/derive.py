@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .algebra import DIM, _parse_term, default_asset_dir, format_term, read_asset_lines, symbolic_b_matrix
 from .exactnum import FORMS, LinearForm, lf_from_b, parse_int
-from .fastmult import parse_expr
+from .fastmult import CoreBlock, decompose_terms, index_pools, parse_expr
 from .linalg import (
     Mat,
     SignedPermutation,
@@ -184,18 +184,11 @@ def reorder_perms(branch):
 def apply_reorder(m: Mat, branch) -> Mat:
     """Shuffle rows/columns and apply the stated negations (new positions)."""
     rp, cp = reorder_perms(branch)
-    n = m.rows
-    out = []
-    for i in range(n):
-        src_row = m.entries[rp.src[i]]
-        row = []
-        for j in range(m.cols):
-            v = src_row[cp.src[j]]
-            if rp.signs[i] * cp.signs[j] < 0:
-                v = -v
-            row.append(v)
-        out.append(row)
-    return Mat(n, m.cols, out)
+    rows = []
+    for r, rs in zip(rp.src, rp.signs):
+        row = m.entries[r]
+        rows.append([row[c] if rs * cs > 0 else -row[c] for c, cs in zip(cp.src, cp.signs)])
+    return Mat(m.rows, m.cols, rows)
 
 
 def split_ab(m: Mat):
@@ -275,25 +268,15 @@ def solve_outer_permutations(m16: Mat, b16: Mat):
 # block-formula derivation
 
 
-@dataclass
-class BlockSpec:
-    """One diagonal block: name, cell formulas, halving flag, pool family."""
-
-    name: str
-    size: int
-    halved: bool
-    family: str  # quad | duo | mixed | direct
-    cells: list  # row-major LinearForm list
-
-    @property
-    def formulas(self) -> list:
-        """Each cell's signed terms, as ``fastmult.CoreBlock`` holds them."""
-        return [form_to_signed_terms(cell) for cell in self.cells]
-
-
-def _blocks(family: str, halved: bool, names: str, *mats) -> list:
-    return [BlockSpec(name, m.rows, halved, family, [c for row in m.entries for c in row])
-            for name, m in zip(names.split(), mats)]
+def _blocks(family: str, halved: bool, names: str, *mats) -> tuple:
+    """One core block per matrix of linear forms, as ``fastmult.parse_blocks``
+    builds it: each cell's recipe by ``decompose_terms`` over :data:`POOLS`."""
+    index, blocks = index_pools(POOLS), []
+    for name, m in zip(names.split(), mats):
+        formulas = tuple(form_to_signed_terms(cell) for row in m.entries for cell in row)
+        recipes = tuple(decompose_terms(terms, family, index) for terms in formulas)
+        blocks.append(CoreBlock(name, m.rows, halved, family, formulas, recipes))
+    return tuple(blocks)
 
 
 @dataclass
@@ -302,9 +285,9 @@ class Derivation:
 
     outer_rows: SignedPermutation  # R with B16 = R . M16 . C
     outer_cols: SignedPermutation
-    blocks_level1: list
-    blocks_level2: list
-    blocks_level3: list
+    blocks_level1: tuple  # of fastmult.CoreBlock
+    blocks_level2: tuple
+    blocks_level3: tuple
     perm_in_24: SignedPermutation
     perm_out_24: SignedPermutation
     perm_in_28: SignedPermutation
@@ -498,7 +481,7 @@ def _structural_text(expr: str, comment: str) -> str:
 
 
 def _blocks_text(blocks, comment: str) -> str:
-    """A ``blocks_level*.txt`` file of ``BlockSpec`` or ``fastmult.CoreBlock`` blocks."""
+    """A ``blocks_level*.txt`` file of ``fastmult.CoreBlock`` blocks."""
     lines = [f"# {comment}",
              "# block <name> <size> <halved|plain> <pool family>; then size^2 cells"]
     for blk in blocks:

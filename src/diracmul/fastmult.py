@@ -21,9 +21,10 @@ alone are bind, the rest apply.  So bind returns the 32 values without
 negating any, apply fans them out to the 88 cells with the signs folded
 into its sums, and only an output that ends negative is negated (8
 negations per product).
-Every part of a pipeline is built once as an immutable value -- stage
-matrices of tuple rows, a read-only mapping of pool tuples, tuple tapes --
-so what a pipeline shows is what it runs.
+Every part of a pipeline is built once as a frozen value -- stage
+matrices of tuple rows, a read-only mapping of pool tuples, tuple tapes,
+no attribute that can be rebound -- so what a pipeline shows is what it
+runs.
 The generated code writes additions, subtractions, negations and
 multiplications with Python's operators (``x + y``, ``x - y``, ``-x``,
 ``x * y``) and each halving as ``x * half``, ``half`` being the one
@@ -253,7 +254,8 @@ def decompose_terms(terms, family: str, index: dict):
 
 @dataclass(frozen=True)
 class CoreBlock:
-    """One b-dependent diagonal block of the core stage."""
+    """One b-dependent diagonal block of the core stage, as
+    :func:`parse_blocks` reads it and ``derive`` builds it."""
 
     name: str
     size: int
@@ -614,6 +616,7 @@ def load_source(source: str, name: str) -> tuple:
     return filename, namespace
 
 
+@dataclass(frozen=True, init=False, eq=False, repr=False, slots=True)
 class CompiledProgram:
     """A recorded product as two generated straight-line functions.
 
@@ -625,8 +628,9 @@ class CompiledProgram:
     holds the values of ``b`` alone, and ``entries`` the positions of those
     that apply uses, in order of first use.  ``apply_tape`` holds the
     inputs ``a``, one input ``e<k>`` per entry, then the other steps; its
-    outputs are the positions ``outputs``.  All four are tuples, built
-    once, so they stay the record of the code that runs.
+    outputs are the positions ``outputs``.  A frozen value: all four are
+    tuples, built once, and no attribute can be rebound, so they stay the
+    record of the code that runs.
 
     ``bind(half, b)`` returns the entries, as a tuple, for right-hand
     coefficients ``b``; ``apply(a, e)`` returns the sixteen output
@@ -647,8 +651,16 @@ class CompiledProgram:
     ``2**halvings`` times its value.
     """
 
-    __slots__ = ("bind", "apply", "source", "filename", "bind_tape", "entries", "apply_tape", "outputs",
-                 "halvings", "lifts")
+    bind_tape: tuple
+    entries: tuple
+    apply_tape: tuple
+    outputs: tuple
+    halvings: int
+    lifts: tuple
+    source: str
+    filename: str
+    bind: types.FunctionType
+    apply: types.FunctionType
 
     def __init__(self, tape: list, results: list, name: str):
         folded, signed = fold_signs(tape)
@@ -684,21 +696,23 @@ class CompiledProgram:
             raise ValueError("apply tape has an output that is not bilinear in a and b")
         bind = [i for i, (deg_a, _, _) in enumerate(kind) if not deg_a]
         position = {x: k for k, x in enumerate(bind)}
-        self.bind_tape, self.entries = tuple(_renumbered(folded, bind, position)), tuple(position[x] for x in used)
+        bind_tape, entries = tuple(_renumbered(folded, bind, position)), tuple(position[x] for x in used)
         a_inputs = [i for i, (op, _) in enumerate(folded) if op == "a"]
         steps = [i for i, (deg_a, _, _) in enumerate(kind) if deg_a and folded[i][0] in RING_OPS]
         position = {x: k for k, x in enumerate(a_inputs + list(used) + steps)}
         apply_tape = (_renumbered(folded, a_inputs, position) + [("e", (k,)) for k in range(len(used))]
                       + _renumbered(folded, steps, position))
-        self.outputs = tuple(settle_signs(apply_tape, [(sign, position[x]) for sign, x in results]))
-        self.apply_tape = tuple(apply_tape)
+        outputs = tuple(settle_signs(apply_tape, [(sign, position[x]) for sign, x in results]))
         depths = [kind[x][2] for x in used]
-        self.halvings = max(depths, default=0)
-        self.lifts = tuple((k, self.halvings - d) for k, d in enumerate(depths) if d < self.halvings)
-        self.source = (_function_source("bind(half, b)", self.bind_tape, self.entries, "()") + "\n\n"
-                       + _function_source("apply(a, e)", self.apply_tape, self.outputs, "[]"))
-        self.filename, namespace = load_source(self.source, name)
-        self.bind, self.apply = namespace["bind"], namespace["apply"]
+        halvings = max(depths, default=0)
+        source = (_function_source("bind(half, b)", bind_tape, entries, "()") + "\n\n"
+                  + _function_source("apply(a, e)", apply_tape, outputs, "[]"))
+        filename, namespace = load_source(source, name)
+        for key, value in dict(
+                bind_tape=bind_tape, entries=entries, apply_tape=tuple(apply_tape), outputs=outputs,
+                halvings=halvings, lifts=tuple((k, halvings - d) for k, d in enumerate(depths) if d < halvings),
+                source=source, filename=filename, bind=namespace["bind"], apply=namespace["apply"]).items():
+            object.__setattr__(self, key, value)
 
 
 def fold_signs(tape: list) -> tuple:

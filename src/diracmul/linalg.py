@@ -10,36 +10,29 @@ what makes operation counting faithful.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import reduce
 
+
+@dataclass(frozen=True, slots=True)
 class Mat:
     """Row-major rows x cols grid; entries belong to whatever ring the
     caller is working over (plain ints for structural matrices).
 
-    ``entries`` is a tuple of row tuples, copied from the rows given, so a
-    matrix is a value: no holder of it can change it in place.  Every
-    builder here makes its rows first and constructs the matrix once."""
+    A frozen value: ``entries`` is a tuple of row tuples, copied from the
+    rows given, and no attribute can be rebound, so no holder of a matrix
+    can change it.  Every builder here makes its rows first and constructs
+    the matrix once."""
 
-    __slots__ = ("rows", "cols", "entries")
+    rows: int
+    cols: int
+    entries: tuple
 
-    def __init__(self, rows: int, cols: int, entries):
-        entries = tuple(map(tuple, entries))
-        if len(entries) != rows or any(len(r) != cols for r in entries):
-            raise ValueError(f"shape mismatch: want {rows}x{cols}")
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Mat):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __repr__(self) -> str:
-        return f"Mat({self.rows}x{self.cols})"
+    def __post_init__(self):
+        entries = tuple(map(tuple, self.entries))
+        if len(entries) != self.rows or any(len(r) != self.cols for r in entries):
+            raise ValueError(f"shape mismatch: want {self.rows}x{self.cols}")
+        object.__setattr__(self, "entries", entries)
 
     def block(self, r0: int, c0: int, rows: int, cols: int) -> "Mat":
         return Mat(rows, cols, [row[c0 : c0 + cols] for row in self.entries[r0 : r0 + rows]])
@@ -133,22 +126,28 @@ def structural_apply(ring, m: Mat, vec):
     return out
 
 
+@dataclass(frozen=True, slots=True)
 class SignedPermutation:
-    """output[i] = signs[i] * input[src[i]]; zero-based internally."""
+    """output[i] = signs[i] * input[src[i]]; zero-based internally.  A
+    frozen value of two tuples; ``signs`` defaults to all +1."""
 
-    __slots__ = ("size", "src", "signs")
+    src: tuple
+    signs: tuple | None = None
 
-    def __init__(self, src, signs=None):
-        src = list(src)
+    def __post_init__(self):
+        src = tuple(self.src)
         n = len(src)
         if sorted(src) != list(range(n)):
             raise ValueError("src is not a permutation of 0..n-1")
-        signs = [1] * n if signs is None else list(signs)
+        signs = (1,) * n if self.signs is None else tuple(self.signs)
         if len(signs) != n or any(s not in (-1, 1) for s in signs):
             raise ValueError("signs must be +-1, one per coordinate")
-        self.size = n
-        self.src = src
-        self.signs = signs
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "signs", signs)
+
+    @property
+    def size(self) -> int:
+        return len(self.src)
 
     @classmethod
     def identity(cls, n: int) -> "SignedPermutation":
@@ -164,25 +163,12 @@ class SignedPermutation:
         return cls(src, signs)
 
     def inverse(self) -> "SignedPermutation":
-        src = [0] * self.size
-        signs = [1] * self.size
-        for i in range(self.size):
-            src[self.src[i]] = i
-            signs[self.src[i]] = self.signs[i]
-        return SignedPermutation(src, signs)
+        src = [self.src.index(j) for j in range(self.size)]
+        return SignedPermutation(src, [self.signs[i] for i in src])
 
     def concat(self, other: "SignedPermutation") -> "SignedPermutation":
         """Direct sum: this permutation on the first block, other on the rest."""
-        src = self.src + [s + self.size for s in other.src]
-        return SignedPermutation(src, self.signs + other.signs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SignedPermutation):
-            return NotImplemented
-        return self.src == other.src and self.signs == other.signs
-
-    def __repr__(self) -> str:
-        return f"SignedPermutation(src={self.src}, signs={self.signs})"
+        return SignedPermutation(self.src + tuple(s + self.size for s in other.src), self.signs + other.signs)
 
 
 def signed_perm_matrix(p: SignedPermutation) -> Mat:
@@ -192,10 +178,7 @@ def signed_perm_matrix(p: SignedPermutation) -> Mat:
 
 
 def perm_concat(perms) -> SignedPermutation:
-    acc = None
-    for p in perms:
-        acc = p if acc is None else acc.concat(p)
-    return acc
+    return reduce(SignedPermutation.concat, perms)
 
 
 def _check_blocks(a: Mat, b: Mat) -> int:

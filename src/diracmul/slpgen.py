@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .algebra import DIM, DiracNumber, MultTable, mul_schoolbook
@@ -35,20 +36,28 @@ class SLPError(ValueError):
     """Malformed straight-line program."""
 
 
+@dataclass(frozen=True)
 class SLProgram:
     """Branch-free single-assignment program computing a 16-wide product.
 
     ``instrs`` is its tape: the inputs ``a<k>``, then ``b<k>``, then the
     steps, among them ``c<j>``, the constant ``consts[j]`` as ``(num,
     exp)``.  ``outputs`` holds the positions of the sixteen output
-    coordinates.
+    coordinates.  A frozen value of tuples: ``compiled`` is generated from
+    them once.
     """
 
-    def __init__(self, instrs, outputs, consts=()):
-        self.instrs = tuple(instrs)  # fixed: compiled is generated from them once
-        self.outputs = tuple(outputs)
-        self.consts = tuple(consts)
-        self.a_arity, self.b_arity = (sum(op == name for op, _ in self.instrs) for name in "ab")
+    instrs: tuple
+    outputs: tuple
+    consts: tuple = ()
+    a_arity: int = field(init=False, repr=False, compare=False)
+    b_arity: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for key in ("instrs", "outputs", "consts"):
+            object.__setattr__(self, key, tuple(getattr(self, key)))
+        object.__setattr__(self, "a_arity", sum(op == "a" for op, _ in self.instrs))
+        object.__setattr__(self, "b_arity", sum(op == "b" for op, _ in self.instrs))
 
     def histogram(self) -> dict:
         """Tape entries per text opcode, each ``halve`` one ``shift``."""

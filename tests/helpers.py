@@ -17,7 +17,7 @@ def compose(p: SignedPermutation, q: SignedPermutation) -> SignedPermutation:
 
 
 def is_identity(p: SignedPermutation) -> bool:
-    return p.src == list(range(p.size)) and all(s == 1 for s in p.signs)
+    return p.src == tuple(range(p.size)) and all(s == 1 for s in p.signs)
 
 
 def transpose(m: Mat) -> Mat:

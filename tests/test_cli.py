@@ -287,18 +287,23 @@ class TestOracle:
 
 class TestCount:
     def test_reports_measured_counts(self, capsys):
+        # the whole report: a count changes only with an edit here
         code, out, _ = run(capsys, "count")
         assert code == 0
-        assert "schoolbook: mul=256 add=240" in out
-        assert "fast (level 3): mul=88 add=196" in out
-        assert "precompute: mul=0 add=50" in out
-        assert "apply: mul=88 add=146" in out
-        assert "core stage: mul=88 add=108" in out
-        assert "structural stages: add=88" in out
-        assert "savings vs schoolbook: 168 multiplications" in out
-        assert "40 multiplications" in out
-        assert "total ops fast=284, schoolbook=496, ratio=0.57" in out
-        assert "measured mul=88 add=196 (108 core + 88 structural), within budget" in out
+        assert out == (
+            "schoolbook: mul=256 add=240\n"
+            "fast (level 1): mul=112 add=192 neg=8 shift=16\n"
+            "fast (level 2): mul=92 add=202 neg=8 shift=24\n"
+            "fast (level 3): mul=88 add=196 neg=8 shift=32\n"
+            "precompute: mul=0 add=50 neg=0 shift=32\n"
+            "apply: mul=88 add=146 neg=8 shift=0\n"
+            "core stage: mul=88 add=108\n"
+            "structural stages: add=88\n"
+            "savings vs schoolbook: 168 multiplications\n"
+            "savings vs the earlier published scheme (128 multiplications): 40 multiplications\n"
+            "total ops fast=284, schoolbook=496, ratio=0.57\n"
+            "nominal budget mul=88 add=256: measured mul=88 add=196 (108 core + 88 structural), within budget\n"
+        )
 
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, "count")

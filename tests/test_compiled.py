@@ -37,7 +37,7 @@ from diracmul.fastmult import (
     precompute,
     verify_pipeline,
 )
-from diracmul.linalg import Mat
+from diracmul.linalg import Mat, SignedPermutation
 from diracmul.slpgen import emit_text, flatten, interpret, schoolbook_program
 from helpers import flipped_table, linear_form_matrix, linear_form_mismatches, replace_stage
 
@@ -738,7 +738,25 @@ def test_an_assembled_pipeline_cannot_be_changed_in_place():
         table.entries[1] = table.entries[0]
     with pytest.raises(TypeError):
         table.gathers[1] = table.gathers[0]
+    # nor can an attribute be rebound
+    mat = pipe.stages[0].mat
+    with pytest.raises(AttributeError):
+        mat.entries = tuple(reversed(mat.entries))
+    with pytest.raises(AttributeError):
+        prog.outputs = prog.outputs[::-1]
+    with pytest.raises(AttributeError):
+        prog.apply_tape = prog.apply_tape[:-1]
+    with pytest.raises(AttributeError):
+        table.entries = table.entries[::-1]
+    program = flatten(pipe)
+    with pytest.raises(AttributeError):
+        program.instrs = program.instrs[:-1]
+    for value in (mat, SignedPermutation.identity(4), table, prog, program):
+        for name in (f.name for f in dataclasses.fields(value)):
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
     assert assemble_pipeline(3) is pipe and emit_text(flatten(assemble_pipeline(3))) == text
+    assert verify_pipeline(pipe).ok and build_table_from_generators() == table
 
 
 # ---------------------------------------------------------------------------

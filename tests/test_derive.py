@@ -1,10 +1,12 @@
 import ast
+import os
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diracmul.algebra import default_asset_dir
 from diracmul.derive import (
     BRANCH_A,
     BRANCH_C,
@@ -39,7 +41,7 @@ from diracmul.linalg import Mat, SignedPermutation, int_mat_mul, mat_neg, signed
 def grid(block):
     n = block.size
     return [
-        [form_to_signed_terms(block.cells[i * n + j]) for j in range(n)]
+        [block.formulas[i * n + j] for j in range(n)]
         for i in range(n)
     ]
 
@@ -100,7 +102,7 @@ class TestDerivedBlocks:
 
     def test_levels_share_the_quad_blocks(self, derivation):
         for i in range(4):
-            assert derivation.blocks_level1[i].cells == derivation.blocks_level3[i].cells
+            assert derivation.blocks_level1[i] == derivation.blocks_level3[i]
 
     def test_expected_cells_are_well_formed(self):
         for row in EXPECTED_Q0 + EXPECTED_T0 + EXPECTED_T2:
@@ -278,6 +280,15 @@ def test_the_blocks_round_trip(asset_dir, derivation, level):
     text = _blocks_text(getattr(derivation, f"blocks_level{level}"), comment)
     blocks = reread(asset_dir, f"blocks_level{level}.txt", text, parse_blocks, index_pools(POOLS))
     assert _blocks_text(blocks, comment) == text
+
+
+@pytest.mark.parametrize("level", (1, 2, 3))
+def test_derived_and_shipped_core_blocks_are_equal_values(derivation, level):
+    # one block type: the blocks derive builds are the values the pipeline loads
+    shipped = default_asset_dir()
+    index = index_pools(read_stage(os.path.join(shipped, "pool_pairs.txt"), parse_pools))
+    loaded = read_stage(os.path.join(shipped, f"blocks_level{level}.txt"), parse_blocks, index)
+    assert loaded == getattr(derivation, f"blocks_level{level}")
 
 
 @pytest.mark.parametrize("level", (1, 2, 3))

@@ -185,6 +185,20 @@ class TestLinearForm:
             assert evaluate(f.halve(), vals) == DYADIC.halve(evaluate(f, vals))
             assert evaluate(-f, vals) == DYADIC.neg(evaluate(f, vals))
 
+    def test_repr_writes_the_constant_and_each_coefficient(self):
+        zero = DyadicRational(0)
+        coeffs = [DyadicRational(3, 1), DyadicRational(6, 1), DyadicRational(-1, 2), DyadicRational(-1)]
+        assert repr(LinearForm(coeffs + [zero] * 13)) == "3/2^1+3*b0-1/2^2*b1-b2"
+        assert repr(LinearForm([zero, zero, DyadicRational(5, 3)] + [zero] * 14)) == "5/2^3*b1"
+        assert repr(LinearForm.constant(DyadicRational(-5))) == "-5"
+        assert repr(FORMS.zero()) == "0"
+
+    def test_hash_agrees_with_equality(self):
+        # the same coefficients, raw exponents apart: equal forms, one hash
+        f = LinearForm([DyadicRational(k) for k in range(17)])
+        g = LinearForm([DyadicRational(k << 3, 3) for k in range(17)])
+        assert f == g and hash(f) == hash(g) and len({f, g}) == 1
+
     def test_nonconstant_product_rejected(self):
         with pytest.raises(LinearFormError):
             lf_from_b(1) * lf_from_b(2)

@@ -190,6 +190,18 @@ class TestInterpret:
         with pytest.raises(SLPError, match="cannot bake"):
             flatten(verified_pipelines[3], include_precompute=False, operator=op)
 
+    def test_an_operator_over_another_ring_of_ints_bakes_its_ints(self, verified_pipelines, table):
+        # a ring of Python ints that is not INTS: its operator keeps bind's ints as they are
+        rng = random.Random(19)
+        b = [2 * rng.randint(-50, 50) for _ in range(DIM)]  # even, so bind's halvings stay integers
+        op = precompute(DiracNumber(b, exactnum.IntRing()), 3)
+        assert all(type(v) is int for v in op.entries)
+        program = flatten(verified_pipelines[3], include_precompute=False, operator=op)
+        assert program.consts == tuple((v, 0) for v in op.entries)
+        a = [rng.randint(-50, 50) for _ in range(DIM)]
+        want = mul_schoolbook(DiracNumber(a, INTS), DiracNumber(b, INTS), table).coeffs
+        assert interpret(program, a, [], INTS) == want
+
 
 class TestExecutor:
     """``interpret`` runs the code each program generates once, from its
