@@ -33,18 +33,7 @@ from dataclasses import dataclass
 from .algebra import DIM, _parse_term, default_asset_dir, format_term, read_asset_lines, symbolic_b_matrix
 from .exactnum import FORMS, LinearForm, lf_from_b, parse_int
 from .fastmult import CoreBlock, decompose_terms, index_pools, parse_expr
-from .linalg import (
-    Mat,
-    SignedPermutation,
-    int_mat_mul,
-    mat_add,
-    mat_halve,
-    mat_neg,
-    mat_sub,
-    perm_concat,
-    signed_perm_matrix,
-    template_EF,
-)
+from .linalg import Mat, SignedPermutation, int_mat_mul, perm_concat, signed_perm_matrix, template_EF
 
 
 # Row/column shuffles of the recursion branches, exactly as stated for the
@@ -206,7 +195,7 @@ def split_ef(m: Mat):
     n = m.rows // 2
     e = m.block(0, 0, n, n)
     f = m.block(0, n, n, n)
-    if m.block(n, 0, n, n) != f or m.block(n, n, n, n) != mat_neg(FORMS, e):
+    if m.block(n, 0, n, n) != f or m.block(n, n, n, n) != -e:
         raise ReconstructionError("matrix does not have the [[E,F],[F,-E]] structure")
     return e, f
 
@@ -214,13 +203,13 @@ def split_ef(m: Mat):
 def _ab(m: Mat, branch=None):
     """Shuffle by ``branch``, split [[A,B],[B,A]] and return (A+B, A-B)."""
     a, b = split_ab(m if branch is None else apply_reorder(m, branch))
-    return mat_add(FORMS, a, b), mat_sub(FORMS, a, b)
+    return a + b, a - b
 
 
 def _ef(m: Mat, branch):
     """Shuffle by ``branch``, split [[E,F],[F,-E]] and return (E-F, -(E+F), F)."""
     e, f = split_ef(apply_reorder(m, branch))
-    return mat_sub(FORMS, e, f), mat_neg(FORMS, mat_add(FORMS, e, f)), f
+    return e - f, -(e + f), f
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +290,9 @@ class Derivation:
 def derive_all() -> Derivation:
     diff, negsum = load_seed_matrices()
     # seed blocks:  diff = A8 - B8,  negsum = -(A8 + B8)
-    a8 = mat_halve(FORMS, mat_sub(FORMS, diff, negsum))
-    b8 = mat_neg(FORMS, mat_halve(FORMS, mat_add(FORMS, diff, negsum)))
-    m16 = template_EF(a8, b8, ring=FORMS)
+    a8 = (diff - negsum).map(FORMS.halve)
+    b8 = -(diff + negsum).map(FORMS.halve)
+    m16 = template_EF(a8, b8)
     outer_rows, outer_cols = solve_outer_permutations(m16, symbolic_b_matrix())
 
     # the recursion; every shuffled matrix must expose its block template

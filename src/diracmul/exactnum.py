@@ -191,9 +191,9 @@ def parse_dyadic(token: str) -> DyadicRational:
 class LinearForm:
     """c0 + sum(c[m] * b_m) with dyadic coefficients, m = 0..15.
 
-    Closed under addition, negation and halving.  Multiplication is only
-    defined when at least one factor is a pure constant, which keeps the
-    degree at most one.
+    Closed under addition, negation and halving, which is ``x * FORMS.half``
+    (the constant form 1/2).  Multiplication is only defined when at least
+    one factor is a pure constant, which keeps the degree at most one.
     """
 
     __slots__ = ("coeffs",)
@@ -239,9 +239,6 @@ class LinearForm:
             k = self.coeffs[0]
             return LinearForm(tuple(dyadic_mul(k, c) for c in other.coeffs))
         raise LinearFormError("product of two non-constant forms leaves degree <= 1")
-
-    def halve(self) -> "LinearForm":
-        return LinearForm(tuple(DyadicRational(c.num, c.exp + 1) for c in self.coeffs))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearForm):

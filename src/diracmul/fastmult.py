@@ -616,7 +616,7 @@ def load_source(source: str, name: str) -> tuple:
     return filename, namespace
 
 
-@dataclass(frozen=True, init=False, eq=False, repr=False, slots=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class CompiledProgram:
     """A recorded product as two generated straight-line functions.
 

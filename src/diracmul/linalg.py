@@ -1,4 +1,5 @@
-"""Small dense matrix toolkit over any scalar ring.
+"""Small dense matrix toolkit over any entries with ``+``, ``-`` and unary
+``-``: a matrix's own ``+``, ``-`` and unary ``-`` apply them elementwise.
 
 Covers exactly what the factorized pipeline needs: Kronecker products,
 direct sums, signed permutations, the 2x2 Hadamard matrix, the 2x3/3x2
@@ -10,17 +11,18 @@ what makes operation counting faithful.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import reduce
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Mat:
     """Row-major rows x cols grid; entries belong to whatever ring the
     caller is working over (plain ints for structural matrices).
 
     A frozen value: ``entries`` is a tuple of row tuples, copied from the
-    rows given, and no attribute can be rebound, so no holder of a matrix
+    rows given, and no attribute can be assigned, so no holder of a matrix
     can change it.  Every builder here makes its rows first and constructs
     the matrix once."""
 
@@ -39,6 +41,20 @@ class Mat:
 
     def map(self, fn) -> "Mat":
         return Mat(self.rows, self.cols, [[fn(e) for e in row] for row in self.entries])
+
+    def _zip(self, other: "Mat", fn) -> "Mat":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("size mismatch")
+        return Mat(self.rows, self.cols, [list(map(fn, ra, rb)) for ra, rb in zip(self.entries, other.entries)])
+
+    def __add__(self, other: "Mat") -> "Mat":
+        return self._zip(other, operator.add)
+
+    def __sub__(self, other: "Mat") -> "Mat":
+        return self._zip(other, operator.sub)
+
+    def __neg__(self) -> "Mat":
+        return self.map(operator.neg)
 
     def serialize(self) -> str:
         """Plain text grid: header 'rows cols', then row-major entries."""
@@ -74,26 +90,6 @@ def dirsum(blocks) -> Mat:
     return Mat(len(rows), cols, rows)
 
 
-def mat_add(ring, a: Mat, b: Mat) -> Mat:
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise ValueError("size mismatch")
-    return Mat(a.rows, a.cols, [[ring.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a.entries, b.entries)])
-
-
-def mat_sub(ring, a: Mat, b: Mat) -> Mat:
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise ValueError("size mismatch")
-    return Mat(a.rows, a.cols, [[ring.sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a.entries, b.entries)])
-
-
-def mat_neg(ring, a: Mat) -> Mat:
-    return a.map(ring.neg)
-
-
-def mat_halve(ring, a: Mat) -> Mat:
-    return a.map(ring.halve)
-
-
 def int_mat_mul(a: Mat, b: Mat) -> Mat:
     if a.cols != b.rows:
         raise ValueError("size mismatch")
@@ -126,7 +122,7 @@ def structural_apply(ring, m: Mat, vec):
     return out
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class SignedPermutation:
     """output[i] = signs[i] * input[src[i]]; zero-based internally.  A
     frozen value of two tuples; ``signs`` defaults to all +1."""
@@ -194,12 +190,8 @@ def template_AB(a: Mat, b: Mat) -> Mat:
                + [y + x for x, y in zip(a.entries, b.entries)])
 
 
-def template_EF(e: Mat, f: Mat, ring=None) -> Mat:
-    """[[E, F], [F, -E]]: one 2x3/3x2 combiner sandwich multiplies it.
-
-    Pass a ring for non-integer entries (negation comes from it).
-    """
+def template_EF(e: Mat, f: Mat) -> Mat:
+    """[[E, F], [F, -E]]: one 2x3/3x2 combiner sandwich multiplies it."""
     n = _check_blocks(e, f)
-    neg = (lambda x: -x) if ring is None else ring.neg
     return Mat(2 * n, 2 * n, [x + y for x, y in zip(e.entries, f.entries)]
-               + [y + tuple(map(neg, x)) for x, y in zip(e.entries, f.entries)])
+               + [y + x for x, y in zip((-e).entries, f.entries)])

@@ -1,6 +1,6 @@
 """Ring-valued matrix arithmetic the tests check the factorizations with."""
 
-from diracmul.linalg import H2, T2X3, T3X2, Mat, eye, kron, mat_add, mat_halve, mat_neg, mat_sub
+from diracmul.linalg import H2, T2X3, T3X2, Mat, eye, kron
 
 
 def mat_mul(ring, a: Mat, b: Mat) -> Mat:
@@ -37,7 +37,7 @@ def template_AB_factored(ring, a: Mat, b: Mat) -> Mat:
     """(H2 (x) I_n) . 1/2 (A+B (+) A-B) . (H2 (x) I_n), evaluated entrywise."""
     n = a.rows
     h = lift(ring, kron(H2, eye(n)))
-    mid = dirsum_ring([mat_halve(ring, mat_add(ring, a, b)), mat_halve(ring, mat_sub(ring, a, b))], ring)
+    mid = dirsum_ring([(a + b).map(ring.halve), (a - b).map(ring.halve)], ring)
     return mat_mul(ring, mat_mul(ring, h, mid), h)
 
 
@@ -46,7 +46,5 @@ def template_EF_factored(ring, e: Mat, f: Mat) -> Mat:
     n = e.rows
     left = lift(ring, kron(T2X3, eye(n)))
     right = lift(ring, kron(T3X2, eye(n)))
-    mid = dirsum_ring(
-        [mat_sub(ring, e, f), mat_neg(ring, mat_add(ring, e, f)), f], ring
-    )
+    mid = dirsum_ring([e - f, -(e + f), f], ring)
     return mat_mul(ring, mat_mul(ring, left, mid), right)

@@ -230,7 +230,7 @@ def test_criterion_6_template_identities():
             b = Mat(n, n, [[DyadicRational(rng.randint(-20, 20), rng.randint(0, 2))
                             for _ in range(n)] for _ in range(n)])
             assert template_AB_factored(DYADIC, a, b) == template_AB(a, b)
-            assert template_EF_factored(DYADIC, a, b) == template_EF(a, b, ring=DYADIC)
+            assert template_EF_factored(DYADIC, a, b) == template_EF(a, b)
             checked += 1
     report("6 (template identities)", True,
            f"{checked} random dyadic block pairs at sizes 1, 2, 4")

@@ -5,6 +5,7 @@ import random
 import re
 import shutil
 from fractions import Fraction
+from unittest.mock import ANY
 
 import pytest
 
@@ -102,6 +103,16 @@ class TestTable:
         entries = [list(row) for row in table.entries]
         entries[4][7] = SignedBasis(*cell) if kind is SignedBasis else cell
         with pytest.raises(ValueError, match=re.escape(f"bad table entry {SignedBasis(*cell)}")):
+            MultTable(entries)
+
+    @pytest.mark.parametrize("shape", ("a-row-short", "a-row-long", "15-rows"))
+    def test_a_table_not_16x16_is_rejected(self, table, shape):
+        entries = [list(row) for row in table.entries]
+        if shape == "15-rows":
+            del entries[-1]
+        else:
+            entries[3] = entries[3][:-1] if shape == "a-row-short" else entries[3] + [entries[3][0]]
+        with pytest.raises(ValueError, match="table must be 16x16"):
             MultTable(entries)
 
 
@@ -348,6 +359,15 @@ class TestDiracNumber:
             DiracNumber([0] * 15, INTS)
         with pytest.raises(ValueError):
             DiracNumber([0] * 17, INTS)
+
+    def test_repr_shows_the_coefficients(self):
+        assert repr(DiracNumber.basis(2, INTS)) == f"DiracNumber({[0, 0, 1] + [0] * 13!r})"
+
+    def test_equality_with_another_type_defers_to_it(self):
+        # NotImplemented lets the right operand's reflected __eq__ answer
+        x = DiracNumber.basis(2, INTS)
+        assert x == ANY and not x != ANY
+        assert x != x.coeffs
 
     def test_basis_and_zero_constructors(self):
         e3 = DiracNumber.basis(3, INTS)

@@ -440,7 +440,13 @@ class TestErrata:
         (lambda path: path.write_text(path.read_text(encoding="ascii").replace("\n0 1 2 3 ", "\n-+5 1 2 3 ", 1),
                                       encoding="ascii"),
          "table_printed.txt: bad term '-+5'\n"),
-    ], ids=("missing", "malformed"))
+        (lambda path: path.write_text(path.read_text(encoding="ascii").rsplit("\n15 ", 1)[0] + "\n",
+                                      encoding="ascii"),
+         "table_printed.txt: expected 16 rows, got 15\n"),
+        (lambda path: path.write_text(path.read_text(encoding="ascii").replace(" 13 14 15\n", " 13 14\n", 1),
+                                      encoding="ascii"),
+         "table_printed.txt: expected 16 tokens per row: '0 1 2 3 4 5 6 7 8 9 10 11 12 13 14'\n"),
+    ], ids=("missing", "malformed", "a-row-short", "a-token-short"))
     def test_a_bad_transcription_fails_naming_it(self, capsys, tmp_path, monkeypatch, edit, message):
         dst = tmp_path / "assets"
         shutil.copytree(fastmult.default_asset_dir(), dst)
@@ -448,7 +454,7 @@ class TestErrata:
         monkeypatch.setenv("DIRAC_ASSET_DIR", str(dst))
         code, out, err = run(capsys, "errata")
         assert (code, out) == (1, "")
-        assert err.startswith(f"FAIL: {message}")
+        assert err.startswith(f"FAIL: {message}") and err.count("\n") == 1
 
     def test_a_flipped_transcription_cell_is_reported_as_signed_bases(self, capsys, tmp_path, monkeypatch):
         dst = tmp_path / "assets"

@@ -759,6 +759,22 @@ def test_an_assembled_pipeline_cannot_be_changed_in_place():
     assert verify_pipeline(pipe).ok and build_table_from_generators() == table
 
 
+def test_assigning_a_name_that_is_not_a_field_raises_attribute_error():
+    # a new name is refused as a rebound field is, so a caller catching AttributeError sees either
+    pipe = assemble_pipeline(3)
+    core = next(stage for stage in pipe.stages if stage.blocks is not None)
+    values = (pipe.stages[0].mat, SignedPermutation.identity(4), build_table_from_generators(), core.blocks[0],
+              core, pipe, pipe.program, flatten(pipe))
+    assert [type(v).__name__ for v in values] == ["Mat", "SignedPermutation", "MultTable", "CoreBlock", "Stage",
+                                                  "Pipeline", "CompiledProgram", "SLProgram"]
+    for value in values:
+        with pytest.raises(AttributeError):
+            value.foo = 1
+        with pytest.raises(AttributeError):
+            value.size = 4
+        assert not hasattr(value, "foo")
+
+
 # ---------------------------------------------------------------------------
 # the rings the generated code runs over
 

@@ -28,6 +28,7 @@ from diracmul.derive import (
     generated_asset_texts,
     load_cell_grid,
     load_seed_matrices,
+    main,
     solve_outer_permutations,
     split_ab,
     split_ef,
@@ -35,7 +36,7 @@ from diracmul.derive import (
 )
 from diracmul.exactnum import FORMS
 from diracmul.fastmult import index_pools, parse_blocks, parse_expr, parse_pools, parse_stage, read_stage
-from diracmul.linalg import Mat, SignedPermutation, int_mat_mul, mat_neg, signed_perm_matrix
+from diracmul.linalg import Mat, SignedPermutation, int_mat_mul, signed_perm_matrix
 
 
 def grid(block):
@@ -120,9 +121,7 @@ class TestReorders:
 
     def test_branch_c_produces_ef_structure(self):
         diff, negsum = load_seed_matrices()
-        from diracmul.linalg import mat_add, mat_halve
-
-        b8 = mat_neg(FORMS, mat_halve(FORMS, mat_add(FORMS, diff, negsum)))
+        b8 = -(diff + negsum).map(FORMS.halve)
         shuffled = apply_reorder(b8, BRANCH_C)
         e4, f4 = split_ef(shuffled)
         assert grid_of(f4) == EXPECTED_T2
@@ -207,12 +206,20 @@ def test_seed_file_without_cells_names_the_file(tmp_path, text):
     ("1 2\n+0 +3\n+x\n", "row 0 column 1 line '+x': bad term '+x'"),
     ("-1 -1\n+0\n", "rows and cols must be at least 1, got '-1 -1'"),
     ("0 5\n", "rows and cols must be at least 1, got '0 5'"),
-), ids=("three-numbers", "not-numbers", "plus-sign", "bad-cell", "negative-sizes", "no-rows"))
+    ("2 2\n+0\n+1\n-2\n", "expected 4 cells, got 3"),
+), ids=("three-numbers", "not-numbers", "plus-sign", "bad-cell", "negative-sizes", "no-rows", "too-few-cells"))
 def test_malformed_seed_file_names_the_file(tmp_path, text, message):
     path = tmp_path / "seed.txt"
     path.write_text(text, encoding="ascii")
     with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
         load_cell_grid(str(path))
+
+
+def test_main_without_a_destination_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    assert exc.value.code == 2
+    assert "error: pass --write or --out DIR" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from unittest.mock import ANY
 
 import pytest
 from hypothesis import given, settings
@@ -182,7 +183,7 @@ class TestLinearForm:
             assert evaluate(f + g, vals) == dyadic_add(evaluate(f, vals), evaluate(g, vals))
             c = LinearForm.constant(DyadicRational(rng.randint(-9, 9)))
             assert evaluate(f * c, vals) == dyadic_mul(evaluate(f, vals), c.coeffs[0])
-            assert evaluate(f.halve(), vals) == DYADIC.halve(evaluate(f, vals))
+            assert evaluate(FORMS.halve(f), vals) == DYADIC.halve(evaluate(f, vals))
             assert evaluate(-f, vals) == DYADIC.neg(evaluate(f, vals))
 
     def test_repr_writes_the_constant_and_each_coefficient(self):
@@ -198,6 +199,16 @@ class TestLinearForm:
         f = LinearForm([DyadicRational(k) for k in range(17)])
         g = LinearForm([DyadicRational(k << 3, 3) for k in range(17)])
         assert f == g and hash(f) == hash(g) and len({f, g}) == 1
+
+    @pytest.mark.parametrize("n", (16, 18))
+    def test_seventeen_coefficients_or_an_error(self, n):
+        with pytest.raises(LinearFormError, match="a linear form has 17 coefficients"):
+            LinearForm([DyadicRational(0)] * n)
+
+    def test_equality_with_another_type_defers_to_it(self):
+        # NotImplemented lets the right operand's reflected __eq__ answer
+        assert lf_from_b(0) == ANY and not lf_from_b(0) != ANY
+        assert lf_from_b(0) != 0
 
     def test_nonconstant_product_rejected(self):
         with pytest.raises(LinearFormError):
@@ -379,7 +390,8 @@ class TestHalf:
     def test_linear_forms_by_their_coefficients(self):
         form = lf_from_b(3) + lf_from_b(7) - lf_from_b(0) * FORMS.from_dyadic(3, 2) + FORMS.from_dyadic(-5, 1)
         for x in (form, -form, FORMS.zero(), FORMS.one(), lf_from_b(15)):
-            assert [raw(c) for c in (x * FORMS.half).coeffs] == [raw(c) for c in FORMS.halve(x).coeffs]
+            assert [raw(c) for c in FORMS.halve(x).coeffs] == [raw(c) for c in (x * FORMS.half).coeffs]
+            assert [raw(c) for c in FORMS.halve(x).coeffs] == [(c.num, c.exp + 1) for c in x.coeffs]
 
     def test_integers_shift_as_halve_does(self):
         for x in (0, -2, 6, -8, 1 << 100, -(1 << 100) - 2):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from diracmul.exactnum import INTS, CountingRing, DYADIC, DyadicRational
+from diracmul.exactnum import INTS, CountingRing, DYADIC, DyadicRational, lf_from_b
 from diracmul.linalg import (
     H2,
     Mat,
@@ -30,6 +30,27 @@ def rand_int_mat(rng, rows, cols, lo=-5, hi=5):
 
 def rand_dyadic_mat(rng, n):
     return Mat(n, n, [[DyadicRational(rng.randint(-20, 20), rng.randint(0, 2)) for _ in range(n)] for _ in range(n)])
+
+
+class TestMat:
+    def test_ragged_rows_are_rejected(self):
+        with pytest.raises(ValueError, match="shape mismatch: want 2x2"):
+            Mat(2, 2, [[1, 2], [3]])
+
+    def test_arithmetic_is_the_entries_own_elementwise(self):
+        rng = random.Random(41)
+        a, b = rand_dyadic_mat(rng, 3), rand_dyadic_mat(rng, 3)
+        for got, want in ((a + b, lambda x, y: x + y), (a - b, lambda x, y: x - y), (-a, lambda x, y: -x)):
+            assert got == Mat(3, 3, [[want(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a.entries, b.entries)])
+        forms = Mat(1, 2, [[lf_from_b(0), lf_from_b(1)]])
+        assert -(forms - forms.map(lambda f: f + f)) == forms and H2 + -H2 == Mat(2, 2, [[0, 0], [0, 0]])
+
+    def test_arithmetic_on_unequal_sizes_is_rejected(self):
+        for other in (T2X3, eye(3), Mat(2, 3, [[0] * 3] * 2)):
+            with pytest.raises(ValueError, match="size mismatch"):
+                T3X2 + other
+            with pytest.raises(ValueError, match="size mismatch"):
+                T3X2 - other
 
 
 class TestKron:
@@ -64,6 +85,10 @@ class TestDirsum:
 
     def test_block_hadamard_identity(self):
         assert dirsum([H2, H2]) == kron(eye(2), H2)
+
+    def test_no_blocks_is_an_error(self):
+        with pytest.raises(ValueError, match="direct sum of no blocks"):
+            dirsum([])
 
     def test_product_property(self):
         rng = random.Random(5)
@@ -166,7 +191,7 @@ class TestTemplates:
         for _ in range(100):
             e = rand_dyadic_mat(rng, n)
             f = rand_dyadic_mat(rng, n)
-            direct = template_EF(e, f, ring=DYADIC)
+            direct = template_EF(e, f)
             factored = template_EF_factored(DYADIC, e, f)
             assert factored == direct
 
@@ -197,6 +222,16 @@ class TestStructuralApply:
         out = structural_apply(ring, H2, vec)
         assert [as_int(v.value) for v in out] == [7, -1]
         assert ring.counter.additions == 2
+
+    def test_a_vector_of_another_length_is_rejected(self):
+        for vec in ([1], [1, 2, 3]):
+            with pytest.raises(ValueError, match="vector length mismatch"):
+                structural_apply(INTS, H2, vec)
+
+    def test_int_matmul_of_unequal_inner_sizes_is_rejected(self):
+        with pytest.raises(ValueError, match="size mismatch"):
+            int_mat_mul(T2X3, T2X3)
+        assert int_mat_mul(T2X3, T3X2) == Mat(2, 2, [[2, 1], [1, 2]])
 
     def test_serialize_grid_format(self):
         text = T2X3.serialize()

@@ -4,6 +4,7 @@ import operator
 import random
 import re
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -202,6 +203,21 @@ class TestInterpret:
         want = mul_schoolbook(DiracNumber(a, INTS), DiracNumber(b, INTS), table).coeffs
         assert interpret(program, a, [], INTS) == want
 
+    def test_an_operator_over_a_ring_of_fractions_is_not_baked(self, verified_pipelines):
+        # Fraction has Python's operators, so bind keeps its values, but a const holds dyadics only
+        class FractionRing(exactnum.OperatorRing):
+            name = "fraction"
+            half = Fraction(1, 2)
+
+            @staticmethod
+            def from_dyadic(num, exp):
+                return Fraction(num, 1 << exp)
+
+        op = precompute(DiracNumber([Fraction(k, 3) for k in range(DIM)], FractionRing()), 3)
+        assert all(type(v) is Fraction for v in op.entries)
+        with pytest.raises(SLPError, match=re.escape("cannot bake value Fraction(")):
+            flatten(verified_pipelines[3], include_precompute=False, operator=op)
+
 
 class TestExecutor:
     """``interpret`` runs the code each program generates once, from its
@@ -298,6 +314,13 @@ class TestProgramStructure:
     def _text_with(cls, line):
         """Sixteen loads, then ``line`` defining v16, then the sixteen stores."""
         return "\n".join(cls.LOADS + [line] + [f"store_y {k} v{k}" for k in range(16)]) + "\n"
+
+    @pytest.mark.parametrize("operands", ("", " 1 2"), ids=("none", "two"))
+    def test_const_takes_one_number(self, operands):
+        line = f"v16 = const{operands}"
+        message = f"cannot parse line {line!r}: const takes one number, got {len(operands.split())} operands"
+        with pytest.raises(SLPError, match=re.escape(message)):
+            parse_text(self._text_with(line))
 
     def test_out_of_range_load_rejected(self):
         assert parse_text(self._text_with("v16 = load_a 15")).a_arity == 16
