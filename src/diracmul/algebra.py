@@ -143,9 +143,9 @@ _ASSET_DIR_KEY = os.environ.encodekey(_ASSET_DIR_VARIABLE)  # as os.environ stor
 
 
 def default_asset_dir() -> str:
-    """The asset directory every reader uses, overridable from the environment
-    (read on every call, so a change takes effect at once; an empty value
-    means the shipped directory)."""
+    """The directory every asset reader uses (``mul_fast`` alone also takes
+    one as an argument): ``DIRAC_ASSET_DIR``, read on every call so that a
+    change takes effect at once, or the shipped one if it is unset or empty."""
     # Every public read of an unset variable (os.environ.get, `in`,
     # os.getenv) raises and catches a KeyError inside os.environ: about
     # 0.8 us on CPython 3.11, a tenth of a float product.  os.environ keeps
@@ -172,12 +172,11 @@ def read_asset_lines(path: str) -> list:
     return [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
 
 
-def parse_printed_table(asset_dir: str | None = None) -> MultTable:
+def parse_printed_table() -> MultTable:
     """The reference table shipped as a static asset, no corrections applied:
     16 lines of 16 tokens, each an optional sign followed by an index 0..15
     ('-5' means -i5)."""
-    path = os.path.join(asset_dir or default_asset_dir(), "table_printed.txt")
-    grid = parse_signed_index_matrix(read_asset_lines(path), DIM, DIM)
+    grid = parse_signed_index_matrix(read_asset_lines(os.path.join(default_asset_dir(), "table_printed.txt")))
     return MultTable([[SignedBasis(*cell) for cell in row] for row in grid])
 
 
@@ -308,10 +307,8 @@ def symbolic_b() -> DiracNumber:
     return DiracNumber([lf_from_b(m) for m in range(DIM)], FORMS)
 
 
-def symbolic_b_matrix(table: MultTable | None = None) -> Mat:
-    if table is None:
-        table = build_table_from_generators()
-    return derive_b_matrix(symbolic_b(), table)
+def symbolic_b_matrix() -> Mat:
+    return derive_b_matrix(symbolic_b(), build_table_from_generators())
 
 
 _SIGNS = {"+": 1, "-": -1}
@@ -334,25 +331,24 @@ def format_term(sign: int, index: int) -> str:
     return f"{'+' if sign > 0 else '-'}{index}"
 
 
-def parse_signed_index_matrix(lines: list, rows: int, cols: int):
-    """Parse a grid of signed indices ('-5' = -1 at index 5), one row per
-    line of :func:`read_asset_lines`; ``ValueError`` names a token that is
-    not a term (see :func:`_parse_term`)."""
-    if len(lines) != rows:
-        raise ValueError(f"expected {rows} rows, got {len(lines)}")
+def parse_signed_index_matrix(lines: list):
+    """Parse a 16x16 grid of signed indices ('-5' = -1 at index 5), one row
+    per line of :func:`read_asset_lines`; ``ValueError`` names a token that
+    is not a term (see :func:`_parse_term`)."""
+    if len(lines) != DIM:
+        raise ValueError(f"expected {DIM} rows, got {len(lines)}")
     out = []
     for ln in lines:
         tokens = ln.split()
-        if len(tokens) != cols:
-            raise ValueError(f"expected {cols} tokens per row: {ln!r}")
+        if len(tokens) != DIM:
+            raise ValueError(f"expected {DIM} tokens per row: {ln!r}")
         out.append([_parse_term(tok) for tok in tokens])
     return out
 
 
-def parse_printed_b_matrix(asset_dir: str | None = None) -> Mat:
+def parse_printed_b_matrix() -> Mat:
     """The reference product matrix transcription, as linear forms."""
-    path = os.path.join(asset_dir or default_asset_dir(), "b16_printed.txt")
-    grid = parse_signed_index_matrix(read_asset_lines(path), DIM, DIM)
+    grid = parse_signed_index_matrix(read_asset_lines(os.path.join(default_asset_dir(), "b16_printed.txt")))
     entries = []
     for row in grid:
         entries.append([

@@ -557,9 +557,9 @@ MANIFESTS = {
 }
 
 
-def generated_asset_texts(derivation: Derivation | None = None) -> dict:
+def generated_asset_texts() -> dict:
     """filename -> text for every derived (non-transcribed) asset."""
-    d = derivation if derivation is not None else derive_all()
+    d = derive_all()
 
     # split the outer row operation into a pure permutation followed by a
     # sign diagonal, mirroring the two named output stages

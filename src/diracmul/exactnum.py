@@ -458,8 +458,8 @@ class CountingRing(OperatorRing):
 
     name = "counting"
 
-    def __init__(self, counter: Counter | None = None):
-        self.counter = counter if counter is not None else Counter()
+    def __init__(self):
+        self.counter = Counter()
         self.half = Half(self.halve)
 
     def from_dyadic(self, num, exp):

@@ -379,16 +379,11 @@ def _assemble(level: int, asset_dir: str) -> Pipeline:
     return Pipeline(level, tuple(stages), asset_dir, pools)
 
 
-@lru_cache(maxsize=None)
-def _pipeline_for(level: int, asset_dir: str) -> Pipeline:
-    # keyed by the directory string as given, so the product path resolves
-    # each string's real path once; another spelling of one directory is
-    # resolved once more and gets the pipeline cached for its real path
-    return _assemble(level, os.path.realpath(asset_dir))
-
-
-def assemble_pipeline(level: int, asset_dir: str | None = None) -> Pipeline:
-    return _pipeline_for(level, asset_dir or default_asset_dir())
+def assemble_pipeline(level: int) -> Pipeline:
+    """The level's pipeline from :func:`default_asset_dir`, assembled once
+    per level and directory string: two spellings of one directory give
+    two equal pipelines."""
+    return _assemble(level, default_asset_dir())
 
 
 # ---------------------------------------------------------------------------
@@ -900,12 +895,13 @@ def mul_fast(a: DiracNumber, b: DiracNumber, level: int = 3, asset_dir: str | No
     bind keeps its halvings in the exponent, so the outputs are the exact
     product times ``2**(ea + eb + halvings)``; over ``INTS`` they are
     shifted back, exactly.  Any other ring goes through a
-    :class:`PrecomputedOperator`.
+    :class:`PrecomputedOperator`.  The pipeline is read from ``asset_dir``
+    if given, else from :func:`default_asset_dir`.
     """
     ring = a.ring
     if b.ring is not ring:
         raise RingMismatchError(ring, b.ring)
-    pipeline = _pipeline_for(level, asset_dir or default_asset_dir())
+    pipeline = _assemble(level, asset_dir or default_asset_dir())
     prog = pipeline.program
     if ring.add is _add and ring.sub is _sub and ring.neg is _neg and ring.mul is _mul and ring is not INTS:
         out = prog.apply(a.coeffs, prog.bind(ring.half, b.coeffs))
@@ -973,10 +969,10 @@ class PrecomputedOperator:
         return product
 
 
-def precompute(b: DiracNumber, level: int = 3, asset_dir: str | None = None) -> PrecomputedOperator:
+def precompute(b: DiracNumber, level: int = 3) -> PrecomputedOperator:
     """The operator a -> a*b: the level's pipeline bound to ``b``, on the
     path :func:`mul_fast` takes for ``b``'s ring."""
-    return PrecomputedOperator(assemble_pipeline(level, asset_dir), b)
+    return PrecomputedOperator(assemble_pipeline(level), b)
 
 
 # ---------------------------------------------------------------------------
@@ -1086,9 +1082,9 @@ def prove(program: CompiledProgram) -> list:
     return mismatches
 
 
-def verify_pipeline(pipeline: Pipeline | int, asset_dir: str | None = None) -> VerifyReport:
+def verify_pipeline(pipeline: Pipeline | int) -> VerifyReport:
     """:func:`prove` the pipeline's compiled program (a level is assembled
-    first, from ``asset_dir``), as a report for its level."""
+    first, by :func:`assemble_pipeline`), as a report for its level."""
     if isinstance(pipeline, int):
-        pipeline = assemble_pipeline(pipeline, asset_dir)
+        pipeline = assemble_pipeline(pipeline)
     return VerifyReport(pipeline.level, prove(pipeline.program))

@@ -301,15 +301,15 @@ class TestProductMatrix:
             for c in range(DIM):
                 assert mat.entries[r][c] == (1 if r == c else 0)
 
-    def test_first_row_of_symbolic_matrix(self, table):
-        mat = symbolic_b_matrix(table)
+    def test_first_row_of_symbolic_matrix(self):
+        mat = symbolic_b_matrix()
         signs = [1, 1, -1, -1, -1, 1, 1, 1, -1, -1, -1, -1, -1, -1, 1, -1]
         for n in range(DIM):
             expected = lf_from_b(n) if signs[n] > 0 else -lf_from_b(n)
             assert mat.entries[0][n] == expected
 
     def test_first_row_signs_equal_table_diagonal(self, table):
-        mat = symbolic_b_matrix(table)
+        mat = symbolic_b_matrix()
         diag = diagonal_signs(table)
         for n in range(DIM):
             assert mat.entries[0][n] == (lf_from_b(n) if diag[n] > 0 else -lf_from_b(n))
@@ -325,8 +325,8 @@ class TestProductMatrix:
             ]
             assert prod == mul_schoolbook(a, b, table).coeffs
 
-    def test_each_coefficient_once_per_row_and_column(self, table):
-        mat = symbolic_b_matrix(table)
+    def test_each_coefficient_once_per_row_and_column(self):
+        mat = symbolic_b_matrix()
 
         def index_of(form):
             terms = [(m, c) for m, c in enumerate(form.coeffs[1:]) if not c.is_zero()]
@@ -338,13 +338,13 @@ class TestProductMatrix:
         for c in range(DIM):
             assert sorted(index_of(mat.entries[r][c]) for r in range(DIM)) == list(range(DIM))
 
-    def test_transcribed_matrix_first_row_matches(self, table):
+    def test_transcribed_matrix_first_row_matches(self):
         printed = parse_printed_b_matrix()
-        derived = symbolic_b_matrix(table)
+        derived = symbolic_b_matrix()
         assert printed.entries[0] == derived.entries[0]
 
-    def test_transcribed_matrix_diff_matches_golden(self, table):
-        diffs = cell_diffs(parse_printed_b_matrix(), symbolic_b_matrix(table))
+    def test_transcribed_matrix_diff_matches_golden(self):
+        diffs = cell_diffs(parse_printed_b_matrix(), symbolic_b_matrix())
         with open(os.path.join(GOLDEN, "b16_errata.txt"), encoding="ascii") as fh:
             golden = [ln for ln in fh.read().splitlines() if ln and not ln.startswith("#")]
         got = [f"{r} {c} transcribed={p!r} derived={d!r}" for r, c, p, d in diffs]
@@ -427,16 +427,17 @@ def test_every_asset_reader_honours_the_asset_dir_override(tmp_path, monkeypatch
 @pytest.mark.parametrize("token", ["-+5", "--5", "+-5", "5-"])
 @pytest.mark.parametrize("name, parse", [("table_printed.txt", parse_printed_table),
                                          ("b16_printed.txt", parse_printed_b_matrix)])
-def test_a_malformed_signed_index_is_an_error_naming_it(tmp_path, token, name, parse):
+def test_a_malformed_signed_index_is_an_error_naming_it(tmp_path, monkeypatch, token, name, parse):
     copy = tmp_path / "assets"
     shutil.copytree(default_asset_dir(), copy)
+    monkeypatch.setenv("DIRAC_ASSET_DIR", str(copy))
     path = copy / name
     lines = path.read_text(encoding="ascii").splitlines()
     first = next(i for i, ln in enumerate(lines) if ln.strip() and not ln.startswith("#"))
     lines[first] = " ".join([token] + lines[first].split()[1:])
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
     with pytest.raises(ValueError, match=re.escape(f"bad term '{token}'")):
-        parse(str(copy))
+        parse()
 
 
 def test_asset_lines_drop_blank_and_comment_lines(tmp_path):
@@ -448,17 +449,18 @@ def test_asset_lines_drop_blank_and_comment_lines(tmp_path):
 @pytest.mark.parametrize("name, read", [
     ("table_printed.txt", parse_printed_table),
     ("b16_printed.txt", parse_printed_b_matrix),
-    ("m8_diff.txt", lambda asset_dir: derive.load_cell_grid(os.path.join(asset_dir, "m8_diff.txt"))),
+    ("m8_diff.txt", lambda: derive.load_cell_grid(os.path.join(default_asset_dir(), "m8_diff.txt"))),
 ])
-def test_a_non_ascii_byte_is_an_error_naming_the_file(tmp_path, name, read):
+def test_a_non_ascii_byte_is_an_error_naming_the_file(tmp_path, monkeypatch, name, read):
     copy = tmp_path / "assets"
     shutil.copytree(default_asset_dir(), copy)
+    monkeypatch.setenv("DIRAC_ASSET_DIR", str(copy))
     path = copy / name
     lines = path.read_bytes().splitlines(keepends=True)
     lines.insert(2, b"# caf\xc3\xa9\n")
     path.write_bytes(b"".join(lines))
     with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: byte 0xc3 is not ASCII")):
-        read(str(copy))
+        read()
 
 
 def test_every_package_export_resolves():

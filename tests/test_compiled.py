@@ -124,15 +124,25 @@ def test_changed_asset_dir_reassembles(tmp_path, monkeypatch):
     assert fastmult.default_asset_dir() == str(dst)
     moved = assemble_pipeline(3)
     assert moved is not shipped
-    assert moved.asset_dir == str(dst.resolve())
-    # the product path reads the variable on every call
+    assert moved.asset_dir == str(dst)
+    assert precompute(b).pipeline is moved
+    assert verify_pipeline(3).ok
+    # the product path, the operator and the proof read the variable on every call
     monkeypatch.setenv("DIRAC_ASSET_DIR", str(broken))
     with pytest.raises(AssetError, match="missing_stage"):
         mul_fast(a, b)
+    with pytest.raises(AssetError, match="missing_stage"):
+        precompute(b).apply(a)
+    with pytest.raises(AssetError, match="missing_stage"):
+        verify_pipeline(3)
+    # a directory given to mul_fast takes the variable's place
+    assert mul_fast(a, b, 3, str(dst)) == want
     monkeypatch.delenv("DIRAC_ASSET_DIR")
     assert fastmult.default_asset_dir() == shipped_dir
     assert assemble_pipeline(3) is shipped
     assert mul_fast(a, b) == want
+    assert precompute(b).apply(a) == want
+    assert precompute(b).pipeline is shipped
     # an empty value means the shipped directory
     monkeypatch.setenv("DIRAC_ASSET_DIR", "")
     assert fastmult.default_asset_dir() == shipped_dir
@@ -143,6 +153,20 @@ def test_changed_asset_dir_reassembles(tmp_path, monkeypatch):
     assert fastmult.default_asset_dir() == str(broken)
     with pytest.raises(AssetError, match="missing_stage"):
         mul_fast(a, b)
+
+
+def test_a_pipeline_is_assembled_once_per_directory_string(tmp_path, monkeypatch):
+    dst = tmp_path / "assets"
+    shutil.copytree(fastmult.default_asset_dir(), dst)
+    monkeypatch.setenv("DIRAC_ASSET_DIR", str(dst))
+    plain = assemble_pipeline(3)
+    assert assemble_pipeline(3) is plain
+    # another spelling of the same directory is another key: an equal pipeline, assembled again
+    monkeypatch.setenv("DIRAC_ASSET_DIR", str(dst) + os.sep)
+    slashed = assemble_pipeline(3)
+    assert slashed is not plain and slashed.asset_dir == str(dst) + os.sep
+    assert slashed.program.source == plain.program.source
+    assert assemble_pipeline(3) is slashed
 
 
 # ---------------------------------------------------------------------------
@@ -638,10 +662,11 @@ def test_mul_fast_on_unverified_pipeline_never_runs_the_proof(tmp_path, monkeypa
 
     for name in ("verify_pipeline", "pipeline_matrix", "prove", "_basis_products"):
         monkeypatch.setattr(fastmult, name, no_proof)
+    monkeypatch.setenv("DIRAC_ASSET_DIR", str(dst))
     rng = random.Random(350)
     a, b = (DiracNumber.from_ints(generic_ints(rng), DYADIC) for _ in range(2))
-    assert mul_fast(a, b, 3, str(dst)) == mul_schoolbook(a, b, TABLE)
-    assert precompute(b, 3, str(dst)).apply(a) == mul_schoolbook(a, b, TABLE)
+    assert mul_fast(a, b) == mul_schoolbook(a, b, TABLE)
+    assert precompute(b).apply(a) == mul_schoolbook(a, b, TABLE)
 
 
 def unhalved_f(pipe):
@@ -681,12 +706,13 @@ def test_prove_checks_a_program_that_is_no_pipeline():
 def test_pipeline_is_frozen_and_compiled_at_assembly(tmp_path, monkeypatch):
     dst = tmp_path / "assets"
     shutil.copytree(fastmult.default_asset_dir(), dst)
-    pipe = assemble_pipeline(3, str(dst))
+    monkeypatch.setenv("DIRAC_ASSET_DIR", str(dst))
+    pipe = assemble_pipeline(3)
     assert isinstance(pipe.program, fastmult.CompiledProgram)
     for target, name in ((pipe, "program"), (pipe, "stages"), (pipe, "level"), (pipe.core, "blocks")):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(target, name, None)
-    assert assemble_pipeline(3, str(dst)).program is pipe.program
+    assert assemble_pipeline(3).program is pipe.program
 
     def no_compile(*_args):
         raise AssertionError("a product compiled the pipeline")
@@ -694,8 +720,8 @@ def test_pipeline_is_frozen_and_compiled_at_assembly(tmp_path, monkeypatch):
     monkeypatch.setattr(fastmult, "compile_pipeline", no_compile)
     rng = random.Random(360)
     a, b = (DiracNumber.from_ints(generic_ints(rng), DYADIC) for _ in range(2))
-    assert mul_fast(a, b, 3, str(dst)) == mul_schoolbook(a, b, TABLE)
-    assert precompute(b, 3, str(dst)).apply(a) == mul_schoolbook(a, b, TABLE)
+    assert mul_fast(a, b) == mul_schoolbook(a, b, TABLE)
+    assert precompute(b).apply(a) == mul_schoolbook(a, b, TABLE)
     with pytest.raises(dataclasses.FrozenInstanceError):
         assemble_pipeline(3).verified = True
 

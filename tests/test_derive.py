@@ -142,10 +142,10 @@ def grid_of(mat: Mat):
 
 
 class TestSolver:
-    def test_tampered_target_is_rejected(self, derivation, table):
+    def test_tampered_target_is_rejected(self, derivation):
         from diracmul.algebra import symbolic_b_matrix
 
-        b16 = symbolic_b_matrix(table)
+        b16 = symbolic_b_matrix()
         entries = [list(row) for row in b16.entries]
         entries[4][9] = FORMS.neg(entries[4][9])
         with pytest.raises(ReconstructionError):
@@ -255,8 +255,8 @@ def test_a_signed_permutation_stage_round_trips(asset_dir, perm):
     assert _perm_text(perm_of(mat), "a signed permutation") == text
 
 
-def test_every_derived_signed_permutation_round_trips(asset_dir, derivation):
-    texts = generated_asset_texts(derivation)
+def test_every_derived_signed_permutation_round_trips(asset_dir):
+    texts = generated_asset_texts()
     perms = [name for name, text in texts.items() if "kind signed_perm\n" in text]
     assert len(perms) == 10
     for name in perms:

@@ -28,7 +28,8 @@ from diracmul.exactnum import (
 )
 
 from diracmul.algebra import DIM, DiracNumber
-from diracmul.fastmult import _runs_natively, assemble_pipeline, mul_fast
+from diracmul.fastmult import _Box, _runs_natively, assemble_pipeline, mul_fast, precompute
+from diracmul.slpgen import flatten, interpret
 
 from helpers import as_int, evaluate, is_integer
 
@@ -356,14 +357,43 @@ class TestRingSurface:
         assert ring.zero().value.key() == (0, 0) and ring.one().value.key() == (1, 0)
 
     def test_counting_eq_ignores_the_counter(self):
-        one, other = CountingRing(), CountingRing(Counter(additions=5))
+        one, other = CountingRing(), CountingRing()
+        other.counter.additions = 5
         assert one.eq(one.wrap(7), other.wrap(7))
         assert not one.eq(one.wrap(7), other.wrap(8))
 
     @pytest.mark.parametrize("name", RINGS)
     def test_operator_rings_run_the_compiled_product_natively(self, name):
-        # DYADIC keeps the dyadic_* functions, so the compiled product boxes its values
+        # DYADIC keeps the dyadic_* functions: mul_fast and the operator run
+        # the compiled product on integers, slpgen.interpret on DyadicRationals
         assert _runs_natively(RINGS[name]) == (name != "dyadic")
+
+    def test_dyadic_products_never_box_their_values(self):
+        box_codes = {f.__code__ for f in vars(_Box).values() if hasattr(f, "__code__")}
+        program = flatten(assemble_pipeline(3))
+        rng = random.Random(29)
+        a, b = (DiracNumber.from_ints([rng.randint(-99, 99) for _ in range(DIM)], DYADIC) for _ in range(2))
+
+        def calls_of(run):
+            calls = []
+            sys.setprofile(lambda frame, event, _arg: event == "call" and calls.append(frame.f_code))
+            try:
+                out = run()
+            finally:
+                sys.setprofile(None)
+            return out, set(calls)
+
+        fast, fast_calls = calls_of(lambda: mul_fast(a, b))
+        applied, apply_calls = calls_of(lambda: precompute(b).apply(a))
+        interpreted, interpret_calls = calls_of(lambda: interpret(program, a.coeffs, b.coeffs, DYADIC))
+        assert fast.coeffs == applied.coeffs == interpreted
+        for calls in (fast_calls, apply_calls, interpret_calls):
+            assert calls and calls.isdisjoint(box_codes)
+        # a ring that is DYADIC's but not DYADIC itself goes through the boxes
+        other = type(DYADIC)()
+        a2, b2 = (DiracNumber(x.coeffs, other) for x in (a, b))
+        boxed, boxed_calls = calls_of(lambda: precompute(b2).apply(a2))
+        assert boxed.coeffs == fast.coeffs and box_codes & boxed_calls
 
 
 def raw(x: DyadicRational) -> tuple:

@@ -77,13 +77,14 @@ class TestAssembly:
         with pytest.raises(ValueError):
             assemble_pipeline(4)
 
-    def test_corrupted_asset_names_the_stage(self, tmp_path):
+    def test_corrupted_asset_names_the_stage(self, tmp_path, monkeypatch):
         src = default_asset_dir()
         dst = tmp_path / "assets"
         shutil.copytree(src, dst)
         (dst / "perm_out_24.txt").write_text("kind signed_perm\nsize 24\nsrc 1 2 3\nsigns + + +\n", encoding="ascii")
+        monkeypatch.setenv("DIRAC_ASSET_DIR", str(dst))
         with pytest.raises(AssetError, match="perm_out_24"):
-            assemble_pipeline(3, str(dst))
+            assemble_pipeline(3)
 
     @pytest.mark.parametrize("text", [
         "kron(T3x2, I8",             # unbalanced parentheses
@@ -109,32 +110,35 @@ class TestAssembly:
         with pytest.raises(ValueError):
             parse_expr(text)
 
-    def test_malformed_expr_names_the_stage(self, tmp_path):
+    def test_malformed_expr_names_the_stage(self, tmp_path, monkeypatch):
         dst = tmp_path / "assets"
         shutil.copytree(default_asset_dir(), dst)
         (dst / "expand_16_24.txt").write_text("kind structural\nexpr kron(T3x2, I8\n", encoding="ascii")
+        monkeypatch.setenv("DIRAC_ASSET_DIR", str(dst))
         with pytest.raises(AssetError, match="stage expand_16_24.txt: malformed expression"):
-            assemble_pipeline(3, str(dst))
+            assemble_pipeline(3)
 
     @pytest.mark.parametrize("token", ["x", "+1"])
-    def test_malformed_sign_names_the_stage(self, tmp_path, token):
+    def test_malformed_sign_names_the_stage(self, tmp_path, token, monkeypatch):
         dst = tmp_path / "assets"
         shutil.copytree(default_asset_dir(), dst)
         path = dst / "signs_out_16.txt"
         path.write_text(path.read_text(encoding="ascii").replace("signs + ", f"signs {token} ", 1), encoding="ascii")
+        monkeypatch.setenv("DIRAC_ASSET_DIR", str(dst))
         with pytest.raises(AssetError, match=re.escape(f"stage signs_out_16.txt: bad sign '{token}'")):
-            assemble_pipeline(3, str(dst))
+            assemble_pipeline(3)
 
     @pytest.mark.parametrize("term", ["--3", "+-3", "+03"])
     @pytest.mark.parametrize("name, line", [("blocks_level3.txt", "+0 +5 +10 +15"), ("pool_pairs.txt", "quad +0 +5")])
-    def test_malformed_term_names_the_stage(self, tmp_path, term, name, line):
+    def test_malformed_term_names_the_stage(self, tmp_path, term, name, line, monkeypatch):
         dst = tmp_path / "assets"
         shutil.copytree(default_asset_dir(), dst)
         path = dst / name
         text = path.read_text(encoding="ascii")
         path.write_text(text.replace(f"\n{line}\n", f"\n{line.replace('+5', term)}\n", 1), encoding="ascii")
+        monkeypatch.setenv("DIRAC_ASSET_DIR", str(dst))
         with pytest.raises(AssetError, match=re.escape(f"stage {name}: bad term '{term}'")):
-            assemble_pipeline(3, str(dst))
+            assemble_pipeline(3)
 
 
     @pytest.mark.parametrize("name, edit, message", [
@@ -160,13 +164,14 @@ class TestAssembly:
         ("expand_16_24.txt", lambda t: t.replace("kron(T3x2, I8)", "kron(T3x2, I08)"),
          "stage expand_16_24.txt: expected an integer, got '08'"),
     ], ids=lambda v: v if isinstance(v, str) else "")
-    def test_each_asset_check_names_the_file(self, tmp_path, name, edit, message):
+    def test_each_asset_check_names_the_file(self, tmp_path, name, edit, message, monkeypatch):
         dst = tmp_path / "assets"
         shutil.copytree(default_asset_dir(), dst)
         path = dst / name
         path.write_text(edit(path.read_text(encoding="ascii")), encoding="ascii")
+        monkeypatch.setenv("DIRAC_ASSET_DIR", str(dst))
         with pytest.raises(AssetError, match=re.escape(message)) as info:
-            assemble_pipeline(3, str(dst))
+            assemble_pipeline(3)
         assert name.removesuffix(".txt") in str(info.value)
 
     @pytest.mark.parametrize("name, edit, message", [
@@ -189,11 +194,12 @@ class TestAssembly:
         shutil.copytree(default_asset_dir(), dst)
         path = dst / name
         path.write_text(edit(path.read_text(encoding="ascii")), encoding="ascii")
+        monkeypatch.setenv("DIRAC_ASSET_DIR", str(dst))
         with pytest.raises(AssetError, match=re.escape(f"stage {name}: {message}, wider than the widest stage (30)")):
-            assemble_pipeline(3, str(dst))
+            assemble_pipeline(3)
         assert max(max(m.rows, m.cols) for m in built) <= 30
 
-    def test_a_cell_whose_written_halves_are_not_pool_pairs_is_refused(self, tmp_path):
+    def test_a_cell_whose_written_halves_are_not_pool_pairs_is_refused(self, tmp_path, monkeypatch):
         # (+0 +5) + (+10 +15) is q0's first cell; written with its halves
         # interleaved it still sums to the same value, but splits only another way
         dst = tmp_path / "assets"
@@ -201,9 +207,10 @@ class TestAssembly:
         path = dst / "blocks_level3.txt"
         path.write_text(path.read_text(encoding="ascii").replace("\n+0 +5 +10 +15\n", "\n+0 +10 +5 +15\n", 1),
                         encoding="ascii")
+        monkeypatch.setenv("DIRAC_ASSET_DIR", str(dst))
         with pytest.raises(AssetError, match=re.escape(
                 "stage blocks_level3.txt: block q0: core cell +0 +10 +5 +15 does not split over the quad pools")):
-            assemble_pipeline(3, str(dst))
+            assemble_pipeline(3)
 
     @pytest.mark.parametrize("name, edit", [
         ("signs_out_16.txt", lambda t: t + "kind signed_perm\n"),
@@ -211,7 +218,7 @@ class TestAssembly:
         ("blocks_level3.txt", lambda t: t.replace("\n+0 +5 +10 +15\n", "\n+0 +5 +10\n", 1)),
         ("perm_out_24.txt", None),  # removed
     ], ids=["stage", "pools", "blocks", "missing"])
-    def test_a_stage_file_error_is_caused_by_what_the_reader_raised(self, tmp_path, name, edit):
+    def test_a_stage_file_error_is_caused_by_what_the_reader_raised(self, tmp_path, name, edit, monkeypatch):
         dst = tmp_path / "assets"
         shutil.copytree(default_asset_dir(), dst)
         path = dst / name
@@ -219,8 +226,9 @@ class TestAssembly:
             path.unlink()
         else:
             path.write_text(edit(path.read_text(encoding="ascii")), encoding="ascii")
+        monkeypatch.setenv("DIRAC_ASSET_DIR", str(dst))
         with pytest.raises(AssetError) as info:
-            assemble_pipeline(3, str(dst))
+            assemble_pipeline(3)
         assert isinstance(info.value.__cause__, (OSError, KeyError, ValueError))
         assert not isinstance(info.value.__cause__, AssetError)
 
@@ -471,13 +479,13 @@ class TestPrecomputedOperator:
 
 class TestAssetRegeneration:
     def test_shipped_assets_match_rederivation(self):
-        texts = generated_asset_texts(derive_all())
+        texts = generated_asset_texts()
         asset_dir = default_asset_dir()
         for name, text in texts.items():
             with open(os.path.join(asset_dir, name), encoding="ascii") as fh:
                 assert fh.read() == text, f"asset {name} does not match its derivation"
 
-    def test_outer_permutation_solution_reproduces_product_matrix(self, table):
+    def test_outer_permutation_solution_reproduces_product_matrix(self):
         from diracmul.algebra import symbolic_b_matrix
         from diracmul.linalg import signed_perm_matrix
 
@@ -485,7 +493,7 @@ class TestAssetRegeneration:
         r_mat = lift(FORMS, signed_perm_matrix(d.outer_rows))
         c_mat = lift(FORMS, signed_perm_matrix(d.outer_cols))
         recombined = mat_mul(FORMS, mat_mul(FORMS, r_mat, d.m16), c_mat)
-        assert recombined == symbolic_b_matrix(table)
+        assert recombined == symbolic_b_matrix()
 
 
 class TestDeriveEndToEnd:
@@ -500,12 +508,12 @@ class TestDeriveEndToEnd:
             with open(os.path.join(default_asset_dir(), name), encoding="ascii") as fh:
                 assert (tmp_path / name).read_text(encoding="ascii") == fh.read(), name
 
-    def test_repeated_index_in_a_target_row_is_a_reconstruction_error(self, table):
+    def test_repeated_index_in_a_target_row_is_a_reconstruction_error(self):
         from diracmul.algebra import symbolic_b_matrix
         from diracmul.derive import ReconstructionError, solve_outer_permutations
         from diracmul.linalg import Mat
 
-        entries = [list(row) for row in symbolic_b_matrix(table).entries]
+        entries = [list(row) for row in symbolic_b_matrix().entries]
         entries[3][7] = entries[3][8]
         with pytest.raises(ReconstructionError):
             solve_outer_permutations(derive_all().m16, Mat(16, 16, entries))
