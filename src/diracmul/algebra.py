@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import NamedTuple
 
-from .exactnum import lf_from_b, parse_int
+from .exactnum import DYADIC, INTS, exact_ints, exact_values, lf_from_b, parse_int
 from .linalg import Mat
 
 DIM = 16
@@ -260,14 +260,24 @@ def mul_schoolbook(a: DiracNumber, b: DiracNumber, table: MultTable) -> DiracNum
     flips are negations, never multiplications.  Accumulation order is
     fixed (ascending left index) so exact results and operation counts
     are deterministic.
+
+    Over ``DYADIC`` the loop runs on plain integers, with ``INTS``'
+    operations: each operand is lowered to its largest exponent by
+    :func:`~diracmul.exactnum.exact_ints`, as the fast product lowers
+    them, and the sums are the exact product times ``2**(ea + eb)``.
+    Every other ring's own operations run on its own values.
     """
     ring = a.ring
     if b.ring is not ring:
         raise RingMismatchError(ring, b.ring)
-    mul, add, sub, neg = ring.mul, ring.add, ring.sub, ring.neg
-    bc = b.coeffs
+    ac, bc = a.coeffs, b.coeffs
+    ops = ring
+    if ring is DYADIC:
+        (ac, ea), (bc, eb) = exact_ints(ac, ring), exact_ints(bc, ring)
+        ops = INTS
+    mul, add, sub, neg = ops.mul, ops.add, ops.sub, ops.neg
     out = [None] * DIM
-    for an, row in zip(a.coeffs, table.entries):
+    for an, row in zip(ac, table.entries):
         for (sign, k), bm in zip(row, bc):
             p = mul(an, bm)
             acc = out[k]
@@ -277,6 +287,8 @@ def mul_schoolbook(a: DiracNumber, b: DiracNumber, table: MultTable) -> DiracNum
                 out[k] = sub(acc, p)
             else:
                 out[k] = add(acc, p)
+    if ring is DYADIC:
+        out = exact_values(out, ea + eb, ring)
     return DiracNumber(out, ring)
 
 

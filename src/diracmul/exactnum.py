@@ -34,9 +34,15 @@ Only ``IntRing`` (an exact shift) and ``CountingRing`` (which counts a
 shift) define their own ``halve``, the one their ``Half`` calls.  ``FloatRing``,
 ``IntRing`` and ``DyadicRing`` also set ``wrap`` to the type itself
 (``float``, ``int``, ``DyadicRational``), so wrapping an integer is one
-call.  ``DyadicRing`` keeps the ``dyadic_*`` functions as
-``add``/``sub``/``neg``/``mul`` so schoolbook calls them without the
-operator dispatch.  Those are :class:`DyadicRational`'s operators, and
+call.  Products over ``DYADIC`` make no ``DyadicRational`` but their
+outputs: schoolbook and the fast product bring each operand to one
+exponent with :func:`exact_ints`, multiply plain integers and build the
+outputs with :func:`exact_values`.  ``DyadicRing`` keeps the ``dyadic_*``
+functions as ``add``/``sub``/``neg``/``mul``, which the ring-generic
+helpers (``DiracNumber.add``/``neg``/``scale``,
+``algebra.derive_b_matrix``, ``linalg.structural_apply``) call without
+the operator dispatch; :class:`LinearForm` and :class:`CountingScalar`
+call them directly.  Those are :class:`DyadicRational`'s operators, and
 each builds its result with ``object.__new__`` and two slot stores, not
 through the class call, whose ``__init__`` frame and negative-exponent
 check would cost more than the arithmetic on small numerators: a sum or
@@ -400,7 +406,8 @@ class FloatRing(OperatorRing):
 class DyadicRing(OperatorRing):
     name = "dyadic"
     wrap = from_dyadic = DyadicRational
-    # the functions, not the operators: schoolbook, the reference, runs on this ring
+    # the functions, not the operators: the ring-generic helpers call them without the
+    # operator dispatch, and products over this ring run on integers (exact_ints)
     add = staticmethod(dyadic_add)
     sub = staticmethod(dyadic_sub)
     neg = staticmethod(dyadic_neg)
@@ -474,6 +481,43 @@ FLOAT = FloatRing()
 DYADIC = DyadicRing()
 INTS = IntRing()
 FORMS = LinearFormRing()
+
+
+def exact_ints(values, ring):
+    """``(nums, exp)`` with ``values[k] == nums[k] / 2**exp``: values of
+    ``DYADIC`` at their largest exponent, values of ``INTS`` at exponent 0.
+    ``TypeError`` names the ring and the type of a coefficient of ``DYADIC``
+    that is no :class:`DyadicRational`."""
+    if ring is INTS:
+        return values, 0
+    try:
+        nums = [v.num for v in values]
+        exps = [v.exp for v in values]
+    except AttributeError:
+        bad = next(v for v in values if not isinstance(v, DyadicRational))
+        raise TypeError(f"a coefficient over the {ring.name} ring has type {type(bad).__name__}, "
+                        "not DyadicRational") from None
+    exp = max(exps)
+    if exp:
+        nums = [n << (exp - e) for n, e in zip(nums, exps)]
+    return nums, exp
+
+
+def exact_values(nums, exp: int, ring) -> list:
+    """Each ``nums[k] / 2**exp`` over ``DYADIC``, or over ``INTS``, where it
+    must be an integer: the inverse of :func:`exact_ints`.  The dyadics are
+    built as ``DyadicRational``'s operators build theirs, without the
+    constructor's frame: ``exp`` is a sum of exponents and halvings, never
+    negative."""
+    if ring is INTS:
+        return [n >> exp for n in nums]
+    out = []
+    for n in nums:
+        r = _new(DyadicRational)
+        r.num = n
+        r.exp = exp
+        out.append(r)
+    return out
 
 
 def lf_from_b(index: int) -> LinearForm:

@@ -44,7 +44,8 @@ integers on every pair of basis vectors; it runs on every call.
 
 Over ``DYADIC`` and ``INTS`` the products run those functions on plain
 integers rather than on ``DyadicRational`` objects.  Each operand is
-brought to one common exponent, and bind runs with ``half = 1``: every
+brought to one common exponent by ``exactnum.exact_ints``, the lowering
+``mul_schoolbook`` uses too, and bind runs with ``half = 1``: every
 halving is kept in the exponent instead of performed.  Bind only adds,
 subtracts and halves, and each sum combines values of one halving depth,
 so a value of depth ``d`` comes out exactly ``2**d`` times its dyadic
@@ -80,7 +81,8 @@ from .algebra import (
     mul_schoolbook,
     read_asset_lines,
 )
-from .exactnum import DYADIC, INTS, CountingRing, DyadicRational, Half, LinearForm, parse_int
+from .exactnum import (DYADIC, INTS, CountingRing, DyadicRational, Half, LinearForm, exact_ints, exact_values,
+                       parse_int)
 from .linalg import (H2, T2X3, T3X2, Mat, SignedPermutation, dirsum, eye, kron, signed_perm_matrix,
                      structural_apply)
 
@@ -852,36 +854,6 @@ def _bind_ints(prog: CompiledProgram, b_ints) -> list:
 # public operations
 
 
-def _exact_ints(values, ring):
-    """``(nums, exp)`` with ``values[k] == nums[k] / 2**exp``: values of
-    ``DYADIC`` at their largest exponent, values of ``INTS`` at exponent 0."""
-    if ring is INTS:
-        return values, 0
-    nums = [v.num for v in values]
-    exps = [v.exp for v in values]
-    exp = max(exps)
-    if exp:
-        nums = [n << (exp - e) for n, e in zip(nums, exps)]
-    return nums, exp
-
-
-def _exact_values(nums, exp: int, ring) -> list:
-    """Each ``nums[k] / 2**exp`` over ``DYADIC``, or over ``INTS``, where it
-    must be an integer.  The dyadics are built as ``DyadicRational``'s
-    operators build theirs, without the constructor's frame: ``exp`` is a
-    sum of exponents and halvings, never negative."""
-    if ring is INTS:
-        return [n >> exp for n in nums]
-    out = []
-    new = object.__new__
-    for n in nums:
-        r = new(DyadicRational)
-        r.num = n
-        r.exp = exp
-        out.append(r)
-    return out
-
-
 # the operators the generated code is written with, one global lookup each
 _add, _sub, _neg, _mul = operator.add, operator.sub, operator.neg, operator.mul
 
@@ -906,9 +878,9 @@ def mul_fast(a: DiracNumber, b: DiracNumber, level: int = 3, asset_dir: str | No
     if ring.add is _add and ring.sub is _sub and ring.neg is _neg and ring.mul is _mul and ring is not INTS:
         out = prog.apply(a.coeffs, prog.bind(ring.half, b.coeffs))
     elif ring is DYADIC or ring is INTS:
-        a_ints, ea = _exact_ints(a.coeffs, ring)
-        b_ints, eb = _exact_ints(b.coeffs, ring)
-        out = _exact_values(prog.apply(a_ints, _bind_ints(prog, b_ints)), ea + eb + prog.halvings, ring)
+        a_ints, ea = exact_ints(a.coeffs, ring)
+        b_ints, eb = exact_ints(b.coeffs, ring)
+        out = exact_values(prog.apply(a_ints, _bind_ints(prog, b_ints)), ea + eb + prog.halvings, ring)
     else:
         return PrecomputedOperator(pipeline, b).apply(a)
     product = object.__new__(DiracNumber)  # around the fresh 16-list, not a copy
@@ -941,7 +913,7 @@ class PrecomputedOperator:
         self.pipeline, self.ring, self._apply = pipeline, ring, prog.apply
         self.lowered = self._boxes = None
         if ring is DYADIC or ring is INTS:
-            b_ints, eb = _exact_ints(b.coeffs, ring)
+            b_ints, eb = exact_ints(b.coeffs, ring)
             nums, exp = tuple(_bind_ints(prog, b_ints)), eb + prog.halvings
             self.lowered = (nums, exp)
             self.entries = tuple(DyadicRational(n, exp) for n in nums)
@@ -957,9 +929,9 @@ class PrecomputedOperator:
             raise RingMismatchError(a.ring, ring)
         lowered = self.lowered
         if lowered is not None:
-            a_ints, ea = _exact_ints(a.coeffs, ring)
+            a_ints, ea = exact_ints(a.coeffs, ring)
             nums, exp = lowered
-            out = _exact_values(self._apply(a_ints, nums), ea + exp, ring)
+            out = exact_values(self._apply(a_ints, nums), ea + exp, ring)
         elif self._boxes is None:
             out = self._apply(a.coeffs, self.entries)
         else:

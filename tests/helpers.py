@@ -1,6 +1,7 @@
 """Queries on the package's values that only the tests make."""
 
 import dataclasses
+from fractions import Fraction
 
 from diracmul.algebra import DIM, MultTable, SignedBasis, build_table_from_generators, derive_b_matrix, symbolic_b
 from diracmul.exactnum import FORMS, DyadicRational, LinearForm, dyadic_add, dyadic_mul
@@ -38,6 +39,17 @@ def holed_table(table):
     entries = [list(row) for row in table.entries]
     entries[3][5] = entries[3][6]
     return MultTable(entries)
+
+
+def brute_force_product(a_vals, b_vals, table):
+    """Independent oracle: plain dict accumulation over all 256 pairs, read
+    straight from the table's cells, each value converted by ``Fraction``."""
+    out = {k: Fraction(0) for k in range(DIM)}
+    for n in range(DIM):
+        for m in range(DIM):
+            sign, k = table[n][m]
+            out[k] += sign * Fraction(a_vals[n]) * Fraction(b_vals[m])
+    return [out[k] for k in range(DIM)]
 
 
 def is_integer(x: DyadicRational) -> bool:

@@ -26,12 +26,13 @@ from diracmul.algebra import (
     symbolic_b_matrix,
     table_errata,
 )
-from diracmul.exactnum import FLOAT, CountingRing, DYADIC, DyadicRational, lf_from_b
+from diracmul.exactnum import FLOAT, CountingRing, DYADIC, DyadicRational, exact_ints, lf_from_b
 from diracmul.fastmult import Recorder
 from diracmul.slpgen import emit_text, schoolbook_program
 
 from diracmul.exactnum import INTS
-from helpers import as_int, diagonal_signs, flipped_table, holed_table, is_unital, rows_are_permutations
+from helpers import (as_int, brute_force_product, diagonal_signs, flipped_table, holed_table, is_unital,
+                     rows_are_permutations)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -114,16 +115,6 @@ class TestTable:
             entries[3] = entries[3][:-1] if shape == "a-row-short" else entries[3] + [entries[3][0]]
         with pytest.raises(ValueError, match="table must be 16x16"):
             MultTable(entries)
-
-
-def brute_force_product(a_vals, b_vals, table):
-    """Independent oracle: plain dict accumulation over all 256 pairs."""
-    out = {k: Fraction(0) for k in range(DIM)}
-    for n in range(DIM):
-        for m in range(DIM):
-            sign, k = table[n][m]
-            out[k] += sign * Fraction(a_vals[n]) * Fraction(b_vals[m])
-    return [out[k] for k in range(DIM)]
 
 
 class TestSchoolbook:
@@ -213,19 +204,22 @@ class TestSchoolbook:
 def assert_same_results_as_the_indexed_loop(table, ring):
     """``mul_schoolbook`` and :func:`indexed_schoolbook` agree on 200 random
     pairs over ``"float"`` (special operands included, compared bit for
-    bit) or ``"dyadic"`` (compared by raw numerator and exponent)."""
+    bit) or ``"dyadic"`` (compared by raw numerator and exponent, the
+    indexed loop run on the operands lowered to integers and its sums
+    lifted at ``ea + eb``, as ``mul_schoolbook`` runs over ``DYADIC``)."""
     rng = random.Random(23)
     for _ in range(200):
         if ring == "float":
             a, b = (DiracNumber([rng.choice(SPECIAL_FLOATS) if rng.random() < 0.25 else rng.uniform(-1e3, 1e3)
                                  for _ in range(DIM)], FLOAT) for _ in range(2))
-            key = float.hex
+            got = [float.hex(v) for v in mul_schoolbook(a, b, table).coeffs]
+            assert got == [float.hex(v) for v in indexed_schoolbook(a, b, table)]
         else:
             a, b = (DiracNumber([DyadicRational(rng.randint(-1 << 70, 1 << 70), rng.randint(0, 9))
                                  for _ in range(DIM)], DYADIC) for _ in range(2))
-            key = lambda v: (v.num, v.exp)  # noqa: E731
-        got = [key(v) for v in mul_schoolbook(a, b, table).coeffs]
-        assert got == [key(v) for v in indexed_schoolbook(a, b, table)]
+            (an, ea), (bn, eb) = exact_ints(a.coeffs, DYADIC), exact_ints(b.coeffs, DYADIC)
+            want = [(n, ea + eb) for n in indexed_schoolbook(DiracNumber(an, INTS), DiracNumber(bn, INTS), table)]
+            assert [(v.num, v.exp) for v in mul_schoolbook(a, b, table).coeffs] == want
 
 
 def indexed_schoolbook(a, b, table):

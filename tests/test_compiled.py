@@ -12,6 +12,7 @@ import re
 import shutil
 import sys
 import traceback
+from fractions import Fraction
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -21,7 +22,8 @@ from diracmul import fastmult
 from diracmul.algebra import (DIM, DiracNumber, RingMismatchError, build_table_from_generators, mul_schoolbook,
                               symbolic_b)
 from diracmul.cli import main
-from diracmul.exactnum import CountingRing, CountingScalar, DYADIC, FLOAT, FORMS, INTS, DyadicRational, LinearForm
+from diracmul.exactnum import (CountingRing, CountingScalar, DYADIC, FLOAT, FORMS, INTS, DyadicRational, LinearForm,
+                               exact_ints)
 from diracmul.fastmult import (
     LEVELS,
     RING_OPS,
@@ -39,7 +41,7 @@ from diracmul.fastmult import (
 )
 from diracmul.linalg import Mat, SignedPermutation
 from diracmul.slpgen import emit_text, flatten, interpret, schoolbook_program
-from helpers import flipped_table, linear_form_matrix, linear_form_mismatches, replace_stage
+from helpers import brute_force_product, flipped_table, linear_form_matrix, linear_form_mismatches, replace_stage
 
 TABLE = build_table_from_generators()
 COUNT_KEYS = (("nontrivial_mults", "mul"), ("additions", "add_total"), ("negations", "neg"), ("shifts", "shift"))
@@ -424,6 +426,28 @@ def test_int_lowering_is_bit_exact(level, max_exp, data):
     assert keys(op.apply(a)) == want
 
 
+def test_every_dyadic_product_equals_the_fraction_product():
+    rng = random.Random(35)
+
+    def operand():
+        coeffs = [DyadicRational(rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, 4096)), rng.randint(0, 64))
+                  for _ in range(DIM)]
+        assert len({c.exp for c in coeffs}) > 1
+        return DiracNumber(coeffs, DYADIC)
+
+    def fractions(x):
+        return [Fraction(c.num, 1 << c.exp) for c in x.coeffs]
+
+    # the reference shares no lowering with the package: it reads num and exp alone
+    for _ in range(3):
+        a, b = operand(), operand()
+        want = brute_force_product(fractions(a), fractions(b), TABLE)
+        assert fractions(mul_schoolbook(a, b, TABLE)) == want
+        for level in LEVELS:
+            assert fractions(mul_fast(a, b, level)) == want
+            assert fractions(precompute(b, level).apply(a)) == want
+
+
 def shifted_raw(a_coeffs, b_coeffs, level, ring):
     """Raw outputs of the integer path with each operand brought to its
     largest exponent as ``num << (exp - e)``, shifting every coefficient."""
@@ -463,7 +487,7 @@ def test_lowering_keeps_the_raw_outputs_of_the_shifting_formula(level, exponents
 @settings(max_examples=10, deadline=None, phases=NO_SHRINK)
 def test_int_operands_pass_through_the_lowering(level, data):
     av, bv = (data.draw(st.lists(_numerator, min_size=DIM, max_size=DIM)) for _ in range(2))
-    nums, exp = fastmult._exact_ints(av, INTS)
+    nums, exp = exact_ints(av, INTS)
     assert nums is av and exp == 0
     a, b = DiracNumber(av, INTS), DiracNumber(bv, INTS)
     want = shifted_raw(av, bv, level, INTS)
@@ -481,8 +505,7 @@ def test_precomputed_operator_keeps_the_integers_of_its_bind(monkeypatch):
         nums, exp = op.lowered
         assert [(e.num, e.exp) for e in op.entries] == [(n, exp) for n in nums]
     lowered = []
-    exact_ints = fastmult._exact_ints
-    monkeypatch.setattr(fastmult, "_exact_ints",
+    monkeypatch.setattr(fastmult, "exact_ints",
                         lambda values, ring: lowered.append(len(values)) or exact_ints(values, ring))
     got = {level: op.apply(a) for level, op in ops.items()}
     assert lowered == [DIM] * len(LEVELS)  # each apply lowers a, never the entries
@@ -1027,6 +1050,18 @@ def test_mixed_rings_raise_a_typed_error_at_every_entry_point():
             call()
         assert isinstance(exc.value, ValueError)
         assert "float" in str(exc.value) and "dyadic" in str(exc.value)
+
+
+@pytest.mark.parametrize("foreign", (3, 0.5))
+def test_a_foreign_coefficient_of_an_exact_ring_raises_a_type_error_at_every_entry_point(foreign):
+    a = DiracNumber.from_ints(range(DIM), DYADIC)
+    bad = DiracNumber(a.coeffs[:5] + [foreign] + a.coeffs[6:], DYADIC)
+    calls = (lambda: mul_fast(a, bad), lambda: mul_fast(bad, a), lambda: precompute(bad),
+             lambda: precompute(a).apply(bad), lambda: mul_schoolbook(a, bad, TABLE),
+             lambda: mul_schoolbook(bad, a, TABLE))
+    for call in calls:
+        with pytest.raises(TypeError, match=f"dyadic ring has type {type(foreign).__name__}, not DyadicRational"):
+            call()
 
 
 def test_distinct_counting_rings_are_different_rings():
