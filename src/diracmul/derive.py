@@ -20,9 +20,13 @@ plain-text stage assets shipped with the package.  The symbolic pipeline
 identity (see ``fastmult.verify_pipeline``) is the final arbiter for all
 of it.
 
-Run ``python -m diracmul.derive --write`` to regenerate the assets in
-place; the test suite re-derives them into a scratch directory and
-asserts they match what is shipped.
+The combiner stages, the stage chains and the pool pairs are design, not
+derivation: they are defined once, in ``fastmult`` (``COMBINERS``,
+``CHAINS``, ``POOLS``), and this module reads them from there.
+
+Run ``python -m diracmul.derive --out DIR`` to regenerate the derived
+assets into ``DIR``; the test suite re-derives them into a scratch
+directory and asserts they match what is shipped.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 
 from .algebra import DIM, _parse_term, default_asset_dir, format_term, read_asset_lines, symbolic_b_matrix
 from .exactnum import FORMS, LinearForm, lf_from_b, parse_int
-from .fastmult import CoreBlock, decompose_terms, index_pools, parse_expr
+from .fastmult import CHAINS, COMBINERS, POOLS, CoreBlock, decompose_terms, index_pools
 from .linalg import Mat, SignedPermutation, int_mat_mul, perm_concat, signed_perm_matrix, template_EF
 
 
@@ -66,25 +70,6 @@ BRANCH_F = {  # 2x2 sign fix before the final butterfly
     "cols": ([1, 2], []),
     "rows": ([1, 2], [2]),
 }
-
-# Shared two-term combinations of the right-hand coefficients.  Every
-# 4x4-block cell is one addition of two "quad" terms, every 2x2-block cell
-# one addition of two "duo" terms, each 1x1 block one addition of a duo and
-# a quad term.  Keeping the two families separate (even where contents
-# coincide up to sign) is what reproduces the published cost accounting.
-QUAD_POOL = [
-    (0, 5), (10, 15), (1, 2), (13, 14),
-    (-3, 4), (-11, 12), (-6, 7), (-8, 9),
-    (6, 7), (8, 9), (3, 4), (11, 12),
-    (1, -2), (13, -14), (0, -5), (10, -15),
-]
-DUO_POOL = [
-    (-4, 10), (-12, 15), (-7, -9), (-13, -14),
-    (7, -9), (-13, 14), (-4, -10), (12, 15),
-]
-# both pools as (sign, index) terms, as ``fastmult.parse_pools`` reads them
-POOLS = {family: tuple(tuple((1 if t >= 0 else -1, abs(t)) for t in pair) for pair in pool)
-         for family, pool in (("quad", QUAD_POOL), ("duo", DUO_POOL))}
 
 
 class ReconstructionError(RuntimeError):
@@ -352,9 +337,8 @@ def derive_all() -> Derivation:
 # twice the two inputs of the final core block, which is halved instead.
 # That is 32 additions, with signed permutations before and after.
 
-# the displayed 30-wide input butterfly (the output side uses the same form)
-DISPLAYED_MIX_30 = "dirsum(I24, kron(I2, H2), I2)"
-LEVEL3_INPUT_STAGES = ("butterfly_16", "expand_16_24", "sums_24_28", "sums_28_30", "butterfly_30")
+# the combiners of the final level's input side, between its two permutations
+LEVEL3_INPUT_STAGES = CHAINS[3][1:6]
 
 
 def _compose(mats) -> Mat:
@@ -370,12 +354,12 @@ def displayed_level3_input(outer_cols, perm_in_24, perm_in_28) -> Mat:
     to the inputs of the 30-wide core."""
     return _compose([
         signed_perm_matrix(outer_cols),
-        parse_expr(STRUCTURAL_STAGES["expand_16_24"]),
+        COMBINERS["expand_16_24"],
         signed_perm_matrix(perm_in_24),
-        parse_expr(STRUCTURAL_STAGES["expand_24_28"]),
+        COMBINERS["expand_24_28"],
         signed_perm_matrix(perm_in_28),
-        parse_expr(STRUCTURAL_STAGES["expand_28_30"]),
-        parse_expr(DISPLAYED_MIX_30),
+        COMBINERS["expand_28_30"],
+        COMBINERS["reduce_30_30"],  # the displayed 30-wide input butterfly, the output side's form
     ])
 
 
@@ -439,8 +423,7 @@ def synthesize_level3_input(target: Mat):
         pairs = SignedPermutation(src, signs)
     except ValueError as exc:
         raise ReconstructionError(f"input butterflies do not cover the inputs once: {exc}") from exc
-    chain = _compose([signed_perm_matrix(pairs)]
-                     + [parse_expr(STRUCTURAL_STAGES[name]) for name in LEVEL3_INPUT_STAGES])
+    chain = _compose([signed_perm_matrix(pairs)] + [COMBINERS[name] for name in LEVEL3_INPUT_STAGES])
     found = {}
     for j, row in enumerate(chain.entries):
         found[row] = (j, 1)
@@ -465,10 +448,6 @@ def _perm_text(p: SignedPermutation, comment: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _structural_text(expr: str, comment: str) -> str:
-    return f"# {comment}\nkind structural\nexpr {expr}\n"
-
-
 def _blocks_text(blocks, comment: str) -> str:
     """A ``blocks_level*.txt`` file of ``fastmult.CoreBlock`` blocks."""
     lines = [f"# {comment}",
@@ -477,84 +456,6 @@ def _blocks_text(blocks, comment: str) -> str:
         lines.append(f"block {blk.name} {blk.size} {'halved' if blk.halved else 'plain'} {blk.family}")
         lines += [" ".join(format_term(s, m) for s, m in terms) for terms in blk.formulas]
     return "\n".join(lines) + "\n"
-
-
-def _pool_text(pools: dict) -> str:
-    """``pool_pairs.txt`` of ``pools`` as ``fastmult.parse_pools`` reads them."""
-    lines = ["# shared two-term combinations of the right-hand coefficients",
-             "# family (quad: 4x4-block cells, duo: 2x2-block cells) then the pair"]
-    for family, pairs in pools.items():
-        lines += [f"{family} {format_term(*x)} {format_term(*y)}" for x, y in pairs]
-    return "\n".join(lines) + "\n"
-
-
-def _manifest_text(lines) -> str:
-    return "# ordered stage chain, input side first; 'core' is the b-dependent stage\n" + "\n".join(lines) + "\n"
-
-
-STRUCTURAL_STAGES = {
-    "expand_16_24": "kron(T3x2, I8)",
-    "expand_24_28": "dirsum(kron(I2, kron(H2, I4)), kron(T3x2, I4))",
-    "expand_28_30": "dirsum(I16, kron(I2, kron(H2, I2)), kron(T3x2, I2))",
-    "butterfly_16": "kron(I8, H2)",
-    "sums_24_28": "dirsum(I16, kron(T3x2, I4))",
-    "sums_28_30": "dirsum(I24, kron(T3x2, I2))",
-    "butterfly_30": "dirsum(I28, H2)",
-    "reduce_30_30": DISPLAYED_MIX_30,
-    "reduce_30_28": "dirsum(I16, kron(I2, kron(H2, I2)), kron(T2x3, I2))",
-    "reduce_28_24": "dirsum(kron(I2, kron(H2, I4)), kron(T2x3, I4))",
-    "reduce_24_16": "kron(T2x3, I8)",
-}
-
-MANIFESTS = {
-    1: [
-        "stage perm_in_16",
-        "stage expand_16_24",
-        "stage perm_in_24",
-        "stage expand_24_28",
-        "core blocks_level1",
-        "stage reduce_28_24",
-        "stage perm_out_24",
-        "stage reduce_24_16",
-        "stage perm_out_16",
-        "stage signs_out_16",
-    ],
-    2: [
-        "stage perm_in_16",
-        "stage expand_16_24",
-        "stage perm_in_24",
-        "stage expand_24_28",
-        "stage perm_in_28",
-        "stage expand_28_30",
-        "core blocks_level2",
-        "stage reduce_30_28",
-        "stage perm_out_28",
-        "stage reduce_28_24",
-        "stage perm_out_24",
-        "stage reduce_24_16",
-        "stage perm_out_16",
-        "stage signs_out_16",
-    ],
-    3: [
-        "stage perm_pairs_16",
-        "stage butterfly_16",
-        "stage expand_16_24",
-        "stage sums_24_28",
-        "stage sums_28_30",
-        "stage butterfly_30",
-        "stage perm_in_30",
-        "core blocks_level3",
-        "stage reduce_30_30",
-        "stage perm_out_30",
-        "stage reduce_30_28",
-        "stage perm_out_28",
-        "stage reduce_28_24",
-        "stage perm_out_24",
-        "stage reduce_24_16",
-        "stage perm_out_16",
-        "stage signs_out_16",
-    ],
-}
 
 
 def generated_asset_texts() -> dict:
@@ -566,7 +467,7 @@ def generated_asset_texts() -> dict:
     perm_part = SignedPermutation(d.outer_rows.src)
     sign_part = SignedPermutation(list(range(DIM)), d.outer_rows.signs)
 
-    out = {
+    return {
         "perm_in_16.txt": _perm_text(d.outer_cols, "input shuffle of the left-hand coefficients"),
         "perm_in_24.txt": _perm_text(d.perm_in_24, "per-branch input column ops, 8+8+8"),
         "perm_in_28.txt": _perm_text(d.perm_in_28, "second-level input column ops, 16+4+4+4"),
@@ -577,16 +478,10 @@ def generated_asset_texts() -> dict:
         "perm_out_24.txt": _perm_text(d.perm_out_24, "per-branch output row ops, 8+8+8"),
         "perm_out_16.txt": _perm_text(perm_part, "output shuffle (permutation part)"),
         "signs_out_16.txt": _perm_text(sign_part, "output sign diagonal"),
-        "pool_pairs.txt": _pool_text(POOLS),
         "blocks_level1.txt": _blocks_text(d.blocks_level1, "diagonal blocks, first refinement (28-wide core)"),
         "blocks_level2.txt": _blocks_text(d.blocks_level2, "diagonal blocks, second refinement (30-wide core)"),
         "blocks_level3.txt": _blocks_text(d.blocks_level3, "diagonal blocks, final refinement (30-wide core)"),
     }
-    for name, expr in STRUCTURAL_STAGES.items():
-        out[f"{name}.txt"] = _structural_text(expr, "constant combiner stage")
-    for level, lines in MANIFESTS.items():
-        out[f"pipeline_level{level}.txt"] = _manifest_text(lines)
-    return out
 
 
 def write_assets(dest_dir: str) -> list:
@@ -602,14 +497,10 @@ def main(argv=None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(description="regenerate derived pipeline assets")
-    parser.add_argument("--write", action="store_true", help="write into the package asset directory")
-    parser.add_argument("--out", default=None, help="write into this directory instead")
+    parser.add_argument("--out", required=True, help="the directory to write into")
     args = parser.parse_args(argv)
-    dest = args.out or (default_asset_dir() if args.write else None)
-    if dest is None:
-        parser.error("pass --write or --out DIR")
-    names = write_assets(dest)
-    print(f"wrote {len(names)} assets to {dest}")
+    names = write_assets(args.out)
+    print(f"wrote {len(names)} assets to {args.out}")
     return 0
 
 

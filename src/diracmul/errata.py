@@ -19,8 +19,7 @@ from .algebra import (
     symbolic_b_matrix,
     table_errata,
 )
-from .derive import DISPLAYED_MIX_30
-from .fastmult import AssetError, assemble_pipeline, count_operations, parse_expr
+from .fastmult import COMBINERS, AssetError, assemble_pipeline, count_operations
 from .linalg import Mat, SignedPermutation, dirsum, eye, signed_perm_matrix
 
 
@@ -37,7 +36,7 @@ _PRINTED_LAST_BLOCK_OUT = Mat(4, 4, [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [
 PRINTED_PERM_IN_28 = dirsum([eye(16), _diag([1, 1, 1, -1]), _diag([1, 1, 1, -1]), _PRINTED_LAST_BLOCK_IN])
 PRINTED_PERM_OUT_28 = dirsum([eye(16), _diag([1, 1, 1, -1]), _diag([1, 1, 1, -1]), _PRINTED_LAST_BLOCK_OUT])
 PRINTED_PERM_OUT_30 = dirsum([eye(27), _diag([-1]), eye(2)])
-PRINTED_MIX_30 = parse_expr(DISPLAYED_MIX_30)
+PRINTED_MIX_30 = COMBINERS["reduce_30_30"]  # the output side uses the displayed form
 
 STATIC_NOTES = [
     "second seed branch: the stated row order {1,7,3,4,5,6,2,8} does not yield"

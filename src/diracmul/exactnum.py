@@ -37,12 +37,13 @@ shift) define their own ``halve``, the one their ``Half`` calls.  ``FloatRing``,
 call.  Products over ``DYADIC`` make no ``DyadicRational`` but their
 outputs: schoolbook and the fast product bring each operand to one
 exponent with :func:`exact_ints`, multiply plain integers and build the
-outputs with :func:`exact_values`.  ``DyadicRing`` keeps the ``dyadic_*``
-functions as ``add``/``sub``/``neg``/``mul``, which the ring-generic
-helpers (``DiracNumber.add``/``neg``/``scale``,
-``algebra.derive_b_matrix``, ``linalg.structural_apply``) call without
-the operator dispatch; :class:`LinearForm` and :class:`CountingScalar`
-call them directly.  Those are :class:`DyadicRational`'s operators, and
+outputs with :func:`exact_values`.  ``DyadicRing``'s ``add``/``sub``/``mul``
+are the ``operator`` builtins, so a ring-generic helper
+(``DiracNumber.add``/``scale``, ``linalg.structural_apply``) given a
+coefficient that is no dyadic raises ``TypeError``; its ``neg`` and
+:class:`LinearForm` and :class:`CountingScalar`, whose values are
+dyadics, call the ``dyadic_*`` functions directly.  Those are
+:class:`DyadicRational`'s operators, and
 each builds its result with ``object.__new__`` and two slot stores, not
 through the class call, whose ``__init__`` frame and negative-exponent
 check would cost more than the arithmetic on small numerators: a sum or
@@ -78,7 +79,9 @@ class DyadicRational:
     The constructor rejects a negative exponent.  ``+``, ``-``, ``*`` and
     unary ``-`` build their results without it (``object.__new__`` and two
     slot stores): a result's exponent is the larger of its operands', their
-    sum or the operand's own, never negative since theirs are not.
+    sum or the operand's own, never negative since theirs are not.  Binary
+    ``+``, ``-`` and ``*`` return ``NotImplemented`` for an operand without
+    ``num`` and ``exp``, from a ``try`` that costs nothing on 3.11+.
     """
 
     __slots__ = ("num", "exp")
@@ -116,38 +119,47 @@ class DyadicRational:
         return self.num == 0
 
     def __add__(self, other: "DyadicRational") -> "DyadicRational":
-        ea, eb = self.exp, other.exp
-        r = _new(DyadicRational)
-        if ea == eb:
-            r.num = self.num + other.num
-            r.exp = ea
-        elif ea < eb:
-            r.num = (self.num << (eb - ea)) + other.num
-            r.exp = eb
-        else:
-            r.num = self.num + (other.num << (ea - eb))
-            r.exp = ea
-        return r
+        try:
+            ea, eb = self.exp, other.exp
+            r = _new(DyadicRational)
+            if ea == eb:
+                r.num = self.num + other.num
+                r.exp = ea
+            elif ea < eb:
+                r.num = (self.num << (eb - ea)) + other.num
+                r.exp = eb
+            else:
+                r.num = self.num + (other.num << (ea - eb))
+                r.exp = ea
+            return r
+        except AttributeError:  # an operand without num or exp
+            return NotImplemented
 
     def __sub__(self, other: "DyadicRational") -> "DyadicRational":
-        ea, eb = self.exp, other.exp
-        r = _new(DyadicRational)
-        if ea == eb:
-            r.num = self.num - other.num
-            r.exp = ea
-        elif ea < eb:
-            r.num = (self.num << (eb - ea)) - other.num
-            r.exp = eb
-        else:
-            r.num = self.num - (other.num << (ea - eb))
-            r.exp = ea
-        return r
+        try:
+            ea, eb = self.exp, other.exp
+            r = _new(DyadicRational)
+            if ea == eb:
+                r.num = self.num - other.num
+                r.exp = ea
+            elif ea < eb:
+                r.num = (self.num << (eb - ea)) - other.num
+                r.exp = eb
+            else:
+                r.num = self.num - (other.num << (ea - eb))
+                r.exp = ea
+            return r
+        except AttributeError:
+            return NotImplemented
 
     def __mul__(self, other: "DyadicRational") -> "DyadicRational":
-        r = _new(DyadicRational)
-        r.num = self.num * other.num
-        r.exp = self.exp + other.exp
-        return r
+        try:
+            r = _new(DyadicRational)
+            r.num = self.num * other.num
+            r.exp = self.exp + other.exp
+            return r
+        except AttributeError:
+            return NotImplemented
 
     def __neg__(self) -> "DyadicRational":
         r = _new(DyadicRational)
@@ -406,12 +418,11 @@ class FloatRing(OperatorRing):
 class DyadicRing(OperatorRing):
     name = "dyadic"
     wrap = from_dyadic = DyadicRational
-    # the functions, not the operators: the ring-generic helpers call them without the
-    # operator dispatch, and products over this ring run on integers (exact_ints)
-    add = staticmethod(dyadic_add)
-    sub = staticmethod(dyadic_sub)
+    # add/sub/mul are the inherited operators, through which an operand that is no dyadic
+    # raises TypeError (the methods return NotImplemented for it); neg is the function, so
+    # this ring does not run the compiled code natively: its products run on integers
+    # (exact_ints)
     neg = staticmethod(dyadic_neg)
-    mul = staticmethod(dyadic_mul)
     half = DyadicRational(1, 1)
 
 

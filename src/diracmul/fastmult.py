@@ -3,8 +3,12 @@
 A pipeline is a chain of constant {-1,0,+1} stages (signed permutations
 and structural combiners, both held as matrices) around one b-dependent
 block-diagonal core.  Three refinement levels exist; the final one spends
-88 generic multiplications inside a 30-wide core.  Stages are loaded from
-plain-text assets, every file through :func:`read_stage`.
+88 generic multiplications inside a 30-wide core.  The fixed design is
+defined here, once: the combiners (:data:`COMBINERS`), each level's chain
+of stage names (:data:`CHAINS`) and the pool pairs the core recipes draw
+from (:data:`POOLS`).  What ``derive`` computes from the seed data -- the
+signed permutations and the core blocks -- is read from plain-text assets,
+every file through :func:`read_stage`.
 
 An assembled pipeline is an immutable value, compiled as it is built into
 two straight-line Python functions, which follow the paper's product
@@ -57,7 +61,6 @@ multiplies, bilinearly, so its outputs are the exact product times
 
 from __future__ import annotations
 
-import ast
 import linecache
 import math
 import operator
@@ -86,11 +89,65 @@ from .exactnum import (DYADIC, INTS, CountingRing, DyadicRational, Half, LinearF
 from .linalg import (H2, T2X3, T3X2, Mat, SignedPermutation, dirsum, eye, kron, signed_perm_matrix,
                      structural_apply)
 
-LEVELS = (1, 2, 3)
-
 
 class AssetError(RuntimeError):
     """An asset is missing, malformed, or fails validation."""
+
+
+# ---------------------------------------------------------------------------
+# the pipeline's fixed design
+
+# The constant combiner stages, each a Kronecker product or direct sum of
+# identities, the 2x2 Hadamard matrix H2 and the 2x3/3x2 combiners.  Every
+# factor has entries in {-1, 0, +1} and no zero row, and so does each stage.
+COMBINERS = types.MappingProxyType({
+    # the displayed input side: 16 -> 24 -> 28 -> 30
+    "expand_16_24": kron(T3X2, eye(8)),
+    "expand_24_28": dirsum([kron(eye(2), kron(H2, eye(4))), kron(T3X2, eye(4))]),
+    "expand_28_30": dirsum([eye(16), kron(eye(2), kron(H2, eye(2))), kron(T3X2, eye(2))]),
+    # the final level's rebuilt input side (see derive.synthesize_level3_input)
+    "butterfly_16": kron(eye(8), H2),
+    "sums_24_28": dirsum([eye(16), kron(T3X2, eye(4))]),
+    "sums_28_30": dirsum([eye(24), kron(T3X2, eye(2))]),
+    "butterfly_30": dirsum([eye(28), H2]),
+    # the output side: 30 -> 30 -> 28 -> 24 -> 16; reduce_30_30 is also the
+    # displayed 30-wide input butterfly
+    "reduce_30_30": dirsum([eye(24), kron(eye(2), H2), eye(2)]),
+    "reduce_30_28": dirsum([eye(16), kron(eye(2), kron(H2, eye(2))), kron(T2X3, eye(2))]),
+    "reduce_28_24": dirsum([kron(eye(2), kron(H2, eye(4))), kron(T2X3, eye(4))]),
+    "reduce_24_16": kron(T2X3, eye(8)),
+})
+
+# Each level's stage chain, input side first: combiners by name, the core
+# ``blocks_level<L>`` and signed permutations, read from ``<name>.txt``.
+CHAINS = types.MappingProxyType({
+    1: ("perm_in_16", "expand_16_24", "perm_in_24", "expand_24_28", "blocks_level1",
+        "reduce_28_24", "perm_out_24", "reduce_24_16", "perm_out_16", "signs_out_16"),
+    2: ("perm_in_16", "expand_16_24", "perm_in_24", "expand_24_28", "perm_in_28", "expand_28_30",
+        "blocks_level2", "reduce_30_28", "perm_out_28", "reduce_28_24", "perm_out_24", "reduce_24_16",
+        "perm_out_16", "signs_out_16"),
+    3: ("perm_pairs_16", "butterfly_16", "expand_16_24", "sums_24_28", "sums_28_30", "butterfly_30",
+        "perm_in_30", "blocks_level3", "reduce_30_30", "perm_out_30", "reduce_30_28", "perm_out_28",
+        "reduce_28_24", "perm_out_24", "reduce_24_16", "perm_out_16", "signs_out_16"),
+})
+LEVELS = tuple(CHAINS)
+
+# Shared two-term combinations of the right-hand coefficients, as (sign,
+# index) terms.  Every 4x4-block cell is one addition of two "quad" terms,
+# every 2x2-block cell one addition of two "duo" terms, each 1x1 block one
+# addition of a duo and a quad term.  Keeping the two families separate
+# (even where contents coincide up to sign) is what reproduces the
+# published cost accounting.
+POOLS = types.MappingProxyType({
+    family: tuple(tuple((1 if t >= 0 else -1, abs(t)) for t in pair) for pair in pairs)
+    for family, pairs in (
+        ("quad", [(0, 5), (10, 15), (1, 2), (13, 14), (-3, 4), (-11, 12), (-6, 7), (-8, 9),
+                  (6, 7), (8, 9), (3, 4), (11, 12), (1, -2), (13, -14), (0, -5), (10, -15)]),
+        ("duo", [(-4, 10), (-12, 15), (-7, -9), (-13, -14), (7, -9), (-13, 14), (-4, -10), (12, 15)]),
+    )
+})
+
+_WIDEST = max(max(m.rows, m.cols) for m in COMBINERS.values())
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +165,10 @@ def read_stage(path: str, parse, *args):
 
 
 def parse_stage(lines) -> Mat:
-    """The matrix of a constant stage: ``<key> <value>`` lines, no key twice,
-    ``kind`` ``signed_perm`` (``size``, ``src``, ``signs``) or ``structural`` (``expr``)."""
+    """The +-1 matrix of a signed-permutation stage: ``<key> <value>``
+    lines, no key twice, ``kind signed_perm``, ``size``, ``src`` and
+    ``signs``; ``KeyError`` or ``ValueError`` for a missing or malformed
+    field."""
     fields = {}
     for ln in lines:
         key, _, rest = ln.partition(" ")
@@ -117,24 +176,10 @@ def parse_stage(lines) -> Mat:
             raise ValueError(f"repeated field '{key}'")
         fields[key] = rest.strip()
     kind = fields.get("kind")
-    if kind == "signed_perm":
-        return _parse_perm(fields)
-    if kind == "structural":
-        return parse_expr(fields["expr"])
-    raise ValueError("missing 'kind' line" if kind is None else f"unknown kind {kind!r}")
-
-
-def _parse_sign(tok: str) -> int:
-    if tok not in _SIGNS:
-        raise ValueError(f"bad sign {tok!r}")
-    return _SIGNS[tok]
-
-
-def _parse_perm(fields: dict) -> Mat:
-    """The +-1 matrix of a validated signed permutation; ``KeyError`` or
-    ``ValueError`` for a missing or malformed field."""
+    if kind != "signed_perm":
+        raise ValueError("missing 'kind' line" if kind is None else f"unknown kind {kind!r}")
     size = parse_int(fields["size"])
-    _check_width(size, size, f"size {size}")
+    _check_size(size, f"size {size}")
     src = [parse_int(t) - 1 for t in fields["src"].split()]
     signs = [_parse_sign(t) for t in fields["signs"].split()]
     perm = SignedPermutation(src, signs)
@@ -143,70 +188,19 @@ def _parse_perm(fields: dict) -> Mat:
     return signed_perm_matrix(perm)
 
 
-def _check_width(rows: int, cols: int, what) -> None:
-    """``ValueError`` if a ``rows`` x ``cols`` matrix is smaller than 1x1 or
-    wider than any stage, so that no such matrix is ever allocated.  ``what``
-    names it: a string, or the expression node, unparsed only for the error."""
-    if min(rows, cols) < 1 or max(rows, cols) > _WIDEST:
-        what = what if isinstance(what, str) else ast.unparse(what)
-        problem = "smaller than 1x1" if min(rows, cols) < 1 else f"wider than the widest stage ({_WIDEST})"
-        raise ValueError(f"{what} would be {rows}x{cols}, {problem}")
+def _parse_sign(tok: str) -> int:
+    if tok not in _SIGNS:
+        raise ValueError(f"bad sign {tok!r}")
+    return _SIGNS[tok]
 
 
-_ATOMS = {"H2": H2, "T2x3": T2X3, "T3x2": T3X2}
-
-
-def parse_expr(text: str) -> Mat:
-    """The matrix of a structural-stage expression such as ``kron(T3x2, I8)``,
-    parsed as Python and walked, never evaluated: atoms ``H2``, ``T2x3``,
-    ``T3x2``, ``I<n>`` (``n`` as ``parse_int`` reads it); positional calls
-    of ``kron`` (two) and ``dirsum``.  ``ValueError`` for anything else,
-    and for an atom or intermediate smaller than 1x1 or wider than the
-    widest stage, before it is built.
-
-    Every atom has entries in {-1, 0, +1} and no zero row, and ``kron`` and
-    ``dirsum`` keep both, so every expression's matrix has them too."""
-    try:
-        tree = ast.parse(text, mode="eval")
-    except SyntaxError as exc:
-        raise ValueError(f"malformed expression {text!r}: {exc.msg}") from exc
-
-    def walk(node) -> Mat:
-        if isinstance(node, ast.Name):
-            if node.id in _ATOMS:
-                return _ATOMS[node.id]
-            if node.id.startswith("I") and node.id[1:].isdigit():
-                n = parse_int(node.id[1:])
-                _check_width(n, n, node.id)
-                return eye(n)
-            raise ValueError(f"unknown atom {node.id!r}")
-        if (not isinstance(node, ast.Call) or not isinstance(node.func, ast.Name) or node.keywords
-                or any(isinstance(arg, ast.Starred) for arg in node.args)):
-            raise ValueError(f"unsupported expression {ast.unparse(node)!r} in {text!r}")
-        if node.func.id not in ("kron", "dirsum"):
-            raise ValueError(f"unknown function {node.func.id!r}")
-        args = [walk(arg) for arg in node.args]
-        if node.func.id == "dirsum":
-            _check_width(sum(m.rows for m in args), sum(m.cols for m in args), node)
-            return dirsum(args)
-        if len(args) != 2:
-            raise ValueError("kron takes two arguments")
-        _check_width(args[0].rows * args[1].rows, args[0].cols * args[1].cols, node)
-        return kron(*args)
-
-    return walk(tree.body)
-
-
-def parse_pools(lines) -> types.MappingProxyType:
-    """Per pool family, ``quad`` and ``duo``, its pairs of terms in file
-    order, as a read-only mapping of tuples."""
-    pools: dict = {"quad": [], "duo": []}
-    for ln in lines:
-        family, *tokens = ln.split()
-        if family not in pools or len(tokens) != 2:
-            raise ValueError(f"bad pool line {ln!r}")
-        pools[family].append(tuple(_parse_term(t) for t in tokens))
-    return types.MappingProxyType({family: tuple(pairs) for family, pairs in pools.items()})
+def _check_size(n: int, what: str) -> None:
+    """``ValueError`` naming ``what`` if an ``n`` x ``n`` matrix is smaller
+    than 1x1 or wider than any stage, so that no such matrix is ever
+    allocated."""
+    if not 1 <= n <= _WIDEST:
+        problem = "smaller than 1x1" if n < 1 else f"wider than the widest stage ({_WIDEST})"
+        raise ValueError(f"{what} would be {n}x{n}, {problem}")
 
 
 # the pool families a block family draws its four-term cells from, in search order
@@ -281,7 +275,7 @@ def parse_blocks(lines, index: dict) -> tuple:
         if mode not in ("halved", "plain"):
             raise ValueError(f"bad mode {mode!r}")
         size = parse_int(size)
-        _check_width(size, size, f"block {name}")
+        _check_size(size, f"block {name}")
         cells = lines[i + 1 : i + 1 + size * size]
         if len(cells) != size * size:
             raise ValueError(f"block {name} is short of cells")
@@ -330,7 +324,7 @@ class Pipeline:
     level: int
     stages: tuple
     asset_dir: str
-    pools: types.MappingProxyType  # the pool pairs the core recipes draw from, parsed at assembly
+    pools: types.MappingProxyType  # the pool pairs the core recipes draw from, :data:`POOLS`
     program: CompiledProgram = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -345,40 +339,24 @@ class Pipeline:
         return self.stages[self.core_index]
 
 
-_EXPECTED_DIMS = {
-    1: [16, 16, 24, 24, 28, 28, 24, 24, 16, 16, 16],
-    2: [16, 16, 24, 24, 28, 28, 30, 30, 28, 28, 24, 24, 16, 16, 16],
-    3: [16, 16, 16, 24, 28, 30, 30, 30, 30, 30, 30, 28, 28, 24, 24, 16, 16, 16],
-}
-_WIDEST = max(max(dims) for dims in _EXPECTED_DIMS.values())
-
-
 @lru_cache(maxsize=None)
 def _assemble(level: int, asset_dir: str) -> Pipeline:
-    if level not in LEVELS:
+    if level not in CHAINS:
         raise ValueError(f"level must be 1, 2 or 3, not {level!r}")
-    pools = read_stage(os.path.join(asset_dir, "pool_pairs.txt"), parse_pools)
     stages = []
-    for ln in read_stage(os.path.join(asset_dir, f"pipeline_level{level}.txt"), list):
-        what, _, ref = ln.partition(" ")
-        ref = ref.strip()
-        path = os.path.join(asset_dir, f"{ref}.txt")
-        if what == "stage":
-            stages.append(Stage(ref, mat=read_stage(path, parse_stage)))
-        elif what == "core":
-            stages.append(Stage(ref, blocks=read_stage(path, parse_blocks, index_pools(pools))))
+    for name in CHAINS[level]:
+        path = os.path.join(asset_dir, f"{name}.txt")
+        if name in COMBINERS:
+            stages.append(Stage(name, mat=COMBINERS[name]))
+        elif name == f"blocks_level{level}":
+            stages.append(Stage(name, blocks=read_stage(path, parse_blocks, index_pools(POOLS))))
         else:
-            raise AssetError(f"stage manifest pipeline_level{level}: bad line {ln!r}")
-    if all(s.blocks is None for s in stages):
-        raise AssetError(f"stage manifest pipeline_level{level}: no core stage")
+            stages.append(Stage(name, mat=read_stage(path, parse_stage)))
     # checked before Pipeline() compiles the chain, so a bad asset fails with its name
-    dims = [stages[0].in_dim] + [s.out_dim for s in stages]
-    if dims != _EXPECTED_DIMS[level]:
-        raise AssetError(f"stage manifest pipeline_level{level}: dimension chain {dims}")
     for prev, cur in zip(stages, stages[1:]):
         if prev.out_dim != cur.in_dim:
             raise AssetError(f"stage {cur.name}: expects {cur.in_dim} inputs, gets {prev.out_dim}")
-    return Pipeline(level, tuple(stages), asset_dir, pools)
+    return Pipeline(level, tuple(stages), asset_dir, POOLS)
 
 
 def assemble_pipeline(level: int) -> Pipeline:

@@ -403,9 +403,9 @@ def test_every_asset_reader_honours_the_asset_dir_override(tmp_path, monkeypatch
     table_path.write_text("\n".join(lines) + "\n", encoding="ascii")
     assert parse_printed_table()[1][2] == SignedBasis(-1, 5)
 
-    # derive --write writes into the override
+    # derive reads its seeds from the override and writes where --out says
     (copy / "perm_in_16.txt").unlink()
-    assert derive.main(["--write"]) == 0
+    assert derive.main(["--out", str(copy)]) == 0
     assert (copy / "perm_in_16.txt").exists()
 
     assert len(derive.load_seed_matrices()) == 2

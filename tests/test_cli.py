@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import shutil
@@ -532,6 +533,25 @@ class TestEmit:
         # the chain composes: each stage consumes what the previous produced
         for earlier, later in zip(dims[:-1], dims[1:]):
             assert later[1] == earlier[0]
+
+    GOLDEN = {  # sha256 of the files emit matrices writes (each name, then its text), and of program.source
+        1: ("dd8d8efa843d046213bdd86cd480ff2647287211713170d9124432c68c3c8430",
+            "02ee1b75c2f6aa6f629321e41a71c4e4e56e05f8b4fb2d9a49437e76d3cea813"),
+        2: ("87641dc6bdb6a3478093f49ec6eaf7bdea627b747c9ce692d0a4c8562ac0ab9c",
+            "84b7b2eab98b041be2c5ab5f6b7d0c34bbd27acbdc1d0763d2b58dbac9250f97"),
+        3: ("3ab09c4708b4894c8bd2d25d075b2369d5d61d06459f920cfe454ef1225541e3",
+            "024261a4c4931ca0d1a1e692484f1909377046672a11abdd716f87f5c5edc7e0"),
+    }
+
+    @pytest.mark.parametrize("level", GOLDEN)
+    def test_stage_matrices_and_program_source_are_golden(self, capsys, tmp_path, level):
+        out_dir = tmp_path / "stages"
+        assert run(capsys, "emit", "matrices", str(out_dir), "--level", str(level))[0] == 0
+        files = hashlib.sha256()
+        for name in sorted(os.listdir(out_dir)):
+            files.update(f"{name}\n".encode("ascii") + (out_dir / name).read_bytes())
+        source = hashlib.sha256(fastmult.assemble_pipeline(level).program.source.encode("ascii"))
+        assert (files.hexdigest(), source.hexdigest()) == self.GOLDEN[level]
 
     def test_slp_into_a_missing_directory_is_a_usage_error(self, capsys, tmp_path):
         out_file = tmp_path / "missing" / "program.slp"

@@ -117,7 +117,7 @@ def test_changed_asset_dir_reassembles(tmp_path, monkeypatch):
     dst, broken = tmp_path / "assets", tmp_path / "broken"
     shutil.copytree(shipped_dir, dst)
     shutil.copytree(shipped_dir, broken)
-    (broken / "pipeline_level3.txt").write_text("stage missing_stage\n", encoding="ascii")
+    (broken / "perm_in_30.txt").write_text("kind signed_perm\nsize 30\n", encoding="ascii")
     shipped = assemble_pipeline(3)
     a, b = DiracNumber.basis(2, FLOAT), DiracNumber.basis(7, FLOAT)
     want = mul_fast(a, b)
@@ -131,11 +131,11 @@ def test_changed_asset_dir_reassembles(tmp_path, monkeypatch):
     assert verify_pipeline(3).ok
     # the product path, the operator and the proof read the variable on every call
     monkeypatch.setenv("DIRAC_ASSET_DIR", str(broken))
-    with pytest.raises(AssetError, match="missing_stage"):
+    with pytest.raises(AssetError, match="perm_in_30"):
         mul_fast(a, b)
-    with pytest.raises(AssetError, match="missing_stage"):
+    with pytest.raises(AssetError, match="perm_in_30"):
         precompute(b).apply(a)
-    with pytest.raises(AssetError, match="missing_stage"):
+    with pytest.raises(AssetError, match="perm_in_30"):
         verify_pipeline(3)
     # a directory given to mul_fast takes the variable's place
     assert mul_fast(a, b, 3, str(dst)) == want
@@ -153,7 +153,7 @@ def test_changed_asset_dir_reassembles(tmp_path, monkeypatch):
     # an environment mapping without CPython's backing dict is read through get
     monkeypatch.setattr(os, "environ", {"DIRAC_ASSET_DIR": str(broken)})
     assert fastmult.default_asset_dir() == str(broken)
-    with pytest.raises(AssetError, match="missing_stage"):
+    with pytest.raises(AssetError, match="perm_in_30"):
         mul_fast(a, b)
 
 
@@ -1062,6 +1062,19 @@ def test_a_foreign_coefficient_of_an_exact_ring_raises_a_type_error_at_every_ent
     for call in calls:
         with pytest.raises(TypeError, match=f"dyadic ring has type {type(foreign).__name__}, not DyadicRational"):
             call()
+
+
+def test_a_dyadic_coefficient_of_a_float_number_raises_a_type_error():
+    # the generated code meets the dyadic on either side of an operator, by its position;
+    # both operands' methods decline, whichever comes first
+    a = DiracNumber.from_ints(range(DIM), FLOAT)
+    for k in range(DIM):
+        bad = DiracNumber(a.coeffs[:k] + [DyadicRational(3, 1)] + a.coeffs[k + 1:], FLOAT)
+        calls = (lambda: mul_fast(a, bad), lambda: mul_fast(bad, a), lambda: precompute(bad),
+                 lambda: precompute(a).apply(bad))
+        for call in calls:
+            with pytest.raises(TypeError, match="unsupported operand type.*DyadicRational"):
+                call()
 
 
 def test_distinct_counting_rings_are_different_rings():

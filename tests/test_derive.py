@@ -1,4 +1,3 @@
-import ast
 import os
 import re
 
@@ -10,17 +9,10 @@ from diracmul.algebra import default_asset_dir
 from diracmul.derive import (
     BRANCH_A,
     BRANCH_C,
-    DISPLAYED_MIX_30,
     LEVEL3_INPUT_STAGES,
-    MANIFESTS,
-    POOLS,
-    STRUCTURAL_STAGES,
     ReconstructionError,
     _blocks_text,
-    _manifest_text,
     _perm_text,
-    _pool_text,
-    _structural_text,
     apply_reorder,
     derive_all,
     displayed_level3_input,
@@ -35,7 +27,7 @@ from diracmul.derive import (
     synthesize_level3_input,
 )
 from diracmul.exactnum import FORMS
-from diracmul.fastmult import index_pools, parse_blocks, parse_expr, parse_pools, parse_stage, read_stage
+from diracmul.fastmult import COMBINERS, POOLS, index_pools, parse_blocks, parse_stage, read_stage
 from diracmul.linalg import Mat, SignedPermutation, int_mat_mul, signed_perm_matrix
 
 
@@ -168,20 +160,19 @@ class TestLevel3InputSide:
     def test_chain_computes_the_displayed_map(self, derivation, displayed):
         acc = signed_perm_matrix(derivation.perm_pairs_16)
         for name in LEVEL3_INPUT_STAGES:
-            acc = int_mat_mul(parse_expr(STRUCTURAL_STAGES[name]), acc)
+            acc = int_mat_mul(COMBINERS[name], acc)
         acc = int_mat_mul(signed_perm_matrix(derivation.perm_in_30), acc)
         # the final block is halved, so its two inputs arrive doubled
         want = tuple(row if i < 28 else tuple(2 * c for c in row) for i, row in enumerate(displayed.entries))
         assert acc.entries == want
 
     def test_additions_drop_from_42_to_32(self):
-        def additions(exprs):
-            return sum(sum(1 for e in row if e) - 1
-                       for text in exprs for row in parse_expr(text).entries)
+        def additions(names):
+            return sum(sum(1 for e in row if e) - 1 for name in names for row in COMBINERS[name].entries)
 
-        displayed = [STRUCTURAL_STAGES[n] for n in ("expand_16_24", "expand_24_28", "expand_28_30")]
-        assert additions(displayed + [DISPLAYED_MIX_30]) == 8 + 20 + 10 + 4
-        assert additions(STRUCTURAL_STAGES[n] for n in LEVEL3_INPUT_STAGES) == 16 + 8 + 4 + 2 + 2
+        # the displayed input side ends in the butterfly the output side starts with
+        assert additions(("expand_16_24", "expand_24_28", "expand_28_30", "reduce_30_30")) == 8 + 20 + 10 + 4
+        assert additions(LEVEL3_INPUT_STAGES) == 16 + 8 + 4 + 2 + 2
 
     def test_tampered_target_is_rejected(self, displayed):
         entries = [list(row) for row in displayed.entries]
@@ -219,7 +210,7 @@ def test_main_without_a_destination_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
-    assert "error: pass --write or --out DIR" in capsys.readouterr().err
+    assert "error: the following arguments are required: --out" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -264,23 +255,6 @@ def test_every_derived_signed_permutation_round_trips(asset_dir):
         assert _perm_text(perm_of(reread(asset_dir, name, texts[name], parse_stage)), comment) == texts[name]
 
 
-@pytest.mark.parametrize("name", sorted(STRUCTURAL_STAGES))
-def test_a_structural_stage_round_trips(asset_dir, name):
-    # the reader keeps the matrix, not the text: it reads the expression's
-    # matrix, and the expression is written as Python prints it back
-    expr = STRUCTURAL_STAGES[name]
-    text = _structural_text(expr, "constant combiner stage")
-    assert reread(asset_dir, f"{name}.txt", text, parse_stage) == parse_expr(expr)
-    assert _structural_text(ast.unparse(ast.parse(expr, mode="eval")), "constant combiner stage") == text
-
-
-def test_the_pools_round_trip(asset_dir):
-    text = _pool_text(POOLS)
-    pools = reread(asset_dir, "pool_pairs.txt", text, parse_pools)
-    assert pools == POOLS
-    assert _pool_text(pools) == text
-
-
 @pytest.mark.parametrize("level", (1, 2, 3))
 def test_the_blocks_round_trip(asset_dir, derivation, level):
     comment = "diagonal blocks"
@@ -292,13 +266,6 @@ def test_the_blocks_round_trip(asset_dir, derivation, level):
 @pytest.mark.parametrize("level", (1, 2, 3))
 def test_derived_and_shipped_core_blocks_are_equal_values(derivation, level):
     # one block type: the blocks derive builds are the values the pipeline loads
-    shipped = default_asset_dir()
-    index = index_pools(read_stage(os.path.join(shipped, "pool_pairs.txt"), parse_pools))
-    loaded = read_stage(os.path.join(shipped, f"blocks_level{level}.txt"), parse_blocks, index)
+    path = os.path.join(default_asset_dir(), f"blocks_level{level}.txt")
+    loaded = read_stage(path, parse_blocks, index_pools(POOLS))
     assert loaded == getattr(derivation, f"blocks_level{level}")
-
-
-@pytest.mark.parametrize("level", (1, 2, 3))
-def test_a_manifest_round_trips(asset_dir, level):
-    text = _manifest_text(MANIFESTS[level])
-    assert _manifest_text(reread(asset_dir, f"pipeline_level{level}.txt", text, list)) == text

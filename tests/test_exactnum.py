@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 import re
 import sys
@@ -18,6 +19,7 @@ from diracmul.exactnum import (
     CountingScalar,
     DYADIC,
     DyadicRational,
+    Half,
     LinearForm,
     LinearFormError,
     dyadic_add,
@@ -87,12 +89,29 @@ class TestDyadic:
            st.builds(DyadicRational, st.integers(-(1 << 100), 1 << 100), st.integers(0, 80)))
     @settings(max_examples=200)
     def test_operators_are_the_ring_operations(self, a, b):
-        # the compiled product writes x + y where schoolbook calls DYADIC.add(x, y)
+        # generated code writes x + y where the ring-generic helpers call DYADIC.add(x, y)
         for got, want in ((a + b, DYADIC.add(a, b)), (a - b, DYADIC.sub(a, b)), (a * b, DYADIC.mul(a, b)),
                           (-a, DYADIC.neg(a))):
             assert type(got) is DyadicRational
             assert (got.num, got.exp) == (want.num, want.exp)
         assert as_fraction(a - b) == as_fraction(a) - as_fraction(b)
+
+    @pytest.mark.parametrize("other", (2, 1.5, None), ids=("int", "float", "none"))
+    def test_a_foreign_operand_is_refused_by_the_numeric_protocol(self, other):
+        # the ring's operations too, which DiracNumber.add and scale call on every coefficient
+        x = DyadicRational(3, 1)
+        for op, method, ring_op in ((operator.add, DyadicRational.__add__, DYADIC.add),
+                                    (operator.sub, DyadicRational.__sub__, DYADIC.sub),
+                                    (operator.mul, DyadicRational.__mul__, DYADIC.mul)):
+            assert method(x, other) is NotImplemented
+            for left, right in ((x, other), (other, x)):
+                for call in (op, ring_op):
+                    with pytest.raises(TypeError, match="unsupported operand type"):
+                        call(left, right)
+
+    def test_a_foreign_operand_gets_its_reflected_turn(self):
+        # the other operand's __rmul__ runs once __mul__ declines, as Half relies on
+        assert DyadicRational(6) * Half(lambda v: ("halved", v)) == ("halved", DyadicRational(6))
 
     def test_negative_exponent_is_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):

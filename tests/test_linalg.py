@@ -4,6 +4,7 @@ import random
 import pytest
 
 from diracmul.exactnum import INTS, CountingRing, DYADIC, DyadicRational, lf_from_b
+from diracmul.fastmult import COMBINERS
 from diracmul.linalg import (
     H2,
     Mat,
@@ -136,6 +137,8 @@ class TestSignedPermutation:
         checked = 0
         for pipe in verified_pipelines.values():
             for stage in pipe.stages:
+                if stage.name in COMBINERS:  # defined in code, read from no file
+                    continue
                 with open(os.path.join(pipe.asset_dir, f"{stage.name}.txt"), encoding="ascii") as fh:
                     fields = dict(ln.strip().split(" ", 1) for ln in fh if " " in ln.strip() and ln[0] != "#")
                 if fields.get("kind") != "signed_perm":
