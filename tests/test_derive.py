@@ -1,10 +1,13 @@
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import diracmul
 from diracmul.algebra import default_asset_dir
 from diracmul.derive import (
     BRANCH_A,
@@ -27,7 +30,7 @@ from diracmul.derive import (
     synthesize_level3_input,
 )
 from diracmul.exactnum import FORMS
-from diracmul.fastmult import COMBINERS, POOLS, index_pools, parse_blocks, parse_stage, read_stage
+from diracmul.fastmult import CHAINS, COMBINERS, LEVELS, POOLS, index_pools, parse_blocks, parse_stage, read_stage
 from diracmul.linalg import Mat, SignedPermutation, int_mat_mul, signed_perm_matrix
 
 
@@ -211,6 +214,39 @@ def test_main_without_a_destination_is_a_usage_error(capsys):
         main([])
     assert exc.value.code == 2
     assert "error: the following arguments are required: --out" in capsys.readouterr().err
+
+
+def test_out_is_the_only_destination(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["--write", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "error: unrecognized arguments: --write" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("module", ["diracmul", "diracmul.errata"])
+def test_importing_does_not_load_derive(module):
+    # derive imports fastmult, never the other way; errata takes the combiners from fastmult
+    code = f"import sys, {module}; sys.exit('diracmul.derive' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(diracmul.__file__))}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+@pytest.fixture(scope="module")
+def derived_names():
+    return set(generated_asset_texts())
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_a_chain_reads_only_files_that_derive_writes(derived_names, level):
+    # a stage the design does not define in code is derived, the core among them
+    read = {f"{name}.txt" for name in CHAINS[level] if name not in COMBINERS}
+    assert f"blocks_level{level}.txt" in read
+    assert read <= derived_names
+
+
+def test_every_derived_file_is_read_by_a_chain(derived_names):
+    assert derived_names == {f"{name}.txt" for chain in CHAINS.values() for name in chain if name not in COMBINERS}
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,10 @@ from diracmul.algebra import DIM, DiracNumber, build_table_from_generators, mul_
 from diracmul.derive import derive_all, generated_asset_texts
 from diracmul.exactnum import CountingRing, DYADIC, FORMS, lf_from_b
 from diracmul.fastmult import (
+    CHAINS,
+    COMBINERS,
+    LEVELS,
+    POOLS,
     AssetError,
     assemble_pipeline,
     bind_block,
@@ -124,6 +128,14 @@ class TestAssembly:
          "block q0 would be -4x-4, smaller than 1x1"),
         ("blocks_level3.txt", lambda t: t.replace("q0 4 halved", "q0 0 halved"),
          "block q0 would be 0x0, smaller than 1x1"),
+        ("signs_out_16.txt", lambda t: re.sub("size .*\n", "", t), "'size'"),
+        ("signs_out_16.txt", lambda t: re.sub("src .*\n", "", t), "'src'"),
+        ("signs_out_16.txt", lambda t: re.sub("signs .*\n", "", t), "'signs'"),
+        ("signs_out_16.txt", lambda t: t.replace("size 16", "size -1"), "size -1 would be -1x-1, smaller than 1x1"),
+        ("signs_out_16.txt", lambda t: t.replace("src 1 ", "src 01 "), "expected an integer, got '01'"),
+        ("signs_out_16.txt", lambda t: t.replace("src 1 ", "src 2 "), "src is not a permutation of 0..n-1"),
+        ("signs_out_16.txt", lambda t: t.replace(" 16\nsigns", " 17\nsigns"), "src is not a permutation of 0..n-1"),
+        ("signs_out_16.txt", lambda t: t.replace("signs + ", "signs "), "signs must be +-1, one per coordinate"),
         # a consistent signed permutation of the wrong size: reduce_24_16 gives it 16 values
         ("perm_out_16.txt", lambda t: IDENTITY_24, "expects 24 inputs, gets 16"),
     ], ids=lambda v: v if isinstance(v, str) else "")
@@ -139,6 +151,7 @@ class TestAssembly:
 
     @pytest.mark.parametrize("name, edit, message", [
         ("signs_out_16.txt", lambda t: t.replace("size 16", "size 31"), "size 31 would be 31x31"),
+        ("blocks_level3.txt", lambda t: t.replace("q0 4 halved", "q0 31 halved"), "block q0 would be 31x31"),
     ], ids=lambda v: v if isinstance(v, str) else "")
     def test_a_stage_wider_than_any_is_refused_before_it_is_built(self, tmp_path, monkeypatch, name, edit,
                                                                   message):
@@ -186,6 +199,77 @@ class TestAssembly:
             assemble_pipeline(3)
         assert isinstance(info.value.__cause__, (OSError, KeyError, ValueError))
         assert not isinstance(info.value.__cause__, AssetError)
+
+
+class TestDesign:
+    """The fixed design the chains are built from: combiners, chains, pools."""
+
+    @pytest.mark.parametrize("name", sorted(COMBINERS))
+    def test_a_combiner_has_the_widths_its_name_gives(self, name):
+        # <kind>_<inputs>_<outputs>, or <kind>_<n> for n -> n; every column is read, every row written
+        widths = [int(w) for w in name.split("_")[1:]]
+        in_dim, out_dim = widths if len(widths) == 2 else widths * 2
+        mat = COMBINERS[name]
+        assert (mat.rows, mat.cols) == (out_dim, in_dim)
+        assert all(e in (-1, 0, 1) for row in mat.entries for e in row)
+        assert all(any(row) for row in mat.entries)
+        assert all(any(col) for col in zip(*mat.entries))
+
+    @pytest.mark.parametrize("expand, reduce", [
+        ("expand_16_24", "reduce_24_16"), ("expand_24_28", "reduce_28_24"), ("expand_28_30", "reduce_30_28"),
+        ("reduce_30_30", "reduce_30_30"),  # the displayed 30-wide input butterfly, its own transpose
+    ])
+    def test_the_output_side_is_the_displayed_input_side_transposed(self, expand, reduce):
+        assert tuple(zip(*COMBINERS[expand].entries)) == COMBINERS[reduce].entries
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_a_chain_holds_its_own_core_once(self, level):
+        assert [name for name in CHAINS[level] if name.startswith("blocks_")] == [f"blocks_level{level}"]
+
+    def test_every_combiner_is_in_a_chain(self):
+        assert set(COMBINERS) <= {name for chain in CHAINS.values() for name in chain}
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_a_pipeline_is_built_from_the_design(self, verified_pipelines, level):
+        pipe = verified_pipelines[level]
+        assert tuple(stage.name for stage in pipe.stages) == CHAINS[level]
+        assert all(stage.mat is COMBINERS[stage.name] for stage in pipe.stages if stage.name in COMBINERS)
+        assert pipe.pools is POOLS
+
+    @pytest.mark.parametrize("family, count", [("quad", 16), ("duo", 8)])
+    def test_a_pool_pair_is_two_distinct_coefficients(self, family, count):
+        pairs = POOLS[family]
+        assert len(pairs) == len(set(pairs)) == count
+        for (s1, m1), (s2, m2) in pairs:
+            assert {s1, s2} <= {-1, 1}
+            assert m1 != m2 and {m1, m2} <= set(range(DIM))
+
+    @pytest.mark.parametrize("family", ["quad", "duo"])
+    def test_every_pool_pair_is_drawn_by_the_final_core(self, verified_pipelines, family):
+        drawn = {(fam, i) for blk in verified_pipelines[3].core.blocks for recipe in blk.recipes
+                 if recipe[0] == "pair" for _, fam, i in recipe[1:]}
+        assert {i for fam, i in drawn if fam == family} == set(range(len(POOLS[family])))
+
+    @pytest.mark.parametrize("design", [COMBINERS, CHAINS, POOLS], ids=["combiners", "chains", "pools"])
+    def test_the_design_cannot_be_changed(self, design):
+        key = next(iter(design))
+        with pytest.raises(TypeError):
+            design[key] = design[key]
+        held = design[key].entries if design is COMBINERS else design[key]
+        with pytest.raises(TypeError):
+            held[0] = held[0]
+
+    @pytest.mark.parametrize("name", ["expand_16_24.txt", "pipeline_level3.txt", "pool_pairs.txt"])
+    def test_a_design_file_in_the_asset_dir_is_not_read(self, tmp_path, monkeypatch, verified_pipelines, name):
+        # asset directories written before the design moved into code hold such files
+        dst = tmp_path / "assets"
+        shutil.copytree(default_asset_dir(), dst)
+        (dst / name).write_text("not a stage\n", encoding="ascii")
+        monkeypatch.setenv("DIRAC_ASSET_DIR", str(dst))
+        pipe = assemble_pipeline(3)
+        assert pipe.asset_dir == str(dst)
+        assert pipe.stages == verified_pipelines[3].stages
+        assert pipe.program.source == verified_pipelines[3].program.source
 
 
 class TestBlockFormulas:
