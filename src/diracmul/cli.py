@@ -212,22 +212,15 @@ def bench_pairs(iters: int, seed: int) -> list:
 
 
 def cmd_bench(args) -> int:
-    from .slpgen import schoolbook_program
-
     batches = 5
     data = bench_pairs(args.iters, args.seed)
     table = build_table_from_generators()
     assemble_pipeline(3)  # assemble and compile before timing
-    school = schoolbook_program(table).compiled  # mul_schoolbook's operations, in its order
+    table.schoolbook  # generate the schoolbook code before timing
 
     def run_school():
         for av, bv in data:
             mul_schoolbook(DiracNumber(av, FLOAT), DiracNumber(bv, FLOAT), table)
-
-    def run_school_compiled():
-        for av, bv in data:
-            a, b = DiracNumber(av, FLOAT), DiracNumber(bv, FLOAT)
-            DiracNumber(school(FLOAT.half, a.coeffs, b.coeffs, ()), FLOAT)
 
     def run_fast():
         for av, bv in data:
@@ -240,8 +233,7 @@ def cmd_bench(args) -> int:
             op.apply(DiracNumber(av, FLOAT))
 
     rows = []
-    for name, fn in (("schoolbook", run_school), ("schoolbook (compiled)", run_school_compiled),
-                     ("fast", run_fast), ("apply (amortized)", run_amortized)):
+    for name, fn in (("schoolbook", run_school), ("fast", run_fast), ("apply (amortized)", run_amortized)):
         times = []
         for _ in range(batches):
             t0 = time.perf_counter()

@@ -83,6 +83,7 @@ from .algebra import (
     format_term,
     mul_schoolbook,
     read_asset_lines,
+    runs_natively,
 )
 from .exactnum import (DYADIC, INTS, CountingRing, DyadicRational, Half, LinearForm, exact_ints, exact_values,
                        parse_int)
@@ -775,14 +776,6 @@ def compile_pipeline(pipeline: Pipeline) -> CompiledProgram:
 # running the compiled functions over a ring
 
 
-def _runs_natively(ring) -> bool:
-    """Whether ``ring``'s ``add``/``sub``/``neg``/``mul`` are the operators
-    the generated code is written with, so it can run on the ring's values
-    (bind halving them by the ring's ``half``)."""
-    return (ring.add is operator.add and ring.sub is operator.sub
-            and ring.neg is operator.neg and ring.mul is operator.mul)
-
-
 class _Box:
     """A value of a ring whose ``add``/``sub``/``neg``/``mul`` are methods
     of its own: each operator calls the ring's method."""
@@ -895,7 +888,7 @@ class PrecomputedOperator:
             nums, exp = tuple(_bind_ints(prog, b_ints)), eb + prog.halvings
             self.lowered = (nums, exp)
             self.entries = tuple(DyadicRational(n, exp) for n in nums)
-        elif _runs_natively(ring):
+        elif runs_natively(ring):
             self.entries = prog.bind(ring.half, b.coeffs)
         else:
             self._boxes = prog.bind(_BOX_HALF, _boxed(b.coeffs, ring))

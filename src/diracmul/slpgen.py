@@ -21,10 +21,10 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .algebra import DIM, DiracNumber, MultTable, mul_schoolbook
+from .algebra import DIM, MultTable, record_schoolbook, runs_natively
 from .exactnum import DYADIC, INTS, CountingScalar, DyadicRational, parse_dyadic, parse_int
-from .fastmult import (RING_OPS, Pipeline, PrecomputedOperator, Recorder, _function_source, _renumbered,
-                       _runs_natively, load_source, verify_pipeline)
+from .fastmult import (RING_OPS, Pipeline, PrecomputedOperator, _function_source, _renumbered, load_source,
+                       verify_pipeline)
 
 OPCODES = ("load_a", "load_b", "const", "add", "sub", "neg", "mul", "shift", "store_y")
 _OPCODE = {"a": "load_a", "b": "load_b", "c": "const", "halve": "shift"}  # tape op -> text opcode, if renamed
@@ -131,11 +131,9 @@ def _as_dyadic_pair(val):
 
 
 def schoolbook_program(table: MultTable) -> SLProgram:
-    """The naive product as a reference program: :func:`~diracmul.algebra.mul_schoolbook`
-    recorded once, 256 muls and 240 adds."""
-    rec = Recorder()
-    y = mul_schoolbook(DiracNumber(rec.inputs("a", DIM), rec), DiracNumber(rec.inputs("b", DIM), rec), table)
-    return SLProgram(rec.tape, y.coeffs)
+    """The naive product as a reference program: :func:`~diracmul.algebra.mul_schoolbook`'s
+    loop recorded once by :func:`~diracmul.algebra.record_schoolbook`, 256 muls and 240 adds."""
+    return SLProgram(*record_schoolbook(table))
 
 
 def interpret(program: SLProgram, a_vals, b_vals, ring):
@@ -149,7 +147,7 @@ def interpret(program: SLProgram, a_vals, b_vals, ring):
     if ring is INTS:
         out = interpret(program, [DyadicRational(v) for v in a_vals], [DyadicRational(v) for v in b_vals], DYADIC)
         return [INTS.from_dyadic(y.num, y.exp) for y in out]
-    if ring is not DYADIC and not _runs_natively(ring):
+    if ring is not DYADIC and not runs_natively(ring):
         raise TypeError(f"ring {ring.name!r} does not compute with Python's operators; interpret cannot run on it")
     return program.compiled(ring.half, a_vals, b_vals, [ring.from_dyadic(num, exp) for num, exp in program.consts])
 

@@ -41,6 +41,29 @@ def holed_table(table):
     return MultTable(entries)
 
 
+class LoopingRing:
+    """``ring``'s values and operations, with ``add``/``sub``/``neg``/``mul``
+    methods of its own that call the ring's: no ``operator`` builtin, so
+    ``mul_schoolbook`` runs its loop on it, over the same values with the
+    same operations as on ``ring``."""
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.name = f"{ring.name} (looping)"
+
+    def add(self, x, y):
+        return self.ring.add(x, y)
+
+    def sub(self, x, y):
+        return self.ring.sub(x, y)
+
+    def neg(self, x):
+        return self.ring.neg(x)
+
+    def mul(self, x, y):
+        return self.ring.mul(x, y)
+
+
 def brute_force_product(a_vals, b_vals, table):
     """Independent oracle: plain dict accumulation over all 256 pairs, read
     straight from the table's cells, each value converted by ``Fraction``."""

@@ -1,20 +1,24 @@
 import hashlib
+import linecache
 import math
 import os
 import random
 import re
 import shutil
+import subprocess
+import sys
 from fractions import Fraction
 from unittest.mock import ANY
 
 import pytest
 
-from diracmul import derive
+from diracmul import algebra, derive
 from diracmul.algebra import (
     DIM,
     DiracNumber,
     MultTable,
     SignedBasis,
+    build_table_from_generators,
     cell_diffs,
     default_asset_dir,
     derive_b_matrix,
@@ -27,12 +31,12 @@ from diracmul.algebra import (
     table_errata,
 )
 from diracmul.exactnum import FLOAT, CountingRing, DYADIC, DyadicRational, exact_ints, lf_from_b
-from diracmul.fastmult import Recorder
+from diracmul.fastmult import Recorder, count_operations
 from diracmul.slpgen import emit_text, schoolbook_program
 
 from diracmul.exactnum import INTS
-from helpers import (as_int, brute_force_product, diagonal_signs, flipped_table, holed_table, is_unital,
-                     rows_are_permutations)
+from helpers import (LoopingRing, as_int, brute_force_product, diagonal_signs, flipped_table, holed_table,
+                     is_unital, rows_are_permutations)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -199,6 +203,77 @@ class TestSchoolbook:
             out = loop(DiracNumber(rec.inputs("a", DIM), rec), DiracNumber(rec.inputs("b", DIM), rec))
             tapes.append((rec.tape, out))
         assert tapes[0] == tapes[1]
+
+    @pytest.mark.parametrize("ring", ["float", "int", "dyadic", "counting"])
+    def test_compiled_product_equals_the_loop(self, table, ring):
+        # the ring's own mul_schoolbook runs table.schoolbook (over DYADIC on its integer lowering),
+        # the looping twin the loop, on the same values with the same operations
+        rng = random.Random(41)
+        base = CountingRing() if ring == "counting" else {"float": FLOAT, "int": INTS, "dyadic": DYADIC}[ring]
+        loop = LoopingRing(base)
+        for _ in range(20 if ring == "dyadic" else 200):  # 4096-bit loops over DyadicRational objects are slow
+            if ring == "float":
+                share = rng.choice((0.02, 0.1, 0.25))
+                av, bv = ([rng.choice(SPECIAL_FLOATS) if rng.random() < share else rng.uniform(-1e3, 1e3)
+                           for _ in range(DIM)] for _ in range(2))
+            elif ring == "dyadic":
+                av, bv = ([DyadicRational(rng.getrandbits(4096) - (1 << 4095), rng.randint(0, 64))
+                           for _ in range(DIM)] for _ in range(2))
+            elif ring == "int":
+                av, bv = ([rng.randint(-1 << 80, 1 << 80) for _ in range(DIM)] for _ in range(2))
+            else:
+                av, bv = ([base.wrap(rng.randint(3, 1 << 20) * 2 + 1) for _ in range(DIM)] for _ in range(2))
+            before = base.counter.snapshot() if ring == "counting" else None
+            got = mul_schoolbook(DiracNumber(av, base), DiracNumber(bv, base), table).coeffs
+            middle = base.counter.snapshot() if ring == "counting" else None
+            want = mul_schoolbook(DiracNumber(av, loop), DiracNumber(bv, loop), table).coeffs
+            if ring == "float":
+                # NaN exactly where the loop gives NaN, its sign bit unpinned: which C code of
+                # CPython adds two NaNs decides it; every other output bit for bit
+                assert [math.isnan(x) for x in got] == [math.isnan(y) for y in want]
+                assert [x.hex() for x in got if not math.isnan(x)] == [y.hex() for y in want if not math.isnan(y)]
+            else:
+                assert got == want
+            if ring == "counting":
+                after = base.counter.snapshot()
+                compiled, looped = ([q - p for p, q in zip(x, y)] for x, y in ((before, middle), (middle, after)))
+                assert compiled == looped == [256, 240, 0, 0]
+        if ring == "counting":
+            school = count_operations()["schoolbook"]
+            assert (school["nontrivial_mults"], school["additions"]) == (256, 240)
+
+    def test_compiled_product_is_built_once_per_table(self, monkeypatch):
+        built = []
+        record = algebra.record_schoolbook
+        monkeypatch.setattr(algebra, "record_schoolbook", lambda t: built.append(t) or record(t))
+        tables = [build_table_from_generators() for _ in range(2)]
+        assert built == []  # a table that never multiplies builds nothing
+        a = DiracNumber.from_ints(range(DIM), FLOAT)
+        for t in tables:
+            for ring in (FLOAT, DYADIC, INTS):
+                for _ in range(2):
+                    mul_schoolbook(DiracNumber.from_ints(range(DIM), ring), DiracNumber.from_ints(range(DIM), ring), t)
+        assert [id(t) for t in built] == [id(t) for t in tables]
+        assert tables[0].schoolbook is tables[0].schoolbook is not tables[1].schoolbook
+        assert linecache.getline(tables[0].schoolbook.__code__.co_filename, 1) == "def schoolbook(a, b):\n"
+        assert mul_schoolbook(a, a, tables[1]) == mul_schoolbook(a, a, tables[0])
+
+    @pytest.mark.parametrize("ring", [INTS, FLOAT], ids=("int", "float"))
+    def test_an_output_no_cell_writes_stays_none_as_in_the_loop(self, ring):
+        # every cell i0: the table constructs, so that errata can report it, and writes output 0 alone
+        table = MultTable([[(1, 0)] * DIM] * DIM)
+        av, bv = [ring.wrap(k + 1) for k in range(DIM)], [ring.wrap(k + 2) for k in range(DIM)]
+        got = mul_schoolbook(DiracNumber(av, ring), DiracNumber(bv, ring), table).coeffs
+        loop = LoopingRing(ring)
+        assert got == mul_schoolbook(DiracNumber(av, loop), DiracNumber(bv, loop), table).coeffs
+        assert got == [sum(av) * sum(bv)] + [None] * (DIM - 1)
+
+    def test_a_product_loads_no_slpgen(self):
+        # the first product records and compiles through fastmult alone, so set-up stays small
+        code = ("import sys, diracmul as d; a = d.DiracNumber([1.5] * 16, d.FLOAT); "
+                "d.mul_schoolbook(a, a, d.build_table_from_generators()); sys.exit('diracmul.slpgen' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(algebra.__file__))}
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 def assert_same_results_as_the_indexed_loop(table, ring):

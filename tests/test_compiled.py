@@ -1121,7 +1121,8 @@ def test_dropped_pipelines_release_their_source(verified_pipelines):
 
 
 def test_a_shared_source_keeps_its_lines_until_its_last_owner_goes():
-    first, second = schoolbook_program(TABLE), schoolbook_program(TABLE)
+    table = flipped_table(TABLE)  # a source of its own, which no other live program shares
+    first, second = schoolbook_program(table), schoolbook_program(table)
     filename = first.compiled.__code__.co_filename
     assert second.compiled.__code__.co_filename == filename
     lines = linecache.getlines(filename)
@@ -1135,7 +1136,8 @@ def test_a_shared_source_keeps_its_lines_until_its_last_owner_goes():
 
 
 def test_a_generated_function_keeps_its_lines_while_it_lives():
-    school = schoolbook_program(TABLE).compiled  # its program is dropped at once, as the CLI's bench does
+    # its program is dropped at once; a table of its own, so that no other live program shares its source
+    school = schoolbook_program(flipped_table(TABLE)).compiled
     filename = school.__code__.co_filename
     gc.collect()
     assert linecache.getline(filename, 1) == "def program(half, a, b, c):\n"

@@ -29,8 +29,8 @@ from diracmul.exactnum import (
     parse_dyadic,
 )
 
-from diracmul.algebra import DIM, DiracNumber
-from diracmul.fastmult import _Box, _runs_natively, assemble_pipeline, mul_fast, precompute
+from diracmul.algebra import DIM, DiracNumber, runs_natively
+from diracmul.fastmult import _Box, assemble_pipeline, mul_fast, precompute
 from diracmul.slpgen import flatten, interpret
 
 from helpers import as_int, evaluate, is_integer
@@ -385,7 +385,7 @@ class TestRingSurface:
     def test_operator_rings_run_the_compiled_product_natively(self, name):
         # DYADIC keeps the dyadic_* functions: mul_fast and the operator run
         # the compiled product on integers, slpgen.interpret on DyadicRationals
-        assert _runs_natively(RINGS[name]) == (name != "dyadic")
+        assert runs_natively(RINGS[name]) == (name != "dyadic")
 
     def test_dyadic_products_never_box_their_values(self):
         box_codes = {f.__code__ for f in vars(_Box).values() if hasattr(f, "__code__")}
