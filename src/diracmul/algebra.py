@@ -12,7 +12,7 @@ from __future__ import annotations
 import operator
 import os
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -93,15 +93,27 @@ class MultTable:
         rendered by the generator of the fast product's code, with Python's
         operators and no call, and loaded as ``<diracmul schoolbook
         product>``.  Built on the first product and kept with the table;
-        a table none of whose cells writes some output runs the loop with
-        the operators instead, leaving that output None."""
+        None for a table none of whose cells writes some output, which
+        runs the loop on the ring's own operations instead."""
         from .fastmult import _function_source, load_source  # fastmult imports this module
 
         tape, outputs = record_schoolbook(self)
         if None in outputs:
-            return partial(_schoolbook_loop, entries=self.entries, ops=INTS)
+            return None
         source = _function_source("schoolbook(a, b)", tape, outputs, "[]")
         return load_source(source, "schoolbook product")[1]["schoolbook"]
+
+    @cached_property
+    def schoolbook_ints(self):
+        """:attr:`schoolbook`'s twin for plain integers, ``DYADIC``'s
+        lowering and ``INTS``: the same generated code, compiled once, in a
+        code object of its own (see :func:`~diracmul.fastmult.copy_function`),
+        so that integer products between float ones leave the float
+        specializations of CPython's interpreter in place.  None when
+        :attr:`schoolbook` is."""
+        from .fastmult import copy_function  # fastmult imports this module
+
+        return None if self.schoolbook is None else copy_function(self.schoolbook)
 
     def associativity_failures(self) -> list[tuple[int, int, int]]:
         """All basis triples (p, q, r) with (i_p i_q) i_r != i_p (i_q i_r)."""
@@ -291,31 +303,39 @@ def mul_schoolbook(a: DiracNumber, b: DiracNumber, table: MultTable) -> DiracNum
 
     The loop (:func:`_schoolbook_loop`) defines the product.  A ring whose
     ``add``/``sub``/``neg``/``mul`` are Python's operators (``FLOAT``,
-    ``INTS``, ``FORMS``, ``CountingRing``; see :func:`runs_natively`) runs
+    ``FORMS``, ``CountingRing``; see :func:`runs_natively`) runs
     ``table.schoolbook``, that loop recorded once per table and generated
     as straight-line code, on its own values: the same operations on the
     same operands, so the counts and every non-NaN float bit are the
-    loop's.  Over
-    ``DYADIC`` that code runs on plain integers: each operand is lowered
-    to its largest exponent by :func:`~diracmul.exactnum.exact_ints`, as
-    the fast product lowers them, and the sums are the exact product times
-    ``2**(ea + eb)``.  Any other ring, such as a :class:`Recorder
-    <diracmul.fastmult.Recorder>` or a timing wrapper, runs the loop with
-    its own operations.  On the benchmark's ``float-stream`` workload
-    this makes about 129k products/s against 37.6k for the loop, and on
-    ``prove``'s small dyadics about 52k against 25k.
+    loop's.  ``DYADIC`` and ``INTS`` run ``table.schoolbook_ints``, the
+    same code in a code object of its own, on plain integers: each operand
+    is lowered to its largest exponent by
+    :func:`~diracmul.exactnum.exact_ints` (an ``INTS`` one is at exponent
+    0), as the fast product lowers them, and the sums are the exact
+    product times ``2**(ea + eb)``.  CPython 3.11 and later specialize each
+    operator per code object for the values it runs on, so with one code
+    object the first few dozen float products after integer ones would run
+    on the generic path.  Any other ring, such as a :class:`Recorder
+    <diracmul.fastmult.Recorder>` or a timing wrapper, and a table none of
+    whose cells writes some output run the loop with the ring's own
+    operations.  On the benchmark's ``float-stream`` workload this makes
+    about 172k products/s against 37.6k for the loop (126k while one code
+    object ran both kinds of value), and on ``prove``'s small dyadics
+    about 51k against 25k.
     """
     ring = a.ring
     if b.ring is not ring:
         raise RingMismatchError(ring, b.ring)
-    if ring is DYADIC:
-        (ac, ea), (bc, eb) = exact_ints(a.coeffs, ring), exact_ints(b.coeffs, ring)
-        out = exact_values(table.schoolbook(ac, bc), ea + eb, ring)
+    if ring is DYADIC or ring is INTS:
+        school = table.schoolbook_ints
+        if school is not None:
+            (ac, ea), (bc, eb) = exact_ints(a.coeffs, ring), exact_ints(b.coeffs, ring)
+            return DiracNumber(exact_values(school(ac, bc), ea + eb, ring), ring)
     elif runs_natively(ring):
-        out = table.schoolbook(a.coeffs, b.coeffs)
-    else:
-        out = _schoolbook_loop(a.coeffs, b.coeffs, table.entries, ring)
-    return DiracNumber(out, ring)
+        school = table.schoolbook
+        if school is not None:
+            return DiracNumber(school(a.coeffs, b.coeffs), ring)
+    return DiracNumber(_schoolbook_loop(a.coeffs, b.coeffs, table.entries, ring), ring)
 
 
 def _schoolbook_loop(ac, bc, entries, ops) -> list:

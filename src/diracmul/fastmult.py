@@ -592,6 +592,19 @@ def load_source(source: str, name: str) -> tuple:
     return filename, namespace
 
 
+def copy_function(f: types.FunctionType) -> types.FunctionType:
+    """A twin of ``f``, a function :func:`load_source` defined: equal code
+    in a code object of its own, and one more owner of that source's
+    ``linecache`` lines.  CPython 3.11 and later specialize each operator
+    of a code object for the values it last ran on, so a twin given only
+    integers keeps ``f``'s float specializations from being undone."""
+    twin = types.FunctionType(f.__code__.replace(), f.__globals__, f.__name__, f.__defaults__, f.__closure__)
+    filename = f.__code__.co_filename
+    _SOURCE_OWNERS[filename] += 1  # f lives, so its file has an owner
+    weakref.finalize(twin, _release_source, filename)
+    return twin
+
+
 @dataclass(frozen=True, init=False, eq=False, repr=False)
 class CompiledProgram:
     """A recorded product as two generated straight-line functions.

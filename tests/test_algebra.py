@@ -1,3 +1,4 @@
+import dis
 import hashlib
 import linecache
 import math
@@ -12,7 +13,7 @@ from unittest.mock import ANY
 
 import pytest
 
-from diracmul import algebra, derive
+from diracmul import algebra, derive, fastmult
 from diracmul.algebra import (
     DIM,
     DiracNumber,
@@ -243,22 +244,50 @@ class TestSchoolbook:
             assert (school["nontrivial_mults"], school["additions"]) == (256, 240)
 
     def test_compiled_product_is_built_once_per_table(self, monkeypatch):
-        built = []
-        record = algebra.record_schoolbook
-        monkeypatch.setattr(algebra, "record_schoolbook", lambda t: built.append(t) or record(t))
+        built = {"record": [], "source": [], "load": []}
+        for module, name, key in ((algebra, "record_schoolbook", "record"), (fastmult, "_function_source", "source"),
+                                  (fastmult, "load_source", "load")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, real=real, key=key: built[key].append(args) or real(*args))
         tables = [build_table_from_generators() for _ in range(2)]
-        assert built == []  # a table that never multiplies builds nothing
+        assert built == {"record": [], "source": [], "load": []}  # a table that never multiplies builds nothing
         a = DiracNumber.from_ints(range(DIM), FLOAT)
         for t in tables:
             for ring in (FLOAT, DYADIC, INTS):
                 for _ in range(2):
                     mul_schoolbook(DiracNumber.from_ints(range(DIM), ring), DiracNumber.from_ints(range(DIM), ring), t)
-        assert [id(t) for t in built] == [id(t) for t in tables]
+        assert [id(args[0]) for args in built["record"]] == [id(t) for t in tables]
+        assert len(built["source"]) == len(built["load"]) == len(tables)
         assert tables[0].schoolbook is tables[0].schoolbook is not tables[1].schoolbook
-        assert linecache.getline(tables[0].schoolbook.__code__.co_filename, 1) == "def schoolbook(a, b):\n"
+        assert tables[0].schoolbook_ints is tables[0].schoolbook_ints is not tables[1].schoolbook_ints
+        for t in tables:
+            native, ints = t.schoolbook, t.schoolbook_ints
+            assert ints is not native and ints.__code__ is not native.__code__
+            assert ints.__code__ == native.__code__
+            for f in (native, ints):
+                assert linecache.getline(f.__code__.co_filename, 1) == "def schoolbook(a, b):\n"
         assert mul_schoolbook(a, a, tables[1]) == mul_schoolbook(a, a, tables[0])
 
-    @pytest.mark.parametrize("ring", [INTS, FLOAT], ids=("int", "float"))
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="CPython 3.10 does not specialize")
+    @pytest.mark.parametrize("first", [DYADIC, FLOAT], ids=("dyadic_first", "float_first"))
+    def test_float_and_integer_products_specialize_apart(self, first):
+        # each copy of the generated code keeps the specializations of the values it runs on
+        if sys.gettrace() is not None:
+            pytest.skip("CPython does not specialize code that runs under a tracer")
+        table = build_table_from_generators()
+        rng = random.Random(17)
+        for ring in (first, FLOAT if first is DYADIC else DYADIC):
+            for _ in range(128):
+                a, b = (DiracNumber([ring.wrap(rng.randint(-99, 99)) for _ in range(DIM)], ring) for _ in range(2))
+                mul_schoolbook(a, b, table)
+        floats, ints = ({i.opname for i in dis.get_instructions(f, adaptive=True)}
+                        for f in (table.schoolbook, table.schoolbook_ints))
+        # both copies did specialize, each to its own kind of value alone
+        assert any(op.endswith("_FLOAT") for op in floats) and any(op.endswith("_INT") for op in ints)
+        assert not {op for op in floats if op.startswith("BINARY_OP_") and op.endswith("_INT")}
+        assert not {op for op in ints if op.endswith("_FLOAT")}
+
+    @pytest.mark.parametrize("ring", [INTS, FLOAT, DYADIC], ids=("int", "float", "dyadic"))
     def test_an_output_no_cell_writes_stays_none_as_in_the_loop(self, ring):
         # every cell i0: the table constructs, so that errata can report it, and writes output 0 alone
         table = MultTable([[(1, 0)] * DIM] * DIM)
@@ -266,12 +295,13 @@ class TestSchoolbook:
         got = mul_schoolbook(DiracNumber(av, ring), DiracNumber(bv, ring), table).coeffs
         loop = LoopingRing(ring)
         assert got == mul_schoolbook(DiracNumber(av, loop), DiracNumber(bv, loop), table).coeffs
-        assert got == [sum(av) * sum(bv)] + [None] * (DIM - 1)
+        assert got == [sum(av[1:], av[0]) * sum(bv[1:], bv[0])] + [None] * (DIM - 1)
 
     def test_a_product_loads_no_slpgen(self):
         # the first product records and compiles through fastmult alone, so set-up stays small
-        code = ("import sys, diracmul as d; a = d.DiracNumber([1.5] * 16, d.FLOAT); "
-                "d.mul_schoolbook(a, a, d.build_table_from_generators()); sys.exit('diracmul.slpgen' in sys.modules)")
+        code = ("import sys, diracmul as d; t = d.build_table_from_generators(); a = d.DiracNumber([1.5] * 16, d.FLOAT); "
+                "e = d.DiracNumber.from_ints(range(16), d.DYADIC); d.mul_schoolbook(a, a, t); d.mul_schoolbook(e, e, t); "
+                "sys.exit('diracmul.slpgen' in sys.modules)")
         env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(algebra.__file__))}
         assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 

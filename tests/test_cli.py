@@ -310,6 +310,10 @@ class TestCount:
         _, second, _ = run(capsys, "count")
         assert first == second
 
+    def test_the_benchmark_reads_the_counts_through_the_cli(self):
+        # bench/run.py calls cli.count_operations(), which the CLI imports from fastmult
+        assert cli.count_operations is fastmult.count_operations
+
 
 class TestMul:
     def test_unit_times_anything(self, capsys, tmp_path):
