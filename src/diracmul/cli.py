@@ -25,7 +25,7 @@ from .algebra import (
     gather_rows,
     mul_schoolbook,
 )
-from .exactnum import DYADIC, FLOAT, DyadicRational, parse_dyadic
+from .exactnum import DYADIC, FLOAT, DyadicRational, exact_values, parse_dyadic
 from .fastmult import (
     AssetError,
     LEVELS,
@@ -101,7 +101,9 @@ def oracle_mismatches(levels, n: int, seed: int, table) -> dict:
 
     Each of the ``n`` pairs is drawn from ``seed`` by :func:`random_coeffs`
     and its reference is computed once for all ``levels``.  The fast
-    product runs over ``DYADIC``, the path under test.  The reference is
+    product runs over ``DYADIC``, the path under test, on operands lifted
+    as :func:`~diracmul.exactnum.exact_values` lifts the fast path's
+    outputs, with no constructor call per coefficient.  The reference is
     :func:`matrix_reference` on the same integers: the ground truth of the
     symbolic proof, read from the table alone and sharing nothing with the
     fast path.  Each fast coefficient ``c`` is compared with its reference
@@ -112,7 +114,7 @@ def oracle_mismatches(levels, n: int, seed: int, table) -> dict:
     mismatches = dict.fromkeys(levels, 0)
     for _ in range(n):
         av, bv = random_coeffs(rng), random_coeffs(rng)
-        a, b = DiracNumber.from_ints(av, DYADIC), DiracNumber.from_ints(bv, DYADIC)
+        a, b = (DiracNumber(exact_values(v, 0, DYADIC), DYADIC) for v in (av, bv))
         want = matrix_reference(av, bv, table)
         for level in mismatches:
             if not all(isinstance(c, DyadicRational) and c.num == w << c.exp

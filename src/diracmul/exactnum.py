@@ -8,8 +8,8 @@ over:
                        verification;
 * ``IntRing``       -- plain Python integers, the ring the fast product
                        runs dyadic operands on once they share one
-                       exponent, and the proof runs basis vectors on
-                       (see ``fastmult``);
+                       exponent, and the proof runs packed basis
+                       vectors on (see ``fastmult``);
 * ``LinearFormRing``-- degree-one symbolic forms in the sixteen right-hand
                        coefficients, for deriving stage matrices (a
                        failed proof also reports its cells as forms);

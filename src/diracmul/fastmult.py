@@ -43,8 +43,9 @@ each operator calls the ring's method, and halving by an
 recorded operation once.  ``mul_fast``,
 ``PrecomputedOperator.apply`` and ``verify_pipeline`` all call them:
 :func:`prove` checks exactly this code against the ground-truth table.
-The code is bilinear, which compilation checks, so the proof runs it over
-integers on every pair of basis vectors; it runs on every call.
+The code is bilinear, which compilation checks, so the proof runs it once,
+over integers that pack every pair of basis vectors into lanes; it runs on
+every call.
 
 Over ``DYADIC`` and ``INTS`` the products run those functions on plain
 integers rather than on ``DyadicRational`` objects.  Each operand is
@@ -70,7 +71,7 @@ import types
 import weakref
 import zlib
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .algebra import (
     _SIGNS,
@@ -703,6 +704,41 @@ class CompiledProgram:
                 source=source, filename=filename, bind=namespace["bind"], apply=namespace["apply"]).items():
             object.__setattr__(self, key, value)
 
+    @cached_property
+    def lane_width(self) -> int:
+        """The width ``w`` of the lanes :func:`prove` packs this program's
+        basis products into, found on first use: the least ``w`` with
+        ``2**(w-1)`` above ``2**halvings`` and above a bound on every output
+        of :func:`_bind_ints` and ``apply`` run on unit vectors.  The bound
+        holds whatever the program computes, right or wrong: it walks the
+        tapes the code was generated from, each input 1, a sum or
+        difference the sum of its operands' bounds, a product their product,
+        a negation or halving its operand's, and each lifted entry shifted
+        as :func:`_bind_ints` shifts it."""
+        units = [1] * DIM
+        bound = _magnitudes(self.bind_tape, {"b": units})
+        entries = [bound[x] for x in self.entries]
+        for k, shift in self.lifts:
+            entries[k] <<= shift
+        bound = _magnitudes(self.apply_tape, {"a": units, "e": entries})
+        return max(max(bound[x] for x in self.outputs), 1 << self.halvings).bit_length() + 1
+
+
+def _magnitudes(tape, inputs: dict) -> list:
+    """A bound on the magnitude of each value of ``tape``, given a bound
+    ``inputs[name][k]`` on each input ``<name><k>``."""
+    bound: list = []
+    for op, args in tape:
+        if op in ("add", "sub"):
+            bound.append(bound[args[0]] + bound[args[1]])
+        elif op == "mul":
+            bound.append(bound[args[0]] * bound[args[1]])
+        elif op in ("neg", "halve"):
+            bound.append(bound[args[0]])
+        else:
+            bound.append(inputs[op][args[0]])
+    return bound
+
 
 def fold_signs(tape: list) -> tuple:
     """``tape`` with every sign carried on its value instead of negated, and
@@ -956,38 +992,47 @@ class VerifyReport:
         return f"level {self.level}: symbolic {self.matches}/{self.total} entries match"
 
 
-_UNITS = tuple(tuple(int(k == n) for k in range(DIM)) for n in range(DIM))  # e_0 .. e_15
+def _packed_products(prog: CompiledProgram, w: int) -> list:
+    """The program's sixteen outputs from one run of :func:`_bind_ints` on
+    ``b_m = 2**(16*w*m)`` and of ``apply`` on ``a_n = 2**(w*n)``.
 
-
-def _basis_products(prog: CompiledProgram) -> list:
-    """The compiled program over integers on every pair of basis vectors.
-
-    Entry ``m`` is a flat tuple: for each ``n`` in turn, the sixteen
-    outputs of ``apply(e_n, _bind_ints(prog, e_m))``, which are
-    ``2**halvings`` times the product's.
+    The program is bilinear, so output ``k`` is the sum, over every basis
+    pair ``(e_n, e_m)``, of ``2**(w*(n + 16*m))`` times output ``k`` of
+    ``apply(e_n, _bind_ints(prog, e_m))`` (``2**halvings`` times the
+    product's): that output is lane ``n + 16*m``, read back by :func:`_lanes`.
     """
-    cols = []
-    for e_m in _UNITS:
-        entries = _bind_ints(prog, e_m)
-        cols.append(tuple(y for e_n in _UNITS for y in prog.apply(e_n, entries)))
-    return cols
+    a = [1 << (w * n) for n in range(DIM)]
+    b = [1 << (DIM * w * m) for m in range(DIM)]
+    return prog.apply(a, _bind_ints(prog, b))
 
 
-def _form(cols: list, halvings: int, row: int, col: int) -> LinearForm:
-    """Cell ``(row, col)`` of :func:`_basis_products`-shaped ``cols`` as a linear
-    form in b: the coefficient of ``b_m`` is ``cols[m][col * 16 + row] / 2**halvings``."""
-    cell = col * DIM + row
-    return LinearForm((DyadicRational(0),) + tuple(DyadicRational(c[cell], halvings) for c in cols))
+def _lanes(x: int, w: int) -> list:
+    """The 256 signed ``w``-bit lanes of ``x``, lane ``L`` the coefficient of
+    ``2**(w*L)``, for each lane strictly between ``-2**(w-1)`` and
+    ``2**(w-1)``: biased by ``2**(w-1)``, every lane is a plain ``w``-bit
+    digit."""
+    half = 1 << (w - 1)
+    x += half * (((1 << (DIM * DIM * w)) - 1) // ((1 << w) - 1))  # half in every lane
+    mask = (1 << w) - 1
+    return [((x >> (w * lane)) & mask) - half for lane in range(DIM * DIM)]
+
+
+def _form(lanes: list, halvings: int, col: int) -> LinearForm:
+    """Column ``col`` of one output's :func:`_lanes` as a linear form in b:
+    the coefficient of ``b_m`` is lane ``col + 16*m`` over ``2**halvings``."""
+    return LinearForm((DyadicRational(0),) + tuple(DyadicRational(c, halvings) for c in lanes[col::DIM]))
 
 
 def pipeline_matrix(pipeline: Pipeline) -> Mat:
-    """The 16x16 matrix the pipeline's compiled program computes, symbolic in b.
+    """The 16x16 matrix the pipeline's compiled program computes, symbolic in b,
+    decoded from the one evaluation :func:`prove` runs.
 
     No caller in the package: acceptance criterion 1 (``tests/test_acceptance.py``)
     reads every cell of it as one signed coefficient."""
     prog = pipeline.program
-    cols = _basis_products(prog)
-    return Mat(DIM, DIM, [[_form(cols, prog.halvings, k, n) for n in range(DIM)] for k in range(DIM)])
+    w = prog.lane_width
+    rows = [_lanes(y, w) for y in _packed_products(prog, w)]
+    return Mat(DIM, DIM, [[_form(rows[k], prog.halvings, n) for n in range(DIM)] for k in range(DIM)])
 
 
 @lru_cache(maxsize=None)
@@ -997,14 +1042,35 @@ def _generator_table():
     return build_table_from_generators()
 
 
+@lru_cache(maxsize=None)
+def _packed_table(w: int, halvings: int) -> tuple:
+    """The table's products packed as :func:`_packed_products` packs a
+    program's: where ``table[n][m] == (sign, k)``, lane ``n + 16*m`` of
+    output ``k`` is ``sign * 2**halvings``.  Built once per process for each
+    width and depth, all from the one :func:`_generator_table`."""
+    table = _generator_table()
+    want = [0] * DIM
+    for n in range(DIM):
+        for m in range(DIM):
+            sign, k = table[n][m]
+            want[k] += sign << (halvings + w * (n + DIM * m))
+    return tuple(want)
+
+
 def prove(program: CompiledProgram) -> list:
     """Prove ``program`` computes the product of the generator table.
 
-    The proof runs the compiled ``bind`` and ``apply`` on integer basis
-    vectors and compares each of the 16 x 16 x 16 results with the table:
-    where ``table[n][m] == (sign, k)``, ``apply(e_n, bind(2**h e_m))``
-    must be ``2**h * sign * e_k``, ``h`` the program's ``halvings``.  That
-    settles the identity for every ``a`` and ``b`` because:
+    The proof runs the compiled ``bind`` and ``apply`` once, on integers
+    that pack every pair of basis vectors into lanes (:func:`_packed_products`),
+    and compares the sixteen outputs with the table packed the same way:
+    where ``table[n][m] == (sign, k)``, ``apply(e_n, bind(2**h e_m))`` must
+    be ``2**h * sign * e_k``, ``h`` the program's ``halvings``.  Sixteen
+    integer comparisons check all 16 x 16 x 16 values, because every lane
+    of either side lies strictly between ``-2**(w-1)`` and ``2**(w-1)``,
+    ``w`` the program's ``lane_width``, so equal packed integers have equal
+    lanes.  The width is found from the program's own tapes, a bound that
+    holds for a wrong program too.  That settles the identity for every
+    ``a`` and ``b`` because:
 
     * compilation gives every value its degree in ``a`` and in ``b``, and
       checks that bind is linear in ``b`` and every output bilinear;
@@ -1016,25 +1082,17 @@ def prove(program: CompiledProgram) -> list:
     So the program computes a bilinear map, and a bilinear map is fixed by
     its values on basis pairs.  Returns the mismatching cells of the
     product matrix, sorted, as ``(row, col, got, want)`` with ``got`` and
-    ``want`` linear forms in b.  Runs the whole proof on every call; only
-    the table is built once per process.
+    ``want`` linear forms in b, decoded lane by lane from a mismatching
+    output only.  Runs the whole proof on every call; the width is found
+    once per program and the packed table built once per width and depth.
     """
-    scale = 1 << program.halvings
-    table = _generator_table()
-    got = _basis_products(program)
-    want = []
-    for m in range(DIM):
-        col = [0] * (DIM * DIM)
-        for n in range(DIM):
-            sign, k = table[n][m]
-            col[n * DIM + k] = scale * sign
-        want.append(tuple(col))
+    w, halvings = program.lane_width, program.halvings
     mismatches = []
-    if got != want:
-        cells = sorted({(i % DIM, i // DIM) for g, w in zip(got, want) for i, (x, y) in enumerate(zip(g, w))
-                        if x != y})
-        mismatches = [(r, c, _form(got, program.halvings, r, c), _form(want, program.halvings, r, c))
-                      for r, c in cells]
+    for k, (x, y) in enumerate(zip(_packed_products(program, w), _packed_table(w, halvings))):
+        if x != y:
+            got, want = _lanes(x, w), _lanes(y, w)
+            cols = sorted({lane % DIM for lane, (g, t) in enumerate(zip(got, want)) if g != t})
+            mismatches += [(k, n, _form(got, halvings, n), _form(want, halvings, n)) for n in cols]
     return mismatches
 
 

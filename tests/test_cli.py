@@ -6,9 +6,9 @@ import shutil
 import pytest
 
 from diracmul import cli, fastmult
-from diracmul.algebra import DiracNumber, derive_b_matrix, mul_schoolbook
+from diracmul.algebra import DIM, DiracNumber, derive_b_matrix, mul_schoolbook
 from diracmul.cli import bench_pairs, main, matrix_reference, random_coeffs
-from diracmul.exactnum import DYADIC, FLOAT, INTS
+from diracmul.exactnum import DYADIC, FLOAT, INTS, DyadicRational
 from helpers import LoopingRing, flipped_table, holed_table
 
 
@@ -283,6 +283,23 @@ class TestOracle:
         got = cli.oracle_compare(2, 40, 3, table)
         assert 0 < got < 40
         assert got == dyadic_reference_mismatches(2, 40, 3, table)
+
+    def test_counts_exactly_the_corrupted_pairs_at_each_level(self, table, monkeypatch):
+        fast = fastmult.mul_fast
+        pairs = dict.fromkeys((1, 2, 3), 0)  # per level, the pairs multiplied so far
+        corrupted = dict.fromkeys((1, 2, 3), 0)
+
+        def faulty(a, b, level):  # every third pair, a different third at each level, one coefficient off
+            out = fast(a, b, level)
+            if pairs[level] % 3 == level - 1:
+                out.coeffs[pairs[level] % DIM] += DyadicRational(1, 30)
+                corrupted[level] += 1
+            pairs[level] += 1
+            return out
+
+        monkeypatch.setattr(cli, "mul_fast", faulty)
+        assert cli.oracle_mismatches((1, 2, 3), 20, 5, table) == corrupted == {1: 7, 2: 7, 3: 6}
+        assert pairs == dict.fromkeys((1, 2, 3), 20)
 
 
 class TestCount:

@@ -1,6 +1,7 @@
 """The compiled pipeline programs: counts, exactness, proof coverage, tooling."""
 
 import ast
+import collections
 import dataclasses
 import gc
 import linecache
@@ -12,6 +13,7 @@ import re
 import shutil
 import sys
 import traceback
+import types
 from fractions import Fraction
 
 import pytest
@@ -19,8 +21,8 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from diracmul import fastmult
-from diracmul.algebra import (DIM, DiracNumber, RingMismatchError, build_table_from_generators, mul_schoolbook,
-                              symbolic_b)
+from diracmul.algebra import (DIM, DiracNumber, RingMismatchError, _schoolbook_loop, build_table_from_generators,
+                              mul_schoolbook, symbolic_b)
 from diracmul.cli import main
 from diracmul.exactnum import (CountingRing, CountingScalar, DYADIC, FLOAT, FORMS, INTS, DyadicRational, LinearForm,
                                exact_ints)
@@ -30,6 +32,7 @@ from diracmul.fastmult import (
     AssetError,
     CompiledProgram,
     PrecomputedOperator,
+    Recorder,
     Stage,
     assemble_pipeline,
     bind_block,
@@ -626,19 +629,23 @@ def test_compilation_rejects_inputs_bind_and_apply_do_not_take(verified_pipeline
 # the proof covers the code that runs
 
 
-def code_objects_called(fn, *args) -> set:
-    seen = set()
+def calls_per_code_object(fn, *args) -> collections.Counter:
+    calls = collections.Counter()
 
     def profile(frame, event, _arg):
         if event == "call":
-            seen.add(frame.f_code)
+            calls[frame.f_code] += 1
 
     sys.setprofile(profile)
     try:
         fn(*args)
     finally:
         sys.setprofile(None)
-    return seen
+    return calls
+
+
+def code_objects_called(fn, *args) -> set:
+    return set(calls_per_code_object(fn, *args))
 
 
 def test_proof_runs_the_functions_products_run(verified_pipelines):
@@ -683,7 +690,7 @@ def test_mul_fast_on_unverified_pipeline_never_runs_the_proof(tmp_path, monkeypa
     def no_proof(*_args):
         raise AssertionError("the product path ran the proof")
 
-    for name in ("verify_pipeline", "pipeline_matrix", "prove", "_basis_products"):
+    for name in ("verify_pipeline", "pipeline_matrix", "prove", "_packed_products", "_packed_table"):
         monkeypatch.setattr(fastmult, name, no_proof)
     monkeypatch.setenv("DIRAC_ASSET_DIR", str(dst))
     rng = random.Random(350)
@@ -724,6 +731,76 @@ def test_prove_checks_a_program_that_is_no_pipeline():
     mismatches = fastmult.prove(compiled_schoolbook(flipped_table(TABLE)))
     assert [(r, c) for r, c, _, _ in mismatches] == [(0, 3)]  # i3 * i3 = -1 with its sign flipped
     assert mismatches[0][2:] == (LinearForm.variable(3), -LinearForm.variable(3))
+
+
+def recorded_schoolbook() -> tuple:
+    """``(rec, a, b, outputs)``: the schoolbook loop over ``TABLE`` on a fresh
+    :class:`Recorder`, for a test to add terms to before compiling."""
+    rec = Recorder()
+    a, b = rec.inputs("a", DIM), rec.inputs("b", DIM)
+    return rec, a, b, _schoolbook_loop(a, b, TABLE.entries, rec)
+
+
+def test_the_lane_width_holds_for_a_program_built_to_fool_it():
+    # 2**w * a0*b0 - a1*b0 packs to 0 at the width w of the schoolbook it is added to, where a0 = 1
+    # and a1 = 2**w: only a width found from the faulty program itself can see it
+    w = compiled_schoolbook(TABLE).lane_width
+    assert w == 6  # 2**5 above 16, the bound on an output that sums sixteen products of units
+    rec, a, b, out = recorded_schoolbook()
+    term = rec.mul(a[0], b[0])
+    for _ in range(w):
+        term = rec.add(term, term)
+    out[0] = rec.add(out[0], rec.sub(term, rec.mul(a[1], b[0])))
+    faulty = CompiledProgram(rec.tape, out, "schoolbook with a packed-away fault")
+    assert faulty.lane_width == 8  # 2**7 above 16 + 2**6 + 1
+    mismatches = fastmult.prove(faulty)
+    assert [(r, c, repr(got), repr(want)) for r, c, got, want in mismatches] == [
+        (0, 0, "65*b0", "b0"), (0, 1, "-b0+b1", "b1")]
+
+
+def times(rec, x, c: int):
+    """``c * x`` on the recorder, ``c > 0``, by doubling and adding."""
+    acc = None
+    while c:
+        if c & 1:
+            acc = x if acc is None else rec.add(acc, x)
+        c >>= 1
+        if c:
+            x = rec.add(x, x)
+    return acc
+
+
+# added terms: output k gains (+-ca * a_n) * (cb * b_m / 2**halvings)
+_added_terms = st.lists(st.tuples(st.integers(0, DIM - 1), st.integers(0, DIM - 1), st.integers(0, DIM - 1),
+                                  st.integers(-(1 << 20), 1 << 20).filter(bool), st.integers(1, 1 << 20),
+                                  st.integers(0, 2)),
+                        min_size=1, max_size=4)
+
+
+@given(terms=_added_terms)
+@settings(max_examples=25, deadline=None, phases=NO_SHRINK)
+def test_the_packed_proof_reports_what_the_linear_form_run_finds(terms):
+    # wrong programs whose values reach 2**40, with halved operands, so lanes and lifts of every size
+    rec, a, b, out = recorded_schoolbook()
+    for k, n, m, ca, cb, halvings in terms:
+        bm = times(rec, b[m], cb)
+        for _ in range(halvings):
+            bm = rec.halve(bm)
+        term = rec.mul(times(rec, a[n], abs(ca)), bm)
+        out[k] = rec.add(out[k], term) if ca > 0 else rec.sub(out[k], term)
+    prog = CompiledProgram(rec.tape, out, "schoolbook with added terms")
+    assert fastmult.prove(prog) == linear_form_mismatches(types.SimpleNamespace(program=prog))
+
+
+def test_the_proof_runs_bind_once_and_apply_once(verified_pipelines, planted_fault):
+    pipelines = list(verified_pipelines.values()) + [planted_fault[0]]
+    runs = [(fastmult.prove, pipe.program, pipe.program) for pipe in pipelines]
+    runs += [(fastmult.pipeline_matrix, pipe, pipe.program) for pipe in pipelines]
+    school = compiled_schoolbook(flipped_table(TABLE))
+    runs.append((fastmult.prove, school, school))
+    for fn, arg, prog in runs:
+        calls = calls_per_code_object(fn, arg)
+        assert (calls[prog.bind.__code__], calls[prog.apply.__code__]) == (1, 1), fn.__name__
 
 
 def test_pipeline_is_frozen_and_compiled_at_assembly(tmp_path, monkeypatch):

@@ -340,10 +340,14 @@ class TestVerification:
 
         monkeypatch.setattr(fastmult, "build_table_from_generators", counted)
         fastmult._generator_table.cache_clear()
-        assert verify_pipeline(verified_pipelines[3]).ok
+        fastmult._packed_table.cache_clear()
+        for pipe in verified_pipelines.values():
+            assert verify_pipeline(pipe).ok
         bad_pipe, affected_column = planted_fault
         report = verify_pipeline(bad_pipe)
         assert {(r, c) for r, c, _, _ in report.mismatches} == {(r, affected_column) for r in range(DIM)}
+        assert len({pipe.program.lane_width for pipe in verified_pipelines.values()}) > 1
+        assert fastmult._packed_table.cache_info().currsize > 1
         assert len(built) == 1
 
     def test_report_summary_format(self, verified_pipelines):
