@@ -34,9 +34,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .algebra import DIM, _parse_term, default_asset_dir, format_term, read_asset_lines, symbolic_b_matrix
+from .algebra import DIM, _parse_term, default_asset_dir, read_asset_lines, symbolic_b_matrix
 from .exactnum import FORMS, LinearForm, lf_from_b, parse_int
-from .fastmult import CHAINS, COMBINERS, POOLS, CoreBlock, decompose_terms, index_pools
+from .fastmult import CHAINS, COMBINERS, CoreBlock, decompose_terms, format_blocks, format_stage
 from .linalg import Mat, SignedPermutation, int_mat_mul, perm_concat, signed_perm_matrix, template_EF
 
 
@@ -244,11 +244,11 @@ def solve_outer_permutations(m16: Mat, b16: Mat):
 
 def _blocks(family: str, halved: bool, names: str, *mats) -> tuple:
     """One core block per matrix of linear forms, as ``fastmult.parse_blocks``
-    builds it: each cell's recipe by ``decompose_terms`` over :data:`POOLS`."""
-    index, blocks = index_pools(POOLS), []
+    builds it: each cell's recipe by ``decompose_terms``."""
+    blocks = []
     for name, m in zip(names.split(), mats):
         formulas = tuple(form_to_signed_terms(cell) for row in m.entries for cell in row)
-        recipes = tuple(decompose_terms(terms, family, index) for terms in formulas)
+        recipes = tuple(decompose_terms(terms, family) for terms in formulas)
         blocks.append(CoreBlock(name, m.rows, halved, family, formulas, recipes))
     return tuple(blocks)
 
@@ -441,25 +441,9 @@ def synthesize_level3_input(target: Mat):
 # asset writing
 
 
-def _perm_text(p: SignedPermutation, comment: str) -> str:
-    lines = [f"# {comment}", "kind signed_perm", f"size {p.size}"]
-    lines.append("src " + " ".join(str(s + 1) for s in p.src))
-    lines.append("signs " + " ".join("+" if s > 0 else "-" for s in p.signs))
-    return "\n".join(lines) + "\n"
-
-
-def _blocks_text(blocks, comment: str) -> str:
-    """A ``blocks_level*.txt`` file of ``fastmult.CoreBlock`` blocks."""
-    lines = [f"# {comment}",
-             "# block <name> <size> <halved|plain> <pool family>; then size^2 cells"]
-    for blk in blocks:
-        lines.append(f"block {blk.name} {blk.size} {'halved' if blk.halved else 'plain'} {blk.family}")
-        lines += [" ".join(format_term(s, m) for s, m in terms) for terms in blk.formulas]
-    return "\n".join(lines) + "\n"
-
-
 def generated_asset_texts() -> dict:
-    """filename -> text for every derived (non-transcribed) asset."""
+    """filename -> text for every derived (non-transcribed) asset, each
+    written by ``fastmult.format_stage`` or ``fastmult.format_blocks``."""
     d = derive_all()
 
     # split the outer row operation into a pure permutation followed by a
@@ -468,19 +452,19 @@ def generated_asset_texts() -> dict:
     sign_part = SignedPermutation(list(range(DIM)), d.outer_rows.signs)
 
     return {
-        "perm_in_16.txt": _perm_text(d.outer_cols, "input shuffle of the left-hand coefficients"),
-        "perm_in_24.txt": _perm_text(d.perm_in_24, "per-branch input column ops, 8+8+8"),
-        "perm_in_28.txt": _perm_text(d.perm_in_28, "second-level input column ops, 16+4+4+4"),
-        "perm_pairs_16.txt": _perm_text(d.perm_pairs_16, "final-level input pairs, one butterfly each"),
-        "perm_in_30.txt": _perm_text(d.perm_in_30, "final-level input side into core order"),
-        "perm_out_30.txt": _perm_text(d.perm_out_30, "final-level output sign fix"),
-        "perm_out_28.txt": _perm_text(d.perm_out_28, "second-level output row ops, 16+4+4+4"),
-        "perm_out_24.txt": _perm_text(d.perm_out_24, "per-branch output row ops, 8+8+8"),
-        "perm_out_16.txt": _perm_text(perm_part, "output shuffle (permutation part)"),
-        "signs_out_16.txt": _perm_text(sign_part, "output sign diagonal"),
-        "blocks_level1.txt": _blocks_text(d.blocks_level1, "diagonal blocks, first refinement (28-wide core)"),
-        "blocks_level2.txt": _blocks_text(d.blocks_level2, "diagonal blocks, second refinement (30-wide core)"),
-        "blocks_level3.txt": _blocks_text(d.blocks_level3, "diagonal blocks, final refinement (30-wide core)"),
+        "perm_in_16.txt": format_stage(d.outer_cols, "input shuffle of the left-hand coefficients"),
+        "perm_in_24.txt": format_stage(d.perm_in_24, "per-branch input column ops, 8+8+8"),
+        "perm_in_28.txt": format_stage(d.perm_in_28, "second-level input column ops, 16+4+4+4"),
+        "perm_pairs_16.txt": format_stage(d.perm_pairs_16, "final-level input pairs, one butterfly each"),
+        "perm_in_30.txt": format_stage(d.perm_in_30, "final-level input side into core order"),
+        "perm_out_30.txt": format_stage(d.perm_out_30, "final-level output sign fix"),
+        "perm_out_28.txt": format_stage(d.perm_out_28, "second-level output row ops, 16+4+4+4"),
+        "perm_out_24.txt": format_stage(d.perm_out_24, "per-branch output row ops, 8+8+8"),
+        "perm_out_16.txt": format_stage(perm_part, "output shuffle (permutation part)"),
+        "signs_out_16.txt": format_stage(sign_part, "output sign diagonal"),
+        "blocks_level1.txt": format_blocks(d.blocks_level1, "diagonal blocks, first refinement (28-wide core)"),
+        "blocks_level2.txt": format_blocks(d.blocks_level2, "diagonal blocks, second refinement (30-wide core)"),
+        "blocks_level3.txt": format_blocks(d.blocks_level3, "diagonal blocks, final refinement (30-wide core)"),
     }
 
 

@@ -8,7 +8,9 @@ defined here, once: the combiners (:data:`COMBINERS`), each level's chain
 of stage names (:data:`CHAINS`) and the pool pairs the core recipes draw
 from (:data:`POOLS`).  What ``derive`` computes from the seed data -- the
 signed permutations and the core blocks -- is read from plain-text assets,
-every file through :func:`read_stage`.
+every file through :func:`read_stage`, every signed index a term of
+``algebra.format_term`` (``+0 -5``); the writers of both stage formats are
+here too (:func:`format_stage`, :func:`format_blocks`).
 
 An assembled pipeline is an immutable value, compiled as it is built into
 two straight-line Python functions, which follow the paper's product
@@ -26,9 +28,9 @@ negating any, apply fans them out to the 88 cells with the signs folded
 into its sums, and only an output that ends negative is negated (8
 negations per product).
 Every part of a pipeline is built once as a frozen value -- stage
-matrices of tuple rows, a read-only mapping of pool tuples, tuple tapes,
-no attribute that can be rebound -- so what a pipeline shows is what it
-runs.
+matrices of tuple rows, tuple tapes, no attribute that can be rebound --
+and the pools are a read-only constant, so what a pipeline shows is what
+it runs.
 The generated code writes additions, subtractions, negations and
 multiplications with Python's operators (``x + y``, ``x - y``, ``-x``,
 ``x * y``) and each halving as ``x * half``, ``half`` being the one
@@ -74,7 +76,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .algebra import (
-    _SIGNS,
     DIM,
     DiracNumber,
     RingMismatchError,
@@ -153,47 +154,40 @@ _WIDEST = max(max(m.rows, m.cols) for m in COMBINERS.values())
 
 
 # ---------------------------------------------------------------------------
-# asset parsing
+# stage assets, read and written
 
 
-def read_stage(path: str, parse, *args):
-    """``parse(lines, *args)`` of the lines of the stage-asset file ``path``.
+def read_stage(path: str, parse):
+    """``parse(lines)`` of the lines of the stage-asset file ``path``.
     A file that cannot be read or that ``parse`` refuses (``OSError``,
-    ``KeyError``, ``ValueError``) is an ``AssetError("stage <file>: …")``."""
+    ``ValueError``) is an ``AssetError("stage <file>: …")``."""
     try:
-        return parse(read_asset_lines(path), *args)
-    except (OSError, KeyError, ValueError) as exc:
+        return parse(read_asset_lines(path))
+    except (OSError, ValueError) as exc:
         raise AssetError(f"stage {os.path.basename(path)}: {exc}") from exc
 
 
 def parse_stage(lines) -> Mat:
-    """The +-1 matrix of a signed-permutation stage: ``<key> <value>``
-    lines, no key twice, ``kind signed_perm``, ``size``, ``src`` and
-    ``signs``; ``KeyError`` or ``ValueError`` for a missing or malformed
-    field."""
-    fields = {}
-    for ln in lines:
-        key, _, rest = ln.partition(" ")
-        if key in fields:
-            raise ValueError(f"repeated field '{key}'")
-        fields[key] = rest.strip()
-    kind = fields.get("kind")
-    if kind != "signed_perm":
-        raise ValueError("missing 'kind' line" if kind is None else f"unknown kind {kind!r}")
-    size = parse_int(fields["size"])
-    _check_size(size, f"size {size}")
-    src = [parse_int(t) - 1 for t in fields["src"].split()]
-    signs = [_parse_sign(t) for t in fields["signs"].split()]
-    perm = SignedPermutation(src, signs)
-    if perm.size != size:
-        raise ValueError("size field disagrees with src length")
-    return signed_perm_matrix(perm)
+    """The +-1 matrix of a signed-permutation stage: one line of terms,
+    term ``i`` the signed input that output ``i`` takes (``-4`` sends minus
+    input 4 to output ``i``); ``ValueError`` for any other line count, a bad
+    term or terms that are no permutation."""
+    if len(lines) != 1:
+        raise ValueError(f"expected one line of terms, got {len(lines)} lines")
+    terms = [_parse_term(t) for t in lines[0].split()]
+    _check_size(len(terms), f"size {len(terms)}")
+    signs, src = zip(*terms)
+    return signed_perm_matrix(SignedPermutation(src, signs))
 
 
-def _parse_sign(tok: str) -> int:
-    if tok not in _SIGNS:
-        raise ValueError(f"bad sign {tok!r}")
-    return _SIGNS[tok]
+def format_stage(p: SignedPermutation, comment: str) -> str:
+    """The text of a signed-permutation stage, as :func:`parse_stage` reads it."""
+    return f"# {comment}\n{_terms_text(zip(p.signs, p.src))}\n"
+
+
+def _terms_text(terms) -> str:
+    """``(sign, index)`` terms as an asset writes them: ``+0 -5``."""
+    return " ".join(format_term(s, m) for s, m in terms)
 
 
 def _check_size(n: int, what: str) -> None:
@@ -209,30 +203,37 @@ def _check_size(n: int, what: str) -> None:
 _POOL_SEARCH = {"quad": ("quad",), "duo": ("duo",), "mixed": ("duo", "quad")}
 
 
-def index_pools(pools: dict) -> dict:
+def index_pools() -> dict:
     """Per block family: signed two-term set -> ``(sign, pool family, index)``,
-    the first pair that gives the set in search order (pool family, index,
-    then sign +1 before -1)."""
+    the first pair of :data:`POOLS` that gives the set in search order (pool
+    family, index, then sign +1 before -1)."""
     index = {}
     for family, searched in _POOL_SEARCH.items():
         found: dict = {}
         for fam in searched:
-            for i, pair in enumerate(pools[fam]):
+            for i, pair in enumerate(POOLS[fam]):
                 for sign in (1, -1):
                     found.setdefault(frozenset((sign * s, m) for s, m in pair), (sign, fam, i))
         index[family] = found
     return index
 
 
-def decompose_terms(terms, family: str, index: dict):
+_POOL_INDEX = index_pools()
+
+
+def decompose_terms(terms, family: str):
     """Build the construction recipe of one core cell from its terms.
 
     One- and two-term cells are built directly.  A four-term cell splits
     as written: the pool pair of its first two terms plus that of its last
-    two, both found in ``index`` (:func:`index_pools`) under the block's
-    family, where the singleton blocks mix the two.  ``ValueError``
-    otherwise, even where another split of the four terms exists.
+    two, both found by :func:`index_pools` under the block's family, where
+    the singleton blocks mix the two.  ``ValueError`` for a term outside
+    ``b0`` .. ``b15``, and for a four-term cell that does not split so,
+    even where another split of the four terms exists.
     """
+    cell = _terms_text(terms)
+    if not all(0 <= m < DIM for _, m in terms):
+        raise ValueError(f"core cell {cell} draws on a coefficient outside b0..b{DIM - 1}")
     if len(terms) == 1:
         s, m = terms[0]
         return ("copy", s, m)
@@ -240,13 +241,12 @@ def decompose_terms(terms, family: str, index: dict):
         return ("sum2", terms[0], terms[1])
     if len(terms) != 4:
         raise ValueError(f"core cell has {len(terms)} terms")
-    pairs = index.get(family)
+    pairs = _POOL_INDEX.get(family)
     if pairs is None:
         raise ValueError(f"unknown pool family {family!r}")
     first, second = pairs.get(frozenset(terms[:2])), pairs.get(frozenset(terms[2:]))
     if first and second:
         return ("pair", first, second)
-    cell = " ".join(format_term(s, m) for s, m in terms)  # as the asset writes it
     raise ValueError(f"core cell {cell} does not split over the {family} pools")
 
 
@@ -263,10 +263,11 @@ class CoreBlock:
     recipes: tuple   # construction recipes, same order
 
 
-def parse_blocks(lines, index: dict) -> tuple:
+def parse_blocks(lines) -> tuple:
     """The core blocks of a ``blocks_level*.txt`` file: a ``block <name>
     <size> <halved|plain> <family>`` line, then one line of terms per cell,
-    each cell's recipe by :func:`decompose_terms` over ``index``."""
+    each cell's recipe by :func:`decompose_terms`; ``ValueError`` naming
+    the block for a bad cell."""
     blocks = []
     i = 0
     while i < len(lines):
@@ -283,12 +284,22 @@ def parse_blocks(lines, index: dict) -> tuple:
             raise ValueError(f"block {name} is short of cells")
         formulas = tuple(tuple(_parse_term(t) for t in ln.split()) for ln in cells)
         try:
-            recipes = tuple(decompose_terms(terms, family, index) for terms in formulas)
+            recipes = tuple(decompose_terms(terms, family) for terms in formulas)
         except ValueError as exc:
             raise ValueError(f"block {name}: {exc}") from exc
         blocks.append(CoreBlock(name, size, mode == "halved", family, formulas, recipes))
         i += 1 + size * size
     return tuple(blocks)
+
+
+def format_blocks(blocks, comment: str) -> str:
+    """The text of a ``blocks_level*.txt`` file, as :func:`parse_blocks` reads it."""
+    lines = [f"# {comment}",
+             "# block <name> <size> <halved|plain> <pool family>; then size^2 cells"]
+    for blk in blocks:
+        lines.append(f"block {blk.name} {blk.size} {'halved' if blk.halved else 'plain'} {blk.family}")
+        lines += map(_terms_text, blk.formulas)
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +337,6 @@ class Pipeline:
     level: int
     stages: tuple
     asset_dir: str
-    pools: types.MappingProxyType  # the pool pairs the core recipes draw from, :data:`POOLS`
     program: CompiledProgram = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -351,14 +361,14 @@ def _assemble(level: int, asset_dir: str) -> Pipeline:
         if name in COMBINERS:
             stages.append(Stage(name, mat=COMBINERS[name]))
         elif name == f"blocks_level{level}":
-            stages.append(Stage(name, blocks=read_stage(path, parse_blocks, index_pools(POOLS))))
+            stages.append(Stage(name, blocks=read_stage(path, parse_blocks)))
         else:
             stages.append(Stage(name, mat=read_stage(path, parse_stage)))
     # checked before Pipeline() compiles the chain, so a bad asset fails with its name
     for prev, cur in zip(stages, stages[1:]):
         if prev.out_dim != cur.in_dim:
             raise AssetError(f"stage {cur.name}: expects {cur.in_dim} inputs, gets {prev.out_dim}")
-    return Pipeline(level, tuple(stages), asset_dir, POOLS)
+    return Pipeline(level, tuple(stages), asset_dir)
 
 
 def assemble_pipeline(level: int) -> Pipeline:
@@ -377,7 +387,7 @@ def _signed_sum(ring, x, sx, y, sy):
     return ring.sub(first, y) if sy < 0 else ring.add(first, y)
 
 
-def bind_block(block: CoreBlock, b, ring, pools, pool_cache) -> list:
+def bind_block(block: CoreBlock, b, ring, pool_cache) -> list:
     """Evaluate one block's entries by the paper's per-block recipe.
 
     A pool term is evaluated once per ``pool_cache``, keyed by pool family
@@ -396,7 +406,7 @@ def bind_block(block: CoreBlock, b, ring, pools, pool_cache) -> list:
             _, (s1, f1, i1), (s2, f2, i2) = recipe
             for fam, idx in ((f1, i1), (f2, i2)):
                 if (fam, idx) not in pool_cache:
-                    (sx, mx), (sy, my) = pools[fam][idx]
+                    (sx, mx), (sy, my) = POOLS[fam][idx]
                     pool_cache[fam, idx] = _signed_sum(ring, b[mx], sx, b[my], sy)
             val = _signed_sum(ring, pool_cache[f1, i1], s1, pool_cache[f2, i2], s2)
         entries.append(ring.halve(val) if block.halved else val)
@@ -455,7 +465,7 @@ def count_operations() -> dict:
     ring, pool_cache = CountingRing(), {}
     b, x = [ring.wrap(v) for v in bv], [ring.wrap(v) for v in av]
     for blk in pipe.core.blocks:
-        block_matvec(blk, bind_block(blk, b, ring, pipe.pools, pool_cache), x[:blk.size], ring)
+        block_matvec(blk, bind_block(blk, b, ring, pool_cache), x[:blk.size], ring)
     return {"schoolbook": school, "fast": per_level, "precompute": pre, "apply": apply_counts,
             "core_additions": core_adds, "per_block_core_additions": ring.counter.additions}
 
@@ -815,7 +825,7 @@ def compile_pipeline(pipeline: Pipeline) -> CompiledProgram:
             continue
         out: list = []
         for blk in stage.blocks:
-            entries = bind_block(blk, b, rec, pipeline.pools, {})
+            entries = bind_block(blk, b, rec, {})
             out += block_matvec(blk, entries, vec[len(out) : len(out) + blk.size], rec)
         vec = out
     return CompiledProgram(rec.tape, vec, f"pipeline level {pipeline.level}")

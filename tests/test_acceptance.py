@@ -142,14 +142,13 @@ def test_criterion_4_core_subcounts():
     rng = random.Random(4001)
     pipe = assemble_pipeline(3)
     verify_pipeline(pipe)
-    pools = pipe.pools
     ring = CountingRing()
     b = [ring.wrap(v) for v in generic_ints(rng)]
     pool_cache = {}
     counts = {}
     for blk in pipe.core.blocks:
         before = ring.counter.snapshot()
-        entries = bind_block(blk, b, ring, pools, pool_cache)
+        entries = bind_block(blk, b, ring, pool_cache)
         x = [ring.wrap(v) for v in generic_ints(rng)[: blk.size]]
         block_matvec(blk, entries, x, ring)
         after = ring.counter.snapshot()

@@ -52,23 +52,24 @@ class TestVerify:
         src = fastmult.default_asset_dir()
         dst = tmp_path / "assets"
         shutil.copytree(src, dst)
-        (dst / "perm_out_28.txt").write_text("kind signed_perm\nsize 28\nsrc 1\nsigns +\n", encoding="ascii")
+        (dst / "perm_out_28.txt").write_text("+0\n", encoding="ascii")
         monkeypatch.setenv("DIRAC_ASSET_DIR", str(dst))
         code, out, err = run(capsys, "verify", "--level", "3", "--iters", "1")
         assert code == 1
         assert "perm_out_28" in out + err
 
-    def test_a_repeated_stage_field_fails_naming_it(self, capsys, tmp_path, monkeypatch):
+    def test_a_second_line_of_terms_fails_naming_the_stage(self, capsys, tmp_path, monkeypatch):
         from diracmul import fastmult
 
         dst = tmp_path / "assets"
         shutil.copytree(fastmult.default_asset_dir(), dst)
         path = dst / "signs_out_16.txt"
-        path.write_text(path.read_text(encoding="ascii") + "signs" + " +" * 16 + "\n", encoding="ascii")
+        path.write_text(path.read_text(encoding="ascii") + " ".join(f"+{i}" for i in range(16)) + "\n",
+                        encoding="ascii")
         monkeypatch.setenv("DIRAC_ASSET_DIR", str(dst))
         code, _, err = run(capsys, "verify", "--level", "3")
         assert code == 1
-        assert err == "FAIL: stage signs_out_16.txt: repeated field 'signs'\n"
+        assert err == "FAIL: stage signs_out_16.txt: expected one line of terms, got 2 lines\n"
 
     def test_a_non_ascii_byte_in_a_stage_fails_naming_it(self, capsys, tmp_path, monkeypatch):
         dst = tmp_path / "assets"
@@ -81,23 +82,25 @@ class TestVerify:
         assert err.startswith("FAIL: stage signs_out_16.txt: ")
         assert err.endswith(": byte 0xc3 is not ASCII\n")
 
-    @pytest.mark.parametrize("old, new, token", [("size 16", "size 1_6", "1_6"), ("src 1 2 ", "src +1 0_2 ", "+1")],
-                             ids=["underscore-size", "plus-src"])
-    def test_a_stage_integer_not_as_written_fails_naming_it(self, capsys, tmp_path, monkeypatch, old, new, token):
+    @pytest.mark.parametrize("token", ["+1_1", "+01"], ids=["underscore", "leading-zero"])
+    def test_a_stage_integer_not_as_written_fails_naming_it(self, capsys, tmp_path, monkeypatch, token):
         dst = tmp_path / "assets"
         shutil.copytree(fastmult.default_asset_dir(), dst)
         path = dst / "perm_in_16.txt"
-        path.write_text(path.read_text(encoding="ascii").replace(old, new, 1), encoding="ascii")
+        text = path.read_text(encoding="ascii")
+        assert " +1 " in text
+        path.write_text(text.replace(" +1 ", f" {token} ", 1), encoding="ascii")
         monkeypatch.setenv("DIRAC_ASSET_DIR", str(dst))
         code, _, err = run(capsys, "verify", "--level", "1", "--iters", "1")
         assert code == 1
-        assert err == f"FAIL: stage perm_in_16.txt: expected an integer, got {token!r}\n"
+        assert err == f"FAIL: stage perm_in_16.txt: bad term {token!r}\n"
 
     @pytest.mark.parametrize("old, new, message", [
         ("+0 +5 +10 +15\n", "+0 +5 +10\n", "core cell has 3 terms"),
         ("+0 +5 +10 +15\n", "+0 +1 +2 +3\n", "core cell +0 +1 +2 +3 does not split over the quad pools"),
         ("block q0 4 halved quad", "block q0 4 halved quint", "unknown pool family 'quint'"),
-    ], ids=["three-terms", "no-split", "unknown-family"])
+        ("+0 +5 +10 +15\n", "+0 +5 +10 +16\n", "core cell +0 +5 +10 +16 draws on a coefficient outside b0..b15"),
+    ], ids=["three-terms", "no-split", "unknown-family", "outside-b"])
     def test_a_bad_core_cell_fails_naming_its_block(self, capsys, tmp_path, monkeypatch, old, new, message):
         dst = tmp_path / "assets"
         shutil.copytree(fastmult.default_asset_dir(), dst)
@@ -165,14 +168,12 @@ def dyadic_reference_mismatches(level, n, seed, table):
 
 
 def flip_sign(asset_dir, name, position):
-    """Flip one sign of the signed permutation stored in ``name``."""
+    """Flip the sign of one term of the signed permutation stored in ``name``."""
     path = asset_dir / name
-    lines = path.read_text(encoding="ascii").splitlines()
-    row = next(i for i, line in enumerate(lines) if line.startswith("signs "))
-    signs = lines[row].split()[1:]
-    signs[position] = "-" if signs[position] == "+" else "+"
-    lines[row] = "signs " + " ".join(signs)
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    comment, line = path.read_text(encoding="ascii").splitlines()
+    terms = line.split()
+    terms[position] = {"+": "-", "-": "+"}[terms[position][0]] + terms[position][1:]
+    path.write_text(f"{comment}\n{' '.join(terms)}\n", encoding="ascii")
 
 
 class TestOracle:
@@ -521,11 +522,9 @@ class TestEmit:
         dst = tmp_path / "assets"
         shutil.copytree(fastmult.default_asset_dir(), dst)
         perm = dst / "perm_in_16.txt"
-        lines = perm.read_text(encoding="ascii").splitlines()
-        signs = next(i for i, ln in enumerate(lines) if ln.startswith("signs "))
-        assert lines[signs].startswith("signs + ")
-        lines[signs] = "signs - " + lines[signs][len("signs + "):]
-        perm.write_text("\n".join(lines) + "\n", encoding="ascii")
+        comment, line = perm.read_text(encoding="ascii").splitlines()
+        assert line.startswith("+0 ")
+        perm.write_text(f"{comment}\n-{line[1:]}\n", encoding="ascii")
         monkeypatch.setenv("DIRAC_ASSET_DIR", str(dst))
         out_file = tmp_path / "program.slp"
         # level 1 loads perm_in_16; the flip still parses as a signed permutation

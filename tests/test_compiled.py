@@ -66,7 +66,7 @@ def keys(x: DiracNumber):
 # assembly
 
 
-def brute_force_recipe(terms, family, pools):
+def brute_force_recipe(terms, family):
     """The exhaustive search assembly used before the pool index (reference)."""
     terms = tuple(terms)
     if len(terms) == 1:
@@ -79,7 +79,7 @@ def brute_force_recipe(terms, family, pools):
     families = {"quad": ["quad"], "duo": ["duo"], "mixed": ["duo", "quad"]}.get(family)
     if families is None:
         raise AssetError(f"unknown pool family {family!r}")
-    searchable = [(fam, i, pair) for fam in families for i, pair in enumerate(pools[fam])]
+    searchable = [(fam, i, pair) for fam in families for i, pair in enumerate(fastmult.POOLS[fam])]
     target = {m: s for s, m in terms}
     for fam1, i1, p1 in searchable:
         for s1 in (1, -1):
@@ -98,20 +98,22 @@ def brute_force_recipe(terms, family, pools):
 @pytest.mark.parametrize("level", LEVELS)
 def test_indexed_decomposition_matches_brute_force(level, verified_pipelines):
     pipe = verified_pipelines[level]
-    index = index_pools(pipe.pools)
     cells = 0
     for blk in pipe.core.blocks:
         for terms in blk.formulas:
-            assert decompose_terms(terms, blk.family, index) == brute_force_recipe(terms, blk.family, pipe.pools)
+            assert decompose_terms(terms, blk.family) == brute_force_recipe(terms, blk.family)
             cells += 1
     assert cells == sum(blk.size ** 2 for blk in pipe.core.blocks)
 
 
-def test_a_cell_that_splits_two_ways_takes_the_first_split_found():
-    # +0 +1 +2 +3 is (+0 +2) + (+1 +3) and (+0 +1) + (+2 +3); the first term pairs with the second first
+def test_a_cell_that_splits_two_ways_takes_the_first_split_found(monkeypatch):
+    # +0 +1 +2 +3 is (+0 +2) + (+1 +3) and (+0 +1) + (+2 +3); the first term pairs with the second first.
+    # No two shipped pool pairs share a coefficient within a family, so a pool table of its own is indexed.
     pools = {"quad": [((1, 0), (1, 2)), ((1, 1), (1, 3)), ((1, 0), (1, 1)), ((1, 2), (1, 3))], "duo": []}
+    monkeypatch.setattr(fastmult, "POOLS", pools)
+    monkeypatch.setattr(fastmult, "_POOL_INDEX", index_pools())
     cell = [(1, 0), (1, 1), (1, 2), (1, 3)]
-    assert decompose_terms(cell, "quad", index_pools(pools)) == ("pair", (1, "quad", 2), (1, "quad", 3))
+    assert decompose_terms(cell, "quad") == ("pair", (1, "quad", 2), (1, "quad", 3))
 
 
 def test_changed_asset_dir_reassembles(tmp_path, monkeypatch):
@@ -120,7 +122,7 @@ def test_changed_asset_dir_reassembles(tmp_path, monkeypatch):
     dst, broken = tmp_path / "assets", tmp_path / "broken"
     shutil.copytree(shipped_dir, dst)
     shutil.copytree(shipped_dir, broken)
-    (broken / "perm_in_30.txt").write_text("kind signed_perm\nsize 30\n", encoding="ascii")
+    (broken / "perm_in_30.txt").write_text("# no line of terms\n", encoding="ascii")
     shipped = assemble_pipeline(3)
     a, b = DiracNumber.basis(2, FLOAT), DiracNumber.basis(7, FLOAT)
     want = mul_fast(a, b)
@@ -214,7 +216,7 @@ def test_compiled_precompute_and_apply_counts_equal_program_histograms(verified_
 
 def per_block_entries(pipe, b) -> list:
     """The core entries by each block's own recipes, nothing shared between blocks."""
-    return [v for blk in pipe.core.blocks for v in bind_block(blk, b, INTS, pipe.pools, {})]
+    return [v for blk in pipe.core.blocks for v in bind_block(blk, b, INTS, {})]
 
 
 def assert_bind_follows_the_block_recipes(pipe, rng):
@@ -244,8 +246,8 @@ def test_shared_bind_keeps_halved_and_plain_entries_apart(verified_pipelines):
                                     recipes=(halved.recipes[0],) + blocks[k].recipes[1:])
     twin = replace_stage(pipe, pipe.core_index, dataclasses.replace(pipe.core, blocks=blocks))
     b = [1 << twin.program.halvings] * DIM
-    twice = 2 * bind_block(halved, b, INTS, pipe.pools, {})[0]
-    assert bind_block(blocks[k], b, INTS, pipe.pools, {})[0] == twice != 0
+    twice = 2 * bind_block(halved, b, INTS, {})[0]
+    assert bind_block(blocks[k], b, INTS, {})[0] == twice != 0
     assert_bind_follows_the_block_recipes(twin, random.Random(319))
 
 
@@ -842,7 +844,7 @@ def test_an_assembled_core_cannot_be_changed():
 
 
 def test_an_assembled_pipeline_cannot_be_changed_in_place():
-    # what the cached pipeline shows (its matrices, pools, tapes) is what its program was built from
+    # what the cached pipeline shows (its matrices, the pools, tapes) is what its program was built from
     pipe = assemble_pipeline(3)
     text = emit_text(flatten(pipe))
     with pytest.raises(TypeError):
@@ -850,9 +852,9 @@ def test_an_assembled_pipeline_cannot_be_changed_in_place():
     with pytest.raises(TypeError):
         pipe.stages[0].mat.entries[0] = pipe.stages[0].mat.entries[1]
     with pytest.raises(AttributeError):
-        pipe.pools["quad"].append(None)
+        fastmult.POOLS["quad"].append(None)
     with pytest.raises(TypeError):
-        pipe.pools["quad"] = ()
+        fastmult.POOLS["quad"] = ()
     prog = pipe.program
     for held in (prog.apply_tape, prog.bind_tape, prog.entries, prog.outputs):
         with pytest.raises(TypeError):

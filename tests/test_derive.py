@@ -14,8 +14,6 @@ from diracmul.derive import (
     BRANCH_C,
     LEVEL3_INPUT_STAGES,
     ReconstructionError,
-    _blocks_text,
-    _perm_text,
     apply_reorder,
     derive_all,
     displayed_level3_input,
@@ -30,7 +28,8 @@ from diracmul.derive import (
     synthesize_level3_input,
 )
 from diracmul.exactnum import FORMS
-from diracmul.fastmult import CHAINS, COMBINERS, LEVELS, POOLS, index_pools, parse_blocks, parse_stage, read_stage
+from diracmul.fastmult import (CHAINS, COMBINERS, LEVELS, format_blocks, format_stage, parse_blocks, parse_stage,
+                               read_stage)
 from diracmul.linalg import Mat, SignedPermutation, int_mat_mul, signed_perm_matrix
 
 
@@ -261,10 +260,10 @@ def asset_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("round-trip")
 
 
-def reread(directory, name: str, text: str, parse, *args):
+def reread(directory, name: str, text: str, parse):
     path = directory / name
     path.write_text(text, encoding="ascii")
-    return read_stage(str(path), parse, *args)
+    return read_stage(str(path), parse)
 
 
 def perm_of(mat: Mat) -> SignedPermutation:
@@ -277,31 +276,35 @@ def perm_of(mat: Mat) -> SignedPermutation:
 @given(st.integers(1, 30).flatmap(lambda n: st.tuples(
     st.permutations(range(n)), st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))))
 def test_a_signed_permutation_stage_round_trips(asset_dir, perm):
-    text = _perm_text(SignedPermutation(*perm), "a signed permutation")
+    p = SignedPermutation(*perm)
+    text = format_stage(p, "a signed permutation")
     mat = reread(asset_dir, "perm.txt", text, parse_stage)
-    assert _perm_text(perm_of(mat), "a signed permutation") == text
+    assert mat == signed_perm_matrix(p)
+    assert format_stage(perm_of(mat), "a signed permutation") == text
 
 
 def test_every_derived_signed_permutation_round_trips(asset_dir):
     texts = generated_asset_texts()
-    perms = [name for name, text in texts.items() if "kind signed_perm\n" in text]
+    perms = [name for name in texts if not name.startswith("blocks_")]
     assert len(perms) == 10
     for name in perms:
-        comment = texts[name].splitlines()[0].removeprefix("# ")
-        assert _perm_text(perm_of(reread(asset_dir, name, texts[name], parse_stage)), comment) == texts[name]
+        lines = texts[name].splitlines()
+        assert len(lines) == 2 and lines[0].startswith("# ")  # one comment line and one line of terms
+        comment = lines[0].removeprefix("# ")
+        assert format_stage(perm_of(reread(asset_dir, name, texts[name], parse_stage)), comment) == texts[name]
 
 
 @pytest.mark.parametrize("level", (1, 2, 3))
 def test_the_blocks_round_trip(asset_dir, derivation, level):
     comment = "diagonal blocks"
-    text = _blocks_text(getattr(derivation, f"blocks_level{level}"), comment)
-    blocks = reread(asset_dir, f"blocks_level{level}.txt", text, parse_blocks, index_pools(POOLS))
-    assert _blocks_text(blocks, comment) == text
+    text = format_blocks(getattr(derivation, f"blocks_level{level}"), comment)
+    blocks = reread(asset_dir, f"blocks_level{level}.txt", text, parse_blocks)
+    assert format_blocks(blocks, comment) == text
 
 
 @pytest.mark.parametrize("level", (1, 2, 3))
 def test_derived_and_shipped_core_blocks_are_equal_values(derivation, level):
     # one block type: the blocks derive builds are the values the pipeline loads
     path = os.path.join(default_asset_dir(), f"blocks_level{level}.txt")
-    loaded = read_stage(path, parse_blocks, index_pools(POOLS))
+    loaded = read_stage(path, parse_blocks)
     assert loaded == getattr(derivation, f"blocks_level{level}")

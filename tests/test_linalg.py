@@ -132,19 +132,18 @@ class TestSignedPermutation:
             assert is_identity(compose(p.inverse(), p))
 
     def test_loaded_permutation_stages_apply_as_signed_permutations(self, verified_pipelines):
-        # every signed_perm asset a pipeline loads runs as its +-1 matrix
+        # every signed-permutation asset a pipeline loads runs as its +-1 matrix
         rng = random.Random(6)
         checked = 0
         for pipe in verified_pipelines.values():
             for stage in pipe.stages:
-                if stage.name in COMBINERS:  # defined in code, read from no file
+                if stage.name in COMBINERS or stage.blocks is not None:  # defined in code, or the core
                     continue
                 with open(os.path.join(pipe.asset_dir, f"{stage.name}.txt"), encoding="ascii") as fh:
-                    fields = dict(ln.strip().split(" ", 1) for ln in fh if " " in ln.strip() and ln[0] != "#")
-                if fields.get("kind") != "signed_perm":
-                    continue
-                src = [int(t) - 1 for t in fields["src"].split()]
-                signs = [-1 if t == "-" else 1 for t in fields["signs"].split()]
+                    (terms,) = [ln.split() for ln in fh if ln[0] != "#"]
+                # term i is output i's signed source: "-4" takes minus input 4
+                src = [int(t[1:]) for t in terms]
+                signs = [-1 if t[0] == "-" else 1 for t in terms]
                 m = stage.mat
                 lines = list(m.entries) + [list(col) for col in zip(*m.entries)]
                 assert all(sorted(map(abs, line)) == [0] * (len(line) - 1) + [1] for line in lines), stage.name
