@@ -16,8 +16,9 @@ from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
 
-from .exactnum import DYADIC, INTS, exact_ints, exact_values, lf_from_b, parse_int
+from .exactnum import DYADIC, FORMS, INTS, exact_ints, exact_values, lf_from_b, parse_int
 from .linalg import Mat
+from .program import Recorder, copy_function, function_source, load_source
 
 DIM = 16
 
@@ -95,24 +96,20 @@ class MultTable:
         product>``.  Built on the first product and kept with the table;
         None for a table none of whose cells writes some output, which
         runs the loop on the ring's own operations instead."""
-        from .fastmult import _function_source, load_source  # fastmult imports this module
-
         tape, outputs = record_schoolbook(self)
         if None in outputs:
             return None
-        source = _function_source("schoolbook(a, b)", tape, outputs, "[]")
+        source = function_source("schoolbook(a, b)", tape, outputs, "[]")
         return load_source(source, "schoolbook product")[1]["schoolbook"]
 
     @cached_property
     def schoolbook_ints(self):
         """:attr:`schoolbook`'s twin for plain integers, ``DYADIC``'s
         lowering and ``INTS``: the same generated code, compiled once, in a
-        code object of its own (see :func:`~diracmul.fastmult.copy_function`),
+        code object of its own (see :func:`~diracmul.program.copy_function`),
         so that integer products between float ones leave the float
         specializations of CPython's interpreter in place.  None when
         :attr:`schoolbook` is."""
-        from .fastmult import copy_function  # fastmult imports this module
-
         return None if self.schoolbook is None else copy_function(self.schoolbook)
 
     def associativity_failures(self) -> list[tuple[int, int, int]]:
@@ -316,7 +313,7 @@ def mul_schoolbook(a: DiracNumber, b: DiracNumber, table: MultTable) -> DiracNum
     operator per code object for the values it runs on, so with one code
     object the first few dozen float products after integer ones would run
     on the generic path.  Any other ring, such as a :class:`Recorder
-    <diracmul.fastmult.Recorder>` or a timing wrapper, and a table none of
+    <diracmul.program.Recorder>` or a timing wrapper, and a table none of
     whose cells writes some output run the loop with the ring's own
     operations.  On the benchmark's ``float-stream`` workload this makes
     about 172k products/s against 37.6k for the loop (126k while one code
@@ -361,12 +358,10 @@ def _schoolbook_loop(ac, bc, entries, ops) -> list:
 
 def record_schoolbook(table: MultTable) -> tuple:
     """``(tape, outputs)``: :func:`_schoolbook_loop` over ``table`` run once
-    on a :class:`~diracmul.fastmult.Recorder` with inputs ``a<k>`` and then
+    on a :class:`~diracmul.program.Recorder` with inputs ``a<k>`` and then
     ``b<k>``, and the tape positions of its sixteen outputs (None for an
     output no cell writes).  ``MultTable.schoolbook`` and
     ``slpgen.schoolbook_program`` are both made from it."""
-    from .fastmult import Recorder  # fastmult imports this module
-
     rec = Recorder()
     a, b = rec.inputs("a", DIM), rec.inputs("b", DIM)
     return rec.tape, _schoolbook_loop(a, b, table.entries, rec)
@@ -394,8 +389,6 @@ def derive_b_matrix(b: DiracNumber, table: MultTable) -> Mat:
 
 def symbolic_b() -> DiracNumber:
     """The fully symbolic right-hand operand over linear forms."""
-    from .exactnum import FORMS
-
     return DiracNumber([lf_from_b(m) for m in range(DIM)], FORMS)
 
 
@@ -406,7 +399,7 @@ def symbolic_b_matrix() -> Mat:
 _SIGNS = {"+": 1, "-": -1}
 
 
-def _parse_term(tok: str):
+def parse_term(tok: str):
     """``(sign, index)`` of a term such as ``-3``: at most one sign, then an
     index as :func:`~diracmul.exactnum.parse_int` reads it."""
     sign, digits = (tok[0], tok[1:]) if tok[:1] in _SIGNS else ("+", tok)
@@ -419,14 +412,14 @@ def _parse_term(tok: str):
 
 
 def format_term(sign: int, index: int) -> str:
-    """A term as the assets write it and :func:`_parse_term` reads it: ``-3``, ``+0``."""
+    """A term as the assets write it and :func:`parse_term` reads it: ``-3``, ``+0``."""
     return f"{'+' if sign > 0 else '-'}{index}"
 
 
 def parse_signed_index_matrix(lines: list):
     """Parse a 16x16 grid of signed indices ('-5' = -1 at index 5), one row
     per line of :func:`read_asset_lines`; ``ValueError`` names a token that
-    is not a term (see :func:`_parse_term`)."""
+    is not a term (see :func:`parse_term`)."""
     if len(lines) != DIM:
         raise ValueError(f"expected {DIM} rows, got {len(lines)}")
     out = []
@@ -434,7 +427,7 @@ def parse_signed_index_matrix(lines: list):
         tokens = ln.split()
         if len(tokens) != DIM:
             raise ValueError(f"expected {DIM} tokens per row: {ln!r}")
-        out.append([_parse_term(tok) for tok in tokens])
+        out.append([parse_term(tok) for tok in tokens])
     return out
 
 

@@ -25,7 +25,7 @@ from .algebra import (
     gather_rows,
     mul_schoolbook,
 )
-from .exactnum import DYADIC, FLOAT, DyadicRational, exact_values, parse_dyadic
+from .exactnum import DYADIC, FLOAT, DyadicRational, exact_values, parse_dyadic, shown
 from .fastmult import (
     AssetError,
     LEVELS,
@@ -52,8 +52,9 @@ class NumberFileError(ValueError):
 
 def read_number_file(path: str, mode: str):
     """16 whitespace-separated numbers; exact mode takes ``n`` and ``n/2^k``
-    as :func:`~diracmul.exactnum.parse_dyadic` reads them, float mode what
-    ``float()`` reads, ``inf`` and ``nan`` included."""
+    as :func:`~diracmul.exactnum.parse_dyadic` reads them, within its bound,
+    float mode what ``float()`` reads, ``inf`` and ``nan`` included.
+    :class:`NumberFileError` for anything else, a long token shown cut."""
     try:
         with open(path, encoding="ascii") as fh:
             tokens = fh.read().split()
@@ -66,7 +67,7 @@ def read_number_file(path: str, mode: str):
         try:
             values.append(float(tok) if mode == "float" else parse_dyadic(tok))
         except ValueError as exc:
-            raise NumberFileError(f"{path}: token {pos + 1} ({tok!r}): {exc}") from exc
+            raise NumberFileError(f"{path}: token {pos + 1} ({shown(tok)}): {exc}") from exc
     return values
 
 
@@ -201,7 +202,7 @@ def cmd_mul(args) -> int:
         result = mul_fast(a, b, args.level)
     else:
         result = mul_schoolbook(a, b, build_table_from_generators())
-    print(" ".join(map(repr, result.coeffs)))  # a dyadic's repr is in lowest terms
+    print(" ".join(map(repr, result.coeffs)))  # a dyadic's repr is in lowest terms, of any size
     return EXIT_OK
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .algebra import DIM, _parse_term, default_asset_dir, read_asset_lines, symbolic_b_matrix
+from .algebra import DIM, default_asset_dir, parse_term, read_asset_lines, symbolic_b_matrix
 from .exactnum import FORMS, LinearForm, lf_from_b, parse_int
 from .fastmult import CHAINS, COMBINERS, CoreBlock, decompose_terms, format_blocks, format_stage
 from .linalg import Mat, SignedPermutation, int_mat_mul, perm_concat, signed_perm_matrix, template_EF
@@ -109,7 +109,7 @@ def single_signed_entry(form: LinearForm):
 
 def _cell_form(cell: str) -> LinearForm:
     acc = FORMS.zero()
-    for sign, idx in map(_parse_term, cell.split()):
+    for sign, idx in map(parse_term, cell.split()):
         acc = acc + (lf_from_b(idx) if sign > 0 else -lf_from_b(idx))
     return acc
 

@@ -9,7 +9,7 @@ over:
 * ``IntRing``       -- plain Python integers, the ring the fast product
                        runs dyadic operands on once they share one
                        exponent, and the proof runs packed basis
-                       vectors on (see ``fastmult``);
+                       vectors on (see ``proof``);
 * ``LinearFormRing``-- degree-one symbolic forms in the sixteen right-hand
                        coefficients, for deriving stage matrices (a
                        failed proof also reports its cells as forms);
@@ -56,6 +56,7 @@ handle, which is meant for single-threaded measurement runs.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import asdict, astuple, dataclass, field
@@ -170,8 +171,8 @@ class DyadicRational:
     def __repr__(self) -> str:
         n = self.normalized()
         if n.exp == 0:
-            return str(n.num)
-        return f"{n.num}/2^{n.exp}"
+            return format_int(n.num)
+        return f"{format_int(n.num)}/2^{n.exp}"
 
 
 # the ring operations, callable without the operator dispatch
@@ -181,29 +182,85 @@ dyadic_mul = DyadicRational.__mul__
 dyadic_neg = DyadicRational.__neg__
 
 
-_INT = re.compile(r"-?(?:0|[1-9][0-9]*)")
+_INT = re.compile(r"0|-?[1-9][0-9]*")
+
+# Decimal digits converted at once.  CPython refuses to convert an int of
+# more than sys.get_int_max_str_digits() digits to or from text (4,300 by
+# default, 640 at the least), a process-wide setting this package leaves
+# alone: longer integers are converted in pieces of at most this many.
+_PIECE_DIGITS = 600
+_PIECE_BITS = 1900  # 2**1900 has 572 digits
+
+# the widest integer parse_int reads, so that no token costs more than a few
+# milliseconds; parse_dyadic reads n/2^k with n that wide and k of at most 16 bits
+MAX_INT_BITS = 1 << 16
+MAX_EXP_BITS = 16
 
 
-def parse_int(token: str) -> int:
+def shown(token: str) -> str:
+    """``repr(token)`` for an error message; a token longer than 32
+    characters as its first 24 and its length."""
+    if len(token) <= 32:
+        return repr(token)
+    return f"{token[:24]!r}... ({len(token)} characters)"
+
+
+def format_int(n: int) -> str:
+    """``str(n)`` for an integer of any size, converted in pieces so that
+    CPython's limit on integer-to-text conversion never applies."""
+    if n.bit_length() <= _PIECE_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + format_int(-n)
+    k = int(n.bit_length() * math.log10(2)) // 2  # about half the digits, so that hi is at least 1
+    hi, lo = divmod(n, 10**k)
+    return format_int(hi) + format_int(lo).zfill(k)
+
+
+def _digits_value(digits: str) -> int:
+    """The value of a string of ASCII digits, converted in pieces."""
+    if len(digits) <= _PIECE_DIGITS:
+        return int(digits)
+    k = len(digits) // 2
+    return _digits_value(digits[:-k]) * 10**k + _digits_value(digits[-k:])
+
+
+def parse_int(token: str, bits: int = MAX_INT_BITS, what: str = "integer") -> int:
     """The integer ``token`` as the package writes integers, ASCII
-    ``-?(0|[1-9][0-9]*)``: no ``+``, no ``_``, no leading zero, no other
-    digits.  ``ValueError`` for any other token."""
+    ``0|-?[1-9][0-9]*``: no ``+``, no ``_``, no leading zero, no ``-0``, no
+    other digits, past CPython's conversion limit too (:func:`format_int`
+    writes it).  ``ValueError`` for any other token and for an integer
+    wider than ``bits``, called ``what`` in the message; a token too long
+    for one is refused before it is converted."""
     if not _INT.fullmatch(token):
-        raise ValueError(f"expected an integer, got {token!r}")
-    return int(token)
+        raise ValueError(f"expected an integer, got {shown(token)}")
+    if len(token) > int(bits * math.log10(2)) + 2:  # more digits than any integer that fits
+        raise ValueError(f"{what} is wider than {bits} bits")
+    value = -_digits_value(token[1:]) if token[0] == "-" else _digits_value(token)
+    if value.bit_length() > bits:
+        raise ValueError(f"{what} is wider than {bits} bits")
+    return value
 
 
 def parse_dyadic(token: str) -> DyadicRational:
-    """Parse ``n`` or ``n/2^k`` (the number-file grammar), ``n`` and ``k``
-    each read by :func:`parse_int` and ``k`` not negative, as ``repr``
-    writes a :class:`DyadicRational`."""
-    token = token.strip()
-    if "/" in token:
-        num_s, den_s = token.split("/", 1)
-        if not den_s.startswith("2^"):
-            raise ValueError(f"bad dyadic token {token!r}: denominator must be 2^k")
-        return DyadicRational(parse_int(num_s), parse_int(den_s[2:])).normalized()
-    return DyadicRational(parse_int(token))
+    """The number ``token`` as ``repr`` writes a :class:`DyadicRational`:
+    ``n``, or ``n/2^k`` in lowest terms (``n`` odd, ``k`` at least 1),
+    each integer read by :func:`parse_int` -- the number-file grammar.
+    ``ValueError`` for any other token, and for one beyond the bound: ``n``
+    wider than :data:`MAX_INT_BITS` bits or ``k`` wider than
+    :data:`MAX_EXP_BITS`."""
+    num_s, slash, den_s = token.partition("/")
+    num = parse_int(num_s, what="numerator")
+    if not slash:
+        return DyadicRational(num)
+    if not den_s.startswith("2^"):
+        raise ValueError(f"bad dyadic token {shown(token)}: denominator must be 2^k")
+    exp = parse_int(den_s[2:], MAX_EXP_BITS, "exponent")
+    if exp < 1:
+        raise ValueError(f"bad dyadic token {shown(token)}: the k of n/2^k must be at least 1")
+    if not num & 1:
+        raise ValueError(f"dyadic token {shown(token)} is not in lowest terms: n/2^k takes an odd n")
+    return DyadicRational(num, exp)
 
 
 class LinearForm:

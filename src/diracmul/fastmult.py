@@ -12,85 +12,56 @@ every file through :func:`read_stage`, every signed index a term of
 ``algebra.format_term`` (``+0 -5``); the writers of both stage formats are
 here too (:func:`format_stage`, :func:`format_blocks`).
 
-An assembled pipeline is an immutable value, compiled as it is built into
-two straight-line Python functions, which follow the paper's product
-M_b . a: ``bind(half, b)`` evaluates the distinct core values for a
-right-hand operand and ``apply(a, e)`` runs the whole stage chain on the
-left-hand operand and those values ``e``.  ``compile_pipeline`` records
-the product once, through two kernels: ``linalg.structural_apply`` for
-every constant stage and, per core block, ``bind_block`` (the paper's
-recipe) and ``block_matvec``.  ``fold_signs`` carries every negation as a
-sign into the operation that uses the value and computes each value once,
-so level 3's 88 core entries take 32 values up to sign, and
-``CompiledProgram`` splits the folded recording: the values of ``b``
-alone are bind, the rest apply.  So bind returns the 32 values without
-negating any, apply fans them out to the 88 cells with the signs folded
-into its sums, and only an output that ends negative is negated (8
-negations per product).
-Every part of a pipeline is built once as a frozen value -- stage
-matrices of tuple rows, tuple tapes, no attribute that can be rebound --
-and the pools are a read-only constant, so what a pipeline shows is what
-it runs.
-The generated code writes additions, subtractions, negations and
-multiplications with Python's operators (``x + y``, ``x - y``, ``-x``,
-``x * y``) and each halving as ``x * half``, ``half`` being the one
-constant bind takes; apply never halves.  So they call nothing, and run
-on any values with those operators -- floats, integers, dyadics, counting
-scalars and linear forms, whose rings each supply a ``half`` with
-``x * half`` equal to ``halve(x)``.  A ring whose
+An assembled pipeline is an immutable value, compiled as it is built:
+:func:`compile_pipeline` records the product M_b . a once on a
+``program.Recorder``, through two kernels -- ``linalg.structural_apply``
+for every constant stage and, per core block, :func:`bind_block` (the
+paper's recipe) and :func:`block_matvec` -- and ``program.CompiledProgram``
+folds the signs and splits the recording into ``bind(half, b)``, the 32
+distinct core values at level 3, and ``apply(a, e)``, the rest of the
+chain.  Every part of a pipeline is built once as a frozen value, and the
+pools are a read-only constant, so what a pipeline shows is what it runs.
+
+The products run those two functions.  A ring whose
 ``add``/``sub``/``neg``/``mul`` are ``operator.add`` etc. runs them on its
 own values and ``ring.half``; any other ring's values are boxed, so that
 each operator calls the ring's method, and halving by an
 :class:`~diracmul.exactnum.Half` calls its ``halve``: the ring sees every
-recorded operation once.  ``mul_fast``,
-``PrecomputedOperator.apply`` and ``verify_pipeline`` all call them:
-:func:`prove` checks exactly this code against the ground-truth table.
-The code is bilinear, which compilation checks, so the proof runs it once,
-over integers that pack every pair of basis vectors into lanes; it runs on
-every call.
-
-Over ``DYADIC`` and ``INTS`` the products run those functions on plain
-integers rather than on ``DyadicRational`` objects.  Each operand is
-brought to one common exponent by ``exactnum.exact_ints``, the lowering
-``mul_schoolbook`` uses too, and bind runs with ``half = 1``: every
-halving is kept in the exponent instead of performed.  Bind only adds,
-subtracts and halves, and each sum combines values of one halving depth,
-so a value of depth ``d`` comes out exactly ``2**d`` times its dyadic
-value; the entries shallower than the deepest, ``halvings``, are shifted
-left to it (none at level 3).  Apply only adds, subtracts, negates and
-multiplies, bilinearly, so its outputs are the exact product times
-``2**(ea + eb + halvings)``.  Compilation checks all three conditions.
+recorded operation once.  Over ``DYADIC`` and ``INTS`` they run on plain
+integers: each operand is brought to one common exponent by
+``exactnum.exact_ints``, the lowering ``mul_schoolbook`` uses too, and
+``program.bind_ints`` runs bind with ``half = 1``, every halving kept in
+the exponent, so apply's outputs are the exact product times
+``2**(ea + eb + halvings)``.  :func:`verify_pipeline` reports
+``proof.prove`` for a pipeline; no product runs the proof.
 """
 
 from __future__ import annotations
 
-import linecache
-import math
 import operator
 import os
 import random
 import types
-import weakref
-import zlib
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .algebra import (
     DIM,
     DiracNumber,
     RingMismatchError,
-    _parse_term,
     build_table_from_generators,
     default_asset_dir,
     format_term,
     mul_schoolbook,
+    parse_term,
     read_asset_lines,
     runs_natively,
 )
-from .exactnum import (DYADIC, INTS, CountingRing, DyadicRational, Half, LinearForm, exact_ints, exact_values,
-                       parse_int)
+from .exactnum import DYADIC, INTS, CountingRing, DyadicRational, Half, exact_ints, exact_values, parse_int
 from .linalg import (H2, T2X3, T3X2, Mat, SignedPermutation, dirsum, eye, kron, signed_perm_matrix,
                      structural_apply)
+from .program import CompiledProgram, Recorder, bind_ints
+from .proof import prove
 
 
 class AssetError(RuntimeError):
@@ -174,7 +145,7 @@ def parse_stage(lines) -> Mat:
     term or terms that are no permutation."""
     if len(lines) != 1:
         raise ValueError(f"expected one line of terms, got {len(lines)} lines")
-    terms = [_parse_term(t) for t in lines[0].split()]
+    terms = [parse_term(t) for t in lines[0].split()]
     _check_size(len(terms), f"size {len(terms)}")
     signs, src = zip(*terms)
     return signed_perm_matrix(SignedPermutation(src, signs))
@@ -282,7 +253,7 @@ def parse_blocks(lines) -> tuple:
         cells = lines[i + 1 : i + 1 + size * size]
         if len(cells) != size * size:
             raise ValueError(f"block {name} is short of cells")
-        formulas = tuple(tuple(_parse_term(t) for t in ln.split()) for ln in cells)
+        formulas = tuple(tuple(parse_term(t) for t in ln.split()) for ln in cells)
         try:
             recipes = tuple(decompose_terms(terms, family) for terms in formulas)
         except ValueError as exc:
@@ -474,347 +445,12 @@ def count_operations() -> dict:
 # compilation to straight-line Python
 
 
-RING_OPS = ("add", "sub", "neg", "mul", "halve")
-
-
-class Recorder:
-    """A ring whose values are positions on a tape.
-
-    Each ring operation appends ``(op, args)``; an input appends
-    ``(name, (k,))`` and stands for the variable ``<name><k>``.  A
-    straight-line program (``slpgen.SLProgram``) is such a tape.
-    """
-
-    def __init__(self):
-        self.tape: list = []
-
-    def _push(self, op: str, args: tuple) -> int:
-        self.tape.append((op, args))
-        return len(self.tape) - 1
-
-    def inputs(self, name: str, n: int) -> list:
-        return [self._push(name, (k,)) for k in range(n)]
-
-    def add(self, x, y):
-        return self._push("add", (x, y))
-
-    def sub(self, x, y):
-        return self._push("sub", (x, y))
-
-    def neg(self, x):
-        return self._push("neg", (x,))
-
-    def mul(self, x, y):
-        return self._push("mul", (x, y))
-
-    def halve(self, x):
-        return self._push("halve", (x,))
-
-
-_INFIX = {"add": "+", "sub": "-", "mul": "*"}
-_MAX_NESTING = 50  # operators an inlined value nests at most; Python's parser takes 200 parentheses
-
-
-def _function_source(signature: str, tape: list, results: list, brackets: str) -> str:
-    """``def <signature>:`` computing ``results`` from the tape's inputs.
-
-    The signature names a list per input name, and ``half`` if the tape
-    halves: ``bind(half, b)``.  ``add``/``sub``/``mul`` are written as
-    infix operators, ``neg`` as unary minus and ``halve`` as
-    ``x * half``, so the function calls nothing.  A value used once is
-    inlined where it is used unless it nests ``_MAX_NESTING`` operators;
-    any other value gets a local.  Every recorded operation runs exactly
-    once; the locals in recording order, an inlined value where it is used.
-    """
-    uses = [0] * len(tape)
-    for op, args in tape:
-        if op in RING_OPS:
-            for x in args:
-                uses[x] += 1
-    for x in results:
-        uses[x] += 1
-    params: dict = {}  # input name -> count
-    text, body = [], []  # each value as an expression, and the local assignments
-    operand = []  # each value as an operand of an operator: parenthesized unless atomic
-    nesting = [0] * len(tape)  # the operators nested in each inlined value's text
-    for i, (op, args) in enumerate(tape):
-        if op not in RING_OPS:
-            params[op] = params.get(op, 0) + 1
-            text.append(f"{op}{args[0]}")
-            operand.append(text[-1])
-            continue
-        if op == "halve":
-            expr = f"{operand[args[0]]} * half"
-        elif op == "neg":
-            expr = f"-{operand[args[0]]}"
-        else:
-            expr = f"{operand[args[0]]} {_INFIX[op]} {operand[args[1]]}"
-        depth = 1 + max(nesting[x] for x in args)
-        if uses[i] == 1 and depth < _MAX_NESTING:
-            text.append(expr)
-            operand.append(f"({expr})")
-            nesting[i] = depth
-        else:
-            body.append(f"    v{i} = {expr}")
-            text.append(f"v{i}")
-            operand.append(text[-1])
-    lines = [f"def {signature}:"]
-    lines += [f"    {', '.join(f'{p}{k}' for k in range(n))}, = {p}" for p, n in params.items()]
-    lines += body
-    lines.append(f"    return {brackets[0]}")
-    lines += [f"        {text[x]}," for x in results]
-    lines.append(f"    {brackets[1]}")
-    return "\n".join(lines) + "\n"
-
-
-def _renumbered(tape: list, order: list, position: dict) -> list:
-    """The steps of ``tape`` at ``order``, their operands at ``position``."""
-    return [(op, tuple(position[x] for x in args) if op in RING_OPS else args)
-            for op, args in (tape[i] for i in order)]
-
-
-_SOURCE_OWNERS: dict = {}  # filename -> how many live functions show their source under it
-
-
-def _release_source(filename: str) -> None:
-    _SOURCE_OWNERS[filename] -= 1
-    if not _SOURCE_OWNERS[filename]:
-        del _SOURCE_OWNERS[filename]
-        linecache.cache.pop(filename, None)
-
-
-def load_source(source: str, name: str) -> tuple:
-    """``(filename, namespace)`` of generated ``source`` run as the file
-    ``<diracmul {name}>``, its CRC-32 appended if another source holds that
-    name; ``linecache`` shows its lines for as long as any function defined
-    from that file lives."""
-    filename = f"<diracmul {name}>"
-    held = linecache.cache.get(filename)
-    if held is not None and "".join(held[2]) != source:
-        filename = f"<diracmul {name} {zlib.crc32(source.encode()):08x}>"
-    namespace: dict = {}
-    exec(compile(source, filename, "exec"), namespace)
-    functions = [f for f in namespace.values() if isinstance(f, types.FunctionType)]
-    # counted before the entry is made, so that no function collected meanwhile removes it
-    _SOURCE_OWNERS[filename] = _SOURCE_OWNERS.get(filename, 0) + len(functions)
-    for f in functions:
-        weakref.finalize(f, _release_source, filename)
-    linecache.cache.setdefault(filename, (len(source), None, source.splitlines(True), filename))
-    return filename, namespace
-
-
-def copy_function(f: types.FunctionType) -> types.FunctionType:
-    """A twin of ``f``, a function :func:`load_source` defined: equal code
-    in a code object of its own, and one more owner of that source's
-    ``linecache`` lines.  CPython 3.11 and later specialize each operator
-    of a code object for the values it last ran on, so a twin given only
-    integers keeps ``f``'s float specializations from being undone."""
-    twin = types.FunctionType(f.__code__.replace(), f.__globals__, f.__name__, f.__defaults__, f.__closure__)
-    filename = f.__code__.co_filename
-    _SOURCE_OWNERS[filename] += 1  # f lives, so its file has an owner
-    weakref.finalize(twin, _release_source, filename)
-    return twin
-
-
-@dataclass(frozen=True, init=False, eq=False, repr=False)
-class CompiledProgram:
-    """A recorded product as two generated straight-line functions.
-
-    ``tape`` records one product on a :class:`Recorder` with inputs ``b``
-    and ``a``; ``results`` are the positions of its sixteen outputs.
-    :func:`fold_signs` folds it once, which alone decides what is shared,
-    and one pass gives every folded value its degree in ``a``, its degree
-    in ``b`` and its halving depth, and splits the program.  ``bind_tape``
-    holds the values of ``b`` alone, and ``entries`` the positions of those
-    that apply uses, in order of first use.  ``apply_tape`` holds the
-    inputs ``a``, one input ``e<k>`` per entry, then the other steps; its
-    outputs are the positions ``outputs``.  A frozen value: all four are
-    tuples, built once, and no attribute can be rebound, so they stay the
-    record of the code that runs.
-
-    ``bind(half, b)`` returns the entries, as a tuple, for right-hand
-    coefficients ``b``; ``apply(a, e)`` returns the sixteen output
-    coefficients for left-hand coefficients ``a`` and bind's values ``e``.
-    Both compute with ``+``, ``-``, ``*`` and unary ``-``, bind halving as
-    ``x * half``: a ring's own ``half``, ``1`` on the integer path, a
-    :class:`~diracmul.exactnum.Half` over boxes (see
-    :class:`PrecomputedOperator`).  ``source`` is their text, loaded by
-    :func:`load_source` under ``filename``.
-
-    ``ValueError`` for an input other than ``a<k>`` and ``b<k>``, and
-    unless bind is linear in ``b`` (no product of two values
-    of ``b`` alone), each sum in it combines values of one halving depth,
-    and apply is bilinear in ``a`` and ``b`` (no halving, sums of one
-    degree, outputs of degree one in each).  ``halvings`` is the deepest
-    entry's depth and ``lifts`` holds ``(index, halvings - depth)`` for each
-    shallower entry, so that :func:`_bind_ints` puts every entry at
-    ``2**halvings`` times its value.
-    """
-
-    bind_tape: tuple
-    entries: tuple
-    apply_tape: tuple
-    outputs: tuple
-    halvings: int
-    lifts: tuple
-    source: str
-    filename: str
-    bind: types.FunctionType
-    apply: types.FunctionType
-
-    def __init__(self, tape: list, results: list, name: str):
-        folded, signed = fold_signs(tape)
-        kind: list = []  # per folded value: degree in a, degree in b, halving depth (0 in apply)
-        used: dict = {}  # value of b alone that apply uses -> its index among the entries
-        for i, (op, args) in enumerate(folded):
-            operands = [kind[x] for x in args] if op in RING_OPS else []
-            if op == "mul":
-                (a1, b1, _), (a2, b2, _) = operands
-                if not a1 + a2:
-                    raise ValueError(f"bind tape multiplies at position {i}; bind must be linear in b")
-                kind.append((a1 + a2, b1 + b2, 0))
-                for x, (deg_a, _, _) in zip(args, operands):  # a value of b alone enters apply only here
-                    if not deg_a:
-                        used.setdefault(x, len(used))
-            elif op == "halve":
-                deg_a, deg_b, depth = operands[0]
-                if deg_a:
-                    raise ValueError(f"apply tape halves at position {i}; halvings belong in bind")
-                kind.append((0, deg_b, depth + 1))
-            elif operands:  # add, sub
-                if len(set(operands)) != 1:
-                    if any(deg_a for deg_a, _, _ in operands):
-                        raise ValueError(f"apply tape adds values of different degrees at position {i}")
-                    raise ValueError(f"bind tape combines values of different halving depths at position {i}")
-                kind.append(operands[0])
-            elif op in ("a", "b"):
-                kind.append((1, 0, 0) if op == "a" else (0, 1, 0))
-            else:
-                raise ValueError(f"input {op}{args[0]} is neither a<k> nor b<k>; bind and apply take no other")
-        results = [signed[y] for y in results]
-        if any(kind[x][:2] != (1, 1) for _, x in results):
-            raise ValueError("apply tape has an output that is not bilinear in a and b")
-        bind = [i for i, (deg_a, _, _) in enumerate(kind) if not deg_a]
-        position = {x: k for k, x in enumerate(bind)}
-        bind_tape, entries = tuple(_renumbered(folded, bind, position)), tuple(position[x] for x in used)
-        a_inputs = [i for i, (op, _) in enumerate(folded) if op == "a"]
-        steps = [i for i, (deg_a, _, _) in enumerate(kind) if deg_a and folded[i][0] in RING_OPS]
-        position = {x: k for k, x in enumerate(a_inputs + list(used) + steps)}
-        apply_tape = (_renumbered(folded, a_inputs, position) + [("e", (k,)) for k in range(len(used))]
-                      + _renumbered(folded, steps, position))
-        outputs = tuple(settle_signs(apply_tape, [(sign, position[x]) for sign, x in results]))
-        depths = [kind[x][2] for x in used]
-        halvings = max(depths, default=0)
-        source = (_function_source("bind(half, b)", bind_tape, entries, "()") + "\n\n"
-                  + _function_source("apply(a, e)", apply_tape, outputs, "[]"))
-        filename, namespace = load_source(source, name)
-        for key, value in dict(
-                bind_tape=bind_tape, entries=entries, apply_tape=tuple(apply_tape), outputs=outputs,
-                halvings=halvings, lifts=tuple((k, halvings - d) for k, d in enumerate(depths) if d < halvings),
-                source=source, filename=filename, bind=namespace["bind"], apply=namespace["apply"]).items():
-            object.__setattr__(self, key, value)
-
-    @cached_property
-    def lane_width(self) -> int:
-        """The width ``w`` of the lanes :func:`prove` packs this program's
-        basis products into, found on first use: the least ``w`` with
-        ``2**(w-1)`` above ``2**halvings`` and above a bound on every output
-        of :func:`_bind_ints` and ``apply`` run on unit vectors.  The bound
-        holds whatever the program computes, right or wrong: it walks the
-        tapes the code was generated from, each input 1, a sum or
-        difference the sum of its operands' bounds, a product their product,
-        a negation or halving its operand's, and each lifted entry shifted
-        as :func:`_bind_ints` shifts it."""
-        units = [1] * DIM
-        bound = _magnitudes(self.bind_tape, {"b": units})
-        entries = [bound[x] for x in self.entries]
-        for k, shift in self.lifts:
-            entries[k] <<= shift
-        bound = _magnitudes(self.apply_tape, {"a": units, "e": entries})
-        return max(max(bound[x] for x in self.outputs), 1 << self.halvings).bit_length() + 1
-
-
-def _magnitudes(tape, inputs: dict) -> list:
-    """A bound on the magnitude of each value of ``tape``, given a bound
-    ``inputs[name][k]`` on each input ``<name><k>``."""
-    bound: list = []
-    for op, args in tape:
-        if op in ("add", "sub"):
-            bound.append(bound[args[0]] + bound[args[1]])
-        elif op == "mul":
-            bound.append(bound[args[0]] * bound[args[1]])
-        elif op in ("neg", "halve"):
-            bound.append(bound[args[0]])
-        else:
-            bound.append(inputs[op][args[0]])
-    return bound
-
-
-def fold_signs(tape: list) -> tuple:
-    """``tape`` with every sign carried on its value instead of negated, and
-    each value computed once.
-
-    Returns the folded tape and, for each position of ``tape``, its value
-    as ``(sign, position in the folded tape)``.  A ``neg`` flips the sign
-    and emits nothing.  ``add`` and ``sub`` choose the operator and operand
-    order from their operands' signs: ``(-x) + y`` becomes ``y - x`` and
-    ``(-x) - y`` becomes ``x + y`` with sign -1.  ``mul`` multiplies the
-    signs and ``halve`` keeps its operand's.  A folded step already on the
-    folded tape reuses its position, ``add`` and ``mul`` with their operands
-    in either order, and ``y - x`` reuses ``x - y`` with sign -1 (only when
-    ``x - y`` is already there).  Every folded value equals the recorded one
-    up to its sign, exactly: over the floats only the sign of an exact zero
-    can differ.
-    """
-    folded: list = []
-    signed: list = []
-    seen: dict = {}  # folded step, with sorted operands for add and mul -> its position
-    for op, args in tape:
-        operands = [signed[x] for x in args] if op in RING_OPS else []
-        if op == "neg":
-            sign, x = operands[0]
-            signed.append((-sign, x))
-            continue
-        if op in ("add", "sub"):
-            (sx, x), (sy, y) = operands
-            if op == "sub":
-                sy = -sy
-            if sx == sy:  # x + y, or -(x + y)
-                sign, step = sx, ("add", (x, y))
-            else:  # x - y, or y - x
-                sign, step = 1, ("sub", (x, y) if sx > 0 else (y, x))
-        elif operands:  # mul, halve
-            sign, step = math.prod(s for s, _ in operands), (op, tuple(x for _, x in operands))
-        else:  # an input
-            sign, step = 1, (op, args)
-        key = (step[0], tuple(sorted(step[1]))) if step[0] in ("add", "mul") else step
-        if key not in seen and step[0] == "sub" and ("sub", step[1][::-1]) in seen:
-            sign, key = -sign, ("sub", step[1][::-1])
-        if key not in seen:
-            folded.append(step)
-            seen[key] = len(folded) - 1
-        signed.append((sign, seen[key]))
-    return folded, signed
-
-
-def settle_signs(tape: list, values: list) -> list:
-    """The positions on ``tape`` of the signed ``values`` that
-    :func:`fold_signs` gives: a value with sign -1 gets a ``neg`` appended."""
-    positions = []
-    for sign, x in values:
-        if sign < 0:
-            tape.append(("neg", (x,)))
-            x = len(tape) - 1
-        positions.append(x)
-    return positions
-
-
 def compile_pipeline(pipeline: Pipeline) -> CompiledProgram:
-    """Record the product M_b . a once, on one :class:`Recorder` with
+    """Record the product M_b . a once, on one :class:`~diracmul.program.Recorder` with
     inputs ``b`` and then ``a``, and compile it.  The recording runs
     :func:`~diracmul.linalg.structural_apply` for each constant stage, and
     for each core block :func:`bind_block`, sharing nothing with the other
-    blocks, and :func:`block_matvec`; :class:`CompiledProgram`'s folding
+    blocks, and :func:`block_matvec`; :class:`~diracmul.program.CompiledProgram`'s folding
     computes each repeated value once and finds the bind/apply split.
     """
     rec = Recorder()
@@ -868,18 +504,6 @@ def _boxed(values, ring) -> list:
     return [_Box(v, ring) for v in values]
 
 
-def _bind_ints(prog: CompiledProgram, b_ints) -> list:
-    """The compiled ``bind`` on integers with ``half = 1``, so that each
-    halving is left out and kept in the exponent: each distinct core value
-    times ``2**halvings``, exactly."""
-    entries = prog.bind(1, b_ints)
-    if prog.lifts:
-        entries = list(entries)
-        for k, shift in prog.lifts:
-            entries[k] <<= shift
-    return entries
-
-
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -910,7 +534,7 @@ def mul_fast(a: DiracNumber, b: DiracNumber, level: int = 3, asset_dir: str | No
     elif ring is DYADIC or ring is INTS:
         a_ints, ea = exact_ints(a.coeffs, ring)
         b_ints, eb = exact_ints(b.coeffs, ring)
-        out = exact_values(prog.apply(a_ints, _bind_ints(prog, b_ints)), ea + eb + prog.halvings, ring)
+        out = exact_values(prog.apply(a_ints, bind_ints(prog, b_ints)), ea + eb + prog.halvings, ring)
     else:
         return PrecomputedOperator(pipeline, b).apply(a)
     product = object.__new__(DiracNumber)  # around the fresh 16-list, not a copy
@@ -944,7 +568,7 @@ class PrecomputedOperator:
         self.lowered = self._boxes = None
         if ring is DYADIC or ring is INTS:
             b_ints, eb = exact_ints(b.coeffs, ring)
-            nums, exp = tuple(_bind_ints(prog, b_ints)), eb + prog.halvings
+            nums, exp = tuple(bind_ints(prog, b_ints)), eb + prog.halvings
             self.lowered = (nums, exp)
             self.entries = tuple(DyadicRational(n, exp) for n in nums)
         elif runs_natively(ring):
@@ -978,7 +602,7 @@ def precompute(b: DiracNumber, level: int = 3) -> PrecomputedOperator:
 
 
 # ---------------------------------------------------------------------------
-# symbolic verification
+# the proof, reported per pipeline
 
 
 @dataclass
@@ -1002,112 +626,8 @@ class VerifyReport:
         return f"level {self.level}: symbolic {self.matches}/{self.total} entries match"
 
 
-def _packed_products(prog: CompiledProgram, w: int) -> list:
-    """The program's sixteen outputs from one run of :func:`_bind_ints` on
-    ``b_m = 2**(16*w*m)`` and of ``apply`` on ``a_n = 2**(w*n)``.
-
-    The program is bilinear, so output ``k`` is the sum, over every basis
-    pair ``(e_n, e_m)``, of ``2**(w*(n + 16*m))`` times output ``k`` of
-    ``apply(e_n, _bind_ints(prog, e_m))`` (``2**halvings`` times the
-    product's): that output is lane ``n + 16*m``, read back by :func:`_lanes`.
-    """
-    a = [1 << (w * n) for n in range(DIM)]
-    b = [1 << (DIM * w * m) for m in range(DIM)]
-    return prog.apply(a, _bind_ints(prog, b))
-
-
-def _lanes(x: int, w: int) -> list:
-    """The 256 signed ``w``-bit lanes of ``x``, lane ``L`` the coefficient of
-    ``2**(w*L)``, for each lane strictly between ``-2**(w-1)`` and
-    ``2**(w-1)``: biased by ``2**(w-1)``, every lane is a plain ``w``-bit
-    digit."""
-    half = 1 << (w - 1)
-    x += half * (((1 << (DIM * DIM * w)) - 1) // ((1 << w) - 1))  # half in every lane
-    mask = (1 << w) - 1
-    return [((x >> (w * lane)) & mask) - half for lane in range(DIM * DIM)]
-
-
-def _form(lanes: list, halvings: int, col: int) -> LinearForm:
-    """Column ``col`` of one output's :func:`_lanes` as a linear form in b:
-    the coefficient of ``b_m`` is lane ``col + 16*m`` over ``2**halvings``."""
-    return LinearForm((DyadicRational(0),) + tuple(DyadicRational(c, halvings) for c in lanes[col::DIM]))
-
-
-def pipeline_matrix(pipeline: Pipeline) -> Mat:
-    """The 16x16 matrix the pipeline's compiled program computes, symbolic in b,
-    decoded from the one evaluation :func:`prove` runs.
-
-    No caller in the package: acceptance criterion 1 (``tests/test_acceptance.py``)
-    reads every cell of it as one signed coefficient."""
-    prog = pipeline.program
-    w = prog.lane_width
-    rows = [_lanes(y, w) for y in _packed_products(prog, w)]
-    return Mat(DIM, DIM, [[_form(rows[k], prog.halvings, n) for n in range(DIM)] for k in range(DIM)])
-
-
-@lru_cache(maxsize=None)
-def _generator_table():
-    """The ground-truth table :func:`prove` checks against, built once per
-    process and passed to no caller, so none can change it."""
-    return build_table_from_generators()
-
-
-@lru_cache(maxsize=None)
-def _packed_table(w: int, halvings: int) -> tuple:
-    """The table's products packed as :func:`_packed_products` packs a
-    program's: where ``table[n][m] == (sign, k)``, lane ``n + 16*m`` of
-    output ``k`` is ``sign * 2**halvings``.  Built once per process for each
-    width and depth, all from the one :func:`_generator_table`."""
-    table = _generator_table()
-    want = [0] * DIM
-    for n in range(DIM):
-        for m in range(DIM):
-            sign, k = table[n][m]
-            want[k] += sign << (halvings + w * (n + DIM * m))
-    return tuple(want)
-
-
-def prove(program: CompiledProgram) -> list:
-    """Prove ``program`` computes the product of the generator table.
-
-    The proof runs the compiled ``bind`` and ``apply`` once, on integers
-    that pack every pair of basis vectors into lanes (:func:`_packed_products`),
-    and compares the sixteen outputs with the table packed the same way:
-    where ``table[n][m] == (sign, k)``, ``apply(e_n, bind(2**h e_m))`` must
-    be ``2**h * sign * e_k``, ``h`` the program's ``halvings``.  Sixteen
-    integer comparisons check all 16 x 16 x 16 values, because every lane
-    of either side lies strictly between ``-2**(w-1)`` and ``2**(w-1)``,
-    ``w`` the program's ``lane_width``, so equal packed integers have equal
-    lanes.  The width is found from the program's own tapes, a bound that
-    holds for a wrong program too.  That settles the identity for every
-    ``a`` and ``b`` because:
-
-    * compilation gives every value its degree in ``a`` and in ``b``, and
-      checks that bind is linear in ``b`` and every output bilinear;
-    * every sum in bind combines values of one halving depth (compilation
-      checks it), so run with ``half = 1`` bind gives each value times
-      ``2**depth``, with no rounding, and :func:`_bind_ints` gives the
-      entries exactly ``2**halvings`` times the dyadic values.
-
-    So the program computes a bilinear map, and a bilinear map is fixed by
-    its values on basis pairs.  Returns the mismatching cells of the
-    product matrix, sorted, as ``(row, col, got, want)`` with ``got`` and
-    ``want`` linear forms in b, decoded lane by lane from a mismatching
-    output only.  Runs the whole proof on every call; the width is found
-    once per program and the packed table built once per width and depth.
-    """
-    w, halvings = program.lane_width, program.halvings
-    mismatches = []
-    for k, (x, y) in enumerate(zip(_packed_products(program, w), _packed_table(w, halvings))):
-        if x != y:
-            got, want = _lanes(x, w), _lanes(y, w)
-            cols = sorted({lane % DIM for lane, (g, t) in enumerate(zip(got, want)) if g != t})
-            mismatches += [(k, n, _form(got, halvings, n), _form(want, halvings, n)) for n in cols]
-    return mismatches
-
-
 def verify_pipeline(pipeline: Pipeline | int) -> VerifyReport:
-    """:func:`prove` the pipeline's compiled program (a level is assembled
+    """:func:`~diracmul.proof.prove` the pipeline's compiled program (a level is assembled
     first, by :func:`assemble_pipeline`), as a report for its level."""
     if isinstance(pipeline, int):
         pipeline = assemble_pipeline(pipeline)

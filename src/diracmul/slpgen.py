@@ -1,6 +1,6 @@
 """Straight-line programs.
 
-A program is a :class:`~diracmul.fastmult.Recorder` tape, the form the
+A program is a :class:`~diracmul.program.Recorder` tape, the form the
 compiled product is generated from: the inputs ``a<k>`` and ``b<k>`` in
 index order, then the steps, a baked-in constant as an input ``c<j>`` and
 each halving as one ``halve`` step.  ``flatten`` joins the sign-folded
@@ -9,7 +9,7 @@ renumbering positions only, so the program is the code that runs: it
 shares the pooled two-term combinations exactly the way the cost
 accounting does, and its opcode histogram agrees with the counting ring.
 It proves the pipeline first and refuses to render one whose proof fails.
-``interpret`` runs a program as the code ``fastmult._function_source``
+``interpret`` runs a program as the code ``program.function_source``
 generates from its tape, once per program.  Only ``emit_text`` and
 ``parse_text`` know the text syntax.
 """
@@ -23,8 +23,8 @@ from functools import cached_property
 
 from .algebra import DIM, MultTable, record_schoolbook, runs_natively
 from .exactnum import DYADIC, INTS, CountingScalar, DyadicRational, parse_dyadic, parse_int
-from .fastmult import (RING_OPS, Pipeline, PrecomputedOperator, _function_source, _renumbered, load_source,
-                       verify_pipeline)
+from .fastmult import Pipeline, PrecomputedOperator, verify_pipeline
+from .program import RING_OPS, function_source, load_source, renumbered
 
 OPCODES = ("load_a", "load_b", "const", "add", "sub", "neg", "mul", "shift", "store_y")
 _OPCODE = {"a": "load_a", "b": "load_b", "c": "const", "halve": "shift"}  # tape op -> text opcode, if renamed
@@ -72,8 +72,8 @@ class SLProgram:
     def compiled(self):
         """``run(half, a, b, c)``, generated from the tape on first use:
         the outputs for inputs ``a`` and ``b`` and constants ``c``, each
-        ``halve`` as ``x * half``; :func:`~diracmul.fastmult.load_source` runs it."""
-        source = _function_source("program(half, a, b, c)", self.instrs, self.outputs, "[]")
+        ``halve`` as ``x * half``; :func:`~diracmul.program.load_source` runs it."""
+        source = function_source("program(half, a, b, c)", self.instrs, self.outputs, "[]")
         return load_source(source, "straight-line program")[1]["program"]
 
 
@@ -100,7 +100,7 @@ def flatten(pipeline: Pipeline, include_precompute: bool = True,
     tape = [("a", (k,)) for k in range(DIM)]
     if include_precompute:
         bind = compiled.bind_tape
-        tape += _renumbered(bind, range(len(bind)), range(DIM, DIM + len(bind)))
+        tape += renumbered(bind, range(len(bind)), range(DIM, DIM + len(bind)))
         entries, consts = [DIM + x for x in compiled.entries], ()
     else:
         consts = [_as_dyadic_pair(val) for val in operator.entries]
@@ -110,7 +110,7 @@ def flatten(pipeline: Pipeline, include_precompute: bool = True,
     position = [args[0] if op == "a" else entries[args[0]] for op, args in compiled.apply_tape if op not in RING_OPS]
     steps = range(len(position), len(compiled.apply_tape))
     position += range(len(tape), len(tape) + len(steps))
-    tape += _renumbered(compiled.apply_tape, steps, position)
+    tape += renumbered(compiled.apply_tape, steps, position)
     return SLProgram(tape, [position[x] for x in compiled.outputs], consts)
 
 
@@ -162,8 +162,7 @@ def emit_text(program: SLProgram) -> str:
     ]
     for i, (op, args) in enumerate(program.instrs):
         if op == "c":
-            num, exp = program.consts[args[0]]
-            operands = [str(num) if exp == 0 else f"{num}/2^{exp}"]
+            operands = [repr(DyadicRational(*program.consts[args[0]]))]
         elif op in RING_OPS:
             operands = [f"v{x}" for x in args] + (["1"] if op == "halve" else [])
         else:

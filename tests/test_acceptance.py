@@ -72,7 +72,7 @@ def test_criterion_1_symbolic_factorization_identity():
         ok = ok and result.ok
         if result.ok:
             # every entry must be a single signed coefficient
-            from diracmul.fastmult import pipeline_matrix
+            from diracmul.proof import pipeline_matrix
 
             mat = pipeline_matrix(assemble_pipeline(level))
             for row in mat.entries:

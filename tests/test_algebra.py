@@ -13,7 +13,7 @@ from unittest.mock import ANY
 
 import pytest
 
-from diracmul import algebra, derive, fastmult
+from diracmul import algebra, derive
 from diracmul.algebra import (
     DIM,
     DiracNumber,
@@ -32,7 +32,8 @@ from diracmul.algebra import (
     table_errata,
 )
 from diracmul.exactnum import FLOAT, CountingRing, DYADIC, DyadicRational, exact_ints, lf_from_b
-from diracmul.fastmult import Recorder, count_operations
+from diracmul.fastmult import count_operations
+from diracmul.program import Recorder
 from diracmul.slpgen import emit_text, schoolbook_program
 
 from diracmul.exactnum import INTS
@@ -245,8 +246,8 @@ class TestSchoolbook:
 
     def test_compiled_product_is_built_once_per_table(self, monkeypatch):
         built = {"record": [], "source": [], "load": []}
-        for module, name, key in ((algebra, "record_schoolbook", "record"), (fastmult, "_function_source", "source"),
-                                  (fastmult, "load_source", "load")):
+        for module, name, key in ((algebra, "record_schoolbook", "record"), (algebra, "function_source", "source"),
+                                  (algebra, "load_source", "load")):
             real = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *args, real=real, key=key: built[key].append(args) or real(*args))
         tables = [build_table_from_generators() for _ in range(2)]
@@ -298,7 +299,7 @@ class TestSchoolbook:
         assert got == [sum(av[1:], av[0]) * sum(bv[1:], bv[0])] + [None] * (DIM - 1)
 
     def test_a_product_loads_no_slpgen(self):
-        # the first product records and compiles through fastmult alone, so set-up stays small
+        # the first product records and compiles through program alone, so set-up stays small
         code = ("import sys, diracmul as d; t = d.build_table_from_generators(); a = d.DiracNumber([1.5] * 16, d.FLOAT); "
                 "e = d.DiracNumber.from_ints(range(16), d.DYADIC); d.mul_schoolbook(a, a, t); d.mul_schoolbook(e, e, t); "
                 "sys.exit('diracmul.slpgen' in sys.modules)")

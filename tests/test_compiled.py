@@ -20,7 +20,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from diracmul import fastmult
+from diracmul import fastmult, proof
 from diracmul.algebra import (DIM, DiracNumber, RingMismatchError, _schoolbook_loop, build_table_from_generators,
                               mul_schoolbook, symbolic_b)
 from diracmul.cli import main
@@ -28,11 +28,8 @@ from diracmul.exactnum import (CountingRing, CountingScalar, DYADIC, FLOAT, FORM
                                exact_ints)
 from diracmul.fastmult import (
     LEVELS,
-    RING_OPS,
     AssetError,
-    CompiledProgram,
     PrecomputedOperator,
-    Recorder,
     Stage,
     assemble_pipeline,
     bind_block,
@@ -43,6 +40,7 @@ from diracmul.fastmult import (
     verify_pipeline,
 )
 from diracmul.linalg import Mat, SignedPermutation
+from diracmul.program import RING_OPS, CompiledProgram, Recorder, bind_ints, fold_signs, settle_signs
 from diracmul.slpgen import emit_text, flatten, interpret, schoolbook_program
 from helpers import brute_force_product, flipped_table, linear_form_matrix, linear_form_mismatches, replace_stage
 
@@ -282,13 +280,13 @@ def test_fold_carries_signs_into_the_operations_that_use_them():
             ("halve", (6,)),   # 13: halve(x - (-y)), the same halving as 12
             z,                 # 14: an input of another name than x
             ("add", (0, 14))]  # 15: x + z
-    folded, signed = fastmult.fold_signs(tape)
+    folded, signed = fold_signs(tape)
     assert folded == [x, y, ("sub", (1, 0)), ("add", (0, 1)), ("mul", (0, 1)), ("halve", (0,)), ("halve", (3,)),
                       z, ("add", (0, 7))]
     assert signed == [(1, 0), (1, 1), (-1, 0), (-1, 1), (1, 2), (-1, 3), (1, 3), (-1, 4), (-1, 5),
                       (1, 3), (-1, 4), (-1, 2), (1, 6), (1, 6), (1, 7), (1, 8)]
     # a negative output is negated once, at the end; a positive one is read as it is
-    outputs = fastmult.settle_signs(folded, [signed[k] for k in (4, 5, 8)])
+    outputs = settle_signs(folded, [signed[k] for k in (4, 5, 8)])
     assert folded[9:] == [("neg", (3,)), ("neg", (5,))] and outputs == [2, 9, 10]
     for xv, yv, zv in ((6, 10, 3), (-4, 5, -7), (8, 8, 8)):  # over DYADIC, where halving y + x is exact
         inputs = {"x": [DYADIC.wrap(xv)], "y": [DYADIC.wrap(yv)], "z": [DYADIC.wrap(zv)]}
@@ -464,7 +462,7 @@ def shifted_raw(a_coeffs, b_coeffs, level, ring):
 
     prog = assemble_pipeline(level).program
     (a_ints, ea), (b_ints, eb) = lowered(a_coeffs), lowered(b_coeffs)
-    out, exp = prog.apply(a_ints, fastmult._bind_ints(prog, b_ints)), ea + eb + prog.halvings
+    out, exp = prog.apply(a_ints, bind_ints(prog, b_ints)), ea + eb + prog.halvings
     return [n >> exp for n in out] if ring is INTS else [(n, exp) for n in out]
 
 
@@ -527,7 +525,7 @@ def test_integer_bind_keeps_its_halvings_in_the_exponent(level, lifted, verified
     for _ in range(20):
         b = [rng.randint(-(1 << 40), 1 << 40) for _ in range(DIM)]
         # the same values as halving b scaled by 2**halvings with x >> 1, which is exact on it
-        assert list(fastmult._bind_ints(prog, b)) == list(prog.bind(INTS.half, [x << prog.halvings for x in b]))
+        assert list(bind_ints(prog, b)) == list(prog.bind(INTS.half, [x << prog.halvings for x in b]))
 
 
 def test_integer_bind_lifts_entries_of_two_nonzero_depths_to_the_deepest():
@@ -543,7 +541,7 @@ def test_integer_bind_lifts_entries_of_two_nonzero_depths_to_the_deepest():
         bv = [rng.randint(-(1 << 40), 1 << 40) for _ in range(2)]
         # each integer entry is 2**halvings times its dyadic value
         want = prog.bind(DYADIC.half, [DyadicRational(v) for v in bv])
-        assert [DyadicRational(e, prog.halvings) for e in fastmult._bind_ints(prog, bv)] == list(want)
+        assert [DyadicRational(e, prog.halvings) for e in bind_ints(prog, bv)] == list(want)
 
 
 # ---------------------------------------------------------------------------
@@ -692,8 +690,9 @@ def test_mul_fast_on_unverified_pipeline_never_runs_the_proof(tmp_path, monkeypa
     def no_proof(*_args):
         raise AssertionError("the product path ran the proof")
 
-    for name in ("verify_pipeline", "pipeline_matrix", "prove", "_packed_products", "_packed_table"):
-        monkeypatch.setattr(fastmult, name, no_proof)
+    for module, name in ((fastmult, "verify_pipeline"), (fastmult, "prove"), (proof, "pipeline_matrix"), (proof, "prove"),
+                         (proof, "_packed_products"), (proof, "_packed_table")):
+        monkeypatch.setattr(module, name, no_proof)
     monkeypatch.setenv("DIRAC_ASSET_DIR", str(dst))
     rng = random.Random(350)
     a, b = (DiracNumber.from_ints(generic_ints(rng), DYADIC) for _ in range(2))
@@ -711,7 +710,7 @@ def unhalved_f(pipe):
 def test_basis_proof_matrix_equals_the_linear_form_run(verified_pipelines, planted_fault):
     pipelines = list(verified_pipelines.values()) + [planted_fault[0], unhalved_f(verified_pipelines[3])]
     for pipe in pipelines:
-        assert fastmult.pipeline_matrix(pipe) == linear_form_matrix(pipe)
+        assert proof.pipeline_matrix(pipe) == linear_form_matrix(pipe)
 
 
 def test_faulty_pipelines_report_the_linear_form_mismatches(verified_pipelines, planted_fault):
@@ -729,8 +728,8 @@ def compiled_schoolbook(table) -> CompiledProgram:
 def test_prove_checks_a_program_that_is_no_pipeline():
     prog = compiled_schoolbook(TABLE)
     assert (prog.halvings, prog.filename) == (0, "<diracmul schoolbook>")
-    assert fastmult.prove(prog) == []
-    mismatches = fastmult.prove(compiled_schoolbook(flipped_table(TABLE)))
+    assert proof.prove(prog) == []
+    mismatches = proof.prove(compiled_schoolbook(flipped_table(TABLE)))
     assert [(r, c) for r, c, _, _ in mismatches] == [(0, 3)]  # i3 * i3 = -1 with its sign flipped
     assert mismatches[0][2:] == (LinearForm.variable(3), -LinearForm.variable(3))
 
@@ -755,7 +754,7 @@ def test_the_lane_width_holds_for_a_program_built_to_fool_it():
     out[0] = rec.add(out[0], rec.sub(term, rec.mul(a[1], b[0])))
     faulty = CompiledProgram(rec.tape, out, "schoolbook with a packed-away fault")
     assert faulty.lane_width == 8  # 2**7 above 16 + 2**6 + 1
-    mismatches = fastmult.prove(faulty)
+    mismatches = proof.prove(faulty)
     assert [(r, c, repr(got), repr(want)) for r, c, got, want in mismatches] == [
         (0, 0, "65*b0", "b0"), (0, 1, "-b0+b1", "b1")]
 
@@ -791,15 +790,15 @@ def test_the_packed_proof_reports_what_the_linear_form_run_finds(terms):
         term = rec.mul(times(rec, a[n], abs(ca)), bm)
         out[k] = rec.add(out[k], term) if ca > 0 else rec.sub(out[k], term)
     prog = CompiledProgram(rec.tape, out, "schoolbook with added terms")
-    assert fastmult.prove(prog) == linear_form_mismatches(types.SimpleNamespace(program=prog))
+    assert proof.prove(prog) == linear_form_mismatches(types.SimpleNamespace(program=prog))
 
 
 def test_the_proof_runs_bind_once_and_apply_once(verified_pipelines, planted_fault):
     pipelines = list(verified_pipelines.values()) + [planted_fault[0]]
-    runs = [(fastmult.prove, pipe.program, pipe.program) for pipe in pipelines]
-    runs += [(fastmult.pipeline_matrix, pipe, pipe.program) for pipe in pipelines]
+    runs = [(proof.prove, pipe.program, pipe.program) for pipe in pipelines]
+    runs += [(proof.pipeline_matrix, pipe, pipe.program) for pipe in pipelines]
     school = compiled_schoolbook(flipped_table(TABLE))
-    runs.append((fastmult.prove, school, school))
+    runs.append((proof.prove, school, school))
     for fn, arg, prog in runs:
         calls = calls_per_code_object(fn, arg)
         assert (calls[prog.bind.__code__], calls[prog.apply.__code__]) == (1, 1), fn.__name__

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracmul import fastmult
+from diracmul import fastmult, proof
 from diracmul.algebra import DIM, DiracNumber, build_table_from_generators, mul_schoolbook
 from diracmul.derive import derive_all, generated_asset_texts
 from diracmul.exactnum import CountingRing, DYADIC, FORMS, lf_from_b
@@ -347,16 +347,16 @@ class TestVerification:
             built.append(1)
             return build_table_from_generators()
 
-        monkeypatch.setattr(fastmult, "build_table_from_generators", counted)
-        fastmult._generator_table.cache_clear()
-        fastmult._packed_table.cache_clear()
+        monkeypatch.setattr(proof, "build_table_from_generators", counted)
+        proof._generator_table.cache_clear()
+        proof._packed_table.cache_clear()
         for pipe in verified_pipelines.values():
             assert verify_pipeline(pipe).ok
         bad_pipe, affected_column = planted_fault
         report = verify_pipeline(bad_pipe)
         assert {(r, c) for r, c, _, _ in report.mismatches} == {(r, affected_column) for r in range(DIM)}
         assert len({pipe.program.lane_width for pipe in verified_pipelines.values()}) > 1
-        assert fastmult._packed_table.cache_info().currsize > 1
+        assert proof._packed_table.cache_info().currsize > 1
         assert len(built) == 1
 
     def test_report_summary_format(self, verified_pipelines):

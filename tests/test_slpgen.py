@@ -8,10 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from diracmul import exactnum, fastmult
+from diracmul import exactnum
 from diracmul.algebra import DIM, DiracNumber, mul_schoolbook
 from diracmul.exactnum import CountingRing, DYADIC, FLOAT, INTS, DyadicRational, FloatRing
-from diracmul.fastmult import RING_OPS, PrecomputedOperator, Recorder, mul_fast, precompute
+from diracmul.fastmult import PrecomputedOperator, mul_fast, precompute
+from diracmul.program import RING_OPS, Recorder, function_source
 from diracmul.slpgen import SLPError, emit_text, flatten, interpret, parse_text, schoolbook_program
 from helpers import replace_stage
 
@@ -242,7 +243,7 @@ class TestExecutor:
         finally:
             sys.setprofile(None)
         run = program.compiled
-        assert sum(code is fastmult._function_source.__code__ for code in calls) == 1
+        assert sum(code is function_source.__code__ for code in calls) == 1
         assert sum(code is run.__code__ for code in calls) == len(pairs)
         assert [code for code in calls if code.co_filename == exactnum.__file__] == []
         assert operator_calls == []
